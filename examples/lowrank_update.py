@@ -57,11 +57,18 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
     # Step 2: a symmetric low-rank update (permuted ordering, as the H2 matrix).
     update = random_low_rank(n, update_rank, seed=9, symmetric=True, scale=0.5)
 
-    # Step 3: recompress the sum with the same algorithm.
+    # Step 3: recompress the sum with the same algorithm.  Both inputs are
+    # batched: sampling runs the compiled apply plan of the base matrix, entry
+    # generation its compiled entry plan (O(levels) passes per request list).
     result = recompress_h2(base.matrix, update, config=config, seed=10)
     print(
         f"recompression: {result.elapsed_seconds:.2f}s, {result.total_samples} samples, "
         f"ranks {result.rank_range[0]}-{result.rank_range[1]}, {result.memory_mb():.1f} MB"
+    )
+    print(
+        f"  sampling {result.phase_seconds.get('sampling', 0.0):.3f}s, "
+        f"entry generation {result.phase_seconds.get('entry_generation', 0.0):.3f}s "
+        f"({result.entries_evaluated / 1e6:.1f} M entries)"
     )
 
     # Step 4: validate against the exact sum (matrix-free).

@@ -19,7 +19,9 @@ The same machinery also *applies* constructed H2 matrices:
 :mod:`repro.batched.apply_plan` compiles an ``H2Matrix`` into per-level
 :class:`VariableBatch` execution plans (:class:`H2ApplyPlan`) so that matvec,
 matmat and the transpose applies run as O(levels) batched launches on either
-backend instead of a per-node Python loop.
+backend instead of a per-node Python loop; :mod:`repro.batched.entry_plan`
+does the same for entry evaluation (:class:`H2EntryPlan`: sub-blocks of an H2
+matrix in O(levels) vectorised passes per request list).
 """
 
 from .apply_plan import ApplyStage, H2ApplyPlan, compile_apply_plan
@@ -32,6 +34,7 @@ from .backend import (
 from .bsr import BlockSparseRowMatrix
 from .construction_plan import ConstructionPlan, PackedSweepEngine
 from .counters import KernelLaunchCounter
+from .entry_plan import H2EntryPlan, compile_entry_plan
 from .variable_batch import VariableBatch
 
 __all__ = [
@@ -39,10 +42,12 @@ __all__ = [
     "BatchedBackend",
     "ConstructionPlan",
     "H2ApplyPlan",
+    "H2EntryPlan",
     "PackedSweepEngine",
     "SerialBackend",
     "VectorizedBackend",
     "compile_apply_plan",
+    "compile_entry_plan",
     "get_backend",
     "BlockSparseRowMatrix",
     "KernelLaunchCounter",

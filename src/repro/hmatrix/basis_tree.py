@@ -7,8 +7,10 @@ is represented implicitly through the transfer matrices ``E`` of its children,
 
 :class:`BasisTree` stores the leaf bases, the per-child transfer matrices and
 the per-node ranks, and provides the (memoised) expansion of the explicit
-basis of any node — used for dense reconstruction in tests and for entry
-extraction of admissible blocks.
+basis of any node — used for dense reconstruction in tests and the exact
+HSS-to-HODLR expansion.  Entry evaluation never expands an inner basis: it
+runs the same recursion on the requested rows only
+(:mod:`repro.batched.entry_plan`).
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class BasisTree:
         """The explicit ``(cluster_size, rank)`` basis of ``node`` (memoised).
 
         Leaves return their stored basis; inner nodes expand Eq. (2)
-        recursively.  Intended for tests, dense reconstruction and entry
-        extraction on moderate problem sizes — the H2 format never needs the
-        explicit inner bases for matvec or construction.
+        recursively.  Intended for tests and dense reconstruction on moderate
+        problem sizes — the H2 format never needs the explicit inner bases
+        for matvec, entry evaluation or construction.
         """
         cached = self._explicit_cache.get(node)
         if cached is not None:
@@ -110,11 +112,6 @@ class BasisTree:
                 basis = np.vstack([ul @ el, ur @ er])
         self._explicit_cache[node] = basis
         return basis
-
-    def basis_rows(self, node: int, local_rows: np.ndarray) -> np.ndarray:
-        """Rows ``local_rows`` (cluster-local indices) of the explicit basis of ``node``."""
-        local_rows = np.asarray(local_rows, dtype=np.int64)
-        return self.explicit_basis(node)[local_rows]
 
     # -------------------------------------------------------------- reporting
     def memory_bytes(self) -> int:

@@ -8,10 +8,10 @@ An :class:`H2Matrix` combines
 * dense matrices ``D_{s,t}`` for every inadmissible leaf pair,
 
 and provides the linear-complexity matrix-vector product (upward pass /
-coupling phase / downward pass / dense phase), batched entry extraction (used
-when an existing H2 matrix serves as the entry evaluator of a new
-construction, e.g. the low-rank update experiments), memory accounting for the
-Fig. 6 plots, and dense reconstruction for validation on small problems.
+coupling phase / downward pass / dense phase), entry evaluation (used when an
+existing H2 matrix serves as the entry evaluator of a new construction, e.g.
+the low-rank update experiments), memory accounting for the Fig. 6 plots, and
+dense reconstruction for validation on small problems.
 
 The matrix acts on vectors in the *original* point ordering by default; the
 internal representation lives in the cluster-tree permuted ordering.
@@ -26,8 +26,18 @@ on a pluggable :class:`~repro.batched.backend.BatchedBackend`.  The backend is
 selected per matrix (:attr:`H2Matrix.apply_backend`, default ``"vectorized"``)
 or per call (the ``backend=`` argument); the launch statistics accumulate in
 the backend's :class:`~repro.batched.counters.KernelLaunchCounter`.  The
-original per-node reference loop remains available as :meth:`matvec_loop` and
-anchors the equivalence test-suite.
+per-node reference loop :meth:`matvec_loop` is the oracle of the equivalence
+test-suite.
+
+Entry evaluation
+----------------
+:meth:`H2Matrix.get_block` evaluates ``A[rows, cols]`` through a second
+compiled plan (:mod:`repro.batched.entry_plan`, cached next to the apply
+plan): indices are mapped to leaves with one ``searchsorted``, the governing
+partition blocks are found by a vectorised walk up the tree, dense parts are
+gathered and admissible parts run the nested-basis upsweep on the requested
+rows only.  ``get_block`` is the batch-of-one case; whole request lists go
+through :class:`~repro.sketching.entry_extractor.H2EntryExtractor`.
 """
 
 from __future__ import annotations
@@ -40,11 +50,13 @@ import numpy as np
 from ..api.protocol import HierarchicalOperatorMixin
 from ..tree.block_partition import BlockPartition
 from ..tree.cluster_tree import ClusterTree
+from ..utils.validation import as_index_requests
 from .basis_tree import BasisTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.apply_plan import H2ApplyPlan
     from ..batched.backend import BatchedBackend
+    from ..batched.entry_plan import H2EntryPlan
 
 
 @dataclass
@@ -79,6 +91,9 @@ class H2Matrix(HierarchicalOperatorMixin):
     _plan: "Optional[H2ApplyPlan]" = field(
         default=None, init=False, repr=False, compare=False
     )
+    _entry_plan: "Optional[H2EntryPlan]" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ----------------------------------------------------------------- basics
     @property
@@ -109,12 +124,16 @@ class H2Matrix(HierarchicalOperatorMixin):
         first use).
 
         Pass ``rebuild=True`` after mutating coupling/dense/basis blocks in
-        place — the plan holds stacked copies of the block data.
+        place — the compiled plans hold copies of the block data; the entry
+        plan (:meth:`entry_plan`) is dropped with it and recompiled on its
+        next use.
         """
         if self._plan is None or rebuild:
             from ..batched.apply_plan import compile_apply_plan
 
             self._plan = compile_apply_plan(self)
+        if rebuild:
+            self._entry_plan = None
         return self._plan
 
     def reuse_plan(self, plan: "H2ApplyPlan") -> "H2ApplyPlan":
@@ -129,6 +148,7 @@ class H2Matrix(HierarchicalOperatorMixin):
         structural mismatch — fall back to :meth:`apply_plan` then.
         """
         self._plan = plan.refresh(self)
+        self._entry_plan = None
         return self._plan
 
     def _resolve_backend(
@@ -251,76 +271,33 @@ class H2Matrix(HierarchicalOperatorMixin):
             y[tree.starts[s] : tree.ends[s]] += d @ x[tree.starts[t] : tree.ends[t]]
         return y
 
-    # ------------------------------------------------------- entry extraction
-    def leaf_of_index(self, index: int) -> int:
-        """The leaf cluster owning permuted index ``index``."""
-        tree = self.tree
-        node = 0
-        while not tree.is_leaf(node):
-            left, right = tree.children(node)
-            node = left if index < tree.ends[left] else right
-        return node
+    # ------------------------------------------------------- entry evaluation
+    def entry_plan(self) -> "H2EntryPlan":
+        """The compiled entry-evaluation plan of this matrix (built and cached
+        on first use, dropped together with the apply plan)."""
+        if self._entry_plan is None:
+            from ..batched.entry_plan import compile_entry_plan
 
-    def _governing_block(self, leaf_s: int, leaf_t: int) -> Tuple[str, int, int]:
-        """Find the partition leaf block covering the leaf-cluster pair.
-
-        Returns ``("dense", s, t)`` when the pair is an inadmissible leaf block
-        or ``("coupling", a, b)`` for the (unique) admissible ancestor pair.
-        """
-        if leaf_t in self.partition.near(leaf_s):
-            return ("dense", leaf_s, leaf_t)
-        s, t = leaf_s, leaf_t
-        while True:
-            if t in self.partition.far(s):
-                return ("coupling", s, t)
-            if s == 0 or t == 0:
-                raise KeyError(
-                    f"no partition block covers leaf pair ({leaf_s}, {leaf_t}); "
-                    "the block partition is inconsistent"
-                )
-            s = self.tree.parent(s)
-            t = self.tree.parent(t)
+            self._entry_plan = compile_entry_plan(self)
+        return self._entry_plan
 
     def get_block(self, rows: np.ndarray, cols: np.ndarray, permuted: bool = True) -> np.ndarray:
         """Evaluate the sub-matrix ``A[rows, cols]`` of the H2 approximation.
 
         This is the entry-evaluation function required when an existing H2
         matrix is used as the input of a new construction (Section V-A, the H2
-        update application).  Indices refer to the permuted ordering by default.
+        update application): a batch of one request to :meth:`entry_plan`.
+        Indices refer to the permuted ordering by default; a non-integer index
+        array or an index outside ``[0, n)`` raises :class:`IndexError`.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        ((rows, cols),) = as_index_requests([(rows, cols)], self.num_rows)
         if not permuted:
-            rows = self.tree.iperm[rows]
-            cols = self.tree.iperm[cols]
-        out = np.zeros((rows.shape[0], cols.shape[0]), dtype=np.float64)
-        if rows.size == 0 or cols.size == 0:
-            return out
-
-        row_leaves = np.array([self.leaf_of_index(int(i)) for i in rows], dtype=np.int64)
-        col_leaves = np.array([self.leaf_of_index(int(j)) for j in cols], dtype=np.int64)
-        for leaf_s in np.unique(row_leaves):
-            sel_r = np.nonzero(row_leaves == leaf_s)[0]
-            local_r = rows[sel_r] - self.tree.starts[leaf_s]
-            for leaf_t in np.unique(col_leaves):
-                sel_c = np.nonzero(col_leaves == leaf_t)[0]
-                local_c = cols[sel_c] - self.tree.starts[leaf_t]
-                kind, a, b = self._governing_block(int(leaf_s), int(leaf_t))
-                if kind == "dense":
-                    block = self.dense[(a, b)][np.ix_(local_r, local_c)]
-                else:
-                    coupling = self.coupling.get((a, b))
-                    if coupling is None or coupling.size == 0:
-                        block = np.zeros((sel_r.size, sel_c.size))
-                    else:
-                        row_basis = self.basis.basis_rows(
-                            a, rows[sel_r] - self.tree.starts[a]
-                        )
-                        col_basis = self.basis.basis_rows(
-                            b, cols[sel_c] - self.tree.starts[b]
-                        )
-                        block = row_basis @ coupling @ col_basis.T
-                out[np.ix_(sel_r, sel_c)] = block
+            rows, cols = self.tree.iperm[rows], self.tree.iperm[cols]
+        out = np.zeros((rows.size, cols.size), dtype=np.float64)
+        self.entry_plan().evaluate(
+            [(rows, cols)], out.reshape(-1),
+            np.zeros(1, dtype=np.int64), np.array([cols.size], dtype=np.int64),
+        )
         return out
 
     # ------------------------------------------------------------------ dense

@@ -27,8 +27,40 @@ def check_square(matrix: np.ndarray, name: str = "matrix") -> None:
 
 
 def as_index_array(indices: Any) -> np.ndarray:
-    """Convert ``indices`` to a 1-D ``int64`` array (without copying when possible)."""
-    arr = np.asarray(indices, dtype=np.int64)
+    """Convert ``indices`` to a 1-D ``int64`` array (without copying when possible).
+
+    A non-empty array of a non-integer dtype raises :class:`IndexError` (the
+    silent truncation of ``np.asarray(..., dtype=int64)`` would address the
+    wrong entries); an empty array of any dtype is accepted.
+    """
+    arr = np.asarray(indices)
     if arr.ndim != 1:
         raise ValueError(f"index array must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype != np.int64:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise IndexError(
+                f"index arrays must be of integer type, got dtype {arr.dtype}"
+            )
+        arr = arr.astype(np.int64)
     return arr
+
+
+def check_index_range(indices: np.ndarray, n: int) -> None:
+    """Raise :class:`IndexError` naming the first index outside ``[0, n)``."""
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        bad = indices[(indices < 0) | (indices >= n)][0]
+        raise IndexError(
+            f"index {int(bad)} is out of bounds for a matrix of dimension {n}"
+        )
+
+
+def as_index_requests(requests: Any, n: int) -> list:
+    """Normalise a batch of ``(rows, cols)`` requests to ``int64`` array pairs.
+
+    The integer-dtype and ``0 <= index < n`` checks run once for the whole
+    batch (see :func:`as_index_array`, :func:`check_index_range`).
+    """
+    reqs = [(as_index_array(rows), as_index_array(cols)) for rows, cols in requests]
+    if reqs:
+        check_index_range(np.concatenate([a for pair in reqs for a in pair]), n)
+    return reqs

@@ -48,12 +48,6 @@ class TestBasisTree:
             checked += 1
         assert checked > 0
 
-    def test_basis_rows_subset(self, cov_h2):
-        node = next(iter(cov_h2.basis.leaf_bases))
-        full = cov_h2.basis.explicit_basis(node)
-        rows = np.array([0, 2, 4])
-        assert np.allclose(cov_h2.basis.basis_rows(node, rows), full[rows])
-
     def test_memory_positive(self, cov_h2):
         assert cov_h2.basis.memory_bytes() > 0
 
@@ -143,12 +137,6 @@ class TestDenseReconstructionAndEntries:
         expected = dense_cov_2d[np.ix_(tree.iperm, tree.iperm)]
         assert rel_err(cov_h2.to_dense(permuted=False), expected) < 1e-5
 
-    def test_leaf_of_index(self, cov_h2):
-        tree = cov_h2.tree
-        for leaf in tree.leaves():
-            mid = (tree.starts[leaf] + tree.ends[leaf] - 1) // 2
-            assert cov_h2.leaf_of_index(int(mid)) == leaf
-
     def test_get_block_matches_dense(self, cov_h2, dense_cov_2d):
         rng = np.random.default_rng(4)
         rows = rng.choice(cov_h2.num_rows, size=25, replace=False)
@@ -170,6 +158,21 @@ class TestDenseReconstructionAndEntries:
     def test_get_block_empty(self, cov_h2):
         out = cov_h2.get_block(np.zeros(0, dtype=int), np.arange(5), permuted=True)
         assert out.shape == (0, 5)
+
+    @pytest.mark.parametrize("permuted", [True, False])
+    def test_get_block_rejects_out_of_range_and_non_integer_indices(
+        self, cov_h2, permuted
+    ):
+        # A negative index used to descend to leaf 0 and wrap the local index
+        # (a wrong entry, silently); past n it raised an untyped numpy error.
+        n = cov_h2.num_rows
+        for bad in (-1, n):
+            with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+                cov_h2.get_block(np.array([0, bad]), np.arange(3), permuted=permuted)
+            with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+                cov_h2.get_block(np.arange(3), np.array([bad]), permuted=permuted)
+        with pytest.raises(IndexError, match="integer"):
+            cov_h2.get_block(np.array([0.0, 1.0]), np.arange(3), permuted=permuted)
 
     def test_get_block_original_ordering(self, cov_h2, dense_cov_2d):
         tree = cov_h2.tree

@@ -6,6 +6,7 @@ import pytest
 from repro import (
     DenseEntryExtractor,
     DenseOperator,
+    EntryExtractor,
     H2EntryExtractor,
     H2Operator,
     KernelEntryExtractor,
@@ -243,8 +244,21 @@ class TestStackedExtraction:
         assert np.array_equal(out[0, :2, :3], dense_cov_2d[:2, :3])
         assert np.all(out[1] == 0.0)
 
-    def test_non_stacked_extractor_falls_back_to_block_loop(self, cov_h2):
-        ex = H2EntryExtractor(cov_h2)
+    def test_non_stacked_extractor_falls_back_to_block_loop(self, dense_cov_2d):
+        class BlockOnly(EntryExtractor):
+            """Stub without a stacked path: every block is one ``_extract``."""
+
+            calls = 0
+
+            @property
+            def n(self):
+                return dense_cov_2d.shape[0]
+
+            def _extract(self, rows, cols):
+                self.calls += 1
+                return dense_cov_2d[np.ix_(rows, cols)]
+
+        ex = BlockOnly()
         assert not ex.supports_stacked
         rng = np.random.default_rng(9)
         requests = self._requests(rng, ex.n, [(3, 4), (3, 4), (2, 2)])
@@ -253,16 +267,72 @@ class TestStackedExtraction:
         # Launches are still recorded per shape group (the batched dispatch
         # granularity), even though the evaluation loops over the blocks.
         assert counter.by_operation()["batched_gen"] == 2
+        assert ex.calls == 3
         for (rows, cols), block in zip(requests, blocks):
-            assert np.allclose(
-                block, cov_h2.get_block(rows, cols, permuted=True)
-            )
+            assert np.array_equal(block, dense_cov_2d[np.ix_(rows, cols)])
         padded = ex.extract_blocks_padded(requests, 3, 4)
+        assert ex.calls == 6
         for i, (rows, cols) in enumerate(requests):
-            assert np.allclose(
-                padded[i, : len(rows), : len(cols)],
-                cov_h2.get_block(rows, cols, permuted=True),
+            assert np.array_equal(
+                padded[i, : len(rows), : len(cols)], dense_cov_2d[np.ix_(rows, cols)]
             )
+
+    def test_h2_extractor_batches_match_get_block(self, cov_h2):
+        ex = H2EntryExtractor(cov_h2)
+        rng = np.random.default_rng(9)
+        requests = self._requests(rng, ex.n, [(3, 4), (3, 4), (2, 2)])
+        counter = KernelLaunchCounter()
+        blocks = ex.extract_blocks(requests, counter=counter)
+        # One record per shape group whatever the evaluation path.
+        assert counter.by_operation()["batched_gen"] == 2
+        padded = ex.extract_blocks_padded(requests, 3, 4)
+        for i, ((rows, cols), block) in enumerate(zip(requests, blocks)):
+            expected = cov_h2.get_block(rows, cols, permuted=True)
+            assert np.allclose(block, expected, rtol=0.0, atol=1e-14)
+            assert np.allclose(
+                padded[i, : len(rows), : len(cols)], expected, rtol=0.0, atol=1e-14
+            )
+
+    def test_sum_of_stacked_terms_adds_stacks(self, cov_h2):
+        lr = random_low_rank(cov_h2.num_rows, 3, seed=4)
+        ex = SumEntryExtractor([H2EntryExtractor(cov_h2), LowRankEntryExtractor(lr)])
+        assert ex.supports_stacked
+        rng = np.random.default_rng(2)
+        requests = self._requests(rng, ex.n, [(5, 6), (5, 6), (1, 9)])
+        reference = cov_h2.to_dense(permuted=True) + lr.to_dense()
+        padded = ex.extract_blocks_padded(requests, 5, 9)
+        for i, ((rows, cols), block) in enumerate(zip(requests, ex.extract_blocks(requests))):
+            assert np.allclose(block, reference[np.ix_(rows, cols)], rtol=0.0, atol=1e-13)
+            assert np.array_equal(padded[i, : len(rows), : len(cols)], block)
+
+    def test_padding_smaller_than_a_block_is_rejected(self, dense_cov_2d):
+        ex = DenseEntryExtractor(dense_cov_2d)
+        with pytest.raises(ValueError, match="does not fit"):
+            ex.extract_blocks_padded([(np.arange(4), np.arange(2))], 3, 3)
+
+    def test_every_extractor_rejects_bad_indices(
+        self, cov_h2, dense_cov_2d, tree_2d, exp_kernel
+    ):
+        lr = random_low_rank(cov_h2.num_rows, 2, seed=1)
+        extractors = [
+            DenseEntryExtractor(dense_cov_2d),
+            KernelEntryExtractor(exp_kernel, tree_2d.points),
+            H2EntryExtractor(cov_h2),
+            LowRankEntryExtractor(lr),
+            SumEntryExtractor([H2EntryExtractor(cov_h2), LowRankEntryExtractor(lr)]),
+        ]
+        good = (np.arange(3), np.arange(3))
+        for ex in extractors:
+            for bad in (-1, ex.n):
+                request = (np.array([1, bad, 2]), np.arange(3))
+                with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+                    ex.extract(*request)
+                with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+                    ex.extract_blocks([good, request])
+                with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+                    ex.extract_blocks_padded([good, request[::-1]], 3, 3)
+            with pytest.raises(IndexError, match="integer"):
+                ex.extract_blocks([(np.array([0.5, 1.0]), np.arange(2))])
 
     def test_white_noise_diagonal_survives_stacked_path(self, tree_2d):
         """profile_with_diagonal over the distance stack keeps exact diagonals."""
