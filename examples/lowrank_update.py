@@ -59,7 +59,7 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
 
     # Step 3: recompress the sum with the same algorithm.  Both inputs are
     # batched: sampling runs the compiled apply plan of the base matrix, entry
-    # generation its compiled entry plan (O(levels) passes per request list).
+    # generation its compiled entry plan (O(levels) passes per shape group).
     result = recompress_h2(base.matrix, update, config=config, seed=10)
     print(
         f"recompression: {result.elapsed_seconds:.2f}s, {result.total_samples} samples, "

@@ -21,7 +21,7 @@ The same machinery also *applies* constructed H2 matrices:
 matmat and the transpose applies run as O(levels) batched launches on either
 backend instead of a per-node Python loop; :mod:`repro.batched.entry_plan`
 does the same for entry evaluation (:class:`H2EntryPlan`: sub-blocks of an H2
-matrix in O(levels) vectorised passes per request list).
+matrix in O(levels) vectorised passes per stack of requests).
 """
 
 from .apply_plan import ApplyStage, H2ApplyPlan, compile_apply_plan

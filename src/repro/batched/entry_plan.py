@@ -6,9 +6,9 @@ the input is itself an H2 matrix — the low-rank update application, the loose
 HSS sketch behind a factorization, ACA conversions to HODLR / H form — the
 entries of arbitrary sub-blocks ``A[rows, cols]`` have to come out of the
 nested representation.  :class:`H2EntryPlan` is compiled once per
-:class:`~repro.hmatrix.h2matrix.H2Matrix` and evaluates a whole request list
-in a number of vectorised passes that depends on the tree depth, not on the
-number of requests:
+:class:`~repro.hmatrix.h2matrix.H2Matrix` and evaluates a stack of requests
+(one shape group of a request list) in a number of vectorised passes that
+depends on the tree depth, not on the number of requests:
 
 1. **Index map.**  The distinct index sets of the batch are concatenated and
    sorted once; one ``searchsorted`` over the leaf starts maps every index to
@@ -44,7 +44,7 @@ All indices refer to the cluster-tree permuted ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -243,36 +243,38 @@ class H2EntryPlan:
         return int(sum(a.nbytes for a in arrays))
 
     # -------------------------------------------------------------- evaluation
-    def evaluate(
-        self,
-        requests: Sequence[Tuple[np.ndarray, np.ndarray]],
-        out: np.ndarray,
-        base: np.ndarray,
-        stride: np.ndarray,
-    ) -> None:
-        """Write ``A[rows_i, cols_i]`` of every request into the flat ``out``.
+    def evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The ``(g, p, q)`` stack of the sub-blocks ``A[rows[i], cols[i]]``.
 
-        Entry ``(a, b)`` of request ``i`` lands at ``out[base[i] + a*stride[i]
-        + b]``; entries the matrix does not cover are left untouched (``out``
-        is expected zero-initialised).  Indices may be unsorted and repeated;
-        a non-integer index array or an index outside ``[0, n)`` raises
-        :class:`IndexError`.
+        ``rows``/``cols`` are ``(g, p)`` / ``(g, q)`` index arrays, possibly
+        unsorted and with repeated indices; a non-integer index array or an
+        index outside ``[0, n)`` raises :class:`IndexError`, a leaf pair that
+        no partition block covers :class:`KeyError`.
         """
         self.passes = 0
-        rows = self._index_rows(requests)
-        if rows is None:
-            return
+        rows_idx, cols_idx = self._index_stack(rows), self._index_stack(cols)
+        if len(rows_idx) != len(cols_idx):
+            raise ValueError(
+                f"{len(rows_idx)} row index arrays for {len(cols_idx)} column index arrays"
+            )
+        p, q = rows_idx.shape[1], cols_idx.shape[1]
+        out = np.zeros((len(rows_idx), p, q), dtype=np.float64)
+        if out.size == 0:
+            return out
+        rows = self._index_rows(rows_idx, cols_idx)
+        flat = out.reshape(-1)
 
         def scatter(req, r, rvalid, c, cvalid, values):
             dst = (
-                (base[req][:, None] + rows.position[r] * stride[req][:, None])[:, :, None]
+                (req * (p * q))[:, None, None]
+                + (rows.position[r] * q)[:, :, None]
                 + rows.position[c][:, None, :]
             )
             if rvalid.all() and cvalid.all():
-                out[dst.reshape(-1)] = values.reshape(-1)
+                flat[dst.reshape(-1)] = values.reshape(-1)
             else:
                 valid = rvalid[:, :, None] & cvalid[:, None, :]
-                out[dst[valid]] = values[valid]
+                flat[dst[valid]] = values[valid]
 
         # Every (row leaf segment, column leaf segment) tile of every request
         # walks up both clusters in lock-step until a block key matches.
@@ -313,8 +315,13 @@ class H2EntryPlan:
                 keep = ~hit
                 req, rseg, cseg, a, b = req[keep], rseg[keep], cseg[keep], a[keep], b[keep]
             a, b = (a - 1) >> 1, (b - 1) >> 1
+        if req.size:
+            raise KeyError(
+                f"no partition block covers leaf pair ({int(rows.seg_node[rseg[0]])}, "
+                f"{int(rows.seg_node[cseg[0]])}): the block partition is inconsistent"
+            )
         if not tiles:
-            return
+            return out
 
         # Upsweep on the selected rows; the tiles of a level are multiplied
         # as soon as their rows have reached it.
@@ -328,26 +335,32 @@ class H2EntryPlan:
                 self._coupling_tiles(rows, scatter, w, level, *tiles[level])
             if level > top_level:
                 w = self._transfer(w, level, by_leaf[top_by_leaf < level], rows.leaf)
+        return out
 
-    def _index_rows(self, requests) -> Optional[_Rows]:
-        """Deduplicate, concatenate and sort the index arrays of a batch and
-        cut them into (set, leaf) segments; ``None`` for a batch without rows."""
+    def _index_stack(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as a validated ``(g, k)`` ``int64`` array."""
+        stack = np.asarray(indices)
+        if stack.ndim != 2:
+            raise ValueError(f"expected a (g, k) index array, got shape {stack.shape}")
+        stack = as_index_array(stack.reshape(-1)).reshape(stack.shape)
+        check_index_range(stack, self.n)
+        return stack
+
+    def _index_rows(self, rows_idx: np.ndarray, cols_idx: np.ndarray) -> _Rows:
+        """Deduplicate, concatenate and sort the (non-empty) index arrays of a
+        batch and cut them into (set, leaf) segments."""
         set_ids: Dict[bytes, int] = {}
         sets = []
-        pair_sets = np.empty((len(requests), 2), dtype=np.int64)
-        for i, pair in enumerate(requests):
-            for side in (0, 1):
-                indices = as_index_array(pair[side])
+        pair_sets = np.empty((len(rows_idx), 2), dtype=np.int64)
+        for side, stack in enumerate((rows_idx, cols_idx)):
+            for i, indices in enumerate(stack):
                 key = indices.tobytes()
                 set_id = set_ids.get(key)
                 if set_id is None:
                     set_id = set_ids[key] = len(sets)
                     sets.append(indices)
                 pair_sets[i, side] = set_id
-        index = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
-        check_index_range(index, self.n)
-        if index.size == 0:
-            return None
+        index = np.concatenate(sets)
         set_sizes = np.fromiter((a.size for a in sets), dtype=np.int64, count=len(sets))
         owner, position = _ragged_arange(set_sizes)
         key = owner * self.n + index

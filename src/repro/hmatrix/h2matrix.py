@@ -36,7 +36,7 @@ compiled plan (:mod:`repro.batched.entry_plan`, cached next to the apply
 plan): indices are mapped to leaves with one ``searchsorted``, the governing
 partition blocks are found by a vectorised walk up the tree, dense parts are
 gathered and admissible parts run the nested-basis upsweep on the requested
-rows only.  ``get_block`` is the batch-of-one case; whole request lists go
+rows only.  ``get_block`` is the batch-of-one case; request lists go
 through :class:`~repro.sketching.entry_extractor.H2EntryExtractor`.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 from ..api.protocol import HierarchicalOperatorMixin
 from ..tree.block_partition import BlockPartition
 from ..tree.cluster_tree import ClusterTree
-from ..utils.validation import as_index_requests
+from ..utils.validation import as_index_array, check_index_range
 from .basis_tree import BasisTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -288,17 +288,17 @@ class H2Matrix(HierarchicalOperatorMixin):
         matrix is used as the input of a new construction (Section V-A, the H2
         update application): a batch of one request to :meth:`entry_plan`.
         Indices refer to the permuted ordering by default; a non-integer index
-        array or an index outside ``[0, n)`` raises :class:`IndexError`.
+        array or an index outside ``[0, n)`` raises :class:`IndexError`, a
+        matrix whose blocks do not cover the request :class:`KeyError`.  The
+        plan reads the blocks it was compiled from: after replacing, adding or
+        removing a block call ``apply_plan(rebuild=True)``.
         """
-        ((rows, cols),) = as_index_requests([(rows, cols)], self.num_rows)
+        rows, cols = as_index_array(rows), as_index_array(cols)
         if not permuted:
+            check_index_range(rows, self.num_rows)
+            check_index_range(cols, self.num_rows)
             rows, cols = self.tree.iperm[rows], self.tree.iperm[cols]
-        out = np.zeros((rows.size, cols.size), dtype=np.float64)
-        self.entry_plan().evaluate(
-            [(rows, cols)], out.reshape(-1),
-            np.zeros(1, dtype=np.int64), np.array([cols.size], dtype=np.int64),
-        )
-        return out
+        return self.entry_plan().evaluate(rows[None], cols[None])[0]
 
     # ------------------------------------------------------------------ dense
     def to_dense(self, permuted: bool = False) -> np.ndarray:

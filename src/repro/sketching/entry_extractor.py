@@ -4,35 +4,31 @@ The construction evaluates two kinds of sub-blocks directly: the dense
 inadmissible leaf blocks ``D_{tau,b} = K(I_tau, I_b)`` and the coupling blocks
 ``B_{s,t} = K(I~_s, I~_t)`` at the skeleton indices.  On the GPU all blocks of
 a level are generated with a single batched kernel launch;
-:meth:`EntryExtractor.extract_blocks` plays that role and
+:meth:`EntryExtractor.extract_blocks` plays that role.  Requests are grouped
+by block shape and every group is one vectorised evaluation of the
+``(g, p, q)`` stack (``_extract_stacked``, one ``batched_gen`` launch): a
+dense-matrix extractor gathers all blocks with a single fancy index, a
+radial-kernel extractor runs one batched distance computation followed by a
+single ``profile_with_diagonal`` call, a low-rank extractor one batched GEMM,
+:class:`H2EntryExtractor` hands the stack to the matrix's compiled
+:class:`~repro.batched.entry_plan.H2EntryPlan` (a number of passes set by the
+tree depth, not by the number of blocks) and :class:`SumEntryExtractor` adds
+the stacks of its terms.  Extractors without ``supports_stacked`` evaluate a
+group block by block.
 :meth:`EntryExtractor.extract_blocks_padded` additionally zero-pads every
 block to one uniform shape, producing the stacked operand layout the compiled
 construction engine (:mod:`repro.batched.construction_plan`) feeds straight
 into ``batched_gemm_scatter``.
 
-Both evaluate the whole request list through one hook, :meth:`EntryExtractor._fill`:
-
-* by default requests are grouped by block shape and every group is one
-  vectorised evaluation of the ``(g, p, q)`` stack (``_extract_stacked``: a
-  dense-matrix extractor gathers all blocks with a single fancy index, a
-  radial-kernel extractor runs one batched distance computation followed by a
-  single ``profile_with_diagonal`` call, a low-rank extractor one batched
-  GEMM); extractors without ``supports_stacked`` evaluate a group block by
-  block;
-* :class:`H2EntryExtractor` hands the whole (ragged) list to the matrix's
-  compiled :class:`~repro.batched.entry_plan.H2EntryPlan`, which evaluates it
-  in O(levels) passes however many requests and shapes it holds;
-* :class:`SumEntryExtractor` fills one output per term and adds the stacks.
-
-Whatever the evaluation path, one ``batched_gen`` launch is recorded per shape
-group — the dispatch granularity the constructor sees.  Index arrays refer to
-the cluster-tree permuted ordering and are validated once per batch: a
-non-integer dtype or an index outside ``[0, n)`` raises :class:`IndexError`.
+All index arrays refer to the cluster-tree permuted ordering and are validated
+once per shape group: a non-integer dtype or an index outside ``[0, n)``
+raises :class:`IndexError`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -40,20 +36,14 @@ import numpy as np
 from ..batched.counters import KernelLaunchCounter
 from ..kernels.base import KernelFunction, PairwiseKernel, pairwise_distances_stacked
 from ..linalg.low_rank import LowRankMatrix
-from ..utils.prefix_sum import exclusive_prefix_sum
-from ..utils.validation import as_index_requests
-
-#: One normalised request: ``(rows, cols)`` as ``int64`` arrays.
-Request = Tuple[np.ndarray, np.ndarray]
-#: Request positions by exact block shape ``(p, q)``.
-ShapeGroups = Dict[Tuple[int, int], List[int]]
+from ..utils.validation import as_index_array, check_index_range
 
 
 class EntryExtractor(ABC):
     """Evaluates arbitrary sub-blocks of the matrix being compressed."""
 
     #: Whether :meth:`_extract_stacked` evaluates a whole shape group in one
-    #: vectorised pass (otherwise a group is evaluated block by block).
+    #: vectorised pass (otherwise batched requests fall back to a block loop).
     supports_stacked: bool = False
 
     def __init__(self) -> None:
@@ -77,62 +67,54 @@ class EntryExtractor(ABC):
         """
         raise NotImplementedError
 
-    def _fill(
-        self,
-        reqs: Sequence[Request],
-        groups: ShapeGroups,
-        out: np.ndarray,
-        base: np.ndarray,
-        stride: np.ndarray,
-    ) -> None:
-        """Write the block of every request into the zero-initialised ``out``.
-
-        ``out`` is either the ``(g, pad_rows, pad_cols)`` stack of
-        :meth:`extract_blocks_padded` or the flat buffer of
-        :meth:`extract_blocks`, which stores the blocks shape group by shape
-        group; in both, entry ``(a, b)`` of request ``i`` lives at flat
-        position ``base[i] + a*stride[i] + b``.  The default evaluates shape
-        group by shape group.
-        """
-        for (p, q), indices in groups.items():
-            if p == 0 or q == 0:
-                continue
-            if not self.supports_stacked or len(indices) == 1:
-                stacked = [self._extract(*reqs[i]) for i in indices]
-            else:
-                stacked = self._extract_stacked(
-                    np.stack([reqs[i][0] for i in indices]),
-                    np.stack([reqs[i][1] for i in indices]),
-                )
-            if out.ndim == 3:
-                out[np.asarray(indices, dtype=np.int64), :p, :q] = stacked
-            else:  # the flat buffer stores the blocks of a group back to back
-                start = int(base[indices[0]])
-                out[start : start + len(indices) * p * q] = np.reshape(stacked, -1)
-
-    def _begin_batch(
-        self,
-        requests: Sequence[Tuple[np.ndarray, np.ndarray]],
-        counter: KernelLaunchCounter | None,
-    ) -> Tuple[List[Request], ShapeGroups, np.ndarray, np.ndarray]:
-        """Validate a batch, record its launches and return its shape table."""
-        reqs = as_index_requests(requests, self.n)
-        p = np.fromiter((rows.size for rows, _ in reqs), dtype=np.int64, count=len(reqs))
-        q = np.fromiter((cols.size for _, cols in reqs), dtype=np.int64, count=len(reqs))
-        groups: ShapeGroups = {}
-        for i, shape in enumerate(zip(p.tolist(), q.tolist())):
-            groups.setdefault(shape, []).append(i)
-        if counter is not None and reqs:
-            counter.record("batched_gen", len(groups))
-        self.entries_evaluated += int(p @ q)
-        return reqs, groups, p, q
-
     def extract(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        ((rows, cols),) = as_index_requests([(rows, cols)], self.n)
+        rows, cols = as_index_array(rows), as_index_array(cols)
+        check_index_range(rows, self.n)
+        check_index_range(cols, self.n)
         self.entries_evaluated += int(rows.shape[0] * cols.shape[0])
         if rows.size == 0 or cols.size == 0:
             return np.zeros((rows.shape[0], cols.shape[0]), dtype=np.float64)
         return np.asarray(self._extract(rows, cols), dtype=np.float64)
+
+    def _evaluate_shape_groups(
+        self,
+        requests: Sequence[Tuple[np.ndarray, np.ndarray]],
+        counter: KernelLaunchCounter | None,
+    ):
+        """Group requests by exact block shape and evaluate group by group.
+
+        The shared core of :meth:`extract_blocks` and
+        :meth:`extract_blocks_padded`: records one ``batched_gen`` launch per
+        shape group, checks the indices of each group, evaluates it in a
+        single vectorised pass when ``supports_stacked`` (falling back to a
+        per-block loop otherwise or for singleton groups) and yields
+        ``((p, q), indices, stacked)`` with ``stacked`` of shape
+        ``(len(indices), p, q)``.  Zero-size shapes yield ``stacked=None``.
+        """
+        reqs = [(as_index_array(rows), as_index_array(cols)) for rows, cols in requests]
+        groups: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+        for i, (rows, cols) in enumerate(reqs):
+            groups[(int(rows.shape[0]), int(cols.shape[0]))].append(i)
+        if counter is not None:
+            counter.record("batched_gen", len(groups))
+        n = self.n
+        for (p, q), indices in groups.items():
+            rows_idx = np.stack([reqs[i][0] for i in indices])
+            cols_idx = np.stack([reqs[i][1] for i in indices])
+            check_index_range(rows_idx, n)
+            check_index_range(cols_idx, n)
+            self.entries_evaluated += len(indices) * p * q
+            if p == 0 or q == 0:
+                stacked = None
+            elif not self.supports_stacked or len(indices) == 1:
+                stacked = np.stack(
+                    [self._extract(rows, cols) for rows, cols in zip(rows_idx, cols_idx)]
+                ).astype(np.float64, copy=False)
+            else:
+                stacked = np.asarray(
+                    self._extract_stacked(rows_idx, cols_idx), dtype=np.float64
+                )
+            yield (p, q), indices, stacked
 
     def extract_blocks(
         self,
@@ -141,25 +123,19 @@ class EntryExtractor(ABC):
     ) -> List[np.ndarray]:
         """Evaluate a batch of sub-blocks (the batched entry generator).
 
-        One call evaluates all dense or coupling blocks of a level; one
-        "kernel launch" per distinct block shape is recorded in ``counter``
-        when given (an empty request list records nothing).  The returned
-        blocks are views into one shared buffer.
+        One call evaluates all dense or coupling blocks of a level.  Requests
+        are grouped by block shape; every group is one vectorised evaluation
+        (one "kernel launch", recorded in ``counter`` when given) for
+        extractors with ``supports_stacked``, and one launch covering the
+        per-block loop otherwise.  An empty request list records nothing.
         """
-        reqs, groups, p, q = self._begin_batch(requests, counter)
-        sizes = p * q
-        order = np.fromiter(
-            (i for indices in groups.values() for i in indices),
-            dtype=np.int64, count=len(reqs),
-        )
-        base = np.empty(len(reqs), dtype=np.int64)
-        base[order] = exclusive_prefix_sum(sizes[order])
-        out = np.zeros(int(sizes.sum()), dtype=np.float64)
-        self._fill(reqs, groups, out, base, q)
-        return [
-            out[b : b + s].reshape(shape)
-            for b, s, shape in zip(base.tolist(), sizes.tolist(), zip(p.tolist(), q.tolist()))
-        ]
+        if not requests:
+            return []
+        out: List[np.ndarray | None] = [None] * len(requests)
+        for (p, q), indices, stacked in self._evaluate_shape_groups(requests, counter):
+            for pos, i in enumerate(indices):
+                out[i] = np.zeros((p, q)) if stacked is None else stacked[pos]
+        return out  # type: ignore[return-value]
 
     def extract_blocks_padded(
         self,
@@ -172,19 +148,23 @@ class EntryExtractor(ABC):
 
         Every request's block lands in ``out[i, :len(rows), :len(cols)]`` with
         exact zeros in the padding — the layout the compiled construction
-        engine stacks into batched GEMM operands.  Launches are recorded like
-        :meth:`extract_blocks`; only real entries are ever evaluated or moved.
+        engine stacks into batched GEMM operands.  Requests are grouped by
+        exact shape like :meth:`extract_blocks`; each group's stacked result
+        is scattered into the zero-initialised output with one fancy write,
+        so only real entries are ever evaluated or moved.  A block larger
+        than the padding raises :class:`ValueError`.
         """
-        reqs, groups, p, q = self._begin_batch(requests, counter)
-        g, pad_rows, pad_cols = len(reqs), int(pad_rows), int(pad_cols)
-        if g and (p.max() > pad_rows or q.max() > pad_cols):
-            raise ValueError(
-                f"a ({int(p.max())}, {int(q.max())}) block does not fit the "
-                f"({pad_rows}, {pad_cols}) padding"
-            )
+        g, pad_rows, pad_cols = len(requests), int(pad_rows), int(pad_cols)
         out = np.zeros((g, pad_rows, pad_cols), dtype=np.float64)
-        base = np.arange(g, dtype=np.int64) * (pad_rows * pad_cols)
-        self._fill(reqs, groups, out, base, np.full(g, pad_cols, dtype=np.int64))
+        if g == 0:
+            return out
+        for (p, q), indices, stacked in self._evaluate_shape_groups(requests, counter):
+            if p > pad_rows or q > pad_cols:
+                raise ValueError(
+                    f"a ({p}, {q}) block does not fit the ({pad_rows}, {pad_cols}) padding"
+                )
+            if stacked is not None:
+                out[np.asarray(indices, dtype=np.int64), :p, :q] = stacked
         return out
 
     def __call__(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -247,8 +227,8 @@ class KernelEntryExtractor(EntryExtractor):
 class H2EntryExtractor(EntryExtractor):
     """Entries of an existing H2 matrix (used by the low-rank update application).
 
-    Batches go to the matrix's compiled
-    :class:`~repro.batched.entry_plan.H2EntryPlan` as a whole.
+    A shape group is one call into the matrix's compiled
+    :class:`~repro.batched.entry_plan.H2EntryPlan`.
     """
 
     supports_stacked = True
@@ -265,17 +245,7 @@ class H2EntryExtractor(EntryExtractor):
         return self.h2matrix.get_block(rows, cols, permuted=True)
 
     def _extract_stacked(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        g, p = rows.shape
-        q = cols.shape[1]
-        out = np.zeros((g, p, q), dtype=np.float64)
-        self.h2matrix.entry_plan().evaluate(
-            list(zip(rows, cols)), out.reshape(-1),
-            np.arange(g, dtype=np.int64) * (p * q), np.full(g, q, dtype=np.int64),
-        )
-        return out
-
-    def _fill(self, reqs, groups, out, base, stride) -> None:
-        self.h2matrix.entry_plan().evaluate(reqs, out.reshape(-1), base, stride)
+        return self.h2matrix.entry_plan().evaluate(rows, cols)
 
 
 class LowRankEntryExtractor(EntryExtractor):
@@ -319,14 +289,13 @@ class SumEntryExtractor(EntryExtractor):
         return all(e.supports_stacked for e in self.extractors)
 
     def _extract(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return sum(e._extract(rows, cols) for e in self.extractors)
+        result = self.extractors[0]._extract(rows, cols)
+        for extractor in self.extractors[1:]:
+            result = result + extractor._extract(rows, cols)
+        return result
 
     def _extract_stacked(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return sum(e._extract_stacked(rows, cols) for e in self.extractors)
-
-    def _fill(self, reqs, groups, out, base, stride) -> None:
-        self.extractors[0]._fill(reqs, groups, out, base, stride)
+        result = self.extractors[0]._extract_stacked(rows, cols)
         for extractor in self.extractors[1:]:
-            term = np.zeros_like(out)
-            extractor._fill(reqs, groups, term, base, stride)
-            out += term
+            result = result + extractor._extract_stacked(rows, cols)
+        return result

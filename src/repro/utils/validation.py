@@ -52,15 +52,3 @@ def check_index_range(indices: np.ndarray, n: int) -> None:
         raise IndexError(
             f"index {int(bad)} is out of bounds for a matrix of dimension {n}"
         )
-
-
-def as_index_requests(requests: Any, n: int) -> list:
-    """Normalise a batch of ``(rows, cols)`` requests to ``int64`` array pairs.
-
-    The integer-dtype and ``0 <= index < n`` checks run once for the whole
-    batch (see :func:`as_index_array`, :func:`check_index_range`).
-    """
-    reqs = [(as_index_array(rows), as_index_array(cols)) for rows, cols in requests]
-    if reqs:
-        check_index_range(np.concatenate([a for pair in reqs for a in pair]), n)
-    return reqs

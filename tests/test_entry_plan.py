@@ -178,7 +178,9 @@ class TestPasses:
         plan = matrix.entry_plan()
         (s, t) = sorted(matrix.coupling)[0]
         rows, cols = matrix.tree.index_set(s)[:8], matrix.tree.index_set(t)[:8]
-        indexed = plan._index_rows([(rows, cols)] * 50 + [(cols, rows)] * 50)
+        indexed = plan._index_rows(
+            np.stack([rows] * 50 + [cols] * 50), np.stack([cols] * 50 + [rows] * 50)
+        )
         assert indexed.key.size == rows.size + cols.size
 
 
@@ -285,6 +287,16 @@ class TestLifecycle:
         # Index tables and bases only: never a second copy of the big blocks.
         blocks = small_h2.memory_bytes()
         assert plan.memory_bytes() < blocks["basis"] + 0.1 * blocks["total"]
+
+    @pytest.mark.parametrize("blocks", ["dense", "coupling"])
+    def test_missing_block_is_an_error_not_zeros(self, small_h2, blocks):
+        (s, t) = next(iter(getattr(small_h2, blocks)))
+        del getattr(small_h2, blocks)[(s, t)]
+        rows, cols = small_h2.tree.index_set(s), small_h2.tree.index_set(t)
+        with pytest.raises(KeyError, match="no partition block covers leaf pair"):
+            small_h2.get_block(rows[:3], cols[:3])
+        with pytest.raises(KeyError, match="no partition block covers leaf pair"):
+            H2EntryExtractor(small_h2).extract_blocks([(rows, cols), (cols, cols)])
 
     def test_inconsistent_block_shape_is_a_typed_error(self, small_h2):
         key = next(iter(small_h2.coupling))
