@@ -12,7 +12,9 @@ shape-grouped ("GPU") backend.
 
 Outline (symmetric matrix, permuted ordering):
 
-* draw ``Omega`` and sketch ``Y = Kblk(Omega)``;
+* draw ``Omega`` and sketch ``Y = Kblk(Omega)``; estimate ``|K|_2`` from that
+  block with one more narrow application ``Kblk(orth(Y[:, :32]))``, which turns
+  the relative tolerance into the absolute convergence threshold;
 * **leaf level** — evaluate the dense neighbour blocks ``D``, subtract their
   contribution from the sketch (non-uniform BSR product), adaptively add
   sample blocks until every leaf's local sketch is numerically rank deficient,
@@ -66,6 +68,7 @@ from ..batched.construction_plan import ConstructionPlan, PackedSweepEngine
 from ..batched.counters import KernelLaunchCounter
 from ..hmatrix.basis_tree import BasisTree
 from ..hmatrix.h2matrix import H2Matrix
+from ..linalg.norm_estimation import sketched_spectral_norm
 from ..sketching.entry_extractor import EntryExtractor
 from ..sketching.operators import SketchingOperator
 from ..tree.block_partition import BlockPartition
@@ -474,11 +477,10 @@ class H2Constructor:
 
         tree = self.tree
         n = tree.num_points
-        leaf_depth = tree.depth
 
         with self.timer.phase("misc"):
             min_depth = self._min_admissible_depth()
-            tester = self._build_convergence_tester()
+        self._norm_estimate = 0.0  # a fully dense partition draws no sample
 
         engine: Optional[PackedSweepEngine] = None
         if packed:
@@ -498,30 +500,21 @@ class H2Constructor:
         levels: List[LevelReport] = []
         all_converged = True
 
-        if min_depth is not None and engine is not None:
-            all_converged = self._run_packed_levels(engine, tester, min_depth, levels)
-        elif min_depth is not None:
-            d0 = min(self.config.effective_initial_samples, n)
-            omega, y = self._draw_samples(d0)
-
-            y_next: Dict[int, np.ndarray] = {}
-            omega_next: Dict[int, np.ndarray] = {}
-
-            for depth in range(leaf_depth, min_depth - 1, -1):
-                with self.tracer.span(
-                    f"level={depth}", category="construct.level", depth=depth
-                ):
-                    if depth == leaf_depth:
-                        report, y_next, omega_next = self._process_leaf_level(
-                            omega, y, tester
-                        )
-                    else:
-                        report, y_next, omega_next = self._process_inner_level(
-                            depth, y_next, omega_next, tester
-                        )
-                    levels.append(report)
-                    all_converged = all_converged and report.converged
-                    self._extract_couplings(depth)
+        if min_depth is not None:
+            # The threshold comes *after* the first sample block: the norm
+            # estimate reuses it instead of probing the operator on its own.
+            omega, y = self._draw_samples(
+                min(self.config.effective_initial_samples, n)
+            )
+            tester = self._convergence_tester(y)
+            if engine is not None:
+                all_converged = self._run_packed_levels(
+                    engine, tester, omega, y, min_depth, levels
+                )
+            else:
+                all_converged = self._run_loop_levels(
+                    tester, omega, y, min_depth, levels
+                )
 
         matrix = H2Matrix(
             tree=tree,
@@ -598,31 +591,25 @@ class H2Constructor:
                 return depth
         return None
 
-    def _build_convergence_tester(self) -> ConvergenceTester:
+    def _convergence_tester(self, sketch: np.ndarray) -> ConvergenceTester:
+        """The tester whose threshold is ``safety * tolerance * ||K||_2``.
+
+        Unless ``ConstructionConfig.norm_estimate`` supplies it, the norm is
+        the block estimate of the first (already screened) sample block; its
+        one extra operator application goes through :meth:`_sketch`, so it is
+        counted in ``operator_applications`` and guarded like every draw.
+        """
         cfg = self.config
-        need_norm = cfg.adaptive or cfg.id_tolerance_mode == "absolute"
-        if need_norm and cfg.norm_estimate is not None:
-            self._norm_estimate = float(cfg.norm_estimate)
-            tester = ConvergenceTester(
-                absolute_threshold=cfg.convergence_safety_factor
-                * cfg.tolerance
-                * self._norm_estimate
-            )
-        elif need_norm:
-            tester = ConvergenceTester.from_operator(
-                self.operator,
-                cfg.tolerance,
-                num_iterations=cfg.norm_estimation_iterations,
-                safety_factor=cfg.convergence_safety_factor,
-                seed=self.rng,
-            )
-            self._norm_estimate = tester.absolute_threshold / (
-                cfg.tolerance * cfg.convergence_safety_factor
-            )
+        if not (cfg.adaptive or cfg.id_tolerance_mode == "absolute"):
+            norm = 0.0  # nothing is compared against an absolute threshold
+        elif cfg.norm_estimate is not None:
+            norm = float(cfg.norm_estimate)
         else:
-            tester = ConvergenceTester(absolute_threshold=0.0)
-            self._norm_estimate = 0.0
-        return tester
+            norm = sketched_spectral_norm(self._sketch, sketch)
+        self._norm_estimate = norm
+        return ConvergenceTester(
+            absolute_threshold=cfg.convergence_safety_factor * cfg.tolerance * norm
+        )
 
     def _id_tolerances(self, count: int) -> Tuple[Optional[float], Optional[Sequence[float]]]:
         """Relative/absolute tolerances handed to the batched row ID."""
@@ -648,14 +635,25 @@ class H2Constructor:
             else:
                 batch = self.backend.batched_random_normal([(n, count)], seed=self.rng)
                 omega = batch[0]
+        y = self._sketch(omega)
+        self._sample_draws += 1
+        self._total_samples += count
+        return omega, y
+
+    def _sketch(self, omega: np.ndarray) -> np.ndarray:
+        """One counted, guarded black-box application ``K @ omega``.
+
+        The only route from the constructor to the operator: sample draws and
+        the norm estimate's ``K @ Q`` both pass the fault-injection site and
+        the NaN/Inf screen, so no unscreened block reaches a threshold.
+        """
+        with self.timer.phase("sampling"):
             y = self.operator.multiply(omega)
         if self.faults is not None and self.faults.installed("nan-in-gemm-output"):
             y = self.faults.corrupt_gemm_output(y)
         if self.recovery is not None:
             y = self._screen_samples(omega, y)
-        self._sample_draws += 1
-        self._total_samples += count
-        return omega, y
+        return y
 
     def _screen_samples(self, omega: np.ndarray, y: np.ndarray) -> np.ndarray:
         """NaN/Inf screen of a sketched sample block at the launch boundary.
@@ -743,6 +741,37 @@ class H2Constructor:
             blocks = self.extractor.extract_blocks(requests, counter=self.counter)
         for key, block in zip(keys, blocks):
             self.couplings[key] = block
+
+    def _run_loop_levels(
+        self,
+        tester: ConvergenceTester,
+        omega: np.ndarray,
+        y: np.ndarray,
+        min_depth: int,
+        levels: List[LevelReport],
+    ) -> bool:
+        """Drive the per-node reference sweep of the first sample block
+        ``(omega, y)`` from the leaves up to ``min_depth``."""
+        leaf_depth = self.tree.depth
+        all_converged = True
+        y_next: Dict[int, np.ndarray] = {}
+        omega_next: Dict[int, np.ndarray] = {}
+        for depth in range(leaf_depth, min_depth - 1, -1):
+            with self.tracer.span(
+                f"level={depth}", category="construct.level", depth=depth
+            ):
+                if depth == leaf_depth:
+                    report, y_next, omega_next = self._process_leaf_level(
+                        omega, y, tester
+                    )
+                else:
+                    report, y_next, omega_next = self._process_inner_level(
+                        depth, y_next, omega_next, tester
+                    )
+                levels.append(report)
+                all_converged = all_converged and report.converged
+                self._extract_couplings(depth)
+        return all_converged
 
     # ------------------------------------------------------------- leaf level
     def _process_leaf_level(
@@ -1127,18 +1156,20 @@ class H2Constructor:
         self,
         engine: PackedSweepEngine,
         tester: ConvergenceTester,
+        omega: np.ndarray,
+        y: np.ndarray,
         min_depth: int,
         levels: List[LevelReport],
     ) -> bool:
-        """Drive the compiled sweep from the leaves up to ``min_depth``."""
+        """Drive the compiled sweep of the first sample block ``(omega, y)``
+        from the leaves up to ``min_depth``."""
         tree = self.tree
         cfg = self.config
-        n = tree.num_points
-        d0 = min(cfg.effective_initial_samples, n)
         headroom = cfg.sample_block_size if cfg.adaptive else 0
 
-        omega, y = self._draw_samples(d0)
-        state = engine.init_leaf(omega, y, capacity_hint=d0 + headroom)
+        state = engine.init_leaf(
+            omega, y, capacity_hint=omega.shape[1] + headroom
+        )
         all_converged = True
 
         for depth in range(tree.depth, min_depth - 1, -1):

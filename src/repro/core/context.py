@@ -41,6 +41,7 @@ from ..batched.backend import BatchedBackend, get_backend
 from ..kernels.base import (
     KernelFunction,
     PairwiseKernel,
+    _row_tiled,
     pairwise_distances,
     pairwise_distances_stacked,
 )
@@ -267,7 +268,7 @@ class GeometryContext:
     cache_limit_mb:
         Byte budget of the distance cache.
     seed:
-        Seed of the frozen sample bank (and of the norm-estimation probes).
+        Seed of the frozen sample bank.
     construction_path:
         Which construction sweep the context's default configs use
         (``"packed"``/``"loop"``/``"auto"``; see
@@ -346,9 +347,7 @@ class GeometryContext:
             self._distances = pairwise_distances(self.tree.points, self.tree.points)
 
         self._omega_bank = _OmegaBank(n, rng)
-        self._norm_seed = int(rng.integers(0, 2**31 - 1))
         self._warm_samples: Optional[int] = None
-        self._last_norm_estimate: Optional[float] = None
         self._plan = None
         #: Static packing of the compiled construction sweep (pure geometry);
         #: compiled lazily on the first construction, shared by all of them.
@@ -376,7 +375,12 @@ class GeometryContext:
         """
         if self._distances is not None:
             if isinstance(kernel, PairwiseKernel):
-                values = kernel.profile_with_diagonal(self._distances)
+                # Row tiles: the value matrix is the only n x n allocation.
+                distances = self._distances
+                values = _row_tiled(
+                    *distances.shape,
+                    lambda rows: kernel.profile_with_diagonal(distances[rows]),
+                )
             else:
                 values = kernel.evaluate(self.tree.points, self.tree.points)
             # profile/evaluate already allocated a fresh contiguous array;
@@ -402,7 +406,6 @@ class GeometryContext:
         sample_block_size: int = 64,
         config: ConstructionConfig | None = None,
         warm_start: bool = True,
-        reuse_norm_estimate: bool = False,
         reuse_plan: bool = True,
     ) -> ConstructionResult:
         """Construct the H2 representation of ``K(kernel)`` over the cached geometry.
@@ -411,12 +414,9 @@ class GeometryContext:
         :class:`~repro.core.config.ConstructionConfig` (or pass ``config``
         directly).  ``warm_start`` seeds the initial sketch with the largest
         sample count any previous construction of this context needed, so the
-        adaptive loop typically converges in its first round;
-        ``reuse_norm_estimate`` recycles the previous construction's norm
-        estimate (skipping the power-method probes — useful when the operator
-        has no cached dense values); ``reuse_plan`` re-stacks the previous
-        compiled apply plan in place when the new matrix reproduces the same
-        structure.
+        adaptive loop typically converges in its first round; ``reuse_plan``
+        re-stacks the previous compiled apply plan in place when the new
+        matrix reproduces the same structure.
 
         Repeating the *identical* ``(kernel, tolerance, sample_block_size)``
         point (the inner loop of a noise/nugget sweep, where the compressed
@@ -506,10 +506,6 @@ class GeometryContext:
         if warm_start and self._warm_samples is not None:
             initial = max(config.effective_initial_samples, self._warm_samples)
             config = replace(config, initial_samples=min(initial, self.num_points))
-        if reuse_norm_estimate and (
-            config.norm_estimate is None and self._last_norm_estimate
-        ):
-            config = replace(config, norm_estimate=self._last_norm_estimate)
 
         operator, extractor = self.bind(kernel)
         constructor = H2Constructor(
@@ -517,7 +513,6 @@ class GeometryContext:
             operator,
             extractor,
             config=config,
-            seed=self._norm_seed,
             sample_source=self._omega_bank.sampler(),
             plan=self._construction_plan,
             tracer=self.tracer,
@@ -530,8 +525,6 @@ class GeometryContext:
             self.statistics.construction_plan_compilations += 1
 
         self._warm_samples = max(self._warm_samples or 0, result.total_samples)
-        if result.norm_estimate:
-            self._last_norm_estimate = float(result.norm_estimate)
         self.statistics.constructions += 1
         self.statistics.sample_columns_cached = self._omega_bank.num_columns
 

@@ -5,7 +5,10 @@ local sample block ``Y_loc_tau`` is numerically rank deficient: the smallest
 absolute diagonal entry of ``R`` falls below an absolute threshold
 ``eps_abs``.  To honour a *relative* compression tolerance ``eps`` the
 threshold is ``eps * |K|`` where ``|K|`` is a sketched estimate of the matrix
-norm provided by the black-box operator.
+norm: the constructor takes it from its first sample block
+(:func:`repro.linalg.norm_estimation.sketched_spectral_norm`, a lower bound on
+``|K|_2``, so the threshold errs on the strict side) unless
+``ConstructionConfig.norm_estimate`` supplies the norm.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..batched.backend import BatchedBackend
-from ..linalg.norm_estimation import estimate_spectral_norm
-from ..sketching.operators import SketchingOperator
 
 
 @dataclass
@@ -25,25 +26,6 @@ class ConvergenceTester:
     """Evaluates the per-node convergence criterion of the adaptive construction."""
 
     absolute_threshold: float
-
-    @classmethod
-    def from_operator(
-        cls,
-        operator: SketchingOperator,
-        tolerance: float,
-        num_iterations: int = 6,
-        safety_factor: float = 1.0,
-        seed=None,
-    ) -> "ConvergenceTester":
-        """Build a tester whose threshold is ``safety * tolerance * ||K||_2``.
-
-        The norm is estimated with a few power iterations through the
-        black-box operator, as suggested in the paper.
-        """
-        norm = estimate_spectral_norm(
-            operator.matvec, operator.n, num_iterations=num_iterations, seed=seed
-        )
-        return cls(absolute_threshold=float(safety_factor * tolerance * max(norm, 0.0)))
 
     def converged_mask(
         self, sample_blocks: Sequence[np.ndarray], backend: BatchedBackend

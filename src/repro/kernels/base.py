@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -77,27 +77,70 @@ class KernelFunction(ABC):
         return {}
 
 
+#: Entries of one evaluation tile (2 MiB of float64): the temporaries of a
+#: distance/profile pass over one tile stay in cache and are recycled by the
+#: allocator, where array-sized ones are fresh pages on every pass.
+_TILE = 1 << 18
+
+
+def _row_tiled(
+    num_rows: int, num_cols: int, tile: Callable[[slice], np.ndarray]
+) -> np.ndarray:
+    """The ``(num_rows, num_cols)`` array whose row band ``rows`` is ``tile(rows)``,
+    evaluated in consecutive bands of at most ``_TILE`` entries.
+
+    An output that fits one tile is ``tile(slice(0, num_rows))`` itself, so small
+    evaluations run exactly the untiled code; larger ones never hold more than
+    the output and the temporaries of one band.
+    """
+    band = max(1, _TILE // max(num_cols, 1))
+    if num_rows <= band:
+        return tile(slice(0, num_rows))
+    out = np.empty((num_rows, num_cols), dtype=np.float64)
+    for start in range(0, num_rows, band):
+        rows = slice(start, min(start + band, num_rows))
+        out[rows] = tile(rows)
+    return out
+
+
+def _distance_tiles(
+    x: np.ndarray, y: np.ndarray, profile: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``profile(distances(x, y))``, evaluated in row tiles.
+
+    The snap-to-zero floor is taken from the whole of ``x`` and ``y`` before
+    tiling, so which pairs count as coincident does not depend on the tile
+    boundaries.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x_sq = np.einsum("ij,ij->i", x, x)
+    y_sq = np.einsum("ij,ij->i", y, y)
+    scale = float(x_sq.max(initial=0.0) + y_sq.max(initial=0.0))
+    floor = 64.0 * np.finfo(np.float64).eps * max(scale, np.finfo(np.float64).tiny)
+
+    def tile(rows: slice) -> np.ndarray:
+        sq = x_sq[rows, None] + y_sq[None, :] - 2.0 * (x[rows] @ y.T)
+        sq[sq < floor] = 0.0
+        return profile(np.sqrt(sq, out=sq))
+
+    return _row_tiled(x.shape[0], y.shape[0], tile)
+
+
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between the rows of ``x`` and ``y``.
 
     Uses the expanded-square formulation with a clamp at zero so it is a single
     BLAS-3 call plus elementwise work (the dominant cost of dense kernel
-    assembly) instead of a Python loop.
+    assembly) instead of a Python loop; large outputs are produced in row
+    tiles, so the only array of the output's size is the output.
 
     Squared distances below the round-off floor of the expansion
     (``~eps * (|x|^2 + |y|^2)``) are snapped to exactly zero so that coincident
     points are detected reliably — kernels singular at the origin substitute
     their configured self-interaction value for those entries.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x_sq = np.einsum("ij,ij->i", x, x)
-    y_sq = np.einsum("ij,ij->i", y, y)
-    sq = x_sq[:, None] + y_sq[None, :] - 2.0 * (x @ y.T)
-    scale = float(x_sq.max(initial=0.0) + y_sq.max(initial=0.0))
-    floor = 64.0 * np.finfo(np.float64).eps * max(scale, np.finfo(np.float64).tiny)
-    sq[sq < floor] = 0.0
-    return np.sqrt(sq, out=sq)
+    return _distance_tiles(x, y, lambda r: r)
 
 
 def pairwise_distances_stacked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -131,7 +174,9 @@ class PairwiseKernel(KernelFunction):
     Sub-classes implement :meth:`profile` acting elementwise on a distance
     array; optionally :attr:`diagonal_value` overrides the value at zero
     distance (needed for kernels singular at the origin such as the Helmholtz
-    volume-IE kernel).
+    volume-IE kernel).  The substitution happens in exactly one place,
+    :meth:`profile_with_diagonal`; a singular :meth:`profile` may return
+    ``inf``/``nan`` at zero.
     """
 
     #: Value to use on the diagonal (distance exactly zero); ``None`` keeps
@@ -143,8 +188,7 @@ class PairwiseKernel(KernelFunction):
         """Evaluate the radial profile ``f(r)`` elementwise on ``r >= 0``."""
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = pairwise_distances(x, y)
-        return self.profile_with_diagonal(r)
+        return _distance_tiles(x, y, self.profile_with_diagonal)
 
     def profile_with_diagonal(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the profile on a distance array, honouring :attr:`diagonal_value`.
@@ -160,9 +204,7 @@ class PairwiseKernel(KernelFunction):
 
     def value_at_zero(self) -> float:
         """The self-interaction value ``K(x, x)`` (prior variance of GP kernels)."""
-        if self.diagonal_value is not None:
-            return float(self.diagonal_value)
-        return float(np.asarray(self.profile(np.zeros(1)))[0])
+        return float(np.asarray(self.profile_with_diagonal(np.zeros(1)))[0])
 
     # ------------------------------------------------------------- composition
     def __add__(self, other: "PairwiseKernel") -> "PairwiseKernel":

@@ -34,9 +34,9 @@ class HelmholtzKernel(PairwiseKernel):
             raise ValueError("wavenumber must be non-negative")
 
     def profile(self, r: np.ndarray) -> np.ndarray:
+        # Singular at r = 0; profile_with_diagonal substitutes diagonal_value.
         with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.cos(self.wavenumber * r) / r
-        return np.where(r == 0.0, self.diagonal_value, values)
+            return np.cos(self.wavenumber * r) / r
 
 
 @dataclass
@@ -46,6 +46,5 @@ class LaplaceKernel(PairwiseKernel):
     diagonal_value: float = 0.0
 
     def profile(self, r: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = 1.0 / r
-        return np.where(r == 0.0, self.diagonal_value, values)
+        with np.errstate(divide="ignore"):
+            return 1.0 / r

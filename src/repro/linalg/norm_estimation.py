@@ -1,10 +1,17 @@
 """Randomized spectral-norm estimation.
 
-The paper measures the approximation error ``|K_comp - K| / |K|`` with a few
-iterations of the power method applied to the difference between the
-constructed hierarchical matrix and the black-box sampler (Section V-A), and
-uses a sketched norm estimate to convert the relative compression tolerance
-into the absolute threshold of the adaptive convergence test.
+Two estimators with two different jobs:
+
+* :func:`sketched_spectral_norm` converts the relative compression tolerance
+  into the absolute threshold of the adaptive convergence test.  It reuses the
+  sample block ``Y = K @ Omega`` the constructor has drawn anyway and costs one
+  more black-box application of :data:`SKETCH_NORM_COLUMNS` columns — the
+  paper's "sketched norm estimate".
+* :func:`estimate_spectral_norm` / :func:`estimate_relative_error` are the
+  single-vector power method the paper uses to *validate* a construction,
+  ``|K_comp - K| / |K|`` against the black-box sampler (Section V-A).  Every
+  iteration is two full operator applications, so it stays off the
+  construction path.
 """
 
 from __future__ import annotations
@@ -14,8 +21,42 @@ from typing import Callable
 import numpy as np
 
 from ..utils.rng import SeedLike, as_generator
+from .qr import householder_orthonormalize
 
 MatVec = Callable[[np.ndarray], np.ndarray]
+
+#: Columns of the sample block that :func:`sketched_spectral_norm` iterates on.
+#: Calibration against ``numpy.linalg.norm(K, 2)`` on dense kernel matrices
+#: (2D/3D uniform clouds, N = 512 and 2048, pinned by ``tests/test_linalg.py``):
+#: 32 columns reach 0.989-1.0 of the norm for the covariance kernels and
+#: 0.76-0.99 for Helmholtz kernels, whose top singular vectors sit on a few
+#: nearly coincident point pairs; 16 columns reach 0.93 / 0.69 and 8 columns
+#: 0.84 / 0.62.  One 32-column application still costs less than the twelve
+#: single-vector products of the power iteration it replaced (33 ms against
+#: 82 ms on a dense 4096 x 4096 operator).
+SKETCH_NORM_COLUMNS = 32
+
+
+def sketched_spectral_norm(apply: MatVec, sketch: np.ndarray) -> float:
+    """Lower bound on ``||A||_2`` from a sample block ``sketch = A @ Omega``.
+
+    One step of randomized subspace iteration (Halko, Martinsson and Tropp,
+    arXiv:0909.4061): ``Q = orth(sketch[:, :b])`` with
+    ``b =`` :data:`SKETCH_NORM_COLUMNS`, one block application ``Z = A @ Q``
+    through ``apply`` and ``sqrt(lambda_max(Z^T Z)) = ||A Q||_2``.
+
+    ``Q`` has orthonormal columns, so the result never exceeds ``||A||_2``
+    whatever ``A`` is — no adjoint and no symmetry is needed.  It reaches
+    0.99 of the norm for covariance kernels and 0.75 or more for Helmholtz
+    kernels (see :data:`SKETCH_NORM_COLUMNS`); on a non-normal matrix whose
+    dominant left and right singular vectors differ (strictly triangular,
+    column-scaled) one step stops near half the norm.  An under-estimate only
+    tightens the thresholds derived from it.
+    """
+    q = householder_orthonormalize(np.asarray(sketch)[:, :SKETCH_NORM_COLUMNS])
+    z = np.asarray(apply(q), dtype=np.float64)
+    top = np.linalg.eigvalsh(z.T @ z)[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def estimate_spectral_norm(
@@ -89,19 +130,3 @@ def estimate_relative_error(
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
-
-
-def sketched_frobenius_norm(
-    matvec: MatVec, n: int, num_samples: int = 16, seed: SeedLike = None
-) -> float:
-    """Unbiased sketch of the Frobenius norm: ``sqrt(E ||A w||^2)`` for Gaussian ``w``.
-
-    Cheaper than the power method and sufficient for converting a relative
-    tolerance into the absolute convergence threshold ``eps_abs = eps * |K|``.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    rng = as_generator(seed)
-    omega = rng.standard_normal((n, max(1, num_samples)))
-    y = np.asarray(matvec(omega))
-    return float(np.sqrt(np.sum(y**2) / max(1, num_samples)))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels.base import KernelFunction
+from ..kernels.base import _TILE, KernelFunction
 from ..linalg.low_rank import LowRankMatrix
 
 
@@ -79,23 +79,34 @@ class DenseOperator(SketchingOperator):
 
 
 class KernelMatVecOperator(SketchingOperator):
-    """Exact kernel-matrix application evaluated in row blocks.
+    """Exact kernel-matrix application streamed in fixed-size tiles.
 
     Computes ``K(points, points) @ omega`` without ever materialising the full
-    N x N matrix: rows are generated in blocks of ``row_block`` points and
-    immediately multiplied.  This plays the role of the paper's fast black-box
-    sampler for the covariance/IE experiments (there the sampler was an
-    existing H2Opus matrix); the cost here is O(N^2 d / row_block) kernel
-    evaluations, which is fine at reproduction scale and keeps the operator
-    exact so accuracy checks are meaningful.
+    N x N matrix or a slab of it: kernel values are generated one tile of at
+    most ``2**18`` entries (2 MiB) at a time and immediately multiplied, so an
+    application allocates its ``(n, d)`` output plus a few tile-sized
+    temporaries that stay in cache.  This plays the role of the paper's fast
+    black-box sampler for the covariance/IE experiments (there the sampler was
+    an existing H2Opus matrix); the cost is one evaluation of all N^2 kernel
+    entries per application, whatever the number of columns, which is fine at
+    reproduction scale and keeps the operator exact so accuracy checks are
+    meaningful.
+
+    ``row_block`` fixes the number of rows per tile (default: as many as fit
+    one tile); a band of rows wider than one tile is cut along the columns and
+    its partial products are accumulated.
     """
 
-    def __init__(self, kernel: KernelFunction, points: np.ndarray, row_block: int = 2048):
+    def __init__(
+        self, kernel: KernelFunction, points: np.ndarray, row_block: int | None = None
+    ):
         super().__init__()
         self.kernel = kernel
         self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError("points must be a (n, dim) array")
+        if row_block is None:
+            row_block = _TILE // max(self.n, 1)
         self.row_block = max(1, int(row_block))
 
     @property
@@ -103,11 +114,15 @@ class KernelMatVecOperator(SketchingOperator):
         return int(self.points.shape[0])
 
     def _multiply(self, omega: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n, omega.shape[1]), dtype=np.float64)
-        for start in range(0, self.n, self.row_block):
-            stop = min(start + self.row_block, self.n)
-            rows = self.kernel.evaluate(self.points[start:stop], self.points)
-            out[start:stop] = rows @ omega
+        n = self.n
+        points = self.points
+        col_block = max(1, _TILE // self.row_block)
+        out = np.zeros((n, omega.shape[1]), dtype=np.float64)
+        for start in range(0, n, self.row_block):
+            rows = slice(start, min(start + self.row_block, n))
+            for first in range(0, n, col_block):
+                cols = slice(first, min(first + col_block, n))
+                out[rows] += self.kernel.evaluate(points[rows], points[cols]) @ omega[cols]
         return out
 
 

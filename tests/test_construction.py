@@ -14,11 +14,13 @@ from repro import (
     HelmholtzKernel,
     KernelEntryExtractor,
     KernelMatVecOperator,
+    SketchingOperator,
     WeakAdmissibility,
     build_block_partition,
     uniform_cube_points,
 )
 from repro.diagnostics import construction_error
+from repro.linalg.norm_estimation import SKETCH_NORM_COLUMNS
 
 
 def build_problem(kernel, n=700, dim=2, leaf_size=32, eta=0.7, seed=11):
@@ -232,6 +234,60 @@ class TestAdaptiveSampling:
             cfg, seed=15,
         ).construct()
         assert result.rank_range[1] <= 5
+
+
+class BareOperator(SketchingOperator):
+    """Defines ``n`` and ``_multiply`` only — all a forwarding proxy such as the
+    benchmark's ``TimedOperator`` passes on — and records each call's width."""
+
+    def __init__(self, matrix):
+        super().__init__()
+        self.matrix = matrix
+        self.widths = []
+
+    @property
+    def n(self):
+        return self.matrix.shape[0]
+
+    def _multiply(self, omega):
+        self.widths.append(omega.shape[1])
+        return self.matrix @ omega
+
+
+class TestOperatorApplications:
+    """A construction applies the black box once per sampling round, plus once
+    for the norm estimate — and every application is counted."""
+
+    @pytest.mark.parametrize("path", ["packed", "loop"])
+    @pytest.mark.parametrize("block", [16, 64])
+    def test_rounds_plus_one(self, partition_2d, dense_cov_2d, path, block):
+        operator = BareOperator(dense_cov_2d)
+        config = ConstructionConfig(
+            tolerance=1e-8, sample_block_size=block, construction_path=path
+        )
+        result = H2Constructor(
+            partition_2d, operator, DenseEntryExtractor(dense_cov_2d), config, seed=11
+        ).construct()
+        rounds, remainder = divmod(result.total_samples, block)
+        assert remainder == 0
+        assert (rounds > 1) == (block == 16)  # one multi-round case, one one-round case
+        estimate = min(block, SKETCH_NORM_COLUMNS)
+        assert operator.widths == [block, estimate] + [block] * (rounds - 1)
+        assert result.operator_applications == operator.applications == rounds + 1
+        assert operator.samples_taken == result.total_samples + estimate
+        assert 0.0 < result.norm_estimate <= np.linalg.norm(dense_cov_2d, 2) * (1 + 1e-12)
+
+    def test_supplied_norm_estimate_skips_the_extra_application(
+        self, partition_2d, dense_cov_2d
+    ):
+        operator = BareOperator(dense_cov_2d)
+        config = ConstructionConfig(tolerance=1e-6, norm_estimate=250.0)
+        result = H2Constructor(
+            partition_2d, operator, DenseEntryExtractor(dense_cov_2d), config, seed=11
+        ).construct()
+        assert operator.widths == [64]
+        assert result.operator_applications == 1
+        assert result.norm_estimate == 250.0
 
 
 class TestResultMetadata:

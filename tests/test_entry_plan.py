@@ -186,23 +186,14 @@ class TestPasses:
 
 class TestRecompression:
     def test_fixed_seed_update_reproduces_the_per_block_evaluator(self, cov_h2):
-        """Same entries to rounding, so the same ranks: the numbers below were
-        produced by the per-index ``get_block`` this plan replaced."""
+        """Same entries to rounding, so the same ranks, launches and entry
+        count as a gather from the dense sum — the oracle runs at the same
+        commit, so nothing here depends on the RNG stream or the threshold."""
         n = cov_h2.num_rows
         update = random_low_rank(n, 16, seed=7, symmetric=True, scale=0.5)
         config = ConstructionConfig(tolerance=1e-6, sample_block_size=32)
         result = recompress_h2(cov_h2, update, config=config, seed=8)
-        tree = cov_h2.tree
-        ranks = [result.matrix.basis.rank(node) for node in range(tree.num_nodes)]
-        assert ranks == (
-            [0] * 15
-            + [27, 25, 27, 32, 26, 32, 24, 26, 26, 32, 28, 26, 32, 26, 25, 27]
-            + [21, 22, 22, 22, 22, 22, 22, 22] * 4
-        )
-        assert (result.total_samples, result.total_kernel_launches) == (32, 47)
-        assert result.entries_evaluated == 431566
 
-        # A gather from the dense sum is the same entry evaluator up to rounding.
         dense_sum = cov_h2.to_dense(permuted=True) + update.to_dense()
         oracle = H2Constructor(
             cov_h2.partition,
@@ -211,6 +202,17 @@ class TestRecompression:
             config,
             seed=8,
         ).construct()
+
+        def ranks(matrix):
+            return [matrix.basis.rank(node) for node in range(cov_h2.tree.num_nodes)]
+
+        assert max(ranks(result.matrix)) > 0
+        assert ranks(result.matrix) == ranks(oracle.matrix)
+        assert (
+            result.total_samples, result.total_kernel_launches, result.entries_evaluated
+        ) == (
+            oracle.total_samples, oracle.total_kernel_launches, oracle.entries_evaluated
+        )
         assert np.allclose(
             result.matrix.to_dense(permuted=True),
             oracle.matrix.to_dense(permuted=True),

@@ -13,6 +13,7 @@ from repro import (
     Matern52Kernel,
     uniform_cube_points,
 )
+from repro.kernels import base as kernel_base
 from repro.kernels.base import pairwise_distances
 from repro import ScaledKernel, SumKernel, WhiteNoiseKernel
 
@@ -44,6 +45,60 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(seed)
         x, y = rng.random((8, 2)), rng.random((9, 2))
         assert np.all(pairwise_distances(x, y) >= 0.0)
+
+
+class TestTiledEvaluation:
+    """Large outputs are produced in row tiles of ``_TILE`` entries; the result
+    must not depend on where the tile boundaries fall."""
+
+    @pytest.fixture()
+    def clouds(self):
+        """Row and column points with coincident pairs in every row band."""
+        base = np.random.default_rng(5).random((40, 3))
+        x = np.vstack([base, base[:15], base[10:20]])
+        y = np.vstack([base[::-1], base[:7]])
+        return x, y
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            ExponentialKernel(0.7),
+            HelmholtzKernel(wavenumber=3.0, diagonal_value=1.5),
+            LaplaceKernel(diagonal_value=2.0),
+            HelmholtzKernel(3.0, diagonal_value=2.0) + WhiteNoiseKernel(0.5),
+        ],
+        ids=["exponential", "helmholtz", "laplace", "helmholtz+nugget"],
+    )
+    def test_tiled_equals_untiled(self, monkeypatch, clouds, kernel):
+        x, y = clouds
+        monkeypatch.setattr(kernel_base, "_TILE", x.size * y.size)  # one tile
+        distances = pairwise_distances(x, y)
+        values = kernel.evaluate(x, y)
+        coincident = (x[:, None, :] == y[None, :, :]).all(axis=2)
+        assert coincident.sum() == 79 and np.array_equal(distances == 0.0, coincident)
+        assert np.all(np.isfinite(values))
+        # Bands of 1, 3 and 7 rows: boundaries cut through the duplicated rows.
+        for band in (1, 3, 7):
+            monkeypatch.setattr(kernel_base, "_TILE", band * y.shape[0])
+            tiled = pairwise_distances(x, y)
+            assert np.array_equal(tiled == 0.0, distances == 0.0)
+            assert np.allclose(tiled, distances, rtol=0.0, atol=1e-13)
+            assert np.allclose(kernel.evaluate(x, y), values, rtol=1e-13, atol=1e-13)
+
+    def test_small_outputs_take_the_untiled_code(self, monkeypatch):
+        """At most one tile: a single call on the whole index range."""
+        bands = []
+        monkeypatch.setattr(kernel_base, "_TILE", 12)
+        result = kernel_base._row_tiled(
+            3, 4, lambda rows: bands.append(rows) or np.ones((3, 4))
+        )
+        assert bands == [slice(0, 3)] and result.shape == (3, 4)
+        bands.clear()
+        result = kernel_base._row_tiled(
+            7, 4, lambda rows: bands.append(rows) or np.ones((rows.stop - rows.start, 4))
+        )
+        assert bands == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert np.array_equal(result, np.ones((7, 4)))
 
 
 class TestKernelValues:

@@ -284,6 +284,24 @@ class TestConstructionFaultMatrix:
         self._recovered_matches(packed_points, reference, "nan-in-gemm-output")
         assert counter_value("resilience.recoveries") > before
 
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_nan_gemm_never_reaches_the_threshold(
+        self, packed_points, reference, nth
+    ):
+        # nth=1 poisons the first sample block, nth=2 the K @ Q application
+        # of the norm estimate taken from it.  Both are screened (and
+        # relaunched) before the threshold is derived, so the estimate is
+        # finite and the run bitwise equal to the uninjected one.
+        clean, x, want = reference
+        policy = ExecutionPolicy(
+            recovery="recover", faults=f"nan-in-gemm-output:nth={nth}"
+        )
+        result = compress_policy(packed_points, policy)
+        assert policy.faults.fired("nan-in-gemm-output") == 1
+        assert np.isfinite(result.norm_estimate)
+        assert result.norm_estimate == clean.norm_estimate
+        assert np.array_equal(result.matrix.matvec(x), want)
+
     def test_nan_gemm_warn_warns(
         self, packed_points, reference, resilience_log
     ):

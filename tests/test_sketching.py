@@ -1,5 +1,7 @@
 """Tests for sketching operators and entry extractors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import (
     DenseEntryExtractor,
     DenseOperator,
     EntryExtractor,
+    ExponentialKernel,
     H2EntryExtractor,
     H2Operator,
     KernelEntryExtractor,
@@ -17,7 +20,9 @@ from repro import (
     SumEntryExtractor,
     SumOperator,
     random_low_rank,
+    uniform_cube_points,
 )
+from repro.kernels.base import _TILE
 
 
 class TestOperators:
@@ -62,6 +67,32 @@ class TestOperators:
         rng = np.random.default_rng(2)
         omega = rng.standard_normal((op.n, 3))
         assert np.allclose(op.multiply(omega), dense_cov_2d @ omega, atol=1e-10)
+
+    def test_kernel_matvec_operator_any_row_block(self, tree_2d, exp_kernel, dense_cov_2d):
+        """Row bands of 1, 7, 256 and n rows (the last wider than one tile, so
+        it is cut along the columns and accumulated) and the default."""
+        n = tree_2d.num_points
+        assert n * n > _TILE
+        omega = np.random.default_rng(2).standard_normal((n, 5))
+        for row_block in (1, 7, 256, n, None):
+            op = KernelMatVecOperator(exp_kernel, tree_2d.points, row_block=row_block)
+            assert np.allclose(op.multiply(omega), dense_cov_2d @ omega, rtol=0.0, atol=1e-11)
+
+    def test_kernel_matvec_operator_streams_tiles(self):
+        """No N x N array and no slab of one: N = 4096 would need 128 MiB for the
+        matrix; an application may hold its output and a few 2 MiB tiles."""
+        n, columns = 4096, 64
+        op = KernelMatVecOperator(
+            ExponentialKernel(0.2), uniform_cube_points(n, dim=2, seed=3)
+        )
+        omega = np.random.default_rng(4).standard_normal((n, columns))
+        tracemalloc.start()
+        try:
+            out = op.multiply(omega)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 8 * _TILE
 
     def test_low_rank_operator(self):
         lr = random_low_rank(40, 3, seed=3)
