@@ -177,8 +177,9 @@ def run_gp_sweep():
 def test_gp_sweep(benchmark):
     records = benchmark.pedantic(run_gp_sweep, rounds=1, iterations=1)
     for r in records:
-        # Geometry reuse must beat cold construction at every size (also
-        # enforced at N = 4096 by tests/test_context.py::TestAcceptance).
+        # Geometry reuse must beat cold construction at every size; the >= 2x
+        # acceptance bar at N = 4096 is enforced by the slow test-suite
+        # (tests/test_context.py::TestAcceptance).
         assert r["speedup"] > 1.0
         # The compiled construction path must not cost the sweep anything
         # beyond its small per-construction marshaling constant (its ≥3x

@@ -41,7 +41,7 @@ from ..batched.backend import BatchedBackend, get_backend
 from ..kernels.base import (
     KernelFunction,
     PairwiseKernel,
-    _row_tiled,
+    _tiled,
     pairwise_distances,
     pairwise_distances_stacked,
 )
@@ -375,11 +375,13 @@ class GeometryContext:
         """
         if self._distances is not None:
             if isinstance(kernel, PairwiseKernel):
-                # Row tiles: the value matrix is the only n x n allocation.
+                # Tile by tile: the value matrix is the only n x n allocation.
                 distances = self._distances
-                values = _row_tiled(
+                values = _tiled(
                     *distances.shape,
-                    lambda rows: kernel.profile_with_diagonal(distances[rows]),
+                    lambda rows, cols: kernel.profile_with_diagonal(
+                        distances[rows, cols]
+                    ),
                 )
             else:
                 values = kernel.evaluate(self.tree.points, self.tree.points)

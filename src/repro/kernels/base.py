@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -44,6 +44,15 @@ class KernelFunction(ABC):
     def matrix(self, points: np.ndarray) -> np.ndarray:
         """The full dense kernel matrix over ``points`` (test/small problems only)."""
         return self.evaluate(points, points)
+
+    def _tile_function(self, x: np.ndarray, y: np.ndarray) -> _TileFunction:
+        """``tile(rows, cols) == evaluate(x, y)[rows, cols]``, one block at a time.
+
+        What a streaming consumer (``KernelMatVecOperator``) calls once per
+        application; kernels override it to hoist whatever depends on the
+        whole of ``x`` / ``y`` out of the tile loop.
+        """
+        return lambda rows, cols: self.evaluate(x[rows], y[cols])
 
     # --------------------------------------------------------- hyperparameters
     def rebind(self, **params: float) -> "KernelFunction":
@@ -82,49 +91,62 @@ class KernelFunction(ABC):
 #: allocator, where array-sized ones are fresh pages on every pass.
 _TILE = 1 << 18
 
+_TileFunction = Callable[[slice, slice], np.ndarray]
 
-def _row_tiled(
-    num_rows: int, num_cols: int, tile: Callable[[slice], np.ndarray]
-) -> np.ndarray:
-    """The ``(num_rows, num_cols)`` array whose row band ``rows`` is ``tile(rows)``,
-    evaluated in consecutive bands of at most ``_TILE`` entries.
 
-    An output that fits one tile is ``tile(slice(0, num_rows))`` itself, so small
-    evaluations run exactly the untiled code; larger ones never hold more than
-    the output and the temporaries of one band.
+def _tiles(
+    num_rows: int, num_cols: int, row_block: int | None = None
+) -> Iterator[Tuple[slice, slice]]:
+    """``(rows, cols)`` slices covering a ``(num_rows, num_cols)`` output in
+    tiles of at most ``_TILE`` entries, row bands first.
+
+    A band holds ``row_block`` rows (default: as many whole rows as fit one
+    tile) and is cut along the columns only once it exceeds the tile.
     """
-    band = max(1, _TILE // max(num_cols, 1))
-    if num_rows <= band:
-        return tile(slice(0, num_rows))
+    if row_block is None:
+        row_block = max(1, _TILE // max(num_cols, 1))
+    col_block = max(1, _TILE // row_block)
+    for start in range(0, num_rows, row_block):
+        rows = slice(start, min(start + row_block, num_rows))
+        for first in range(0, num_cols, col_block):
+            yield rows, slice(first, min(first + col_block, num_cols))
+
+
+def _tiled(num_rows: int, num_cols: int, tile: _TileFunction) -> np.ndarray:
+    """The ``(num_rows, num_cols)`` array whose block ``[rows, cols]`` is
+    ``tile(rows, cols)``, assembled tile by tile.
+
+    An output that fits one tile is the single call on the whole index range,
+    so small evaluations run exactly the untiled code; larger ones never hold
+    more than the output and the temporaries of one tile.
+    """
+    if num_rows * num_cols <= _TILE:
+        return tile(slice(0, num_rows), slice(0, num_cols))
     out = np.empty((num_rows, num_cols), dtype=np.float64)
-    for start in range(0, num_rows, band):
-        rows = slice(start, min(start + band, num_rows))
-        out[rows] = tile(rows)
+    for rows, cols in _tiles(num_rows, num_cols):
+        out[rows, cols] = tile(rows, cols)
     return out
 
 
-def _distance_tiles(
+def _distance_tile(
     x: np.ndarray, y: np.ndarray, profile: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``profile(distances(x, y))``, evaluated in row tiles.
+) -> _TileFunction:
+    """The tile function of ``profile(distances(x, y))``.
 
-    The snap-to-zero floor is taken from the whole of ``x`` and ``y`` before
-    tiling, so which pairs count as coincident does not depend on the tile
-    boundaries.
+    The snap-to-zero floor is taken from the whole of ``x`` and ``y``, so which
+    pairs count as coincident does not depend on the tile boundaries.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     x_sq = np.einsum("ij,ij->i", x, x)
     y_sq = np.einsum("ij,ij->i", y, y)
     scale = float(x_sq.max(initial=0.0) + y_sq.max(initial=0.0))
     floor = 64.0 * np.finfo(np.float64).eps * max(scale, np.finfo(np.float64).tiny)
 
-    def tile(rows: slice) -> np.ndarray:
-        sq = x_sq[rows, None] + y_sq[None, :] - 2.0 * (x[rows] @ y.T)
+    def tile(rows: slice, cols: slice) -> np.ndarray:
+        sq = x_sq[rows, None] + y_sq[None, cols] - 2.0 * (x[rows] @ y[cols].T)
         sq[sq < floor] = 0.0
         return profile(np.sqrt(sq, out=sq))
 
-    return _row_tiled(x.shape[0], y.shape[0], tile)
+    return tile
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -140,7 +162,9 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     points are detected reliably — kernels singular at the origin substitute
     their configured self-interaction value for those entries.
     """
-    return _distance_tiles(x, y, lambda r: r)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return _tiled(x.shape[0], y.shape[0], _distance_tile(x, y, lambda r: r))
 
 
 def pairwise_distances_stacked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,7 +212,12 @@ class PairwiseKernel(KernelFunction):
         """Evaluate the radial profile ``f(r)`` elementwise on ``r >= 0``."""
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _distance_tiles(x, y, self.profile_with_diagonal)
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        return _tiled(x.shape[0], y.shape[0], self._tile_function(x, y))
+
+    def _tile_function(self, x: np.ndarray, y: np.ndarray) -> _TileFunction:
+        return _distance_tile(x, y, self.profile_with_diagonal)
 
     def profile_with_diagonal(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the profile on a distance array, honouring :attr:`diagonal_value`.

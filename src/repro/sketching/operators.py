@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels.base import _TILE, KernelFunction
+from ..kernels.base import KernelFunction, _tiles
 from ..linalg.low_rank import LowRankMatrix
 
 
@@ -94,7 +94,10 @@ class KernelMatVecOperator(SketchingOperator):
 
     ``row_block`` fixes the number of rows per tile (default: as many as fit
     one tile); a band of rows wider than one tile is cut along the columns and
-    its partial products are accumulated.
+    its partial products are accumulated.  The tiling never changes a kernel
+    value: whatever the kernel derives from the whole point set (the
+    coincident-point floor of the radial kernels) is computed once per
+    application, not per tile.
     """
 
     def __init__(
@@ -105,9 +108,7 @@ class KernelMatVecOperator(SketchingOperator):
         self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError("points must be a (n, dim) array")
-        if row_block is None:
-            row_block = _TILE // max(self.n, 1)
-        self.row_block = max(1, int(row_block))
+        self.row_block = None if row_block is None else max(1, int(row_block))
 
     @property
     def n(self) -> int:
@@ -115,14 +116,10 @@ class KernelMatVecOperator(SketchingOperator):
 
     def _multiply(self, omega: np.ndarray) -> np.ndarray:
         n = self.n
-        points = self.points
-        col_block = max(1, _TILE // self.row_block)
+        tile = self.kernel._tile_function(self.points, self.points)
         out = np.zeros((n, omega.shape[1]), dtype=np.float64)
-        for start in range(0, n, self.row_block):
-            rows = slice(start, min(start + self.row_block, n))
-            for first in range(0, n, col_block):
-                cols = slice(first, min(first + col_block, n))
-                out[rows] += self.kernel.evaluate(points[rows], points[cols]) @ omega[cols]
+        for rows, cols in _tiles(n, n, self.row_block):
+            out[rows] += tile(rows, cols) @ omega[cols]
         return out
 
 

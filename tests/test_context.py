@@ -5,8 +5,8 @@ The context must be a pure optimization: constructions through it have to
 match the accuracy of from-scratch constructions at every cache policy, while
 actually re-using the cached pieces (frozen sample pattern, warm-started
 sample counts, result cache, plan skeleton).  The slow acceptance test pins
-the headline claim — a 3-point length-scale sweep at N = 4096 is not slower
-than three from-scratch constructions on the on-the-fly kernel sampler.
+the headline claim — a 3-point length-scale sweep at N = 4096 at least 2x
+faster than three from-scratch constructions.
 """
 
 import os
@@ -409,13 +409,7 @@ class TestBlockDistanceCachingExtractor:
 @pytest.mark.slow
 class TestAcceptance:
     def test_sweep_speedup_at_4096(self):
-        """Acceptance: a 3-point length-scale sweep beats three cold constructions.
-
-        Measured 1.2-1.3x (cold 15 s, sweep 11-13 s).  The bar was 2x while
-        every cold construction spent twelve extra kernel passes on its norm
-        estimate (cold 35 s on the same host); that waste is gone, the sweep
-        itself is unchanged.
-        """
+        """Acceptance: 3-point length-scale sweep >= 2x over cold constructions."""
         n = 4096
         scales = [0.15, 0.2, 0.3]
         tolerance = 1e-6
@@ -451,7 +445,7 @@ class TestAcceptance:
         assert err < 1e-4
 
         speedup = cold_seconds / sweep_seconds
-        floor = float(os.environ.get("REPRO_GP_SWEEP_SPEEDUP_MIN", "1.0"))
+        floor = float(os.environ.get("REPRO_GP_SWEEP_SPEEDUP_MIN", "2.0"))
         assert speedup >= floor, (
             f"geometry-reuse sweep speedup {speedup:.2f}x below the {floor}x floor "
             f"(cold {cold_seconds:.1f}s, sweep {sweep_seconds:.1f}s)"

@@ -48,7 +48,7 @@ class TestPairwiseDistances:
 
 
 class TestTiledEvaluation:
-    """Large outputs are produced in row tiles of ``_TILE`` entries; the result
+    """Large outputs are produced in tiles of ``_TILE`` entries; the result
     must not depend on where the tile boundaries fall."""
 
     @pytest.fixture()
@@ -87,18 +87,34 @@ class TestTiledEvaluation:
 
     def test_small_outputs_take_the_untiled_code(self, monkeypatch):
         """At most one tile: a single call on the whole index range."""
-        bands = []
+        calls = []
+
+        def ones(rows, cols):
+            calls.append((rows, cols))
+            return np.ones((rows.stop - rows.start, cols.stop - cols.start))
+
         monkeypatch.setattr(kernel_base, "_TILE", 12)
-        result = kernel_base._row_tiled(
-            3, 4, lambda rows: bands.append(rows) or np.ones((3, 4))
-        )
-        assert bands == [slice(0, 3)] and result.shape == (3, 4)
-        bands.clear()
-        result = kernel_base._row_tiled(
-            7, 4, lambda rows: bands.append(rows) or np.ones((rows.stop - rows.start, 4))
-        )
-        assert bands == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        result = kernel_base._tiled(3, 4, ones)
+        assert calls == [(slice(0, 3), slice(0, 4))] and result.shape == (3, 4)
+        calls.clear()
+        result = kernel_base._tiled(7, 4, ones)
+        assert calls == [(slice(i, min(i + 3, 7)), slice(0, 4)) for i in (0, 3, 6)]
         assert np.array_equal(result, np.ones((7, 4)))
+
+    def test_tiles_cut_columns_once_a_band_exceeds_the_tile(self, monkeypatch):
+        monkeypatch.setattr(kernel_base, "_TILE", 12)
+        tiles = list(kernel_base._tiles(5, 30))  # one row is wider than a tile
+        assert tiles[:3] == [(slice(0, 1), slice(j, min(j + 12, 30))) for j in (0, 12, 24)]
+        assert len(tiles) == 15
+        assert list(kernel_base._tiles(5, 30, row_block=4)) == [
+            (slice(i, min(i + 4, 5)), slice(j, j + 3))
+            for i in (0, 4)
+            for j in range(0, 30, 3)
+        ]
+        assert np.array_equal(
+            kernel_base._tiled(5, 30, lambda r, c: np.add.outer(np.r_[r], np.r_[c])),
+            np.add.outer(np.arange(5), np.arange(30)),
+        )
 
 
 class TestKernelValues:

@@ -11,10 +11,12 @@ from repro import (
     EntryExtractor,
     ExponentialKernel,
     H2EntryExtractor,
+    HelmholtzKernel,
     H2Operator,
     KernelEntryExtractor,
     KernelLaunchCounter,
     KernelMatVecOperator,
+    LaplaceKernel,
     LowRankEntryExtractor,
     LowRankOperator,
     SumEntryExtractor,
@@ -22,7 +24,7 @@ from repro import (
     random_low_rank,
     uniform_cube_points,
 )
-from repro.kernels.base import _TILE
+from repro.kernels import base as kernel_base
 
 
 class TestOperators:
@@ -72,11 +74,37 @@ class TestOperators:
         """Row bands of 1, 7, 256 and n rows (the last wider than one tile, so
         it is cut along the columns and accumulated) and the default."""
         n = tree_2d.num_points
-        assert n * n > _TILE
+        assert n * n > kernel_base._TILE
         omega = np.random.default_rng(2).standard_normal((n, 5))
         for row_block in (1, 7, 256, n, None):
             op = KernelMatVecOperator(exp_kernel, tree_2d.points, row_block=row_block)
             assert np.allclose(op.multiply(omega), dense_cov_2d @ omega, rtol=0.0, atol=1e-11)
+
+    def test_tiling_never_changes_which_pairs_are_coincident(self, monkeypatch):
+        """The snap-to-zero floor comes from the whole point set, not from the
+        points of one tile: a pair 1e-8 apart inside a cluster at the origin
+        is coincident in ``kernel.matrix`` (floor ~ 3e-7 on the unit cube) and
+        must stay so when a tile holds only that cluster, where a tile-local
+        floor would evaluate the singular profile to 1e8 instead."""
+        rng = np.random.default_rng(8)
+        points = np.vstack([1e-2 * rng.random((32, 3)), rng.random((32, 3))])
+        points[1] = points[0] + np.array([1e-8, 0.0, 0.0])
+        n = points.shape[0]
+        omega = rng.standard_normal((n, 3))
+        for kernel in (
+            HelmholtzKernel(3.0, diagonal_value=1.5),
+            LaplaceKernel(diagonal_value=2.0),
+        ):
+            dense = kernel.matrix(points)  # one tile: the untiled code
+            assert dense[0, 1] == dense[1, 0] == kernel.diagonal_value
+            assert np.abs(dense).max() < 1e4
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_base, "_TILE", 16)
+                for row_block in (1, 7, 256, n, None):
+                    op = KernelMatVecOperator(kernel, points, row_block=row_block)
+                    assert np.allclose(
+                        op.multiply(omega), dense @ omega, rtol=0.0, atol=1e-9
+                    )
 
     def test_kernel_matvec_operator_streams_tiles(self):
         """No N x N array and no slab of one: N = 4096 would need 128 MiB for the
@@ -92,7 +120,7 @@ class TestOperators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 4 * 8 * _TILE
+        assert peak <= out.nbytes + 4 * 8 * kernel_base._TILE
 
     def test_low_rank_operator(self):
         lr = random_low_rank(40, 3, seed=3)
