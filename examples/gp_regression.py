@@ -5,7 +5,7 @@ every subsystem of the library:
 
 1. draw noisy observations of a smooth function at scattered 2D points;
 2. fit a Gaussian process through ``Session.gp`` — the covariance is compressed with
-   the sketching constructor, its log-determinant comes from the HODLR
+   the sketching constructor, its log-determinant comes from the HSS
    factorization and the representer weights from factorization-preconditioned
    CG over the compiled batched apply plan;
 3. select the kernel length scale and nugget by a grid sweep refined with

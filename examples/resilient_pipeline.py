@@ -10,7 +10,7 @@ one compress → factor → solve pipeline three times:
    operator acts **bit-identically** to the clean one;
 3. **stagnation** — a stall-convergence fault caps CG far below convergence
    and the solve escalates through the ladder (CG → preconditioned CG →
-   GMRES(m) → HODLR direct) until one rung delivers the requested tolerance.
+   GMRES(m) → direct) until one rung delivers the requested tolerance.
 
 A :class:`repro.SpanTracer` rides along so the recovery spans (category
 ``"resilience"``) show up in the console tree next to the construction

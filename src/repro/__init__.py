@@ -45,7 +45,11 @@ Compress a covariance matrix into a hierarchical operator in three lines:
 
 Solving linear systems (see the top-level README.md for the full
 walk-through): a :class:`~repro.api.facade.Session` chains construction,
-factorization and solves over one cached geometry:
+factorization and solves over one cached geometry.  ``factor`` is
+:func:`repro.factorize`: the weak-admissibility (HSS) matrix a session builds
+is factored on its own nested generators by :class:`HSSFactorization` (level
+by level, O(levels) batched launches per solve); ``convert(h2, "hodlr")`` +
+:class:`HODLRFactorization` is the route for non-nested input only:
 
 >>> sess = repro.Session(points, seed=1)
 >>> solve = (sess.compress(repro.ExponentialKernel(0.2), tol=1e-8)
@@ -186,11 +190,13 @@ from .solvers import (
     FrontReport,
     HierarchicalPreconditioner,
     HODLRFactorization,
+    HSSFactorization,
     KrylovResult,
     MultifrontalSolver,
     bicgstab,
     cg,
     escalation_ladder,
+    factorize,
     gmres,
 )
 from .tree import (
@@ -235,6 +241,7 @@ __all__ = [
     "HMatrix",
     "HODLRFactorization",
     "HODLRMatrix",
+    "HSSFactorization",
     "HealthThresholds",
     "HelmholtzKernel",
     "HierarchicalOperator",
@@ -290,6 +297,7 @@ __all__ = [
     "escalation_ladder",
     "estimate_relative_error",
     "estimate_spectral_norm",
+    "factorize",
     "format_table",
     "get_backend",
     "gmres",

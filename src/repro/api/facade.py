@@ -56,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gp.regression import GaussianProcess
     from ..persist.cache import ArtifactCache
     from ..solvers.hodlr_factor import HODLRFactorization
+    from ..solvers.hss_factor import HSSFactorization
     from ..solvers.krylov import KrylovResult
 
 #: Hierarchical formats :func:`compress` can target directly.
@@ -421,7 +422,7 @@ class Session:
         )
         self._result: Optional[ConstructionResult] = None
         self._operator: Optional[HierarchicalOperator] = None
-        self._factorization: Optional["HODLRFactorization"] = None
+        self._factorization: "HSSFactorization | HODLRFactorization | None" = None
         self._shift: float = 0.0
 
     # ------------------------------------------------------------------ state
@@ -453,7 +454,7 @@ class Session:
         return self._operator
 
     @property
-    def factorization(self) -> "HODLRFactorization":
+    def factorization(self) -> "HSSFactorization | HODLRFactorization":
         """The most recent :meth:`factor` factorization."""
         if self._factorization is None:
             raise RuntimeError("call factor() first")
@@ -538,21 +539,18 @@ class Session:
     def factor(self, noise: float = 0.0) -> "Session":
         """Factor the compressed operator (plus a ``noise`` diagonal shift).
 
-        Flattens the weak-admissibility construction to HODLR form and runs
-        the recursive Woodbury factorization; requires a weak-admissibility
-        session (the default).
+        :func:`repro.solvers.factorize` on the operator: the
+        weak-admissibility (HSS) matrix of a default session is factored on
+        its own nested generators by level-by-level skeleton elimination
+        (:class:`~repro.solvers.hss_factor.HSSFactorization`, exact up to
+        round-off); a ``format="hodlr"`` operator runs the recursive Woodbury
+        factorization, and a strong-admissibility H2 matrix is first
+        re-compressed to HODLR with ACA (slow — prefer a weak session).
         """
-        from ..solvers.hodlr_factor import HODLRFactorization
-        from ..hmatrix.hodlr import HODLRMatrix
+        from ..solvers.hss_factor import factorize
 
-        operator = self.operator
-        hodlr = (
-            operator
-            if isinstance(operator, HODLRMatrix)
-            else convert(operator, "hodlr")
-        )
-        self._factorization = HODLRFactorization(
-            hodlr, shift=noise, tracer=self.policy.tracer
+        self._factorization = factorize(
+            self.operator, shift=noise, tracer=self.policy.tracer
         )
         self._shift = float(noise)
         return self
@@ -571,7 +569,7 @@ class Session:
         ``"cg"``/``"gmres"``/``"bicgstab"`` select the Krylov method
         explicitly, and ``"ladder"`` runs the full
         :func:`~repro.solvers.ladder.escalation_ladder` (CG → preconditioned
-        CG → GMRES(m) → HODLR direct).  The ``noise`` shift of the last
+        CG → GMRES(m) → direct).  The ``noise`` shift of the last
         :meth:`factor` call is applied to the operator, so factor+solve agree
         on the system.
 

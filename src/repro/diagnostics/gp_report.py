@@ -4,7 +4,8 @@ Every hyperparameter point a :class:`~repro.gp.regression.GaussianProcess`
 evaluates produces one :class:`GPFitReport` tying the statistical quantities
 (log-likelihood split into its determinant and quadratic terms) to the
 systems-level costs that produced them: construction samples and launches,
-solver iterations, apply-side launches and per-phase wall time.
+solver iterations, the launches of the solve stage (compiled applies plus
+factorization solves) and per-phase wall time.
 :func:`gp_sweep_table` renders a sweep's reports in the same tabular format as
 the paper-figure benchmarks.
 """

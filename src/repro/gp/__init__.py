@@ -2,7 +2,7 @@
 
 The canonical consumer of every layer of the library: construction
 (:mod:`repro.core`), the batched apply engine (:mod:`repro.batched`), the
-HODLR factorization and Krylov solvers (:mod:`repro.solvers`) and the
+HSS factorization and Krylov solvers (:mod:`repro.solvers`) and the
 geometry-reuse sweep cache (:class:`repro.core.context.GeometryContext`)
 compose into :class:`~repro.gp.regression.GaussianProcess`: exact-up-to-
 tolerance marginal log-likelihoods, preconditioned-CG posteriors, seeded

@@ -9,9 +9,10 @@ library —
   the sketching constructor, through a geometry-reusing
   :class:`~repro.core.context.GeometryContext` (tree, partition, distances,
   sample pattern and apply-plan skeleton are shared across the sweep);
-* the marginal log-likelihood uses the HODLR factorization of the *shifted*
-  covariance ``K + noise I`` for ``log det`` (matrix determinant lemma) and as
-  the preconditioner of a CG solve for the quadratic term, iterating on the
+* the marginal log-likelihood uses the HSS factorization of the *shifted*
+  covariance ``K + noise I`` (skeleton elimination on the nested generators,
+  :class:`~repro.solvers.hss_factor.HSSFactorization`) for ``log det`` (the
+  sum over its pivot blocks) and as the preconditioner of a CG solve for the quadratic term, iterating on the
   compiled batched apply plan of the H2 matrix;
 * posterior mean/variance at test points reuse the factorization-seeded CG
   machinery; prior and posterior sampling draw from a seeded generator so
@@ -35,10 +36,9 @@ from ..api.policy import ExecutionPolicy
 from ..core.context import GeometryContext
 from ..diagnostics.gp_report import GPFitReport
 from ..observe.tracer import NOOP_TRACER
-from ..hmatrix.hodlr import _hodlr_from_h2
 from ..hmatrix.linear_operator import as_linear_operator
 from ..kernels.base import KernelFunction, PairwiseKernel
-from ..solvers.hodlr_factor import HODLRFactorization
+from ..solvers.hss_factor import HSSFactorization, factorize
 from ..solvers.krylov import cg
 from ..solvers.preconditioner import HierarchicalPreconditioner
 from ..utils.rng import SeedLike, as_generator
@@ -64,7 +64,7 @@ class _FittedState:
     kernel: KernelFunction
     noise: float
     result: object  # ConstructionResult
-    factorization: HODLRFactorization
+    factorization: HSSFactorization
     preconditioner: HierarchicalPreconditioner
     alpha: np.ndarray
     log_likelihood: float
@@ -99,7 +99,7 @@ class GaussianProcess:
         Forwarded to the internally created
         :class:`~repro.core.context.GeometryContext` (ignored when an explicit
         ``context`` is passed).  The context must use weak admissibility — the
-        HODLR factorization consumes its output directly.
+        HSS factorization consumes its output directly.
     policy:
         Optional :class:`~repro.api.policy.ExecutionPolicy` consolidating
         backend and construction-path selection (wins over ``backend`` for
@@ -182,10 +182,6 @@ class GaussianProcess:
             )
         self._state: Optional[_FittedState] = None
         self._y: Optional[np.ndarray] = None
-        #: Flattened HODLR of the most recent construction result: the
-        #: flattening is independent of the noise shift, so noise-only sweep
-        #: points (context result-cache hits) skip straight to factorization.
-        self._hodlr_cache: Optional[Tuple[object, object]] = None
         #: Fit reports of every hyperparameter point evaluated by the last
         #: :meth:`fit` call (sweep + optimizer), in evaluation order.
         self.fit_reports_: List[GPFitReport] = []
@@ -253,19 +249,14 @@ class GaussianProcess:
         matrix = result.matrix
         plan_reused = stats.plan_reuses + stats.result_cache_hits > reuses_before
 
+        defect = matrix.weak_partition_defect()
+        if defect is not None:
+            raise ValueError(
+                "GaussianProcess requires a weak-admissibility (HSS) context so "
+                f"the constructed covariance can be factored exactly ({defect})"
+            )
         t0 = time.perf_counter()
-        if self._hodlr_cache is not None and self._hodlr_cache[0] is result:
-            hodlr = self._hodlr_cache[1]
-        else:
-            try:
-                hodlr = _hodlr_from_h2(matrix)
-            except ValueError as exc:
-                raise ValueError(
-                    "GaussianProcess requires a weak-admissibility (HSS) context "
-                    "so the constructed covariance can be factored in HODLR form"
-                ) from exc
-            self._hodlr_cache = (result, hodlr)
-        factorization = HODLRFactorization(hodlr, shift=noise, tracer=self._tracer)
+        factorization = factorize(matrix, shift=noise, tracer=self._tracer)
         factor_seconds = time.perf_counter() - t0
         if factorization.determinant_sign <= 0.0:
             raise NotPositiveDefiniteError(
@@ -489,7 +480,7 @@ class GaussianProcess:
     def _solve_shifted(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(K + noise I) X = B`` through the factorization + CG polish.
 
-        The HODLR factorization solves the whole block directly (near-linear);
+        The factorization solves the whole block directly (near-linear);
         one batched residual check through the compiled apply plan detects
         columns outside the solve tolerance, which are polished with a few
         preconditioned CG iterations against the true shifted operator.

@@ -105,10 +105,11 @@ class H2Matrix(HierarchicalOperatorMixin):
         return self.basis.rank_range()
 
     def level_ranks(self) -> Dict[int, list]:
-        """Basis ranks per tree level, for the health telemetry's rank
-        histograms (levels whose nodes carry no basis are omitted)."""
+        """Basis ranks per tree level, leaves included, for the health
+        telemetry's rank histograms (levels whose nodes carry no basis — the
+        root — are omitted)."""
         out: Dict[int, list] = {}
-        for level in range(self.tree.depth):
+        for level in range(self.tree.num_levels):
             ranks = [
                 int(self.basis.rank(node))
                 for node in self.tree.nodes_at_level(level)
@@ -117,6 +118,21 @@ class H2Matrix(HierarchicalOperatorMixin):
             if ranks:
                 out[level] = ranks
         return out
+
+    def weak_partition_defect(self) -> Optional[str]:
+        """Why this is not an HSS matrix, or ``None`` when it is one.
+
+        HSS means the weak partition: dense blocks on the leaf diagonal only
+        and coupling blocks between siblings only — what the exact HSS
+        factorization and the exact HODLR expansion both require.
+        """
+        for s, t in self.dense:
+            if s != t:
+                return f"dense off-diagonal block ({s}, {t})"
+        for s, t in self.coupling:
+            if s == t or min(s, t) < 1 or (s - 1) // 2 != (t - 1) // 2:
+                return f"coupling block ({s}, {t}) is not a sibling pair"
+        return None
 
     # ----------------------------------------------------------------- matvec
     def apply_plan(self, rebuild: bool = False) -> "H2ApplyPlan":

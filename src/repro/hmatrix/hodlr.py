@@ -136,9 +136,10 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
     :class:`~repro.tree.admissibility.WeakAdmissibility` produces nested bases
     on the HODLR partition; expanding every coupling block ``B_{s,t}`` with the
     explicit bases ``U_s B_{s,t} U_t^T`` yields the equivalent (non-nested)
-    HODLR matrix.  This is the bridge between the paper's constructor and the
-    HODLR factorization of :mod:`repro.solvers.hodlr_factor`: the loss of
-    nestedness costs memory but buys a direct solve.
+    HODLR matrix.  The loss of nestedness costs memory; no library path pays
+    it to factor a matrix any more (:func:`repro.solvers.factorize` works on
+    the nested generators) — it is a format conversion, and the test oracle
+    of that factorization.
 
     This is the weak-partition (exact) path of the registered ``h2 -> hodlr``
     conversion of the :func:`repro.api.convert` registry; call
@@ -148,20 +149,13 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
     Raises :class:`ValueError` when the H2 matrix does not live on the weak
     partition (off-diagonal dense blocks or non-sibling coupling blocks).
     """
-    tree = h2.tree
-    hodlr = HODLRMatrix(tree=tree)
-    for (s, t), block in h2.dense.items():
-        if s != t:
-            raise ValueError(
-                f"dense off-diagonal block ({s}, {t}): matrix is not on the weak partition"
-            )
+    defect = h2.weak_partition_defect()
+    if defect is not None:
+        raise ValueError(f"{defect}: matrix is not on the weak partition")
+    hodlr = HODLRMatrix(tree=h2.tree)
+    for (s, _), block in h2.dense.items():
         hodlr.diagonal[s] = np.array(block, dtype=np.float64)
     for (s, t), b in h2.coupling.items():
-        if s == 0 or t == 0 or tree.parent(s) != tree.parent(t):
-            raise ValueError(
-                f"coupling block ({s}, {t}) is not a sibling pair: "
-                "matrix is not on the weak partition"
-            )
         left = h2.basis.explicit_basis(s) @ b
         right = h2.basis.explicit_basis(t)
         hodlr.off_diagonal[(s, t)] = LowRankMatrix(left, right)

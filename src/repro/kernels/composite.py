@@ -150,8 +150,7 @@ class WhiteNoiseKernel(PairwiseKernel):
     Only coincident points interact, so the kernel contributes ``variance`` to
     the diagonal of the covariance matrix and nothing anywhere else — the
     explicit-kernel formulation of the diagonal shift that
-    :class:`~repro.solvers.hodlr_factor.HODLRFactorization` applies through its
-    ``shift`` argument.
+    :func:`repro.solvers.factorize` applies through its ``shift`` argument.
     """
 
     variance: float = 1e-2

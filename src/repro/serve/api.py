@@ -107,7 +107,7 @@ class MatvecRequest(ServeRequest):
 class SolveRequest(ServeRequest):
     """Solve ``(K + noise I) x = b`` under the model's registered noise.
 
-    ``method="direct"`` (default) routes through the model's HODLR
+    ``method="direct"`` (default) routes through the model's
     factorization and micro-batches with concurrent callers;
     ``method="cg"`` runs a factorization-preconditioned CG to ``tol`` —
     unbatched, but guarded by the policy's recovery ladder when the

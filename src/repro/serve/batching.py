@@ -2,7 +2,7 @@
 
 The batching win this module exploits is already wired into the library: the
 compiled apply plan routes a block RHS through a single batched-GEMM launch
-(``matmat``), and the HODLR factorization solves a block RHS with level-3
+(``matmat``), and the factorization solves a block RHS with level-3
 BLAS — so ``k`` concurrent single-vector queries against the *same* operator
 cost one launch sequence instead of ``k``.
 

@@ -1,8 +1,8 @@
 """Named-model registry: the multi-tenant state of the inference service.
 
 A :class:`ServedModel` bundles everything one tenant's queries need — the
-compressed operator, the lazily built HODLR factorization of
-``K + noise I`` (first ``solve``/``predict``/``logdet`` pays it, later
+compressed operator, the lazily built factorization of ``K + noise I``
+(:func:`repro.solvers.factorize`; first ``solve``/``predict``/``logdet`` pays it, later
 requests reuse it), the cached log-determinant, and an execution lock that
 serializes numerical work per model (compiled apply plans own per-plan
 workspace buffers, so two threads must not apply the same operator
@@ -79,31 +79,27 @@ class ServedModel:
         self.requests += 1
 
     def factorization(self):
-        """The HODLR factorization of ``K + noise I`` (built on first use).
+        """The factorization of ``K + noise I`` (built on first use).
 
-        Thread-safe double-checked build: concurrent first requests block on
-        one construction instead of each paying it.
+        :func:`repro.solvers.factorize` picks it from the operator: an HSS
+        matrix is factored on its own generators, a HODLR matrix by the
+        recursive Woodbury elimination.  Thread-safe double-checked build:
+        concurrent first requests block on one construction instead of each
+        paying it.
         """
         factorization = self._factorization
         if factorization is not None:
             return factorization
         with self._factor_lock:
             if self._factorization is None:
-                from ..api.conversion import convert
-                from ..hmatrix.hodlr import HODLRMatrix
-                from ..solvers.hodlr_factor import HODLRFactorization
+                from ..solvers.hss_factor import factorize
 
-                operator = self.operator
                 with self.policy.tracer.span(
                     "serve.factor", category="serve", model=self.name
                 ):
-                    hodlr = (
-                        operator
-                        if isinstance(operator, HODLRMatrix)
-                        else convert(operator, "hodlr")
-                    )
-                    self._factorization = HODLRFactorization(
-                        hodlr, shift=self.noise, tracer=self.policy.tracer
+                    self._factorization = factorize(
+                        self.operator, shift=self.noise,
+                        tracer=self.policy.tracer,
                     )
             return self._factorization
 

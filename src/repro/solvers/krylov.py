@@ -11,7 +11,7 @@ sparse PDE systems) without ever forming a dense matrix.  All three methods
 * accept a pluggable preconditioner (``None``, a callable ``x -> M^{-1} x``, or
   an object with ``solve``/``matvec`` such as
   :class:`repro.solvers.preconditioner.HierarchicalPreconditioner` or a
-  :class:`repro.solvers.hodlr_factor.HODLRFactorization`),
+  factorization from :func:`repro.solvers.factorize`),
 * record the full relative-residual history in a :class:`KrylovResult` for the
   convergence diagnostics.
 

@@ -11,13 +11,13 @@ iterate of the rungs before it:
     Plain conjugate gradients — the cheap path that succeeds for
     well-conditioned systems.
 ``pcg``
-    CG preconditioned by a (lazily built) HODLR factorization of the system
-    operator.
+    CG preconditioned by a (lazily built) factorization of the system
+    operator (:func:`~repro.solvers.hss_factor.factorize`).
 ``gmres``
     Restarted GMRES(m) — drops the SPD assumption CG relies on, with the
     same preconditioner when one exists.
 ``direct``
-    The HODLR factorization applied as a *direct* solve, polished by a few
+    The factorization applied as a *direct* solve, polished by a few
     preconditioned CG steps; its residual is verified explicitly, so even
     the last rung cannot return an unverified answer.
 
@@ -76,37 +76,21 @@ class RungReport:
 def _factorization_for(
     a: object, shift: float, tracer: object
 ) -> Optional[object]:
-    """A HODLR factorization of ``a + shift I``, or ``None`` when unobtainable.
+    """:func:`~repro.solvers.hss_factor.factorize` of ``a + shift I``, or
+    ``None`` when ``a`` is not a format that has a factorization.
 
-    Accepts HODLR matrices directly, flattens weak-admissibility H2/HSS
-    output, and falls back to the :func:`repro.api.conversion.convert`
-    registry for other hierarchical operators.  Dense arrays and black-box
-    operators return ``None`` — the factorization rungs are then skipped.
+    Dense arrays, black-box operators and H matrices return ``None`` — the
+    factorization rungs are then skipped.  An error raised *while* factoring
+    an H2/HSS/HODLR matrix is a defect, not a missing ingredient: it
+    propagates.
     """
+    from ..hmatrix.h2matrix import H2Matrix
     from ..hmatrix.hodlr import HODLRMatrix
-    from .hodlr_factor import HODLRFactorization
+    from .hss_factor import factorize
 
-    hodlr: Optional[HODLRMatrix] = None
-    if isinstance(a, HODLRMatrix):
-        hodlr = a
-    elif hasattr(a, "tree") and hasattr(a, "basis"):
-        try:
-            from ..hmatrix.hodlr import _hodlr_from_h2
-
-            hodlr = _hodlr_from_h2(a)
-        except Exception:
-            try:
-                from ..api.conversion import convert
-
-                hodlr = convert(a, "hodlr")
-            except Exception:
-                return None
-    if hodlr is None:
+    if not isinstance(a, (H2Matrix, HODLRMatrix)):
         return None
-    try:
-        return HODLRFactorization(hodlr, shift=shift, tracer=tracer)
-    except Exception:
-        return None
+    return factorize(a, shift=shift, tracer=tracer)
 
 
 def _residual(op, b: np.ndarray, x: np.ndarray, b_norm: float) -> float:
@@ -136,15 +120,15 @@ def escalation_ladder(
         The system operator *without* the shift — anything
         :func:`~repro.hmatrix.linear_operator.as_linear_operator` accepts.
         Passing the raw (hierarchical) operator lets the ladder build the
-        HODLR factorization of its ``pcg``/``direct`` rungs lazily.
+        factorization of its ``pcg``/``direct`` rungs lazily.
     tol:
         Relative residual target shared by every rung.
     maxiter:
         Per-rung iteration budget override
         (default: ``RecoveryPolicy.rung_maxiter``).
     factorization:
-        An existing :class:`~repro.solvers.hodlr_factor.HODLRFactorization`
-        of ``a + shift I`` (e.g. from ``Session.factor``); when omitted the
+        An existing factorization of ``a + shift I`` (e.g. from
+        ``Session.factor`` or :func:`~repro.solvers.hss_factor.factorize`); when omitted the
         ladder builds one on first use and reuses it across rungs.
     recovery:
         The :class:`~repro.resilience.RecoveryPolicy` supplying the rung

@@ -4,7 +4,7 @@ This turns :mod:`repro.multifrontal` from a frontal-matrix *memory* study into
 an actual sparse solver — the paper's application scenario: inside a
 multifrontal factorization the large dense fronts (Schur complements of
 nested-dissection separators) are compressed with the sketching constructor
-and applied through the HODLR factorization, trading exactness for near-linear
+and applied through their HSS factorization, trading exactness for near-linear
 front memory so the resulting solver acts as a preconditioner
 (STRUMPACK's mode of operation in the Fig. 6b comparison).
 
@@ -17,8 +17,8 @@ separator's frontal matrix
 is formed by solving against the half-domain factorizations.  A front of size
 ``>= compress_min_size`` is (when ``compress_tolerance`` is set) clustered by
 its separator geometry, compressed with the weak-admissibility sketching
-constructor and factored with
-:class:`~repro.solvers.hodlr_factor.HODLRFactorization`; small fronts use a
+constructor and factored on its own generators with
+:class:`~repro.solvers.hss_factor.HSSFactorization`; small fronts use a
 dense LU.  With ``compress_tolerance=None`` every front is dense and the solve
 is exact (a true — if reproduction-scale — sparse direct solver).
 """
@@ -33,14 +33,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..hmatrix.hodlr import _hodlr_from_h2
 from ..hmatrix.hss import _build_hss
 from ..multifrontal.poisson import grid_coordinates, poisson_grid_points
 from ..sketching.entry_extractor import DenseEntryExtractor
 from ..sketching.operators import DenseOperator
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike, as_generator
-from .hodlr_factor import HODLRFactorization
+from .hss_factor import factorize
 
 
 @dataclass
@@ -234,7 +233,7 @@ class MultifrontalSolver:
             sample_block_size=min(64, max(8, size // 8)),
             seed=rng,
         )
-        factorization = HODLRFactorization(_hodlr_from_h2(result.matrix))
+        factorization = factorize(result.matrix)
         report = FrontReport(
             level=level,
             size=size,

@@ -4,10 +4,10 @@ The paper's application scenario (Fig. 6b) compresses frontal matrices so a
 sparse direct solver can afford them as *approximate* factors; the same idea
 applies to dense kernel systems.  A :class:`HierarchicalPreconditioner` runs
 the existing sketching constructor at a **loose tolerance** (orders of
-magnitude looser than the solve tolerance), flattens the weak-admissibility
-output to HODLR form and factors it once; each Krylov iteration then applies
-``M^{-1}`` through the near-linear :class:`~repro.solvers.hodlr_factor.HODLRFactorization`
-solve.  Because the construction cost scales with the (low) preconditioner
+magnitude looser than the solve tolerance) and factors its weak-admissibility
+(HSS) output once, on the nested generators themselves
+(:class:`~repro.solvers.hss_factor.HSSFactorization`); each Krylov iteration
+then applies ``M^{-1}`` through that near-linear solve.  Because the construction cost scales with the (low) preconditioner
 rank, the setup is cheap even when the accurate compression would not be.
 """
 
@@ -17,12 +17,13 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
-from ..hmatrix.hodlr import HODLRMatrix, _hodlr_from_h2, build_hodlr
+from ..hmatrix.hodlr import HODLRMatrix, build_hodlr
 from ..hmatrix.hss import _build_hss
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike
 from ..utils.timing import PhaseTimer
 from .hodlr_factor import HODLRFactorization
+from .hss_factor import HSSFactorization, factorize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.builder import ConstructionResult
@@ -48,7 +49,7 @@ class HierarchicalPreconditioner:
 
     def __init__(
         self,
-        factorization: HODLRFactorization,
+        factorization: "HSSFactorization | HODLRFactorization",
         construction: Optional["ConstructionResult"] = None,
         setup_seconds: float = 0.0,
     ):
@@ -91,9 +92,7 @@ class HierarchicalPreconditioner:
                 seed=seed,
             )
         with timer.phase("factorization"):
-            factorization = HODLRFactorization(
-                _hodlr_from_h2(result.matrix), shift=shift
-            )
+            factorization = factorize(result.matrix, shift=shift)
         return cls(
             factorization,
             construction=result,

@@ -493,6 +493,8 @@ class TestSession:
         assert np.allclose(
             (api_dense + 1e-2 * np.eye(N)) @ solve.x, b, rtol=0, atol=1e-5
         )
+        # The weak-admissibility operator is factored on its own generators.
+        assert isinstance(session.factorization, repro.HSSFactorization)
 
     def test_operator_and_result_properties(self, session, api_kernel):
         session.compress(api_kernel, tol=TOL)
@@ -510,6 +512,7 @@ class TestSession:
 
     def test_compress_to_other_formats(self, session, api_kernel):
         hodlr = session.compress(api_kernel, tol=TOL, format="hodlr").operator
+        assert isinstance(session.factor().factorization, repro.HODLRFactorization)
         assert isinstance(hodlr, HODLRMatrix)
         with pytest.raises(ValueError, match="unknown format"):
             session.compress(api_kernel, format="butterfly")

@@ -26,6 +26,22 @@ class TestBasisTree:
         assert 0 <= lo <= hi
         assert hi > 0
 
+    def test_level_ranks_cover_every_level_with_a_basis(self, cov_h2):
+        """``tree.depth`` is the leaf level's index: the leaves used to be
+        dropped from the rank histograms of the health report."""
+        from repro.observe import rank_level_summary
+
+        tree, basis = cov_h2.tree, cov_h2.basis
+        levels = cov_h2.level_ranks()
+        assert tree.depth in levels
+        assert levels[tree.depth] == [
+            basis.rank(leaf) for leaf in tree.leaves() if basis.has_basis(leaf)
+        ]
+        assert sum(len(ranks) for ranks in levels.values()) == len(basis.ranks)
+        summary = rank_level_summary(cov_h2)
+        assert sorted(summary) == sorted(levels)
+        assert summary[tree.depth]["count"] == len(levels[tree.depth])
+
     def test_explicit_basis_nested_property(self, cov_h2):
         """Explicit inner bases must equal the stacked child expansion (Eq. 2)."""
         tree = cov_h2.tree

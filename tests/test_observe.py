@@ -411,9 +411,28 @@ class TestTracedPipeline:
 
     def test_factor_and_gp_spans(self, traced_session):
         tracer = traced_session["tracer"]
-        factors = find_spans(tracer, name="factor/hodlr")
-        assert len(factors) >= 1
-        assert factors[0].attributes["n"] == N
+        # Session.factor and every GP evaluation factor the HSS matrix on its
+        # own generators; nothing on these paths expands to HODLR any more.
+        assert not find_spans(tracer, name="factor/hodlr")
+        factors = find_spans(tracer, name="factor/hss")
+        assert len(factors) == 1 + len(traced_session["gp"].fit_reports_)
+        factor = factors[0]
+        assert factor.attributes["n"] == N
+        assert factor.attributes["shift"] == 1e-2
+        assert factor.attributes["eliminated"] + factor.attributes["root_size"] == N
+        assert factor.attributes["bytes"] == (
+            traced_session["session"].factorization.memory_bytes()
+        )
+        # Every preconditioner application of the session solve is one
+        # solve/hss span: five launches per stack of the factorization + root.
+        (cg_span,) = [s for s in tracer.roots if s.name == "solve/cg"]
+        solves = cg_span.find(name="solve/hss")
+        assert solves
+        for span in solves:
+            assert span.attributes["n"] == N
+            assert span.attributes["stages"] == factor.attributes["stages"]
+            assert span.total_launches == span.attributes["launches"]
+            assert span.total_launches == 5 * factor.attributes["stages"] + 1
         evaluates = find_spans(tracer, category="gp")
         assert len(evaluates) == len(traced_session["gp"].fit_reports_)
         for span in evaluates:

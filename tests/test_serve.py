@@ -177,6 +177,7 @@ class TestModelRegistry:
         assert not model.factored
         sign, logabs = model.slogdet()
         assert model.factored
+        assert isinstance(model.factorization(), repro.HSSFactorization)
         ref_sign, ref_logabs = np.linalg.slogdet(
             dense_matrix + NOISE * np.eye(N)
         )
