@@ -1,0 +1,194 @@
+"""Pinned construction outcomes: literals recorded before the one-driver refactor.
+
+One fixed-seed fixture per admissibility (2D strong leaf 16, 3D weak leaf 48),
+both backends, the compiled sweep (``construct()``) and the per-node oracle
+(``construct_loop()``).  Every number below was printed by the code *before*
+the two level drivers were folded into one; a refactor of the constructor must
+leave every literal untouched.  Counts are exact; the skeleton hash covers the
+global skeleton index set of every node, so one flipped pivot changes it.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro import (
+    ClusterTree,
+    ConstructionConfig,
+    DenseEntryExtractor,
+    DenseOperator,
+    ExponentialKernel,
+    GeneralAdmissibility,
+    H2Constructor,
+    WeakAdmissibility,
+    build_block_partition,
+    uniform_cube_points,
+)
+
+FIXTURES = {
+    "strong2d": dict(n=460, dim=2, leaf_size=16, admissibility=GeneralAdmissibility(eta=0.7)),
+    "weak3d": dict(n=512, dim=3, leaf_size=48, admissibility=WeakAdmissibility()),
+}
+
+
+def skeleton_hash(constructor: H2Constructor) -> str:
+    digest = hashlib.sha256()
+    for node in sorted(constructor.skeletons.nodes()):
+        digest.update(np.int64(node).tobytes())
+        digest.update(
+            np.ascontiguousarray(
+                constructor.skeletons.skeleton_global(node), dtype=np.int64
+            ).tobytes()
+        )
+    return digest.hexdigest()[:16]
+
+
+def run(fixture: str, backend: str, loop: bool):
+    spec = FIXTURES[fixture]
+    points = uniform_cube_points(spec["n"], dim=spec["dim"], seed=13)
+    tree = ClusterTree.build(points, leaf_size=spec["leaf_size"])
+    partition = build_block_partition(tree, spec["admissibility"])
+    dense = ExponentialKernel(length_scale=0.2).matrix(tree.points)
+    constructor = H2Constructor(
+        partition,
+        DenseOperator(dense),
+        DenseEntryExtractor(dense),
+        ConstructionConfig(tolerance=1e-6, sample_block_size=8, backend=backend),
+        seed=3,
+    )
+    result = constructor.construct_loop() if loop else constructor.construct()
+    return {
+        "total_samples": result.total_samples,
+        "total_kernel_launches": result.total_kernel_launches,
+        "kernel_launches": dict(sorted(result.kernel_launches.items())),
+        "levels": [
+            (lv.depth, lv.max_rank, lv.min_rank, lv.sampling_rounds)
+            for lv in result.levels
+        ],
+        "skeleton_hash": skeleton_hash(constructor),
+    }
+
+
+PINNED = {('strong2d', 'serial', False): {'total_samples': 16,
+                                 'total_kernel_launches': 61,
+                                 'kernel_launches': {'batched_gather': 4,
+                                                     'batched_gen': 31,
+                                                     'batched_id': 2,
+                                                     'batched_qr': 3,
+                                                     'batched_rand': 2,
+                                                     'construct_coupling': 6,
+                                                     'construct_dense': 12,
+                                                     'construct_upsweep': 1},
+                                 'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
+                                 'skeleton_hash': 'ca731c3bac3b5be6'},
+ ('strong2d', 'serial', True): {'total_samples': 16,
+                                'total_kernel_launches': 115,
+                                'kernel_launches': {'batched_bsr_gemm': 75,
+                                                    'batched_gemm': 2,
+                                                    'batched_gen': 31,
+                                                    'batched_id': 2,
+                                                    'batched_qr': 3,
+                                                    'batched_rand': 2},
+                                'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
+                                'skeleton_hash': 'ca731c3bac3b5be6'},
+ ('strong2d', 'vectorized', False): {'total_samples': 16,
+                                     'total_kernel_launches': 67,
+                                     'kernel_launches': {'batched_gather': 4,
+                                                         'batched_gen': 31,
+                                                         'batched_id': 8,
+                                                         'batched_qr': 3,
+                                                         'batched_rand': 2,
+                                                         'construct_coupling': 6,
+                                                         'construct_dense': 12,
+                                                         'construct_upsweep': 1},
+                                     'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
+                                     'skeleton_hash': 'ca731c3bac3b5be6'},
+ ('strong2d', 'vectorized', True): {'total_samples': 16,
+                                    'total_kernel_launches': 375,
+                                    'kernel_launches': {'batched_bsr_gemm': 304,
+                                                        'batched_gemm': 20,
+                                                        'batched_gen': 31,
+                                                        'batched_id': 8,
+                                                        'batched_qr': 10,
+                                                        'batched_rand': 2},
+                                    'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
+                                    'skeleton_hash': 'ca731c3bac3b5be6'},
+ ('weak3d', 'serial', False): {'total_samples': 176,
+                               'total_kernel_launches': 260,
+                               'kernel_launches': {'batched_gather': 100,
+                                                   'batched_gen': 9,
+                                                   'batched_id': 4,
+                                                   'batched_qr': 25,
+                                                   'batched_rand': 22,
+                                                   'construct_coupling': 39,
+                                                   'construct_dense': 22,
+                                                   'construct_upsweep': 39},
+                               'levels': [(4, 32, 32, 5),
+                                          (3, 64, 64, 5),
+                                          (2, 120, 115, 8),
+                                          (1, 160, 157, 7)],
+                               'skeleton_hash': '878b7643ef78c6a7'},
+ ('weak3d', 'serial', True): {'total_samples': 176,
+                              'total_kernel_launches': 125,
+                              'kernel_launches': {'batched_bsr_gemm': 61,
+                                                  'batched_gemm': 4,
+                                                  'batched_gen': 9,
+                                                  'batched_id': 4,
+                                                  'batched_qr': 25,
+                                                  'batched_rand': 22},
+                              'levels': [(4, 32, 32, 5),
+                                         (3, 64, 64, 5),
+                                         (2, 120, 115, 8),
+                                         (1, 160, 157, 7)],
+                              'skeleton_hash': '878b7643ef78c6a7'},
+ ('weak3d', 'vectorized', False): {'total_samples': 176,
+                                   'total_kernel_launches': 261,
+                                   'kernel_launches': {'batched_gather': 100,
+                                                       'batched_gen': 9,
+                                                       'batched_id': 5,
+                                                       'batched_qr': 25,
+                                                       'batched_rand': 22,
+                                                       'construct_coupling': 39,
+                                                       'construct_dense': 22,
+                                                       'construct_upsweep': 39},
+                                   'levels': [(4, 32, 32, 5),
+                                              (3, 64, 64, 5),
+                                              (2, 120, 115, 8),
+                                              (1, 160, 157, 7)],
+                                   'skeleton_hash': '878b7643ef78c6a7'},
+ ('weak3d', 'vectorized', True): {'total_samples': 176,
+                                  'total_kernel_launches': 158,
+                                  'kernel_launches': {'batched_bsr_gemm': 82,
+                                                      'batched_gemm': 8,
+                                                      'batched_gen': 9,
+                                                      'batched_id': 5,
+                                                      'batched_qr': 32,
+                                                      'batched_rand': 22},
+                                  'levels': [(4, 32, 32, 5),
+                                             (3, 64, 64, 5),
+                                             (2, 120, 115, 8),
+                                             (1, 160, 157, 7)],
+                                  'skeleton_hash': '878b7643ef78c6a7'}}
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["construct", "construct_loop"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_pinned_literals(fixture, backend, loop):
+    assert run(fixture, backend, loop) == PINNED[(fixture, backend, loop)]
+
+
+if __name__ == "__main__":  # prints the table above
+    import pprint
+
+    pprint.pprint(
+        {
+            (f, b, lp): run(f, b, lp)
+            for f in sorted(FIXTURES)
+            for b in ("serial", "vectorized")
+            for lp in (False, True)
+        },
+        width=100,
+        sort_dicts=False,
+    )
