@@ -78,13 +78,11 @@ def _construct(partition, dense, sampler, path, backend, plan):
         DenseEntryExtractor(dense),
         config,
         seed=7,
-        plan=plan if path == "packed" else None,
+        plan=plan,
     )
     start = time.perf_counter()
     result = (
-        constructor.construct_packed()
-        if path == "packed"
-        else constructor.construct_loop()
+        constructor.construct() if path == "packed" else constructor.construct_loop()
     )
     return result, time.perf_counter() - start
 

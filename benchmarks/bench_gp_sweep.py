@@ -64,26 +64,6 @@ def _cold_sweep_seconds(points: np.ndarray) -> float:
     return time.perf_counter() - start
 
 
-def _construction_path_seconds(context: GeometryContext, path: str) -> float:
-    """Time one warm sweep with the construction path pinned.
-
-    Passing an explicit config bypasses the context's result cache, so every
-    sweep point re-runs the full construction (packed or per-node loop) over
-    the same frozen sample bank and warm-started sample counts.
-    """
-    start = time.perf_counter()
-    for length_scale in SCALES:
-        context.construct(
-            ExponentialKernel(length_scale),
-            config=ConstructionConfig(
-                tolerance=TOLERANCE,
-                backend=context.backend,
-                construction_path=path,
-            ),
-        )
-    return time.perf_counter() - start
-
-
 def bench_size(n: int):
     points = uniform_cube_points(n, dim=3, seed=1)
     cold_seconds = _cold_sweep_seconds(points)
@@ -93,11 +73,6 @@ def bench_size(n: int):
     for length_scale in SCALES:
         context.construct(ExponentialKernel(length_scale), tolerance=TOLERANCE)
     sweep_seconds = time.perf_counter() - start
-
-    # Construction-phase speedup of the compiled path: the same warm sweep
-    # with the per-node reference loop vs the packed level-wise engine.
-    loop_path_seconds = _construction_path_seconds(context, "loop")
-    packed_path_seconds = _construction_path_seconds(context, "packed")
 
     # Full GP model selection over the same grid (reuses the context).
     gp = GaussianProcess(
@@ -121,9 +96,6 @@ def bench_size(n: int):
         "cold_sweep_s": cold_seconds,
         "context_sweep_s": sweep_seconds,
         "speedup": cold_seconds / sweep_seconds,
-        "loop_path_sweep_s": loop_path_seconds,
-        "packed_path_sweep_s": packed_path_seconds,
-        "construction_path_speedup": loop_path_seconds / packed_path_seconds,
         "context": context.statistics.as_dict(),
         "context_memory_mb": context.memory_bytes() / 2**20,
         "gp_fit_s": fit_seconds,
@@ -143,7 +115,6 @@ def run_gp_sweep():
                 "cold sweep [s]",
                 "context sweep [s]",
                 "speedup",
-                "packed vs loop",
                 "ctx mem [MB]",
                 "GP fit [s]",
                 "best l",
@@ -155,7 +126,6 @@ def run_gp_sweep():
                     r["cold_sweep_s"],
                     r["context_sweep_s"],
                     f"{r['speedup']:.2f}x",
-                    f"{r['construction_path_speedup']:.2f}x",
                     r["context_memory_mb"],
                     r["gp_fit_s"],
                     r["best_length_scale"],
@@ -181,12 +151,6 @@ def test_gp_sweep(benchmark):
         # acceptance bar at N = 4096 is enforced by the slow test-suite
         # (tests/test_context.py::TestAcceptance).
         assert r["speedup"] > 1.0
-        # The compiled construction path must not cost the sweep anything
-        # beyond its small per-construction marshaling constant (its ≥3x
-        # headline regime is benchmarked by bench_construction_throughput.py;
-        # this 3D weak-admissibility sweep is sampling-dominated, so parity
-        # minus noise is the floor here).
-        assert r["construction_path_speedup"] > 0.7
         # The sweep should select a grid point and produce a finite likelihood.
         assert r["best_length_scale"] in SCALES
         assert np.isfinite(r["log_likelihood"])

@@ -89,7 +89,7 @@ def main(n: int = 8192) -> None:
     ).construct_loop()
     packed_result = H2Constructor(
         partition, sampler, extractor, config, seed=2
-    ).construct_packed()
+    ).construct()
     packed_report = construction_report(packed_result)
     loop_report = construction_report(loop_result)
     print()

@@ -137,8 +137,6 @@ from .hmatrix import (
     as_linear_operator,
     build_hmatrix_aca,
     build_hodlr,
-    build_hss,
-    hodlr_from_h2,
 )
 from .kernels import (
     ExponentialKernel,
@@ -207,7 +205,7 @@ from .tree import (
     build_block_partition,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 #: Public API, kept alphabetically sorted (guarded by tests/test_public_api.py).
 __all__ = [
@@ -287,7 +285,6 @@ __all__ = [
     "build_block_partition",
     "build_hmatrix_aca",
     "build_hodlr",
-    "build_hss",
     "cg",
     "compile_apply_plan",
     "compress",
@@ -303,7 +300,6 @@ __all__ = [
     "gmres",
     "gp_sweep_table",
     "grid_points",
-    "hodlr_from_h2",
     "hyperparameter_grid",
     "load_operator",
     "memory_report",

@@ -2,8 +2,8 @@
 
 ``convert(op, "hodlr")`` turns any registered source format into the
 requested target format through a ``(source class, target name)`` registry,
-subsuming the old ad-hoc bridges (``hodlr_from_h2``) behind one entry point
-that third-party formats can extend via :func:`register_conversion`.
+one entry point that third-party formats can extend via
+:func:`register_conversion`.
 
 Built-in conversions:
 

@@ -416,7 +416,6 @@ class Session:
             distance_cache=distance_cache,
             cache_limit_mb=cache_limit_mb,
             seed=seed,
-            construction_path=self.policy.construction_path,
             tracer=self.policy.tracer,
             artifact_cache=_resolve_cache(cache, cache_dir),
         )

@@ -1,22 +1,17 @@
 """Execution policy: one object deciding *how* the library executes.
 
-Before this module, execution knobs were scattered — the batched backend was
-chosen per constructor config, per matrix and per call; the construction
-sweep (packed vs loop) came from ``ConstructionConfig.construction_path`` or
-the ``REPRO_CONSTRUCT_PATH`` environment variable; launch counters were wired
-ad hoc.  :class:`ExecutionPolicy` consolidates all of it behind the named
-backend registry (:mod:`repro.backends`) and threads through the façade
-(:func:`repro.api.compress`, :class:`repro.api.Session`), the constructor,
-the compiled apply plans, the solvers and the GP subsystem.
+The batched backend, the tracer (which owns the shared launch counter), the
+health probes and the resilience knobs live on one :class:`ExecutionPolicy`,
+resolved through the named backend registry (:mod:`repro.backends`) and
+threaded through the façade (:func:`repro.api.compress`,
+:class:`repro.api.Session`), the constructor, the compiled apply plans, the
+solvers and the GP subsystem.
 
 Environment overrides (read when a knob is left at ``"auto"``):
 
 ``REPRO_BACKEND``
     Backend name resolved by :func:`repro.backends.get` (default
     ``vectorized``).
-``REPRO_CONSTRUCT_PATH``
-    ``packed`` (compiled level-wise sweep, default) or ``loop`` (per-node
-    reference sweep).
 ``REPRO_RESILIENCE``
     ``strict`` / ``warn`` / ``recover`` to install a default
     :class:`~repro.resilience.RecoveryPolicy` on policies that did not pass
@@ -30,14 +25,13 @@ Environment overrides (read when a knob is left at ``"auto"``):
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..observe.tracer import NOOP_TRACER
 from ..resilience.faults import FaultInjector
 from ..resilience.policy import RecoveryPolicy
-from ..utils.env import env_choice, normalize_choice
+from ..utils.env import env_choice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.backend import BatchedBackend
@@ -49,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class ExecutionPolicy:
-    """Backend selection, construction path and launch-counter wiring.
+    """Backend selection, tracing, health probes and resilience wiring.
 
     Attributes
     ----------
@@ -60,23 +54,11 @@ class ExecutionPolicy:
         :class:`~repro.batched.backend.BatchedBackend` instance.  ``"auto"``
         (default) follows ``REPRO_BACKEND`` and falls back to
         ``vectorized``.
-    construction_path:
-        ``"packed"`` / ``"loop"`` / ``"auto"`` (default: follow
-        ``REPRO_CONSTRUCT_PATH``, falling back to ``packed``).
-    counter:
-        **Deprecated** — the tracer owns the shared counter now.  When given,
-        every backend this policy resolves accumulates its launches there; a
-        :class:`DeprecationWarning` points at the replacement
-        (``tracer=SpanTracer(counter=...)`` to share an explicit counter, or
-        just read :meth:`launch_counter` — ``share_backend`` already makes
-        one counter span the whole policy).  Only combinable with a backend
-        *name* — an existing backend instance already owns a counter, so
-        passing both raises :class:`ValueError` at resolution time (silently
-        dropping the shared counter would break the contract above).
     share_backend:
         When ``True`` (default), :meth:`resolve_backend` resolves the name
         once and returns the *same* instance on every call, so launch
-        counters accumulate per policy even without an explicit ``counter``.
+        counters accumulate per policy (read :meth:`launch_counter`; pass
+        ``tracer=SpanTracer(counter=...)`` to share an explicit counter).
     tracer:
         A :class:`~repro.observe.SpanTracer` recording hierarchical spans for
         everything executed under this policy, or the zero-overhead
@@ -118,8 +100,6 @@ class ExecutionPolicy:
     """
 
     backend: "Union[str, BatchedBackend]" = "auto"
-    construction_path: str = "auto"
-    counter: "Optional[KernelLaunchCounter]" = None
     share_backend: bool = True
     tracer: "Union[SpanTracer, NoopTracer, None]" = None
     health: "Optional[HealthThresholds]" = None
@@ -131,12 +111,6 @@ class ExecutionPolicy:
     )
 
     def __post_init__(self) -> None:
-        if isinstance(self.construction_path, str):
-            self.construction_path = normalize_choice(self.construction_path)
-        if self.construction_path not in ("auto", "packed", "loop"):
-            raise ValueError(
-                "construction_path must be 'auto', 'packed' or 'loop'"
-            )
         if self.tracer is None:
             self.tracer = NOOP_TRACER
         if self.recovery is None:
@@ -160,15 +134,6 @@ class ExecutionPolicy:
             from ..observe.memory import MemorySampler
 
             self.tracer.memory = MemorySampler()
-        if self.counter is not None:
-            warnings.warn(
-                "ExecutionPolicy(counter=...) is deprecated: the policy's "
-                "tracer owns the shared launch counter.  Pass "
-                "tracer=SpanTracer(counter=...) to share an explicit counter "
-                "or read policy.launch_counter() for the resolved backend's.",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     # ------------------------------------------------------------- resolution
     def resolve_backend(self) -> "BatchedBackend":
@@ -179,19 +144,12 @@ class ExecutionPolicy:
         resolved backend's counter (or supplies its own to the backend
         factory) and is installed as ``backend.tracer``.
         """
-        from ..batched.backend import BatchedBackend, get_backend
+        from ..batched.backend import get_backend
 
         if self._resolved is not None:
             return self._resolved
-        if self.counter is not None and isinstance(self.backend, BatchedBackend):
-            raise ValueError(
-                "ExecutionPolicy(counter=...) requires a backend name; the "
-                "supplied backend instance keeps its own counter (use "
-                "backend.counter instead)"
-            )
-        counter = self.counter
-        if counter is None and self.tracer.enabled:
-            counter = self.tracer.counter  # None until first bind: fine
+        # The tracer's counter is None until its first bind: fine.
+        counter = self.tracer.counter if self.tracer.enabled else None
         backend = get_backend(self.backend, counter=counter)
         if self.tracer.enabled:
             self.tracer.bind_counter(backend.counter)
@@ -204,29 +162,17 @@ class ExecutionPolicy:
             self._resolved = backend
         return backend
 
-    def resolve_construction_path(self) -> str:
-        """``"packed"`` or ``"loop"`` after applying the env override."""
-        mode = normalize_choice(self.construction_path)
-        if mode == "auto":
-            mode = env_choice("REPRO_CONSTRUCT_PATH", "packed")
-        if mode not in ("packed", "loop"):
-            raise ValueError(
-                f"unknown construction path {mode!r}; use 'packed' or 'loop'"
-            )
-        return mode
-
     # ------------------------------------------------------------ composition
     def construction_config(self, **overrides: object) -> "ConstructionConfig":
         """A :class:`~repro.core.config.ConstructionConfig` under this policy.
 
         Keyword arguments mirror the config fields (``tolerance``,
-        ``sample_block_size``, ...); the policy fills ``backend`` and
-        ``construction_path`` unless explicitly overridden.
+        ``sample_block_size``, ...); the policy fills ``backend`` unless
+        explicitly overridden.
         """
         from ..core.config import ConstructionConfig
 
         overrides.setdefault("backend", self.resolve_backend())
-        overrides.setdefault("construction_path", self.construction_path)
         return ConstructionConfig(**overrides)  # type: ignore[arg-type]
 
     def with_backend(self, backend: "Union[str, BatchedBackend]") -> "ExecutionPolicy":
@@ -236,10 +182,7 @@ class ExecutionPolicy:
     @classmethod
     def from_env(cls, **overrides: object) -> "ExecutionPolicy":
         """Policy snapshot of the current ``REPRO_*`` environment."""
-        values: dict = {
-            "backend": env_choice("REPRO_BACKEND", "vectorized"),
-            "construction_path": env_choice("REPRO_CONSTRUCT_PATH", "packed"),
-        }
+        values: dict = {"backend": env_choice("REPRO_BACKEND", "vectorized")}
         values.update(overrides)
         return cls(**values)
 

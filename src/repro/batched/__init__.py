@@ -35,6 +35,7 @@ from .bsr import BlockSparseRowMatrix
 from .construction_plan import ConstructionPlan, PackedSweepEngine
 from .counters import KernelLaunchCounter
 from .entry_plan import H2EntryPlan, compile_entry_plan
+from .node_sweep import NodeSweep
 from .variable_batch import VariableBatch
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "ConstructionPlan",
     "H2ApplyPlan",
     "H2EntryPlan",
+    "NodeSweep",
     "PackedSweepEngine",
     "SerialBackend",
     "VectorizedBackend",

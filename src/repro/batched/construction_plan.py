@@ -28,6 +28,11 @@ Two pieces cooperate:
     (padded interpolation stacks, skeleton gather maps, coupling GEMM
     operands, child-to-parent merge maps) that push freshly drawn samples up
     the tree (``updateSamples``) in O(levels) batched launches per round.
+    Lifecycle, shared with the per-node store
+    :class:`~repro.batched.node_sweep.NodeSweep` and driven by
+    ``H2Constructor._run_levels``: ``load_dense`` → ``init_leaf`` → per level
+    ``finish_level`` → ``load_couplings`` → ``merge_to_parent``, with
+    ``sweep_slab`` + ``state.append`` for every adaptive round.
 
 All heavy steps execute through the pluggable
 :class:`~repro.batched.backend.BatchedBackend` (``batched_gemm_scatter`` for
@@ -52,8 +57,11 @@ from .backend import BatchedBackend
 from .counters import KernelLaunchCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sketching.entry_extractor import EntryExtractor
     from ..tree.block_partition import BlockPartition
     from ..utils.timing import PhaseTimer
+
+Request = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -108,18 +116,18 @@ def _build_row_groups(
     return groups
 
 
-def _stack_operands(
+def _launch_operands(
     groups: Sequence[_RowGroup], padded_blocks: np.ndarray
-) -> List[np.ndarray]:
-    """Assemble each group's ``(g, p, fan * q)`` operand from a padded block stack.
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One ``(operand, dest_pos, src_pos)`` launch per fan group.
 
     ``padded_blocks`` is the ``(num_requests, p, q)`` output of
     :meth:`~repro.sketching.entry_extractor.EntryExtractor.extract_blocks_padded`;
-    every real slot is filled with one vectorised scatter, padded slots stay
-    exactly zero.
+    each group's ``(g, p, fan * q)`` operand gets every real slot filled with
+    one vectorised scatter, padded slots stay exactly zero.
     """
     p, q = int(padded_blocks.shape[1]), int(padded_blocks.shape[2])
-    operands = []
+    launches = []
     for group in groups:
         g, fan = group.num_rows, group.fan
         a = np.zeros((g, p, fan * q), dtype=np.float64)
@@ -131,8 +139,8 @@ def _stack_operands(
             slot_view = a.reshape(g, p, fan, q).transpose(0, 2, 1, 3)
             flat_rows, flat_slots = np.divmod(np.nonzero(real)[0], fan)
             slot_view[flat_rows, flat_slots] = padded_blocks[group.block_req[real]]
-        operands.append(a)
-    return operands
+        launches.append((a, group.dest_pos, group.src_pos))
+    return launches
 
 
 class ConstructionPlan:
@@ -205,6 +213,12 @@ class ConstructionPlan:
             self.coupling_groups[depth] = _build_row_groups(
                 rows, sentinel=len(nodes), fan_pad=self.fan_pad
             )
+        #: Shallowest depth carrying admissible blocks, where the upward sweep
+        #: stops (``None`` for a fully dense partition).
+        self.top_depth: Optional[int] = min(
+            (depth for depth, pairs in self.coupling_pairs.items() if pairs),
+            default=None,
+        )
 
         # Compile-time workspace accounting (auto-released with the plan).
         from ..observe.memory import memory_ledger
@@ -222,6 +236,16 @@ class ConstructionPlan:
             for g in groups:
                 total += g.dest_pos.nbytes + g.src_pos.nbytes + g.block_req.nbytes
         return int(total)
+
+    def sweep_workspace_bytes(self, columns: int) -> int:
+        """Bytes a :class:`PackedSweepEngine` allocates at the leaf level for
+        ``columns`` sample columns: the padded dense stack, its fan-grouped
+        operand copy and the ``omega``/``y`` sample stacks (float64)."""
+        block = self.m_pad * self.m_pad
+        dense_stack = len(self.dense_pairs) * block
+        dense_operands = sum(g.num_rows * g.fan for g in self.dense_groups) * block
+        samples = 2 * (self.num_leaves + 1) * self.m_pad * columns
+        return 8 * (dense_stack + dense_operands + samples)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
@@ -283,6 +307,10 @@ class _LevelState:
         """Node ``i``'s sample block ``Y_loc`` (exact height unless ``padded``)."""
         rows = self.m_pad if padded else int(self.heights[i])
         return self.y[i, :rows, : self.cols]
+
+    def node_blocks(self) -> List[np.ndarray]:
+        """Every node's exact-height sample block, the row ID's input."""
+        return [self.node_block(i) for i in range(self.count)]
 
     def _grow(self, needed: int) -> None:
         capacity = max(2 * self.capacity, needed)
@@ -346,6 +374,8 @@ class PackedSweepEngine:
     marshals packed buffers and issues batched launches.
     """
 
+    name = "packed"
+
     def __init__(
         self,
         plan: ConstructionPlan,
@@ -363,27 +393,58 @@ class PackedSweepEngine:
     def _gather(self, launches: int = 1) -> None:
         self.counter.record("batched_gather", launches)
 
-    def build_dense_operands(self, padded_blocks: np.ndarray) -> None:
-        """Stack the extracted dense leaf blocks into fan-grouped GEMM operands."""
-        with self.timer.phase("misc"):
-            operands = _stack_operands(self.plan.dense_groups, padded_blocks)
-            self._dense_ops = [
-                (a, group.dest_pos, group.src_pos)
-                for a, group in zip(operands, self.plan.dense_groups)
-            ]
+    def _extract(
+        self, extractor: "EntryExtractor", requests: Sequence[Request], pad: int
+    ) -> np.ndarray:
+        with self.timer.phase("entry_generation"):
+            return extractor.extract_blocks_padded(
+                requests, pad, pad, counter=self.counter
+            )
 
-    def set_coupling_operands(self, depth: int, padded_blocks: np.ndarray) -> None:
-        """Attach a level's coupling-subtract launches to its replay record."""
-        record = self.records.get(depth)
-        if record is None:
-            return
+    def load_dense(
+        self, extractor: "EntryExtractor", requests: Sequence[Request]
+    ) -> List[np.ndarray]:
+        """Evaluate ``plan.dense_pairs`` in one padded ``batchedGen`` launch and
+        stack them into the fan-grouped dense-subtract operands.
+
+        Returns the exact-shape blocks as views into the padded stack (the
+        padding is exact zeros); copying thousands of leaf blocks would double
+        the marshaling traffic.
+        """
+        padded = self._extract(extractor, requests, self.plan.m_pad)
         with self.timer.phase("misc"):
-            groups = self.plan.coupling_groups[depth]
-            operands = _stack_operands(groups, padded_blocks)
-            record.coupling_ops = [
-                (a, group.dest_pos, group.src_pos)
-                for a, group in zip(operands, groups)
-            ]
+            self._dense_ops = _launch_operands(self.plan.dense_groups, padded)
+        return [
+            padded[i, : len(rows), : len(cols)]
+            for i, (rows, cols) in enumerate(requests)
+        ]
+
+    def load_couplings(
+        self, depth: int, extractor: "EntryExtractor", requests: Sequence[Request]
+    ) -> List[np.ndarray]:
+        """Evaluate ``plan.coupling_pairs[depth]`` at the level's skeletons.
+
+        When the sweep continues above ``depth`` the padded stack (padded to
+        the replay record's ``r_pad``) becomes the level's coupling-subtract
+        operands.  Returns exact-shape *copies*: ranks vary within a level, so
+        views would pin the whole padded extraction for the lifetime of the
+        H2 matrix.
+        """
+        record = self.records.get(depth)
+        pad = (
+            record.r_pad if record is not None
+            else max(len(index) for request in requests for index in request)
+        )
+        padded = self._extract(extractor, requests, pad)
+        if record is not None:
+            with self.timer.phase("misc"):
+                record.coupling_ops = _launch_operands(
+                    self.plan.coupling_groups[depth], padded
+                )
+        return [
+            padded[i, : len(rows), : len(cols)].copy()
+            for i, (rows, cols) in enumerate(requests)
+        ]
 
     def _dense_subtract(self, y_stack: np.ndarray, omega_stack: np.ndarray) -> None:
         """``y -= D @ omega`` over the packed leaf stacks (one launch per fan group)."""
@@ -438,13 +499,16 @@ class PackedSweepEngine:
 
     def finish_level(
         self, state: _LevelState, decompositions: Sequence
-    ) -> Tuple[np.ndarray, np.ndarray, _ReplayRecord]:
+    ) -> Optional[Tuple[_ReplayRecord, np.ndarray, np.ndarray]]:
         """Skeletonise a level: build its replay record, shrink & upsweep.
 
-        Returns the shrunk samples and upswept inputs as
-        ``(count + 1, r_pad, cols)`` stacks (sentinel zero block last) plus the
-        stored :class:`_ReplayRecord`.
+        Returns the stored :class:`_ReplayRecord` plus the shrunk samples and
+        upswept inputs as ``(count + 1, r_pad, cols)`` stacks (sentinel zero
+        block last) — or ``None`` at ``plan.top_depth``, where the sweep ends
+        and nothing would read them.
         """
+        if state.depth == self.plan.top_depth:
+            return None
         count, m_pad, d = state.count, state.m_pad, state.cols
         ranks = np.array([dec.rank for dec in decompositions], dtype=np.int64)
         r_pad = int(ranks.max()) if count else 0
@@ -489,10 +553,9 @@ class PackedSweepEngine:
                 shrink_row=shrink_row,
                 shrink_mask=shrink_mask,
             )
-            if state.depth > 0:
-                self._build_merge_maps(record, state)
+            self._build_merge_maps(record, state)
             self.records[state.depth] = record
-        return y_next, omega_next, record
+        return record, y_next, omega_next
 
     def _build_merge_maps(self, record: _ReplayRecord, state: _LevelState) -> None:
         """Child-to-parent gather: parent rows = children's stacked skeleton rows."""

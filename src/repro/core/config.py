@@ -48,9 +48,7 @@ class ConstructionConfig:
         registered via :func:`repro.backends.register`) or an existing
         :class:`~repro.batched.backend.BatchedBackend` instance.  The
         default ``"auto"`` follows the ``REPRO_BACKEND`` environment
-        variable, falling back to ``"vectorized"`` — use an
-        :class:`~repro.api.policy.ExecutionPolicy` to set backend and
-        construction path together.
+        variable, falling back to ``"vectorized"``.
     norm_estimate:
         Optional known value of ``||K||_2``.  The adaptive convergence test
         and the absolute-ID mode compare against ``tolerance * ||K||_2``; by
@@ -63,13 +61,6 @@ class ConstructionConfig:
     convergence_safety_factor:
         Multiplies the absolute convergence threshold; values below 1 make the
         adaptive test stricter (more samples, better accuracy).
-    construction_path:
-        Which construction sweep executes: ``"packed"`` runs the compiled
-        level-wise batched engine (:mod:`repro.batched.construction_plan`),
-        ``"loop"`` the per-node reference sweep (the analogue of
-        ``H2Matrix.matvec_loop`` on the apply side), and ``"auto"`` (default)
-        follows the ``REPRO_CONSTRUCT_PATH`` environment variable, falling
-        back to ``"packed"``.
     """
 
     tolerance: float = 1e-6
@@ -82,7 +73,6 @@ class ConstructionConfig:
     backend: Union[str, BatchedBackend] = "auto"
     norm_estimate: float | None = None
     convergence_safety_factor: float = 1.0
-    construction_path: str = "auto"
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -97,8 +87,6 @@ class ConstructionConfig:
             raise ValueError("norm_estimate must be positive when given")
         if self.convergence_safety_factor <= 0:
             raise ValueError("convergence_safety_factor must be positive")
-        if self.construction_path not in ("auto", "packed", "loop"):
-            raise ValueError("construction_path must be 'auto', 'packed' or 'loop'")
 
     @property
     def effective_initial_samples(self) -> int:

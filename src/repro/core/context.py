@@ -269,12 +269,6 @@ class GeometryContext:
         Byte budget of the distance cache.
     seed:
         Seed of the frozen sample bank.
-    construction_path:
-        Which construction sweep the context's default configs use
-        (``"packed"``/``"loop"``/``"auto"``; see
-        :class:`~repro.core.config.ConstructionConfig`).  An
-        :class:`~repro.api.policy.ExecutionPolicy` threads its path choice
-        through here.
     artifact_cache:
         Optional :class:`~repro.persist.cache.ArtifactCache`.  When given,
         :meth:`construct` consults it before constructing (the key covers
@@ -294,7 +288,6 @@ class GeometryContext:
         distance_cache: str = "auto",
         cache_limit_mb: float = 600.0,
         seed: SeedLike = 0,
-        construction_path: str = "auto",
         tracer: object | None = None,
         artifact_cache: object | None = None,
     ):
@@ -312,7 +305,6 @@ class GeometryContext:
                 self.backend.tracer = tracer
         else:
             self.tracer = getattr(self.backend, "tracer", None)
-        self.construction_path = construction_path
         # Artifact caching needs a reproducible construction: only integer
         # (or None) seeds key deterministically, a live Generator does not.
         seed_is_hashable = seed is None or isinstance(seed, (int, np.integer))
@@ -477,7 +469,6 @@ class GeometryContext:
                             tolerance=tolerance,
                             sample_block_size=sample_block_size,
                             backend=self.backend,
-                            construction_path=self.construction_path,
                         ),
                         total_samples=0,
                         operator_applications=0,
@@ -503,7 +494,6 @@ class GeometryContext:
                 tolerance=tolerance,
                 sample_block_size=sample_block_size,
                 backend=self.backend,
-                construction_path=self.construction_path,
             )
         if warm_start and self._warm_samples is not None:
             initial = max(config.effective_initial_samples, self._warm_samples)

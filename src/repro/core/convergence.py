@@ -35,9 +35,3 @@ class ConvergenceTester:
             return np.zeros(0, dtype=bool)
         min_diags = backend.batched_min_r_diag(sample_blocks)
         return min_diags <= self.absolute_threshold
-
-    def all_converged(
-        self, sample_blocks: Sequence[np.ndarray], backend: BatchedBackend
-    ) -> bool:
-        mask = self.converged_mask(sample_blocks, backend)
-        return bool(np.all(mask))

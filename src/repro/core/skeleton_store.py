@@ -3,9 +3,8 @@
 Every processed cluster stores the outcome of its interpolative decomposition:
 its rank, the local/global skeleton indices and the interpolation matrix
 (which is the leaf basis ``U_tau`` at the leaf level or the stacked transfer
-matrix ``[E_nu1; E_nu2]`` at inner levels).  The adaptive-sampling sweep
-(``updateSamples`` in Algorithm 1) replays these records to push freshly drawn
-sample vectors from the leaves up to the level currently being processed.
+matrix ``[E_nu1; E_nu2]`` at inner levels).  The constructor reads the global
+skeleton indices back when it evaluates coupling blocks and merges children.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ class NodeSkeleton:
     @property
     def rank(self) -> int:
         return int(self.interpolation.shape[1])
-
-    def shrink_samples(self, samples: np.ndarray) -> np.ndarray:
-        """Restrict a sample block to the skeleton rows (``Y^{l+1} = Y_loc(J, :)``)."""
-        return samples[self.skeleton_local]
-
-    def upsweep_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        """Transform the random inputs to the next level (``Omega^{l+1} = X^T Omega^l``)."""
-        return self.interpolation.T @ inputs
 
 
 class SkeletonStore:

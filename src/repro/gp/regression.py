@@ -136,18 +136,15 @@ class GaussianProcess:
         self.solve_tol = float(solve_tol)
         self.max_cg_iterations = max_cg_iterations
         if context is None:
-            construction_path = "auto"
             tracer = None
             if policy is not None:
                 backend = policy.resolve_backend()
-                construction_path = policy.construction_path
                 tracer = policy.tracer
             context = GeometryContext(
                 self.train_points,
                 leaf_size=leaf_size,
                 backend=backend,
                 seed=seed,
-                construction_path=construction_path,
                 tracer=tracer,
             )
         self.context = context

@@ -11,8 +11,7 @@ from .aca import aca_low_rank
 from .basis_tree import BasisTree
 from .h2matrix import H2Matrix
 from .hmatrix import HMatrix, build_hmatrix_aca
-from .hodlr import HODLRMatrix, build_hodlr, hodlr_from_h2
-from .hss import build_hss
+from .hodlr import HODLRMatrix, build_hodlr
 from .linear_operator import LinearOperator, ShiftedLinearOperator, as_linear_operator
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "HODLRMatrix",
     "build_hmatrix_aca",
     "build_hodlr",
-    "hodlr_from_h2",
-    "build_hss",
     "aca_low_rank",
     "LinearOperator",
     "ShiftedLinearOperator",

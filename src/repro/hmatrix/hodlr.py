@@ -19,7 +19,6 @@ import numpy as np
 from ..api.protocol import HierarchicalOperatorMixin
 from ..linalg.low_rank import LowRankMatrix
 from ..tree.cluster_tree import ClusterTree
-from ..utils.deprecation import deprecated_entry_point
 from .aca import aca_from_entry_function
 from .h2matrix import H2Matrix
 
@@ -160,14 +159,3 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
         right = h2.basis.explicit_basis(t)
         hodlr.off_diagonal[(s, t)] = LowRankMatrix(left, right)
     return hodlr
-
-
-@deprecated_entry_point("repro.convert(h2, 'hodlr')")
-def hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
-    """Deprecated alias of the ``h2 -> hodlr`` conversion.
-
-    Use :func:`repro.api.convert` (``repro.convert(h2, "hodlr")``) instead;
-    this shim forwards to the same implementation and will be removed in a
-    future release.
-    """
-    return _hodlr_from_h2(h2)

@@ -18,7 +18,6 @@ import numpy as np
 from ..tree.admissibility import WeakAdmissibility
 from ..tree.block_partition import build_block_partition
 from ..tree.cluster_tree import ClusterTree
-from ..utils.deprecation import deprecated_entry_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.builder import ConstructionResult
@@ -56,33 +55,3 @@ def _build_hss(
     )
     constructor = H2Constructor(partition, operator, extractor, config=config, seed=seed)
     return constructor.construct()
-
-
-@deprecated_entry_point("repro.compress(..., format='hss')")
-def build_hss(
-    tree: ClusterTree,
-    operator: "SketchingOperator",
-    extractor: "EntryExtractor",
-    tolerance: float = 1e-6,
-    sample_block_size: int = 64,
-    max_samples: int | None = None,
-    backend: str = "vectorized",
-    seed: int | np.random.Generator | None = None,
-) -> "ConstructionResult":
-    """Deprecated alias of the HSS construction path.
-
-    Use :func:`repro.api.compress` — ``repro.compress(points, kernel,
-    format="hss")`` for the kernel case, or ``repro.compress(format="hss",
-    tree=tree, operator=operator, extractor=extractor)`` for a black-box
-    operator/extractor pair.  This shim forwards to the same implementation.
-    """
-    return _build_hss(
-        tree,
-        operator,
-        extractor,
-        tolerance=tolerance,
-        sample_block_size=sample_block_size,
-        max_samples=max_samples,
-        backend=backend,
-        seed=seed,
-    )

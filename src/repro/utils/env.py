@@ -1,13 +1,11 @@
 """Normalization of configuration choices and environment overrides.
 
 Every place that accepts a *named choice* — backend names in the
-:mod:`repro.backends` registry, the construction path of
-:class:`~repro.api.policy.ExecutionPolicy`, the ``REPRO_*`` environment
-variables — must agree on how values are normalized, or the same spelling is
-accepted in one spot and rejected in another (``"Vectorized"`` resolved while
-``" vectorized"`` raised; ``REPRO_CONSTRUCT_PATH="PACKED "`` raised while
-``"packed"`` worked).  These helpers are that single agreement: strip
-surrounding whitespace, then casefold.
+:mod:`repro.backends` registry, recovery modes, format names, the ``REPRO_*``
+environment variables — must agree on how values are normalized, or the same
+spelling is accepted in one spot and rejected in another (``"Vectorized"``
+resolved while ``" vectorized"`` raised).  These helpers are that single
+agreement: strip surrounding whitespace, then casefold.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import os
 def normalize_choice(value: str) -> str:
     """Canonical form of a configuration choice: stripped and casefolded.
 
-    Applied to every user-supplied choice string (backend names,
-    construction paths, format names) *and* to every ``REPRO_*`` environment
+    Applied to every user-supplied choice string (backend names, recovery
+    modes, format names) *and* to every ``REPRO_*`` environment
     value before comparison, so ``" Vectorized "`` and ``"vectorized"`` are
     the same choice everywhere.
     """

@@ -9,13 +9,10 @@ Covers the tentpole of the façade PR:
 * the :func:`repro.convert` format-conversion registry;
 * the :class:`~repro.api.policy.ExecutionPolicy` / :mod:`repro.backends`
   registry threading;
-* :class:`repro.Session` chaining (compress → factor → solve, sweep, gp);
-* the deprecation shims of the legacy entry points.
+* :class:`repro.Session` chaining (compress → factor → solve, sweep, gp).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +27,7 @@ from repro import (
     KernelLaunchCounter,
     SerialBackend,
     Session,
+    SpanTracer,
     compress,
     convert,
     random_low_rank,
@@ -404,46 +402,38 @@ class TestExecutionPolicy:
         monkeypatch.setenv("REPRO_BACKEND", "  SeRiAl ")
         assert ExecutionPolicy().resolve_backend().name == "serial"
         assert repro.get_backend("auto").name == "serial"
-        monkeypatch.setenv("REPRO_CONSTRUCT_PATH", " LOOP\t")
-        assert ExecutionPolicy().resolve_construction_path() == "loop"
-        policy = ExecutionPolicy.from_env()
-        assert policy.backend == "serial"
-        assert policy.construction_path == "loop"
+        assert ExecutionPolicy.from_env().backend == "serial"
 
     def test_blank_env_values_fall_back_to_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "   ")
-        monkeypatch.setenv("REPRO_CONSTRUCT_PATH", "")
         assert ExecutionPolicy().resolve_backend().name == "vectorized"
-        assert ExecutionPolicy().resolve_construction_path() == "packed"
 
     def test_inline_values_normalized(self):
-        policy = ExecutionPolicy(construction_path=" Packed ")
-        assert policy.construction_path == "packed"
         assert repro.get_backend(" Vectorized ").name == "vectorized"
 
     def test_from_env_snapshot(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        monkeypatch.setenv("REPRO_CONSTRUCT_PATH", "loop")
-        policy = ExecutionPolicy.from_env()
-        assert policy.backend == "serial"
-        assert policy.construction_path == "loop"
-        assert policy.resolve_construction_path() == "loop"
+        assert ExecutionPolicy.from_env().backend == "serial"
 
-    def test_invalid_construction_path_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionPolicy(construction_path="warp")
+    def test_no_user_set_sweep_selection_or_counter(self, api_points):
+        """The compiled sweep is the constructor; nothing selects another."""
+        for removed in ({"construction_path": "loop"}, {"counter": KernelLaunchCounter()}):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**removed)
+        with pytest.raises(TypeError):
+            repro.ConstructionConfig(construction_path="loop")
+        with pytest.raises(TypeError):
+            repro.GeometryContext(api_points, construction_path="loop")
 
     def test_construction_config_threading(self):
-        policy = ExecutionPolicy(backend="serial", construction_path="loop")
+        policy = ExecutionPolicy(backend="serial")
         config = policy.construction_config(tolerance=1e-4)
         assert config.tolerance == 1e-4
-        assert config.construction_path == "loop"
         assert config.backend.name == "serial"
 
     def test_shared_counter_accumulates(self, api_points, api_kernel):
         counter = KernelLaunchCounter()
-        with pytest.warns(DeprecationWarning, match="counter"):
-            policy = ExecutionPolicy(backend="serial", counter=counter)
+        policy = ExecutionPolicy(backend="serial", tracer=SpanTracer(counter=counter))
         op = compress(
             api_points, api_kernel, tol=1e-4, leaf_size=LEAF, seed=1, policy=policy
         )
@@ -457,23 +447,15 @@ class TestExecutionPolicy:
         assert policy.resolve_backend() is policy.resolve_backend()
 
     def test_with_backend_copies(self):
-        policy = ExecutionPolicy(backend="serial", construction_path="loop")
+        policy = ExecutionPolicy(backend="serial", recovery="warn")
         other = policy.with_backend("vectorized")
-        assert other.construction_path == "loop"
+        assert other.recovery.mode == "warn"
         assert other.resolve_backend().name == "vectorized"
         assert policy.resolve_backend().name == "serial"
 
     def test_launch_counter_accessor(self):
         policy = ExecutionPolicy(backend="serial")
         assert policy.launch_counter() is policy.resolve_backend().counter
-
-    def test_counter_with_backend_instance_rejected(self):
-        with pytest.warns(DeprecationWarning, match="counter"):
-            policy = ExecutionPolicy(
-                backend=SerialBackend(), counter=KernelLaunchCounter()
-            )
-        with pytest.raises(ValueError, match="backend name"):
-            policy.resolve_backend()
 
     def test_failed_alias_registration_is_atomic(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -572,56 +554,3 @@ class TestSession:
         assert session.tree.num_points == N
         assert session.partition.tree is session.tree
         assert session.points.shape == (N, 2)
-
-
-class TestDeprecationShims:
-    """Old entry points keep working but warn (legacy-import contract)."""
-
-    @pytest.fixture(scope="class")
-    def weak_h2(self, api_points, api_kernel):
-        return compress(
-            api_points, api_kernel, format="hss", tol=TOL, leaf_size=LEAF, seed=7
-        )
-
-    def test_legacy_names_importable(self):
-        from repro import build_hss, hodlr_from_h2  # noqa: F401
-        from repro.hmatrix.hodlr import hodlr_from_h2 as nested  # noqa: F401
-        from repro.hmatrix.hss import build_hss as nested_hss  # noqa: F401
-
-    def test_hodlr_from_h2_warns_and_works(self, weak_h2):
-        with pytest.warns(DeprecationWarning, match="convert"):
-            legacy = repro.hodlr_from_h2(weak_h2)
-        assert isinstance(legacy, HODLRMatrix)
-        modern = convert(weak_h2, "hodlr")
-        assert np.allclose(legacy.to_dense(), modern.to_dense(), rtol=0, atol=0)
-
-    def test_build_hss_warns_and_works(self, api_points, api_kernel):
-        from repro import ClusterTree, KernelEntryExtractor, KernelMatVecOperator
-
-        tree = ClusterTree.build(api_points, leaf_size=LEAF)
-        with pytest.warns(DeprecationWarning, match="compress"):
-            legacy = repro.build_hss(
-                tree,
-                KernelMatVecOperator(api_kernel, tree.points),
-                KernelEntryExtractor(api_kernel, tree.points),
-                tolerance=1e-6,
-                seed=7,
-            )
-        modern = compress(
-            api_points, api_kernel, format="hss", tol=1e-6, leaf_size=LEAF,
-            seed=7, full_result=True,
-        )
-        assert np.allclose(
-            legacy.matrix.to_dense(), modern.matrix.to_dense(), rtol=0, atol=1e-10
-        )
-
-    def test_internal_paths_do_not_warn(self, api_points, api_kernel):
-        """The library's own subsystems route through the impls, not the shims."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session = Session(api_points, leaf_size=LEAF, seed=1)
-            session.compress(api_kernel, tol=1e-6).factor(noise=1e-2).solve(
-                np.ones(N)
-            )
-            gp = session.gp(api_kernel, noise=1e-2, tolerance=1e-6)
-            gp.fit(np.sin(api_points[:, 0]))

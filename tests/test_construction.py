@@ -262,12 +262,11 @@ class TestOperatorApplications:
     @pytest.mark.parametrize("block", [16, 64])
     def test_rounds_plus_one(self, partition_2d, dense_cov_2d, path, block):
         operator = BareOperator(dense_cov_2d)
-        config = ConstructionConfig(
-            tolerance=1e-8, sample_block_size=block, construction_path=path
-        )
-        result = H2Constructor(
+        config = ConstructionConfig(tolerance=1e-8, sample_block_size=block)
+        constructor = H2Constructor(
             partition_2d, operator, DenseEntryExtractor(dense_cov_2d), config, seed=11
-        ).construct()
+        )
+        result = constructor.construct() if path == "packed" else constructor.construct_loop()
         rounds, remainder = divmod(result.total_samples, block)
         assert remainder == 0
         assert (rounds > 1) == (block == 16)  # one multi-round case, one one-round case

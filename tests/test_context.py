@@ -150,9 +150,7 @@ class TestReuse:
         # Passing an explicit config bypasses the result cache, so both runs
         # execute the full packed sweep against the same frozen Omega bank;
         # warm-starting is disabled so they run the identical sample schedule.
-        config = ConstructionConfig(
-            tolerance=TOL, construction_path="packed", backend=ctx.backend
-        )
+        config = ConstructionConfig(tolerance=TOL, backend=ctx.backend)
         first = ctx.construct(kernel, config=config, warm_start=False)
         second = ctx.construct(kernel, config=config, warm_start=False)
         assert first is not second
@@ -164,25 +162,18 @@ class TestReuse:
         assert first.total_samples == second.total_samples
         assert first.construction_path == second.construction_path == "packed"
 
-    def test_packed_and_loop_paths_share_the_frozen_bank(self, points):
-        """Both execution paths draw the identical cached sample columns."""
+    def test_compiled_and_per_node_sweeps_share_the_frozen_bank(self, points):
+        """``construct()`` and the ``construct_loop()`` oracle draw the
+        identical cached sample columns."""
         ctx = GeometryContext(points, leaf_size=32, seed=9)
         kernel = ExponentialKernel(0.2)
-        packed = ctx.construct(
-            kernel,
-            config=ConstructionConfig(
-                tolerance=TOL, construction_path="packed", backend=ctx.backend
-            ),
-            warm_start=False,
-        )
+        config = ConstructionConfig(tolerance=TOL, backend=ctx.backend)
+        packed = ctx.construct(kernel, config=config, warm_start=False)
         cached_columns = ctx.statistics.sample_columns_cached
-        loop = ctx.construct(
-            kernel,
-            config=ConstructionConfig(
-                tolerance=TOL, construction_path="loop", backend=ctx.backend
-            ),
-            warm_start=False,
-        )
+        loop = H2Constructor(
+            ctx.partition, *ctx.bind(kernel), config=config,
+            sample_source=ctx._omega_bank.sampler(),
+        ).construct_loop()
         # The loop replay consumed the same bank without growing it.
         assert ctx.statistics.sample_columns_cached == cached_columns
         assert loop.total_samples == packed.total_samples

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -670,90 +669,3 @@ class TestLedgerIntegration:
         memory_ledger().account("op", {"basis": 4096})
         text = render_openmetrics()
         assert "repro_memory_basis_bytes 4096" in text
-
-
-# -------------------------------------------------- perf-trajectory report
-@pytest.fixture()
-def report_module(monkeypatch):
-    benchmarks = str(
-        __import__("pathlib").Path(__file__).resolve().parent.parent
-        / "benchmarks"
-    )
-    monkeypatch.syspath_prepend(benchmarks)
-    for name in ("report", "compare_bench"):
-        sys.modules.pop(name, None)
-    import report
-
-    yield report
-    for name in ("report", "compare_bench"):
-        sys.modules.pop(name, None)
-
-
-def _history(tmp_path, snapshots):
-    directory = tmp_path / "history"
-    directory.mkdir()
-    for label, headlines in snapshots:
-        (directory / f"{label}.json").write_text(json.dumps({
-            "label": label, "config": {"n": 64}, "headlines": headlines,
-        }))
-    return str(directory)
-
-
-class TestPerfTrajectoryReport:
-    def test_trend_rows_statuses(self, report_module, tmp_path):
-        history = _history(tmp_path, [
-            ("pr1", {"solve_seconds": 1.0, "matvec_gflops": 2.0,
-                     "solve_iterations": 10}),
-            ("pr2", {"solve_seconds": 2.0, "matvec_gflops": 1.0,
-                     "solve_iterations": 11, "new_seconds": 0.5}),
-        ])
-        snapshots = report_module.load_history(history)
-        assert [s["label"] for s in snapshots] == ["pr1", "pr2"]
-        rows = {key: (ratio, status) for key, _, ratio, status
-                in report_module.trend_rows(snapshots)}
-        assert rows["solve_seconds"] == (2.0, "WORSE")
-        assert rows["matvec_gflops"] == (0.5, "WORSE")
-        assert rows["solve_iterations"][1] == "changed"
-        assert rows["new_seconds"][1] == "ok"  # single data point
-
-    def test_improvements_marked_better(self, report_module, tmp_path):
-        history = _history(tmp_path, [
-            ("pr1", {"solve_seconds": 2.0}),
-            ("pr2", {"solve_seconds": 1.0}),
-        ])
-        rows = report_module.trend_rows(
-            report_module.load_history(history))
-        assert rows[0][3] == "better"
-
-    def test_console_and_html_render(self, report_module, tmp_path):
-        history = _history(tmp_path, [
-            ("pr1", {"solve_seconds": 1.0}),
-            ("pr2", {"solve_seconds": 1.05}),
-        ])
-        snapshots = report_module.load_history(history)
-        rows = report_module.trend_rows(snapshots)
-        console = report_module.render_console(snapshots, rows)
-        assert "pr1 -> pr2" in console
-        assert "solve_seconds" in console
-        html_text = report_module.render_html(snapshots, rows)
-        assert html_text.startswith("<!DOCTYPE html>")
-        assert "solve_seconds" in html_text
-
-    def test_main_writes_artifacts(self, report_module, tmp_path, capsys):
-        history = _history(tmp_path, [
-            ("pr1", {"solve_seconds": 1.0}),
-            ("pr2", {"solve_seconds": 1.5}),
-        ])
-        out = tmp_path / "report.txt"
-        html_out = tmp_path / "report.html"
-        assert report_module.main([
-            "--history", history, "--out", str(out), "--html", str(html_out),
-        ]) == 0
-        assert "WORSE" in out.read_text()
-        assert "<table>" in html_out.read_text()
-        assert "perf trajectory" in capsys.readouterr().out
-
-    def test_main_empty_history_is_graceful(self, report_module, tmp_path):
-        empty = tmp_path / "none"
-        empty.mkdir()
-        assert report_module.main(["--history", str(empty)]) == 0

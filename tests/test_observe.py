@@ -519,12 +519,6 @@ class TestPolicyWiring:
         backend = policy.resolve_backend()
         assert backend.counter is counter
 
-    def test_counter_kwarg_is_deprecated_but_works(self):
-        counter = KernelLaunchCounter()
-        with pytest.warns(DeprecationWarning, match="counter"):
-            policy = ExecutionPolicy(backend="serial", counter=counter)
-        assert policy.resolve_backend().counter is counter
-
     def test_with_backend_keeps_tracer(self):
         tracer = fresh_tracer()
         policy = ExecutionPolicy(backend="serial", tracer=tracer)

@@ -41,8 +41,17 @@ class TestAllListing:
             assert name in repro.__all__, name
 
     def test_legacy_names_still_exported(self):
-        for name in ("build_hss", "hodlr_from_h2", "H2Constructor", "build_hodlr"):
+        for name in ("H2Constructor", "build_hodlr"):
             assert name in repro.__all__, name
+
+    def test_versions_agree(self):
+        import pathlib
+        import re
+
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+        assert declared is not None
+        assert declared.group(1) == repro.__version__
 
 
 class TestQuickstartDoctest:

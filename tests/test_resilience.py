@@ -87,6 +87,20 @@ def compress_policy(points, policy, **kwargs):
     )
 
 
+def loop_reference(points):
+    """What ``compress_policy`` constructs, run through the per-node oracle."""
+    from repro.api.facade import _resolve_evaluators, _resolve_geometry
+
+    tree, partition = _resolve_geometry(points, "h2", 64, 0.7, None, None, None)
+    operator, extractor = _resolve_evaluators(
+        ExponentialKernel(0.4), tree, None, None
+    )
+    return repro.H2Constructor(
+        partition, operator, extractor,
+        repro.ConstructionConfig(tolerance=1e-6), seed=7,
+    ).construct_loop()
+
+
 def counter_value(name: str) -> int:
     return metrics().counter(name).value
 
@@ -254,9 +268,7 @@ class TestConstructionFaultMatrix:
     ):
         # times=-1 keeps failing every packed attempt: the retry budget runs
         # out and construction recovers onto the per-node loop path.
-        loop_ref = compress_policy(
-            packed_points, ExecutionPolicy(construction_path="loop")
-        )
+        loop_ref = loop_reference(packed_points)
         _, x, _ = reference
         policy = ExecutionPolicy(
             recovery="recover", faults="fail-nth-launch:times=-1"
@@ -331,9 +343,7 @@ class TestConstructionFaultMatrix:
         assert excinfo.value.stage == "construct.packed"
 
     def test_memory_budget_recovers_to_loop(self, packed_points):
-        loop_ref = compress_policy(
-            packed_points, ExecutionPolicy(construction_path="loop")
-        )
+        loop_ref = loop_reference(packed_points)
         x = np.random.default_rng(1).standard_normal(N_PACKED)
         policy = ExecutionPolicy(
             recovery="recover", faults="memory-budget-exceeded"
@@ -351,6 +361,58 @@ class TestConstructionFaultMatrix:
         )
         with pytest.raises(MemoryBudgetError):
             compress_policy(packed_points, policy)
+
+    @pytest.mark.parametrize(
+        "dim, leaf_size, admissibility",
+        [
+            (3, 32, repro.GeneralAdmissibility(eta=1.5)),
+            (2, 256, repro.WeakAdmissibility()),
+        ],
+        ids=["strong3d", "weak2d"],
+    )
+    def test_memory_budget_guards_the_compiled_workspace(
+        self, dim, leaf_size, admissibility
+    ):
+        """The estimate covers the allocation it guards (padded dense stack,
+        its operand copy, sample stacks), and a budget between the two
+        stores' traced workspaces lands on the per-node sweep."""
+        import tracemalloc
+
+        tree = repro.ClusterTree.build(
+            uniform_cube_points(1024, dim=dim, seed=13), leaf_size=leaf_size
+        )
+        partition = repro.build_block_partition(tree, admissibility)
+        dense = ExponentialKernel(0.2).matrix(tree.points)
+
+        def constructor(recovery=None):
+            return repro.H2Constructor(
+                partition, repro.DenseOperator(dense), repro.DenseEntryExtractor(dense),
+                repro.ConstructionConfig(tolerance=1e-4), seed=3, recovery=recovery,
+            )
+
+        def traced_workspace(loop):
+            built = constructor()
+            tracemalloc.start()
+            try:
+                result = built.construct_loop() if loop else built.construct()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return result, peak - result.matrix.memory_bytes()["total"]
+
+        loop_ref, loop_workspace = traced_workspace(loop=True)
+        _, packed_workspace = traced_workspace(loop=False)
+        assert loop_workspace < packed_workspace
+
+        with pytest.raises(MemoryBudgetError) as excinfo:
+            constructor(RecoveryPolicy(mode="strict", memory_budget_bytes=1)).construct()
+        assert excinfo.value.context["estimate_bytes"] >= 0.5 * packed_workspace
+
+        budget = (loop_workspace + packed_workspace) // 2
+        result = constructor(RecoveryPolicy(memory_budget_bytes=budget)).construct()
+        assert result.construction_path == "recovered-loop"
+        x = np.random.default_rng(1).standard_normal(1024)
+        assert np.array_equal(result.matrix.matvec(x), loop_ref.matrix.matvec(x))
 
     # --- chaos mode -------------------------------------------------------
     def test_env_faults_alone_still_pass(
@@ -658,7 +720,7 @@ class TestAcceptance:
             assert constructor.recovery is None and constructor.faults is None
             return (
                 constructor.construct() if guarded
-                else constructor.construct_packed()
+                else constructor._construct(packed=True)
             )
 
         def best_of(fn, repeats=3):
