@@ -25,9 +25,12 @@ Two pieces cooperate:
     block is the sentinel zero block read by fan-in padding) into which
     adaptive sampling rounds write only the *new* columns instead of
     re-copying every node's sample block — and the per-level *replay records*
-    (padded interpolation stacks, skeleton gather maps, coupling GEMM
-    operands, child-to-parent merge maps) that push freshly drawn samples up
-    the tree (``updateSamples``) in O(levels) batched launches per round.
+    (skeleton/redundant row gather maps, the stacked ID coefficients ``T``,
+    coupling GEMM operands, child-to-parent merge maps) that push freshly
+    drawn samples up the tree (``updateSamples``) in O(levels) batched
+    launches per round.  The random inputs are projected as ``X^T Omega =
+    Omega(J) + T Omega(redundant)``: the identity block of ``X = P [I; T^T]``
+    is a gather, never a multiply.
     Lifecycle, shared with the per-node store
     :class:`~repro.batched.node_sweep.NodeSweep` and driven by
     ``H2Constructor._run_levels``: ``load_dense`` → ``init_leaf`` → per level
@@ -43,12 +46,35 @@ exact everywhere — padded operand rows/columns are zero, padded sample rows
 stay zero through every launch — so the packed sweep reproduces the reference
 loop's skeleton selections at fixed seed (launch fusion only reorders
 floating-point accumulations at the ~1e-15 level).
+
+**Launch schedule.**  A sample slab (the first block, then one per further
+adaptive round) is loaded at the leaves and carried up through every level
+already skeletonised below the level that asked for it.  With ``rounds_d`` the
+sampling rounds of depth ``d``, ``slabs = 1 + sum_d (rounds_d - 1)`` and
+``passes_d = 1 + sum_{d' < d} (rounds_d' - 1)`` the slabs carried through depth
+``d`` (every depth below ``top_depth``), the sweep issues
+
+====================  ====================================================
+``batched_rand``      ``slabs``
+``construct_dense``   ``slabs * (dense fan groups)``
+``construct_coupling``  ``sum_d passes_d * (coupling fan groups of d)``
+``construct_upsweep``   ``sum_d passes_d`` over the depths whose ID left a
+                      redundant row (``t_pad > 0``)
+``batched_gather``    ``slabs + 2 * sum_d passes_d`` (leaf load; per level
+                      the ``[J; redundant]`` row gather and the sibling merge)
+``batched_qr``        ``sum_d rounds_d`` (adaptive constructions)
+====================  ====================================================
+
+which :meth:`ConstructionPlan.launch_schedule` computes and the tests hold
+against ``ConstructionResult.kernel_launches``.  ``batched_gen`` and, on the
+vectorized backend, ``batched_id`` count *shape groups* of the requested
+blocks and are not a function of the schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,6 +273,36 @@ class ConstructionPlan:
         samples = 2 * (self.num_leaves + 1) * self.m_pad * columns
         return 8 * (dense_stack + dense_operands + samples)
 
+    def launch_schedule(
+        self,
+        rounds: Dict[int, int],
+        upsweep_depths: Collection[int],
+        adaptive: bool = True,
+    ) -> Dict[str, int]:
+        """Launches of a compiled construction, per operation (module docstring).
+
+        ``rounds[depth]`` is the level's ``LevelReport.sampling_rounds`` for
+        every depth from the leaves to ``top_depth``; ``upsweep_depths`` the
+        depths at which some node kept fewer skeleton rows than it had rows.
+        """
+        slabs = 1 + sum(r - 1 for r in rounds.values())
+        schedule = {
+            "batched_rand": slabs,
+            "batched_gather": slabs,
+            "construct_dense": slabs * len(self.dense_groups),
+            "construct_coupling": 0,
+            "construct_upsweep": 0,
+        }
+        if adaptive:
+            schedule["batched_qr"] = sum(rounds.values())
+        passes = 1
+        for depth in range(self.top_depth + 1, self.tree.depth + 1):
+            passes += rounds[depth - 1] - 1
+            schedule["batched_gather"] += 2 * passes
+            schedule["construct_coupling"] += passes * len(self.coupling_groups[depth])
+            schedule["construct_upsweep"] += passes * (depth in upsweep_depths)
+        return {op: count for op, count in schedule.items() if count}
+
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"ConstructionPlan(n={self.tree.num_points}, leaves={self.num_leaves}, "
@@ -334,28 +390,33 @@ class _LevelState:
 
 @dataclass
 class _ReplayRecord:
-    """Everything needed to replay one skeletonised level on fresh samples."""
+    """Everything needed to replay one skeletonised level on fresh samples.
+
+    The gather maps are ``(node, row)`` index pairs into the level's
+    ``(count + 1, m_pad, b)`` sample stacks.  Padded slots — and the whole
+    extra last block of ``shrink_*`` / ``merge_*`` — address row 0 of the
+    sentinel zero block, so a gather needs no mask and returns a stack that
+    already carries its own sentinel.
+    """
 
     depth: int
     count: int
-    m_pad: int
     r_pad: int
-    ranks: np.ndarray
-    #: ``(count, r_pad, m_pad)`` stack of the transposed padded interpolations.
-    interp_t: np.ndarray
-    #: Skeleton-row gather of the level's sample stack: ``(count, r_pad)``
-    #: node/row indices plus the 0/1 mask zeroing padded slots.
+    #: Skeleton rows ``J`` of every node: ``(count + 1, r_pad)``.
     shrink_node: np.ndarray
     shrink_row: np.ndarray
-    shrink_mask: np.ndarray
+    #: ``(count, r_pad, t_pad)`` stack of the IDs' coefficient matrices ``T``
+    #: and the ``(count, t_pad)`` gather of the redundant rows they multiply;
+    #: all ``None`` when no node of the level has a redundant row.
+    t_stack: Optional[np.ndarray]
+    rest_node: Optional[np.ndarray]
+    rest_row: Optional[np.ndarray]
     #: Child-to-parent merge gather (into the *next* level's packed stack):
-    #: ``(parents, parent_m_pad)`` indices into this level's shrunk stacks
-    #: (the sentinel block for padded slots, which is exactly zero).
-    parent_nodes: List[int] = field(default_factory=list)
-    parent_heights: np.ndarray | None = None
-    parent_m_pad: int = 0
-    merge_node: np.ndarray | None = None
-    merge_row: np.ndarray | None = None
+    #: ``(parents + 1, max parent height)`` indices into this level's shrunk stacks.
+    parent_nodes: List[int]
+    parent_heights: np.ndarray
+    merge_node: np.ndarray
+    merge_row: np.ndarray
     #: Fan-grouped coupling-subtract launches ``(operand, dest_pos, src_pos)``,
     #: attached once the level's coupling blocks have been extracted.
     coupling_ops: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
@@ -371,7 +432,8 @@ class PackedSweepEngine:
     :class:`_ReplayRecord` chain used by ``updateSamples``.  The driving
     :class:`~repro.core.builder.H2Constructor` keeps all numerical decisions
     (convergence, tolerances, IDs, skeleton bookkeeping); the engine only
-    marshals packed buffers and issues batched launches.
+    marshals packed buffers and issues batched launches —
+    :meth:`ConstructionPlan.launch_schedule` states how many.
     """
 
     name = "packed"
@@ -446,8 +508,26 @@ class PackedSweepEngine:
             for i, (rows, cols) in enumerate(requests)
         ]
 
-    def _dense_subtract(self, y_stack: np.ndarray, omega_stack: np.ndarray) -> None:
-        """``y -= D @ omega`` over the packed leaf stacks (one launch per fan group)."""
+    def _load_leaves(
+        self,
+        omega: np.ndarray,
+        y: np.ndarray,
+        omega_stack: np.ndarray,
+        y_stack: np.ndarray,
+    ) -> None:
+        """Gather global ``(n, b)`` sketches into zeroed ``(leaves + 1, m_pad, b)``
+        stacks (one marshaling launch) and subtract the dense part:
+        ``y -= D @ omega``, one launch per fan group."""
+        plan = self.plan
+        count = plan.num_leaves
+        ragged = count and int(plan.leaf_sizes.min()) < plan.m_pad
+        with self.timer.phase("shrink_upsweep"):
+            for source, stack in ((omega, omega_stack), (y, y_stack)):
+                rows = source[plan.leaf_gather]
+                if ragged:
+                    rows *= plan.leaf_mask[:, :, None]
+                stack[:count] = rows
+            self._gather()
         with self.timer.phase("bsr_gemm"):
             for a, dest_pos, src_pos in self._dense_ops:
                 self.backend.batched_gemm_scatter(
@@ -460,30 +540,12 @@ class PackedSweepEngine:
                     operation="construct_dense",
                 )
 
-    def _leaf_slabs(
-        self, omega: np.ndarray, y: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather global ``(n, b)`` sketches into padded ``(leaves + 1, m_pad, b)`` stacks."""
-        plan = self.plan
-        count = plan.num_leaves
-        b = int(omega.shape[1])
-        with self.timer.phase("shrink_upsweep"):
-            mask = plan.leaf_mask[:, :, None]
-            omega_stack = np.zeros((count + 1, plan.m_pad, b), dtype=np.float64)
-            y_stack = np.zeros_like(omega_stack)
-            omega_stack[:count] = omega[plan.leaf_gather] * mask
-            y_stack[:count] = y[plan.leaf_gather] * mask
-            self._gather()
-        self._dense_subtract(y_stack, omega_stack)
-        return omega_stack, y_stack
-
     # ---------------------------------------------------------- level lifecycle
     def init_leaf(
         self, omega: np.ndarray, y: np.ndarray, capacity_hint: int = 0
     ) -> _LevelState:
         """Load the initial global sketch into the leaf level's packed state."""
         plan = self.plan
-        omega_stack, y_stack = self._leaf_slabs(omega, y)
         state = _LevelState(
             depth=plan.tree.depth,
             nodes=plan.leaf_nodes,
@@ -492,9 +554,7 @@ class PackedSweepEngine:
             cols=int(omega.shape[1]),
             capacity=max(capacity_hint, int(omega.shape[1])),
         )
-        with self.timer.phase("shrink_upsweep"):
-            state.y[:, :, : state.cols] = y_stack
-            state.omega[:, :, : state.cols] = omega_stack
+        self._load_leaves(omega, y, state.omega_view, state.y_view)
         return state
 
     def finish_level(
@@ -509,86 +569,106 @@ class PackedSweepEngine:
         """
         if state.depth == self.plan.top_depth:
             return None
-        count, m_pad, d = state.count, state.m_pad, state.cols
-        ranks = np.array([dec.rank for dec in decompositions], dtype=np.int64)
-        r_pad = int(ranks.max()) if count else 0
-
         with self.timer.phase("shrink_upsweep"):
-            interp_t = np.zeros((count, r_pad, m_pad), dtype=np.float64)
-            shrink_node = np.zeros((count, r_pad), dtype=np.int64)
-            shrink_row = np.zeros((count, r_pad), dtype=np.int64)
-            shrink_mask = np.zeros((count, r_pad, 1), dtype=np.float64)
-            for i, dec in enumerate(decompositions):
-                r = int(ranks[i])
-                interp_t[i, :r, : dec.interpolation.shape[0]] = dec.interpolation.T
-                shrink_node[i, :r] = i
-                shrink_row[i, :r] = dec.skeleton
-                shrink_mask[i, :r, 0] = 1.0
-
-            # Upsweep the random inputs: Omega^{l+1} = X^T Omega^l, one launch.
-            omega_next = np.zeros((count + 1, r_pad, d), dtype=np.float64)
-        self.backend.batched_gemm_scatter(
-            omega_next,
-            np.arange(count, dtype=np.int64),
-            interp_t,
-            state.omega_view,
-            np.arange(count, dtype=np.int64),
-            operation="construct_upsweep",
-        )
-
-        with self.timer.phase("shrink_upsweep"):
-            # Shrink the samples to the skeleton rows: Y^{l+1} = Y_loc(J, :).
-            y_next = np.zeros((count + 1, r_pad, d), dtype=np.float64)
-            y_next[:count] = state.y[shrink_node, shrink_row, :d] * shrink_mask
-            self._gather()
-
-            record = _ReplayRecord(
-                depth=state.depth,
-                count=count,
-                m_pad=m_pad,
-                r_pad=r_pad,
-                ranks=ranks,
-                interp_t=interp_t,
-                shrink_node=shrink_node,
-                shrink_row=shrink_row,
-                shrink_mask=shrink_mask,
-            )
-            self._build_merge_maps(record, state)
+            record = self._build_record(state, decompositions)
             self.records[state.depth] = record
-        return record, y_next, omega_next
+        return (record, *self._shrink_upsweep(record, state.omega_view, state.y_view))
 
-    def _build_merge_maps(self, record: _ReplayRecord, state: _LevelState) -> None:
-        """Child-to-parent gather: parent rows = children's stacked skeleton rows."""
+    def _build_record(
+        self, state: _LevelState, decompositions: Sequence
+    ) -> _ReplayRecord:
+        """Pack a level's row IDs ``(J, redundant, T)`` into gather maps and the
+        ``T`` stack, plus the child-to-parent merge gather: a parent's rows are
+        its children's stacked skeleton rows."""
+        count = state.count
+        ranks = [dec.rank for dec in decompositions]
+        r_pad = max(ranks, default=0)
+        t_pad = max((len(dec.redundant) for dec in decompositions), default=0)
+        shrink_node = np.full((count + 1, r_pad), count, dtype=np.int64)
+        shrink_row = np.zeros((count + 1, r_pad), dtype=np.int64)
+        for i, dec in enumerate(decompositions):
+            shrink_node[i, : dec.rank] = i
+            shrink_row[i, : dec.rank] = dec.skeleton
+        t_stack = rest_node = rest_row = None
+        if t_pad:
+            t_stack = np.zeros((count, r_pad, t_pad), dtype=np.float64)
+            rest_node = np.full((count, t_pad), count, dtype=np.int64)
+            rest_row = np.zeros((count, t_pad), dtype=np.int64)
+            for i, dec in enumerate(decompositions):
+                rest = len(dec.redundant)
+                t_stack[i, : dec.rank, :rest] = dec.T
+                rest_node[i, :rest] = i
+                rest_row[i, :rest] = dec.redundant
+
         tree = self.plan.tree
         parents = self.plan.level_nodes[state.depth - 1]
         child_pos = {node: i for i, node in enumerate(state.nodes)}
-        num_parents = len(parents)
-        heights = np.zeros(num_parents, dtype=np.int64)
-        pair_ranks = []
-        for i, tau in enumerate(parents):
-            nu1, nu2 = tree.children(tau)
-            r1, r2 = int(record.ranks[child_pos[nu1]]), int(record.ranks[child_pos[nu2]])
-            heights[i] = r1 + r2
-            pair_ranks.append((child_pos[nu1], r1, child_pos[nu2], r2))
-        m_pad = int(heights.max()) if num_parents else 0
-        # Padded slots address the sentinel zero block — no mask required.
-        merge_node = np.full((num_parents, m_pad), record.count, dtype=np.int64)
-        merge_row = np.zeros((num_parents, m_pad), dtype=np.int64)
-        for i, (p1, r1, p2, r2) in enumerate(pair_ranks):
-            merge_node[i, :r1] = p1
+        siblings = [
+            [child_pos[child] for child in tree.children(tau)] for tau in parents
+        ]
+        heights = np.array(
+            [ranks[c1] + ranks[c2] for c1, c2 in siblings], dtype=np.int64
+        )
+        m_pad = int(heights.max(initial=0))
+        merge_node = np.full((len(parents) + 1, m_pad), count, dtype=np.int64)
+        merge_row = np.zeros((len(parents) + 1, m_pad), dtype=np.int64)
+        for i, (c1, c2) in enumerate(siblings):
+            r1, r2 = ranks[c1], ranks[c2]
+            merge_node[i, :r1] = c1
             merge_row[i, :r1] = np.arange(r1)
-            merge_node[i, r1 : r1 + r2] = p2
+            merge_node[i, r1 : r1 + r2] = c2
             merge_row[i, r1 : r1 + r2] = np.arange(r2)
-        record.parent_nodes = list(parents)
-        record.parent_heights = heights
-        record.parent_m_pad = m_pad
-        record.merge_node = merge_node
-        record.merge_row = merge_row
+        return _ReplayRecord(
+            depth=state.depth,
+            count=count,
+            r_pad=r_pad,
+            shrink_node=shrink_node,
+            shrink_row=shrink_row,
+            t_stack=t_stack,
+            rest_node=rest_node,
+            rest_row=rest_row,
+            parent_nodes=list(parents),
+            parent_heights=heights,
+            merge_node=merge_node,
+            merge_row=merge_row,
+        )
 
-    def _subtract_couplings(
+    def _shrink_upsweep(
+        self, record: _ReplayRecord, omega_stack: np.ndarray, y_stack: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``Y^{l+1} = Y_loc(J, :)`` and ``Omega^{l+1} = X^T Omega^l`` over a
+        level's ``(count + 1, m_pad, b)`` stacks.
+
+        One marshaling launch gathers the skeleton rows of both stacks and the
+        redundant rows of ``Omega``; ``X^T Omega = Omega(J) + T Omega(redundant)``
+        is then one GEMM over the ``T`` stack — none when the level has no
+        redundant row, where ``X`` is a permutation.
+        """
+        with self.timer.phase("shrink_upsweep"):
+            y_next = y_stack[record.shrink_node, record.shrink_row]
+            omega_next = omega_stack[record.shrink_node, record.shrink_row]
+            if record.t_stack is not None:
+                omega_rest = omega_stack[record.rest_node, record.rest_row]
+            self._gather()
+            if record.t_stack is not None:
+                nodes = np.arange(record.count, dtype=np.int64)
+                self.backend.batched_gemm_scatter(
+                    omega_next,
+                    nodes,
+                    record.t_stack,
+                    omega_rest,
+                    nodes,
+                    operation="construct_upsweep",
+                )
+        return y_next, omega_next
+
+    def _merge(
         self, record: _ReplayRecord, y_next: np.ndarray, omega_next: np.ndarray
-    ) -> None:
-        """``Y^{l+1} -= B @ Omega^{l+1}`` over the shrunk stacks (per fan group)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Level ``record.depth``'s shrunk stacks to its parents' ``(parents + 1,
+        parent height, b)`` stacks: subtract the couplings, ``Y^{l+1} -= B @
+        Omega^{l+1}`` (one launch per fan group), then stack sibling pairs
+        (one marshaling launch)."""
         with self.timer.phase("bsr_gemm"):
             for a, dest_pos, src_pos in record.coupling_ops:
                 self.backend.batched_gemm_scatter(
@@ -600,20 +680,9 @@ class PackedSweepEngine:
                     alpha=-1.0,
                     operation="construct_coupling",
                 )
-
-    def _merge(
-        self, record: _ReplayRecord, y_next: np.ndarray, omega_next: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack sibling pairs into ``(parents + 1, parent_m_pad, b)`` slabs."""
         with self.timer.phase("shrink_upsweep"):
-            num_parents = len(record.parent_nodes)
-            b = int(y_next.shape[2])
-            y_merged = np.zeros(
-                (num_parents + 1, record.parent_m_pad, b), dtype=np.float64
-            )
-            omega_merged = np.zeros_like(y_merged)
-            y_merged[:num_parents] = y_next[record.merge_node, record.merge_row]
-            omega_merged[:num_parents] = omega_next[record.merge_node, record.merge_row]
+            y_merged = y_next[record.merge_node, record.merge_row]
+            omega_merged = omega_next[record.merge_node, record.merge_row]
             self._gather()
         return omega_merged, y_merged
 
@@ -624,20 +693,15 @@ class PackedSweepEngine:
         omega_next: np.ndarray,
         capacity_hint: int = 0,
     ) -> _LevelState:
-        """Build the parent level's packed state from a skeletonised level.
-
-        Mirrors the reference loop's inner-level prologue: subtract the
-        children's coupling contribution from their shrunk samples, then merge
-        sibling pairs into the parent sample blocks.
-        """
-        self._subtract_couplings(record, y_next, omega_next)
+        """Build the parent level's packed state from a skeletonised level
+        (the reference loop's inner-level prologue)."""
         omega_merged, y_merged = self._merge(record, y_next, omega_next)
         d = int(y_merged.shape[2])
         state = _LevelState(
             depth=record.depth - 1,
             nodes=record.parent_nodes,
             heights=record.parent_heights,
-            m_pad=record.parent_m_pad,
+            m_pad=int(y_merged.shape[1]),
             cols=d,
             capacity=max(capacity_hint, d),
         )
@@ -653,36 +717,20 @@ class PackedSweepEngine:
         """``updateSamples``: push fresh sample columns up to ``to_depth``.
 
         Replays the already-skeletonised levels on the ``(n, b)`` slab —
-        leaf gather, dense subtract, then per level one upsweep launch, one
-        skeleton gather, the coupling subtracts and one merge gather — and
-        returns ``(omega, y)`` slabs ready to append to the packed state at
-        ``to_depth``.  O(levels) launches total, no per-node Python state.
+        leaf gather, dense subtract, then per level the shrink/upsweep, the
+        coupling subtracts and the merge gather — and returns ``(omega, y)``
+        slabs ready to append to the packed state at ``to_depth``.  O(levels)
+        launches total, no per-node Python state.
         """
-        leaf_depth = self.plan.tree.depth
-        omega_stack, y_stack = self._leaf_slabs(new_omega, new_y)
-        for depth in range(leaf_depth, to_depth, -1):
+        plan = self.plan
+        shape = (plan.num_leaves + 1, plan.m_pad, int(new_omega.shape[1]))
+        omega_stack = np.zeros(shape, dtype=np.float64)
+        y_stack = np.zeros(shape, dtype=np.float64)
+        self._load_leaves(new_omega, new_y, omega_stack, y_stack)
+        for depth in range(plan.tree.depth, to_depth, -1):
             record = self.records[depth]
-            count, r_pad = record.count, record.r_pad
-            b = int(omega_stack.shape[2])
-            with self.timer.phase("shrink_upsweep"):
-                omega_next = np.zeros((count + 1, r_pad, b), dtype=np.float64)
-            self.backend.batched_gemm_scatter(
-                omega_next,
-                np.arange(count, dtype=np.int64),
-                record.interp_t,
-                omega_stack,
-                np.arange(count, dtype=np.int64),
-                operation="construct_upsweep",
-            )
-            with self.timer.phase("shrink_upsweep"):
-                y_next = np.zeros((count + 1, r_pad, b), dtype=np.float64)
-                y_next[:count] = (
-                    y_stack[record.shrink_node, record.shrink_row]
-                    * record.shrink_mask
-                )
-                self._gather()
-            self._subtract_couplings(record, y_next, omega_next)
-            omega_stack, y_stack = self._merge(record, y_next, omega_next)
+            shrunk = self._shrink_upsweep(record, omega_stack, y_stack)
+            omega_stack, y_stack = self._merge(record, *shrunk)
         return omega_stack, y_stack
 
     # ------------------------------------------------------------- statistics
@@ -690,6 +738,7 @@ class PackedSweepEngine:
         """Bytes held by the stacked operands and replay records."""
         total = sum(a.nbytes for a, _, _ in self._dense_ops)
         for record in self.records.values():
-            total += record.interp_t.nbytes
+            if record.t_stack is not None:
+                total += record.t_stack.nbytes
             total += sum(a.nbytes for a, _, _ in record.coupling_ops)
         return int(total)

@@ -134,17 +134,21 @@ class NodeSweep:
     def finish_level(
         self, state: _NodeLevelState, decompositions: Sequence
     ) -> Tuple[int, Blocks, Blocks]:
-        """Skeletonise a level: ``Y^{l+1} = Y_loc(J, :)``, ``Omega^{l+1} = X^T Omega^l``.
+        """Skeletonise a level: ``Y^{l+1} = Y_loc(J, :)``, ``Omega^{l+1} = X^T Omega^l
+        = Omega^l(J, :) + T Omega^l(redundant, :)``.
 
         Algorithm 1 runs these two lines at every level; this store does too,
         the topmost included, where nothing consumes the result.
         """
         with self.timer.phase("shrink_upsweep"):
-            omega_next = self.backend.batched_gemm(
-                [dec.interpolation for dec in decompositions],
-                state.omega,
-                transpose_a=True,
+            rest = self.backend.batched_gemm(
+                [dec.T for dec in decompositions],
+                [om[dec.redundant] for om, dec in zip(state.omega, decompositions)],
             )
+            omega_next = [
+                om[dec.skeleton] + product
+                for om, dec, product in zip(state.omega, decompositions, rest)
+            ]
             y_next = [y[dec.skeleton] for y, dec in zip(state.y, decompositions)]
         self.records[state.depth] = decompositions
         return state.depth, y_next, omega_next
@@ -189,7 +193,7 @@ class NodeSweep:
             with self.timer.phase("shrink_upsweep"):
                 decompositions = self.records[depth]
                 omega_next = [
-                    dec.interpolation.T @ block
+                    block[dec.skeleton] + dec.T @ block[dec.redundant]
                     for dec, block in zip(decompositions, omega)
                 ]
                 y_next = [

@@ -686,9 +686,12 @@ class H2Constructor:
 
     def _record_node_skeleton(self, tau: int, dec, is_leaf: bool) -> None:
         """Skeleton/basis bookkeeping of one skeletonised node."""
+        # The one place the dense ``X = P [I; T^T]`` of an ID is assembled: it
+        # is the leaf basis, or the children's stacked transfer matrices.
+        interpolation = dec.interpolation
         if is_leaf:
             skeleton_global = self.tree.index_set(tau)[dec.skeleton]
-            self.basis.set_leaf_basis(tau, dec.interpolation)
+            self.basis.set_leaf_basis(tau, interpolation)
         else:
             nu1, nu2 = self.tree.children(tau)
             rank1 = self.skeletons.rank(nu1)
@@ -700,14 +703,14 @@ class H2Constructor:
             )
             skeleton_global = merged[dec.skeleton]
             self.basis.set_rank(tau, dec.rank)
-            self.basis.set_transfer(nu1, dec.interpolation[:rank1])
-            self.basis.set_transfer(nu2, dec.interpolation[rank1:])
+            self.basis.set_transfer(nu1, interpolation[:rank1])
+            self.basis.set_transfer(nu2, interpolation[rank1:])
         self.skeletons.add(
             NodeSkeleton(
                 node=tau,
                 skeleton_local=dec.skeleton,
                 skeleton_global=skeleton_global,
-                interpolation=dec.interpolation,
+                interpolation=interpolation,
                 is_leaf=is_leaf,
             )
         )

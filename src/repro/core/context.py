@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,18 +71,35 @@ class _OmegaBank:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = int(n)
         self._rng = rng
-        self._data = np.empty((self.n, 0), dtype=np.float64)
+        #: The bank as it was drawn: one contiguous ``(n, width)`` block per
+        #: growth, ``_stops[i]`` the bank column at which block ``i`` ends.
+        #: Growing appends a block and copies nothing; a draw is a view of
+        #: one block whose rows are ``width`` apart, not the whole bank's.
+        self._blocks: List[np.ndarray] = []
+        self._stops: List[int] = []
 
     @property
     def num_columns(self) -> int:
-        return int(self._data.shape[1])
+        return self._stops[-1] if self._stops else 0
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block in self._blocks)
 
     def columns(self, start: int, stop: int) -> np.ndarray:
-        if stop > self._data.shape[1]:
-            grow_to = max(stop, 2 * self._data.shape[1], 64)
-            fresh = self._rng.standard_normal((self.n, grow_to - self._data.shape[1]))
-            self._data = np.hstack([self._data, fresh])
-        return self._data[:, start:stop]
+        have = self.num_columns
+        if stop > have:
+            grow_to = max(stop, 2 * have, 64)
+            self._blocks.append(self._rng.standard_normal((self.n, grow_to - have)))
+            self._stops.append(grow_to)
+        parts = []
+        begin = 0
+        for block, end in zip(self._blocks, self._stops):
+            if start < end and begin < stop:
+                parts.append(block[:, max(start - begin, 0) : stop - begin])
+            begin = end
+        # A draw that straddles two growths is the one case that copies.
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
 
     def sampler(self) -> "_BankSampler":
         """A draw callable replaying the bank from its first column.
@@ -544,7 +561,7 @@ class GeometryContext:
     # ------------------------------------------------------------- diagnostics
     def memory_bytes(self) -> int:
         """Bytes held by the cached distances/values/sample bank."""
-        total = self._omega_bank._data.nbytes
+        total = self._omega_bank.nbytes
         if self._distances is not None:
             total += self._distances.nbytes
         if self._values is not None:

@@ -4,7 +4,9 @@ Two uses in the construction algorithm:
 
 * the **interpolative decomposition** (Section II-B) is computed from a
   column-pivoted QR whose triangular factor is truncated once its diagonal
-  falls below the compression tolerance;
+  falls below the compression tolerance (:mod:`repro.linalg.interpolative`
+  runs the factorization without forming ``Q``; :func:`truncated_pivoted_qr`
+  here is for the baselines that read ``Q``);
 * the **adaptive convergence test** (Section III-B) computes an (unpivoted)
   QR of every node's sample block and inspects the smallest absolute diagonal
   entry of ``R`` — if it is below the absolute threshold the samples already
@@ -50,21 +52,31 @@ def truncated_pivoted_qr(
             0,
         )
     q, r, perm = sla.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    limit = min(m, n)
-    if rel_tol is None and abs_tol is None:
-        rank = limit
-    else:
+    rank = _truncation_rank(np.abs(np.diag(r)), rel_tol, abs_tol, max_rank)
+    return q, r, perm.astype(np.int64), rank
+
+
+def _truncation_rank(
+    diag: np.ndarray,
+    rel_tol: float | None,
+    abs_tol: float | None,
+    max_rank: int | None,
+) -> int:
+    """Numerical rank from the absolute diagonal of a pivoted ``R``: the index
+    of the first entry at or below ``max(rel_tol * diag[0], abs_tol)``."""
+    rank = int(diag.size)
+    if rel_tol is not None or abs_tol is not None:
         threshold = 0.0
         if rel_tol is not None and diag.size:
             threshold = max(threshold, rel_tol * diag[0])
         if abs_tol is not None:
             threshold = max(threshold, abs_tol)
         below = np.nonzero(diag <= threshold)[0]
-        rank = int(below[0]) if below.size else limit
+        if below.size:
+            rank = int(below[0])
     if max_rank is not None:
         rank = min(rank, int(max_rank))
-    return q, r, perm.astype(np.int64), rank
+    return rank
 
 
 def smallest_r_diagonal(matrix: np.ndarray) -> float:

@@ -323,6 +323,15 @@ class ModelRegistry:
                 self._drop_accounting(name)
             self._publish_locked()
 
+    def close(self) -> None:
+        """Release the bytes every model accounts in the process-wide
+        :class:`~repro.observe.memory.MemoryLedger`: explicit entries outlive
+        the registry object otherwise.  The models stay registered, so a
+        stopped server's registry can still be read."""
+        with self._mutex:
+            for name in self._models:
+                self._drop_accounting(name)
+
     # ---------------------------------------------------------------- eviction
     def _sweep_locked(self) -> None:
         """TTL expiry, then LRU eviction down to the model/byte budgets."""

@@ -334,9 +334,11 @@ class InferenceServer:
 
     # --------------------------------------------------------------- lifecycle
     async def aclose(self) -> None:
-        """Flush pending batches and shut the worker pool down."""
+        """Flush pending batches, shut the worker pool down and release the
+        models' ledger accounting (it would outlive the server)."""
         await self.batcher.drain()
         self.batcher.close()
+        self.registry.close()
 
     def statistics(self) -> Dict[str, object]:
         return {

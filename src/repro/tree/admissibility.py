@@ -19,7 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .cluster_tree import ClusterTree
+import numpy as np
+
+from .cluster_tree import ClusterTree, _row_norms
 
 
 class AdmissibilityCondition(ABC):
@@ -28,6 +30,22 @@ class AdmissibilityCondition(ABC):
     @abstractmethod
     def is_admissible(self, tree: ClusterTree, s: int, t: int) -> bool:
         """Return ``True`` when block ``(s, t)`` may be stored in low-rank form."""
+
+    def admissible_mask(
+        self, tree: ClusterTree, s: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`is_admissible` for the pairs ``(s[i], t[i])`` as a boolean array.
+
+        The dual tree traversal tests one level of pairs per call.  This
+        default asks :meth:`is_admissible` pair by pair, so a condition that
+        defines only the scalar test works unchanged; the built-in conditions
+        override it with array expressions.
+        """
+        return np.fromiter(
+            (self.is_admissible(tree, int(a), int(b)) for a, b in zip(s, t)),
+            dtype=bool,
+            count=len(s),
+        )
 
     def __call__(self, tree: ClusterTree, s: int, t: int) -> bool:
         return self.is_admissible(tree, s, t)
@@ -51,14 +69,18 @@ class GeneralAdmissibility(AdmissibilityCondition):
         if not self.eta > 0:
             raise ValueError("eta must be positive")
 
+    def admissible_mask(
+        self, tree: ClusterTree, s: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        low, high = tree.box_low, tree.box_high
+        gap = np.maximum(0.0, np.maximum(low[s] - high[t], low[t] - high[s]))
+        dist = _row_norms(gap)
+        diameters = tree.diameters
+        avg_diam = 0.5 * (diameters[s] + diameters[t])
+        return (s != t) & (dist > 0.0) & (avg_diam <= self.eta * dist)
+
     def is_admissible(self, tree: ClusterTree, s: int, t: int) -> bool:
-        if s == t:
-            return False
-        dist = tree.distance(s, t)
-        if dist <= 0.0:
-            return False
-        avg_diam = 0.5 * (tree.diameter(s) + tree.diameter(t))
-        return avg_diam <= self.eta * dist
+        return bool(self.admissible_mask(tree, np.array([s]), np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -70,5 +92,10 @@ class WeakAdmissibility(AdmissibilityCondition):
     Martinsson (2011) algorithm the paper generalises.
     """
 
+    def admissible_mask(
+        self, tree: ClusterTree, s: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
+        return np.asarray(s) != np.asarray(t)
+
     def is_admissible(self, tree: ClusterTree, s: int, t: int) -> bool:
-        return s != t
+        return bool(self.admissible_mask(tree, np.array([s]), np.array([t]))[0])

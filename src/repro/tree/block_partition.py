@@ -4,7 +4,11 @@ Starting from the root pair ``(root, root)`` the traversal tests every cluster
 pair against the admissibility condition.  Admissible pairs become admissible
 leaves of the matrix tree (low-rank blocks, green in Fig. 1); inadmissible
 pairs of leaf clusters become dense blocks (red); all other inadmissible pairs
-are refined into their four children pairs.
+are refined into their four children pairs.  The traversal is level
+synchronous: the pairs of one level of the matrix tree are two index arrays,
+tested by one :meth:`~repro.tree.admissibility.AdmissibilityCondition.admissible_mask`
+call and refined by array arithmetic on the heap numbering, so a partition
+costs ``tree.num_levels`` vectorised steps whatever the number of pairs.
 
 The result is summarised per node ``tau``:
 
@@ -157,25 +161,27 @@ def build_block_partition(
         ``eta = 0.7`` as used in the paper's experiments.
     """
     adm = admissibility if admissibility is not None else GeneralAdmissibility(0.7)
-    far: List[List[int]] = [[] for _ in range(tree.num_nodes)]
-    near: List[List[int]] = [[] for _ in range(tree.num_nodes)]
-
-    # Iterative dual traversal (explicit stack avoids deep recursion for large trees).
-    stack: List[Tuple[int, int]] = [(0, 0)]
-    while stack:
-        s, t = stack.pop()
-        if adm.is_admissible(tree, s, t):
-            far[s].append(t)
-            continue
-        if tree.is_leaf(s) and tree.is_leaf(t):
-            near[s].append(t)
-            continue
-        s1, s2 = tree.children(s)
-        t1, t2 = tree.children(t)
-        stack.extend([(s1, t1), (s1, t2), (s2, t1), (s2, t2)])
-
-    for lst in far:
-        lst.sort()
-    for lst in near:
-        lst.sort()
+    s = t = np.zeros(1, dtype=np.int64)
+    far_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
+    # Both clusters of a pair sit at the same depth of the complete tree, so
+    # one array pair holds a whole level of the matrix tree: one mask call
+    # tests it, the rejected pairs are refined into their four children.
+    for depth in range(tree.num_levels):
+        if depth:
+            s = np.repeat(2 * s + 1, 4) + np.tile([0, 0, 1, 1], len(s))
+            t = np.repeat(2 * t + 1, 4) + np.tile([0, 1, 0, 1], len(t))
+        admissible = adm.admissible_mask(tree, s, t)
+        far_pairs.append((s[admissible], t[admissible]))
+        s, t = s[~admissible], t[~admissible]
+    far = _partner_lists(tree.num_nodes, *map(np.concatenate, zip(*far_pairs)))
+    # What is still inadmissible at the leaf level is stored dense.
+    near = _partner_lists(tree.num_nodes, s, t)
     return BlockPartition(tree=tree, admissibility=adm, far_field=far, near_field=near)
+
+
+def _partner_lists(num_nodes: int, s: np.ndarray, t: np.ndarray) -> List[List[int]]:
+    """Per-node sorted partner lists of the pairs ``(s[i], t[i])``."""
+    order = np.lexsort((t, s))
+    partners = t[order].tolist()
+    ends = np.cumsum(np.bincount(s, minlength=num_nodes)).tolist()
+    return [partners[a:b] for a, b in zip([0] + ends[:-1], ends)]

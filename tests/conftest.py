@@ -46,6 +46,29 @@ def _isolated_telemetry():
 
 
 @pytest.fixture(scope="session")
+def scheduled_launches():
+    """``(constructor, result) -> {operation: launches}``: what the stated
+    schedule (``ConstructionPlan.launch_schedule``) predicts for a finished
+    compiled construction, from its sampling rounds and the levels whose ID
+    left a redundant row."""
+
+    def predict(constructor: H2Constructor, result) -> dict:
+        rounds = {level.depth: level.sampling_rounds for level in result.levels}
+        upsweep_depths = {
+            depth
+            for depth in rounds
+            for node in constructor.tree.nodes_at_level(depth)
+            if constructor.skeletons.get(node).interpolation.shape[0]
+            > constructor.skeletons.rank(node)
+        }
+        return constructor.plan.launch_schedule(
+            rounds, upsweep_depths, adaptive=result.config.adaptive
+        )
+
+    return predict
+
+
+@pytest.fixture(scope="session")
 def points_2d() -> np.ndarray:
     return uniform_cube_points(700, dim=2, seed=11)
 

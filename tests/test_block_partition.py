@@ -11,6 +11,37 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
+from repro.tree.admissibility import AdmissibilityCondition
+
+
+def stack_walk_partition(tree, adm):
+    """The dual tree traversal one pair at a time (the builder before it went
+    level-synchronous), kept as the oracle for ``build_block_partition``."""
+    far = [[] for _ in range(tree.num_nodes)]
+    near = [[] for _ in range(tree.num_nodes)]
+    stack = [(0, 0)]
+    while stack:
+        s, t = stack.pop()
+        if adm.is_admissible(tree, s, t):
+            far[s].append(t)
+        elif tree.is_leaf(s) and tree.is_leaf(t):
+            near[s].append(t)
+        else:
+            s1, s2 = tree.children(s)
+            t1, t2 = tree.children(t)
+            stack.extend([(s1, t1), (s1, t2), (s2, t1), (s2, t2)])
+    return [sorted(f) for f in far], [sorted(n) for n in near]
+
+
+class ScalarOnlyAdmissibility(AdmissibilityCondition):
+    """A user-defined condition that knows nothing of ``admissible_mask``:
+    centre distance against the larger diameter."""
+
+    def is_admissible(self, tree, s, t):
+        gap = 0.5 * np.linalg.norm(
+            tree.box_low[s] + tree.box_high[s] - tree.box_low[t] - tree.box_high[t]
+        )
+        return s != t and max(tree.diameter(s), tree.diameter(t)) <= 0.8 * gap
 
 
 class TestAdmissibility:
@@ -49,6 +80,55 @@ class TestAdmissibility:
     def test_callable_interface(self, tree_2d):
         adm = GeneralAdmissibility(eta=0.7)
         assert adm(tree_2d, 1, 1) == adm.is_admissible(tree_2d, 1, 1)
+
+
+class TestLevelSynchronousTraversal:
+    """One level of pairs at a time returns what one pair at a time returned."""
+
+    @pytest.mark.parametrize("n", [1, 33, 500])
+    @pytest.mark.parametrize("leaf_size", [8, 32])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "adm",
+        [
+            GeneralAdmissibility(0.5),
+            GeneralAdmissibility(0.7),
+            GeneralAdmissibility(1.5),
+            WeakAdmissibility(),
+            ScalarOnlyAdmissibility(),
+        ],
+        ids=["eta0.5", "eta0.7", "eta1.5", "weak", "scalar-only"],
+    )
+    def test_identical_to_the_stack_walk(self, adm, dim, leaf_size, n):
+        tree = ClusterTree.build(uniform_cube_points(n, dim=dim, seed=5), leaf_size)
+        partition = build_block_partition(tree, adm)
+        far, near = stack_walk_partition(tree, adm)
+        assert partition.far_field == far
+        assert partition.near_field == near
+        partition.validate_disjoint_cover()
+
+    @pytest.mark.parametrize("side, eta", [(16, 1.0), (24, 0.5)])
+    def test_regular_grid_ties_fall_the_same_way(self, side, eta):
+        """On a grid ``(D(s) + D(t)) / 2 == eta * Dist(s, t)`` happens exactly
+        (on these two a norm summed in another order moves blocks): the mask
+        and the scalar test must read the same last bit."""
+        axis = np.linspace(0.0, 1.0, side)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        tree = ClusterTree.build(grid, leaf_size=8)
+        adm = GeneralAdmissibility(eta)
+        partition = build_block_partition(tree, adm)
+        far, near = stack_walk_partition(tree, adm)
+        assert partition.far_field == far and partition.near_field == near
+
+    def test_mask_is_the_scalar_test_per_pair(self, tree_2d):
+        rng = np.random.default_rng(0)
+        s, t = rng.integers(0, tree_2d.num_nodes, size=(2, 200))
+        for adm in (GeneralAdmissibility(0.7), WeakAdmissibility(), ScalarOnlyAdmissibility()):
+            mask = adm.admissible_mask(tree_2d, s, t)
+            assert mask.dtype == bool
+            assert mask.tolist() == [
+                adm.is_admissible(tree_2d, int(a), int(b)) for a, b in zip(s, t)
+            ]
 
 
 class TestBlockPartition:

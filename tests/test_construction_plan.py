@@ -214,6 +214,32 @@ class TestLaunchCounts:
         assert report.sweep_launches_per_round <= report.sweep_launches
 
 
+class TestLaunchSchedule:
+    """``ConstructionPlan.launch_schedule`` is the launch count, not a bound."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_compiled_launches_follow_the_stated_schedule(
+        self, problem, backend, scheduled_launches
+    ):
+        constructor, result = problem["runs"][("packed", backend)]
+        scheduled = scheduled_launches(constructor, result)
+        assert {op: result.kernel_launches[op] for op in scheduled} == scheduled
+        assert set(result.kernel_launches) - set(scheduled) == {
+            "batched_gen", "batched_id",
+        }
+
+    def test_fixed_sample_construction_schedules_no_convergence_test(
+        self, problem, scheduled_launches
+    ):
+        constructor, result = _construct(
+            problem["partition"], problem["dense"], "packed", "vectorized",
+            adaptive=False, initial_samples=64,
+        )
+        scheduled = scheduled_launches(constructor, result)
+        assert "batched_qr" not in scheduled and scheduled["batched_rand"] == 1
+        assert {op: result.kernel_launches[op] for op in scheduled} == scheduled
+
+
 class TestWorkspaceLifecycle:
     """Plan sharing, preallocated sample buffers and frozen-bank replay."""
 

@@ -9,6 +9,7 @@ the headline claim — a 3-point length-scale sweep at N = 4096 at least 2x
 faster than three from-scratch constructions.
 """
 
+import hashlib
 import os
 import time
 
@@ -28,7 +29,7 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.core.context import BlockDistanceCachingExtractor
+from repro.core.context import BlockDistanceCachingExtractor, _OmegaBank
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
 N = 700
@@ -241,6 +242,51 @@ class TestReuse:
         assert ctx.memory_bytes() > 0
         assert "GeometryContext" in ctx.describe()
         assert "cache=dense" in ctx.describe()
+
+
+class TestOmegaBank:
+    """The frozen sample bank keeps its values whatever its storage."""
+
+    #: sha256 (first 16 hex digits) over the draws of ``_OmegaBank(37,
+    #: default_rng(11))``, recorded from the bank that regrew one ``(n, k)``
+    #: array with ``hstack``; the last number is ``num_columns`` afterwards.
+    RECORDED = {
+        "aligned": ([64, 16, 16, 16, 16, 16], "d0aaa51234f4ed58", 256),
+        "straddling": ([100] + [16] * 8, "c2d0828a96c08d66", 400),
+        "jumps": ([8, 200, 8, 300], "8d9ce49eb8d90e67", 832),
+    }
+
+    @staticmethod
+    def digest(sampler, draws):
+        sha = hashlib.sha256()
+        for count in draws:
+            block = sampler(count)
+            assert block.shape == (37, count)
+            sha.update(np.ascontiguousarray(block).tobytes())
+        return sha.hexdigest()[:16]
+
+    @pytest.mark.parametrize("pattern", sorted(RECORDED))
+    def test_draws_keep_every_bit_and_reset_replays_them(self, pattern):
+        draws, recorded, columns = self.RECORDED[pattern]
+        bank = _OmegaBank(37, np.random.default_rng(11))
+        sampler = bank.sampler()
+        assert self.digest(sampler, draws) == recorded
+        assert bank.num_columns == columns
+        sampler.reset()
+        assert self.digest(sampler, draws) == recorded
+        assert bank.num_columns == columns  # a replay draws nothing new
+        # Each (row, column) is the entry of the growth block it was drawn in.
+        rng = np.random.default_rng(11)
+        widths = np.diff([0] + bank._stops)
+        whole = np.hstack([rng.standard_normal((37, w)) for w in widths])
+        assert np.array_equal(bank.columns(0, columns), whole)
+
+    def test_a_draw_inside_one_growth_is_a_view(self):
+        bank = _OmegaBank(37, np.random.default_rng(11))
+        bank.columns(0, 64)
+        block = bank.columns(64, 80)  # grows to 128, draws from the new block
+        assert block.base is bank._blocks[1]
+        assert bank.nbytes == 37 * 128 * 8
 
 
 class TestPlanRefresh:

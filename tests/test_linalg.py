@@ -3,7 +3,8 @@ objects and randomized norm estimation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 from repro import (
@@ -27,6 +28,24 @@ from repro.linalg.qr import (
     smallest_r_diagonal,
     truncated_pivoted_qr,
 )
+
+
+def economic_mode_row_id(a, rel_tol=None, abs_tol=None, max_rank=None):
+    """``row_id`` as it was computed from the *economic* pivoted QR (``Q``
+    formed, then discarded): ``(skeleton, rank, dense interpolation)``.  The
+    oracle of the ``Q``-free routine."""
+    m = a.shape[0]
+    _, r, perm, rank = truncated_pivoted_qr(
+        a.T, rel_tol=rel_tol, abs_tol=abs_tol, max_rank=max_rank
+    )
+    coeffs = np.zeros((rank, m))
+    if rank:
+        coeffs[:, perm[:rank]] = np.eye(rank)
+        if rank < m:
+            coeffs[:, perm[rank:]] = sla.solve_triangular(
+                r[:rank, :rank], r[:rank, rank:], lower=False
+            )
+    return perm[:rank], rank, coeffs.T
 
 
 def random_rank_k(m, n, k, seed=0, noise=0.0):
@@ -146,6 +165,57 @@ class TestInterpolativeDecomposition:
     def test_invalid_input(self):
         with pytest.raises(ValueError):
             row_id(np.zeros(5))
+
+    @given(
+        m=st.integers(1, 48),
+        d=st.integers(1, 48),
+        k=st.integers(0, 48),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+        tolerances=st.sampled_from(
+            [
+                {"rel_tol": 1e-8},
+                {"abs_tol": 1e-6},
+                {"rel_tol": 1e-10, "abs_tol": 1e-7},
+                {"rel_tol": 1e-12, "max_rank": 3},
+            ]
+        ),
+        seed=st.integers(0, 10_000),
+    )
+    # rank == d: R1 fills the factored array, the layout in which a triangular
+    # solve left to scipy would pick its other variant and lose the last bit.
+    @example(m=11, d=10, k=10, noise=0.0, tolerances={"rel_tol": 1e-8}, seed=56)
+    @example(m=39, d=38, k=40, noise=0.0, tolerances={"abs_tol": 1e-6}, seed=171)
+    @settings(max_examples=150, deadline=None)
+    def test_property_q_free_id_keeps_every_bit(self, m, d, k, noise, tolerances, seed):
+        """Rank 0 (``k == 0``) to full rank, ``m < d`` and ``m > d``: the same
+        skeleton and rank and, bit for bit, the same dense interpolation as the
+        economic-mode code; and ``X^T B`` through ``(J, redundant, T)``."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, k)) @ rng.standard_normal((k, d))
+        a += noise * rng.standard_normal((m, d))
+        # A window of a wider buffer, as the packed sample stacks hand it in.
+        window = np.zeros((m + 2, d + 3))
+        window[:m, :d] = a
+        dec = row_id(window[:m, :d], **tolerances)
+        skeleton, rank, interpolation = economic_mode_row_id(a, **tolerances)
+        assert dec.rank == rank
+        assert np.array_equal(dec.skeleton, skeleton)
+        assert dec.T.shape == (rank, m - rank)
+        assert dec.interpolation.shape == interpolation.shape
+        assert np.array_equal(dec.interpolation, interpolation)
+        assert np.array_equal(window[:m, :d], a)  # the operand is not consumed
+        block = rng.standard_normal((m, 5))
+        projected = block[dec.skeleton] + dec.T @ block[dec.redundant]
+        scale = (np.abs(interpolation).T @ np.abs(block)).max(initial=1.0)
+        assert np.allclose(
+            projected, interpolation.T @ block, rtol=0.0, atol=1e-14 * scale
+        )
+
+    def test_id_rejects_non_finite_blocks(self):
+        a = random_rank_k(12, 9, 3, seed=2)
+        a[4, 5] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            row_id(a, rel_tol=1e-8)
 
     @given(
         m=st.integers(5, 40),

@@ -410,6 +410,17 @@ class TestInferenceServer:
         assert response.model == "m" and response.request_id
         run(server.aclose())
 
+    def test_aclose_returns_the_ledger_to_its_pre_register_total(self, serve_operator):
+        from repro.observe import memory_ledger
+
+        before = memory_ledger().total_bytes()
+        server = make_server(serve_operator)
+        run(server.handle(SolveRequest(model="m", b=np.ones(N))))  # factor bytes too
+        assert memory_ledger().total_bytes() > before
+        run(server.aclose())
+        assert "serve.model:m" not in memory_ledger().by_owner()
+        assert memory_ledger().total_bytes() == before
+
     def test_solve_cg_matches_direct(self, serve_operator):
         server = make_server(serve_operator)
         b = np.sin(np.arange(N) / 7.0)
