@@ -28,6 +28,7 @@ import numpy as np
 
 import repro
 from repro import (
+    BlockPartition,
     ClusterTree,
     DenseEntryExtractor,
     DenseOperator,
@@ -35,7 +36,7 @@ from repro import (
     ExponentialKernel,
     GeneralAdmissibility,
     HelmholtzKernel,
-    Session,
+    build_block_partition,
     uniform_cube_points,
 )
 
@@ -62,22 +63,15 @@ def bench_grids() -> List[int]:
 
 @dataclass
 class Problem:
-    """A dense test problem: geometry session, matrix, operator, extractor."""
+    """A dense test problem: tree, partition, matrix, operator, extractor."""
 
     name: str
     n: int
-    session: Session
+    tree: ClusterTree
+    partition: BlockPartition
     dense: np.ndarray
     operator: DenseOperator
     extractor: DenseEntryExtractor
-
-    @property
-    def tree(self) -> ClusterTree:
-        return self.session.tree
-
-    @property
-    def partition(self):
-        return self.session.partition
 
     def fresh_operator(self) -> DenseOperator:
         """A new operator instance so per-run sample statistics start from zero."""
@@ -87,19 +81,15 @@ class Problem:
 def _make_problem(
     name: str, kernel, n: int, leaf_size: int, eta: float, seed: int
 ) -> Problem:
-    """Shared harness setup: geometry via the facade, dense reference matrix."""
+    """Shared harness setup: cluster tree, partition, dense reference matrix."""
     points = uniform_cube_points(n, dim=3, seed=seed)
-    session = Session(
-        points,
-        leaf_size=leaf_size,
-        admissibility=GeneralAdmissibility(eta=eta),
-        distance_cache="none",
-    )
-    dense = kernel.matrix(session.tree.points)
+    tree = ClusterTree.build(points, leaf_size=leaf_size)
+    dense = kernel.matrix(tree.points)
     return Problem(
         name=name,
         n=n,
-        session=session,
+        tree=tree,
+        partition=build_block_partition(tree, GeneralAdmissibility(eta=eta)),
         dense=dense,
         operator=DenseOperator(dense),
         extractor=DenseEntryExtractor(dense),
@@ -145,8 +135,13 @@ def construct_h2(
     adaptive: bool = True,
     initial_samples: int | None = None,
     seed: int = 7,
+    tracer=None,
 ):
-    """Run the bottom-up constructor on a benchmark problem (facade path)."""
+    """Run the bottom-up constructor on a benchmark problem (facade path).
+
+    Pass a :class:`repro.SpanTracer` as ``tracer`` to record the phase spans
+    a Fig. 7 breakdown is read from (``result.trace``).
+    """
     return repro.compress(
         partition=problem.partition,
         operator=problem.fresh_operator(),
@@ -156,7 +151,7 @@ def construct_h2(
         adaptive=adaptive,
         initial_samples=initial_samples,
         seed=seed,
-        policy=ExecutionPolicy(backend=backend),
+        policy=ExecutionPolicy(backend=backend, tracer=tracer),
         full_result=True,
     )
 

@@ -20,14 +20,15 @@ from repro import (
     ExponentialKernel,
     GeneralAdmissibility,
     H2Constructor,
+    SpanTracer,
     build_block_partition,
     uniform_cube_points,
 )
 from repro.diagnostics import (
+    PhaseBreakdown,
     apply_report,
     construction_report,
     format_table,
-    phase_breakdown,
 )
 from repro.diagnostics.profiling import PHASE_ORDER
 
@@ -46,11 +47,13 @@ def main(n: int = 8192) -> None:
     results = {}
     for backend in ("serial", "vectorized"):
         config = ConstructionConfig(tolerance=1e-6, sample_block_size=64, backend=backend)
+        # Traced: the phase breakdown is read from the construction's spans.
         result = H2Constructor(
-            partition, DenseOperator(dense), extractor, config, seed=2
+            partition, DenseOperator(dense), extractor, config, seed=2,
+            tracer=SpanTracer(),
         ).construct()
         results[backend] = result
-        pct = phase_breakdown(result).ordered_percentages()
+        pct = PhaseBreakdown.from_span(result.trace).ordered_percentages()
         rows.append(
             [backend, f"{result.elapsed_seconds:.3f}", result.total_kernel_calls,
              result.total_kernel_launches]

@@ -16,7 +16,7 @@ import sys
 
 from repro import (
     ClusterTree,
-    ConstructionConfig,
+    ExecutionPolicy,
     ExponentialKernel,
     GeneralAdmissibility,
     H2Constructor,
@@ -24,13 +24,14 @@ from repro import (
     KernelEntryExtractor,
     KernelMatVecOperator,
     LowRankOperator,
+    SpanTracer,
     SumOperator,
     build_block_partition,
     random_low_rank,
     recompress_h2,
     uniform_cube_points,
 )
-from repro.diagnostics import construction_error
+from repro.diagnostics import PhaseBreakdown, construction_error
 
 
 def main(n: int = 8192, update_rank: int = 32) -> None:
@@ -41,7 +42,10 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
     tree = ClusterTree.build(points, leaf_size=64)
     partition = build_block_partition(tree, GeneralAdmissibility(eta=0.7))
     kernel = ExponentialKernel(0.2)
-    config = ConstructionConfig(tolerance=1e-6, sample_block_size=64)
+    # Traced, so each result's phase split can be read from its spans.
+    config = ExecutionPolicy(tracer=SpanTracer()).construction_config(
+        tolerance=1e-6, sample_block_size=64
+    )
     base = H2Constructor(
         partition,
         KernelMatVecOperator(kernel, tree.points),
@@ -65,9 +69,10 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
         f"recompression: {result.elapsed_seconds:.2f}s, {result.total_samples} samples, "
         f"ranks {result.rank_range[0]}-{result.rank_range[1]}, {result.memory_mb():.1f} MB"
     )
+    phases = PhaseBreakdown.from_span(result.trace).seconds
     print(
-        f"  sampling {result.phase_seconds.get('sampling', 0.0):.3f}s, "
-        f"entry generation {result.phase_seconds.get('entry_generation', 0.0):.3f}s "
+        f"  sampling {phases.get('sampling', 0.0):.3f}s, "
+        f"entry generation {phases.get('entry_generation', 0.0):.3f}s "
         f"({result.entries_evaluated / 1e6:.1f} M entries)"
     )
 

@@ -9,9 +9,9 @@ same trace then serves as
 
 1. a console tree (human skim),
 2. a Chrome ``trace_event`` file for https://ui.perfetto.dev (timeline), and
-3. the data source of the diagnostics reports — the Fig. 7 phase breakdown and
-   the launch attribution are *views over the trace*, matching the legacy
-   counters exactly.
+3. the data source of the diagnostics reports — the Fig. 7 phase breakdown is
+   read from the phase spans (the constructor keeps no other clock), and the
+   launch attribution matches the policy's launch counter exactly.
 
 On top of the timings, the run demonstrates the health & resource telemetry:
 ``ExecutionPolicy(health=..., memory_profile=True)`` probes every produced
@@ -34,7 +34,7 @@ from repro import (
     SpanTracer,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown, phase_breakdown
+from repro.diagnostics import PhaseBreakdown
 from repro.observe import (
     HealthThresholds,
     MetricsRegistry,
@@ -85,12 +85,9 @@ def main(n: int = 2048) -> None:
     print(f"\nchrome trace written to {path} (open in https://ui.perfetto.dev)")
 
     # 3. Diagnostics as views over the trace.  The construction span carries
-    # the phase spans the Fig. 7 breakdown is built from — identical to the
-    # legacy timer numbers, because they share one measurement.
+    # the phase spans the Fig. 7 breakdown is built from.
     result = sess.result
     from_trace = PhaseBreakdown.from_span(result.trace)
-    legacy = phase_breakdown(result)
-    assert from_trace.seconds == legacy.seconds
     print("\n-- construction phase shares (from the trace) " + "-" * 18)
     for phase, pct in from_trace.ordered_percentages().items():
         print(f"  {phase:<18} {pct:5.1f}%")

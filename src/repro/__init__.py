@@ -110,8 +110,6 @@ from .diagnostics import (
     convergence_table,
     format_table,
     gp_sweep_table,
-    memory_report,
-    phase_breakdown,
     residual_series,
 )
 from .gp import (
@@ -302,11 +300,9 @@ __all__ = [
     "grid_points",
     "hyperparameter_grid",
     "load_operator",
-    "memory_report",
     "nelder_mead",
     "observe",
     "persist",
-    "phase_breakdown",
     "plane_points",
     "random_low_rank",
     "random_sphere_points",

@@ -377,7 +377,7 @@ class Session:
     ----------
     points:
         ``(n, dim)`` coordinates in the original ordering.
-    leaf_size, admissibility, distance_cache, cache_limit_mb, seed:
+    leaf_size, admissibility, seed:
         Forwarded to :class:`~repro.core.context.GeometryContext`;
         admissibility defaults to weak (the HSS/HODLR partition every
         downstream factorization consumes).
@@ -398,8 +398,6 @@ class Session:
         leaf_size: int = 64,
         admissibility: object | None = None,
         policy: ExecutionPolicy | None = None,
-        distance_cache: str = "auto",
-        cache_limit_mb: float = 600.0,
         seed: SeedLike = 0,
         cache: "ArtifactCache | None" = None,
         cache_dir: object | None = None,
@@ -413,8 +411,6 @@ class Session:
             leaf_size=leaf_size,
             admissibility=admissibility,
             backend=self.policy.resolve_backend(),
-            distance_cache=distance_cache,
-            cache_limit_mb=cache_limit_mb,
             seed=seed,
             tracer=self.policy.tracer,
             artifact_cache=_resolve_cache(cache, cache_dir),

@@ -53,11 +53,9 @@ class ExecutionPolicy:
         :func:`repro.backends.register`) or an existing
         :class:`~repro.batched.backend.BatchedBackend` instance.  ``"auto"``
         (default) follows ``REPRO_BACKEND`` and falls back to
-        ``vectorized``.
-    share_backend:
-        When ``True`` (default), :meth:`resolve_backend` resolves the name
-        once and returns the *same* instance on every call, so launch
-        counters accumulate per policy (read :meth:`launch_counter`; pass
+        ``vectorized``.  :meth:`resolve_backend` resolves it once and
+        returns the *same* instance on every call, so launch counters
+        accumulate per policy (read :meth:`launch_counter`; pass
         ``tracer=SpanTracer(counter=...)`` to share an explicit counter).
     tracer:
         A :class:`~repro.observe.SpanTracer` recording hierarchical spans for
@@ -100,7 +98,6 @@ class ExecutionPolicy:
     """
 
     backend: "Union[str, BatchedBackend]" = "auto"
-    share_backend: bool = True
     tracer: "Union[SpanTracer, NoopTracer, None]" = None
     health: "Optional[HealthThresholds]" = None
     memory_profile: bool = False
@@ -158,8 +155,7 @@ class ExecutionPolicy:
             backend.faults = self.faults
         if self.recovery is not None:
             backend.recovery = self.recovery
-        if self.share_backend:
-            self._resolved = backend
+        self._resolved = backend
         return backend
 
     # ------------------------------------------------------------ composition

@@ -78,6 +78,7 @@ from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Tu
 
 import numpy as np
 
+from ..observe.tracer import phase_span
 from .apply_plan import fan_bucket
 from .backend import BatchedBackend
 from .counters import KernelLaunchCounter
@@ -85,7 +86,6 @@ from .counters import KernelLaunchCounter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sketching.entry_extractor import EntryExtractor
     from ..tree.block_partition import BlockPartition
-    from ..utils.timing import PhaseTimer
 
 Request = Tuple[np.ndarray, np.ndarray]
 
@@ -442,12 +442,12 @@ class PackedSweepEngine:
         self,
         plan: ConstructionPlan,
         backend: BatchedBackend,
-        timer: "PhaseTimer",
+        tracer: object,
     ):
         self.plan = plan
         self.backend = backend
         self.counter: KernelLaunchCounter = backend.counter
-        self.timer = timer
+        self.tracer = tracer
         self.records: Dict[int, _ReplayRecord] = {}
         self._dense_ops: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -458,7 +458,7 @@ class PackedSweepEngine:
     def _extract(
         self, extractor: "EntryExtractor", requests: Sequence[Request], pad: int
     ) -> np.ndarray:
-        with self.timer.phase("entry_generation"):
+        with phase_span(self.tracer, "entry_generation"):
             return extractor.extract_blocks_padded(
                 requests, pad, pad, counter=self.counter
             )
@@ -474,7 +474,7 @@ class PackedSweepEngine:
         the marshaling traffic.
         """
         padded = self._extract(extractor, requests, self.plan.m_pad)
-        with self.timer.phase("misc"):
+        with phase_span(self.tracer, "misc"):
             self._dense_ops = _launch_operands(self.plan.dense_groups, padded)
         return [
             padded[i, : len(rows), : len(cols)]
@@ -499,7 +499,7 @@ class PackedSweepEngine:
         )
         padded = self._extract(extractor, requests, pad)
         if record is not None:
-            with self.timer.phase("misc"):
+            with phase_span(self.tracer, "misc"):
                 record.coupling_ops = _launch_operands(
                     self.plan.coupling_groups[depth], padded
                 )
@@ -521,14 +521,14 @@ class PackedSweepEngine:
         plan = self.plan
         count = plan.num_leaves
         ragged = count and int(plan.leaf_sizes.min()) < plan.m_pad
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             for source, stack in ((omega, omega_stack), (y, y_stack)):
                 rows = source[plan.leaf_gather]
                 if ragged:
                     rows *= plan.leaf_mask[:, :, None]
                 stack[:count] = rows
             self._gather()
-        with self.timer.phase("bsr_gemm"):
+        with phase_span(self.tracer, "bsr_gemm"):
             for a, dest_pos, src_pos in self._dense_ops:
                 self.backend.batched_gemm_scatter(
                     y_stack,
@@ -569,7 +569,7 @@ class PackedSweepEngine:
         """
         if state.depth == self.plan.top_depth:
             return None
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             record = self._build_record(state, decompositions)
             self.records[state.depth] = record
         return (record, *self._shrink_upsweep(record, state.omega_view, state.y_view))
@@ -644,7 +644,7 @@ class PackedSweepEngine:
         is then one GEMM over the ``T`` stack — none when the level has no
         redundant row, where ``X`` is a permutation.
         """
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             y_next = y_stack[record.shrink_node, record.shrink_row]
             omega_next = omega_stack[record.shrink_node, record.shrink_row]
             if record.t_stack is not None:
@@ -669,7 +669,7 @@ class PackedSweepEngine:
         parent height, b)`` stacks: subtract the couplings, ``Y^{l+1} -= B @
         Omega^{l+1}`` (one launch per fan group), then stack sibling pairs
         (one marshaling launch)."""
-        with self.timer.phase("bsr_gemm"):
+        with phase_span(self.tracer, "bsr_gemm"):
             for a, dest_pos, src_pos in record.coupling_ops:
                 self.backend.batched_gemm_scatter(
                     y_next,
@@ -680,7 +680,7 @@ class PackedSweepEngine:
                     alpha=-1.0,
                     operation="construct_coupling",
                 )
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             y_merged = y_next[record.merge_node, record.merge_row]
             omega_merged = omega_next[record.merge_node, record.merge_row]
             self._gather()
@@ -705,7 +705,7 @@ class PackedSweepEngine:
             cols=d,
             capacity=max(capacity_hint, d),
         )
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             state.y[:, :, :d] = y_merged
             state.omega[:, :, :d] = omega_merged
         return state

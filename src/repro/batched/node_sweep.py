@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..observe.tracer import phase_span
 from .backend import BatchedBackend
 from .bsr import BlockSparseRowMatrix
 from .construction_plan import ConstructionPlan, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sketching.entry_extractor import EntryExtractor
-    from ..utils.timing import PhaseTimer
 
 Blocks = List[np.ndarray]
 
@@ -71,12 +71,12 @@ class NodeSweep:
     name = "loop"
 
     def __init__(
-        self, plan: ConstructionPlan, backend: BatchedBackend, timer: "PhaseTimer"
+        self, plan: ConstructionPlan, backend: BatchedBackend, tracer: object
     ):
         self.plan = plan
         self.backend = backend
         self.counter = backend.counter
-        self.timer = timer
+        self.tracer = tracer
         #: ``records[depth]``: the row IDs of a skeletonised level, replayed on
         #: fresh samples by :meth:`sweep_slab`.
         self.records: Dict[int, Sequence] = {}
@@ -87,7 +87,7 @@ class NodeSweep:
     def _extract(
         self, extractor: "EntryExtractor", requests: Sequence[Request]
     ) -> Blocks:
-        with self.timer.phase("entry_generation"):
+        with phase_span(self.tracer, "entry_generation"):
             return extractor.extract_blocks(requests, counter=self.counter)
 
     def load_dense(
@@ -113,11 +113,11 @@ class NodeSweep:
     def _leaf_slabs(self, omega: np.ndarray, y: np.ndarray) -> Tuple[Blocks, Blocks]:
         """Per-leaf slices of a global ``(n, b)`` sketch, dense part subtracted."""
         tree = self.plan.tree
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             spans = [(tree.starts[t], tree.ends[t]) for t in self.plan.leaf_nodes]
             omega_loc = [np.ascontiguousarray(omega[a:b]) for a, b in spans]
             y_loc = [y[a:b].copy() for a, b in spans]
-        with self.timer.phase("bsr_gemm"):
+        with phase_span(self.tracer, "bsr_gemm"):
             self._dense_bsr.multiply_accumulate(
                 y_loc, omega_loc, self.backend, alpha=-1.0
             )
@@ -140,7 +140,7 @@ class NodeSweep:
         Algorithm 1 runs these two lines at every level; this store does too,
         the topmost included, where nothing consumes the result.
         """
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             rest = self.backend.batched_gemm(
                 [dec.T for dec in decompositions],
                 [om[dec.redundant] for om, dec in zip(state.omega, decompositions)],
@@ -160,11 +160,11 @@ class NodeSweep:
         place), then stack sibling pairs into the parents' blocks."""
         bsr = self._coupling_bsr.get(depth)
         if bsr is not None:
-            with self.timer.phase("bsr_gemm"):
+            with phase_span(self.tracer, "bsr_gemm"):
                 bsr.multiply_accumulate(y_next, omega_next, self.backend, alpha=-1.0)
         tree = self.plan.tree
         pos = {node: i for i, node in enumerate(self.plan.level_nodes[depth])}
-        with self.timer.phase("shrink_upsweep"):
+        with phase_span(self.tracer, "shrink_upsweep"):
             siblings = [
                 [pos[child] for child in tree.children(tau)]
                 for tau in self.plan.level_nodes[depth - 1]
@@ -190,7 +190,7 @@ class NodeSweep:
         replaying the recorded row IDs node by node."""
         omega, y = self._leaf_slabs(new_omega, new_y)
         for depth in range(self.plan.tree.depth, to_depth, -1):
-            with self.timer.phase("shrink_upsweep"):
+            with phase_span(self.tracer, "shrink_upsweep"):
                 decompositions = self.records[depth]
                 omega_next = [
                     block[dec.skeleton] + dec.T @ block[dec.redundant]

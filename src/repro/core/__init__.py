@@ -8,7 +8,7 @@ application of the paper.
 """
 
 from .builder import ConstructionResult, H2Constructor
-from .context import BlockDistanceCachingExtractor, ContextStatistics, GeometryContext
+from .context import ContextStatistics, GeometryContext
 from .config import ConstructionConfig
 from .convergence import ConvergenceTester
 from .recompression import recompress_h2
@@ -18,7 +18,6 @@ __all__ = [
     "H2Constructor",
     "GeometryContext",
     "ContextStatistics",
-    "BlockDistanceCachingExtractor",
     "ConstructionConfig",
     "ConstructionResult",
     "ConvergenceTester",

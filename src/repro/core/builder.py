@@ -75,7 +75,7 @@ from ..sketching.entry_extractor import EntryExtractor
 from ..sketching.operators import SketchingOperator
 from ..tree.block_partition import BlockPartition
 from ..observe.metrics import metrics as _metrics
-from ..observe.tracer import NOOP_TRACER
+from ..observe.tracer import NOOP_TRACER, phase_span
 from ..resilience.errors import (
     ConstructionFaultError,
     MemoryBudgetError,
@@ -85,7 +85,6 @@ from ..resilience.errors import (
 )
 from ..resilience.policy import resilience_adapter
 from ..utils.rng import SeedLike, as_generator
-from ..utils.timing import PhaseTimer
 from .config import ConstructionConfig
 from .convergence import ConvergenceTester
 from .skeleton_store import NodeSkeleton, SkeletonStore
@@ -114,7 +113,6 @@ class ConstructionResult:
     operator_applications: int
     entries_evaluated: int
     elapsed_seconds: float
-    phase_seconds: Dict[str, float]
     kernel_launches: Dict[str, int]
     total_kernel_launches: int
     kernel_calls: Dict[str, int]
@@ -127,9 +125,10 @@ class ConstructionResult:
     #: ``"recovered-loop"`` (guarded fallback) or ``"cache"`` (artifact hit).
     construction_path: str = "packed"
     #: Root :class:`repro.observe.Span` of this construction when it ran under
-    #: an enabled tracer (``None`` otherwise).  The per-phase and per-level
-    #: child spans carry the same numbers as ``phase_seconds`` /
-    #: ``kernel_launches`` — diagnostics accept either.
+    #: an enabled tracer (``None`` otherwise).  Its ``construct.phase``
+    #: children are the only record of the Fig. 7 phase times
+    #: (:meth:`repro.diagnostics.PhaseBreakdown.from_span`); its launch deltas
+    #: equal ``kernel_launches``.
     trace: Optional[object] = None
     #: :class:`repro.observe.HealthReport` of the stochastic compression-error
     #: probe when the construction ran under ``ExecutionPolicy(health=...)``
@@ -220,7 +219,6 @@ class H2Constructor:
         )
         if self.tracer.enabled:
             self.tracer.bind_counter(self.counter)
-        self.timer = PhaseTimer(tracer=self.tracer)
 
         # Resilience wiring: explicit arguments win; otherwise adopt whatever
         # ExecutionPolicy.resolve_backend installed on the backend instance
@@ -421,7 +419,6 @@ class H2Constructor:
         self.dense_blocks = {}
         self.couplings = {}
         self._total_samples = 0
-        self.timer = PhaseTimer(tracer=self.tracer)
         self.rng.bit_generator.state = rng_state
         reset = getattr(self.sample_source, "reset", None)
         if callable(reset):
@@ -459,13 +456,13 @@ class H2Constructor:
         self.extractor.entries_evaluated = 0
         n = self.tree.num_points
 
-        with self.timer.phase("misc"):
+        with phase_span(self.tracer, "misc"):
             if self.plan is None:
                 self.plan = ConstructionPlan(self.partition)
         if packed and (self.faults is not None or self.recovery is not None):
             self._check_memory_budget()
         store = PackedSweepEngine if packed else NodeSweep
-        sweep = store(self.plan, self.backend, self.timer)
+        sweep = store(self.plan, self.backend, self.tracer)
 
         # Dense (inadmissible leaf) blocks are always required.
         self._extract_dense_blocks(sweep)
@@ -508,7 +505,6 @@ class H2Constructor:
             operator_applications=self.operator.applications,
             entries_evaluated=self.extractor.entries_evaluated,
             elapsed_seconds=elapsed,
-            phase_seconds=self.timer.as_dict(),
             kernel_launches=launch_delta.counts,
             total_kernel_launches=launch_delta.total(),
             kernel_calls=launch_delta.calls,
@@ -552,7 +548,7 @@ class H2Constructor:
             )
 
     def _convergence_tester(self, sketch: np.ndarray) -> ConvergenceTester:
-        """The tester whose threshold is ``safety * tolerance * ||K||_2``.
+        """The tester whose threshold is ``tolerance * ||K||_2``.
 
         Unless ``ConstructionConfig.norm_estimate`` supplies it, the norm is
         the block estimate of the first (already screened) sample block; its
@@ -567,9 +563,7 @@ class H2Constructor:
         else:
             norm = sketched_spectral_norm(self._sketch, sketch)
         self._norm_estimate = norm
-        return ConvergenceTester(
-            absolute_threshold=cfg.convergence_safety_factor * cfg.tolerance * norm
-        )
+        return ConvergenceTester(absolute_threshold=cfg.tolerance * norm)
 
     def _id_tolerances(self, count: int) -> Tuple[Optional[float], Optional[Sequence[float]]]:
         """Relative/absolute tolerances handed to the batched row ID."""
@@ -581,7 +575,7 @@ class H2Constructor:
     def _draw_samples(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``count`` fresh random vectors and sketch them through the operator."""
         n = self.tree.num_points
-        with self.timer.phase("sampling"):
+        with phase_span(self.tracer, "sampling"):
             if self.sample_source is not None:
                 omega = np.ascontiguousarray(
                     self.sample_source(count), dtype=np.float64
@@ -606,7 +600,7 @@ class H2Constructor:
         the norm estimate's ``K @ Q`` both pass the fault-injection site and
         the NaN/Inf screen, so no unscreened block reaches a threshold.
         """
-        with self.timer.phase("sampling"):
+        with phase_span(self.tracer, "sampling"):
             y = self.operator.multiply(omega)
         if self.faults is not None and self.faults.installed("nan-in-gemm-output"):
             y = self.faults.corrupt_gemm_output(y)
@@ -642,7 +636,7 @@ class H2Constructor:
         )
         for _ in range(policy.max_retries):
             _metrics().counter("resilience.retries").inc()
-            with self.timer.phase("sampling"):
+            with phase_span(self.tracer, "sampling"):
                 y = self.operator.multiply(omega)
             if self.faults is not None:
                 y = self.faults.corrupt_gemm_output(y)
@@ -752,7 +746,7 @@ class H2Constructor:
 
                 # Batched row ID -> bases (leaf) / transfers (inner), skeletons.
                 rel_tol, abs_tols = self._id_tolerances(state.count)
-                with self.timer.phase("id"):
+                with phase_span(self.tracer, "id"):
                     decompositions = self.backend.batched_row_id(
                         state.node_blocks(),
                         rel_tol=rel_tol,
@@ -760,7 +754,7 @@ class H2Constructor:
                         max_rank=cfg.max_rank,
                     )
                 is_leaf = depth == leaf_depth
-                with self.timer.phase("shrink_upsweep"):
+                with phase_span(self.tracer, "shrink_upsweep"):
                     for tau, dec in zip(state.nodes, decompositions):
                         self._record_node_skeleton(tau, dec, is_leaf)
 
@@ -795,7 +789,7 @@ class H2Constructor:
         """
         rounds = 1
         while True:
-            with self.timer.phase("convergence"):
+            with phase_span(self.tracer, "convergence"):
                 mask = tester.converged_mask(state.y_active, self.backend)
             if bool(np.all(mask)):
                 return True, rounds
@@ -808,6 +802,6 @@ class H2Constructor:
             )
             new_omega, new_y = self._draw_samples(block)
             omega_slab, y_slab = sweep.sweep_slab(new_omega, new_y, state.depth)
-            with self.timer.phase("shrink_upsweep"):
+            with phase_span(self.tracer, "shrink_upsweep"):
                 state.append(omega_slab, y_slab)
             rounds += 1

@@ -58,9 +58,6 @@ class ConstructionConfig:
         lower bound, within 1 % for covariance kernels and 25 % for Helmholtz
         kernels, so the threshold is never looser than requested).  Supplying
         the norm skips that application.
-    convergence_safety_factor:
-        Multiplies the absolute convergence threshold; values below 1 make the
-        adaptive test stricter (more samples, better accuracy).
     """
 
     tolerance: float = 1e-6
@@ -72,7 +69,6 @@ class ConstructionConfig:
     id_tolerance_mode: str = "relative"
     backend: Union[str, BatchedBackend] = "auto"
     norm_estimate: float | None = None
-    convergence_safety_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -85,8 +81,6 @@ class ConstructionConfig:
             raise ValueError("id_tolerance_mode must be 'relative' or 'absolute'")
         if self.norm_estimate is not None and self.norm_estimate <= 0:
             raise ValueError("norm_estimate must be positive when given")
-        if self.convergence_safety_factor <= 0:
-            raise ValueError("convergence_safety_factor must be positive")
 
     @property
     def effective_initial_samples(self) -> int:

@@ -19,13 +19,12 @@ more than the unavoidable kernel-value work: sweeping three length scales is
 close to the cost of one cold construction plus two "evaluate + re-stack"
 passes rather than three full cold runs.
 
-Two cache policies are provided.  With the dense distance cache (the default
-whenever it fits the byte budget) the permuted distance matrix is stored once
-and each parameter point evaluates the kernel profile on it in one vectorised
-pass; the sketching operator then runs on the resulting dense array, i.e.
-every black-box application is a GEMM.  Beyond the budget the context falls
-back to a block-level distance cache covering the (fixed) inadmissible leaf
-blocks while the sketching operator evaluates kernel rows on the fly.
+While the permuted distance matrix and one kernel-value matrix fit in
+600 MiB (n up to 6,270), the distances are stored once and each parameter
+point evaluates the kernel profile on them in one vectorised pass; the
+sketching operator then runs on the resulting dense array, i.e. every
+black-box application is a GEMM.  Above that size nothing is cached and
+kernel rows are evaluated on the fly.
 """
 
 from __future__ import annotations
@@ -33,18 +32,12 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..batched.backend import BatchedBackend, get_backend
-from ..kernels.base import (
-    KernelFunction,
-    PairwiseKernel,
-    _tiled,
-    pairwise_distances,
-    pairwise_distances_stacked,
-)
+from ..kernels.base import KernelFunction, PairwiseKernel, _tiled, pairwise_distances
 from ..sketching.entry_extractor import (
     DenseEntryExtractor,
     EntryExtractor,
@@ -57,6 +50,12 @@ from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike, as_generator
 from .builder import ConstructionResult, H2Constructor
 from .config import ConstructionConfig
+
+
+#: Byte budget of the dense distance cache: the ``n x n`` distance matrix and
+#: one ``n x n`` kernel-value matrix (``2 * n * n * 8`` bytes) are cached
+#: while they fit, i.e. up to n = 6,270 points.
+_DENSE_CACHE_BYTES = 600 * 2**20
 
 
 class _OmegaBank:
@@ -128,102 +127,6 @@ class _BankSampler:
         self._cursor = 0
 
 
-class BlockDistanceCachingExtractor(EntryExtractor):
-    """Entry extractor caching distance sub-blocks of contiguous index ranges.
-
-    The dense (inadmissible leaf) blocks requested by the constructor are
-    contiguous ``[start, end)`` ranges fixed by the geometry, so their distance
-    blocks can be computed once per sweep and only the (cheap) radial profile
-    re-evaluated per parameter point.  Non-contiguous requests (coupling
-    blocks at parameter-dependent skeleton indices) are evaluated directly.
-    """
-
-    def __init__(
-        self,
-        kernel: PairwiseKernel,
-        points: np.ndarray,
-        cache: Dict[Tuple[int, int, int, int], np.ndarray],
-        cache_limit_bytes: int,
-    ):
-        super().__init__()
-        self.kernel = kernel
-        self.points = np.asarray(points, dtype=np.float64)
-        self._cache = cache
-        self._limit = int(cache_limit_bytes)
-
-    @property
-    def n(self) -> int:
-        return int(self.points.shape[0])
-
-    @staticmethod
-    def _is_contiguous(indices: np.ndarray) -> bool:
-        """Exactly ``arange(start, stop)`` — gapped or permuted sets must miss.
-
-        Skeleton-index requests carry unsorted pivot orders whose span can
-        coincidentally equal their size; keying those as ranges would poison
-        the cache with reordered blocks.
-        """
-        return bool(
-            indices.size
-            and int(indices[-1]) - int(indices[0]) + 1 == indices.size
-            and np.array_equal(
-                indices, np.arange(int(indices[0]), int(indices[-1]) + 1)
-            )
-        )
-
-    @classmethod
-    def _range_key(cls, rows: np.ndarray, cols: np.ndarray):
-        if cls._is_contiguous(rows) and cls._is_contiguous(cols):
-            return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
-        return None
-
-    def _cached_bytes(self) -> int:
-        return sum(block.nbytes for block in self._cache.values())
-
-    def _extract(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        key = self._range_key(rows, cols)
-        if key is None:
-            return self.kernel.evaluate(self.points[rows], self.points[cols])
-        r = self._cache.get(key)
-        if r is None:
-            r = pairwise_distances(self.points[rows], self.points[cols])
-            if self._cached_bytes() + r.nbytes <= self._limit:
-                self._cache[key] = r
-        return self.kernel.profile_with_diagonal(r)
-
-    #: Stacked batches keep the batched entry generation of the compiled
-    #: construction sweep: cached distance blocks are gathered, the misses
-    #: evaluated with one batched distance pass, and the radial profile runs
-    #: once over the whole stack.
-    supports_stacked = True
-
-    def _extract_stacked(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        g, p = rows.shape
-        q = cols.shape[1]
-        r = np.empty((g, p, q), dtype=np.float64)
-        missing = []
-        for i in range(g):
-            key = self._range_key(rows[i], cols[i])
-            block = self._cache.get(key) if key is not None else None
-            if block is None:
-                missing.append(i)
-            else:
-                r[i] = block
-        if missing:
-            idx = np.asarray(missing, dtype=np.int64)
-            fresh = pairwise_distances_stacked(
-                self.points[rows[idx]], self.points[cols[idx]]
-            )
-            r[idx] = fresh
-            for pos, i in enumerate(missing):
-                key = self._range_key(rows[i], cols[i])
-                if key is not None and (
-                    self._cached_bytes() + fresh[pos].nbytes <= self._limit
-                ):
-                    self._cache[key] = np.ascontiguousarray(fresh[pos])
-        return self.kernel.profile_with_diagonal(r)
-
-
 @dataclass
 class ContextStatistics:
     """Reuse counters of a :class:`GeometryContext` (sweep diagnostics)."""
@@ -276,14 +179,6 @@ class GeometryContext:
         :class:`repro.api.Session` from its policy) it is installed on the
         resolved backend and every construction/apply/solve under this
         context records spans.
-    distance_cache:
-        ``"dense"`` stores the full permuted distance matrix (fastest),
-        ``"blocks"`` caches per-block distances of the inadmissible leaf
-        blocks only, ``"none"`` disables distance caching, and ``"auto"``
-        (default) picks ``"dense"`` when two ``n x n`` float64 buffers fit in
-        ``cache_limit_mb`` and ``"blocks"`` otherwise.
-    cache_limit_mb:
-        Byte budget of the distance cache.
     seed:
         Seed of the frozen sample bank.
     artifact_cache:
@@ -302,8 +197,6 @@ class GeometryContext:
         leaf_size: int = 64,
         admissibility: object | None = None,
         backend: str | BatchedBackend = "vectorized",
-        distance_cache: str = "auto",
-        cache_limit_mb: float = 600.0,
         seed: SeedLike = 0,
         tracer: object | None = None,
         artifact_cache: object | None = None,
@@ -340,19 +233,9 @@ class GeometryContext:
         )
         n = self.tree.num_points
 
-        limit_bytes = int(cache_limit_mb * 2**20)
-        if distance_cache == "auto":
-            distance_cache = "dense" if 2 * n * n * 8 <= limit_bytes else "blocks"
-        if distance_cache not in ("dense", "blocks", "none"):
-            raise ValueError(
-                "distance_cache must be 'auto', 'dense', 'blocks' or 'none'"
-            )
-        self.distance_cache = distance_cache
-        self._cache_limit_bytes = limit_bytes
         self._distances: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
-        self._block_cache: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-        if distance_cache == "dense":
+        if 2 * n * n * 8 <= _DENSE_CACHE_BYTES:
             self._distances = pairwise_distances(self.tree.points, self.tree.points)
 
         self._omega_bank = _OmegaBank(n, rng)
@@ -379,8 +262,7 @@ class GeometryContext:
         With the dense distance cache the kernel values are materialised once
         per parameter point (one vectorised profile evaluation over the cached
         distances), so every subsequent black-box application is a plain GEMM;
-        otherwise kernel rows are generated on the fly with per-block distance
-        caching.
+        otherwise kernel rows are generated on the fly.
         """
         if self._distances is not None:
             if isinstance(kernel, PairwiseKernel):
@@ -400,14 +282,10 @@ class GeometryContext:
                 np.asarray(values, dtype=np.float64)
             )
             return DenseOperator(self._values), DenseEntryExtractor(self._values)
-        operator = KernelMatVecOperator(kernel, self.tree.points)
-        if self.distance_cache == "blocks" and isinstance(kernel, PairwiseKernel):
-            extractor: EntryExtractor = BlockDistanceCachingExtractor(
-                kernel, self.tree.points, self._block_cache, self._cache_limit_bytes
-            )
-        else:
-            extractor = KernelEntryExtractor(kernel, self.tree.points)
-        return operator, extractor
+        return (
+            KernelMatVecOperator(kernel, self.tree.points),
+            KernelEntryExtractor(kernel, self.tree.points),
+        )
 
     # ------------------------------------------------------------ construction
     def construct(
@@ -417,7 +295,6 @@ class GeometryContext:
         sample_block_size: int = 64,
         config: ConstructionConfig | None = None,
         warm_start: bool = True,
-        reuse_plan: bool = True,
     ) -> ConstructionResult:
         """Construct the H2 representation of ``K(kernel)`` over the cached geometry.
 
@@ -425,9 +302,9 @@ class GeometryContext:
         :class:`~repro.core.config.ConstructionConfig` (or pass ``config``
         directly).  ``warm_start`` seeds the initial sketch with the largest
         sample count any previous construction of this context needed, so the
-        adaptive loop typically converges in its first round; ``reuse_plan``
-        re-stacks the previous compiled apply plan in place when the new
-        matrix reproduces the same structure.
+        adaptive loop typically converges in its first round.  The previous
+        compiled apply plan is re-stacked in place whenever the new matrix
+        reproduces its structure.
 
         Repeating the *identical* ``(kernel, tolerance, sample_block_size)``
         point (the inner loop of a noise/nugget sweep, where the compressed
@@ -491,7 +368,6 @@ class GeometryContext:
                         operator_applications=0,
                         entries_evaluated=0,
                         elapsed_seconds=elapsed,
-                        phase_seconds={"load": elapsed},
                         kernel_launches={},
                         total_kernel_launches=0,
                         kernel_calls={},
@@ -539,7 +415,7 @@ class GeometryContext:
 
         matrix = result.matrix
         matrix.apply_backend = self.backend
-        if reuse_plan and self._plan is not None and self._plan.matches(matrix):
+        if self._plan is not None and self._plan.matches(matrix):
             matrix.reuse_plan(self._plan)
             self.statistics.plan_reuses += 1
         else:
@@ -566,14 +442,14 @@ class GeometryContext:
             total += self._distances.nbytes
         if self._values is not None:
             total += self._values.nbytes
-        total += sum(block.nbytes for block in self._block_cache.values())
         return int(total)
 
     def describe(self) -> str:
         stats = self.statistics
         return (
             f"GeometryContext(n={self.num_points}, depth={self.tree.depth}, "
-            f"cache={self.distance_cache}, constructions={stats.constructions}, "
+            f"cache={'dense' if self._distances is not None else 'none'}, "
+            f"constructions={stats.constructions}, "
             f"plan_reuses={stats.plan_reuses}, "
             f"memory_mb={self.memory_bytes() / 2**20:.1f})"
         )

@@ -1,34 +1,28 @@
-"""Accuracy, memory, profiling and throughput diagnostics used by the
-benchmark harness.
+"""Accuracy, profiling and throughput diagnostics used by the benchmark
+harness.
 
 The reports in this package are *views*: they render numbers that the core
-layers already record rather than owning their own instrumentation.  Two
-recording routes feed them:
-
-- **Dedicated measurements** — :func:`apply_report`,
-  :func:`construction_report`, :func:`memory_report` and friends run (or
-  inspect) a concrete object and read its counters/timers directly.  This is
-  the original API and still works untraced.
-- **Trace data** — when work runs under an enabled
-  :class:`repro.observe.SpanTracer` (see :class:`repro.api.ExecutionPolicy`),
-  the same numbers land on spans, and :meth:`PhaseBreakdown.from_span` /
-  :meth:`ApplyReport.from_span` rebuild the reports from the trace alone.
-  Phase times and launch counts agree exactly between the two routes because
-  they share one underlying measurement.
+layers already record rather than owning their own instrumentation.  Phase
+and apply timings come from one place, the trace: a construction under an
+enabled :class:`repro.observe.SpanTracer` (see
+:class:`repro.api.ExecutionPolicy`) records its Fig. 7 phases as spans, which
+:meth:`PhaseBreakdown.from_span` sums, and :func:`apply_report` runs its
+timed applies under a private tracer and returns
+:meth:`ApplyReport.from_span` of the fastest one.  :func:`construction_report`
+reads the launch counts a ``ConstructionResult`` carries.
 
 Per-phase construction timing (Fig. 7) lives in :mod:`.profiling`, launch
 and throughput accounting in :mod:`.apply_report` /
-:mod:`.construction_report`, accuracy in :mod:`.error`, memory in
-:mod:`.memory`, solver convergence in :mod:`.solver_report` and GP sweep
-statistics in :mod:`.gp_report`.
+:mod:`.construction_report`, accuracy in :mod:`.error`, solver convergence
+in :mod:`.solver_report` and GP sweep statistics in :mod:`.gp_report`.
+Operator memory is ``op.memory_bytes()`` itself.
 """
 
 from .apply_report import ApplyReport, apply_report
 from .construction_report import ConstructionReport, construction_report
 from .error import construction_error, dense_relative_error
 from .gp_report import GPFitReport, gp_sweep_table
-from .memory import MemoryReport, memory_report
-from .profiling import PhaseBreakdown, phase_breakdown
+from .profiling import PhaseBreakdown
 from .reporting import format_table, format_series
 from .solver_report import convergence_table, residual_series
 
@@ -41,10 +35,7 @@ __all__ = [
     "gp_sweep_table",
     "construction_error",
     "dense_relative_error",
-    "MemoryReport",
-    "memory_report",
     "PhaseBreakdown",
-    "phase_breakdown",
     "format_table",
     "format_series",
     "convergence_table",

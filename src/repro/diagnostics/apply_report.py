@@ -6,16 +6,14 @@ O(log N) launch argument); this module extends the instrumentation to the
 compares to the per-node block count, and what effective throughput the
 compiled plan achieves on a given backend.
 
-Two routes produce the same :class:`ApplyReport`: :func:`apply_report` runs a
-dedicated timed measurement, and :meth:`ApplyReport.from_span` rebuilds the
-report from one traced ``apply`` span (recorded whenever a compiled apply
-executes under an enabled :class:`repro.observe.SpanTracer`) — launch counts
-agree exactly between the two, timings up to run-to-run noise.
+An :class:`ApplyReport` is built in one place, :meth:`ApplyReport.from_span`,
+from one traced ``apply`` span (recorded whenever a compiled apply executes
+under an enabled :class:`repro.observe.SpanTracer`); :func:`apply_report`
+runs its timed applies under a private tracer and reports the fastest span.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
@@ -23,6 +21,9 @@ import numpy as np
 
 from ..batched.backend import get_backend
 from ..batched.counters import KernelLaunchCounter
+from ..observe.metrics import MetricsRegistry
+from ..observe.tracer import SpanTracer
+from ..observe.views import find_spans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hmatrix.h2matrix import H2Matrix
@@ -104,36 +105,21 @@ def apply_report(
 ) -> ApplyReport:
     """Measure one backend's batched apply of ``matrix`` with ``k`` RHS columns.
 
-    Compiles (or reuses) the matrix's apply plan, runs ``repeats`` applies on a
-    fresh :class:`KernelLaunchCounter` and reports the per-apply launch counts
-    (exactly the plan's stage count — O(levels), independent of the number of
-    tree nodes) together with wall-clock throughput.
+    Runs a warm-up apply (which compiles the plan on first use) and
+    ``repeats`` timed applies on a fresh backend under a private
+    :class:`~repro.observe.SpanTracer`, and returns
+    :meth:`ApplyReport.from_span` of the fastest ``apply`` span: the
+    per-apply launch counts (exactly the plan's stage count — O(levels),
+    independent of the number of tree nodes), flops, operand bytes and
+    wall-clock throughput.
     """
-    plan = matrix.apply_plan()
-    counter = KernelLaunchCounter()
-    be = get_backend(backend, counter=counter)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((matrix.num_rows, k))
+    be = get_backend(backend, counter=KernelLaunchCounter())
+    tracer = SpanTracer(counter=be.counter, metrics=MetricsRegistry())
+    be.tracer = tracer
+    x = np.random.default_rng(seed).standard_normal((matrix.num_rows, k))
     matrix.matvec(x, backend=be)  # warm-up (also compiles on first use)
-    counter.reset()
-    best = np.inf
+    tracer.reset()
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
         matrix.matvec(x, backend=be)
-        best = min(best, time.perf_counter() - start)
-    launches = counter.total_calls() // max(1, repeats)
-    by_phase = {
-        op: count // max(1, repeats) for op, count in counter.calls_by_operation().items()
-    }
-    return ApplyReport(
-        n=matrix.num_rows,
-        k=k,
-        backend=be.name,
-        levels=matrix.tree.num_levels,
-        launches_per_apply=launches,
-        block_products=plan.num_block_products,
-        launches_by_phase=by_phase,
-        seconds_per_apply=best,
-        flops_per_apply=plan.flops(k),
-        operand_bytes=int(sum(stage.a.nbytes for stage in plan.stages)),
-    )
+    fastest = min(find_spans(tracer, name="apply"), key=lambda span: span.duration)
+    return ApplyReport.from_span(fastest)

@@ -44,7 +44,6 @@ class ConstructionReport:
     #: convergence round on the packed path, O(nodes) on the loop path.
     sweep_launches: int
     total_samples: int
-    phase_seconds: Dict[str, float]
 
     @property
     def points_per_second(self) -> float:
@@ -68,7 +67,6 @@ class ConstructionReport:
             "sweep_launches": self.sweep_launches,
             "sweep_launches_per_round": self.sweep_launches_per_round,
             "total_samples": self.total_samples,
-            "phase_seconds": dict(self.phase_seconds),
         }
 
 
@@ -78,7 +76,9 @@ def construction_report(result: "ConstructionResult") -> ConstructionReport:
     Splits the recorded launches into entry generation (inherently one launch
     per distinct block shape) and the sweep schedule (the part the compiled
     path collapses to O(levels) per convergence round), and attaches the
-    wall-clock/phase timings for throughput tables.
+    wall-clock time for throughput tables (the per-phase split is
+    :meth:`PhaseBreakdown.from_span <repro.diagnostics.PhaseBreakdown.from_span>`
+    of a traced construction).
     """
     launches = dict(result.kernel_launches)
     generation = sum(launches.get(op, 0) for op in GENERATION_OPS)
@@ -94,5 +94,4 @@ def construction_report(result: "ConstructionResult") -> ConstructionReport:
         generation_launches=generation,
         sweep_launches=result.total_kernel_launches - generation,
         total_samples=result.total_samples,
-        phase_seconds=dict(result.phase_seconds),
     )

@@ -5,17 +5,16 @@ BSR multiplication, the convergence test, the interpolative decompositions,
 the shrink/upsweep bookkeeping and miscellaneous work, and reports the share
 of each phase on CPU and GPU for growing problem sizes.
 
-:class:`PhaseBreakdown` is a *view over trace data*: under an enabled
-:class:`repro.observe.SpanTracer` the constructor's :class:`~repro.utils.timing.PhaseTimer`
-records one ``construct.phase`` span per phase block, and
-:meth:`PhaseBreakdown.from_span` aggregates them — the same measurement also
-feeds the legacy ``ConstructionResult.phase_seconds`` dict, so both routes
-produce identical numbers.  :func:`phase_breakdown` accepts a
-``ConstructionResult`` (traced or not) or a trace span directly.
+The constructor records each phase block as one ``construct.phase`` span
+(:func:`repro.observe.phase_span`) and keeps no other clock, so the breakdown
+exists only for a construction that ran under an enabled
+:class:`repro.observe.SpanTracer`: :meth:`PhaseBreakdown.from_span` of its
+``ConstructionResult.trace`` (or of the tracer) sums those spans.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
@@ -75,26 +74,21 @@ class PhaseBreakdown:
 
     @classmethod
     def from_span(cls, span) -> "PhaseBreakdown":
-        """Aggregate the ``construct.phase`` spans below ``span`` (or a tracer)."""
-        from ..observe.views import phase_peak_bytes, phase_seconds
+        """Aggregate the ``construct.phase`` spans below ``span`` (or a tracer).
 
-        return cls(seconds=phase_seconds(span), peak_bytes=phase_peak_bytes(span))
+        Repeated spans of one phase add their durations; their
+        ``mem_peak_bytes`` attributes (present only under a
+        :class:`~repro.observe.memory.MemorySampler`) keep the maximum —
+        peaks do not add.
+        """
+        from ..observe.views import find_spans
 
-
-def phase_breakdown(result) -> PhaseBreakdown:
-    """Build a :class:`PhaseBreakdown` from a ``ConstructionResult`` or a span.
-
-    Accepts anything carrying ``phase_seconds`` (the legacy result path), a
-    :class:`repro.observe.Span` / :class:`repro.observe.SpanTracer` (the trace
-    path), or a traced ``ConstructionResult`` — all yield the same numbers.
-    """
-    seconds = getattr(result, "phase_seconds", None)
-    if seconds is not None:
-        trace = getattr(result, "trace", None)
-        peaks = {}
-        if trace is not None:
-            from ..observe.views import phase_peak_bytes
-
-            peaks = phase_peak_bytes(trace)
-        return PhaseBreakdown(seconds=dict(seconds), peak_bytes=peaks)
-    return PhaseBreakdown.from_span(result)
+        seconds: Dict[str, float] = defaultdict(float)
+        peaks: Dict[str, int] = {}
+        for child in find_spans(span, category="construct.phase"):
+            phase = str(child.attributes.get("phase", child.name))
+            seconds[phase] += child.duration
+            peak = child.attributes.get("mem_peak_bytes")
+            if peak is not None:
+                peaks[phase] = max(peaks.get(phase, 0), int(peak))
+        return cls(seconds=dict(seconds), peak_bytes=peaks)

@@ -70,12 +70,10 @@ from .openmetrics import (
     save_openmetrics,
 )
 from .span import Span, SpanEvent
-from .tracer import NOOP_TRACER, NoopTracer, SpanTracer
+from .tracer import NOOP_TRACER, NoopTracer, SpanTracer, phase_span
 from .views import (
     find_spans,
     launches_by_operation,
-    phase_peak_bytes,
-    phase_seconds,
     span_durations,
     total_launches,
 )
@@ -109,8 +107,7 @@ __all__ = [
     "launches_by_operation",
     "memory_ledger",
     "metrics",
-    "phase_peak_bytes",
-    "phase_seconds",
+    "phase_span",
     "rank_level_summary",
     "record_solver_health",
     "render_openmetrics",

@@ -116,6 +116,18 @@ class NoopTracer:
 NOOP_TRACER = NoopTracer()
 
 
+def phase_span(tracer, name: str):
+    """Open construction phase ``name`` (Fig. 7) as a ``construct.phase`` span.
+
+    The only record of a phase's time: :meth:`PhaseBreakdown.from_span
+    <repro.diagnostics.PhaseBreakdown.from_span>` sums these spans.  On a
+    disabled tracer it returns the cached no-op context.
+    """
+    if not tracer.enabled:
+        return _NOOP_CONTEXT
+    return tracer.span(f"phase/{name}", category="construct.phase", phase=name)
+
+
 class _SpanContext:
     """Context manager produced by :meth:`SpanTracer.span`."""
 

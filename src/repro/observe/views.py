@@ -1,8 +1,10 @@
 """Aggregation helpers that turn span forests into flat report inputs.
 
 The diagnostics layer (:mod:`repro.diagnostics`) builds its report objects
-from these views, so a single traced run yields the Fig. 7 phase breakdown,
-the apply/launch reports and the GP tables without any parallel bookkeeping.
+from spans alone — the Fig. 7 phase breakdown from the ``construct.phase``
+spans (:meth:`~repro.diagnostics.PhaseBreakdown.from_span`), the apply
+report from one ``apply`` span — so the trace is the only record of those
+timings and counts.
 """
 
 from __future__ import annotations
@@ -28,41 +30,6 @@ def find_spans(
             continue
         out.append(span)
     return out
-
-
-def phase_seconds(source: TraceSource, category: str = "construct.phase") -> Dict[str, float]:
-    """Accumulated seconds per construction phase, summed over phase spans.
-
-    Phase spans carry a ``phase`` attribute (set by
-    :class:`~repro.utils.timing.PhaseTimer` when it runs in traced mode);
-    repeated spans of one phase accumulate, mirroring the legacy timer dict.
-    """
-    totals: Dict[str, float] = defaultdict(float)
-    for span in find_spans(source, category=category):
-        phase = span.attributes.get("phase", span.name)
-        totals[str(phase)] += span.duration
-    return dict(totals)
-
-
-def phase_peak_bytes(
-    source: TraceSource, category: str = "construct.phase"
-) -> Dict[str, int]:
-    """Peak allocated bytes per phase, from ``mem_peak_bytes`` attributes.
-
-    Populated only when the run traced with a
-    :class:`~repro.observe.memory.MemorySampler`
-    (``ExecutionPolicy(memory_profile=True)``); phases without memory
-    attribution are omitted.  Repeated spans of one phase keep the maximum —
-    peaks do not add.
-    """
-    peaks: Dict[str, int] = {}
-    for span in find_spans(source, category=category):
-        peak = span.attributes.get("mem_peak_bytes")
-        if peak is None:
-            continue
-        phase = str(span.attributes.get("phase", span.name))
-        peaks[phase] = max(peaks.get(phase, 0), int(peak))
-    return peaks
 
 
 def launches_by_operation(source: TraceSource) -> Dict[str, int]:

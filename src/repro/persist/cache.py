@@ -36,10 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -393,33 +394,44 @@ class ArtifactCache:
         return operator
 
     # -------------------------------------------------------------- lifecycle
-    def _entries(self):
-        return sorted(
-            (p for p in self.directory.glob(f"*{ARTIFACT_SUFFIX}") if p.is_file()),
-            key=lambda p: p.stat().st_mtime,
-        )
+    def _entries(self) -> List[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of every entry, oldest mtime first.
+
+        Each file is stat-ed once, and one that vanishes between the
+        directory scan and its stat (evicted by another thread's
+        :meth:`put`, or by another process) is skipped.
+        """
+        entries = []
+        for path in self.directory.glob(f"*{ARTIFACT_SUFFIX}"):
+            try:
+                info = path.stat()
+            except FileNotFoundError:
+                continue
+            if stat.S_ISREG(info.st_mode):
+                entries.append((path, info))
+        entries.sort(key=lambda entry: entry[1].st_mtime)
+        return entries
 
     def _enforce_budget(self) -> None:
         if self.max_bytes is None:
             return
         entries = self._entries()
-        total = sum(p.stat().st_size for p in entries)
-        for path in entries:  # oldest mtime first — LRU
+        total = sum(info.st_size for _, info in entries)
+        for path, info in entries:  # oldest mtime first — LRU
             if total <= self.max_bytes:
                 break
-            size = path.stat().st_size
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - race with other process
                 continue
-            total -= size
+            total -= info.st_size
             with self._mutex:
                 self.evictions += 1
 
     def clear(self) -> None:
         """Delete every cache entry."""
         with self._mutex, self._lock():
-            for path in self._entries():
+            for path, _ in self._entries():
                 try:
                     path.unlink()
                 except OSError:  # pragma: no cover - race with other process
@@ -436,7 +448,7 @@ class ArtifactCache:
 
     # ------------------------------------------------------------- reporting
     def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self._entries())
+        return sum(info.st_size for _, info in self._entries())
 
     def statistics(self) -> Dict[str, object]:
         with self._mutex:
@@ -444,7 +456,7 @@ class ArtifactCache:
             return {
                 "directory": str(self.directory),
                 "entries": len(entries),
-                "bytes": sum(p.stat().st_size for p in entries),
+                "bytes": sum(info.st_size for _, info in entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -13,6 +13,7 @@ rank, the setup is cheap even when the accurate compression would not be.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ from ..hmatrix.hodlr import HODLRMatrix, build_hodlr
 from ..hmatrix.hss import _build_hss
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike
-from ..utils.timing import PhaseTimer
 from .hodlr_factor import HODLRFactorization
 from .hss_factor import HSSFactorization, factorize
 
@@ -79,24 +79,22 @@ class HierarchicalPreconditioner:
         preconditioner approximates ``(A + shift I)^{-1}`` — which keeps a
         loose factorization of a barely-positive-definite matrix stable.
         """
-        timer = PhaseTimer()
-        with timer.phase("construction"):
-            result = _build_hss(
-                tree,
-                operator,
-                extractor,
-                tolerance=tolerance,
-                sample_block_size=sample_block_size,
-                max_samples=max_samples,
-                backend=backend,
-                seed=seed,
-            )
-        with timer.phase("factorization"):
-            factorization = factorize(result.matrix, shift=shift)
+        start = time.perf_counter()
+        result = _build_hss(
+            tree,
+            operator,
+            extractor,
+            tolerance=tolerance,
+            sample_block_size=sample_block_size,
+            max_samples=max_samples,
+            backend=backend,
+            seed=seed,
+        )
+        factorization = factorize(result.matrix, shift=shift)
         return cls(
             factorization,
             construction=result,
-            setup_seconds=timer.total(),
+            setup_seconds=time.perf_counter() - start,
         )
 
     @classmethod
@@ -109,12 +107,10 @@ class HierarchicalPreconditioner:
         max_rank: int | None = None,
     ) -> "HierarchicalPreconditioner":
         """ACA-build a HODLR approximation from permuted-index entries and factor it."""
-        timer = PhaseTimer()
-        with timer.phase("construction"):
-            hodlr = build_hodlr(tree, entries, tol=tolerance, max_rank=max_rank)
-        with timer.phase("factorization"):
-            factorization = HODLRFactorization(hodlr, shift=shift)
-        return cls(factorization, setup_seconds=timer.total())
+        start = time.perf_counter()
+        hodlr = build_hodlr(tree, entries, tol=tolerance, max_rank=max_rank)
+        factorization = HODLRFactorization(hodlr, shift=shift)
+        return cls(factorization, setup_seconds=time.perf_counter() - start)
 
     @classmethod
     def from_hodlr(

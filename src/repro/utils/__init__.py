@@ -1,8 +1,7 @@
-"""Small shared utilities: prefix sums, timers, validation, RNG/env helpers."""
+"""Small shared utilities: prefix sums, validation, RNG/env helpers."""
 
 from .env import env_choice, env_path, normalize_choice
 from .prefix_sum import exclusive_prefix_sum, offsets_from_sizes, total_from_sizes
-from .timing import PhaseTimer, Timer
 from .validation import check_positive, check_square, require
 from .rng import as_generator, spawn_generator
 
@@ -10,8 +9,6 @@ __all__ = [
     "exclusive_prefix_sum",
     "offsets_from_sizes",
     "total_from_sizes",
-    "PhaseTimer",
-    "Timer",
     "check_positive",
     "check_square",
     "require",

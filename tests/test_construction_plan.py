@@ -356,9 +356,9 @@ class TestWorkspaceLifecycle:
         # The engine is transient, but its operand accounting is reachable
         # through a fresh engine fed by the same plan.
         from repro.batched.backend import get_backend
-        from repro.utils.timing import PhaseTimer
+        from repro.observe import NOOP_TRACER
 
-        engine = PackedSweepEngine(plan, get_backend("vectorized"), PhaseTimer())
+        engine = PackedSweepEngine(plan, get_backend("vectorized"), NOOP_TRACER)
         assert engine.memory_bytes() == 0  # nothing marshalled yet
 
 

@@ -29,7 +29,8 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.core.context import BlockDistanceCachingExtractor, _OmegaBank
+from repro.core import context as context_module
+from repro.core.context import _OmegaBank
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
 N = 700
@@ -82,10 +83,15 @@ class TestConstructionEquivalence:
         err_cold = rel_err(cold.matrix.matvec(x, permuted=True), dense @ x)
         assert err_warm < max(10 * err_cold, 50 * TOL)
 
-    @pytest.mark.parametrize("cache", ["dense", "blocks", "none"])
-    def test_cache_policies_agree(self, points, cache):
+    @pytest.mark.parametrize("cache", ["dense", "none"])
+    def test_cache_policies_agree(self, points, cache, monkeypatch):
+        """Both sides of the dense-cache size rule (n = 700 is far below it;
+        a zero budget forces on-the-fly kernel evaluation)."""
+        if cache == "none":
+            monkeypatch.setattr(context_module, "_DENSE_CACHE_BYTES", 0)
         kernel = ExponentialKernel(0.2)
-        ctx = GeometryContext(points, leaf_size=32, distance_cache=cache, seed=5)
+        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        assert f"cache={cache}" in ctx.describe()
         result = ctx.construct(kernel, tolerance=TOL)
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(2).standard_normal(N)
@@ -101,10 +107,6 @@ class TestConstructionEquivalence:
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(3).standard_normal(N)
         assert rel_err(result.matrix.matvec(x, permuted=True), dense @ x) < 50 * TOL
-
-    def test_rejects_bad_cache_mode(self, points):
-        with pytest.raises(ValueError):
-            GeometryContext(points, distance_cache="everything")
 
 
 class TestReuse:
@@ -331,116 +333,6 @@ class TestPlanRefresh:
         assert not plan.matches(other.matrix)
         with pytest.raises(ValueError):
             plan.refresh(other.matrix)
-
-
-class TestBlockDistanceCachingExtractor:
-    def test_contiguous_blocks_cached_and_exact(self, points):
-        tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(0.2)
-        cache = {}
-        extractor = BlockDistanceCachingExtractor(
-            kernel, tree.points, cache, cache_limit_bytes=1 << 24
-        )
-        reference = KernelEntryExtractor(kernel, tree.points)
-        rows = tree.index_set(tree.num_nodes - 1)
-        cols = tree.index_set(tree.num_nodes - 2)
-        first = extractor.extract(rows, cols)
-        assert len(cache) == 1
-        assert np.array_equal(first, reference.extract(rows, cols))
-        # Second call hits the cache and re-evaluates only the profile.
-        again = extractor.extract(rows, cols)
-        assert np.array_equal(again, first)
-        assert len(cache) == 1
-
-    def test_stacked_batches_use_and_fill_the_cache(self, points):
-        """The compiled sweep's shape-grouped extraction stays batched here."""
-        tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(0.2)
-        cache = {}
-        extractor = BlockDistanceCachingExtractor(
-            kernel, tree.points, cache, cache_limit_bytes=1 << 24
-        )
-        assert extractor.supports_stacked
-        reference = KernelEntryExtractor(kernel, tree.points)
-        # Equal-size contiguous leaf ranges + one permuted (skeleton-style)
-        # request of the same shape — grouped into a single stacked pass.
-        contiguous = [
-            t for t in range(tree.num_nodes) if tree.is_leaf(t)
-        ][:3]
-        size = min(tree.cluster_size(t) for t in contiguous)
-        requests = [
-            (tree.index_set(t)[:size], tree.index_set(contiguous[0])[:size])
-            for t in contiguous
-        ]
-        rng = np.random.default_rng(8)
-        permuted = rng.permutation(len(points))[:size]
-        requests.append((permuted, requests[0][1]))
-        blocks = extractor.extract_blocks(requests)
-        for (rows, cols), block in zip(requests, blocks):
-            assert np.allclose(
-                block, reference.extract(rows, cols), rtol=0.0, atol=1e-12
-            )
-        # The contiguous pairs were cached; the permuted request was not.
-        assert len(cache) == len(requests) - 1
-        # A second stacked pass is served from the cache bit-identically.
-        again = extractor.extract_blocks(requests[:-1])
-        for block, prev in zip(again, blocks):
-            assert np.array_equal(block, prev)
-        assert len(cache) == len(requests) - 1
-
-    def test_permuted_and_gapped_sets_bypass_cache(self, points):
-        """Span == size is not contiguity: skeleton pivot orders are unsorted.
-
-        A permuted set keyed as a range would poison the cache for the true
-        contiguous request (and vice versa) with silently reordered blocks.
-        """
-        tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(0.2)
-        cache = {}
-        extractor = BlockDistanceCachingExtractor(
-            kernel, tree.points, cache, cache_limit_bytes=1 << 24
-        )
-        reference = KernelEntryExtractor(kernel, tree.points)
-        permuted = np.array([10, 12, 11, 13])
-        cols = np.array([0, 1, 2])
-        gapped = np.array([20, 21, 23, 24])  # span 5, size 4
-        for rows in (permuted, gapped):
-            values = extractor.extract(rows, cols)
-            assert not cache
-            assert np.array_equal(values, reference.extract(rows, cols))
-        # The genuine range afterwards is keyed and still exact.
-        sorted_rows = np.arange(10, 14)
-        values = extractor.extract(sorted_rows, cols)
-        assert len(cache) == 1
-        assert np.array_equal(values, reference.extract(sorted_rows, cols))
-        again = extractor.extract(permuted, cols)
-        assert np.array_equal(again, reference.extract(permuted, cols))
-
-    def test_non_contiguous_requests_bypass_cache(self, points):
-        tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(0.2)
-        cache = {}
-        extractor = BlockDistanceCachingExtractor(
-            kernel, tree.points, cache, cache_limit_bytes=1 << 24
-        )
-        rows = np.array([1, 5, 9])
-        cols = np.array([0, 2])
-        values = extractor.extract(rows, cols)
-        assert not cache
-        assert np.allclose(
-            values, kernel.evaluate(tree.points[rows], tree.points[cols])
-        )
-
-    def test_cache_respects_byte_budget(self, points):
-        tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(0.2)
-        cache = {}
-        extractor = BlockDistanceCachingExtractor(
-            kernel, tree.points, cache, cache_limit_bytes=0
-        )
-        leaf = tree.num_nodes - 1
-        extractor.extract(tree.index_set(leaf), tree.index_set(leaf))
-        assert not cache
 
 
 @pytest.mark.slow

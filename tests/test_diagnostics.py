@@ -1,4 +1,4 @@
-"""Tests for diagnostics: error measurement, memory reports, profiling, reporting."""
+"""Tests for diagnostics: error measurement, profiling, reporting."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.diagnostics import (
     dense_relative_error,
     format_series,
     format_table,
-    memory_report,
-    phase_breakdown,
 )
 from repro.diagnostics.profiling import PHASE_ORDER, PhaseBreakdown
 
@@ -51,25 +49,9 @@ class TestErrorMeasurement:
         assert sketched < 1e-4
 
 
-class TestMemoryReport:
-    def test_report_totals(self, cov_h2):
-        report = memory_report(cov_h2)
-        assert report.total_bytes == cov_h2.memory_bytes()["total"]
-        assert report.total_gb == pytest.approx(report.total_mb / 1024.0)
-
-    def test_report_from_plain_number(self):
-        class Fake:
-            def memory_bytes(self):
-                return 2048
-
-        report = memory_report(Fake())
-        assert report.total_bytes == 2048
-        assert report.total_mb == pytest.approx(2048 / 1024**2)
-
-
 class TestPhaseBreakdown:
-    def test_percentages_sum_to_100(self, cov_h2_result):
-        breakdown = phase_breakdown(cov_h2_result)
+    def test_percentages_sum_to_100(self):
+        breakdown = PhaseBreakdown(seconds={"id": 1.0, "sampling": 3.0, "misc": 0.5})
         pct = breakdown.percentages()
         assert abs(sum(pct.values()) - 100.0) < 1e-9
 

@@ -4,8 +4,6 @@ memory accounting and dense reconstruction) using a constructed matrix."""
 import numpy as np
 import pytest
 
-from repro.diagnostics import memory_report
-
 
 class TestBasisTree:
     def test_shapes_consistent(self, cov_h2):
@@ -210,9 +208,3 @@ class TestMemory:
 
     def test_compression_beats_dense(self, cov_h2, dense_cov_2d):
         assert cov_h2.memory_bytes()["total"] < dense_cov_2d.nbytes
-
-    def test_memory_report_helper(self, cov_h2):
-        report = memory_report(cov_h2)
-        assert report.total_mb == pytest.approx(cov_h2.total_memory_mb())
-        assert report.component_mb("basis") > 0
-        assert "total_mb" in report.as_dict()

@@ -44,7 +44,6 @@ from repro.observe import (
     estimate_compression_error,
     from_jsonl,
     memory_ledger,
-    phase_peak_bytes,
     record_solver_health,
     render_openmetrics,
     reset_memory_ledger,
@@ -224,7 +223,7 @@ class TestMemorySampler:
             np.ones(1000)
         assert "mem_peak_bytes" not in span.attributes
 
-    def test_phase_peak_bytes_view_keeps_max_per_phase(self):
+    def test_phase_peak_bytes_keep_max_per_phase(self):
         sampler = MemorySampler(sample_rss=False)
         try:
             tracer = fresh_tracer(memory=sampler)
@@ -234,7 +233,7 @@ class TestMemorySampler:
                     del a
                 with tracer.span("p", category="construct.phase", phase="id"):
                     pass
-            peaks = phase_peak_bytes(tracer)
+            peaks = PhaseBreakdown.from_span(tracer).peak_bytes
             assert set(peaks) == {"id"}
             assert peaks["id"] >= 100_000 * 8
         finally:

@@ -3,8 +3,8 @@ trace-backed diagnostics views.
 
 The integration tests run one traced ``Session`` pipeline (compress → factor →
 solve → GP evaluate) and check the acceptance contract: per-span launch deltas
-sum exactly to the policy counter totals, phase spans reproduce the legacy
-``PhaseBreakdown`` numbers exactly, and the exporters emit valid output.
+sum exactly to the policy counter totals, the Fig. 7 ``PhaseBreakdown`` is read
+from the phase spans, and the exporters emit valid output.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro import (
     SpanTracer,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown, phase_breakdown
+from repro.diagnostics import PhaseBreakdown
 from repro.diagnostics.apply_report import ApplyReport, apply_report
 from repro.observe import (
     Histogram,
@@ -36,7 +36,7 @@ from repro.observe import (
     find_spans,
     from_jsonl,
     launches_by_operation,
-    phase_seconds,
+    phase_span,
     to_chrome_trace,
     to_jsonl,
     total_launches,
@@ -183,6 +183,14 @@ class TestNoopTracer:
         assert NOOP_TRACER.counter is None
         assert NOOP_TRACER.roots == []
 
+    def test_phase_span_is_the_cached_context(self):
+        assert phase_span(NOOP_TRACER, "sampling") is NOOP_TRACER.span("x")
+        tracer = fresh_tracer()
+        with phase_span(tracer, "id") as span:
+            pass
+        assert (span.name, span.category) == ("phase/id", "construct.phase")
+        assert span.attributes == {"phase": "id"}
+
 
 # -------------------------------------------------------------------- metrics
 class TestMetrics:
@@ -318,14 +326,14 @@ class TestExporters:
 
 
 class TestViews:
-    def test_phase_seconds_accumulates(self):
+    def test_phase_breakdown_accumulates(self):
         tracer = fresh_tracer()
         with tracer.span("construct", category="construct"):
-            with tracer.span("phase/id", category="construct.phase", phase="id"):
+            with phase_span(tracer, "id"):
                 time.sleep(0.001)
-            with tracer.span("phase/id", category="construct.phase", phase="id"):
+            with phase_span(tracer, "id"):
                 time.sleep(0.001)
-        seconds = phase_seconds(tracer)
+        seconds = PhaseBreakdown.from_span(tracer).seconds
         assert set(seconds) == {"id"}
         spans = find_spans(tracer, category="construct.phase")
         assert seconds["id"] == sum(span.duration for span in spans)
@@ -379,16 +387,18 @@ class TestTracedPipeline:
         levels = construct.find(category="construct.level")
         assert len(levels) >= 2
         phases = construct.find(category="construct.phase")
-        assert phases, "PhaseTimer should emit phase spans under the tracer"
+        assert phases, "the constructor should emit phase spans under the tracer"
 
-    def test_phase_breakdown_matches_trace_exactly(self, traced_session):
+    def test_phase_breakdown_reads_the_trace(self, traced_session):
         result = traced_session["session"].result
-        assert result.trace is not None
-        legacy = phase_breakdown(result)
-        traced = PhaseBreakdown.from_span(result.trace)
-        assert traced.seconds == dict(result.phase_seconds)
-        assert traced.seconds == legacy.seconds
-        assert phase_breakdown(result.trace).seconds == legacy.seconds
+        breakdown = PhaseBreakdown.from_span(result.trace)
+        # What this construction recorded before the spans became the only
+        # clock: moving to spans must not lose or rename a phase.
+        assert set(breakdown.seconds) == {
+            "bsr_gemm", "convergence", "entry_generation", "id", "misc",
+            "sampling", "shrink_upsweep",
+        }
+        assert 0.0 < breakdown.total_seconds <= result.trace.duration
 
     def test_construction_launch_delta_equals_span(self, traced_session):
         result = traced_session["session"].result
@@ -454,7 +464,10 @@ class TestTracedPipeline:
         roots = from_jsonl(to_jsonl(tracer))
         assert len(roots) == len(tracer.roots)
         assert total_launches(roots) == total_launches(tracer)
-        assert phase_seconds(roots) == phase_seconds(tracer)
+        assert (
+            PhaseBreakdown.from_span(roots).seconds
+            == PhaseBreakdown.from_span(tracer).seconds
+        )
 
 
 @pytest.fixture(scope="module")
@@ -466,9 +479,9 @@ def apply_matrix():
 
 
 class TestApplyReportFromSpan:
-    def test_matches_dedicated_measurement(self, apply_matrix):
+    def test_apply_report_equals_a_traced_matvec(self, apply_matrix):
         matrix = apply_matrix
-        legacy = apply_report(matrix, backend="vectorized", k=2, repeats=1)
+        measured = apply_report(matrix, backend="vectorized", k=2, repeats=3)
         tracer = fresh_tracer()
         policy = ExecutionPolicy(tracer=tracer)
         backend = policy.resolve_backend()
@@ -476,17 +489,17 @@ class TestApplyReportFromSpan:
         matrix.matvec(x, backend=backend)
         (span,) = find_spans(tracer, name="apply")
         report = ApplyReport.from_span(span)
-        assert report.n == legacy.n
-        assert report.k == legacy.k == 2
-        assert report.backend == legacy.backend
-        assert report.levels == legacy.levels
-        assert report.launches_per_apply == legacy.launches_per_apply
-        assert report.launches_by_phase == legacy.launches_by_phase
-        assert report.block_products == legacy.block_products
-        assert report.flops_per_apply == legacy.flops_per_apply
-        assert report.operand_bytes == legacy.operand_bytes
-        assert report.seconds_per_apply > 0.0
-        assert report.gflops > 0.0
+        assert report.n == measured.n == matrix.num_rows
+        assert report.k == measured.k == 2
+        assert report.backend == measured.backend
+        assert report.levels == measured.levels
+        assert report.launches_per_apply == measured.launches_per_apply
+        assert report.launches_by_phase == measured.launches_by_phase
+        assert report.block_products == measured.block_products
+        assert report.flops_per_apply == measured.flops_per_apply
+        assert report.operand_bytes == measured.operand_bytes
+        assert measured.seconds_per_apply > 0.0
+        assert measured.gflops > 0.0
 
     def test_traced_apply_matches_untraced_result(self, apply_matrix):
         x = np.random.default_rng(1).standard_normal(apply_matrix.num_rows)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -761,3 +762,30 @@ class TestArtifactCacheThreadSafety:
         assert stats["entries"] <= 2
         assert stats["bytes"] <= entry_bytes * 2.5
         assert stats["evictions"] >= self.WORKERS * self.ITERS - 2
+
+    def test_entry_unlinked_between_scan_and_stat(
+        self, hammer_operator, tmp_path, monkeypatch
+    ):
+        """The race behind flaky eviction runs, made deterministic: every
+        directory scan returns one entry that another writer unlinks right
+        after the scan produced it, and one that is already gone."""
+        cache = ArtifactCache(tmp_path, max_bytes=2**40)
+        victim = cache.put("victim", hammer_operator)
+        victim_bytes = victim.read_bytes()
+        ghost = cache.path_for("ghost")
+        scan = Path.glob
+
+        def racing_glob(self, pattern, **kwargs):
+            victim.write_bytes(victim_bytes)
+            for path in scan(self, pattern, **kwargs):
+                yield path
+                if path == victim:
+                    victim.unlink()
+            yield ghost
+
+        monkeypatch.setattr(Path, "glob", racing_glob)
+        cache.put("survivor", hammer_operator)
+        assert cache.size_bytes() == 2 * len(victim_bytes)
+        stats = cache.statistics()
+        assert stats["entries"] == 2
+        assert stats["evictions"] == 0

@@ -1,14 +1,10 @@
-"""Tests for repro.utils: prefix sums, timers, validation and RNG helpers."""
-
-import time
+"""Tests for repro.utils: prefix sums, validation and RNG helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils import (
-    PhaseTimer,
-    Timer,
     as_generator,
     check_positive,
     check_square,
@@ -55,55 +51,6 @@ class TestPrefixSum:
         offsets, total = offsets_from_sizes(sizes)
         assert np.all(np.diff(offsets) >= 0)
         assert total >= int(offsets[-1])
-
-
-class TestTimers:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure():
-            time.sleep(0.01)
-        first = timer.elapsed
-        with timer.measure():
-            time.sleep(0.01)
-        assert timer.elapsed > first >= 0.005
-
-    def test_timer_double_start_raises(self):
-        timer = Timer()
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-        timer.stop()
-
-    def test_timer_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_phase_timer_accumulates_and_percentages(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            time.sleep(0.005)
-        with timer.phase("b"):
-            time.sleep(0.005)
-        with timer.phase("a"):
-            time.sleep(0.005)
-        assert set(timer.phases) == {"a", "b"}
-        assert timer.phases["a"] > timer.phases["b"]
-        pct = timer.percentages()
-        assert abs(sum(pct.values()) - 100.0) < 1e-9
-
-    def test_phase_timer_merge(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.phases == {"x": 3.0, "y": 3.0}
-        assert a.total() == 6.0
-
-    def test_empty_phase_timer(self):
-        timer = PhaseTimer()
-        assert timer.total() == 0.0
-        assert timer.percentages() == {}
 
 
 class TestValidation:
