@@ -446,6 +446,11 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy(backend="serial")
         assert policy.resolve_backend() is policy.resolve_backend()
 
+    def test_backend_sharing_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(backend="serial", share_backend=False)
+        assert not hasattr(ExecutionPolicy(), "share_backend")
+
     def test_with_backend_copies(self):
         policy = ExecutionPolicy(backend="serial", recovery="warn")
         other = policy.with_backend("vectorized")

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConstructionConfig(id_tolerance_mode="bogus")
 
+    def test_convergence_safety_factor_is_not_a_setting(self):
+        """The convergence test's safety factor is a constant, not a knob."""
+        with pytest.raises(TypeError):
+            ConstructionConfig(convergence_safety_factor=2.0)
+        assert not hasattr(ConstructionConfig(), "convergence_safety_factor")
+
     def test_dimension_mismatch_rejected(self, partition_2d):
         wrong = np.eye(10)
         with pytest.raises(ValueError):
@@ -322,6 +328,36 @@ class TestPhaseSpans:
                 assert ancestor.category != "construct.phase"
                 ancestor = ancestor.parent
         assert sum(span.duration for span in phases) <= root.duration
+
+    @pytest.mark.parametrize("method", ["construct", "construct_loop"])
+    def test_tracing_leaves_the_construction_unchanged(
+        self, partition_2d, dense_cov_2d, method
+    ):
+        """A phase costs a span only when traced; untraced, nothing is kept."""
+        results = [
+            getattr(
+                H2Constructor(
+                    partition_2d,
+                    DenseOperator(dense_cov_2d),
+                    DenseEntryExtractor(dense_cov_2d),
+                    ConstructionConfig(tolerance=1e-7, sample_block_size=32),
+                    seed=5,
+                    tracer=tracer,
+                ),
+                method,
+            )()
+            for tracer in (None, SpanTracer(metrics=MetricsRegistry()))
+        ]
+        untraced, traced = results
+        assert untraced.trace is None and traced.trace is not None
+        assert not hasattr(untraced, "phase_seconds")
+        for field in ("total_samples", "operator_applications", "entries_evaluated"):
+            assert getattr(untraced, field) == getattr(traced, field)
+        assert untraced.kernel_launches == traced.kernel_launches
+        assert np.array_equal(
+            untraced.matrix.to_dense(permuted=True),
+            traced.matrix.to_dense(permuted=True),
+        )
 
 
 class TestResultMetadata:

@@ -19,12 +19,15 @@ import pytest
 from repro import (
     ClusterTree,
     ConstructionConfig,
+    DenseEntryExtractor,
+    DenseOperator,
     ExponentialKernel,
     GaussianKernel,
     GeneralAdmissibility,
     GeometryContext,
     H2Constructor,
     Matern52Kernel,
+    Session,
     WeakAdmissibility,
     build_block_partition,
     uniform_cube_points,
@@ -107,6 +110,62 @@ class TestConstructionEquivalence:
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(3).standard_normal(N)
         assert rel_err(result.matrix.matvec(x, permuted=True), dense @ x) < 50 * TOL
+
+
+class TestDenseCacheRule:
+    """The distances are cached while they and one value matrix fit the
+    budget; otherwise kernel rows are evaluated on the fly."""
+
+    CACHE_BYTES = 2 * N * N * 8
+
+    @pytest.mark.parametrize("short_by", [0, 1])
+    def test_bind_follows_the_budget(self, points, short_by, monkeypatch):
+        monkeypatch.setattr(
+            context_module, "_DENSE_CACHE_BYTES", self.CACHE_BYTES - short_by
+        )
+        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        operator, extractor = ctx.bind(ExponentialKernel(0.2))
+        if short_by:
+            assert isinstance(operator, KernelMatVecOperator)
+            assert isinstance(extractor, KernelEntryExtractor)
+            assert ctx.memory_bytes() < N * N * 8
+            assert "cache=none" in ctx.describe()
+        else:
+            assert isinstance(operator, DenseOperator)
+            assert isinstance(extractor, DenseEntryExtractor)
+            assert ctx.memory_bytes() >= self.CACHE_BYTES
+            assert "cache=dense" in ctx.describe()
+
+    @pytest.mark.parametrize(
+        "knob", [{"distance_cache": "dense"}, {"cache_limit_mb": 1.0}]
+    )
+    def test_size_alone_picks_the_cache(self, points, knob):
+        for owner in (GeometryContext, Session):
+            with pytest.raises(TypeError):
+                owner(points, leaf_size=32, **knob)
+
+    def test_uncached_entries_are_exact_on_any_index_set(self, points, monkeypatch):
+        """Contiguous leaf ranges and the unsorted or gapped skeleton sets of
+        coupling blocks, one by one and stacked, all read the kernel."""
+        monkeypatch.setattr(context_module, "_DENSE_CACHE_BYTES", 0)
+        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        kernel = ExponentialKernel(0.2)
+        operator, extractor = ctx.bind(kernel)
+        dense = kernel.matrix(ctx.tree.points)
+        cols = np.arange(40, 44)
+        requests = [
+            (np.arange(10, 14), cols),
+            (np.array([12, 10, 13, 11]), cols),
+            (np.array([20, 21, 23, 24]), cols),
+        ]
+        stacked = extractor.extract_blocks(requests)
+        for (rows, _), block in zip(requests, stacked):
+            expected = dense[np.ix_(rows, cols)]
+            single = extractor.extract(rows, cols)
+            assert np.allclose(single, expected, rtol=0, atol=1e-12)
+            assert np.allclose(block, expected, rtol=0, atol=1e-12)
+        x = np.random.default_rng(4).standard_normal((N, 2))
+        assert np.allclose(operator.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
 
 
 class TestReuse:
@@ -244,6 +303,13 @@ class TestReuse:
         assert ctx.memory_bytes() > 0
         assert "GeometryContext" in ctx.describe()
         assert "cache=dense" in ctx.describe()
+
+    def test_plan_reuse_is_not_a_switch(self, context):
+        """A compiled plan is re-stacked whenever it matches; no opt-out."""
+        with pytest.raises(TypeError):
+            context.construct(
+                ExponentialKernel(0.2), tolerance=TOL, reuse_plan=False
+            )
 
 
 class TestOmegaBank:

@@ -1,9 +1,11 @@
 """Tests for diagnostics: error measurement, profiling, reporting."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro import DenseOperator
+from repro import DenseOperator, SpanTracer
 from repro.diagnostics import (
     construction_error,
     dense_relative_error,
@@ -11,6 +13,7 @@ from repro.diagnostics import (
     format_table,
 )
 from repro.diagnostics.profiling import PHASE_ORDER, PhaseBreakdown
+from repro.observe import NOOP_TRACER, MetricsRegistry, phase_span
 
 
 class TestErrorMeasurement:
@@ -66,6 +69,61 @@ class TestPhaseBreakdown:
         breakdown = PhaseBreakdown(seconds={})
         assert breakdown.total_seconds == 0.0
         assert breakdown.percentages() == {}
+
+    def test_ordered_percentages_follow_phase_order(self):
+        breakdown = PhaseBreakdown(seconds={"misc": 1.0, "id": 3.0, "custom": 1.0})
+        pct = breakdown.ordered_percentages()
+        assert list(pct) == [*PHASE_ORDER, "custom"]
+        assert abs(sum(pct.values()) - 100.0) < 1e-9
+        assert pct["id"] == pytest.approx(60.0)
+        assert pct["sampling"] == 0.0
+
+
+class TestPhaseBreakdownFromSpans:
+    """The phase spans are the only record a breakdown is read from."""
+
+    def test_repeated_phases_add_within_and_across_roots(self):
+        tracer = SpanTracer(metrics=MetricsRegistry())
+        for _ in range(2):
+            with tracer.span("construct", category="construct"):
+                with phase_span(tracer, "id"):
+                    time.sleep(0.002)
+                with phase_span(tracer, "sampling"):
+                    pass
+                with phase_span(tracer, "id"):
+                    pass
+        whole = PhaseBreakdown.from_span(tracer)
+        parts = [PhaseBreakdown.from_span(root) for root in tracer.roots]
+        assert len(parts) == 2
+        assert set(whole.seconds) == {"id", "sampling"}
+        for phase, seconds in whole.seconds.items():
+            assert seconds == pytest.approx(sum(p.seconds[phase] for p in parts))
+        assert whole.seconds["id"] >= 0.004 > whole.seconds["sampling"]
+        assert whole.peak_bytes == {}
+
+    def test_only_phase_spans_are_read(self):
+        tracer = SpanTracer(metrics=MetricsRegistry())
+        with tracer.span("construct", category="construct"):
+            with tracer.span("level/1", category="construct.level"):
+                with phase_span(tracer, "id"):
+                    pass
+            with tracer.span("apply", category="apply"):
+                pass
+            # A phase span without a ``phase`` attribute is keyed by its name.
+            with tracer.span("custom", category="construct.phase"):
+                pass
+        breakdown = PhaseBreakdown.from_span(tracer)
+        assert set(breakdown.seconds) == {"id", "custom"}
+        (construct,) = tracer.roots
+        assert breakdown.total_seconds <= construct.duration
+
+    def test_a_disabled_tracer_records_no_phase(self):
+        with phase_span(NOOP_TRACER, "sampling"):
+            pass
+        breakdown = PhaseBreakdown.from_span(NOOP_TRACER)
+        assert breakdown.seconds == {} and breakdown.peak_bytes == {}
+        assert breakdown.total_seconds == 0.0
+        assert breakdown.ordered_percentages() == dict.fromkeys(PHASE_ORDER, 0.0)
 
 
 class TestReporting:

@@ -501,6 +501,19 @@ class TestApplyReportFromSpan:
         assert measured.seconds_per_apply > 0.0
         assert measured.gflops > 0.0
 
+    def test_apply_report_counts_one_apply(self, apply_matrix):
+        """Counts come from one span: the repeat count does not scale them,
+        and a second RHS column doubles the flops but not the launches."""
+        once = apply_report(apply_matrix, k=1, repeats=1)
+        fastest = apply_report(apply_matrix, k=1, repeats=3)
+        wide = apply_report(apply_matrix, k=2, repeats=1)
+        for report in (fastest, wide):
+            assert report.launches_per_apply == once.launches_per_apply
+            assert report.launches_by_phase == once.launches_by_phase
+            assert report.operand_bytes == once.operand_bytes
+        assert fastest.flops_per_apply == once.flops_per_apply
+        assert wide.flops_per_apply == 2 * once.flops_per_apply
+
     def test_traced_apply_matches_untraced_result(self, apply_matrix):
         x = np.random.default_rng(1).standard_normal(apply_matrix.num_rows)
         policy = ExecutionPolicy(tracer=fresh_tracer())

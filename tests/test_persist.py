@@ -789,3 +789,28 @@ class TestArtifactCacheThreadSafety:
         stats = cache.statistics()
         assert stats["entries"] == 2
         assert stats["evictions"] == 0
+
+    def test_eviction_sizes_only_the_entries_that_exist(
+        self, hammer_operator, tmp_path, monkeypatch
+    ):
+        """Over budget, a scanned path that is already gone neither raises
+        nor counts: the oldest real entry is evicted, exactly once."""
+        entry_bytes = os.path.getsize(
+            ArtifactCache(tmp_path / "probe").put("probe", hammer_operator)
+        )
+        cache = ArtifactCache(tmp_path / "evict", max_bytes=int(entry_bytes * 1.5))
+        ghost = cache.path_for("ghost")
+        scan = Path.glob
+
+        def glob_with_ghost(self, pattern, **kwargs):
+            yield ghost
+            yield from scan(self, pattern, **kwargs)
+
+        monkeypatch.setattr(Path, "glob", glob_with_ghost)
+        old = cache.put("old", hammer_operator)
+        os.utime(old, (1.0, 1.0))  # the oldest mtime: evicted first
+        new = cache.put("new", hammer_operator)
+        assert not old.exists() and new.exists()
+        assert cache.evictions == 1
+        assert cache.size_bytes() == entry_bytes
+        assert cache.statistics()["entries"] == 1

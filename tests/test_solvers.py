@@ -2,6 +2,8 @@
 multifrontal solve) including the acceptance criteria on the 4096-point SPD
 covariance system."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -513,6 +515,22 @@ class TestHierarchicalPreconditioner:
         assert stats["n"] == 900
         assert stats["factor_memory_mb"] > 0
         assert "rank_range" in stats
+
+    @pytest.mark.parametrize("builder", ["from_operator", "from_entries"])
+    def test_setup_seconds_times_build_and_factorization(self, system, builder):
+        tree, _, a_perm, _ = system
+        if builder == "from_operator":
+            args = (DenseOperator(a_perm), DenseEntryExtractor(a_perm))
+        else:
+            args = (lambda r, c: a_perm[np.ix_(r, c)],)
+        start = time.perf_counter()
+        preconditioner = getattr(HierarchicalPreconditioner, builder)(
+            tree, *args, tolerance=1e-2
+        )
+        elapsed = time.perf_counter() - start
+        seconds = preconditioner.setup_seconds
+        assert 0.0 < seconds <= elapsed
+        assert preconditioner.statistics()["setup_seconds"] == seconds
 
     def test_gmres_with_hierarchical_preconditioner(self, system):
         tree, a, a_perm, b = system
