@@ -8,9 +8,16 @@ factorization (pre-built), identical worker pool size — so the reported
 speedup isolates what coalescing concurrent single-vector solves into one
 block-RHS launch buys.
 
+Two traffic shapes are measured, each batched and unbatched:
+
+* *wave*: every round is one gathered wave of ``C`` requests;
+* *closed loop*: each client sends its next request only after its reply
+  (the traffic of ``benchmarks/e2e``), so the width of a launch is whatever
+  became ready while the previous one ran.
+
 Acceptance contract (defaults: N=4096, 64 clients):
 
-* micro-batched throughput >= 3x the batching-disabled baseline;
+* micro-batched wave throughput >= 3x the batching-disabled baseline;
 * every batched answer matches the unbatched direct solve within solver
   tolerance (max relative error is printed and emitted).
 
@@ -56,35 +63,44 @@ def bench_config() -> tuple[int, int, int]:
     return n, clients, rounds
 
 
-def build_server(operator, *, batching: bool, clients: int) -> InferenceServer:
-    server = InferenceServer(batching=batching, max_batch=clients,
-                             max_wait_ms=2.0)
+def build_server(operator, *, batching: bool) -> InferenceServer:
+    server = InferenceServer(batching=batching)
     server.register(MODEL, operator, noise=NOISE)
     # Pre-build the factorization so neither mode pays it inside the timing.
     server.registry.get(MODEL).factorization()
     return server
 
 
-def run_mode(server: InferenceServer, payloads, rounds: int) -> dict:
-    """Fire ``rounds`` waves of one concurrent request per payload."""
-    latencies_ms: list[float] = []
-    responses = []
+def run_mode(server: InferenceServer, payloads, rounds: int, *,
+             closed_loop: bool) -> dict:
+    """Serve ``rounds`` solves per payload and time them.
 
-    async def client(b):
+    Wave mode fires ``rounds`` gathered waves of one request per payload.
+    Closed-loop mode runs one client per payload, each sending its next
+    request only after its reply (the traffic of ``benchmarks/e2e``).
+    ``responses`` is grouped by round in both modes.
+    """
+    latencies_ms: list[float] = []
+
+    async def request(b):
         start = time.perf_counter()
         response = await server.handle(SolveRequest(model=MODEL, b=b))
         latencies_ms.append((time.perf_counter() - start) * 1000.0)
         return response
 
-    async def wave():
-        return await asyncio.gather(*[client(b) for b in payloads])
+    async def waves():
+        return [await asyncio.gather(*[request(b) for b in payloads])
+                for _ in range(rounds)]
 
-    async def main():
-        for _ in range(rounds):
-            responses.append(await wave())
+    async def closed_loop_clients():
+        async def client(b):
+            return [await request(b) for _ in range(rounds)]
+
+        per_client = await asyncio.gather(*[client(b) for b in payloads])
+        return [list(round_) for round_ in zip(*per_client)]
 
     start = time.perf_counter()
-    asyncio.run(main())
+    responses = asyncio.run(closed_loop_clients() if closed_loop else waves())
     elapsed = time.perf_counter() - start
     asyncio.run(server.aclose())
 
@@ -115,34 +131,39 @@ def main() -> int:
     payloads = [rng.standard_normal(n) for _ in range(clients)]
 
     modes = {}
-    for name, batching in (("unbatched", False), ("batched", True)):
-        server = build_server(operator, batching=batching, clients=clients)
-        modes[name] = run_mode(server, payloads, rounds)
-        print(f"  {name:10s} {modes[name]['throughput_rps']:8.1f} req/s   "
-              f"p50 {modes[name]['latency_p50_ms']:7.2f} ms   "
-              f"p95 {modes[name]['latency_p95_ms']:7.2f} ms   "
-              f"p99 {modes[name]['latency_p99_ms']:7.2f} ms   "
-              f"mean batch {modes[name]['mean_batch_size']:5.1f}")
+    for traffic, closed_loop in (("wave", False), ("closed-loop", True)):
+        for batching in (False, True):
+            name = f"{traffic} {'batched' if batching else 'unbatched'}"
+            server = build_server(operator, batching=batching)
+            modes[name] = mode = run_mode(server, payloads, rounds,
+                                          closed_loop=closed_loop)
+            print(f"  {name:22s} {mode['throughput_rps']:8.1f} req/s   "
+                  f"p50 {mode['latency_p50_ms']:7.2f} ms   "
+                  f"p95 {mode['latency_p95_ms']:7.2f} ms   "
+                  f"p99 {mode['latency_p99_ms']:7.2f} ms   "
+                  f"mean batch {mode['mean_batch_size']:5.1f}")
 
     # Correctness: every batched answer must match its unbatched twin within
-    # solver tolerance (same payload index, same wave index).
+    # solver tolerance (same traffic, same payload index, same round).
     max_rel_err = 0.0
-    for wave_batched, wave_unbatched in zip(
-        modes["batched"].pop("responses"), modes["unbatched"].pop("responses")
-    ):
-        for rb, ru in zip(wave_batched, wave_unbatched):
-            denom = max(float(np.linalg.norm(ru.x)), 1e-30)
-            max_rel_err = max(
-                max_rel_err, float(np.linalg.norm(rb.x - ru.x)) / denom
-            )
+    for traffic in ("wave", "closed-loop"):
+        for round_batched, round_unbatched in zip(
+            modes[f"{traffic} batched"].pop("responses"),
+            modes[f"{traffic} unbatched"].pop("responses"),
+        ):
+            for rb, ru in zip(round_batched, round_unbatched):
+                denom = max(float(np.linalg.norm(ru.x)), 1e-30)
+                max_rel_err = max(
+                    max_rel_err, float(np.linalg.norm(rb.x - ru.x)) / denom
+                )
 
     speedup = (
-        modes["batched"]["throughput_rps"]
-        / modes["unbatched"]["throughput_rps"]
+        modes["wave batched"]["throughput_rps"]
+        / modes["wave unbatched"]["throughput_rps"]
     )
     passed = speedup >= SPEEDUP_TARGET and max_rel_err < 1e-8
-    print(f"  batching speedup: {speedup:.2f}x "
-          f"(target >= {SPEEDUP_TARGET:.0f}x), "
+    print(f"  wave batching speedup: {speedup:.2f}x "
+          f"(target >= {SPEEDUP_TARGET:g}x), "
           f"max relative error vs unbatched: {max_rel_err:.2e}")
     print(f"  acceptance: {'PASS' if passed else 'FAIL'}")
 
@@ -152,8 +173,10 @@ def main() -> int:
             "n": n,
             "clients": clients,
             "rounds": rounds,
-            "unbatched": modes["unbatched"],
-            "batched": modes["batched"],
+            "unbatched": modes["wave unbatched"],
+            "batched": modes["wave batched"],
+            "closed_loop_unbatched": modes["closed-loop unbatched"],
+            "closed_loop_batched": modes["closed-loop batched"],
             "speedup": speedup,
             "max_relative_error": max_rel_err,
             "speedup_target": SPEEDUP_TARGET,

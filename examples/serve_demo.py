@@ -42,7 +42,7 @@ async def run_demo(n: int, clients: int) -> None:
     kernel = repro.ExponentialKernel(length_scale=0.2)
     operator = repro.compress(points, kernel, format="hss", tol=1e-6, seed=1)
 
-    server = InferenceServer(max_batch=clients, max_wait_ms=2.0)
+    server = InferenceServer(max_batch=clients)
     server.register(MODEL, operator, noise=NOISE)
     server.registry.get(MODEL).factorization()  # warm the direct solver
     print(f"registered model {MODEL!r}: "

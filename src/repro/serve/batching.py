@@ -6,27 +6,33 @@ compiled apply plan routes a block RHS through a single batched-GEMM launch
 BLAS — so ``k`` concurrent single-vector queries against the *same* operator
 cost one launch sequence instead of ``k``.
 
-:class:`MicroBatcher` keeps one admission queue per ``(model, kind)``.  The
-first request of a window arms a flush timer (``max_wait_ms``); the queue
-flushes early when ``max_batch`` columns accumulate.  A flush column-stacks
-every pending payload (vectors and ``(n, k)`` blocks coalesce side by side —
-each caller gets exactly its own columns back, in its original shape),
-executes the block operation once on a worker thread, and scatters the result
-columns to the per-request futures.
+:class:`MicroBatcher` keeps one admission queue per ``(model, kind)`` and
+launches when the worker is free (continuous batching); no timer is armed.
+The first request admitted to an idle queue starts the queue's runner task,
+which launches the oldest pending requests (up to ``max_batch`` columns),
+awaits that launch, and repeats until the queue is empty.  So a lone request
+launches on the next loop tick, requests ready in the same tick share one
+launch, and arrivals during a launch coalesce into the next one.  A launch
+column-stacks its payloads (vectors and ``(n, k)`` blocks side by side — each
+caller gets exactly its own columns back, in its original shape), executes
+once on a worker thread, and scatters the result columns to the futures.
 
 Isolation guarantees:
 
 * payloads are shape-validated at admission (a bad shape fails fast, never
   enters a batch);
-* non-finite payload columns are screened at flush time — their requests fail
-  with :class:`~repro.serve.api.RequestValidationError` while their
+* non-finite payload columns are screened at launch time — their requests
+  fail with :class:`~repro.serve.api.RequestValidationError` while their
   batchmates execute normally;
 * if the coalesced launch itself raises, every member is retried
   individually (``serve.batch.fallbacks``), so one poisoned request cannot
   take its batchmates down with it.
 
-With ``enabled=False`` (or ``max_batch=1``) every request executes alone on
-the worker pool — the baseline the acceptance benchmark compares against.
+Every launch observes ``serve.batch.queue_ms`` (oldest admission → launch
+start) and ``serve.batch.lock_wait_ms`` (model-lock acquisition on the
+worker).  With ``enabled=False`` (or ``max_batch=1``) every request executes
+alone on the worker pool — the baseline the acceptance benchmark compares
+against.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,6 +53,8 @@ __all__ = ["MicroBatcher", "BATCH_KINDS"]
 
 #: Block operations the batcher can coalesce.
 BATCH_KINDS = ("matvec", "solve", "predict")
+
+_NON_FINITE = "payload contains non-finite values (NaN/Inf)"
 
 
 class _Pending:
@@ -62,26 +70,26 @@ class _Pending:
 
 
 class _Queue:
-    """Admission queue of one ``(model, kind)`` pair."""
+    """Admission queue of one ``(model, kind)`` pair and its runner task."""
 
-    __slots__ = ("model", "kind", "items", "timer")
+    __slots__ = ("model", "kind", "items", "runner")
 
     def __init__(self, model: ServedModel, kind: str):
         self.model = model
         self.kind = kind
         self.items: List[_Pending] = []
-        self.timer: Optional[asyncio.Task] = None
+        self.runner: Optional[asyncio.Task] = None
 
-    @property
-    def columns(self) -> int:
-        return sum(item.payload.shape[1] for item in self.items)
-
-    def drain(self) -> List[_Pending]:
-        items, self.items = self.items, []
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-        return items
+    def take(self, max_columns: int) -> List[_Pending]:
+        """Pop the oldest requests up to ``max_columns`` columns (at least one)."""
+        count = columns = 0
+        for item in self.items:
+            columns += item.payload.shape[1]
+            if count and columns > max_columns:
+                break
+            count += 1
+        taken, self.items = self.items[:count], self.items[count:]
+        return taken
 
 
 def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarray:
@@ -89,9 +97,14 @@ def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarra
 
     The model's execution lock serializes numerical work per model: compiled
     apply plans own shared workspace buffers, so concurrent applies of one
-    operator would race.
+    operator would race.  The time spent acquiring it is
+    ``serve.batch.lock_wait_ms``.
     """
+    start = time.perf_counter()
     with model.lock:
+        metrics().histogram("serve.batch.lock_wait_ms").observe(
+            (time.perf_counter() - start) * 1000.0
+        )
         if kind == "matvec":
             return model.operator.matmat(block)
         if kind == "solve":
@@ -102,17 +115,15 @@ def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarra
 
 
 class MicroBatcher:
-    """Per-model admission queues coalescing concurrent block operations.
+    """Per-model admission queues coalescing concurrent block operations;
+    a queue launches as soon as its previous launch has returned.
 
     Parameters
     ----------
     max_batch:
-        Flush as soon as this many *columns* are pending (default 64 — one
-        wide GEMM per window at the acceptance benchmark's client count).
-    max_wait_ms:
-        Longest time the first request of a window waits for batchmates
-        before the queue flushes anyway (default 2 ms).  The added latency
-        ceiling of batching.
+        The widest launch, in *columns* (default 64).  A runner takes the
+        oldest pending requests up to this width; the rest wait for the next
+        launch.  A single request wider than ``max_batch`` launches alone.
     enabled:
         ``False`` turns coalescing off — every request runs alone on the
         worker pool (the comparison baseline; correctness is identical).
@@ -120,6 +131,9 @@ class MicroBatcher:
         Worker pool for the numerical work (default: a private
         2-worker :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy/BLAS
         release the GIL, so admission stays responsive while a batch runs).
+        Every launch holds its model's lock, so launches of one model run one
+        at a time whatever their kind: the second worker helps only across
+        models.
     tracer:
         Span tracer for ``serve.batch`` spans (default: no tracing).
     """
@@ -128,17 +142,13 @@ class MicroBatcher:
         self,
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         enabled: bool = True,
         executor: Optional[concurrent.futures.Executor] = None,
         tracer=None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
         self.enabled = bool(enabled) and self.max_batch > 1
         self._own_executor = executor is None
         self._executor = executor or concurrent.futures.ThreadPoolExecutor(
@@ -146,6 +156,7 @@ class MicroBatcher:
         )
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._queues: Dict[Tuple[str, str], _Queue] = {}
+        self._runners: Set[asyncio.Task] = set()  # live; drain() awaits them
         self.launches = 0
         self.coalesced_requests = 0
 
@@ -165,9 +176,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         if not self.enabled:
             if not np.isfinite(block).all():
-                raise RequestValidationError(
-                    "payload contains non-finite values (NaN/Inf)"
-                )
+                raise RequestValidationError(_NON_FINITE)
             metrics().histogram("serve.batch.requests").observe(1)
             self.launches += 1
             self.coalesced_requests += 1
@@ -177,17 +186,16 @@ class MicroBatcher:
             return (result[:, 0] if single else result), 1
 
         future: asyncio.Future = loop.create_future()
-        pending = _Pending(block, single, future)
         queue = self._queues.get((model.name, kind))
         if queue is None or queue.model is not model:
             # New key, or the registry replaced the model under this name:
             # never coalesce payloads across two different operators.
             queue = self._queues[(model.name, kind)] = _Queue(model, kind)
-        queue.items.append(pending)
-        if queue.columns >= self.max_batch:
-            await self._flush(queue)
-        elif queue.timer is None:
-            queue.timer = loop.create_task(self._flush_later(queue))
+        queue.items.append(_Pending(block, single, future))
+        if queue.runner is None:
+            queue.runner = loop.create_task(self._run(queue))
+            self._runners.add(queue.runner)
+            queue.runner.add_done_callback(self._runners.discard)
         result, batch_size = await future
         return (result[:, 0] if single else result), batch_size
 
@@ -212,19 +220,16 @@ class MicroBatcher:
             raise RequestValidationError("payload must have at least one column")
         return np.ascontiguousarray(payload), single
 
-    # ------------------------------------------------------------------- flush
-    async def _flush_later(self, queue: _Queue) -> None:
+    # ------------------------------------------------------------------ launch
+    async def _run(self, queue: _Queue) -> None:
+        """The queue's runner: one launch at a time until the queue is empty."""
         try:
-            await asyncio.sleep(self.max_wait)
-        except asyncio.CancelledError:
-            return
-        queue.timer = None
-        await self._flush(queue)
+            while queue.items:
+                await self._launch(queue, queue.take(self.max_batch))
+        finally:
+            queue.runner = None
 
-    async def _flush(self, queue: _Queue) -> None:
-        items = queue.drain()
-        if not items:
-            return
+    async def _launch(self, queue: _Queue, items: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
         registry = metrics()
 
@@ -232,14 +237,10 @@ class MicroBatcher:
         # their batchmates still coalesce.
         good: List[_Pending] = []
         for item in items:
-            if not np.isfinite(item.payload).all():
-                item.future.set_exception(
-                    RequestValidationError(
-                        "payload contains non-finite values (NaN/Inf)"
-                    )
-                )
-            else:
+            if np.isfinite(item.payload).all():
                 good.append(item)
+            elif not item.future.done():
+                item.future.set_exception(RequestValidationError(_NON_FINITE))
         if not good:
             return
 
@@ -251,11 +252,9 @@ class MicroBatcher:
         )
         registry.histogram("serve.batch.requests").observe(batch_requests)
         registry.histogram("serve.batch.columns").observe(block.shape[1])
-        if batch_requests > 1:
-            oldest = min(item.enqueued for item in good)
-            registry.histogram("serve.batch.wait_ms").observe(
-                (time.perf_counter() - oldest) * 1000.0
-            )
+        registry.histogram("serve.batch.queue_ms").observe(
+            (time.perf_counter() - good[0].enqueued) * 1000.0
+        )
         self.launches += 1
         self.coalesced_requests += batch_requests
         registry.counter("serve.batch.launches").inc()
@@ -297,9 +296,11 @@ class MicroBatcher:
 
     # --------------------------------------------------------------- lifecycle
     async def drain(self) -> None:
-        """Flush every pending queue (used at shutdown)."""
-        for queue in list(self._queues.values()):
-            await self._flush(queue)
+        """Wait until every admitted request is answered (used at shutdown):
+        awaits every live runner, so a launch already in flight and the queue
+        of a replaced model are finished before :meth:`close`."""
+        while self._runners:
+            await asyncio.gather(*self._runners, return_exceptions=True)
 
     def close(self) -> None:
         if self._own_executor:
@@ -309,7 +310,6 @@ class MicroBatcher:
         return {
             "enabled": self.enabled,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait * 1000.0,
             "launches": self.launches,
             "coalesced_requests": self.coalesced_requests,
             "mean_batch_size": (

@@ -61,9 +61,15 @@ class InferenceServer:
         :class:`~repro.api.policy.ExecutionPolicy` of the service — tracer
         spans, health thresholds, recovery policy and backend selection all
         ride on it (defaults to the registry's policy).
-    batching, max_batch, max_wait_ms:
-        Micro-batching knobs (see :class:`~repro.serve.batching.MicroBatcher`);
+    batching, max_batch:
+        Micro-batching (see :class:`~repro.serve.batching.MicroBatcher`): a
+        model's queue launches as soon as its previous launch returns, with
+        whatever arrived meanwhile, at most ``max_batch`` columns wide.
         ``batching=False`` serves every request individually.
+
+    The numerical work runs on a 2-worker pool.  Every operation holds its
+    model's lock, so one model's requests execute one at a time; the second
+    worker helps only across models.
     """
 
     def __init__(
@@ -73,7 +79,6 @@ class InferenceServer:
         policy: Optional[ExecutionPolicy] = None,
         batching: bool = True,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
     ):
         if registry is None:
             registry = ModelRegistry(policy=policy)
@@ -81,7 +86,6 @@ class InferenceServer:
         self.policy = policy if policy is not None else registry.policy
         self.batcher = MicroBatcher(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             enabled=batching,
             tracer=self.policy.tracer,
         )
@@ -334,8 +338,9 @@ class InferenceServer:
 
     # --------------------------------------------------------------- lifecycle
     async def aclose(self) -> None:
-        """Flush pending batches, shut the worker pool down and release the
-        models' ledger accounting (it would outlive the server)."""
+        """Answer every admitted request (including launches in flight), shut
+        the worker pool down and release the models' ledger accounting (it
+        would outlive the server)."""
         await self.batcher.drain()
         self.batcher.close()
         self.registry.close()
