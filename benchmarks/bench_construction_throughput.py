@@ -7,16 +7,13 @@ matvec:
 * the sweep schedule costs O(levels) batched launches per convergence round —
   independent of the number of tree nodes — on both backends, and
 * the vectorized backend turns the construction hot path (the inner loop of
-  every GP hyperparameter sweep) into a handful of stacked GEMMs/gathers,
-  beating the per-node reference loop (the ISSUE acceptance bar is ≥ 3× at
-  N = 8192 on a quiet machine, enforced by
-  ``tests/test_construction_plan.py::TestAcceptance``).
+  every GP hyperparameter sweep) into a handful of stacked GEMMs/gathers.
 
 For every N this benchmark builds the 2D covariance problem, bootstraps a
 compressed matrix once so the timed constructions sample through the fast H2
 apply (the paper's black-box regime, the same as ``recompress_h2``), then
-times the per-node reference loop and the packed path on both backends,
-reporting points/second, sweep/generation launch counts and the phase split.
+times the compiled sweep on both backends, reporting points/second and
+sweep/generation launch counts.
 Results are printed as a table and emitted as the standard ``BENCH_JSON``
 line.  Sizes follow ``REPRO_BENCH_SIZES``.
 """
@@ -65,7 +62,7 @@ def _setup(n: int):
     return partition, dense, bootstrap.matrix
 
 
-def _construct(partition, dense, sampler, path, backend, plan):
+def _construct(partition, dense, sampler, backend, plan):
     config = ConstructionConfig(
         tolerance=TOLERANCE,
         sample_block_size=SAMPLE_BLOCK,
@@ -81,42 +78,24 @@ def _construct(partition, dense, sampler, path, backend, plan):
         plan=plan,
     )
     start = time.perf_counter()
-    result = (
-        constructor.construct() if path == "packed" else constructor.construct_loop()
-    )
+    result = constructor.construct()
     return result, time.perf_counter() - start
 
 
 def bench_size(n: int):
     partition, dense, sampler = _setup(n)
     plan = ConstructionPlan(partition)
-    variants = [("loop", "vectorized"), ("packed", "serial"), ("packed", "vectorized")]
-
-    measured = {}
-    for path, backend in variants:
+    record = {"n": n, "levels": partition.tree.num_levels, "variants": {}}
+    for backend in ("serial", "vectorized"):
         best, result = np.inf, None
         for _ in range(REPEATS):
-            result, seconds = _construct(partition, dense, sampler, path, backend, plan)
+            result, seconds = _construct(partition, dense, sampler, backend, plan)
             best = min(best, seconds)
-        measured[(path, backend)] = (result, best)
-
-    loop_result, loop_s = measured[("loop", "vectorized")]
-    record = {
-        "n": n,
-        "levels": partition.tree.num_levels,
-        "num_nodes": sum(level.num_nodes for level in loop_result.levels),
-        "loop_seconds": loop_s,
-        "loop_report": construction_report(loop_result).as_dict(),
-        "variants": {},
-    }
-    for (path, backend), (result, seconds) in measured.items():
-        if path == "loop":
-            continue
+        record["num_nodes"] = sum(level.num_nodes for level in result.levels)
         report = construction_report(result)
         record["variants"][backend] = {
-            "seconds": seconds,
-            "points_per_second": n / seconds,
-            "speedup_vs_loop": loop_s / seconds,
+            "seconds": best,
+            "points_per_second": n / best,
             "sweep_launches": report.sweep_launches,
             "generation_launches": report.generation_launches,
             "sweep_launches_per_round": report.sweep_launches_per_round,
@@ -130,7 +109,6 @@ def run_construction_throughput():
     records = [bench_size(n) for n in bench_sizes()]
     rows = []
     for r in records:
-        loop_sweep = r["loop_report"]["sweep_launches"]
         for backend, v in r["variants"].items():
             rows.append(
                 [
@@ -138,11 +116,9 @@ def run_construction_throughput():
                     backend,
                     r["levels"],
                     r["num_nodes"],
-                    f"{r['loop_seconds']:.2f}",
                     f"{v['seconds']:.2f}",
-                    f"{v['speedup_vs_loop']:.2f}",
                     f"{v['points_per_second'] / 1e3:.1f}",
-                    f"{v['sweep_launches']} (loop {loop_sweep})",
+                    v["sweep_launches"],
                     f"{v['sweep_launches_per_round']:.0f}",
                 ]
             )
@@ -154,9 +130,7 @@ def run_construction_throughput():
                 "backend",
                 "levels",
                 "nodes",
-                "loop [s]",
-                "packed [s]",
-                "speedup",
+                "time [s]",
                 "kpts/s",
                 "sweep launches",
                 "launches/round",
@@ -175,19 +149,13 @@ def run_construction_throughput():
 @pytest.mark.benchmark(group="construction-throughput")
 def test_construction_throughput(benchmark):
     records = benchmark.pedantic(run_construction_throughput, rounds=1, iterations=1)
-    largest = max(r["n"] for r in records)
     for r in records:
         levels = r["levels"]
         for v in r["variants"].values():
             # O(levels) sweep launches per round, far below the node count.
             rounds = max(v["sampling_rounds"], 1)
             assert v["sweep_launches"] <= 10 * levels * rounds
-            assert v["sweep_launches"] < r["loop_report"]["sweep_launches"] / 2
-        # The full ≥3x acceptance bar lives in the slow test-suite
-        # (tests/test_construction_plan.py); here we pin that the compiled
-        # path wins at the largest size even on contended runners.
-        if r["n"] == largest and largest >= 8192:
-            assert r["variants"]["vectorized"]["speedup_vs_loop"] >= 1.5
+            assert v["sweep_launches_per_round"] < r["num_nodes"]
 
 
 if __name__ == "__main__":

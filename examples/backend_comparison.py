@@ -27,7 +27,6 @@ from repro import (
 from repro.diagnostics import (
     PhaseBreakdown,
     apply_report,
-    construction_report,
     format_table,
 )
 from repro.diagnostics.profiling import PHASE_ORDER
@@ -76,59 +75,14 @@ def main(n: int = 8192) -> None:
         round(results["vectorized"].total_kernel_calls / max(tree.depth, 1), 1),
     )
 
-    # Construction-side speedup of the compiled engine in the paper's
-    # black-box regime (same as recompress_h2): the already-compressed matrix
-    # is the fast sampler, so the sweep itself dominates, and the packed
-    # level-wise path (the default) is compared against the per-node
-    # reference loop (`construct_loop`, the analogue of `matvec_loop`).
-    from repro.sketching.operators import H2Operator
-
-    sampler = H2Operator(results["vectorized"].matrix)
-    config = ConstructionConfig(
-        tolerance=1e-6, sample_block_size=8, backend="vectorized"
-    )
-    loop_result = H2Constructor(
-        partition, sampler, extractor, config, seed=2
-    ).construct_loop()
-    packed_result = H2Constructor(
-        partition, sampler, extractor, config, seed=2
-    ).construct()
-    packed_report = construction_report(packed_result)
-    loop_report = construction_report(loop_result)
-    print()
-    print(
-        format_table(
-            ["path", "time [s]", "sweep launches", "gen launches", "launches/round"],
-            [
-                [
-                    report.path,
-                    f"{report.elapsed_seconds:.3f}",
-                    report.sweep_launches,
-                    report.generation_launches,
-                    f"{report.sweep_launches_per_round:.0f}",
-                ]
-                for report in (loop_report, packed_report)
-            ],
-            title="Compiled construction vs per-node reference loop (vectorized)",
-        )
-    )
-    construction_speedup = (
-        loop_result.elapsed_seconds / packed_result.elapsed_seconds
-    )
-    print(f"compiled construction speedup over the loop: {construction_speedup:.2f}x")
-
     # The same story holds for *applying* the constructed matrix: the compiled
     # per-level plan (h2.apply_plan()) runs matvec/matmat as O(levels) batched
     # launches on either backend instead of one small GEMM per tree node.
     import numpy as np
-    import time
 
     h2 = results["vectorized"].matrix
     x = np.random.default_rng(0).standard_normal(n)
     h2.matvec(x)  # compile the apply plan
-    start = time.perf_counter()
-    h2.matvec_loop(x, permuted=True)
-    loop_seconds = time.perf_counter() - start
     rows = []
     for backend in ("serial", "vectorized"):
         report = apply_report(h2, backend=backend, k=1, repeats=5)
@@ -138,19 +92,15 @@ def main(n: int = 8192) -> None:
                 f"{report.seconds_per_apply * 1e3:.2f}",
                 report.launches_per_apply,
                 report.block_products,
-                f"{loop_seconds / report.seconds_per_apply:.2f}",
                 f"{report.bandwidth_gb_s:.2f}",
             ]
         )
     print()
     print(
         format_table(
-            ["backend", "matvec [ms]", "launches", "block GEMMs", "speedup vs loop", "GiB/s"],
+            ["backend", "matvec [ms]", "launches", "block GEMMs", "GiB/s"],
             rows,
-            title=(
-                f"Compiled batched apply ({h2.apply_plan().describe()}); "
-                f"per-node loop baseline: {loop_seconds * 1e3:.2f} ms"
-            ),
+            title=f"Compiled batched apply ({h2.apply_plan().describe()})",
         )
     )
 

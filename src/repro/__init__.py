@@ -86,7 +86,6 @@ from .api import (
 )
 from .batched import (
     BatchedBackend,
-    BlockSparseRowMatrix,
     ConstructionPlan,
     H2ApplyPlan,
     KernelLaunchCounter,
@@ -211,7 +210,6 @@ __all__ = [
     "BasisTree",
     "BatchedBackend",
     "BlockPartition",
-    "BlockSparseRowMatrix",
     "BoundingBox",
     "ClusterTree",
     "ConstructionConfig",

@@ -83,7 +83,8 @@ class ExecutionPolicy:
         ``"strict"``/``"warn"``/``"recover"``) turning detected faults into
         recovery actions at every guarded boundary: NaN/Inf sample
         screening with relaunch retries, rank-saturation re-construction
-        with escalated budgets, packed→loop engine fallback, artifact
+        with escalated budgets, compiled-sweep retries (then a typed
+        ``ConstructionFaultError``), the workspace budget, artifact
         integrity handling, and the solver escalation ladder on
         non-converged solves.  ``None`` (default) follows
         ``REPRO_RESILIENCE`` and otherwise disables every guard — the

@@ -31,11 +31,9 @@ from .backend import (
     VectorizedBackend,
     get_backend,
 )
-from .bsr import BlockSparseRowMatrix
 from .construction_plan import ConstructionPlan, PackedSweepEngine
 from .counters import KernelLaunchCounter
 from .entry_plan import H2EntryPlan, compile_entry_plan
-from .node_sweep import NodeSweep
 from .variable_batch import VariableBatch
 
 __all__ = [
@@ -44,14 +42,12 @@ __all__ = [
     "ConstructionPlan",
     "H2ApplyPlan",
     "H2EntryPlan",
-    "NodeSweep",
     "PackedSweepEngine",
     "SerialBackend",
     "VectorizedBackend",
     "compile_apply_plan",
     "compile_entry_plan",
     "get_backend",
-    "BlockSparseRowMatrix",
     "KernelLaunchCounter",
     "VariableBatch",
 ]

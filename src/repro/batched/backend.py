@@ -5,15 +5,12 @@ small set of batched operations over all nodes of a tree level:
 
 ====================  =====================================================
 ``batched_rand``      generate the random sketching block ``Omega``
-``batched_gemm``      products such as ``Omega^{l+1} = E^T Omega^l``
-``batched_gemm_accumulate``  the per-launch work of the non-uniform BSR product
-``batched_gemm_scatter``  block GEMMs gathered from / scattered into the flat
-                      buffer of a :class:`VariableBatch` (the per-stage launch
-                      of the compiled H2 apply engine, :mod:`repro.batched.apply_plan`)
-``batched_transpose`` re-layout of sample blocks before the pivoted QR
+``batched_gemm_scatter``  block-row GEMMs gathered from / scattered into
+                      packed stacks: the non-uniform BSR products and the
+                      upsweep of the construction sweep, and every stage of
+                      the compiled H2 apply (:mod:`repro.batched.apply_plan`)
 ``batched_min_r_diag``  the adaptive convergence test (QR of every ``Y_loc``)
 ``batched_row_id``    the interpolative decompositions
-``batched_rows``      gather of row subsets (marshaled ``Y(I_tau, :)``)
 ====================  =====================================================
 
 Two backends are provided.  :class:`SerialBackend` executes one NumPy call per
@@ -72,30 +69,6 @@ class BatchedBackend(ABC):
         self.counter.record(operation, launches)
 
     # ------------------------------------------------------------- primitives
-    @abstractmethod
-    def batched_gemm(
-        self,
-        a: Matrices,
-        b: Matrices,
-        transpose_a: bool = False,
-        transpose_b: bool = False,
-    ) -> List[np.ndarray]:
-        """Per-item products ``op(a_i) @ op(b_i)``."""
-
-    @abstractmethod
-    def batched_gemm_accumulate(
-        self,
-        c: Matrices,
-        a: Matrices,
-        b: Matrices,
-        alpha: float = 1.0,
-    ) -> None:
-        """In-place ``c_i += alpha * a_i @ b_i`` (the BSR-product inner launch)."""
-
-    @abstractmethod
-    def batched_transpose(self, a: Matrices) -> List[np.ndarray]:
-        """Per-item transposes (contiguous copies)."""
-
     @abstractmethod
     def batched_min_r_diag(self, a: Matrices) -> np.ndarray:
         """Smallest absolute R-diagonal of a QR of every item (convergence test).
@@ -181,11 +154,6 @@ class BatchedBackend(ABC):
         self._record("batched_rand", 1)
         return batch
 
-    def batched_rows(self, a: Matrices, row_sets: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Gather row subsets ``a_i[rows_i, :]`` (marshaling helper)."""
-        self._record("batched_gather", 1)
-        return [np.ascontiguousarray(mat[rows]) for mat, rows in zip(a, row_sets)]
-
     # -------------------------------------------------------------- reporting
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"{type(self).__name__}(launches={self.counter.total()})"
@@ -200,36 +168,6 @@ class SerialBackend(BatchedBackend):
     """
 
     name = "serial"
-
-    def batched_gemm(
-        self,
-        a: Matrices,
-        b: Matrices,
-        transpose_a: bool = False,
-        transpose_b: bool = False,
-    ) -> List[np.ndarray]:
-        self._record("batched_gemm", 1)
-        out: List[np.ndarray] = []
-        for ai, bi in zip(a, b):
-            left = ai.T if transpose_a else ai
-            right = bi.T if transpose_b else bi
-            out.append(left @ right)
-        return out
-
-    def batched_gemm_accumulate(
-        self,
-        c: Matrices,
-        a: Matrices,
-        b: Matrices,
-        alpha: float = 1.0,
-    ) -> None:
-        self._record("batched_bsr_gemm", 1)
-        for ci, ai, bi in zip(c, a, b):
-            ci += alpha * (ai @ bi)
-
-    def batched_transpose(self, a: Matrices) -> List[np.ndarray]:
-        self._record("batched_transpose", 1)
-        return [np.ascontiguousarray(mat.T) for mat in a]
 
     def batched_min_r_diag(self, a: Matrices) -> np.ndarray:
         self._record("batched_qr", 1)
@@ -258,58 +196,6 @@ class VectorizedBackend(BatchedBackend):
             key = tuple(m[i].shape for m in mats)
             groups[key].append(i)
         return groups
-
-    def batched_gemm(
-        self,
-        a: Matrices,
-        b: Matrices,
-        transpose_a: bool = False,
-        transpose_b: bool = False,
-    ) -> List[np.ndarray]:
-        if len(a) != len(b):
-            raise ValueError("batched_gemm requires equal batch sizes")
-        out: List[np.ndarray | None] = [None] * len(a)
-        groups = self._group_by_shape(a, b)
-        self._record("batched_gemm", len(groups))
-        for indices in groups.values():
-            stack_a = np.stack([a[i] for i in indices])
-            stack_b = np.stack([b[i] for i in indices])
-            if transpose_a:
-                stack_a = stack_a.transpose(0, 2, 1)
-            if transpose_b:
-                stack_b = stack_b.transpose(0, 2, 1)
-            prod = np.matmul(stack_a, stack_b)
-            for pos, i in enumerate(indices):
-                out[i] = prod[pos]
-        return out  # type: ignore[return-value]
-
-    def batched_gemm_accumulate(
-        self,
-        c: Matrices,
-        a: Matrices,
-        b: Matrices,
-        alpha: float = 1.0,
-    ) -> None:
-        if not (len(a) == len(b) == len(c)):
-            raise ValueError("batched_gemm_accumulate requires equal batch sizes")
-        groups = self._group_by_shape(a, b)
-        self._record("batched_bsr_gemm", len(groups))
-        for indices in groups.values():
-            stack_a = np.stack([a[i] for i in indices])
-            stack_b = np.stack([b[i] for i in indices])
-            prod = np.matmul(stack_a, stack_b)
-            for pos, i in enumerate(indices):
-                c[i] += alpha * prod[pos]
-
-    def batched_transpose(self, a: Matrices) -> List[np.ndarray]:
-        groups = self._group_by_shape(a)
-        self._record("batched_transpose", len(groups))
-        out: List[np.ndarray | None] = [None] * len(a)
-        for indices in groups.values():
-            stack = np.stack([a[i] for i in indices]).transpose(0, 2, 1).copy()
-            for pos, i in enumerate(indices):
-                out[i] = stack[pos]
-        return out  # type: ignore[return-value]
 
     @staticmethod
     def _as_uniform_stack(buffer: VariableBatch | np.ndarray) -> np.ndarray | None:

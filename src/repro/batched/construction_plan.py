@@ -31,11 +31,12 @@ Two pieces cooperate:
     launches per round.  The random inputs are projected as ``X^T Omega =
     Omega(J) + T Omega(redundant)``: the identity block of ``X = P [I; T^T]``
     is a gather, never a multiply.
-    Lifecycle, shared with the per-node store
-    :class:`~repro.batched.node_sweep.NodeSweep` and driven by
-    ``H2Constructor._run_levels``: ``load_dense`` → ``init_leaf`` → per level
-    ``finish_level`` → ``load_couplings`` → ``merge_to_parent``, with
-    ``sweep_slab`` + ``state.append`` for every adaptive round.
+    Lifecycle, driven by ``H2Constructor._run_levels``: ``load_dense`` →
+    ``init_leaf`` → per level ``finish_level`` → ``load_couplings`` →
+    ``merge_to_parent``, with ``sweep_slab`` + ``state.append`` for every
+    adaptive round.  It is the only sample store of the product; the
+    per-node reference store of the test-suite (``tests/oracles.py``) has the
+    same lifecycle.
 
 All heavy steps execute through the pluggable
 :class:`~repro.batched.backend.BatchedBackend` (``batched_gemm_scatter`` for
@@ -43,9 +44,9 @@ sketch accumulation, ``batched_min_r_diag`` on the packed stacks for the
 convergence test, the rank-grouped ``batched_row_id`` for the IDs), so the
 serial and vectorized backends run the identical schedule.  Zero-padding is
 exact everywhere — padded operand rows/columns are zero, padded sample rows
-stay zero through every launch — so the packed sweep reproduces the reference
-loop's skeleton selections at fixed seed (launch fusion only reorders
-floating-point accumulations at the ~1e-15 level).
+stay zero through every launch — so the packed sweep reproduces the per-node
+reference sweep's skeleton selections at fixed seed (launch fusion only
+reorders floating-point accumulations at the ~1e-15 level).
 
 **Launch schedule.**  A sample slab (the first block, then one per further
 adaptive round) is loaded at the leaves and carried up through every level
@@ -435,8 +436,6 @@ class PackedSweepEngine:
     marshals packed buffers and issues batched launches —
     :meth:`ConstructionPlan.launch_schedule` states how many.
     """
-
-    name = "packed"
 
     def __init__(
         self,

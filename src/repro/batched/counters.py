@@ -10,9 +10,17 @@ backend), letting the benchmark harness verify the O(log N) behaviour.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
+
+#: Guards every read and write of every counter.  ``counts[op] += n`` is not
+#: atomic, and one counter is shared by every thread a policy serves from
+#: (``repro.serve`` runs solves on a thread pool).  A record is one dict
+#: update, so one lock for all counters costs nothing measurable — and keeps
+#: a counter copyable, which a per-instance lock would not.
+_LOCK = threading.Lock()
 
 
 def _delta(after: Mapping[str, int], before: Mapping[str, int]) -> Dict[str, int]:
@@ -59,22 +67,27 @@ class KernelLaunchCounter:
         """Record one batched-primitive call dispatching ``launches`` launches."""
         if launches < 0:
             raise ValueError("launches must be non-negative")
-        self.counts[operation] += int(launches)
-        self.calls[operation] += 1
+        with _LOCK:
+            self.counts[operation] += int(launches)
+            self.calls[operation] += 1
 
     def total(self) -> int:
         """Total number of recorded launches across all operations."""
-        return int(sum(self.counts.values()))
+        with _LOCK:
+            return int(sum(self.counts.values()))
 
     def total_calls(self) -> int:
         """Total number of batched-primitive invocations."""
-        return int(sum(self.calls.values()))
+        with _LOCK:
+            return int(sum(self.calls.values()))
 
     def by_operation(self) -> Dict[str, int]:
-        return dict(self.counts)
+        with _LOCK:
+            return dict(self.counts)
 
     def calls_by_operation(self) -> Dict[str, int]:
-        return dict(self.calls)
+        with _LOCK:
+            return dict(self.calls)
 
     def snapshot(self) -> "CounterSnapshot":
         """A frozen copy of the current per-operation tallies.
@@ -84,24 +97,28 @@ class KernelLaunchCounter:
         shared across many regions — the consolidation contract of
         :class:`repro.api.ExecutionPolicy` and :class:`repro.observe.SpanTracer`.
         """
-        return CounterSnapshot(counts=dict(self.counts), calls=dict(self.calls))
+        with _LOCK:
+            return CounterSnapshot(counts=dict(self.counts), calls=dict(self.calls))
 
     def since(self, snapshot: "CounterSnapshot") -> "CounterSnapshot":
         """Per-operation growth since ``snapshot`` (zero entries dropped)."""
-        return CounterSnapshot(
-            counts=_delta(self.counts, snapshot.counts),
-            calls=_delta(self.calls, snapshot.calls),
-        )
+        with _LOCK:
+            return CounterSnapshot(
+                counts=_delta(self.counts, snapshot.counts),
+                calls=_delta(self.calls, snapshot.calls),
+            )
 
     def reset(self) -> None:
-        self.counts.clear()
-        self.calls.clear()
+        with _LOCK:
+            self.counts.clear()
+            self.calls.clear()
 
     def merge(self, other: "KernelLaunchCounter") -> None:
-        for op, n in other.counts.items():
-            self.counts[op] += n
-        for op, n in other.calls.items():
-            self.calls[op] += n
+        with _LOCK:
+            for op, n in other.counts.items():
+                self.counts[op] += n
+            for op, n in other.calls.items():
+                self.calls[op] += n
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         parts = ", ".join(f"{op}={n}" for op, n in sorted(self.counts.items()))

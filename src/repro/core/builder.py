@@ -31,29 +31,15 @@ skeletonizations (``updateSamples``).
 
 One level driver (:meth:`H2Constructor._run_levels`) owns every numerical
 decision — sample schedule, convergence tests, ID tolerances, skeleton
-bookkeeping, coupling extraction — and runs over one of two *sample stores*
-with the same lifecycle:
-
-* the **compiled store** (:class:`~repro.batched.PackedSweepEngine`, what
-  :meth:`H2Constructor.construct` runs) keeps every level's sample state in
-  zero-padded contiguous stacks: sketch accumulation and child gathers are
-  a handful of ``batched_gemm_scatter`` / gather launches, and adaptive
-  sampling rounds write only the *new* columns into preallocated buffers
-  (O(levels) launches per round);
-* the **per-node store** (:class:`~repro.batched.NodeSweep`) keeps
-  one exact-shape array per node, exactly like ``matvec_loop`` on the apply
-  side.  It has two callers: :meth:`H2Constructor.construct_loop`, the oracle
-  of the parity tests, and the guarded driver, which falls back to it when
-  the compiled workspace is over the memory budget or keeps failing.
-
-The stores therefore produce identical skeleton selections at a fixed seed.
-One benign exception: for a node with *no* admissible interactions anywhere
-(its sketched samples are pure cancellation), the compiled store's fused
-block-row GEMM leaves an exactly-zero sample block and the ID correctly
-assigns rank 0, while the per-node accumulation leaves ~1e-13 roundoff that a
-relative ID tolerance inflates to full rank — the resulting matrices are
-identical (no coupling references such a node), the compiled basis is just
-smaller.
+bookkeeping, coupling extraction — over one sample store, the compiled
+:class:`~repro.batched.PackedSweepEngine`.  It keeps every level's sample
+state in zero-padded contiguous stacks: sketch accumulation and child gathers
+are a handful of ``batched_gemm_scatter`` / gather launches, and adaptive
+sampling rounds write only the *new* columns into preallocated buffers
+(O(levels) launches per round, stated by
+:meth:`~repro.batched.ConstructionPlan.launch_schedule`).  The per-node
+reference sweep the compiled one is tested against lives in the test-suite
+(``tests/oracles.py``), not in the product.
 """
 
 from __future__ import annotations
@@ -67,7 +53,6 @@ import numpy as np
 from ..batched.backend import BatchedBackend, get_backend
 from ..batched.construction_plan import ConstructionPlan, PackedSweepEngine
 from ..batched.counters import KernelLaunchCounter
-from ..batched.node_sweep import NodeSweep
 from ..hmatrix.basis_tree import BasisTree
 from ..hmatrix.h2matrix import H2Matrix
 from ..linalg.norm_estimation import sketched_spectral_norm
@@ -121,8 +106,7 @@ class ConstructionResult:
     converged: bool
     levels: List[LevelReport] = field(default_factory=list)
     #: What produced the matrix (an outcome, not a setting): ``"packed"`` (the
-    #: compiled sweep), ``"loop"`` (:meth:`H2Constructor.construct_loop`),
-    #: ``"recovered-loop"`` (guarded fallback) or ``"cache"`` (artifact hit).
+    #: compiled sweep) or ``"cache"`` (artifact hit).
     construction_path: str = "packed"
     #: Root :class:`repro.observe.Span` of this construction when it ran under
     #: an enabled tracer (``None`` otherwise).  Its ``construct.phase``
@@ -247,103 +231,69 @@ class H2Constructor:
         Always runs the compiled sweep.  When a
         :class:`~repro.resilience.RecoveryPolicy` is installed (via
         ``ExecutionPolicy(recovery=...)`` or the ``recovery=`` argument), the
-        run is guarded: compiled-sweep failures retry and then fall back to
-        the per-node sweep (the result is tagged
-        ``construction_path="recovered-loop"``), memory-budget breaches fall
-        back immediately, and rank saturation re-constructs with escalated
-        sample/tolerance budgets.  Every recovery restores the RNG and sample
+        run is guarded: a compiled-sweep failure is retried and, once the
+        retries run out, raised as the typed ``ConstructionFaultError``; a
+        memory-budget breach raises ``MemoryBudgetError`` before the sweep
+        allocates; rank saturation re-constructs with escalated
+        sample/tolerance budgets.  Every retry restores the RNG and sample
         bank to their pre-construction state, so a retry whose fault does not
         re-fire is bit-identical to an uninjected run.
         """
         if self.recovery is None:
-            return self._construct(packed=True)
-        return self._construct_guarded()
-
-    def construct_loop(self) -> ConstructionResult:
-        """Run the per-node sweep: the oracle the compiled sweep is tested
-        against (the ``matvec_loop`` analogue), unguarded."""
-        return self._construct(packed=False)
+            return self._construct()
+        original_config = self.config
+        try:
+            return self._construct_guarded()
+        finally:
+            self.config = original_config
 
     # ------------------------------------------------------------------ guards
     def _construct_guarded(self) -> ConstructionResult:
         """Run :meth:`_construct` under the installed recovery policy.
 
-        The recovery ladder, in order of escalation:
-
-        1. *memory budget breach* (estimated packed workspace over
-           ``RecoveryPolicy.memory_budget_bytes``, or injected) — fall back
-           to the streaming per-node loop immediately (retrying the same
-           allocation cannot succeed);
-        2. *packed engine failure* (any non-resilience exception out of the
-           packed sweep, e.g. an injected launch failure) — retry the packed
-           sweep up to ``max_retries`` times, then fall back to the loop;
-        3. *rank saturation* (adaptive construction exhausted its sample
-           budget without converging) — re-construct with the sample budget
-           escalated by ``sample_budget_factor``, then with the ID tolerance
-           relaxed by ``tolerance_relax``, up to ``max_sample_retries``
-           re-constructions.
+        * A *typed failure* (a memory-budget breach, estimated or injected;
+          sample corruption that survived its relaunch budget) propagates
+          unchanged: running the same sweep again cannot succeed.
+        * A *compiled-sweep failure* (any other exception, e.g. an injected
+          launch failure) is retried ``max_retries`` times from the restored
+          RNG and sample bank, then raised as ``ConstructionFaultError``
+          whose ``context`` records the retries.
+        * *Rank saturation* (adaptive construction exhausted its sample
+          budget without converging) re-constructs with the sample budget
+          escalated by ``sample_budget_factor``, then with the ID tolerance
+          relaxed by ``tolerance_relax``, up to ``max_sample_retries``
+          re-constructions.
 
         ``strict`` mode raises the typed error at the first detection; in
         ``warn`` mode every recovery is announced through the
-        ``repro.resilience`` structured logger.  A result produced by the
-        loop fallback is tagged ``construction_path="recovered-loop"``.
+        ``repro.resilience`` structured logger.
         """
         policy = self.recovery
         rng_state = self.rng.bit_generator.state
-        original_config = self.config
-        packed = True
         engine_retries = 0
         sample_retries = 0
-        recovered_to_loop = False
         while True:
             try:
-                result = self._construct(packed)
-            except MemoryBudgetError as exc:
-                if policy.mode == "strict" or not packed:
-                    raise
-                self._announce_recovery(
-                    "memory-budget-fallback",
-                    f"packed workspace over budget ({exc}); falling back to "
-                    "the per-node loop",
-                    stage=exc.stage or "construct.packed",
-                )
-                packed = False
-                recovered_to_loop = True
-                self._reset_construction_state(rng_state)
-                continue
+                result = self._construct()
             except ResilienceError:
-                # Already the typed failure surface (e.g. sample corruption
-                # that survived its relaunch budget) — nothing to add.
                 raise
             except Exception as exc:
-                if not packed:
-                    raise  # the loop is the fallback; its failures are final
-                if policy.mode == "strict":
+                if policy.mode == "strict" or engine_retries >= policy.max_retries:
                     raise ConstructionFaultError(
-                        f"packed sweep engine failed: {exc}",
+                        f"compiled sweep failed after {engine_retries} "
+                        f"retries: {exc}",
                         stage="construct.packed",
-                        context={"error": repr(exc)},
+                        context={"error": repr(exc), "retries": engine_retries},
                     ) from exc
-                self._reset_construction_state(rng_state)
-                if engine_retries < policy.max_retries:
-                    engine_retries += 1
-                    _metrics().counter("resilience.retries").inc()
-                    self._announce_recovery(
-                        "packed-retry",
-                        f"packed sweep failed ({exc!r}); retry "
-                        f"{engine_retries}/{policy.max_retries}",
-                        stage="construct.packed",
-                    )
-                    continue
+                engine_retries += 1
+                _metrics().counter("resilience.retries").inc()
                 self._announce_recovery(
-                    "loop-fallback",
-                    f"packed sweep failed ({exc!r}) after "
-                    f"{engine_retries} retries; falling back to the "
-                    "per-node loop",
+                    "packed-retry",
+                    f"compiled sweep failed ({exc!r}); retry "
+                    f"{engine_retries}/{policy.max_retries}",
                     stage="construct.packed",
                 )
-                packed = False
-                recovered_to_loop = True
+                self._reset_construction_state(rng_state)
                 continue
 
             if result.converged or not self.config.adaptive:
@@ -377,12 +327,8 @@ class H2Constructor:
             )
             self._reset_construction_state(rng_state)
 
-        if recovered_to_loop:
-            result.construction_path = "recovered-loop"
+        if engine_retries or sample_retries:
             _metrics().counter("resilience.recoveries").inc()
-        elif engine_retries or sample_retries:
-            _metrics().counter("resilience.recoveries").inc()
-        self.config = original_config
         return result
 
     def _escalated_config(self, retry: int) -> ConstructionConfig:
@@ -434,22 +380,25 @@ class H2Constructor:
         if self.recovery is not None and self.recovery.mode == "warn":
             resilience_adapter().warn(event, stage=stage, detail=message)
 
-    def _construct(self, packed: bool) -> ConstructionResult:
+    def _construct(self) -> ConstructionResult:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._construct_impl(packed)
+            return self._construct_impl()
         with tracer.span(
             "construct",
             category="construct",
             n=self.tree.num_points,
             backend=self.backend.name,
-            path="packed" if packed else "loop",
         ) as span:
-            result = self._construct_impl(packed)
+            result = self._construct_impl()
         result.trace = span
         return result
 
-    def _construct_impl(self, packed: bool) -> ConstructionResult:
+    def _new_sweep(self) -> PackedSweepEngine:
+        """The sample store one construction runs over."""
+        return PackedSweepEngine(self.plan, self.backend, self.tracer)
+
+    def _construct_impl(self) -> ConstructionResult:
         start = time.perf_counter()
         launches_at_start = self.counter.snapshot()
         self.operator.reset_statistics()
@@ -459,10 +408,9 @@ class H2Constructor:
         with phase_span(self.tracer, "misc"):
             if self.plan is None:
                 self.plan = ConstructionPlan(self.partition)
-        if packed and (self.faults is not None or self.recovery is not None):
+        if self.faults is not None or self.recovery is not None:
             self._check_memory_budget()
-        store = PackedSweepEngine if packed else NodeSweep
-        sweep = store(self.plan, self.backend, self.tracer)
+        sweep = self._new_sweep()
 
         # Dense (inadmissible leaf) blocks are always required.
         self._extract_dense_blocks(sweep)
@@ -512,7 +460,6 @@ class H2Constructor:
             norm_estimate=self._norm_estimate,
             converged=all_converged,
             levels=levels,
-            construction_path=sweep.name,
         )
 
     # --------------------------------------------------------------- internals
@@ -523,8 +470,8 @@ class H2Constructor:
         installed fault injector fires ``memory-budget-exceeded`` or the
         leaf-level footprint the compiled plan predicts (padded dense stack,
         its fan-grouped operand copy, omega + sketch stacks) exceeds
-        ``RecoveryPolicy.memory_budget_bytes``; the guarded driver then falls
-        back to the per-node sweep.
+        ``RecoveryPolicy.memory_budget_bytes`` — in every recovery mode, and
+        before the sweep allocates anything.
         """
         if self.faults is not None:
             self.faults.memory_budget("construct.packed")
@@ -719,7 +666,7 @@ class H2Constructor:
         levels: List[LevelReport],
     ) -> bool:
         """Sweep the first sample block ``(omega, y)`` from the leaves up to
-        ``plan.top_depth`` over the sample store ``sweep``.
+        ``plan.top_depth`` over the sample store ``sweep`` (:meth:`_new_sweep`).
 
         Per level: adaptive sampling until every node converges, one batched
         row ID, skeleton bookkeeping, the level report, the store's
@@ -733,9 +680,8 @@ class H2Constructor:
         state = sweep.init_leaf(omega, y, capacity_hint=self._total_samples + headroom)
         all_converged = True
         for depth in range(leaf_depth, top_depth - 1, -1):
-            # Injected launch failures model the compiled engine failing; the
-            # per-node sweep is what recovers from them.
-            if self.faults is not None and sweep.name == "packed":
+            # Injected launch failures model the compiled engine failing.
+            if self.faults is not None:
                 self.faults.fail_launch(f"construct.packed.level={depth}")
             with self.tracer.span(
                 f"level={depth}", category="construct.level", depth=depth

@@ -6,9 +6,9 @@ sweep (:mod:`repro.batched.construction_plan`): how many batched launches one
 full construction costs, how the schedule splits between the per-shape-group
 entry-generation launches and the O(levels) sweep launches, and what point
 throughput the backend achieves.  Everything is derived from the statistics a
-:class:`~repro.core.builder.ConstructionResult` already carries, so reports
-can be built for both execution paths (``packed`` and the per-node ``loop``
-reference) and compared.
+:class:`~repro.core.builder.ConstructionResult` already carries, so a report
+can be built for any result, including one produced by a test-suite
+reference sweep, and two reports compared.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class ConstructionReport:
 
     n: int
     backend: str
-    #: ``"packed"`` (compiled level-wise sweep) or ``"loop"`` (per-node).
+    #: ``ConstructionResult.construction_path``: ``"packed"`` (compiled
+    #: level-wise sweep) or ``"cache"`` (artifact hit).
     path: str
     levels: int
     #: Total adaptive sampling rounds summed over the levels of the sweep.
@@ -40,8 +41,8 @@ class ConstructionReport:
     launches_by_operation: Dict[str, int]
     #: Entry-generation launches (one per shape group of requested blocks).
     generation_launches: int
-    #: All remaining launches — the sweep schedule proper.  O(levels) per
-    #: convergence round on the packed path, O(nodes) on the loop path.
+    #: All remaining launches — the sweep schedule proper: O(levels) per
+    #: convergence round (``ConstructionPlan.launch_schedule``).
     sweep_launches: int
     total_samples: int
 

@@ -26,8 +26,8 @@ on a pluggable :class:`~repro.batched.backend.BatchedBackend`.  The backend is
 selected per matrix (:attr:`H2Matrix.apply_backend`, default ``"vectorized"``)
 or per call (the ``backend=`` argument); the launch statistics accumulate in
 the backend's :class:`~repro.batched.counters.KernelLaunchCounter`.  The
-per-node reference loop :meth:`matvec_loop` is the oracle of the equivalence
-test-suite.
+compiled plan is the only apply; the per-node reference loop it is tested
+against lives in the test-suite (``tests/oracles.py``).
 
 Entry evaluation
 ----------------
@@ -195,97 +195,6 @@ class H2Matrix(HierarchicalOperatorMixin):
         return self.apply_plan().execute(
             x, backend=self._resolve_backend(backend), transpose=transpose
         )
-
-    def matvec_loop(self, x: np.ndarray, permuted: bool = False) -> np.ndarray:
-        """Reference per-node loop apply (the pre-batched implementation).
-
-        Kept as the baseline the compiled engine is validated and benchmarked
-        against; production code paths should use :meth:`matvec` /
-        :meth:`matmat`.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
-        if x.shape[0] != self.num_rows:
-            raise ValueError(
-                f"dimension mismatch: matrix has {self.num_rows} rows, x has {x.shape[0]}"
-            )
-        xp = x if permuted else x[self.tree.perm]
-        yp = self._matvec_permuted(xp)
-        y = yp if permuted else yp[self.tree.iperm]
-        return y[:, 0] if single else y
-
-    def _matvec_permuted(self, x: np.ndarray) -> np.ndarray:
-        tree = self.tree
-        k = x.shape[1]
-        y = np.zeros_like(x)
-
-        # Upward pass: xhat_tau = U_tau^T x_tau at leaves, transfer-accumulated
-        # at inner nodes.
-        xhat: Dict[int, np.ndarray] = {}
-        for node in tree.leaves():
-            if self.basis.has_basis(node):
-                u = self.basis.leaf_bases.get(node)
-                if u is None or u.shape[1] == 0:
-                    xhat[node] = np.zeros((self.basis.rank(node), k))
-                else:
-                    xhat[node] = u.T @ x[tree.starts[node] : tree.ends[node]]
-        for level in range(tree.depth - 1, 0, -1):
-            for node in tree.nodes_at_level(level):
-                if not self.basis.has_basis(node):
-                    continue
-                left, right = tree.children(node)
-                acc = np.zeros((self.basis.rank(node), k))
-                for child in (left, right):
-                    e = self.basis.transfers.get(child)
-                    child_hat = xhat.get(child)
-                    if e is not None and child_hat is not None and e.size:
-                        acc += e.T @ child_hat
-                xhat[node] = acc
-
-        # Coupling phase: yhat_s += B_{s,t} xhat_t for every admissible pair.
-        yhat: Dict[int, np.ndarray] = {}
-        for (s, t), b in self.coupling.items():
-            if b.size == 0:
-                continue
-            xt = xhat.get(t)
-            if xt is None:
-                continue
-            acc = yhat.get(s)
-            if acc is None:
-                acc = np.zeros((self.basis.rank(s), k))
-                yhat[s] = acc
-            acc += b @ xt
-
-        # Downward pass: push yhat down the tree and expand at the leaves.
-        for level in range(1, tree.depth):
-            for node in tree.nodes_at_level(level):
-                parent_hat = yhat.get(node)
-                if parent_hat is None or tree.is_leaf(node):
-                    continue
-                for child in tree.children(node):
-                    e = self.basis.transfers.get(child)
-                    if e is None or e.size == 0:
-                        continue
-                    acc = yhat.get(child)
-                    if acc is None:
-                        acc = np.zeros((self.basis.rank(child), k))
-                        yhat[child] = acc
-                    acc += e @ parent_hat
-        for node in tree.leaves():
-            node_hat = yhat.get(node)
-            if node_hat is None:
-                continue
-            u = self.basis.leaf_bases.get(node)
-            if u is None or u.shape[1] == 0:
-                continue
-            y[tree.starts[node] : tree.ends[node]] += u @ node_hat
-
-        # Dense (inadmissible leaf) phase.
-        for (s, t), d in self.dense.items():
-            y[tree.starts[s] : tree.ends[s]] += d @ x[tree.starts[t] : tree.ends[t]]
-        return y
 
     # ------------------------------------------------------- entry evaluation
     def entry_plan(self) -> "H2EntryPlan":

@@ -13,12 +13,13 @@ fault kind                injection site / effect
 ``nan-in-gemm-output``    poisons entries of a sketched sample block ``Y``
                           with NaN at the backend launch boundary
 ``fail-nth-launch``       raises :class:`InjectedFault` at the Nth packed
-                          sweep launch (simulates an engine/driver failure)
+                          sweep launch (simulates an engine/driver failure);
+                          retried, then ``ConstructionFaultError``
 ``corrupt-artifact-buffer``  flips bytes inside a stored artifact's buffer
                           section after a cache ``put``
 ``memory-budget-exceeded``  raises
                           :class:`~repro.resilience.errors.MemoryBudgetError`
-                          at the packed workspace allocation
+                          at the packed workspace allocation, in every mode
 ``stall-convergence``     caps a Krylov solve's ``maxiter`` to ``iters`` so
                           it returns ``converged=False``
 ========================  ====================================================

@@ -21,7 +21,7 @@ actions, with three modes:
     ``resilience.escalations`` counters.
 
 The guarantee in every mode: *never a silent wrong answer*.  A fault is
-either recovered (retry/fallback/escalation producing a verified-equivalent
+either recovered (a retry or escalation producing a verified-equivalent
 result) or surfaced as a typed error / explicit flag.
 """
 
@@ -50,8 +50,9 @@ class RecoveryPolicy:
         ``"strict"`` / ``"warn"`` / ``"recover"`` (see module docstring).
     max_retries:
         Retry budget of the in-place recoveries: sample-block relaunches
-        after NaN/Inf screening, and packed-sweep retries after an engine
-        failure (before falling back to the reference loop).
+        after NaN/Inf screening, and compiled-sweep retries after an engine
+        failure.  Once it is spent the failure is raised as the typed
+        ``SampleCorruptionError`` / ``ConstructionFaultError``.
     max_sample_retries:
         Full re-construction budget of the rank-saturation recovery; the
         first retry escalates the sample budget by ``sample_budget_factor``,
@@ -64,8 +65,9 @@ class RecoveryPolicy:
     gmres_restart:
         Restart length of the ladder's GMRES(m) rung.
     memory_budget_bytes:
-        Optional hard cap on the packed sweep's estimated workspace bytes;
-        a breach falls back to the (streaming, per-node) reference loop.
+        Optional hard cap on the compiled sweep's estimated workspace bytes;
+        a breach raises ``MemoryBudgetError`` in every mode, before the
+        sweep allocates anything.
     ladder:
         Rung order of the escalation ladder (subset/reorder to customise).
     """

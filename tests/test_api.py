@@ -424,6 +424,18 @@ class TestExecutionPolicy:
             repro.ConstructionConfig(construction_path="loop")
         with pytest.raises(TypeError):
             repro.GeometryContext(api_points, construction_path="loop")
+        # The per-node store and apply loop live in tests/oracles.py only.
+        assert not hasattr(repro.H2Constructor, "construct_loop")
+        assert not hasattr(repro.H2Matrix, "matvec_loop")
+        assert not hasattr(repro, "BlockSparseRowMatrix")
+        assert not hasattr(repro.batched, "NodeSweep")
+        for name in ("BlockSparseRowMatrix", "NodeSweep"):
+            assert name not in repro.__all__ and name not in repro.batched.__all__
+        for method in (
+            "batched_gemm", "batched_gemm_accumulate", "batched_transpose", "batched_rows"
+        ):
+            for backend in (repro.SerialBackend, repro.VectorizedBackend):
+                assert not hasattr(backend, method)
 
     def test_construction_config_threading(self):
         policy = ExecutionPolicy(backend="serial")

@@ -1,11 +1,13 @@
-"""Tests for the batched execution engine (variable batches, backends, BSR, counters)."""
+"""Tests for the batched execution engine (variable batches, backends, counters)."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
-    BlockSparseRowMatrix,
     KernelLaunchCounter,
     SerialBackend,
     VariableBatch,
@@ -105,6 +107,28 @@ class TestCounters:
         with pytest.raises(ValueError):
             KernelLaunchCounter().record("x", -1)
 
+    def test_concurrent_records_are_exact(self):
+        """Serving threads share one counter: no record may be lost."""
+        counter = KernelLaunchCounter()
+        threads, per_thread = 8, 50_000
+
+        def work():
+            for _ in range(per_thread):
+                counter.record("hss_getrs")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.by_operation() == {"hss_getrs": threads * per_thread}
+        assert counter.calls_by_operation() == {"hss_getrs": threads * per_thread}
+
 
 class TestBackendFactory:
     def test_names(self):
@@ -129,44 +153,35 @@ class TestBackendFactory:
 
 @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
 class TestBackendPrimitives:
-    def test_batched_gemm(self, backend_name):
+    def test_batched_gemm_scatter(self, backend_name):
+        """Block rows of fan-in 2 gathered from / scattered into variable batches."""
         backend = get_backend(backend_name)
-        a = random_batch([(3, 4), (5, 2), (3, 4)], seed=1)
-        b = random_batch([(4, 6), (2, 3), (4, 6)], seed=2)
-        out = backend.batched_gemm(a, b)
-        for ai, bi, oi in zip(a, b, out):
-            assert np.allclose(oi, ai @ bi)
+        src_mats = random_batch([(3, 4), (2, 4), (3, 4)], seed=1)
+        src = VariableBatch.from_matrices(src_mats)
+        dest = VariableBatch.from_matrices([np.ones((4, 4)), np.ones((2, 4))])
+        a = random_batch([(2, 5), (4, 6)], seed=2)
+        dest_pos, src_pos = np.array([1, 0]), np.array([0, 1, 2, 0])
+        expected = [np.ones((4, 4)), np.ones((2, 4))]
+        expected[1] -= 2.0 * a[0] @ np.vstack([src_mats[0], src_mats[1]])
+        expected[0] -= 2.0 * a[1] @ np.vstack([src_mats[2], src_mats[0]])
+        backend.batched_gemm_scatter(dest, dest_pos, a, src, src_pos, alpha=-2.0)
+        for got, want in zip(dest, expected):
+            assert np.allclose(got, want)
 
-    def test_batched_gemm_transposes(self, backend_name):
+    def test_batched_gemm_scatter_uniform_stack(self, backend_name):
+        """The compiled-plan case: pre-stacked operands over 3-D stacks."""
         backend = get_backend(backend_name)
-        a = random_batch([(4, 3), (4, 3)], seed=3)
-        b = random_batch([(4, 5), (4, 5)], seed=4)
-        out = backend.batched_gemm(a, b, transpose_a=True)
-        for ai, bi, oi in zip(a, b, out):
-            assert np.allclose(oi, ai.T @ bi)
-        c = random_batch([(3, 5), (3, 5)], seed=5)
-        d = random_batch([(6, 5), (6, 5)], seed=6)
-        out = backend.batched_gemm(c, d, transpose_b=True)
-        for ci, di, oi in zip(c, d, out):
-            assert np.allclose(oi, ci @ di.T)
-
-    def test_batched_gemm_accumulate(self, backend_name):
-        backend = get_backend(backend_name)
-        a = random_batch([(3, 2), (4, 4)], seed=5)
-        b = random_batch([(2, 6), (4, 6)], seed=6)
-        c = [np.ones((3, 6)), np.ones((4, 6))]
-        expected = [ci - 2.0 * (ai @ bi) for ci, ai, bi in zip(c, a, b)]
-        backend.batched_gemm_accumulate(c, a, b, alpha=-2.0)
-        for ci, ei in zip(c, expected):
-            assert np.allclose(ci, ei)
-
-    def test_batched_transpose(self, backend_name):
-        backend = get_backend(backend_name)
-        a = random_batch([(3, 5), (2, 2), (3, 5)], seed=7)
-        out = backend.batched_transpose(a)
-        for ai, oi in zip(a, out):
-            assert np.allclose(oi, ai.T)
-            assert oi.flags["C_CONTIGUOUS"]
+        rng = np.random.default_rng(5)
+        src = rng.standard_normal((4, 3, 2))
+        dest = np.ones((3, 5, 2))
+        a = rng.standard_normal((2, 5, 6))
+        dest_pos, src_pos = np.array([2, 0]), np.array([0, 3, 2, 1])
+        expected = dest.copy()
+        for i, row in enumerate(dest_pos):
+            expected[row] += a[i] @ np.vstack(src[src_pos[2 * i : 2 * i + 2]])
+        backend.batched_gemm_scatter(dest, dest_pos, a, src, src_pos)
+        assert np.allclose(dest, expected)
+        assert backend.counter.by_operation() == {"batched_scatter_gemm": 1}
 
     def test_batched_min_r_diag(self, backend_name):
         backend = get_backend(backend_name)
@@ -204,18 +219,10 @@ class TestBackendPrimitives:
         assert batch[0].shape == (100, 3)
         assert abs(float(batch.data.mean())) < 0.2
 
-    def test_batched_rows(self, backend_name):
-        backend = get_backend(backend_name)
-        a = random_batch([(6, 3), (5, 2)], seed=12)
-        rows = [np.array([0, 2, 4]), np.array([1])]
-        out = backend.batched_rows(a, rows)
-        assert np.allclose(out[0], a[0][[0, 2, 4]])
-        assert np.allclose(out[1], a[1][[1]])
-
     def test_counter_incremented(self, backend_name):
         backend = get_backend(backend_name)
         a = random_batch([(3, 3)] * 4, seed=13)
-        backend.batched_gemm(a, a)
+        backend.batched_random_normal([(3, 3)], seed=13)
         backend.batched_min_r_diag(a)
         assert backend.counter.total_calls() >= 2
         assert backend.counter.total() >= 2
@@ -228,13 +235,17 @@ class TestBackendEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_gemm_equivalence(self, seed, count):
         rng = np.random.default_rng(seed)
-        shapes = [(rng.integers(1, 6), rng.integers(1, 6)) for _ in range(count)]
-        a = [rng.standard_normal((m, k)) for m, k in shapes]
-        b = [rng.standard_normal((k, rng.integers(1, 6))) for _, k in shapes]
-        out_serial = SerialBackend().batched_gemm(a, b)
-        out_vector = VectorizedBackend().batched_gemm(a, b)
-        for x, y in zip(out_serial, out_vector):
-            assert np.allclose(x, y, atol=1e-12)
+        p, q, k, fan_in = (int(v) for v in rng.integers(1, 6, size=4))
+        a = rng.standard_normal((count, p, fan_in * q))
+        src = rng.standard_normal((count + 1, q, k))
+        src_pos = rng.integers(0, count + 1, size=count * fan_in)
+        dest_pos = rng.permutation(count)
+        outputs = []
+        for backend in (SerialBackend(), VectorizedBackend()):
+            dest = np.zeros((count, p, k))
+            backend.batched_gemm_scatter(dest, dest_pos, a, src, src_pos)
+            outputs.append(dest)
+        assert np.allclose(*outputs, atol=1e-12)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -249,75 +260,14 @@ class TestBackendEquivalence:
         mats = random_batch([(8, 8)] * 16, seed=1)
         serial = SerialBackend()
         vector = VectorizedBackend()
-        serial.batched_gemm(mats, mats)
-        vector.batched_gemm(mats, mats)
+        serial.batched_min_r_diag(mats)
+        vector.batched_min_r_diag(mats)
         # uniform shapes -> a single stacked launch on the vectorized backend
-        assert vector.counter.by_operation()["batched_gemm"] == 1
-        assert serial.counter.by_operation()["batched_gemm"] == 1
+        assert vector.counter.by_operation()["batched_qr"] == 1
+        assert serial.counter.by_operation()["batched_qr"] == 1
 
     def test_vectorized_groups_by_shape(self):
         mats = random_batch([(4, 4)] * 3 + [(6, 6)] * 2, seed=2)
         vector = VectorizedBackend()
-        vector.batched_gemm(mats, mats)
-        assert vector.counter.by_operation()["batched_gemm"] == 2
-
-
-class TestBlockSparseRow:
-    def _build(self, seed=0):
-        rng = np.random.default_rng(seed)
-        sizes_rows = [3, 4, 2]
-        sizes_cols = [3, 4, 2]
-        bsr = BlockSparseRowMatrix(num_block_rows=3)
-        dense = np.zeros((sum(sizes_rows), sum(sizes_cols)))
-        row_off = np.concatenate([[0], np.cumsum(sizes_rows)])
-        col_off = np.concatenate([[0], np.cumsum(sizes_cols)])
-        blocks = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1), (2, 2)]
-        for r, c in blocks:
-            mat = rng.standard_normal((sizes_rows[r], sizes_cols[c]))
-            bsr.add_block(r, c, mat)
-            dense[row_off[r] : row_off[r + 1], col_off[c] : col_off[c + 1]] = mat
-        return bsr, dense, sizes_rows, sizes_cols, row_off, col_off
-
-    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
-    def test_multiply_accumulate_matches_dense(self, backend_name):
-        bsr, dense, sizes_rows, sizes_cols, row_off, col_off = self._build()
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((dense.shape[1], 5))
-        inputs = [x[col_off[i] : col_off[i + 1]] for i in range(3)]
-        outputs = [np.zeros((s, 5)) for s in sizes_rows]
-        bsr.multiply_accumulate(outputs, inputs, get_backend(backend_name), alpha=-1.0)
-        expected = -dense @ x
-        stacked = np.vstack(outputs)
-        assert np.allclose(stacked, expected, atol=1e-12)
-
-    def test_max_blocks_per_row(self):
-        bsr, *_ = self._build()
-        assert bsr.max_blocks_per_row() == 3
-        assert bsr.num_blocks() == 6
-
-    def test_to_dense(self):
-        bsr, dense, _, _, row_off, col_off = self._build()
-        assert np.allclose(bsr.to_dense(row_off[:-1], col_off[:-1], dense.shape), dense)
-
-    def test_block_shapes_histogram(self):
-        bsr, *_ = self._build()
-        hist = bsr.block_shapes()
-        assert sum(hist.values()) == 6
-
-    def test_empty_rows_allowed(self):
-        bsr = BlockSparseRowMatrix(num_block_rows=2)
-        bsr.add_block(0, 0, np.ones((2, 2)))
-        outputs = [np.zeros((2, 3)), np.zeros((4, 3))]
-        bsr.multiply_accumulate(outputs, [np.ones((2, 3))], get_backend("serial"))
-        assert np.allclose(outputs[0], 2.0)
-        assert np.allclose(outputs[1], 0.0)
-
-    def test_invalid_row_raises(self):
-        bsr = BlockSparseRowMatrix(num_block_rows=1)
-        with pytest.raises(IndexError):
-            bsr.add_block(3, 0, np.ones((1, 1)))
-
-    def test_output_count_mismatch_raises(self):
-        bsr = BlockSparseRowMatrix(num_block_rows=2)
-        with pytest.raises(ValueError):
-            bsr.multiply_accumulate([np.zeros((1, 1))], [], get_backend("serial"))
+        vector.batched_min_r_diag(mats)
+        assert vector.counter.by_operation()["batched_qr"] == 2

@@ -24,6 +24,8 @@ from repro.diagnostics import PhaseBreakdown, construction_error
 from repro.observe import MetricsRegistry
 from repro.linalg.norm_estimation import SKETCH_NORM_COLUMNS
 
+from oracles import LoopConstructor
+
 
 def build_problem(kernel, n=700, dim=2, leaf_size=32, eta=0.7, seed=11):
     points = uniform_cube_points(n, dim=dim, seed=seed)
@@ -269,10 +271,10 @@ class TestOperatorApplications:
     def test_rounds_plus_one(self, partition_2d, dense_cov_2d, path, block):
         operator = BareOperator(dense_cov_2d)
         config = ConstructionConfig(tolerance=1e-8, sample_block_size=block)
-        constructor = H2Constructor(
+        cls = H2Constructor if path == "packed" else LoopConstructor
+        result = cls(
             partition_2d, operator, DenseEntryExtractor(dense_cov_2d), config, seed=11
-        )
-        result = constructor.construct() if path == "packed" else constructor.construct_loop()
+        ).construct()
         rounds, remainder = divmod(result.total_samples, block)
         assert remainder == 0
         assert (rounds > 1) == (block == 16)  # one multi-round case, one one-round case
@@ -305,11 +307,13 @@ class TestPhaseSpans:
         "sampling", "shrink_upsweep",
     }
 
-    @pytest.mark.parametrize("method", ["construct", "construct_loop"])
+    @pytest.mark.parametrize(
+        "cls", [H2Constructor, LoopConstructor], ids=["construct", "construct_loop"]
+    )
     def test_phases_are_disjoint_spans_below_the_root(
-        self, partition_2d, dense_cov_2d, method
+        self, partition_2d, dense_cov_2d, cls
     ):
-        constructor = H2Constructor(
+        constructor = cls(
             partition_2d,
             DenseOperator(dense_cov_2d),
             DenseEntryExtractor(dense_cov_2d),
@@ -317,7 +321,7 @@ class TestPhaseSpans:
             seed=5,
             tracer=SpanTracer(metrics=MetricsRegistry()),
         )
-        root = getattr(constructor, method)().trace
+        root = constructor.construct().trace
         phases = root.find(category="construct.phase")
         assert {span.attributes["phase"] for span in phases} == self.PHASES
         assert set(PhaseBreakdown.from_span(root).seconds) == self.PHASES
@@ -329,23 +333,22 @@ class TestPhaseSpans:
                 ancestor = ancestor.parent
         assert sum(span.duration for span in phases) <= root.duration
 
-    @pytest.mark.parametrize("method", ["construct", "construct_loop"])
+    @pytest.mark.parametrize(
+        "cls", [H2Constructor, LoopConstructor], ids=["construct", "construct_loop"]
+    )
     def test_tracing_leaves_the_construction_unchanged(
-        self, partition_2d, dense_cov_2d, method
+        self, partition_2d, dense_cov_2d, cls
     ):
         """A phase costs a span only when traced; untraced, nothing is kept."""
         results = [
-            getattr(
-                H2Constructor(
-                    partition_2d,
-                    DenseOperator(dense_cov_2d),
-                    DenseEntryExtractor(dense_cov_2d),
-                    ConstructionConfig(tolerance=1e-7, sample_block_size=32),
-                    seed=5,
-                    tracer=tracer,
-                ),
-                method,
-            )()
+            cls(
+                partition_2d,
+                DenseOperator(dense_cov_2d),
+                DenseEntryExtractor(dense_cov_2d),
+                ConstructionConfig(tolerance=1e-7, sample_block_size=32),
+                seed=5,
+                tracer=tracer,
+            ).construct()
             for tracer in (None, SpanTracer(metrics=MetricsRegistry()))
         ]
         untraced, traced = results

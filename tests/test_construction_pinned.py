@@ -2,10 +2,11 @@
 
 One fixed-seed fixture per admissibility (2D strong leaf 16, 3D weak leaf 48),
 both backends, the compiled sweep (``construct()``) and the per-node oracle
-(``construct_loop()``).  Every number below was printed by the code *before*
-the two level drivers were folded into one; a refactor of the constructor must
-leave every literal untouched.  Counts are exact; the skeleton hash covers the
-global skeleton index set of every node, so one flipped pivot changes it.
+(``oracles.LoopConstructor``).  Every number below was printed by the code
+*before* the two level drivers were folded into one; a refactor of the
+constructor must leave every literal untouched.  Counts are exact; the
+skeleton hash covers the global skeleton index set of every node, so one
+flipped pivot changes it.
 
 One deliberate change since: the compiled ``weak3d`` entries went from 39 to 7
 ``construct_upsweep`` launches (totals 260 -> 228 and 261 -> 229) when the
@@ -14,6 +15,12 @@ levels keep every row (ranks 32 of 32 and 64 of 64), so there is no ``T`` to
 multiply by, and 18 + 14 of the 39 passes run no GEMM.  The schedule is stated
 by ``ConstructionPlan.launch_schedule`` and held to these results in
 ``tests/test_construction_plan.py``.
+
+And one for the oracle: when the per-node store moved out of the product into
+``tests/oracles.py`` it stopped calling the backend's ``batched_gemm`` /
+``batched_gemm_accumulate`` and records one ``node_gemm`` launch per per-node
+product instead.  Only the oracle entries' ``kernel_launches`` and
+``total_kernel_launches`` changed; samples, levels and skeleton hashes did not.
 """
 
 import hashlib
@@ -33,6 +40,7 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
+from oracles import LoopConstructor
 
 FIXTURES = {
     "strong2d": dict(n=460, dim=2, leaf_size=16, admissibility=GeneralAdmissibility(eta=0.7)),
@@ -58,15 +66,14 @@ def construct(fixture: str, backend: str, loop: bool):
     tree = ClusterTree.build(points, leaf_size=spec["leaf_size"])
     partition = build_block_partition(tree, spec["admissibility"])
     dense = ExponentialKernel(length_scale=0.2).matrix(tree.points)
-    constructor = H2Constructor(
+    constructor = (LoopConstructor if loop else H2Constructor)(
         partition,
         DenseOperator(dense),
         DenseEntryExtractor(dense),
         ConstructionConfig(tolerance=1e-6, sample_block_size=8, backend=backend),
         seed=3,
     )
-    result = constructor.construct_loop() if loop else constructor.construct()
-    return constructor, result
+    return constructor, constructor.construct()
 
 
 def run(fixture: str, backend: str, loop: bool):
@@ -96,13 +103,12 @@ PINNED = {('strong2d', 'serial', False): {'total_samples': 16,
                                  'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
                                  'skeleton_hash': 'ca731c3bac3b5be6'},
  ('strong2d', 'serial', True): {'total_samples': 16,
-                                'total_kernel_launches': 115,
-                                'kernel_launches': {'batched_bsr_gemm': 75,
-                                                    'batched_gemm': 2,
-                                                    'batched_gen': 31,
+                                'total_kernel_launches': 1530,
+                                'kernel_launches': {'batched_gen': 31,
                                                     'batched_id': 2,
                                                     'batched_qr': 3,
-                                                    'batched_rand': 2},
+                                                    'batched_rand': 2,
+                                                    'node_gemm': 1492},
                                 'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
                                 'skeleton_hash': 'ca731c3bac3b5be6'},
  ('strong2d', 'vectorized', False): {'total_samples': 16,
@@ -118,13 +124,12 @@ PINNED = {('strong2d', 'serial', False): {'total_samples': 16,
                                      'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
                                      'skeleton_hash': 'ca731c3bac3b5be6'},
  ('strong2d', 'vectorized', True): {'total_samples': 16,
-                                    'total_kernel_launches': 375,
-                                    'kernel_launches': {'batched_bsr_gemm': 304,
-                                                        'batched_gemm': 20,
-                                                        'batched_gen': 31,
+                                    'total_kernel_launches': 1543,
+                                    'kernel_launches': {'batched_gen': 31,
                                                         'batched_id': 8,
                                                         'batched_qr': 10,
-                                                        'batched_rand': 2},
+                                                        'batched_rand': 2,
+                                                        'node_gemm': 1492},
                                     'levels': [(5, 13, 10, 2), (4, 16, 10, 1)],
                                     'skeleton_hash': 'ca731c3bac3b5be6'},
  ('weak3d', 'serial', False): {'total_samples': 176,
@@ -143,13 +148,12 @@ PINNED = {('strong2d', 'serial', False): {'total_samples': 16,
                                           (1, 160, 157, 7)],
                                'skeleton_hash': '878b7643ef78c6a7'},
  ('weak3d', 'serial', True): {'total_samples': 176,
-                              'total_kernel_launches': 125,
-                              'kernel_launches': {'batched_bsr_gemm': 61,
-                                                  'batched_gemm': 4,
-                                                  'batched_gen': 9,
+                              'total_kernel_launches': 1270,
+                              'kernel_launches': {'batched_gen': 9,
                                                   'batched_id': 4,
                                                   'batched_qr': 25,
-                                                  'batched_rand': 22},
+                                                  'batched_rand': 22,
+                                                  'node_gemm': 1210},
                               'levels': [(4, 32, 32, 5),
                                          (3, 64, 64, 5),
                                          (2, 120, 115, 8),
@@ -171,13 +175,12 @@ PINNED = {('strong2d', 'serial', False): {'total_samples': 16,
                                               (1, 160, 157, 7)],
                                    'skeleton_hash': '878b7643ef78c6a7'},
  ('weak3d', 'vectorized', True): {'total_samples': 176,
-                                  'total_kernel_launches': 158,
-                                  'kernel_launches': {'batched_bsr_gemm': 82,
-                                                      'batched_gemm': 8,
-                                                      'batched_gen': 9,
+                                  'total_kernel_launches': 1278,
+                                  'kernel_launches': {'batched_gen': 9,
                                                       'batched_id': 5,
                                                       'batched_qr': 32,
-                                                      'batched_rand': 22},
+                                                      'batched_rand': 22,
+                                                      'node_gemm': 1210},
                                   'levels': [(4, 32, 32, 5),
                                              (3, 64, 64, 5),
                                              (2, 120, 115, 8),

@@ -5,9 +5,9 @@ the *identical* numerical schedule on both backends: serial and vectorized
 compiled constructions have to produce the same skeleton indices, ranks and
 coupling blocks for every kernel and tree depth, while issuing O(levels)
 batched sweep launches per convergence round instead of O(nodes) per-node
-operations.  Against the per-node reference loop (``construct_loop``, the
-analogue of ``matvec_loop``), the packed path reproduces the fixed-seed
-skeleton selections at the acceptance configuration and always reproduces the
+operations.  Against the per-node oracle (``oracles.LoopConstructor``, the
+construction analogue of ``oracles.matvec_loop``), the packed path reproduces
+the fixed-seed skeleton selections at the acceptance configuration and always reproduces the
 sample schedule and compression quality.  Property tests pin down the
 workspace lifecycle (plan sharing, capacity growth, frozen-bank replay).
 """
@@ -32,6 +32,8 @@ from repro.batched.construction_plan import PackedSweepEngine, _LevelState
 from repro.diagnostics import construction_report, dense_relative_error
 from repro.sketching.operators import H2Operator
 
+from oracles import LoopConstructor
+
 BACKENDS = ["serial", "vectorized"]
 #: (kernel name, leaf size) — leaf size 16 doubles the tree depth vs 48.
 PROBLEMS = [
@@ -52,7 +54,7 @@ def _construct(partition, dense, path, backend, seed=3, plan=None, **config_kwar
     config_kwargs.setdefault("tolerance", 1e-6)
     config_kwargs.setdefault("sample_block_size", 16)
     config = ConstructionConfig(backend=backend, **config_kwargs)
-    constructor = H2Constructor(
+    constructor = (H2Constructor if path == "packed" else LoopConstructor)(
         partition,
         DenseOperator(dense),
         DenseEntryExtractor(dense),
@@ -60,8 +62,7 @@ def _construct(partition, dense, path, backend, seed=3, plan=None, **config_kwar
         seed=seed,
         plan=plan,
     )
-    result = constructor.construct() if path == "packed" else constructor.construct_loop()
-    return constructor, result
+    return constructor, constructor.construct()
 
 
 @pytest.fixture(scope="module", params=PROBLEMS, ids=lambda p: f"{p[0]}-leaf{p[1]}")
@@ -136,7 +137,6 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_result_records_which_sweep_ran(self, problem, backend):
         assert problem["runs"][("packed", backend)][1].construction_path == "packed"
-        assert problem["runs"][("loop", backend)][1].construction_path == "loop"
 
     def test_level_reports_match_loop(self, problem):
         _, loop_result = problem["runs"][("loop", "vectorized")]
@@ -386,8 +386,8 @@ class TestAcceptance:
             tolerance=1e-8, sample_block_size=8, norm_estimate=8.0
         )
 
-        def run(path):
-            constructor = H2Constructor(
+        def run(cls):
+            constructor = cls(
                 partition,
                 H2Operator(bootstrap.matrix),
                 DenseEntryExtractor(dense),
@@ -395,14 +395,10 @@ class TestAcceptance:
                 seed=7,
                 plan=plan,
             )
-            result = (
-                constructor.construct() if path == "packed"
-                else constructor.construct_loop()
-            )
-            return constructor, result
+            return constructor, constructor.construct()
 
-        loop_c, loop_result = run("loop")
-        packed_c, packed_result = run("packed")
+        loop_c, loop_result = run(LoopConstructor)
+        packed_c, packed_result = run(H2Constructor)
 
         # Bit-compatible skeleton selections at fixed seed.
         assert_same_skeletons(loop_c, packed_c, "acceptance loop vs packed")
@@ -413,7 +409,8 @@ class TestAcceptance:
         levels = tree.num_levels
         assert report.sweep_launches <= 10 * levels * max(report.sampling_rounds, 1)
         # ... which is what the wall-clock ratio of the two sweeps stood for:
-        # 1,603 compiled launches against 45,657 per-node ones.
+        # 1,590 compiled launches against the oracle's 1,033,497 per-node
+        # products.
         assert (
             packed_result.total_kernel_launches
             <= loop_result.total_kernel_launches / 20

@@ -36,6 +36,8 @@ from repro.core import context as context_module
 from repro.core.context import _OmegaBank
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
+from oracles import LoopConstructor, matvec_loop
+
 N = 700
 TOL = 1e-7
 
@@ -225,17 +227,17 @@ class TestReuse:
         assert first.construction_path == second.construction_path == "packed"
 
     def test_compiled_and_per_node_sweeps_share_the_frozen_bank(self, points):
-        """``construct()`` and the ``construct_loop()`` oracle draw the
-        identical cached sample columns."""
+        """``construct()`` and the per-node oracle (``LoopConstructor``) draw
+        the identical cached sample columns."""
         ctx = GeometryContext(points, leaf_size=32, seed=9)
         kernel = ExponentialKernel(0.2)
         config = ConstructionConfig(tolerance=TOL, backend=ctx.backend)
         packed = ctx.construct(kernel, config=config, warm_start=False)
         cached_columns = ctx.statistics.sample_columns_cached
-        loop = H2Constructor(
+        loop = LoopConstructor(
             ctx.partition, *ctx.bind(kernel), config=config,
             sample_source=ctx._omega_bank.sampler(),
-        ).construct_loop()
+        ).construct()
         # The loop replay consumed the same bank without growing it.
         assert ctx.statistics.sample_columns_cached == cached_columns
         assert loop.total_samples == packed.total_samples
@@ -386,7 +388,7 @@ class TestPlanRefresh:
     def test_refresh_covers_transpose_stages(self, refresh_pair):
         original, scaled, plan = refresh_pair
         x = np.random.default_rng(6).standard_normal(N)
-        expected = scaled.matvec_loop(x)  # symmetric data: loop as reference
+        expected = matvec_loop(scaled, x)  # symmetric data: loop as reference
         scaled.reuse_plan(plan)
         assert np.allclose(scaled.rmatvec(x), expected, atol=1e-10)
 

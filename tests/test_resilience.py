@@ -15,7 +15,7 @@ Covers the tentpole of the resilience PR:
   direct) standalone, through :meth:`repro.Session.solve`, and through
   :class:`repro.GaussianProcess`;
 * construction guards: NaN screening, rank-saturation escalation,
-  packed → loop fallback;
+  compiled-sweep retries ending in a typed failure, the workspace budget;
 * the acceptance criteria: the ladder solves an ill-conditioned system CG
   alone cannot, and disabled resilience stays within 2% of the unguarded
   path (slow, ``REPRO_RESILIENCE_OVERHEAD_MAX``).
@@ -85,20 +85,6 @@ def compress_policy(points, policy, **kwargs):
         points, ExponentialKernel(0.4), policy=policy,
         full_result=True, **kwargs
     )
-
-
-def loop_reference(points):
-    """What ``compress_policy`` constructs, run through the per-node oracle."""
-    from repro.api.facade import _resolve_evaluators, _resolve_geometry
-
-    tree, partition = _resolve_geometry(points, "h2", 64, 0.7, None, None, None)
-    operator, extractor = _resolve_evaluators(
-        ExponentialKernel(0.4), tree, None, None
-    )
-    return repro.H2Constructor(
-        partition, operator, extractor,
-        repro.ConstructionConfig(tolerance=1e-6), seed=7,
-    ).construct_loop()
 
 
 def counter_value(name: str) -> int:
@@ -263,22 +249,19 @@ class TestConstructionFaultMatrix:
         assert any("packed-retry" in m for m in resilience_log)
         assert counter_value("resilience.warnings") > 0
 
-    def test_persistent_fail_launch_falls_back_to_loop(
-        self, packed_points, reference
-    ):
-        # times=-1 keeps failing every packed attempt: the retry budget runs
-        # out and construction recovers onto the per-node loop path.
-        loop_ref = loop_reference(packed_points)
-        _, x, _ = reference
-        policy = ExecutionPolicy(
-            recovery="recover", faults="fail-nth-launch:times=-1"
-        )
-        result = compress_policy(packed_points, policy)
-        assert result.construction_path == "recovered-loop"
-        assert np.array_equal(
-            result.matrix.matvec(x), loop_ref.matrix.matvec(x)
-        )
-        assert counter_value("resilience.recoveries") > 0
+    @pytest.mark.parametrize("mode", ["recover", "warn"])
+    def test_persistent_fail_launch_raises_after_retries(self, packed_points, mode):
+        # times=-1 fails every attempt: the retry budget runs out and the
+        # failure surfaces typed, with the retries on record.
+        policy = ExecutionPolicy(recovery=mode, faults="fail-nth-launch:times=-1")
+        retries = policy.recovery.max_retries
+        before = counter_value("resilience.retries")
+        with pytest.raises(ConstructionFaultError) as excinfo:
+            compress_policy(packed_points, policy)
+        assert excinfo.value.stage == "construct.packed"
+        assert excinfo.value.context["retries"] == retries
+        assert counter_value("resilience.retries") == before + retries
+        assert policy.faults.fired("fail-nth-launch") == retries + 1
 
     # --- nan-in-gemm-output ----------------------------------------------
     def test_nan_gemm_strict_raises(self, packed_points):
@@ -342,25 +325,22 @@ class TestConstructionFaultMatrix:
             compress_policy(packed_points, policy)
         assert excinfo.value.stage == "construct.packed"
 
-    def test_memory_budget_recovers_to_loop(self, packed_points):
-        loop_ref = loop_reference(packed_points)
-        x = np.random.default_rng(1).standard_normal(N_PACKED)
-        policy = ExecutionPolicy(
-            recovery="recover", faults="memory-budget-exceeded"
-        )
-        result = compress_policy(packed_points, policy)
-        assert result.construction_path == "recovered-loop"
-        assert np.array_equal(
-            result.matrix.matvec(x), loop_ref.matrix.matvec(x)
-        )
+    @pytest.mark.parametrize("mode", ["warn", "recover"])
+    def test_memory_budget_raises_without_fallback(self, packed_points, mode):
+        # Re-running the same allocation cannot fit: every mode fails typed.
+        policy = ExecutionPolicy(recovery=mode, faults="memory-budget-exceeded")
+        with pytest.raises(MemoryBudgetError) as excinfo:
+            compress_policy(packed_points, policy)
+        assert excinfo.value.stage == "construct.packed"
 
     def test_real_memory_budget_without_faults(self, packed_points):
         # A tiny configured budget trips the estimator with no injector.
-        policy = ExecutionPolicy(
-            recovery=RecoveryPolicy(mode="strict", memory_budget_bytes=1024)
-        )
-        with pytest.raises(MemoryBudgetError):
-            compress_policy(packed_points, policy)
+        for mode in ("strict", "warn", "recover"):
+            policy = ExecutionPolicy(
+                recovery=RecoveryPolicy(mode=mode, memory_budget_bytes=1024)
+            )
+            with pytest.raises(MemoryBudgetError):
+                compress_policy(packed_points, policy)
 
     @pytest.mark.parametrize(
         "dim, leaf_size, admissibility",
@@ -374,8 +354,8 @@ class TestConstructionFaultMatrix:
         self, dim, leaf_size, admissibility
     ):
         """The estimate covers the allocation it guards (padded dense stack,
-        its operand copy, sample stacks), and a budget between the two
-        stores' traced workspaces lands on the per-node sweep."""
+        its operand copy, sample stacks), and a budget just below it fails
+        typed in every mode before the sweep allocates."""
         import tracemalloc
 
         tree = repro.ClusterTree.build(
@@ -390,29 +370,31 @@ class TestConstructionFaultMatrix:
                 repro.ConstructionConfig(tolerance=1e-4), seed=3, recovery=recovery,
             )
 
-        def traced_workspace(loop):
-            built = constructor()
+        def traced_peak(built):
+            """Construct under tracemalloc: (result or raised error, peak)."""
             tracemalloc.start()
             try:
-                result = built.construct_loop() if loop else built.construct()
-                peak = tracemalloc.get_traced_memory()[1]
+                outcome = built.construct()
+            except MemoryBudgetError as exc:
+                outcome = exc
             finally:
+                peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-            return result, peak - result.matrix.memory_bytes()["total"]
+            return outcome, peak
 
-        loop_ref, loop_workspace = traced_workspace(loop=True)
-        _, packed_workspace = traced_workspace(loop=False)
-        assert loop_workspace < packed_workspace
+        result, peak = traced_peak(constructor())
+        workspace = peak - result.matrix.memory_bytes()["total"]
 
         with pytest.raises(MemoryBudgetError) as excinfo:
             constructor(RecoveryPolicy(mode="strict", memory_budget_bytes=1)).construct()
-        assert excinfo.value.context["estimate_bytes"] >= 0.5 * packed_workspace
+        estimate = excinfo.value.context["estimate_bytes"]
+        assert estimate >= 0.5 * workspace
 
-        budget = (loop_workspace + packed_workspace) // 2
-        result = constructor(RecoveryPolicy(memory_budget_bytes=budget)).construct()
-        assert result.construction_path == "recovered-loop"
-        x = np.random.default_rng(1).standard_normal(1024)
-        assert np.array_equal(result.matrix.matvec(x), loop_ref.matrix.matvec(x))
+        for mode in ("strict", "warn", "recover"):
+            budget = RecoveryPolicy(mode=mode, memory_budget_bytes=estimate - 1)
+            error, failed_peak = traced_peak(constructor(budget))
+            assert isinstance(error, MemoryBudgetError)
+            assert failed_peak < estimate
 
     # --- chaos mode -------------------------------------------------------
     def test_env_faults_alone_still_pass(
@@ -720,7 +702,7 @@ class TestAcceptance:
             assert constructor.recovery is None and constructor.faults is None
             return (
                 constructor.construct() if guarded
-                else constructor._construct(packed=True)
+                else constructor._construct()
             )
 
         def best_of(fn, repeats=3):

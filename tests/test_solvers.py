@@ -29,6 +29,8 @@ from repro import (
 from repro.diagnostics import convergence_table, residual_series
 from repro.multifrontal import poisson_matrix
 
+from oracles import matvec_loop
+
 
 @pytest.fixture(scope="module")
 def spd_system():
@@ -128,7 +130,7 @@ class TestLinearOperatorAdapter:
         n = cov_h2.num_rows
         b = np.random.default_rng(9).standard_normal(n)
         shift = 0.2  # nugget: the raw covariance is near-singular
-        legacy = LinearOperator((n, n), lambda x: cov_h2.matvec_loop(x) + shift * x)
+        legacy = LinearOperator((n, n), lambda x: matvec_loop(cov_h2, x) + shift * x)
         batched = LinearOperator(
             (n, n),
             lambda x: cov_h2.matvec(x) + shift * x,
