@@ -90,7 +90,6 @@ from .batched import (
     H2ApplyPlan,
     KernelLaunchCounter,
     SerialBackend,
-    VariableBatch,
     VectorizedBackend,
     compile_apply_plan,
     get_backend,
@@ -268,7 +267,6 @@ __all__ = [
     "SumEntryExtractor",
     "SumKernel",
     "SumOperator",
-    "VariableBatch",
     "VectorizedBackend",
     "WeakAdmissibility",
     "WhiteNoiseKernel",

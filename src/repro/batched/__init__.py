@@ -17,9 +17,10 @@ argument (Section IV-B).
 
 The same machinery also *applies* constructed H2 matrices:
 :mod:`repro.batched.apply_plan` compiles an ``H2Matrix`` into per-level
-:class:`VariableBatch` execution plans (:class:`H2ApplyPlan`) so that matvec,
+execution plans over plain 3-D stacks (:class:`H2ApplyPlan`) so that matvec,
 matmat and the transpose applies run as O(levels) batched launches on either
-backend instead of a per-node Python loop; :mod:`repro.batched.entry_plan`
+backend instead of a per-node Python loop — marshaled by the same block-row
+grouping (:mod:`repro.batched.block_rows`) as the compiled construction sweep; :mod:`repro.batched.entry_plan`
 does the same for entry evaluation (:class:`H2EntryPlan`: sub-blocks of an H2
 matrix in O(levels) vectorised passes per stack of requests).
 """
@@ -34,7 +35,6 @@ from .backend import (
 from .construction_plan import ConstructionPlan, PackedSweepEngine
 from .counters import KernelLaunchCounter
 from .entry_plan import H2EntryPlan, compile_entry_plan
-from .variable_batch import VariableBatch
 
 __all__ = [
     "ApplyStage",
@@ -49,5 +49,4 @@ __all__ = [
     "compile_entry_plan",
     "get_backend",
     "KernelLaunchCounter",
-    "VariableBatch",
 ]

@@ -14,13 +14,13 @@ all static blocks sharing a destination (the coupling blocks of a block row,
 the dense blocks of a leaf row, the two child transfers of a parent) are
 fused side by side into one ``(p, c*q)`` operand, pre-stacked into a
 contiguous 3-D array at compile time.  The dynamic per-node vectors (``x̂`` /
-``ŷ`` of every level, and the leaf-blocked input/output) live in flat
-:class:`~repro.batched.variable_batch.VariableBatch` buffers laid out by the
-prefix sums of :mod:`repro.utils.prefix_sum`.  Executing the plan walks the
-stages through a pluggable :class:`~repro.batched.backend.BatchedBackend`
-(``batched_gemm_scatter``), so a matvec costs O(levels) batched dispatches
-instead of one small GEMM per tree node, and every dispatch is recorded in the
-backend's :class:`~repro.batched.counters.KernelLaunchCounter`.
+``ŷ`` of every level, and the leaf-blocked input/output) live in plain
+``(count + 1, rows, k)`` stacks whose last block is the zero sentinel.
+Executing the plan walks the stages through a pluggable
+:class:`~repro.batched.backend.BatchedBackend` (``batched_gemm_scatter``), so a
+matvec costs O(levels) batched dispatches instead of one small GEMM per tree
+node, and every dispatch is recorded in the backend's
+:class:`~repro.batched.counters.KernelLaunchCounter`.
 
 The phases mirror the reference loop exactly:
 
@@ -41,14 +41,17 @@ columns ``k`` of the hat buffers changes at execution time.
 
 Zero-padding
 ------------
-Batched GPU kernels want uniform batches; the compiler manufactures them the
-same way the paper's marshaling does, with exact zero-padding:
+Batched GPU kernels want uniform batches; the compiler manufactures them with
+the block-row marshaling it shares with the construction sweep
+(:mod:`repro.batched.block_rows`), with exact zero-padding:
 
-* node ranks are padded to the bucketed maximum rank of their level
-  (``pad_to`` rounding), so every hat buffer is a uniform stack;
-* leaf blocks of the input/output vectors are padded to the maximum leaf size;
-* the fan-in ``c`` of coupling/dense block rows is padded to a multiple of
-  ``fan_pad`` by appending zero blocks that read a sentinel zero source block.
+* node ranks are padded to the maximum rank of their level, so every hat
+  buffer is a uniform stack;
+* leaf blocks of the input/output vectors are padded to the maximum leaf size
+  (:class:`~repro.batched.block_rows.LeafLayout`);
+* block rows are grouped by fan-in; a fan-in above
+  :data:`~repro.batched.block_rows.FAN_PAD` is padded to a multiple of it with
+  zero blocks that read the sentinel zero source block.
 
 Padded rows and columns of ``U``/``E``/``B``/``D`` are zero, so the padded hat
 entries stay exactly zero through every phase — the compiled apply is
@@ -57,26 +60,14 @@ bit-for-bit a reordering of the reference loop's arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..observe.memory import memory_ledger
 from .backend import BatchedBackend, get_backend
-from .variable_batch import VariableBatch
-
-
-def fan_bucket(fan: int, fan_pad: int) -> int:
-    """Bucketed row fan-in: exact below ``fan_pad``, multiples of it above.
-
-    Shared by the apply and construction engines so both group block rows
-    under the same policy: small fans (the sweeps' 1-2 blocks per row) stay
-    exact — padding them would multiply the operand bytes — while wide
-    coupling/dense rows collapse into a handful of fan groups.
-    """
-    if fan <= fan_pad:
-        return fan
-    return ((fan + fan_pad - 1) // fan_pad) * fan_pad
+from .block_rows import LeafLayout, RowGroup, build_row_groups
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hmatrix.h2matrix import H2Matrix
@@ -86,38 +77,46 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: upward/downward per-level hat vectors.
 BufferKey = Tuple
 
-#: One block row awaiting compilation: destination position and the
-#: ``(static_block, source_position, block_key)`` triples fused into the row.
-#: ``block_key`` names the matrix block the operand came from — ``("U", node,
-#: transposed)``, ``("E", child, transposed)``, ``("B", s, t, transposed)`` or
-#: ``("D", s, t, transposed)`` — so :meth:`H2ApplyPlan.refresh` can re-stack
-#: new coefficients into the compiled layout.
-_Row = Tuple[int, List[Tuple[np.ndarray, int, Tuple]]]
+#: A matrix block a stage reads: ``("U", node, transposed)``, ``("E", child,
+#: transposed)``, ``("B", s, t, transposed)`` or ``("D", s, t, transposed)``.
+BlockKey = Tuple
 
 
 @dataclass(frozen=True, eq=False)
 class ApplyStage:
     """One batched launch of block-row GEMMs.
 
-    ``a`` is the contiguous ``(g, p, c*q)`` stack of row operands;
-    ``dest_pos`` holds the ``g`` (unique) destination block positions and
-    ``src_pos`` the ``g*c`` gathered source block positions in the
-    :class:`VariableBatch` buffers named by ``dest``/``src``.
+    ``a`` is the contiguous ``(g, p, c*q)`` stack of row operands: slot ``j``
+    of row ``i`` holds the block ``keys[group.block_req[i*c + j]]`` (zero for
+    padding).  ``dest_pos`` holds the ``g`` (unique) destination block
+    positions and ``src_pos`` the ``g*c`` gathered source block positions in
+    the stacks named by ``dest``/``src``.
     """
 
     op: str
     level: int
     dest: BufferKey
     src: BufferKey
+    group: RowGroup
+    keys: Sequence[BlockKey]
     a: np.ndarray
-    dest_pos: np.ndarray
-    src_pos: np.ndarray
-    fan_in: int
-    #: Number of real (un-padded) block products fused into this stage.
-    num_blocks: int
-    #: ``(row, slot, block_key)`` fill recipe of the real blocks inside ``a``
-    #: (used by :meth:`H2ApplyPlan.refresh` to re-stack new coefficients).
-    recipe: Tuple[Tuple[int, int, Tuple], ...] = ()
+
+    @property
+    def dest_pos(self) -> np.ndarray:
+        return self.group.dest_pos
+
+    @property
+    def src_pos(self) -> np.ndarray:
+        return self.group.src_pos
+
+    @property
+    def fan_in(self) -> int:
+        return self.group.fan
+
+    @property
+    def num_blocks(self) -> int:
+        """Number of real (un-padded) block products fused into this stage."""
+        return self.group.num_blocks
 
     @property
     def batch_size(self) -> int:
@@ -129,6 +128,56 @@ class ApplyStage:
         return int(2 * g * p * cq * k)
 
 
+@dataclass
+class _Phase:
+    """The block rows of one (phase, level) before compilation.
+
+    ``rows`` maps a destination position to its ``(source position, block
+    index)`` pairs, the index into ``keys``; every block is zero-padded to
+    ``shape``.
+    """
+
+    op: str
+    level: int
+    dest: BufferKey
+    src: BufferKey
+    shape: Tuple[int, int]
+    sentinel: int
+    keys: List[BlockKey] = field(default_factory=list)
+    rows: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
+
+    def add(self, dest_pos: int, src_pos: int, key: BlockKey) -> None:
+        self.rows.setdefault(dest_pos, []).append((src_pos, len(self.keys)))
+        self.keys.append(key)
+
+
+def _lookup_block(matrix: "H2Matrix", key: BlockKey) -> np.ndarray:
+    kind = key[0]
+    if kind == "U":
+        block = matrix.basis.leaf_bases[key[1]]
+    elif kind == "E":
+        block = matrix.basis.transfers[key[1]]
+    elif kind == "B":
+        block = matrix.coupling[(key[1], key[2])]
+    else:
+        block = matrix.dense[(key[1], key[2])]
+    return block.T if key[-1] else block
+
+
+def _fill(stage: ApplyStage, matrix: "H2Matrix") -> None:
+    """(Re)write ``stage.a`` from the blocks of ``matrix``: every real slot
+    holds its block top-left, everything else is zero."""
+    a, fan = stage.a, stage.fan_in
+    q = a.shape[2] // fan
+    a[...] = 0.0
+    for slot, req in enumerate(stage.group.block_req.tolist()):
+        if req < 0:
+            continue
+        i, j = divmod(slot, fan)
+        block = _lookup_block(matrix, stage.keys[req])
+        a[i, : block.shape[0], j * q : j * q + block.shape[1]] = block
+
+
 class H2ApplyPlan:
     """Per-level batched execution plan of an :class:`~repro.hmatrix.h2matrix.H2Matrix`.
 
@@ -138,30 +187,17 @@ class H2ApplyPlan:
     recompiling.
     """
 
-    def __init__(self, matrix: "H2Matrix", pad_to: int = 1, fan_pad: int = 4):
+    def __init__(self, matrix: "H2Matrix"):
         tree = matrix.tree
         basis = matrix.basis
-        if pad_to < 1 or fan_pad < 1:
-            raise ValueError("pad_to and fan_pad must be positive integers")
         self.n = tree.num_points
         self.num_levels = tree.num_levels
         self.depth = tree.depth
-        self.pad_to = int(pad_to)
-        self.fan_pad = int(fan_pad)
-
-        # Leaf-block layout of the (padded) input/output vectors.  The last
-        # block of every buffer is the sentinel zero block read by fan-in
-        # padding; its position is ``count``.
-        self._leaf_nodes = list(tree.leaves())
-        self._leaf_pos = {node: i for i, node in enumerate(self._leaf_nodes)}
-        self._leaf_sizes = np.array(
-            [tree.cluster_size(node) for node in self._leaf_nodes], dtype=np.int64
-        )
-        self.leaf_pad = int(self._leaf_sizes.max()) if len(self._leaf_nodes) else 0
+        self.leaves = LeafLayout(tree)
 
         # Per-level hat-vector layout: nodes carrying a (nonzero-rank) basis,
-        # all padded to the bucketed maximum rank of their level so each hat
-        # buffer is one uniform stack.
+        # all padded to the maximum rank of their level so each hat buffer is
+        # one uniform stack.
         self._level_pos: Dict[int, Dict[int, int]] = {}
         self._level_rank: Dict[int, int] = {}
         for level in range(tree.depth, -1, -1):
@@ -173,107 +209,55 @@ class H2ApplyPlan:
             if not nodes:
                 continue
             self._level_pos[level] = {node: i for i, node in enumerate(nodes)}
-            self._level_rank[level] = self._bucket(
-                max(basis.rank(node) for node in nodes)
-            )
+            self._level_rank[level] = max(basis.rank(node) for node in nodes)
 
         self._forward_stages = self._assemble(matrix, transpose=False)
         self._transpose_stages: List[ApplyStage] | None = None
         self._matrix = matrix  # needed for lazy transpose compilation
         self._signature = self._structure(matrix)
+        # Compile-time workspace accounting (never touches the per-apply path).
+        self._ledger_key = memory_ledger().track(
+            self, {"workspace": self.memory_bytes()}
+        )
 
     # ------------------------------------------------------------ compilation
-    def _bucket(self, rank: int) -> int:
-        """Round ``rank`` up to the plan's bucket size."""
-        pad = self.pad_to
-        return ((int(rank) + pad - 1) // pad) * pad
-
-    def _fan_bucket(self, fan: int) -> int:
-        return fan_bucket(fan, self.fan_pad)
-
     @staticmethod
-    def _padded(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """Zero-pad a 2-D block to ``(rows, cols)``."""
-        if a.shape == (rows, cols):
-            return a
-        out = np.zeros((rows, cols), dtype=np.float64)
-        out[: a.shape[0], : a.shape[1]] = a
-        return out
-
-    def _rows_to_stages(
-        self,
-        op: str,
-        level: int,
-        dest: BufferKey,
-        src: BufferKey,
-        rows: Sequence[_Row],
-        sentinel: int,
-    ) -> List[ApplyStage]:
-        """Pad block-row fan-ins to multiples of ``fan_pad``, group and stack.
-
-        Every row's blocks already share the padded shape ``(p, q)``; rows are
-        grouped by padded fan-in so each group is one uniform batched launch.
-        """
-        if not rows:
-            return []
-        p, q = rows[0][1][0][0].shape
-        by_fan: Dict[int, List[_Row]] = {}
-        for row in rows:
-            by_fan.setdefault(self._fan_bucket(len(row[1])), []).append(row)
+    def _compile(phase: _Phase, matrix: "H2Matrix") -> List[ApplyStage]:
+        """One stage per fan group of ``phase``'s rows, filled from ``matrix``."""
+        p, q = phase.shape
+        keys = tuple(phase.keys)
         stages = []
-        for fan in sorted(by_fan):
-            group = by_fan[fan]
-            a = np.zeros((len(group), p, fan * q), dtype=np.float64)
-            dest_pos = np.empty(len(group), dtype=np.int64)
-            src_pos = np.full(len(group) * fan, sentinel, dtype=np.int64)
-            num_blocks = 0
-            recipe: List[Tuple[int, int, Tuple]] = []
-            for i, (dpos, blocks) in enumerate(group):
-                dest_pos[i] = dpos
-                num_blocks += len(blocks)
-                for j, (block, spos, key) in enumerate(blocks):
-                    a[i, :, j * q : (j + 1) * q] = block
-                    src_pos[i * fan + j] = spos
-                    recipe.append((i, j, key))
-            stages.append(
-                ApplyStage(
-                    op=op,
-                    level=level,
-                    dest=dest,
-                    src=src,
-                    a=a,
-                    dest_pos=dest_pos,
-                    src_pos=src_pos,
-                    fan_in=fan,
-                    num_blocks=num_blocks,
-                    recipe=tuple(recipe),
-                )
-            )
+        for group in build_row_groups(phase.rows.items(), phase.sentinel):
+            a = np.empty((group.num_rows, p, group.fan * q), dtype=np.float64)
+            stage = ApplyStage(phase.op, phase.level, phase.dest, phase.src, group, keys, a)
+            _fill(stage, matrix)
+            stages.append(stage)
         return stages
 
-    def _sweep_rows(self, matrix: "H2Matrix"):
+    def _sweep_stages(self, matrix: "H2Matrix"):
         """Leaf, upsweep, downsweep and expansion stages (shared with transpose)."""
         tree = matrix.tree
         basis = matrix.basis
         depth = tree.depth
         leaf_level = self._level_pos.get(depth, {})
         r_leaf = self._level_rank.get(depth, 0)
-        m = self.leaf_pad
-        x_sentinel = len(self._leaf_nodes)
+        m = self.leaves.height
 
-        leaf_up: List[_Row] = []
-        leaf_down: List[_Row] = []
+        leaf = _Phase(
+            "apply_leaf", depth, ("hat", depth), ("x",), (r_leaf, m),
+            sentinel=len(self.leaves.nodes),
+        )
+        expand = _Phase(
+            "apply_expand", depth, ("y",), ("ghat", depth), (m, r_leaf),
+            sentinel=len(leaf_level),
+        )
         for node, pos in leaf_level.items():
             u = basis.leaf_bases.get(node)
             if u is None or u.size == 0:
                 continue
-            lpos = self._leaf_pos[node]
-            leaf_up.append(
-                (pos, [(self._padded(u.T, r_leaf, m), lpos, ("U", node, True))])
-            )
-            leaf_down.append(
-                (lpos, [(self._padded(u, m, r_leaf), pos, ("U", node, False))])
-            )
+            lpos = self.leaves.pos[node]
+            leaf.add(pos, lpos, ("U", node, True))
+            expand.add(lpos, pos, ("U", node, False))
 
         up: List[ApplyStage] = []
         down: List[ApplyStage] = []
@@ -283,127 +267,84 @@ class H2ApplyPlan:
             if not child_pos or not parent_pos:
                 continue
             rc, rp = self._level_rank[level], self._level_rank[level - 1]
-            up_rows: Dict[int, _Row] = {}
-            down_rows: List[_Row] = []
+            upsweep = _Phase(
+                "apply_upsweep", level, ("hat", level - 1), ("hat", level), (rp, rc),
+                sentinel=len(child_pos),
+            )
+            downsweep = _Phase(
+                "apply_downsweep", level, ("ghat", level), ("ghat", level - 1), (rc, rp),
+                sentinel=len(parent_pos),
+            )
             for child, cpos in child_pos.items():
                 e = basis.transfers.get(child)
                 parent = tree.parent(child)
                 if e is None or e.size == 0 or parent not in parent_pos:
                     continue
                 ppos = parent_pos[parent]
-                row = up_rows.setdefault(ppos, (ppos, []))
-                row[1].append((self._padded(e.T, rp, rc), cpos, ("E", child, True)))
-                down_rows.append(
-                    (cpos, [(self._padded(e, rc, rp), ppos, ("E", child, False))])
-                )
-            up.extend(
-                self._rows_to_stages(
-                    "apply_upsweep",
-                    level,
-                    ("hat", level - 1),
-                    ("hat", level),
-                    list(up_rows.values()),
-                    sentinel=len(child_pos),
-                )
-            )
-            down.extend(
-                self._rows_to_stages(
-                    "apply_downsweep",
-                    level,
-                    ("ghat", level),
-                    ("ghat", level - 1),
-                    down_rows,
-                    sentinel=len(parent_pos),
-                )
-            )
+                upsweep.add(ppos, cpos, ("E", child, True))
+                downsweep.add(cpos, ppos, ("E", child, False))
+            up.extend(self._compile(upsweep, matrix))
+            down.extend(self._compile(downsweep, matrix))
         down.reverse()  # downsweep pushes root-ward hats before leaf-ward ones
-
-        leaf_stages = self._rows_to_stages(
-            "apply_leaf", depth, ("hat", depth), ("x",), leaf_up, sentinel=x_sentinel
-        )
-        expand_stages = self._rows_to_stages(
-            "apply_expand",
-            depth,
-            ("y",),
-            ("ghat", depth),
-            leaf_down,
-            sentinel=len(leaf_level),
-        )
-        return leaf_stages, up, down, expand_stages
+        return self._compile(leaf, matrix), up, down, self._compile(expand, matrix)
 
     def _coupling_stages(
         self, matrix: "H2Matrix", transpose: bool
     ) -> List[ApplyStage]:
-        per_level: Dict[int, Dict[int, _Row]] = {}
+        phases: Dict[int, _Phase] = {}
         for (s, t) in sorted(matrix.coupling):
-            b = matrix.coupling[(s, t)]
-            if b.size == 0:
+            if matrix.coupling[(s, t)].size == 0:
                 continue
             level = matrix.tree.level_of(s)
             pos = self._level_pos.get(level)
             if pos is None or s not in pos or t not in pos:
                 continue
-            r = self._level_rank[level]
-            if transpose:
-                block, dpos, spos = self._padded(b.T, r, r), pos[t], pos[s]
-            else:
-                block, dpos, spos = self._padded(b, r, r), pos[s], pos[t]
-            row = per_level.setdefault(level, {}).setdefault(dpos, (dpos, []))
-            row[1].append((block, spos, ("B", s, t, transpose)))
-        stages = []
-        for level in sorted(per_level):
-            stages.extend(
-                self._rows_to_stages(
-                    "apply_coupling",
-                    level,
-                    ("ghat", level),
-                    ("hat", level),
-                    list(per_level[level].values()),
-                    sentinel=len(self._level_pos[level]),
+            if level not in phases:
+                r = self._level_rank[level]
+                phases[level] = _Phase(
+                    "apply_coupling", level, ("ghat", level), ("hat", level), (r, r),
+                    sentinel=len(pos),
                 )
-            )
-        return stages
+            dest, src = (t, s) if transpose else (s, t)
+            phases[level].add(pos[dest], pos[src], ("B", s, t, transpose))
+        return [
+            stage
+            for level in sorted(phases)
+            for stage in self._compile(phases[level], matrix)
+        ]
 
     def _dense_stages(self, matrix: "H2Matrix", transpose: bool) -> List[ApplyStage]:
-        m = self.leaf_pad
-        rows: Dict[int, _Row] = {}
-        for (s, t) in sorted(matrix.dense):
-            d = matrix.dense[(s, t)]
-            if d.size == 0:
-                continue
-            if transpose:
-                block, dpos, spos = self._padded(d.T, m, m), self._leaf_pos[t], self._leaf_pos[s]
-            else:
-                block, dpos, spos = self._padded(d, m, m), self._leaf_pos[s], self._leaf_pos[t]
-            row = rows.setdefault(dpos, (dpos, []))
-            row[1].append((block, spos, ("D", s, t, transpose)))
-        return self._rows_to_stages(
-            "apply_dense",
-            self.depth,
-            ("y",),
-            ("x",),
-            list(rows.values()),
-            sentinel=len(self._leaf_nodes),
+        m = self.leaves.height
+        phase = _Phase(
+            "apply_dense", self.depth, ("y",), ("x",), (m, m),
+            sentinel=len(self.leaves.nodes),
         )
+        for (s, t) in sorted(matrix.dense):
+            if matrix.dense[(s, t)].size == 0:
+                continue
+            dest, src = (t, s) if transpose else (s, t)
+            phase.add(self.leaves.pos[dest], self.leaves.pos[src], ("D", s, t, transpose))
+        return self._compile(phase, matrix)
 
     def _assemble(self, matrix: "H2Matrix", transpose: bool) -> List[ApplyStage]:
-        if transpose:
-            leaf_stages, up, down, expand_stages = self._sweeps
-        else:
-            self._sweeps = self._sweep_rows(matrix)
-            leaf_stages, up, down, expand_stages = self._sweeps
-        stages: List[ApplyStage] = []
-        stages.extend(leaf_stages)
-        stages.extend(up)
-        stages.extend(self._coupling_stages(matrix, transpose))
-        stages.extend(down)
-        stages.extend(expand_stages)
-        stages.extend(self._dense_stages(matrix, transpose))
-        return stages
+        if not transpose:
+            self._sweeps = self._sweep_stages(matrix)
+        leaf_stages, up, down, expand_stages = self._sweeps
+        return [
+            *leaf_stages,
+            *up,
+            *self._coupling_stages(matrix, transpose),
+            *down,
+            *expand_stages,
+            *self._dense_stages(matrix, transpose),
+        ]
 
     def _ensure_transpose(self) -> List[ApplyStage]:
         if self._transpose_stages is None:
             self._transpose_stages = self._assemble(self._matrix, transpose=True)
+            memory_ledger().account(
+                self._ledger_key, {"workspace": self.memory_bytes()}
+            )
         return self._transpose_stages
 
     # ----------------------------------------------------- coefficient refresh
@@ -444,19 +385,6 @@ class H2ApplyPlan:
         )
         return (tree.num_points, ranks, leaf_sizes, coupling, dense, bases, transfers)
 
-    @staticmethod
-    def _lookup_block(matrix: "H2Matrix", key: Tuple) -> np.ndarray:
-        kind = key[0]
-        if kind == "U":
-            block = matrix.basis.leaf_bases[key[1]]
-        elif kind == "E":
-            block = matrix.basis.transfers[key[1]]
-        elif kind == "B":
-            block = matrix.coupling[(key[1], key[2])]
-        else:
-            block = matrix.dense[(key[1], key[2])]
-        return block.T if key[-1] else block
-
     def matches(self, matrix: "H2Matrix") -> bool:
         """Whether ``matrix`` has the structure this plan was compiled for."""
         return self._structure(matrix) == self._signature
@@ -490,53 +418,16 @@ class H2ApplyPlan:
             and getattr(previous, "_plan", None) is self
         ):
             previous._plan = None
-        stages = list(self._forward_stages)
-        if self._transpose_stages is not None:
-            stages.extend(self._transpose_stages)
-        seen: set = set()
-        for stage in stages:
-            if id(stage.a) in seen:
-                continue  # sweep stages are shared between forward and transpose
-            seen.add(id(stage.a))
-            stage.a[...] = 0.0
-            q = stage.a.shape[2] // stage.fan_in
-            for i, j, key in stage.recipe:
-                block = self._lookup_block(matrix, key)
-                stage.a[i, : block.shape[0], j * q : j * q + block.shape[1]] = block
+        # Sweep stages are shared between forward and transpose: fill once.
+        stages = {id(stage): stage for stage in self._forward_stages}
+        for stage in self._transpose_stages or ():
+            stages.setdefault(id(stage), stage)
+        for stage in stages.values():
+            _fill(stage, matrix)
         self._matrix = matrix
         return self
 
     # -------------------------------------------------------------- execution
-    def _leaf_buffer(self, values: np.ndarray | None, k: int) -> VariableBatch:
-        """A padded leaf-blocked buffer (+ sentinel), optionally filled from ``values``."""
-        count = len(self._leaf_nodes)
-        rows = np.full(count + 1, self.leaf_pad, dtype=np.int64)
-        cols = np.full(count + 1, k, dtype=np.int64)
-        buffer = VariableBatch(rows, cols)
-        if values is not None and count:
-            stack = buffer.data.reshape(count + 1, self.leaf_pad, k)
-            if int(self._leaf_sizes.min()) == self.leaf_pad:
-                stack[:count] = values.reshape(count, self.leaf_pad, k)
-            else:
-                offset = 0
-                for i, size in enumerate(self._leaf_sizes):
-                    stack[i, :size] = values[offset : offset + size]
-                    offset += int(size)
-        return buffer
-
-    def _read_leaf_buffer(self, buffer: VariableBatch, out: np.ndarray) -> np.ndarray:
-        count = len(self._leaf_nodes)
-        k = out.shape[1]
-        stack = buffer.data.reshape(count + 1, self.leaf_pad, k)
-        if count and int(self._leaf_sizes.min()) == self.leaf_pad:
-            out[...] = stack[:count].reshape(out.shape)
-        else:
-            offset = 0
-            for i, size in enumerate(self._leaf_sizes):
-                out[offset : offset + size] = stack[i, :size]
-                offset += int(size)
-        return out
-
     def execute(
         self,
         x: np.ndarray,
@@ -582,15 +473,16 @@ class H2ApplyPlan:
                 f"got shape {x.shape}"
             )
         k = x.shape[1]
-        buffers: Dict[BufferKey, VariableBatch] = {
-            ("x",): self._leaf_buffer(x, k),
-            ("y",): self._leaf_buffer(None, k),
+        leaf_shape = (len(self.leaves.nodes) + 1, self.leaves.height, k)
+        buffers: Dict[BufferKey, np.ndarray] = {
+            ("x",): np.zeros(leaf_shape),
+            ("y",): np.zeros(leaf_shape),
         }
+        self.leaves.load(x, buffers[("x",)])
         for level, pos in self._level_pos.items():
-            rows = np.full(len(pos) + 1, self._level_rank[level], dtype=np.int64)
-            cols = np.full(len(pos) + 1, k, dtype=np.int64)
-            buffers[("hat", level)] = VariableBatch(rows, cols)
-            buffers[("ghat", level)] = VariableBatch(rows, cols)
+            shape = (len(pos) + 1, self._level_rank[level], k)
+            buffers[("hat", level)] = np.zeros(shape)
+            buffers[("ghat", level)] = np.zeros(shape)
 
         stages = self._ensure_transpose() if transpose else self._forward_stages
         for stage in stages:
@@ -602,7 +494,7 @@ class H2ApplyPlan:
                 stage.src_pos,
                 operation=stage.op,
             )
-        return self._read_leaf_buffer(buffers[("y",)], np.zeros_like(x))
+        return self.leaves.read(buffers[("y",)], np.empty_like(x))
 
     # ------------------------------------------------------------- statistics
     @property
@@ -655,22 +547,15 @@ class H2ApplyPlan:
         return self.describe()
 
 
-def compile_apply_plan(
-    matrix: "H2Matrix", pad_to: int = 1, fan_pad: int = 4
-) -> H2ApplyPlan:
+def compile_apply_plan(matrix: "H2Matrix") -> H2ApplyPlan:
     """Flatten ``matrix`` into a batched per-level :class:`H2ApplyPlan`.
 
     The compilation walks every basis, transfer, coupling and dense block
     exactly once, fuses the blocks of each block row side by side (the
     non-uniform BSR row formulation), zero-pads ranks, leaf sizes and row
-    fan-ins to uniform bucketed shapes, and stacks every (level, phase,
-    fan-in) group into one contiguous 3-D operand array; the returned plan
-    applies the matrix (and its transpose) to any number of right-hand-side
-    columns through a pluggable batched backend in O(levels) launches.
+    fan-ins to uniform shapes, and stacks every (level, phase, fan-in) group
+    into one contiguous 3-D operand array; the returned plan applies the
+    matrix (and its transpose) to any number of right-hand-side columns
+    through a pluggable batched backend in O(levels) launches.
     """
-    plan = H2ApplyPlan(matrix, pad_to=pad_to, fan_pad=fan_pad)
-    # Compile-time workspace accounting (never touches the per-apply path).
-    from ..observe.memory import memory_ledger
-
-    memory_ledger().track(plan, {"workspace": plan.memory_bytes()})
-    return plan
+    return H2ApplyPlan(matrix)

@@ -6,7 +6,7 @@ small set of batched operations over all nodes of a tree level:
 ====================  =====================================================
 ``batched_rand``      generate the random sketching block ``Omega``
 ``batched_gemm_scatter``  block-row GEMMs gathered from / scattered into
-                      packed stacks: the non-uniform BSR products and the
+                      3-D stacks: the non-uniform BSR products and the
                       upsweep of the construction sweep, and every stage of
                       the compiled H2 apply (:mod:`repro.batched.apply_plan`)
 ``batched_min_r_diag``  the adaptive convergence test (QR of every ``Y_loc``)
@@ -36,7 +36,6 @@ from ..linalg.qr import smallest_r_diagonal
 from ..utils.env import env_choice, normalize_choice
 from ..utils.rng import SeedLike, as_generator
 from .counters import KernelLaunchCounter
-from .variable_batch import VariableBatch
 
 Matrices = Sequence[np.ndarray]
 
@@ -80,30 +79,31 @@ class BatchedBackend(ABC):
 
     def batched_gemm_scatter(
         self,
-        dest: VariableBatch | np.ndarray,
+        dest: np.ndarray,
         dest_pos: np.ndarray,
-        a: Matrices,
-        src: VariableBatch | np.ndarray,
+        a: np.ndarray,
+        src: np.ndarray,
         src_pos: np.ndarray,
         alpha: float = 1.0,
         operation: str = "batched_scatter_gemm",
     ) -> None:
-        """Gathered block-row GEMMs ``dest[dest_pos[i]] += alpha * a_i @ vstack(src[src_pos[i*c : (i+1)*c]])``.
+        """Gathered block-row GEMMs ``dest[dest_pos[i]] += alpha * a[i] @ vstack(src[src_pos[i*c : (i+1)*c]])``.
 
         The per-stage primitive of the compiled H2 apply engine
         (:mod:`repro.batched.apply_plan`) and of the compiled construction
         sweep (:mod:`repro.batched.construction_plan`), phrased as the paper's
         non-uniform BSR row product: each batch item is one *block row* whose
-        static operand ``a_i`` of shape ``(p, c*q)`` concatenates the ``c``
+        static operand ``a[i]`` of shape ``(p, c*q)`` concatenates the ``c``
         blocks of the row, and whose dynamic operand is the vertical
-        concatenation of ``c`` source blocks gathered from the flat buffer of
-        a :class:`VariableBatch` — or from a uniform ``(count, q, k)`` 3-D
-        stack, which is how the construction engine passes (possibly strided)
-        column windows of its preallocated sweep workspace.  The fan-in ``c``
-        is implied by ``len(src_pos) == c * len(dest_pos)``.  Because a whole
-        block row is one GEMM, destinations within a call are unique and the
-        scatter is a plain indexed accumulate — callers fuse all blocks
-        sharing a destination into one row.
+        concatenation of ``c`` source blocks.  All three operands are 3-D
+        stacks: ``a`` is ``(g, p, c*q)``, ``src`` a ``(count, q, k)`` and
+        ``dest`` a ``(count', p, k)`` stack — possibly strided views, which is
+        how the construction engine passes column windows of its preallocated
+        sweep workspace.  The fan-in ``c`` is implied by ``len(src_pos) == c *
+        len(dest_pos)``.  Because a whole block row is one GEMM, destinations
+        within a call are unique and the scatter is a plain indexed
+        accumulate — callers fuse all blocks sharing a destination into one
+        row.
 
         This reference implementation executes one GEMM per block row — the
         per-node "CPU" schedule.  :class:`VectorizedBackend` overrides it with
@@ -145,14 +145,12 @@ class BatchedBackend(ABC):
         return results
 
     def batched_random_normal(
-        self, shapes: Sequence[Tuple[int, int]], seed: SeedLike = None
-    ) -> VariableBatch:
-        """Generate a batch of standard-normal matrices in one flat allocation."""
-        rng = as_generator(seed)
-        batch = VariableBatch.from_shapes(shapes)
-        batch.data[...] = rng.standard_normal(batch.total_elements)
+        self, shape: Tuple[int, int], seed: SeedLike = None
+    ) -> np.ndarray:
+        """Draw one standard-normal ``shape`` block (the sketch ``Omega``) in one launch."""
+        out = as_generator(seed).standard_normal(shape)
         self._record("batched_rand", 1)
-        return batch
+        return out
 
     # -------------------------------------------------------------- reporting
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
@@ -198,64 +196,46 @@ class VectorizedBackend(BatchedBackend):
         return groups
 
     @staticmethod
-    def _as_uniform_stack(buffer: VariableBatch | np.ndarray) -> np.ndarray | None:
-        """``(count, rows, cols)`` view of a uniform batch, or ``None``.
+    def _as_uniform_stack(buffer: np.ndarray) -> np.ndarray | None:
+        """``buffer`` when it is a 3-D stack, else ``None``.
 
-        Accepts either a :class:`VariableBatch` (uniform-shape check) or an
-        already-stacked 3-D array — the latter is how the compiled construction
-        engine passes column windows of its preallocated sweep buffers, which
-        may be strided views.
+        Not used by the backend itself: ``benchmarks/e2e/layers.py`` reads it
+        to size the GEMM work of a ``batched_gemm_scatter`` launch.
         """
-        if isinstance(buffer, np.ndarray):
-            return buffer if buffer.ndim == 3 else None
-        return buffer.uniform_stack()
+        return buffer if isinstance(buffer, np.ndarray) and buffer.ndim == 3 else None
 
     def batched_gemm_scatter(
         self,
-        dest: VariableBatch | np.ndarray,
+        dest: np.ndarray,
         dest_pos: np.ndarray,
-        a: Matrices,
-        src: VariableBatch | np.ndarray,
+        a: np.ndarray,
+        src: np.ndarray,
         src_pos: np.ndarray,
         alpha: float = 1.0,
         operation: str = "batched_scatter_gemm",
     ) -> None:
         """One gather / stacked-GEMM / scatter per launch.
 
-        The compiled-plan case — a pre-stacked 3-D ``a`` over *uniform* source
-        and destination batches — runs with **no** Python-level per-block work:
-        the ``c`` source blocks of every block row are marshaled with a single
-        first-axis fancy gather (then viewed as the ``(g, c*q, k)`` stacked
-        right-hand side), multiplied with one ``np.matmul`` over the stack, and
-        accumulated with one fancy indexed add (destinations are unique by the
-        block-row contract).  Non-uniform batches or list-of-blocks operands
-        fall back to the reference loop.
+        No Python-level per-block work: the ``c`` source blocks of every block
+        row are marshaled with a single first-axis fancy gather (then viewed
+        as the ``(g, c*q, k)`` stacked right-hand side), multiplied with one
+        ``np.matmul`` over the stack, and accumulated with one fancy indexed
+        add (destinations are unique by the block-row contract).
         """
         rows = len(dest_pos)
         if rows == 0:
             self._record(operation, 0)
             return
-        src_stack = self._as_uniform_stack(src)
-        dest_stack = self._as_uniform_stack(dest)
-        if (
-            src_stack is None
-            or dest_stack is None
-            or not (isinstance(a, np.ndarray) and a.ndim == 3)
-        ):
-            super().batched_gemm_scatter(
-                dest, dest_pos, a, src, src_pos, alpha=alpha, operation=operation
-            )
-            return
         self._record(operation, 1)
         g, p, cq = a.shape
-        k = src_stack.shape[2]
+        k = src.shape[2]
         if p == 0 or cq == 0 or k == 0:
             return
-        rhs = src_stack[src_pos].reshape(g, cq, k)
+        rhs = src[src_pos].reshape(g, cq, k)
         prod = np.matmul(a, rhs)
         if alpha != 1.0:
             prod *= alpha
-        dest_stack[dest_pos] += prod
+        dest[dest_pos] += prod
 
     def batched_row_id(
         self,

@@ -12,10 +12,11 @@ Two pieces cooperate:
 
 :class:`ConstructionPlan`
     The *static* (kernel-independent) packing of one ``(tree, partition)``
-    pair: the leaf gather map turning the global sketch ``(n, d)`` into a
-    zero-padded uniform ``(leaves, m_pad, d)`` stack, the fan-grouped block-row
-    structure of the dense (inadmissible leaf) BSR product, and the per-level
-    fan-grouped block-row structure of the coupling BSR products.  A
+    pair: the leaf layout turning the global sketch ``(n, d)`` into a
+    zero-padded uniform ``(leaves + 1, m_pad, d)`` stack, the fan-grouped
+    block-row structure of the dense (inadmissible leaf) BSR product, and the
+    per-level fan-grouped block-row structure of the coupling BSR products —
+    marshaled by :mod:`repro.batched.block_rows`, as the compiled apply is.  A
     :class:`~repro.core.context.GeometryContext` compiles this once and reuses
     it for every construction of a sweep.
 
@@ -80,8 +81,8 @@ from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Tu
 import numpy as np
 
 from ..observe.tracer import phase_span
-from .apply_plan import fan_bucket
 from .backend import BatchedBackend
+from .block_rows import LeafLayout, RowGroup, build_row_groups
 from .counters import KernelLaunchCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,60 +92,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Request = Tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class _RowGroup:
-    """A fan-in group of block rows of one level's BSR product.
-
-    ``dest_pos[i]`` is the destination block of row ``i`` and
-    ``src_pos[i * fan + j]`` the source block of its ``j``-th slot (the
-    sentinel block for padded slots).  ``block_req[i * fan + j]`` indexes the
-    level's block-request list (``-1`` for padding) and drives the stacking of
-    the extracted blocks into the ``(g, p, fan * q)`` GEMM operand.
-    """
-
-    fan: int
-    dest_pos: np.ndarray
-    src_pos: np.ndarray
-    block_req: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.dest_pos.shape[0])
-
-
-def _build_row_groups(
-    rows: Sequence[Tuple[int, List[Tuple[int, int]]]],
-    sentinel: int,
-    fan_pad: int,
-) -> List[_RowGroup]:
-    """Group block rows ``(dest, [(src, request), ...])`` by bucketed fan-in."""
-    by_fan: Dict[int, List[Tuple[int, List[Tuple[int, int]]]]] = {}
-    for dest, blocks in rows:
-        if not blocks:
-            continue
-        by_fan.setdefault(fan_bucket(len(blocks), fan_pad), []).append(
-            (dest, blocks)
-        )
-    groups = []
-    for fan in sorted(by_fan):
-        members = by_fan[fan]
-        g = len(members)
-        dest_pos = np.empty(g, dtype=np.int64)
-        src_pos = np.full(g * fan, sentinel, dtype=np.int64)
-        block_req = np.full(g * fan, -1, dtype=np.int64)
-        for i, (dest, blocks) in enumerate(members):
-            dest_pos[i] = dest
-            for j, (src, req) in enumerate(blocks):
-                src_pos[i * fan + j] = src
-                block_req[i * fan + j] = req
-        groups.append(
-            _RowGroup(fan=fan, dest_pos=dest_pos, src_pos=src_pos, block_req=block_req)
-        )
-    return groups
-
-
 def _launch_operands(
-    groups: Sequence[_RowGroup], padded_blocks: np.ndarray
+    groups: Sequence[RowGroup], padded_blocks: np.ndarray
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One ``(operand, dest_pos, src_pos)`` launch per fan group.
 
@@ -179,50 +128,31 @@ class ConstructionPlan:
     state lives in :class:`PackedSweepEngine`).
     """
 
-    def __init__(self, partition: "BlockPartition", fan_pad: int = 4):
-        if fan_pad < 1:
-            raise ValueError("fan_pad must be a positive integer")
+    def __init__(self, partition: "BlockPartition"):
         self.partition = partition
         self.tree = partition.tree
-        self.fan_pad = int(fan_pad)
         tree = self.tree
-
-        # ---------------------------------------------------- leaf gather map
-        self.leaf_nodes: List[int] = list(tree.leaves())
-        count = len(self.leaf_nodes)
-        self.leaf_sizes = np.array(
-            [tree.cluster_size(t) for t in self.leaf_nodes], dtype=np.int64
-        )
-        self.m_pad = int(self.leaf_sizes.max()) if count else 0
-        self.leaf_gather = np.zeros((count, self.m_pad), dtype=np.int64)
-        self.leaf_mask = np.zeros((count, self.m_pad), dtype=np.float64)
-        for i, t in enumerate(self.leaf_nodes):
-            size = int(self.leaf_sizes[i])
-            self.leaf_gather[i, :size] = np.arange(
-                tree.starts[t], tree.ends[t], dtype=np.int64
-            )
-            self.leaf_mask[i, :size] = 1.0
+        #: The global sketch ``(n, d)`` as a zero-padded ``(leaves + 1,
+        #: height, d)`` stack.
+        self.leaves = LeafLayout(tree)
 
         # ----------------------------------------- dense (leaf) BSR structure
-        leaf_pos = {node: i for i, node in enumerate(self.leaf_nodes)}
         self.dense_pairs: List[Tuple[int, int]] = []
         dense_rows: List[Tuple[int, List[Tuple[int, int]]]] = []
-        for i, tau in enumerate(self.leaf_nodes):
+        for i, tau in enumerate(self.leaves.nodes):
             blocks = []
             for b in partition.near(tau):
-                blocks.append((leaf_pos[b], len(self.dense_pairs)))
+                blocks.append((self.leaves.pos[b], len(self.dense_pairs)))
                 self.dense_pairs.append((tau, b))
             dense_rows.append((i, blocks))
-        self.dense_groups = _build_row_groups(
-            dense_rows, sentinel=count, fan_pad=self.fan_pad
-        )
+        self.dense_groups = build_row_groups(dense_rows, sentinel=self.num_leaves)
 
         # ------------------------------------- per-level coupling structure
         #: ``coupling_pairs[depth]`` lists the level's far pairs in the
         #: reference loop's order; ``coupling_groups[depth]`` the fan-grouped
         #: block-row structure over the level's node positions.
         self.coupling_pairs: Dict[int, List[Tuple[int, int]]] = {}
-        self.coupling_groups: Dict[int, List[_RowGroup]] = {}
+        self.coupling_groups: Dict[int, List[RowGroup]] = {}
         self.level_nodes: Dict[int, List[int]] = {}
         for depth in range(tree.depth, -1, -1):
             nodes = list(tree.nodes_at_level(depth))
@@ -237,9 +167,7 @@ class ConstructionPlan:
                     pairs.append((tau, b))
                 rows.append((i, blocks))
             self.coupling_pairs[depth] = pairs
-            self.coupling_groups[depth] = _build_row_groups(
-                rows, sentinel=len(nodes), fan_pad=self.fan_pad
-            )
+            self.coupling_groups[depth] = build_row_groups(rows, sentinel=len(nodes))
         #: Shallowest depth carrying admissible blocks, where the upward sweep
         #: stops (``None`` for a fully dense partition).
         self.top_depth: Optional[int] = min(
@@ -254,11 +182,11 @@ class ConstructionPlan:
 
     @property
     def num_leaves(self) -> int:
-        return len(self.leaf_nodes)
+        return len(self.leaves.nodes)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the static gather/grouping arrays."""
-        total = self.leaf_gather.nbytes + self.leaf_mask.nbytes
+        """Bytes held by the static leaf mask and grouping arrays."""
+        total = self.leaves.mask.nbytes
         for groups in [self.dense_groups, *self.coupling_groups.values()]:
             for g in groups:
                 total += g.dest_pos.nbytes + g.src_pos.nbytes + g.block_req.nbytes
@@ -268,10 +196,11 @@ class ConstructionPlan:
         """Bytes a :class:`PackedSweepEngine` allocates at the leaf level for
         ``columns`` sample columns: the padded dense stack, its fan-grouped
         operand copy and the ``omega``/``y`` sample stacks (float64)."""
-        block = self.m_pad * self.m_pad
+        height = self.leaves.height
+        block = height * height
         dense_stack = len(self.dense_pairs) * block
         dense_operands = sum(g.num_rows * g.fan for g in self.dense_groups) * block
-        samples = 2 * (self.num_leaves + 1) * self.m_pad * columns
+        samples = 2 * (self.num_leaves + 1) * height * columns
         return 8 * (dense_stack + dense_operands + samples)
 
     def launch_schedule(
@@ -472,7 +401,7 @@ class PackedSweepEngine:
         padding is exact zeros); copying thousands of leaf blocks would double
         the marshaling traffic.
         """
-        padded = self._extract(extractor, requests, self.plan.m_pad)
+        padded = self._extract(extractor, requests, self.plan.leaves.height)
         with phase_span(self.tracer, "misc"):
             self._dense_ops = _launch_operands(self.plan.dense_groups, padded)
         return [
@@ -517,15 +446,9 @@ class PackedSweepEngine:
         """Gather global ``(n, b)`` sketches into zeroed ``(leaves + 1, m_pad, b)``
         stacks (one marshaling launch) and subtract the dense part:
         ``y -= D @ omega``, one launch per fan group."""
-        plan = self.plan
-        count = plan.num_leaves
-        ragged = count and int(plan.leaf_sizes.min()) < plan.m_pad
         with phase_span(self.tracer, "shrink_upsweep"):
-            for source, stack in ((omega, omega_stack), (y, y_stack)):
-                rows = source[plan.leaf_gather]
-                if ragged:
-                    rows *= plan.leaf_mask[:, :, None]
-                stack[:count] = rows
+            self.plan.leaves.load(omega, omega_stack)
+            self.plan.leaves.load(y, y_stack)
             self._gather()
         with phase_span(self.tracer, "bsr_gemm"):
             for a, dest_pos, src_pos in self._dense_ops:
@@ -547,9 +470,9 @@ class PackedSweepEngine:
         plan = self.plan
         state = _LevelState(
             depth=plan.tree.depth,
-            nodes=plan.leaf_nodes,
-            heights=plan.leaf_sizes,
-            m_pad=plan.m_pad,
+            nodes=plan.leaves.nodes,
+            heights=plan.leaves.sizes,
+            m_pad=plan.leaves.height,
             cols=int(omega.shape[1]),
             capacity=max(capacity_hint, int(omega.shape[1])),
         )
@@ -722,7 +645,7 @@ class PackedSweepEngine:
         launches total, no per-node Python state.
         """
         plan = self.plan
-        shape = (plan.num_leaves + 1, plan.m_pad, int(new_omega.shape[1]))
+        shape = (plan.num_leaves + 1, plan.leaves.height, int(new_omega.shape[1]))
         omega_stack = np.zeros(shape, dtype=np.float64)
         y_stack = np.zeros(shape, dtype=np.float64)
         self._load_leaves(new_omega, new_y, omega_stack, y_stack)

@@ -534,8 +534,7 @@ class H2Constructor:
                     )
                 self.counter.record("batched_rand", 1)
             else:
-                batch = self.backend.batched_random_normal([(n, count)], seed=self.rng)
-                omega = batch[0]
+                omega = self.backend.batched_random_normal((n, count), seed=self.rng)
         y = self._sketch(omega)
         self._total_samples += count
         return omega, y

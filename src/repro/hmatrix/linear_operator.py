@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import HierarchicalOperator
+from ..api.protocol import HierarchicalOperator, _apply_complex_as_real
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
@@ -51,13 +51,18 @@ class LinearOperator:
     def n(self) -> int:
         return self.shape[1]
 
-    def _split_complex(self, x: np.ndarray, apply) -> np.ndarray:
+    @staticmethod
+    def _split_complex(x: np.ndarray, apply, batched: bool) -> np.ndarray:
         """Apply the real operator to a complex input part-by-part.
 
         ``A (x_re + i x_im) = A x_re + i A x_im`` — the scipy
         ``LinearOperator`` semantics; the imaginary part is never silently
-        dropped by a float64 cast.
+        dropped by a float64 cast.  With a ``batched`` block apply both parts
+        go through it side by side in one call; a bare ``matvec`` callable
+        is called once per part.
         """
+        if batched:
+            return _apply_complex_as_real(x, apply)
         real = apply(np.ascontiguousarray(x.real, dtype=np.float64))
         imag = apply(np.ascontiguousarray(x.imag, dtype=np.float64))
         return real + 1j * imag
@@ -70,7 +75,7 @@ class LinearOperator:
                 f"operator has {self.shape[1]} columns, got input with {x.shape[0]} rows"
             )
         if np.iscomplexobj(x):
-            return self._split_complex(x, self.matvec)
+            return self._split_complex(x, self.matvec, self._matmat is not None)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and self._matmat is not None:
             return np.asarray(self._matmat(x))
@@ -87,7 +92,7 @@ class LinearOperator:
         """Apply the transpose ``A^T x`` (defaults to ``matvec`` when symmetric)."""
         x = np.asarray(x)
         if np.iscomplexobj(x):
-            return self._split_complex(x, self.rmatvec)
+            return self._split_complex(x, self.rmatvec, self._rmatmat is not None)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and self._rmatmat is not None:
             return np.asarray(self._rmatmat(x))

@@ -1,15 +1,16 @@
-"""Prefix-sum helpers used to lay out variable-size batches in a flat buffer.
+"""The exclusive prefix sum that lays out variable-size blocks in a flat buffer.
 
 The GPU implementation in the paper avoids many small device allocations by
-computing, per level, the total workspace needed with a parallel prefix sum
-over block dimensions and performing a single allocation per operation.  The
-helpers in this module implement the same bookkeeping for the NumPy-backed
-batched engine in :mod:`repro.batched`.
+computing, per level, the offsets of every block with a parallel prefix sum
+over block dimensions.  The compiled entry evaluation
+(:mod:`repro.batched.entry_plan`) uses the same bookkeeping for its flat block
+buffers and ragged index ranges; every other batched buffer is a uniform
+``(count + 1, rows, k)`` stack.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -32,23 +33,3 @@ def exclusive_prefix_sum(sizes: Sequence[int]) -> np.ndarray:
     if arr.shape[0] > 1:
         np.cumsum(arr[:-1], out=out[1:])
     return out
-
-
-def offsets_from_sizes(sizes: Sequence[int]) -> Tuple[np.ndarray, int]:
-    """Return ``(offsets, total)`` for laying out blocks of ``sizes`` contiguously.
-
-    ``offsets[i]`` is the starting position of block ``i`` in a flat buffer of
-    length ``total``.
-    """
-    offsets = exclusive_prefix_sum(sizes)
-    arr = np.asarray(sizes, dtype=np.int64)
-    total = int(offsets[-1] + arr[-1]) if arr.size else 0
-    return offsets, total
-
-
-def total_from_sizes(sizes: Sequence[int]) -> int:
-    """Total number of elements required to store all blocks of ``sizes``."""
-    arr = np.asarray(sizes, dtype=np.int64)
-    return int(arr.sum()) if arr.size else 0
-
-

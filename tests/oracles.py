@@ -87,7 +87,7 @@ class NodeSweep:
         #: ``records[depth]``: the row IDs of a skeletonised level, replayed on
         #: fresh samples by :meth:`sweep_slab`.
         self.records: Dict[int, Sequence] = {}
-        self._dense_rows: BlockRows = [[] for _ in plan.leaf_nodes]
+        self._dense_rows: BlockRows = [[] for _ in plan.leaves.nodes]
         self._coupling_rows: Dict[int, BlockRows] = {}
 
     def _products(self, count: int) -> None:
@@ -111,7 +111,7 @@ class NodeSweep:
         """Evaluate ``plan.dense_pairs``; they become the leaf subtract."""
         blocks = self._extract(extractor, requests)
         self._dense_rows = _block_rows(
-            self.plan.leaf_nodes, self.plan.dense_pairs, blocks
+            self.plan.leaves.nodes, self.plan.dense_pairs, blocks
         )
         return blocks
 
@@ -129,7 +129,7 @@ class NodeSweep:
         """Per-leaf slices of a global ``(n, b)`` sketch, dense part subtracted."""
         tree = self.plan.tree
         with phase_span(self.tracer, "shrink_upsweep"):
-            spans = [(tree.starts[t], tree.ends[t]) for t in self.plan.leaf_nodes]
+            spans = [(tree.starts[t], tree.ends[t]) for t in self.plan.leaves.nodes]
             omega_loc = [np.ascontiguousarray(omega[a:b]) for a, b in spans]
             y_loc = [y[a:b].copy() for a, b in spans]
         self._subtract(self._dense_rows, y_loc, omega_loc)
@@ -140,7 +140,7 @@ class NodeSweep:
     ) -> _NodeLevelState:
         """Load the initial global sketch into the leaf level's state."""
         return _NodeLevelState(
-            self.plan.tree.depth, self.plan.leaf_nodes, *self._leaf_slabs(omega, y)
+            self.plan.tree.depth, self.plan.leaves.nodes, *self._leaf_slabs(omega, y)
         )
 
     def _shrink_upsweep(

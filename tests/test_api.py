@@ -437,6 +437,23 @@ class TestExecutionPolicy:
             for backend in (repro.SerialBackend, repro.VectorizedBackend):
                 assert not hasattr(backend, method)
 
+    def test_no_variable_batches_or_padding_knobs(self, api_points, api_kernel):
+        """Batched buffers are plain 3-D stacks; fan and rank padding are fixed."""
+        assert not hasattr(repro, "VariableBatch")
+        assert not hasattr(repro.batched, "VariableBatch")
+        assert "VariableBatch" not in repro.__all__
+        assert "VariableBatch" not in repro.batched.__all__
+        assert not hasattr(repro.utils, "offsets_from_sizes")
+        assert not hasattr(repro.utils, "total_from_sizes")
+        h2 = compress(api_points, api_kernel, tol=1e-4, leaf_size=LEAF, seed=1)
+        with pytest.raises(TypeError):
+            repro.compile_apply_plan(h2, fan_pad=2)
+        with pytest.raises(TypeError):
+            repro.compile_apply_plan(h2, pad_to=16)
+        partition = repro.build_block_partition(h2.tree, repro.WeakAdmissibility())
+        with pytest.raises(TypeError):
+            repro.ConstructionPlan(partition, fan_pad=2)
+
     def test_construction_config_threading(self):
         policy = ExecutionPolicy(backend="serial")
         config = policy.construction_config(tolerance=1e-4)

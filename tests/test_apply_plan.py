@@ -23,6 +23,7 @@ from repro import (
     H2Constructor,
     HelmholtzKernel,
     KernelLaunchCounter,
+    LinearOperator,
     SerialBackend,
     VectorizedBackend,
     as_linear_operator,
@@ -33,6 +34,8 @@ from repro import (
     get_backend,
     uniform_cube_points,
 )
+from repro.batched.block_rows import FAN_PAD
+from repro.observe import memory_ledger
 
 from oracles import matvec_loop
 
@@ -270,22 +273,34 @@ class TestCompileApplyPlanApi:
         assert rel_err(out, h2.matmat(x, permuted=True)) < 1e-14
 
     def test_fan_padding_is_exact(self, h2_problem):
-        """Wider fan buckets only add zero blocks — results are unchanged."""
+        """Fan-ins above ``FAN_PAD`` are padded to multiples of it with zero
+        blocks that read the sentinel — results are unchanged."""
         h2 = h2_problem["h2"]
         x = np.random.default_rng(13).standard_normal(h2.num_rows)
-        reference = matvec_loop(h2, x, permuted=True)
-        for fan_pad in (1, 3, 8):
-            plan = compile_apply_plan(h2, fan_pad=fan_pad)
-            out = plan.execute(x[:, None], backend="vectorized")[:, 0]
-            assert rel_err(out, reference) < TOL
+        plan = compile_apply_plan(h2)
+        padded = [s for s in plan.stages if s.num_blocks < s.batch_size * s.fan_in]
+        assert padded and all(s.fan_in % FAN_PAD == 0 for s in padded)
+        for stage in padded:
+            sentinel = stage.src_pos[stage.group.block_req < 0]
+            assert np.all(sentinel == sentinel.max())
+        out = plan.execute(x[:, None], backend="vectorized")[:, 0]
+        assert rel_err(out, matvec_loop(h2, x, permuted=True)) < TOL
 
-    def test_rank_bucketing_is_exact(self, h2_problem):
+    def test_ledger_follows_the_lazy_transpose_compile(self, h2_problem):
+        """The transpose stages compiled on the first ``rmatvec`` are in the
+        memory ledger's workspace entry of the plan."""
         h2 = h2_problem["h2"]
-        x = np.random.default_rng(14).standard_normal(h2.num_rows)
-        reference = matvec_loop(h2, x, permuted=True)
-        plan = compile_apply_plan(h2, pad_to=16)
-        out = plan.execute(x[:, None], backend="serial")[:, 0]
-        assert rel_err(out, reference) < TOL
+        plan = h2.apply_plan(rebuild=True)
+
+        def plan_entries():
+            owners = memory_ledger().by_owner()
+            return [v for k, v in owners.items() if k.startswith("H2ApplyPlan")]
+
+        assert plan_entries() == [{"workspace": plan.memory_bytes()}]
+        forward_bytes = plan.memory_bytes()
+        h2.rmatvec(np.ones(h2.num_rows))
+        assert plan.memory_bytes() > forward_bytes
+        assert plan_entries() == [{"workspace": plan.memory_bytes()}]
 
     def test_execute_rejects_bad_shapes(self, h2_problem):
         plan = h2_problem["h2"].apply_plan()
@@ -301,6 +316,36 @@ class TestCompileApplyPlanApi:
         assert plan.flops(2) == 2 * plan.flops(1)
         assert plan.memory_bytes() > 0
         assert sum(plan.stage_counts().values()) == plan.num_stages
+
+
+class TestComplexInput:
+    """A complex block costs one real apply: ``[Re x | Im x]`` side by side."""
+
+    @pytest.mark.parametrize("method", ["matvec", "rmatmat"])
+    def test_complex_apply_is_one_plan_execution(self, h2_problem, method):
+        h2 = h2_problem["h2"]
+        rng = np.random.default_rng(15)
+        shape = (h2.num_rows,) if method == "matvec" else (h2.num_rows, 3)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        counter = KernelLaunchCounter()
+        apply = getattr(h2, method)
+        out = apply(z, backend=get_backend("vectorized", counter=counter))
+        assert counter.total_calls() == h2.apply_plan().num_stages
+        two_parts = apply(z.real.copy()) + 1j * apply(z.imag.copy())
+        assert rel_err(out, two_parts) < 1e-14
+
+    def test_wrapped_block_apply_takes_complex_input_in_one_call(self, h2_problem):
+        h2 = h2_problem["h2"]
+        calls = []
+
+        def matmat(x):
+            calls.append(x.shape)
+            return h2.matmat(x)
+
+        op = LinearOperator(h2.shape, h2.matvec, matmat=matmat)
+        z = np.random.default_rng(16).standard_normal(h2.num_rows) * (1 + 2j)
+        assert rel_err(op.matvec(z), h2.matvec(z)) < 1e-14
+        assert calls == [(h2.num_rows, 2)]
 
 
 class TestLinearOperatorRouting:

@@ -281,11 +281,6 @@ class TestWorkspaceLifecycle:
                 plan=ConstructionPlan(other_partition),
             )
 
-    def test_fan_pad_validation(self, small_problem):
-        partition, _ = small_problem
-        with pytest.raises(ValueError, match="fan_pad"):
-            ConstructionPlan(partition, fan_pad=0)
-
     def test_frozen_sample_source_replays_identically(self, small_problem):
         """The same sample bank pushes bit-identical state through the workspace."""
         partition, dense = small_problem

@@ -9,10 +9,8 @@ from repro.utils import (
     check_positive,
     check_square,
     exclusive_prefix_sum,
-    offsets_from_sizes,
     require,
     spawn_generator,
-    total_from_sizes,
 )
 from repro.utils.validation import as_index_array
 
@@ -23,17 +21,6 @@ class TestPrefixSum:
 
     def test_empty(self):
         assert exclusive_prefix_sum([]).shape == (0,)
-        assert total_from_sizes([]) == 0
-
-    def test_single(self):
-        offsets, total = offsets_from_sizes([7])
-        assert offsets.tolist() == [0]
-        assert total == 7
-
-    def test_offsets_and_total(self):
-        offsets, total = offsets_from_sizes([4, 0, 2])
-        assert offsets.tolist() == [0, 4, 4]
-        assert total == 6
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -41,16 +28,8 @@ class TestPrefixSum:
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30))
     def test_matches_numpy_cumsum(self, sizes):
-        offsets, total = offsets_from_sizes(sizes)
         expected = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        assert np.array_equal(offsets, expected)
-        assert total == sum(sizes)
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30))
-    def test_offsets_monotone(self, sizes):
-        offsets, total = offsets_from_sizes(sizes)
-        assert np.all(np.diff(offsets) >= 0)
-        assert total >= int(offsets[-1])
+        assert np.array_equal(exclusive_prefix_sum(sizes), expected)
 
 
 class TestValidation:
