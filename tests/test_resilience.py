@@ -130,13 +130,32 @@ class TestRecoveryPolicy:
         assert policy.faults.installed("stall-convergence")
         assert policy.recovery is not None  # chaos mode
 
-    def test_resolve_backend_installs_resilience(self):
+    def test_resolve_backend_installs_only_the_tracer(self):
+        tracer = repro.SpanTracer()
         policy = ExecutionPolicy(
-            backend="serial", recovery="warn", faults="fail-nth-launch"
+            backend="serial", tracer=tracer, recovery="warn",
+            faults="fail-nth-launch",
         )
         backend = policy.resolve_backend()
-        assert backend.recovery is policy.recovery
-        assert backend.faults is policy.faults
+        assert backend.tracer is tracer
+        assert not hasattr(backend, "recovery")
+        assert not hasattr(backend, "faults")
+
+    def test_policies_sharing_a_backend_do_not_leak(self, packed_points):
+        """Recovery and faults ride on the policy, not on the backend: a
+        plain policy constructs normally after a chaos policy resolved the
+        same backend instance, and the chaos policy still fails typed."""
+        backend = repro.VectorizedBackend()
+        plain = ExecutionPolicy(backend=backend)
+        chaos = ExecutionPolicy(
+            backend=backend, recovery="strict", faults="fail-nth-launch:nth=1"
+        )
+        assert plain.resolve_backend() is chaos.resolve_backend()
+        result = compress_policy(packed_points, plain)
+        assert result.construction_path == "packed"
+        assert chaos.faults.fired("fail-nth-launch") == 0
+        with pytest.raises(ConstructionFaultError):
+            compress_policy(packed_points, chaos)
 
     def test_error_hierarchy(self):
         for cls in (
