@@ -38,6 +38,7 @@ from ..core.context import GeometryContext
 from ..hmatrix.hmatrix import build_hmatrix_aca
 from ..hmatrix.hodlr import build_hodlr
 from ..kernels.base import KernelFunction
+from ..observe.health import check_operator_health
 from ..sketching.entry_extractor import (
     DenseEntryExtractor,
     EntryExtractor,
@@ -54,6 +55,7 @@ from .protocol import HierarchicalOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gp.regression import GaussianProcess
+    from ..observe.health import HealthReport
     from ..persist.cache import ArtifactCache
     from ..solvers.hodlr_factor import HODLRFactorization
     from ..solvers.hss_factor import HSSFactorization
@@ -75,20 +77,6 @@ def _resolve_cache(
     if cache_dir is not None:
         return ArtifactCache(cache_dir)
     return default_cache()
-
-
-def _cache_integrity_kwargs(recovery: object | None) -> dict:
-    """``ArtifactCache.get`` integrity arguments under a recovery policy.
-
-    With a policy installed, cache reads verify the per-buffer checksums and
-    map the recovery mode onto the corruption behaviour (strict → raise
-    typed, warn → evict + structured warning, recover → silent evict +
-    rebuild); without one, reads keep the legacy lock-free fast path.
-    """
-    if recovery is None:
-        return {}
-    mode = {"strict": "raise", "warn": "warn", "recover": "evict"}[recovery.mode]
-    return {"on_corruption": mode, "verify": True}
 
 
 def _default_admissibility(
@@ -122,11 +110,9 @@ def _resolve_geometry(
         tree = ClusterTree.build(points, leaf_size=leaf_size)
     if fmt == "hodlr":
         return tree, None  # HODLR needs no block partition
-    if admissibility is None:
-        admissibility = (
-            WeakAdmissibility() if fmt == "hss" else GeneralAdmissibility(eta=eta)
-        )
-    return tree, build_block_partition(tree, admissibility)
+    return tree, build_block_partition(
+        tree, _default_admissibility(fmt, eta, admissibility)
+    )
 
 
 def _resolve_evaluators(
@@ -215,8 +201,9 @@ def compress(
     seed:
         Seed of the sketching vectors (``"h2"``/``"hss"`` only).
     policy:
-        :class:`~repro.api.policy.ExecutionPolicy` deciding backend,
-        construction path and launch-counter wiring; defaults to
+        :class:`~repro.api.policy.ExecutionPolicy` whose backend, tracer,
+        recovery, faults and health thresholds the construction, the cache
+        read and the health probe run under; defaults to
         ``ExecutionPolicy()`` (env-driven).
     config:
         Full :class:`~repro.core.config.ConstructionConfig` override; wins
@@ -243,6 +230,36 @@ def compress(
         The compressed operator (or the full ``ConstructionResult`` when
         ``full_result=True``).
     """
+    return _compress(**locals())[0]  # every argument, by name
+
+
+def _compress(
+    points: Optional[np.ndarray] = None,
+    kernel: object = None,
+    *,
+    format: str = "h2",
+    tol: float = 1e-6,
+    leaf_size: int = 64,
+    eta: float = 0.7,
+    admissibility: object | None = None,
+    sample_block_size: int = 64,
+    adaptive: bool = True,
+    initial_samples: int | None = None,
+    max_samples: int | None = None,
+    max_rank: int | None = None,
+    seed: SeedLike = None,
+    policy: ExecutionPolicy | None = None,
+    tree: Optional[ClusterTree] = None,
+    partition: Optional[BlockPartition] = None,
+    operator: Optional[SketchingOperator] = None,
+    extractor: Optional[EntryExtractor] = None,
+    config: ConstructionConfig | None = None,
+    full_result: bool = False,
+    cache: "ArtifactCache | None" = None,
+    cache_dir: object | None = None,
+) -> "Tuple[HierarchicalOperator | ConstructionResult, Optional[HealthReport]]":
+    """:func:`compress` plus the report of its one health probe (``None``
+    without ``policy.health``), which the model registry keeps."""
     fmt = format.lower()
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {format!r}; available: {list(FORMATS)}")
@@ -284,81 +301,55 @@ def compress(
         except ArtifactError:
             # Unhashable request (custom admissibility, ...): construct as usual.
             artifact_key = None
-        else:
-            cached = artifact_cache.get(
-                artifact_key, tracer=policy.tracer,
-                **_cache_integrity_kwargs(policy.recovery),
-            )
-            if cached is not None:
-                if hasattr(cached, "apply_backend"):
-                    cached.apply_backend = policy.resolve_backend()
-                if policy.health is not None:
-                    from ..observe.health import check_operator_health
 
-                    check_operator_health(
-                        cached, kernel, tol, thresholds=policy.health,
-                        tracer=policy.tracer, source="loaded",
-                    )
-                return cached
+    result: Optional[ConstructionResult] = None
 
-    tree, partition = _resolve_geometry(
-        points, fmt, leaf_size, eta, admissibility, tree, partition
-    )
-    operator, extractor = _resolve_evaluators(kernel, tree, operator, extractor)
-
-    if fmt in ("h2", "hss"):
-        if config is None:
-            config = policy.construction_config(
-                tolerance=tol,
-                sample_block_size=sample_block_size,
-                adaptive=adaptive,
-                initial_samples=initial_samples,
-                max_samples=max_samples,
-                max_rank=max_rank,
-            )
-        result = H2Constructor(
-            partition, operator, extractor, config=config, seed=seed,
-            tracer=policy.tracer,
-        ).construct()
-        result.matrix.apply_backend = policy.resolve_backend()
-        if policy.health is not None and isinstance(kernel, KernelFunction):
-            from ..observe.health import check_operator_health
-
-            result.health = check_operator_health(
-                result.matrix, kernel, config.tolerance,
-                thresholds=policy.health, tracer=policy.tracer,
-                source="constructed",
-            )
-        if artifact_key is not None:
-            artifact_cache.put(artifact_key, result.matrix)
-            if policy.faults is not None:
-                policy.faults.corrupt_artifact(
-                    artifact_cache.path_for(artifact_key)
-                )
-        return result if full_result else result.matrix
-
-    if full_result:
-        raise ValueError(
-            "full_result=True is only available for the sketching formats "
-            "('h2'/'hss'); the ACA formats return the operator directly"
+    def build() -> HierarchicalOperator:
+        nonlocal result
+        geo_tree, geo_partition = _resolve_geometry(
+            points, fmt, leaf_size, eta, admissibility, tree, partition
         )
-    entries = extractor.extract
-    if fmt == "hodlr":
-        compressed = build_hodlr(tree, entries, tol=tol, max_rank=max_rank)
+        op, ex = _resolve_evaluators(kernel, geo_tree, operator, extractor)
+        if fmt in ("h2", "hss"):
+            result = H2Constructor(
+                geo_partition, op, ex,
+                config=config if config is not None else policy.construction_config(
+                    tolerance=tol,
+                    sample_block_size=sample_block_size,
+                    adaptive=adaptive,
+                    initial_samples=initial_samples,
+                    max_samples=max_samples,
+                    max_rank=max_rank,
+                ),
+                seed=seed, tracer=policy.tracer,
+                recovery=policy.recovery, faults=policy.faults,
+            ).construct()
+            return result.matrix
+        if full_result:
+            raise ValueError(
+                "full_result=True is only available for the sketching formats "
+                "('h2'/'hss'); the ACA formats return the operator directly"
+            )
+        if fmt == "hodlr":
+            return build_hodlr(geo_tree, ex.extract, tol=tol, max_rank=max_rank)
+        return build_hmatrix_aca(geo_partition, ex.extract, tol=tol, max_rank=max_rank)
+
+    if artifact_key is None:
+        compressed, hit = build(), False
     else:
-        compressed = build_hmatrix_aca(partition, entries, tol=tol, max_rank=max_rank)
+        compressed, hit = artifact_cache.get_or_build(artifact_key, build, policy)
+    if hasattr(compressed, "apply_backend"):
+        compressed.apply_backend = policy.resolve_backend()
+    health = None
     if policy.health is not None and isinstance(kernel, KernelFunction):
-        from ..observe.health import check_operator_health
-
-        check_operator_health(
-            compressed, kernel, tol, thresholds=policy.health,
-            tracer=policy.tracer, source="constructed",
+        health = check_operator_health(
+            compressed, kernel, tol if result is None else result.config.tolerance,
+            thresholds=policy.health, tracer=policy.tracer,
+            source="loaded" if hit else "constructed",
         )
-    if artifact_key is not None:
-        artifact_cache.put(artifact_key, compressed)
-        if policy.faults is not None:
-            policy.faults.corrupt_artifact(artifact_cache.path_for(artifact_key))
-    return compressed
+    if result is not None:
+        result.health = health
+    return (result if full_result else compressed), health
 
 
 class Session:
@@ -410,9 +401,8 @@ class Session:
             self._points,
             leaf_size=leaf_size,
             admissibility=admissibility,
-            backend=self.policy.resolve_backend(),
+            policy=self.policy,
             seed=seed,
-            tracer=self.policy.tracer,
             artifact_cache=_resolve_cache(cache, cache_dir),
         )
         self._result: Optional[ConstructionResult] = None
@@ -494,19 +484,16 @@ class Session:
         self._result = result
         operator: HierarchicalOperator = result.matrix
         if self.policy.health is not None:
-            from ..observe.health import check_operator_health
-
             result.health = check_operator_health(
                 result.matrix, kernel, tol, thresholds=self.policy.health,
-                tracer=self.policy.tracer, source="constructed",
+                tracer=self.policy.tracer,
+                source="loaded" if result.construction_path == "cache" else "constructed",
             )
         if fmt == "hodlr":
             operator = convert(operator, "hodlr")
         elif fmt == "hmatrix":
             operator = convert(operator, "hmatrix", tol=tol)
         if operator is not result.matrix and self.policy.health is not None:
-            from ..observe.health import check_operator_health
-
             check_operator_health(
                 operator, kernel, tol, thresholds=self.policy.health,
                 tracer=self.policy.tracer, source="converted",
@@ -568,91 +555,26 @@ class Session:
         :meth:`factor` call is applied to the operator, so factor+solve agree
         on the system.
 
-        When the session policy carries a
-        :class:`~repro.resilience.RecoveryPolicy`, a non-converged solve is
-        never returned silently: ``strict`` raises
-        :class:`~repro.resilience.SolveDidNotConvergeError`, ``warn`` warns
-        through the ``repro.resilience`` logger and returns the flagged
-        result, and ``recover`` escalates through the remaining ladder rungs.
+        The Krylov methods run through
+        :func:`~repro.solvers.ladder.guarded_solve` under the session policy:
+        with a :class:`~repro.resilience.RecoveryPolicy`, a non-converged
+        solve raises (``strict``), warns (``warn``) or escalates through the
+        remaining ladder rungs (``recover``), never returned silently.
         """
-        from ..hmatrix.linear_operator import as_linear_operator
-        from ..solvers import krylov
-        from ..solvers.ladder import escalation_ladder
+        from ..solvers.ladder import escalation_ladder, guarded_solve
 
-        recovery = self.policy.recovery
-        faults = self.policy.faults
         if method == "ladder":
             return escalation_ladder(
                 self.operator, b, tol=tol, maxiter=maxiter,
                 shift=self._shift, factorization=self._factorization,
-                recovery=recovery, tracer=self.policy.tracer,
-                faults=faults, health=self.policy.health,
+                recovery=self.policy.recovery, tracer=self.policy.tracer,
+                faults=self.policy.faults, health=self.policy.health,
             )
-        methods = {"auto": krylov.cg, "cg": krylov.cg, "gmres": krylov.gmres,
-                   "bicgstab": krylov.bicgstab}
-        if method not in methods:
-            raise ValueError(
-                f"unknown method {method!r}; available: "
-                f"{sorted(methods) + ['ladder']}"
-            )
-        operator = as_linear_operator(self.operator, shift=self._shift)
-        preconditioner = self._factorization
-        if faults is not None:
-            maxiter = faults.stall_maxiter(maxiter)
-        result = methods[method](
-            operator, b, tol=tol, maxiter=maxiter, M=preconditioner,
-            tracer=self.policy.tracer, health=self.policy.health,
+        return guarded_solve(
+            self.operator, b, method="cg" if method == "auto" else method,
+            tol=tol, maxiter=maxiter, shift=self._shift,
+            factorization=self._factorization, policy=self.policy,
         )
-        if result.converged or recovery is None:
-            return result
-        return self._handle_unconverged_solve(
-            result, b, tol=tol, method=method,
-            preconditioned=preconditioner is not None,
-        )
-
-    def _handle_unconverged_solve(
-        self, result: "KrylovResult", b: np.ndarray, *, tol: float,
-        method: str, preconditioned: bool,
-    ) -> "KrylovResult":
-        """Apply the recovery policy to a solve that returned ``converged=False``."""
-        from ..resilience.errors import SolveDidNotConvergeError
-        from ..resilience.policy import resilience_adapter
-        from ..solvers.ladder import escalation_ladder
-
-        recovery = self.policy.recovery
-        if recovery.mode == "strict":
-            raise SolveDidNotConvergeError(
-                f"{result.method} did not converge in {result.iterations} "
-                f"iterations (final residual {result.final_residual:.3e} > "
-                f"tol {tol:.3e})",
-                result=result,
-            )
-        if recovery.mode == "warn":
-            resilience_adapter().warn(
-                "solve-not-converged", method=result.method,
-                iterations=result.iterations,
-                final_residual=result.final_residual, tol=tol,
-            )
-            return result
-        # recover: escalate through the rungs the failed solve did not cover.
-        done = {"cg", "pcg"} if preconditioned else {"cg"}
-        if method == "gmres":
-            done.add("gmres")
-        rungs = tuple(r for r in recovery.ladder if r not in done)
-        if not rungs:
-            raise SolveDidNotConvergeError(
-                f"{result.method} did not converge and the recovery ladder "
-                f"has no further rungs (ladder={list(recovery.ladder)})",
-                result=result,
-            )
-        escalated = escalation_ladder(
-            self.operator, b, tol=tol, shift=self._shift,
-            factorization=self._factorization, recovery=recovery,
-            rungs=rungs, x0=result.x, tracer=self.policy.tracer,
-            health=self.policy.health,
-        )
-        escalated.extra["escalated_from"] = result.method
-        return escalated
 
     def gp(
         self, kernel: KernelFunction, noise: float = 1e-2, **gp_kwargs: object

@@ -62,8 +62,8 @@ class ExecutionPolicy:
         everything executed under this policy, or the zero-overhead
         :data:`~repro.observe.NOOP_TRACER` (default).  :meth:`resolve_backend`
         binds the tracer to the resolved backend's launch counter and stores
-        it on the backend instance, so apply plans, solvers and the GP layer
-        all attribute their work to the same trace without extra plumbing.
+        it on the backend instance (the only policy value it installs there),
+        so compiled apply plans record to the same trace.
     health:
         :class:`~repro.observe.health.HealthThresholds` enabling the
         numerical-health telemetry: a stochastic compression-error probe on
@@ -96,6 +96,9 @@ class ExecutionPolicy:
         ``REPRO_FAULTS``.  Installing faults without an explicit
         ``recovery`` enables a default ``RecoveryPolicy(mode="recover")``
         so injected chaos is recovered, not fatal.
+
+    The code that consumes ``recovery``, ``faults`` and ``health`` is handed
+    the policy; none of them rides on the backend.
     """
 
     backend: "Union[str, BatchedBackend]" = "auto"
@@ -140,7 +143,8 @@ class ExecutionPolicy:
         Besides resolving the name, this is the single consolidation point of
         launch-counter and tracer ownership: the policy's tracer adopts the
         resolved backend's counter (or supplies its own to the backend
-        factory) and is installed as ``backend.tracer``.
+        factory) and is installed as ``backend.tracer``.  Nothing else of
+        the policy is written onto the backend.
         """
         from ..batched.backend import get_backend
 
@@ -152,10 +156,6 @@ class ExecutionPolicy:
         if self.tracer.enabled:
             self.tracer.bind_counter(backend.counter)
             backend.tracer = self.tracer
-        if self.faults is not None:
-            backend.faults = self.faults
-        if self.recovery is not None:
-            backend.recovery = self.recovery
         self._resolved = backend
         return backend
 

@@ -55,13 +55,6 @@ class BatchedBackend(ABC):
         #: the policy carries an enabled tracer; the default no-op costs one
         #: attribute load per instrumented call site.
         self.tracer = NOOP_TRACER
-        #: Resilience wiring, installed by ``ExecutionPolicy.resolve_backend``
-        #: the same way as the tracer: a ``FaultInjector`` (or ``None``) and a
-        #: ``RecoveryPolicy`` (or ``None``).  Guarded call sites read these
-        #: via ``getattr``-style access, so the ``None`` defaults keep the
-        #: no-resilience path at zero overhead.
-        self.faults = None
-        self.recovery = None
 
     # -------------------------------------------------------------- recording
     def _record(self, operation: str, launches: int) -> None:

@@ -204,18 +204,10 @@ class H2Constructor:
         if self.tracer.enabled:
             self.tracer.bind_counter(self.counter)
 
-        # Resilience wiring: explicit arguments win; otherwise adopt whatever
-        # ExecutionPolicy.resolve_backend installed on the backend instance
-        # (mirrors the tracer hand-off above).  Both stay ``None`` on the
-        # legacy path so every guard below is a single attribute test.
-        self.recovery = (
-            recovery if recovery is not None
-            else getattr(self.backend, "recovery", None)
-        )
-        self.faults = (
-            faults if faults is not None
-            else getattr(self.backend, "faults", None)
-        )
+        # The caller's policy, passed in: both stay ``None`` on the unguarded
+        # path so every guard below is a single attribute test.
+        self.recovery = recovery
+        self.faults = faults
 
         # Construction state (populated by :meth:`construct`).
         self.skeletons = SkeletonStore()

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..batched.backend import BatchedBackend, get_backend
+from ..api.policy import ExecutionPolicy
+from ..batched.backend import BatchedBackend
 from ..kernels.base import KernelFunction, PairwiseKernel, _tiled, pairwise_distances
 from ..sketching.entry_extractor import (
     DenseEntryExtractor,
@@ -141,16 +142,7 @@ class ContextStatistics:
     setup_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "constructions": self.constructions,
-            "plan_compilations": self.plan_compilations,
-            "plan_reuses": self.plan_reuses,
-            "result_cache_hits": self.result_cache_hits,
-            "artifact_cache_hits": self.artifact_cache_hits,
-            "sample_columns_cached": self.sample_columns_cached,
-            "construction_plan_compilations": self.construction_plan_compilations,
-            "setup_seconds": self.setup_seconds,
-        }
+        return asdict(self)
 
 
 class GeometryContext:
@@ -168,17 +160,12 @@ class GeometryContext:
         partition every downstream factorization consumes — pass a
         :class:`~repro.tree.admissibility.GeneralAdmissibility` for general
         H2 sweeps).
-    backend:
-        Batched backend name (``"serial"``/``"vectorized"``) or instance,
-        used for both construction and the compiled apply plans of the
-        produced matrices.  Resolved to one instance at context creation, so
-        a single :class:`~repro.batched.counters.KernelLaunchCounter` spans
-        everything the context executes.
-    tracer:
-        Optional :class:`repro.observe.SpanTracer`; when given (usually by
-        :class:`repro.api.Session` from its policy) it is installed on the
-        resolved backend and every construction/apply/solve under this
-        context records spans.
+    policy:
+        The :class:`~repro.api.policy.ExecutionPolicy` of everything the
+        context executes (default ``ExecutionPolicy()``, as for
+        :func:`repro.compress`).  Its backend is resolved once, so one launch
+        counter spans every construction and compiled apply; its recovery and
+        faults guard every construction and artifact-cache read.
     seed:
         Seed of the frozen sample bank.
     artifact_cache:
@@ -196,25 +183,17 @@ class GeometryContext:
         points: np.ndarray,
         leaf_size: int = 64,
         admissibility: object | None = None,
-        backend: str | BatchedBackend = "vectorized",
+        policy: ExecutionPolicy | None = None,
         seed: SeedLike = 0,
-        tracer: object | None = None,
         artifact_cache: object | None = None,
     ):
         start = time.perf_counter()
+        self.policy = policy if policy is not None else ExecutionPolicy()
         # One backend instance (hence one launch counter) for the lifetime of
         # the context: constructions and the compiled applies of every matrix
-        # it produces all account to the same place.  Resolving here fixes
-        # the historical stray path that created a fresh backend (with a
-        # fresh counter) per construction whenever ``backend`` was a name.
-        self.backend: BatchedBackend = get_backend(backend)
-        if tracer is not None:
-            self.tracer = tracer
-            if tracer.enabled:
-                tracer.bind_counter(self.backend.counter)
-                self.backend.tracer = tracer
-        else:
-            self.tracer = getattr(self.backend, "tracer", None)
+        # it produces all account to the same place.
+        self.backend: BatchedBackend = self.policy.resolve_backend()
+        self.tracer = self.policy.tracer
         # Artifact caching needs a reproducible construction: only integer
         # (or None) seeds key deterministically, a live Generator does not.
         seed_is_hashable = seed is None or isinstance(seed, (int, np.integer))
@@ -344,44 +323,60 @@ class GeometryContext:
             except ArtifactError:
                 # Unhashable request (custom admissibility, ...): construct.
                 artifact_key = None
-            else:
-                from ..api.facade import _cache_integrity_kwargs
 
-                load_start = time.perf_counter()
-                matrix = self.artifact_cache.get(
-                    artifact_key, tracer=self.tracer,
-                    **_cache_integrity_kwargs(
-                        getattr(self.backend, "recovery", None)
+        result = None
+
+        def build():
+            nonlocal result
+            result = self._build(kernel, tolerance, sample_block_size, config, warm_start)
+            return result.matrix
+
+        if artifact_key is None:
+            build()
+        else:
+            load_start = time.perf_counter()
+            matrix, hit = self.artifact_cache.get_or_build(
+                artifact_key, build, self.policy
+            )
+            if hit:
+                matrix.apply_backend = self.backend
+                result = ConstructionResult(
+                    matrix=matrix,
+                    config=ConstructionConfig(
+                        tolerance=tolerance,
+                        sample_block_size=sample_block_size,
+                        backend=self.backend,
                     ),
+                    total_samples=0,
+                    operator_applications=0,
+                    entries_evaluated=0,
+                    elapsed_seconds=time.perf_counter() - load_start,
+                    kernel_launches={},
+                    total_kernel_launches=0,
+                    kernel_calls={},
+                    total_kernel_calls=0,
+                    norm_estimate=0.0,
+                    converged=True,
+                    construction_path="cache",
                 )
-                if matrix is not None:
-                    elapsed = time.perf_counter() - load_start
-                    matrix.apply_backend = self.backend
-                    result = ConstructionResult(
-                        matrix=matrix,
-                        config=ConstructionConfig(
-                            tolerance=tolerance,
-                            sample_block_size=sample_block_size,
-                            backend=self.backend,
-                        ),
-                        total_samples=0,
-                        operator_applications=0,
-                        entries_evaluated=0,
-                        elapsed_seconds=elapsed,
-                        kernel_launches={},
-                        total_kernel_launches=0,
-                        kernel_calls={},
-                        total_kernel_calls=0,
-                        norm_estimate=0.0,
-                        converged=True,
-                        construction_path="cache",
-                    )
-                    self.statistics.artifact_cache_hits += 1
-                    self._last_kernel = copy.deepcopy(kernel)
-                    self._last_key = (float(tolerance), int(sample_block_size))
-                    self._last_result = result
-                    return result
+                self.statistics.artifact_cache_hits += 1
+        if cacheable:
+            # Snapshot the kernel: a caller mutating a (mutable dataclass)
+            # kernel in place must miss the cache, not hit its own reference.
+            self._last_kernel = copy.deepcopy(kernel)
+            self._last_key = (float(tolerance), int(sample_block_size))
+            self._last_result = result
+        return result
 
+    def _build(
+        self,
+        kernel: KernelFunction,
+        tolerance: float,
+        sample_block_size: int,
+        config: ConstructionConfig | None,
+        warm_start: bool,
+    ) -> ConstructionResult:
+        """Run the constructor over the cached geometry (no result caches)."""
         if config is None:
             config = ConstructionConfig(
                 tolerance=tolerance,
@@ -401,6 +396,8 @@ class GeometryContext:
             sample_source=self._omega_bank.sampler(),
             plan=self._construction_plan,
             tracer=self.tracer,
+            recovery=self.policy.recovery,
+            faults=self.policy.faults,
         )
         result = constructor.construct()
         if self._construction_plan is None and constructor.plan is not None:
@@ -421,17 +418,6 @@ class GeometryContext:
         else:
             self._plan = matrix.apply_plan()
             self.statistics.plan_compilations += 1
-        if cacheable:
-            # Snapshot the kernel: a caller mutating a (mutable dataclass)
-            # kernel in place must miss the cache, not hit its own reference.
-            self._last_kernel = copy.deepcopy(kernel)
-            self._last_key = (float(tolerance), int(sample_block_size))
-            self._last_result = result
-        if artifact_key is not None:
-            self.artifact_cache.put(artifact_key, result.matrix)
-            faults = getattr(self.backend, "faults", None)
-            if faults is not None:
-                faults.corrupt_artifact(self.artifact_cache.path_for(artifact_key))
         return result
 
     # ------------------------------------------------------------- diagnostics

@@ -35,12 +35,9 @@ import numpy as np
 from ..api.policy import ExecutionPolicy
 from ..core.context import GeometryContext
 from ..diagnostics.gp_report import GPFitReport
-from ..observe.tracer import NOOP_TRACER
-from ..hmatrix.linear_operator import as_linear_operator
 from ..kernels.base import KernelFunction, PairwiseKernel
 from ..solvers.hss_factor import HSSFactorization, factorize
-from ..solvers.krylov import cg
-from ..solvers.preconditioner import HierarchicalPreconditioner
+from ..solvers.ladder import guarded_solve
 from ..utils.rng import SeedLike, as_generator
 from ..utils.validation import check_positive
 from .sweep import hyperparameter_grid, nelder_mead
@@ -65,7 +62,6 @@ class _FittedState:
     noise: float
     result: object  # ConstructionResult
     factorization: HSSFactorization
-    preconditioner: HierarchicalPreconditioner
     alpha: np.ndarray
     log_likelihood: float
     log_determinant: float
@@ -95,15 +91,17 @@ class GaussianProcess:
     tolerance:
         Construction tolerance of the compressed covariance; drives the
         accuracy of the log-likelihood and posterior.
-    leaf_size, backend, seed:
+    leaf_size, seed:
         Forwarded to the internally created
         :class:`~repro.core.context.GeometryContext` (ignored when an explicit
         ``context`` is passed).  The context must use weak admissibility — the
         HSS factorization consumes its output directly.
     policy:
-        Optional :class:`~repro.api.policy.ExecutionPolicy` consolidating
-        backend and construction-path selection (wins over ``backend`` for
-        the internally created context).
+        :class:`~repro.api.policy.ExecutionPolicy` of the internally created
+        context.  The GP runs under ``context.policy``: its factorizations
+        and both guarded solves (:func:`~repro.solvers.ladder.guarded_solve`)
+        read tracer, recovery, faults and health from it.  A ``context`` with
+        a different ``policy`` raises :class:`ValueError`.
     solve_tol:
         Relative residual tolerance of the preconditioned CG solves.
     max_cg_iterations:
@@ -118,7 +116,6 @@ class GaussianProcess:
         *,
         tolerance: float = 1e-8,
         leaf_size: int = 64,
-        backend: str = "auto",
         policy: "ExecutionPolicy | None" = None,
         solve_tol: float = 1e-10,
         max_cg_iterations: int | None = None,
@@ -136,31 +133,16 @@ class GaussianProcess:
         self.solve_tol = float(solve_tol)
         self.max_cg_iterations = max_cg_iterations
         if context is None:
-            tracer = None
-            if policy is not None:
-                backend = policy.resolve_backend()
-                tracer = policy.tracer
             context = GeometryContext(
-                self.train_points,
-                leaf_size=leaf_size,
-                backend=backend,
-                seed=seed,
-                tracer=tracer,
+                self.train_points, leaf_size=leaf_size, policy=policy, seed=seed
+            )
+        elif policy is not None and policy is not context.policy:
+            raise ValueError(
+                "policy differs from the context's policy; a GaussianProcess "
+                "runs under the policy of its context"
             )
         self.context = context
-        self._tracer = getattr(context, "tracer", None) or NOOP_TRACER
-        # Resilience wiring: an explicit policy wins; a policy-resolved
-        # context carries the knobs on its backend (installed by
-        # ExecutionPolicy.resolve_backend), so Session.gp(...) inherits them.
-        backend_of_context = getattr(context, "backend", None)
-        self._recovery = (
-            policy.recovery if policy is not None
-            else getattr(backend_of_context, "recovery", None)
-        )
-        self._faults = (
-            policy.faults if policy is not None
-            else getattr(backend_of_context, "faults", None)
-        )
+        self.policy: ExecutionPolicy = context.policy
         if self.context.num_points != self.train_points.shape[0]:
             raise ValueError(
                 "context was built over a different number of points "
@@ -214,7 +196,7 @@ class GaussianProcess:
         spans of the layers below.
         """
         check_positive(noise, "noise")
-        tracer = self._tracer
+        tracer = self.policy.tracer
         if not tracer.enabled:
             return self._evaluate_impl(y, kernel, noise)
         with tracer.span(
@@ -253,7 +235,7 @@ class GaussianProcess:
                 f"the constructed covariance can be factored exactly ({defect})"
             )
         t0 = time.perf_counter()
-        factorization = factorize(matrix, shift=noise, tracer=self._tracer)
+        factorization = factorize(matrix, shift=noise, tracer=self.policy.tracer)
         factor_seconds = time.perf_counter() - t0
         if factorization.determinant_sign <= 0.0:
             raise NotPositiveDefiniteError(
@@ -263,23 +245,9 @@ class GaussianProcess:
             )
         log_determinant = factorization.logdet()
 
-        preconditioner = HierarchicalPreconditioner(factorization)
-        operator = as_linear_operator(matrix, shift=noise)
         launches_before = matrix.apply_backend.counter.total()
         t0 = time.perf_counter()
-        maxiter = self.max_cg_iterations
-        if self._faults is not None:
-            maxiter = self._faults.stall_maxiter(maxiter)
-        solve = cg(
-            operator,
-            y,
-            tol=self.solve_tol,
-            maxiter=maxiter,
-            M=preconditioner,
-            tracer=self._tracer,
-        )
-        if not solve.converged and self._recovery is not None:
-            solve = self._recover_solve(solve, y, matrix, noise, factorization)
+        solve = self._guarded_solve(matrix, y, noise, factorization)
         solve_seconds = time.perf_counter() - t0
         apply_launches = matrix.apply_backend.counter.total() - launches_before
 
@@ -312,7 +280,6 @@ class GaussianProcess:
             noise=float(noise),
             result=result,
             factorization=factorization,
-            preconditioner=preconditioner,
             alpha=alpha,
             log_likelihood=log_likelihood,
             log_determinant=log_determinant,
@@ -320,48 +287,15 @@ class GaussianProcess:
             report=report,
         )
 
-    def _recover_solve(self, solve, y, matrix, noise, factorization):
-        """Recovery-policy handling of a non-converged representer solve.
-
-        ``strict`` raises :class:`~repro.resilience.SolveDidNotConvergeError`;
-        ``warn`` announces the flagged result through the ``repro.resilience``
-        logger and keeps it; ``recover`` escalates through the ladder rungs
-        beyond preconditioned CG (GMRES(m), then the factorization applied as
-        a direct solve), warm-started from the failed iterate.
-        """
-        from ..resilience.errors import SolveDidNotConvergeError
-        from ..resilience.policy import resilience_adapter
-        from ..solvers.ladder import escalation_ladder
-
-        recovery = self._recovery
-        if recovery.mode == "strict":
-            raise SolveDidNotConvergeError(
-                f"representer solve did not converge in {solve.iterations} "
-                f"iterations (final residual {solve.final_residual:.3e} > "
-                f"tol {self.solve_tol:.3e}); raise max_cg_iterations or the "
-                "noise",
-                result=solve,
-            )
-        if recovery.mode == "warn":
-            resilience_adapter().warn(
-                "gp-solve-not-converged", iterations=solve.iterations,
-                final_residual=solve.final_residual, tol=self.solve_tol,
-            )
-            return solve
-        rungs = tuple(r for r in recovery.ladder if r not in ("cg", "pcg"))
-        if not rungs:
-            raise SolveDidNotConvergeError(
-                "representer solve did not converge and the recovery ladder "
-                f"has no rungs beyond pcg (ladder={list(recovery.ladder)})",
-                result=solve,
-            )
-        escalated = escalation_ladder(
-            matrix, y, tol=self.solve_tol, shift=noise,
-            factorization=factorization, recovery=recovery, rungs=rungs,
-            x0=solve.x, tracer=self._tracer,
+    def _guarded_solve(self, matrix, b, noise, factorization, x0=None):
+        """``(K + noise I) x = b``: CG preconditioned by the factorization,
+        under the policy's recovery mode (``gp-solve-not-converged`` warns)."""
+        return guarded_solve(
+            matrix, b, method="cg", tol=self.solve_tol,
+            maxiter=self.max_cg_iterations, shift=noise,
+            factorization=factorization, x0=x0, policy=self.policy,
+            log_fields={"event": "gp-solve-not-converged"},
         )
-        escalated.extra["escalated_from"] = solve.method
-        return escalated
 
     # --------------------------------------------------------------------- fit
     def fit(
@@ -490,18 +424,11 @@ class GaussianProcess:
         b_norms = np.linalg.norm(block, axis=0)
         r_norms = np.linalg.norm(residual, axis=0)
         needs_polish = r_norms > self.solve_tol * 1e2 * np.maximum(b_norms, 1e-300)
-        if np.any(needs_polish):
-            operator = as_linear_operator(state.matrix, shift=self.noise)
-            for j in np.nonzero(needs_polish)[0]:
-                solve = cg(
-                    operator,
-                    block[:, j],
-                    tol=self.solve_tol,
-                    maxiter=self.max_cg_iterations,
-                    M=state.preconditioner,
-                    x0=x[:, j],
-                )
-                x[:, j] = solve.x
+        for j in np.nonzero(needs_polish)[0]:
+            x[:, j] = self._guarded_solve(
+                state.matrix, block[:, j], self.noise, state.factorization,
+                x0=x[:, j],
+            ).x
         return x[:, 0] if single else x
 
     def predict(

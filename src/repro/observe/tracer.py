@@ -14,9 +14,9 @@ Two implementations share one duck-typed protocol:
 
 A tracer is carried by :class:`repro.api.ExecutionPolicy` exactly like the
 shared launch counter: ``policy.resolve_backend()`` binds the tracer to the
-backend's counter and stores the tracer on the backend instance, so every
-layer downstream (apply plans, solvers, GP) finds it at
-``backend.tracer`` without extra plumbing.
+backend's counter and stores the tracer on the backend instance — the one
+policy value that rides on the backend — so compiled apply plans (and
+solves that are not handed ``policy.tracer``) find it at ``backend.tracer``.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +56,15 @@ from .serializers import (
     save,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.policy import ExecutionPolicy
+
 #: Formats that persist as another format's artifact (HSS is H2 on the weak
 #: partition); the *requested* name still participates in the key.
 _STORAGE_ALIASES = {"hss": "h2"}
+
+#: ``get(on_corruption=...)`` under each recovery mode (see :meth:`get_or_build`).
+_CORRUPTION_MODES = {"strict": "raise", "warn": "warn", "recover": "evict"}
 
 #: File extension of cache entries.
 ARTIFACT_SUFFIX = ".repro"
@@ -182,9 +188,9 @@ class ArtifactCache:
     verify:
         When ``True``, every :meth:`get` recomputes the stored per-buffer
         SHA-256 digests before trusting an entry (container version ≥ 2).
-        Costs a full read of the artifact, so it is off by default; the
-        façade turns it on per call when a
-        :class:`~repro.resilience.RecoveryPolicy` is installed.
+        Costs a full read of the artifact, so it is off by default;
+        :meth:`get_or_build` turns it on per call when the policy carries a
+        :class:`~repro.resilience.RecoveryPolicy`.
     lock_timeout:
         Seconds :meth:`put`/:meth:`clear` wait for the cache directory lock
         (concurrent writers back off exponentially; a lock older than 30 s
@@ -383,15 +389,29 @@ class ArtifactCache:
     def get_or_build(
         self,
         key: str,
-        builder: Callable[[], object],
-        tracer: object | None = None,
-    ):
-        """The cached operator for ``key``, building and storing it on a miss."""
-        operator = self.get(key, tracer=tracer)
-        if operator is None:
-            operator = builder()
-            self.put(key, operator)
-        return operator
+        build: Callable[[], object],
+        policy: "ExecutionPolicy",
+    ) -> Tuple[object, bool]:
+        """``(operator, hit)``: the entry of ``key``, or ``build()`` stored there.
+
+        The library's one cache-aside.  Reads record to ``policy.tracer``;
+        under ``policy.recovery`` they verify checksums and a corrupted entry
+        raises (``strict``) or is evicted, with a warning under ``warn``, and
+        rebuilt.  ``policy.faults`` may corrupt the freshly stored file.
+        """
+        integrity = (
+            {}
+            if policy.recovery is None
+            else {"on_corruption": _CORRUPTION_MODES[policy.recovery.mode], "verify": True}
+        )
+        operator = self.get(key, tracer=policy.tracer, **integrity)
+        if operator is not None:
+            return operator, True
+        operator = build()
+        self.put(key, operator)
+        if policy.faults is not None:
+            policy.faults.corrupt_artifact(self.path_for(key))
+        return operator, False
 
     # -------------------------------------------------------------- lifecycle
     def _entries(self) -> List[Tuple[Path, os.stat_result]]:

@@ -226,6 +226,7 @@ class ModelRegistry:
         ledger bytes).
         """
         policy = policy if policy is not None else self.policy
+        health = None
         sources = sum(
             source is not None for source in (operator, path, key, points)
         )
@@ -243,32 +244,37 @@ class ModelRegistry:
                 raise ServeError(
                     "key-based registration requires a registry ArtifactCache"
                 )
-            operator = self.cache.get(key, tracer=policy.tracer)
-            if operator is None:
+
+            def missing():
                 raise ModelNotFoundError(
-                    f"artifact cache has no entry for key {key!r}"
+                    f"artifact cache has no (intact) entry for key {key!r}"
                 )
+
+            # strict raises on a corrupted entry; warn / recover evict it.
+            operator, _ = self.cache.get_or_build(key, missing, policy)
         elif points is not None:
             if kernel is None:
                 raise ServeError("points-based registration requires kernel=")
-            from ..api.facade import compress
+            from ..api.facade import _compress
 
-            operator = compress(
+            # compress() probes what it constructs or loads; keep that report.
+            operator, health = _compress(
                 points, kernel, format=format, tol=tol, seed=seed,
                 policy=policy, cache=self.cache, **compress_kwargs,
             )
         assert operator is not None
+        if policy.health is not None and kernel is not None and points is None:
+            from ..observe.health import check_operator_health
+
+            health = check_operator_health(
+                operator, kernel, tol, thresholds=policy.health,
+                tracer=policy.tracer, source="loaded",
+            )
 
         model = ServedModel(
             name, operator, noise=noise, kernel=kernel, tol=tol, policy=policy
         )
-        if policy.health is not None and kernel is not None:
-            from ..observe.health import check_operator_health
-
-            model.health = check_operator_health(
-                operator, kernel, tol, thresholds=policy.health,
-                tracer=policy.tracer, source="loaded",
-            )
+        model.health = health
         if warm:
             model.slogdet()
 

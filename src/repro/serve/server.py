@@ -209,7 +209,8 @@ class InferenceServer:
         return await self._serve(request, body)
 
     async def _solve_cg(self, model: ServedModel, request: SolveRequest):
-        """Factorization-preconditioned CG with the policy's recovery ladder."""
+        """Factorization-preconditioned CG under the policy's recovery mode,
+        in one worker hop under the model lock (escalation included)."""
         b = np.asarray(request.b, dtype=np.float64)
         if b.ndim != 1 or b.shape[0] != model.n:
             raise RequestValidationError(
@@ -222,64 +223,18 @@ class InferenceServer:
             )
 
         def run():
-            from ..hmatrix.linear_operator import as_linear_operator
-            from ..solvers import krylov
+            from ..solvers.ladder import guarded_solve
 
             with model.lock:
-                factorization = model.factorization()
-                operator = as_linear_operator(model.operator, shift=model.noise)
-                maxiter = request.maxiter
-                if self.policy.faults is not None:
-                    maxiter = self.policy.faults.stall_maxiter(maxiter)
-                return krylov.cg(
-                    operator, b, tol=request.tol, maxiter=maxiter,
-                    M=factorization, tracer=self.policy.tracer,
-                    health=self.policy.health,
+                return guarded_solve(
+                    model.operator, b, method="cg", tol=request.tol,
+                    maxiter=request.maxiter, shift=model.noise,
+                    factorization=model.factorization(), policy=self.policy,
+                    log_fields={"model": model.name},
                 )
 
         loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(self.batcher._executor, run)
-        if result.converged or self.policy.recovery is None:
-            return result
-        return await loop.run_in_executor(
-            self.batcher._executor,
-            lambda: self._recover_solve(model, request, result),
-        )
-
-    def _recover_solve(self, model: ServedModel, request: SolveRequest, result):
-        """Map the recovery policy onto a non-converged CG solve."""
-        from ..resilience.errors import SolveDidNotConvergeError
-        from ..resilience.policy import resilience_adapter
-        from ..solvers.ladder import escalation_ladder
-
-        recovery = self.policy.recovery
-        if recovery.mode == "strict":
-            raise SolveDidNotConvergeError(
-                f"{result.method} did not converge in {result.iterations} "
-                f"iterations (final residual {result.final_residual:.3e} > "
-                f"tol {request.tol:.3e})",
-                result=result,
-            )
-        if recovery.mode == "warn":
-            resilience_adapter().warn(
-                "solve-not-converged", method=result.method,
-                iterations=result.iterations,
-                final_residual=result.final_residual, tol=request.tol,
-                model=model.name,
-            )
-            return result
-        # recover: escalate through the rungs the preconditioned CG skipped.
-        rungs = tuple(r for r in recovery.ladder if r not in ("cg", "pcg"))
-        with model.lock:
-            escalated = escalation_ladder(
-                model.operator, np.asarray(request.b, dtype=np.float64),
-                tol=request.tol, shift=model.noise,
-                factorization=model.factorization(), recovery=recovery,
-                rungs=rungs, x0=result.x, tracer=self.policy.tracer,
-                health=self.policy.health,
-            )
-        escalated.extra["escalated_from"] = result.method
-        return escalated
+        return await loop.run_in_executor(self.batcher._executor, run)
 
     async def logdet(self, request: LogdetRequest) -> LogdetResponse:
         """Cached ``log|det(K + noise I)|`` of the model."""

@@ -20,13 +20,14 @@ operators, dense and sparse matrices) plugs into the same three layers:
   paper's application scenario);
 * :mod:`~repro.solvers.ladder` — the resilience escalation ladder
   (CG → preconditioned CG → GMRES(m) → direct) entered on
-  non-converged solves under a :class:`~repro.resilience.RecoveryPolicy`.
+  non-converged solves under a :class:`~repro.resilience.RecoveryPolicy`,
+  and :func:`guarded_solve`, the one policy-guarded Krylov solve.
 """
 
 from .hodlr_factor import HODLRFactorization
 from .hss_factor import HSSFactorization, factorize
 from .krylov import KrylovResult, bicgstab, cg, gmres
-from .ladder import RungReport, escalation_ladder
+from .ladder import RungReport, escalation_ladder, guarded_solve
 from .multifrontal_solve import FrontReport, MultifrontalSolver
 from .preconditioner import HierarchicalPreconditioner
 
@@ -35,6 +36,7 @@ __all__ = [
     "gmres",
     "bicgstab",
     "escalation_ladder",
+    "guarded_solve",
     "KrylovResult",
     "RungReport",
     "HODLRFactorization",

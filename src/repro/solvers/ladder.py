@@ -29,21 +29,29 @@ is exhausted the ladder raises
 :class:`~repro.resilience.EscalationExhaustedError` carrying the best result
 (in ``warn`` mode it warns and returns the flagged best result instead) —
 never a silent wrong answer.
+
+:func:`guarded_solve` is how every product Krylov solve enters the ladder:
+one solve under an :class:`~repro.api.policy.ExecutionPolicy`, whose
+recovery mode maps a non-converged result onto raise / warn / the remaining
+rungs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..observe.metrics import metrics as _metrics
 from ..observe.tracer import NOOP_TRACER
-from ..resilience.errors import EscalationExhaustedError
+from ..resilience.errors import EscalationExhaustedError, SolveDidNotConvergeError
 from ..resilience.policy import RecoveryPolicy, resilience_adapter
-from .krylov import KrylovResult, cg, gmres
+from .krylov import KrylovResult, bicgstab, cg, gmres
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.policy import ExecutionPolicy
 
 #: Rung names the ladder understands (the default order lives in
 #: :data:`repro.resilience.DEFAULT_LADDER`).
@@ -136,7 +144,7 @@ def escalation_ladder(
         ``RecoveryPolicy()``, i.e. ``recover`` mode).
     rungs:
         Explicit rung subset/order (default: ``recovery.ladder``) — used by
-        ``Session.solve`` to resume the ladder *after* the rung that
+        :func:`guarded_solve` to resume the ladder *after* the rung that
         already failed.
     x0:
         Warm-start iterate (later rungs always warm-start from the best
@@ -276,3 +284,69 @@ def escalation_ladder(
         )
         return best
     raise EscalationExhaustedError(message, result=best, context=escalation)
+
+
+def guarded_solve(
+    a: object, b: np.ndarray, *, method: str = "cg", tol: float,
+    maxiter: Optional[int] = None, shift: float = 0.0,
+    factorization: Optional[object] = None, x0: Optional[np.ndarray] = None,
+    policy: "ExecutionPolicy", log_fields: Optional[Dict[str, object]] = None,
+) -> KrylovResult:
+    """One Krylov solve of ``(a + shift I) x = b`` under an execution policy.
+
+    The one place a policy meets a product Krylov solve: the policy's
+    ``stall-convergence`` fault caps ``maxiter``, then ``method`` (``"cg"``,
+    ``"gmres"``, ``"bicgstab"``) runs preconditioned by ``factorization``
+    with the policy's tracer and health thresholds.  A non-converged result
+    under a recovery policy raises :class:`SolveDidNotConvergeError`
+    (``strict``), is warned about and returned flagged (``warn``; the event is
+    ``log_fields["event"]``, default ``solve-not-converged``, the other
+    entries are extra fields), or escalates through the ladder rungs the
+    solve did not cover (``recover``), with ``extra["escalated_from"]`` set.
+    """
+    from ..hmatrix.linear_operator import as_linear_operator
+
+    solvers = {"cg": cg, "gmres": gmres, "bicgstab": bicgstab}
+    if method not in solvers:
+        raise ValueError(f"unknown method {method!r}; available: {sorted(solvers)}")
+    if policy.faults is not None:
+        maxiter = policy.faults.stall_maxiter(maxiter)
+    result = solvers[method](
+        as_linear_operator(a, shift=shift), b, tol=tol, maxiter=maxiter,
+        M=factorization, x0=x0, tracer=policy.tracer, health=policy.health,
+    )
+    recovery = policy.recovery
+    if result.converged or recovery is None:
+        return result
+    if recovery.mode == "strict":
+        raise SolveDidNotConvergeError(
+            f"{result.method} did not converge in {result.iterations} "
+            f"iterations (final residual {result.final_residual:.3e} > "
+            f"tol {tol:.3e})",
+            result=result,
+        )
+    if recovery.mode == "warn":
+        fields = dict(log_fields or {})
+        resilience_adapter().warn(
+            fields.pop("event", "solve-not-converged"), method=result.method,
+            iterations=result.iterations, final_residual=result.final_residual,
+            tol=tol, **fields,
+        )
+        return result
+    done = {"cg", "pcg"} if factorization is not None else {"cg"}
+    if method == "gmres":
+        done.add("gmres")
+    rungs = tuple(r for r in recovery.ladder if r not in done)
+    if not rungs:
+        raise SolveDidNotConvergeError(
+            f"{result.method} did not converge and the recovery ladder "
+            f"has no further rungs (ladder={list(recovery.ladder)})",
+            result=result,
+        )
+    escalated = escalation_ladder(
+        a, b, tol=tol, shift=shift, factorization=factorization,
+        recovery=recovery, rungs=rungs, x0=result.x, tracer=policy.tracer,
+        health=policy.health,
+    )
+    escalated.extra["escalated_from"] = result.method
+    return escalated

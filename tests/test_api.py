@@ -424,6 +424,15 @@ class TestExecutionPolicy:
             repro.ConstructionConfig(construction_path="loop")
         with pytest.raises(TypeError):
             repro.GeometryContext(api_points, construction_path="loop")
+        # Backend and tracer reach a context or a GP through its policy only,
+        # and recovery / faults are never written onto a backend.
+        for removed in ({"backend": "serial"}, {"tracer": SpanTracer()}):
+            with pytest.raises(TypeError):
+                repro.GeometryContext(api_points, **removed)
+        with pytest.raises(TypeError):
+            repro.GaussianProcess(api_points, repro.ExponentialKernel(0.2), backend="serial")
+        for name in ("recovery", "faults"):
+            assert not hasattr(repro.VectorizedBackend(), name)
         # The per-node store and apply loop live in tests/oracles.py only.
         assert not hasattr(repro.H2Constructor, "construct_loop")
         assert not hasattr(repro.H2Matrix, "matvec_loop")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    ExecutionPolicy,
     ExponentialKernel,
     GaussianProcess,
     GeometryContext,
@@ -117,6 +118,19 @@ class TestLogLikelihood:
             GaussianProcess(
                 gp_problem["points"], gp_problem["kernel"], context=context
             )
+
+    def test_runs_under_the_policy_of_its_context(self, gp_problem):
+        context = GeometryContext(gp_problem["points"], leaf_size=32, seed=1)
+        with pytest.raises(ValueError, match="context's policy"):
+            GaussianProcess(
+                gp_problem["points"], gp_problem["kernel"], context=context,
+                policy=ExecutionPolicy(),
+            )
+        gp = GaussianProcess(
+            gp_problem["points"], gp_problem["kernel"], context=context,
+            policy=context.policy,
+        )
+        assert gp.policy is context.policy
 
     def test_configuration_errors_propagate_from_fit(self, gp_problem):
         """Only non-PD points are skipped; setup errors must surface."""
@@ -310,7 +324,7 @@ class TestSampling:
             gp_problem["kernel"],
             noise=NOISE,
             tolerance=TOLERANCE,
-            backend=backend,
+            policy=ExecutionPolicy(backend=backend),
             seed=9,
         )
 

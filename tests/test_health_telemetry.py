@@ -400,6 +400,19 @@ class TestCompressionProbe:
         assert report.source == "constructed"
         assert not report.flagged
 
+    def test_cached_session_reports_a_loaded_probe(self, tmp_path):
+        points = uniform_cube_points(N, dim=3, seed=5)
+        outcomes = []
+        for _ in range(2):
+            policy = ExecutionPolicy(health=HealthThresholds())
+            sess = Session(points, leaf_size=32, seed=1, policy=policy,
+                           cache_dir=tmp_path)
+            sess.compress(ExponentialKernel(0.25), tol=1e-6)
+            outcomes.append(
+                (sess.result.construction_path, sess.result.health.source)
+            )
+        assert outcomes == [("packed", "constructed"), ("cache", "loaded")]
+
     def test_health_off_by_default(self):
         points = uniform_cube_points(N, dim=2, seed=5)
         sess = Session(points, leaf_size=32, seed=1)
@@ -523,6 +536,34 @@ class TestRecordSolverHealth:
         solve = sess.solve(np.ones(N), tol=1e-300, maxiter=5)
         assert not solve.converged
         assert solve.extra["health_events"]
+
+    def test_gp_solves_run_the_diagnosis(self, monkeypatch):
+        """The representer solve and every predict polish are diagnosed."""
+        from dataclasses import replace
+
+        import repro.observe.health
+
+        diagnosed = []
+        real = repro.observe.health.record_solver_health
+
+        def spy(result, *args, **kwargs):
+            diagnosed.append(result.method)
+            return real(result, *args, **kwargs)
+
+        monkeypatch.setattr(repro.observe.health, "record_solver_health", spy)
+        points = uniform_cube_points(N, dim=2, seed=6)
+        policy = ExecutionPolicy(health=HealthThresholds())
+        gp = repro.GaussianProcess(
+            points, ExponentialKernel(0.25), noise=1e-2, policy=policy
+        ).fit(np.sin(3.0 * points[:, 0]))
+        assert diagnosed == ["cg"]
+        # A factorization of K + 10 noise I fails the residual check of
+        # every predict column, so each one is polished by a guarded CG.
+        state = gp._require_fit()
+        loose = repro.factorize(state.matrix, shift=10.0 * gp.noise)
+        gp._state = replace(state, factorization=loose)
+        gp.predict(points[:3], return_std=True)
+        assert diagnosed == ["cg"] * 4
 
 
 # ------------------------------------------------------------- openmetrics

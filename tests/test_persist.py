@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ArtifactCache, ExponentialKernel, Session, compress, uniform_cube_points
+from repro import (
+    ArtifactCache,
+    ExecutionPolicy,
+    ExponentialKernel,
+    Session,
+    compress,
+    uniform_cube_points,
+)
 from repro.persist import (
     ArtifactError,
     ArtifactFormatError,
@@ -252,9 +259,11 @@ class TestArtifactCache:
             builds.append(1)
             return op
 
-        first = cache.get_or_build("somekey", builder)
-        second = cache.get_or_build("somekey", builder)
+        policy = ExecutionPolicy()
+        first, first_hit = cache.get_or_build("somekey", builder, policy)
+        second, second_hit = cache.get_or_build("somekey", builder, policy)
         assert len(builds) == 1
+        assert (first_hit, second_hit) == (False, True)
         assert np.array_equal(first.to_dense(), second.to_dense())
 
     def test_corrupted_entry_counts_as_miss_and_is_dropped(

@@ -672,6 +672,125 @@ class TestGaussianProcessResilience:
         assert np.all(np.isfinite(gp.predict(points[:16])))
 
 
+# ------------------------------------------------------------- guarded solve
+def _session_solve(points, y, policy):
+    sess = Session(points, policy=policy, seed=2)
+    sess.compress(ExponentialKernel(1.0), 1e-10, format="hss")
+    sess.solve(y, tol=1e-8)
+
+
+def _served_solve(points, y, policy):
+    import asyncio
+
+    from repro.serve import InferenceServer, SolveRequest
+
+    operator = repro.compress(
+        points, ExponentialKernel(0.3), format="hss", tol=1e-9, seed=5
+    )
+    server = InferenceServer(policy=policy)
+    server.register("m", operator, noise=1e-2)
+    try:
+        asyncio.run(server.handle(
+            SolveRequest(model="m", b=y, method="cg", tol=1e-10)
+        ))
+    finally:
+        asyncio.run(server.aclose())
+
+
+def _fitted_gp(points, y, policy):
+    from repro.gp import GaussianProcess
+
+    return GaussianProcess(
+        points, GaussianKernel(length_scale=0.5), noise=1e-4,
+        policy=policy, solve_tol=1e-10,
+    ).fit(y)
+
+
+def loosen_factorization(gp):
+    """Swap the fitted factorization for one of ``K + 10 noise I``: its direct
+    solves miss the residual check, so every predict column is polished."""
+    from dataclasses import replace
+
+    state = gp._require_fit()
+    loose = repro.factorize(state.matrix, shift=10.0 * gp.noise)
+    gp._state = replace(state, factorization=loose)
+
+
+def _gp_polish(points, y, policy):
+    gp = _fitted_gp(points, y, policy)  # the representer solve: no fault yet
+    loosen_factorization(gp)
+    gp.predict(points[:4], return_std=True)
+
+
+class TestGuardedSolve:
+    """Every product Krylov solve runs through ``guarded_solve``: a stalled
+    solve raises under ``strict``, warns under ``warn`` and escalates under
+    ``recover``, with one mapping at all four call sites.  The stall caps
+    ``maxiter`` at 0: a CG preconditioned by the exact HSS factorization
+    converges in one iteration, so ``iters=1`` cannot stall the served CG."""
+
+    #: site -> (runner, fault spec, warning event, further warning text)
+    SITES = {
+        "session": (_session_solve, "stall-convergence:iters=0",
+                    "solve-not-converged", ""),
+        "server": (_served_solve, "stall-convergence:iters=0",
+                   "solve-not-converged", "model=m"),
+        "gp-fit": (_fitted_gp, "stall-convergence:iters=0",
+                   "gp-solve-not-converged", ""),
+        "gp-polish": (_gp_polish, "stall-convergence:iters=0,nth=2",
+                      "gp-solve-not-converged", ""),
+    }
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        points = uniform_cube_points(512, dim=2, seed=13)
+        return points, np.sin(points[:, 0] * 3.0) + points[:, 1]
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        """Every result ``guarded_solve`` returns, at every call site."""
+        import repro.gp.regression
+        import repro.solvers.ladder
+
+        real = repro.solvers.ladder.guarded_solve
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repro.solvers.ladder, "guarded_solve", spy)
+        monkeypatch.setattr(repro.gp.regression, "guarded_solve", spy)
+        return results
+
+    @pytest.mark.parametrize("mode", ["strict", "warn", "recover"])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_recovery_mapping(self, site, mode, problem, request, resilience_log):
+        points, y = problem
+        runner, spec, event, detail = self.SITES[site]
+        policy = ExecutionPolicy(recovery=mode, faults=spec)
+        if mode == "strict":
+            with pytest.raises(SolveDidNotConvergeError) as excinfo:
+                runner(points, y, policy)
+            assert not excinfo.value.result.converged
+            return
+        solves = request.getfixturevalue("solves")
+        runner(points, y, policy)
+        assert policy.faults.fired("stall-convergence") == 1
+        stalled = [
+            r for r in solves if not r.converged or "escalated_from" in r.extra
+        ]
+        assert len(stalled) == 1
+        warnings = [m for m in resilience_log if f"event={event} " in m]
+        if mode == "warn":
+            assert not stalled[0].converged
+            assert len(warnings) == 1 and detail in warnings[0]
+        else:
+            assert stalled[0].converged
+            assert stalled[0].extra["escalated_from"] == "cg"
+            assert not warnings
+
+
 # ---------------------------------------------------------------- acceptance
 @pytest.mark.slow
 class TestAcceptance:

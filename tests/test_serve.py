@@ -217,10 +217,80 @@ class TestModelRegistry:
             leaf_size=32, seed=5,
         )
         assert model.health is not None
-        assert model.health.source == "loaded"
+        assert model.health.source == "constructed"  # no cache: a miss
         assert not model.health.flagged
         stats = registry.statistics()
         assert "health" in stats["models"]["a"]
+
+    def test_one_health_probe_per_registration(
+        self, serve_operator, serve_points, serve_kernel, tmp_path
+    ):
+        """``points=`` keeps the probe of what compress constructed (or
+        loaded); ``operator=`` / ``path=`` / ``key=`` probe once, as loaded."""
+        from repro import HealthThresholds
+
+        tracer = SpanTracer()
+        cache = repro.ArtifactCache(tmp_path / "cache")
+        registry = ModelRegistry(
+            policy=ExecutionPolicy(tracer=tracer, health=HealthThresholds()),
+            cache=cache,
+        )
+
+        def probes():
+            events = list(tracer.orphan_events)
+            stack = list(tracer.roots)
+            while stack:
+                span = stack.pop()
+                events.extend(span.events)
+                stack.extend(span.children)
+            return [
+                e.attributes["source"]
+                for e in events if e.name == "health.operator_probe"
+            ]
+
+        def probed_sources(name, **source):
+            before = len(probes())
+            model = registry.register(name, kernel=serve_kernel, tol=TOL, **source)
+            assert model.health is not None
+            sources = probes()[before:]
+            assert sources == [model.health.source]
+            return sources[0]
+
+        points = dict(points=serve_points, leaf_size=32, seed=5)
+        assert probed_sources("miss", **points) == "constructed"
+        assert probed_sources("hit", **points) == "loaded"
+        key = cache.key(serve_points, serve_kernel, tol=TOL, format="hss",
+                        leaf_size=32, seed=5)
+        cache.put(key, serve_operator)
+        path = tmp_path / "m.repro"
+        repro.save_operator(serve_operator, path)
+        for source in (dict(operator=serve_operator), dict(path=path),
+                       dict(key=key)):
+            assert probed_sources("other", **source) == "loaded"
+
+    @pytest.mark.parametrize("mode", ["strict", "warn", "recover"])
+    def test_corrupted_cache_key_follows_the_integrity_mode(
+        self, mode, serve_operator, serve_points, serve_kernel, tmp_path
+    ):
+        """A ``key=`` registration reads the cache under the policy's
+        integrity mode: never a silently corrupted model."""
+        from repro.resilience import ArtifactIntegrityError, FaultInjector
+
+        cache = repro.ArtifactCache(tmp_path)
+        key = cache.key(serve_points, serve_kernel, tol=TOL, format="hss",
+                        leaf_size=32, seed=5)
+        cache.put(key, serve_operator)
+        injector = FaultInjector.from_spec("corrupt-artifact-buffer:count=64")
+        assert injector.corrupt_artifact(cache.path_for(key))
+        registry = ModelRegistry(
+            policy=ExecutionPolicy(recovery=mode), cache=cache
+        )
+        expected = ArtifactIntegrityError if mode == "strict" else ModelNotFoundError
+        with pytest.raises(expected):
+            registry.register("bad", key=key)
+        assert "bad" not in registry
+        # strict leaves the evidence in place; warn / recover evict it.
+        assert cache.path_for(key).exists() == (mode == "strict")
 
 
 # ------------------------------------------------------------------ micro-batch
