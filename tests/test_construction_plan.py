@@ -25,7 +25,11 @@ from repro import (
     GeneralAdmissibility,
     H2Constructor,
     HelmholtzKernel,
+    KernelEntryExtractor,
+    KernelMatVecOperator,
     build_block_partition,
+    random_low_rank,
+    recompress_h2,
     uniform_cube_points,
 )
 from repro.batched.construction_plan import PackedSweepEngine, _LevelState
@@ -355,6 +359,64 @@ class TestWorkspaceLifecycle:
 
         engine = PackedSweepEngine(plan, get_backend("vectorized"), NOOP_TRACER)
         assert engine.memory_bytes() == 0  # nothing marshalled yet
+
+
+class TestMirroredPairs:
+    """The matrix is symmetric and so is its partition: the compiled sweep
+    asks the extractor only for the blocks ``(s, t)`` with ``s <= t`` and fills
+    each twin ``(t, s)`` with one transposed copy, so the stored twins are
+    exact transposes and only the evaluated half is counted."""
+
+    @pytest.fixture(scope="class")
+    def kernel_result(self):
+        points = uniform_cube_points(460, dim=2, seed=13)
+        tree = ClusterTree.build(points, leaf_size=16)
+        partition = build_block_partition(tree, GeneralAdmissibility(eta=0.7))
+        kernel = ExponentialKernel(0.2)
+        extractor = KernelEntryExtractor(kernel, tree.points)
+        result = H2Constructor(
+            partition,
+            KernelMatVecOperator(kernel, tree.points),
+            extractor,
+            ConstructionConfig(tolerance=1e-6, sample_block_size=16),
+            seed=3,
+        ).construct()
+        return result, extractor
+
+    @staticmethod
+    def assert_twins_are_transposes(matrix):
+        for blocks in (matrix.coupling, matrix.dense):
+            twins = [(s, t) for s, t in blocks if s > t]
+            assert twins
+            for s, t in twins:
+                assert np.array_equal(blocks[(s, t)], blocks[(t, s)].T), (s, t)
+
+    @staticmethod
+    def owned_entries(matrix) -> int:
+        return sum(
+            block.size
+            for blocks in (matrix.coupling, matrix.dense)
+            for (s, t), block in blocks.items()
+            if s <= t
+        )
+
+    def test_kernel_twins_are_exact_transposes(self, kernel_result):
+        self.assert_twins_are_transposes(kernel_result[0].matrix)
+
+    def test_only_owner_blocks_are_evaluated(self, kernel_result):
+        result, extractor = kernel_result
+        owned = self.owned_entries(result.matrix)
+        assert result.entries_evaluated == extractor.entries_evaluated == owned
+
+    def test_h2_update_twins_are_exact_transposes(self, cov_h2):
+        """``H2EntryExtractor`` + low rank: an evaluator whose ``(t, s)``
+        entries are not bitwise the transposes of its ``(s, t)`` ones."""
+        update = random_low_rank(cov_h2.num_rows, 8, seed=4, symmetric=True, scale=0.5)
+        result = recompress_h2(
+            cov_h2, update, config=ConstructionConfig(tolerance=1e-6), seed=6
+        )
+        self.assert_twins_are_transposes(result.matrix)
+        assert result.entries_evaluated == self.owned_entries(result.matrix)
 
 
 class TestAcceptance:

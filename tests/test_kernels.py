@@ -181,6 +181,22 @@ class TestKernelMatrices:
         mat = kernel.matrix(pts)
         assert np.allclose(mat, mat.T, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            ExponentialKernel(0.2),
+            HelmholtzKernel(3.0, diagonal_value=1.5),
+            0.5 * ExponentialKernel(0.2) + WhiteNoiseKernel(1e-2),
+        ],
+        ids=["exponential", "helmholtz", "exponential+nugget"],
+    )
+    def test_bitwise_symmetric_across_tiles(self, kernel):
+        """Each mirrored pair is one value: N spans several evaluation tiles."""
+        pts = uniform_cube_points(700, dim=3, seed=3)
+        mat = kernel.matrix(pts)
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(pairwise_distances(pts, pts), pairwise_distances(pts, pts).T)
+
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
     def test_finite(self, kernel):
         pts = uniform_cube_points(60, seed=4)
