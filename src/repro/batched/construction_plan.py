@@ -69,8 +69,17 @@ sampling rounds of depth ``d``, ``slabs = 1 + sum_d (rounds_d - 1)`` and
 
 which :meth:`ConstructionPlan.launch_schedule` computes and the tests hold
 against ``ConstructionResult.kernel_launches``.  ``batched_gen`` and, on the
-vectorized backend, ``batched_id`` count *shape groups* of the requested
-blocks and are not a function of the schedule.
+vectorized backend, ``batched_id`` count *shape groups* and are not a function
+of the schedule; ``batched_gen`` counts those of the evaluated half of the
+blocks (below).
+
+**Mirrored pairs.**  The matrix is symmetric and so is its partition: the
+block list of a level holds ``(s, t)`` and ``(t, s)`` alike, and ``D_{t,s} =
+D_{s,t}^T``, ``B_{t,s} = B_{s,t}^T``.  :class:`PairMirror` splits each list
+once (pure geometry) into the *owners* ``s <= t``, the only blocks the entry
+extractor is asked for, and their twins, which one transposed copy fills in
+the same padded stack.  A ``(q, p)`` twin shape no longer forms a shape group
+of its own.
 """
 
 from __future__ import annotations
@@ -90,6 +99,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tree.block_partition import BlockPartition
 
 Request = Tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class PairMirror:
+    """The evaluated half of a symmetric list of block pairs.
+
+    ``owners`` index the pairs ``(s, t)`` with ``s <= t`` — plus any pair
+    whose twin ``(t, s)`` is not in the list; block ``twins[i]`` is the
+    transpose of block ``sources[i]``.
+    """
+
+    owners: np.ndarray
+    twins: np.ndarray
+    sources: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: Sequence[Tuple[int, int]]) -> "PairMirror":
+        position = {pair: i for i, pair in enumerate(pairs)}
+        owners: List[int] = []
+        twins: List[int] = []
+        sources: List[int] = []
+        for i, (s, t) in enumerate(pairs):
+            source = position.get((t, s)) if s > t else None
+            if source is None:
+                owners.append(i)
+            else:
+                twins.append(i)
+                sources.append(source)
+        return cls(*(np.asarray(v, dtype=np.int64) for v in (owners, twins, sources)))
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.owners.nbytes + self.twins.nbytes + self.sources.nbytes)
 
 
 def _launch_operands(
@@ -146,13 +188,16 @@ class ConstructionPlan:
                 self.dense_pairs.append((tau, b))
             dense_rows.append((i, blocks))
         self.dense_groups = build_row_groups(dense_rows, sentinel=self.num_leaves)
+        self.dense_mirror = PairMirror.of(self.dense_pairs)
 
         # ------------------------------------- per-level coupling structure
         #: ``coupling_pairs[depth]`` lists the level's far pairs in the
         #: reference loop's order; ``coupling_groups[depth]`` the fan-grouped
-        #: block-row structure over the level's node positions.
+        #: block-row structure over the level's node positions,
+        #: ``coupling_mirrors[depth]`` the pairs evaluated and mirrored.
         self.coupling_pairs: Dict[int, List[Tuple[int, int]]] = {}
         self.coupling_groups: Dict[int, List[RowGroup]] = {}
+        self.coupling_mirrors: Dict[int, PairMirror] = {}
         self.level_nodes: Dict[int, List[int]] = {}
         for depth in range(tree.depth, -1, -1):
             nodes = list(tree.nodes_at_level(depth))
@@ -168,6 +213,7 @@ class ConstructionPlan:
                 rows.append((i, blocks))
             self.coupling_pairs[depth] = pairs
             self.coupling_groups[depth] = build_row_groups(rows, sentinel=len(nodes))
+            self.coupling_mirrors[depth] = PairMirror.of(pairs)
         #: Shallowest depth carrying admissible blocks, where the upward sweep
         #: stops (``None`` for a fully dense partition).
         self.top_depth: Optional[int] = min(
@@ -185,11 +231,13 @@ class ConstructionPlan:
         return len(self.leaves.nodes)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the static leaf mask and grouping arrays."""
+        """Bytes held by the static leaf mask, grouping and mirror arrays."""
         total = self.leaves.mask.nbytes
         for groups in [self.dense_groups, *self.coupling_groups.values()]:
             for g in groups:
                 total += g.dest_pos.nbytes + g.src_pos.nbytes + g.block_req.nbytes
+        for mirror in [self.dense_mirror, *self.coupling_mirrors.values()]:
+            total += mirror.nbytes
         return int(total)
 
     def sweep_workspace_bytes(self, columns: int) -> int:
@@ -384,24 +432,40 @@ class PackedSweepEngine:
         self.counter.record("batched_gather", launches)
 
     def _extract(
-        self, extractor: "EntryExtractor", requests: Sequence[Request], pad: int
+        self,
+        extractor: "EntryExtractor",
+        requests: Sequence[Request],
+        mirror: PairMirror,
+        pad: int,
     ) -> np.ndarray:
+        """The ``(len(requests), pad, pad)`` zero-padded stack of all requested
+        blocks: the owners evaluated straight into it, each twin one
+        transposed copy of its owner (square padding keeps both in place)."""
+        padded = np.zeros((len(requests), pad, pad), dtype=np.float64)
         with phase_span(self.tracer, "entry_generation"):
-            return extractor.extract_blocks_padded(
-                requests, pad, pad, counter=self.counter
+            extractor.extract_blocks_into(
+                padded,
+                mirror.owners,
+                [requests[i] for i in mirror.owners],
+                counter=self.counter,
             )
+            padded[mirror.twins] = padded[mirror.sources].transpose(0, 2, 1)
+        return padded
 
     def load_dense(
         self, extractor: "EntryExtractor", requests: Sequence[Request]
     ) -> List[np.ndarray]:
-        """Evaluate ``plan.dense_pairs`` in one padded ``batchedGen`` launch and
-        stack them into the fan-grouped dense-subtract operands.
+        """Evaluate ``plan.dense_pairs`` in one padded ``batchedGen`` launch
+        (the owners only, twins mirrored) and stack them into the fan-grouped
+        dense-subtract operands.
 
         Returns the exact-shape blocks as views into the padded stack (the
         padding is exact zeros); copying thousands of leaf blocks would double
         the marshaling traffic.
         """
-        padded = self._extract(extractor, requests, self.plan.leaves.height)
+        padded = self._extract(
+            extractor, requests, self.plan.dense_mirror, self.plan.leaves.height
+        )
         with phase_span(self.tracer, "misc"):
             self._dense_ops = _launch_operands(self.plan.dense_groups, padded)
         return [
@@ -412,7 +476,8 @@ class PackedSweepEngine:
     def load_couplings(
         self, depth: int, extractor: "EntryExtractor", requests: Sequence[Request]
     ) -> List[np.ndarray]:
-        """Evaluate ``plan.coupling_pairs[depth]`` at the level's skeletons.
+        """Evaluate ``plan.coupling_pairs[depth]`` at the level's skeletons
+        (the owners only, twins mirrored).
 
         When the sweep continues above ``depth`` the padded stack (padded to
         the replay record's ``r_pad``) becomes the level's coupling-subtract
@@ -425,7 +490,9 @@ class PackedSweepEngine:
             record.r_pad if record is not None
             else max(len(index) for request in requests for index in request)
         )
-        padded = self._extract(extractor, requests, pad)
+        padded = self._extract(
+            extractor, requests, self.plan.coupling_mirrors[depth], pad
+        )
         if record is not None:
             with phase_span(self.tracer, "misc"):
                 record.coupling_ops = _launch_operands(

@@ -23,7 +23,9 @@ Outline (symmetric matrix, permuted ordering):
 * **inner levels** — merge the children's skeletonised sketches, subtract the
   contribution of the children's coupling blocks, adapt/ID as above to obtain
   the transfer matrices ``E`` and the level's skeletons;
-* at every level evaluate the coupling blocks ``B`` at the skeleton indices.
+* at every level evaluate the coupling blocks ``B`` at the skeleton indices,
+  once per mirrored pair: the sweep asks the extractor for ``B_{s,t}`` with
+  ``s <= t`` and stores ``B_{t,s} = B_{s,t}^T`` (likewise the dense blocks).
 
 Adaptive sampling follows Section III-B: freshly drawn sample blocks are swept
 from the leaves up to the current level by replaying the already-computed

@@ -245,16 +245,18 @@ class GeometryContext:
         """
         if self._distances is not None:
             if isinstance(kernel, PairwiseKernel):
-                # Tile by tile: the value matrix is the only n x n allocation.
+                # Tile by tile, the upper triangle mirrored: the value matrix
+                # is the only n x n allocation.
                 distances = self._distances
                 values = _tiled(
                     *distances.shape,
                     lambda rows, cols: kernel.profile_with_diagonal(
                         distances[rows, cols]
                     ),
+                    mirror=True,
                 )
             else:
-                values = kernel.evaluate(self.tree.points, self.tree.points)
+                values = kernel.matrix(self.tree.points)
             # profile/evaluate already allocated a fresh contiguous array;
             # adopt it instead of copying into a persistent buffer.
             self._values = np.ascontiguousarray(

@@ -18,10 +18,14 @@ import numpy as np
 
 
 class KernelFunction(ABC):
-    """A symmetric kernel function ``K(x, y)`` evaluated on coordinate arrays."""
+    """A symmetric kernel function ``K(x, y)`` evaluated on coordinate arrays.
 
-    #: Whether ``K(x, y) == K(y, x)``; all kernels in the paper are symmetric.
-    symmetric: bool = True
+    ``K(x, y) == K(y, x)`` is required, not optional: the constructor
+    compresses a symmetric matrix (one basis per cluster), and the kernel
+    layer evaluates each mirrored pair of a point set once — the tiled sweeps
+    of :meth:`matrix` and :class:`~repro.sketching.KernelMatVecOperator`
+    write ``K(x_j, x_i)`` as the value computed for ``K(x_i, x_j)``.
+    """
 
     @abstractmethod
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -42,8 +46,14 @@ class KernelFunction(ABC):
         return self.evaluate(np.atleast_2d(x), np.atleast_2d(y))
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
-        """The full dense kernel matrix over ``points`` (test/small problems only)."""
-        return self.evaluate(points, points)
+        """The full dense kernel matrix over ``points`` (test/small problems only).
+
+        Assembled from the tiles on or above the diagonal, each off-diagonal
+        one mirrored, so the result is bitwise symmetric.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        n = points.shape[0]
+        return _tiled(n, n, self._tile_function(points, points), mirror=True)
 
     def _tile_function(self, x: np.ndarray, y: np.ndarray) -> _TileFunction:
         """``tile(rows, cols) == evaluate(x, y)[rows, cols]``, one block at a time.
@@ -86,45 +96,69 @@ class KernelFunction(ABC):
         return {}
 
 
-#: Entries of one evaluation tile (2 MiB of float64): the temporaries of a
-#: distance/profile pass over one tile stay in cache and are recycled by the
-#: allocator, where array-sized ones are fresh pages on every pass.
-_TILE = 1 << 18
+#: Side of one square evaluation tile: 128 x 128 float64 entries (128 KiB), so
+#: a tile and the few temporaries of its distance/profile pass fit the L2
+#: cache of one core together.  A 2 MiB band of whole rows (the earlier
+#: tiling) does not: its temporaries left the cache on every pass and made
+#: kernel evaluation two to three times slower.
+_TILE_SIDE = 128
 
 _TileFunction = Callable[[slice, slice], np.ndarray]
 
 
 def _tiles(
-    num_rows: int, num_cols: int, row_block: int | None = None
+    num_rows: int, num_cols: int, side: int | None = None
 ) -> Iterator[Tuple[slice, slice]]:
     """``(rows, cols)`` slices covering a ``(num_rows, num_cols)`` output in
-    tiles of at most ``_TILE`` entries, row bands first.
+    square tiles of ``side`` (default :data:`_TILE_SIDE`), row by row.
 
-    A band holds ``row_block`` rows (default: as many whole rows as fit one
-    tile) and is cut along the columns only once it exceeds the tile.
+    An output thinner than one tile (a few test points against a training
+    set) gets tiles of the same entry count, stretched along its long side.
     """
-    if row_block is None:
-        row_block = max(1, _TILE // max(num_cols, 1))
-    col_block = max(1, _TILE // row_block)
-    for start in range(0, num_rows, row_block):
-        rows = slice(start, min(start + row_block, num_rows))
-        for first in range(0, num_cols, col_block):
-            yield rows, slice(first, min(first + col_block, num_cols))
+    side = _TILE_SIDE if side is None else max(1, int(side))
+    area = side * side
+    height = max(side, area // max(min(side, num_cols), 1))
+    width = max(side, area // max(min(side, num_rows), 1))
+    for start in range(0, num_rows, height):
+        rows = slice(start, min(start + height, num_rows))
+        for first in range(0, num_cols, width):
+            yield rows, slice(first, min(first + width, num_cols))
 
 
-def _tiled(num_rows: int, num_cols: int, tile: _TileFunction) -> np.ndarray:
+def _upper_tiles(n: int, side: int | None = None) -> Iterator[Tuple[slice, slice]]:
+    """The tiles of an ``(n, n)`` output on or above its diagonal: with the
+    mirror images of the off-diagonal ones they cover a symmetric output."""
+    for rows, cols in _tiles(n, n, side):
+        if cols.start >= rows.start:
+            yield rows, cols
+
+
+def _tiled(
+    num_rows: int, num_cols: int, tile: _TileFunction, mirror: bool = False
+) -> np.ndarray:
     """The ``(num_rows, num_cols)`` array whose block ``[rows, cols]`` is
     ``tile(rows, cols)``, assembled tile by tile.
 
-    An output that fits one tile is the single call on the whole index range,
-    so small evaluations run exactly the untiled code; larger ones never hold
-    more than the output and the temporaries of one tile.
+    ``mirror`` states that the output is symmetric (one point set against
+    itself): only the tiles on or above the diagonal are evaluated and each
+    off-diagonal one is also written transposed, so every symmetric pair is
+    evaluated once.  An output that fits one tile is the single call on the
+    whole index range, so small evaluations run exactly the untiled code;
+    larger ones never hold more than the output and the temporaries of one
+    tile.
     """
-    if num_rows * num_cols <= _TILE:
+    if num_rows * num_cols <= _TILE_SIDE * _TILE_SIDE:
         return tile(slice(0, num_rows), slice(0, num_cols))
     out = np.empty((num_rows, num_cols), dtype=np.float64)
-    for rows, cols in _tiles(num_rows, num_cols):
-        out[rows, cols] = tile(rows, cols)
+    if not mirror:
+        for rows, cols in _tiles(num_rows, num_cols):
+            out[rows, cols] = tile(rows, cols)
+        return out
+    for rows, cols in _upper_tiles(num_rows):
+        block = tile(rows, cols)
+        out[rows, cols] = block
+        if cols != rows:
+            out[cols, rows] = block.T
     return out
 
 
@@ -154,17 +188,21 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Uses the expanded-square formulation with a clamp at zero so it is a single
     BLAS-3 call plus elementwise work (the dominant cost of dense kernel
-    assembly) instead of a Python loop; large outputs are produced in row
-    tiles, so the only array of the output's size is the output.
+    assembly) instead of a Python loop; large outputs are produced in square
+    tiles, so the only array of the output's size is the output.  The
+    distances of one point set to itself (``x is y``) are evaluated on the
+    tiles on or above the diagonal and mirrored.
 
     Squared distances below the round-off floor of the expansion
     (``~eps * (|x|^2 + |y|^2)``) are snapped to exactly zero so that coincident
     points are detected reliably — kernels singular at the origin substitute
     their configured self-interaction value for those entries.
     """
+    same = x is y
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _tiled(x.shape[0], y.shape[0], _distance_tile(x, y, lambda r: r))
+    y = x if same else np.asarray(y, dtype=np.float64)
+    tile = _distance_tile(x, y, lambda r: r)
+    return _tiled(x.shape[0], y.shape[0], tile, mirror=same)
 
 
 def pairwise_distances_stacked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -212,6 +250,8 @@ class PairwiseKernel(KernelFunction):
         """Evaluate the radial profile ``f(r)`` elementwise on ``r >= 0``."""
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if x is y:
+            return self.matrix(x)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         return _tiled(x.shape[0], y.shape[0], self._tile_function(x, y))

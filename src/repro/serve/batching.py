@@ -95,10 +95,13 @@ class _Queue:
 def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarray:
     """The synchronous block operation of ``kind`` (runs on a worker thread).
 
-    The model's execution lock serializes numerical work per model: compiled
-    apply plans own shared workspace buffers, so concurrent applies of one
-    operator would race.  The time spent acquiring it is
-    ``serve.batch.lock_wait_ms``.
+    The model's execution lock serializes numerical work per model.  The
+    compiled apply and the HSS solve allocate their buffers per call; what
+    the lock still guards is first-use state built without a lock of its own
+    (``H2Matrix.apply_plan()``, the plan's transpose stages, the matrix's
+    backend resolution) and the recursive HODLR solve, whose ``lu_solve``
+    must not run on two threads at once (see :mod:`repro.serve.registry`).
+    The time spent acquiring it is ``serve.batch.lock_wait_ms``.
     """
     start = time.perf_counter()
     with model.lock:

@@ -4,10 +4,18 @@ A :class:`ServedModel` bundles everything one tenant's queries need — the
 compressed operator, the lazily built factorization of ``K + noise I``
 (:func:`repro.solvers.factorize`; first ``solve``/``predict``/``logdet`` pays it, later
 requests reuse it), the cached log-determinant, and an execution lock that
-serializes numerical work per model (compiled apply plans own per-plan
-workspace buffers, so two threads must not apply the same operator
-concurrently — concurrency across *different* models, and micro-batching
-within one model, are the parallelism stories).
+serializes numerical work per model — concurrency across *different* models,
+and micro-batching within one model, are the parallelism stories.
+
+The compiled apply (``H2ApplyPlan``) and the HSS solve allocate their work
+buffers per call, so once a model's lazy state exists two threads may apply
+or HSS-solve it at once and get the serial answer.  The lock stays for what
+is still built or run unguarded: the first ``H2Matrix.apply_plan()`` compile
+(two threads would both compile and race on ``_plan`` / ``_entry_plan``), the
+plan's lazily assembled transpose stages (``_ensure_transpose``), the
+matrix's lazy backend resolution (``_resolve_backend``), and the recursive
+``HODLRFactorization.solve``, whose SciPy ``lu_solve`` corrupts the heap when
+two threads call it at once.
 
 :class:`ModelRegistry` resolves models from four sources, in order of
 explicitness: an operator instance, an artifact path
@@ -63,7 +71,9 @@ class ServedModel:
         self.last_used = self.loaded_at
         self.requests = 0
         self.health = None
-        #: Serializes numerical work on this model (see module docstring).
+        #: Serializes numerical work on this model: guards the lazy apply
+        #: plan, transpose stages and backend, and the HODLR solve (module
+        #: docstring).
         self.lock = threading.Lock()
         self._factor_lock = threading.Lock()
         self._factorization = None

@@ -15,10 +15,11 @@ single ``profile_with_diagonal`` call, a low-rank extractor one batched GEMM,
 tree depth, not by the number of blocks) and :class:`SumEntryExtractor` adds
 the stacks of its terms.  Extractors without ``supports_stacked`` evaluate a
 group block by block.
-:meth:`EntryExtractor.extract_blocks_padded` additionally zero-pads every
-block to one uniform shape, producing the stacked operand layout the compiled
-construction engine (:mod:`repro.batched.construction_plan`) feeds straight
-into ``batched_gemm_scatter``.
+:meth:`EntryExtractor.extract_blocks_padded` / :meth:`EntryExtractor.extract_blocks_into`
+additionally zero-pad every block to one uniform shape, producing the stacked
+operand layout the compiled construction engine
+(:mod:`repro.batched.construction_plan`) feeds straight into
+``batched_gemm_scatter``.
 
 All index arrays refer to the cluster-tree permuted ordering and are validated
 once per shape group: a non-integer dtype or an index outside ``[0, n)``
@@ -148,24 +149,41 @@ class EntryExtractor(ABC):
 
         Every request's block lands in ``out[i, :len(rows), :len(cols)]`` with
         exact zeros in the padding — the layout the compiled construction
-        engine stacks into batched GEMM operands.  Requests are grouped by
-        exact shape like :meth:`extract_blocks`; each group's stacked result
-        is scattered into the zero-initialised output with one fancy write,
-        so only real entries are ever evaluated or moved.  A block larger
-        than the padding raises :class:`ValueError`.
+        engine stacks into batched GEMM operands (see
+        :meth:`extract_blocks_into`).
         """
-        g, pad_rows, pad_cols = len(requests), int(pad_rows), int(pad_cols)
-        out = np.zeros((g, pad_rows, pad_cols), dtype=np.float64)
-        if g == 0:
-            return out
+        out = np.zeros((len(requests), int(pad_rows), int(pad_cols)), dtype=np.float64)
+        self.extract_blocks_into(out, range(len(requests)), requests, counter)
+        return out
+
+    def extract_blocks_into(
+        self,
+        out: np.ndarray,
+        slots: Sequence[int],
+        requests: Sequence[Tuple[np.ndarray, np.ndarray]],
+        counter: KernelLaunchCounter | None = None,
+    ) -> None:
+        """Evaluate ``requests[i]`` into ``out[slots[i], :len(rows), :len(cols)]``.
+
+        ``out`` is a zero-initialised ``(g, pr, pc)`` stack; slots no request
+        names are left untouched (the compiled construction fills them with
+        the transposes of their mirrored twins).  Requests are grouped by
+        exact shape like :meth:`extract_blocks`; each group's stacked result
+        is scattered into ``out`` with one fancy write, so only real entries
+        are ever evaluated or moved.  A block larger than the padding raises
+        :class:`ValueError`.
+        """
+        if not requests:
+            return
+        pad_rows, pad_cols = int(out.shape[1]), int(out.shape[2])
+        slots = np.asarray(slots, dtype=np.int64)
         for (p, q), indices, stacked in self._evaluate_shape_groups(requests, counter):
             if p > pad_rows or q > pad_cols:
                 raise ValueError(
                     f"a ({p}, {q}) block does not fit the ({pad_rows}, {pad_cols}) padding"
                 )
             if stacked is not None:
-                out[np.asarray(indices, dtype=np.int64), :p, :q] = stacked
-        return out
+                out[slots[indices], :p, :q] = stacked
 
     def __call__(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.extract(rows, cols)

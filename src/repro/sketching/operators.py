@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels.base import KernelFunction, _tiles
+from ..kernels.base import KernelFunction, _upper_tiles
 from ..linalg.low_rank import LowRankMatrix
 
 
@@ -79,25 +79,26 @@ class DenseOperator(SketchingOperator):
 
 
 class KernelMatVecOperator(SketchingOperator):
-    """Exact kernel-matrix application streamed in fixed-size tiles.
+    """Exact kernel-matrix application streamed in square tiles.
 
     Computes ``K(points, points) @ omega`` without ever materialising the full
-    N x N matrix or a slab of it: kernel values are generated one tile of at
-    most ``2**18`` entries (2 MiB) at a time and immediately multiplied, so an
-    application allocates its ``(n, d)`` output plus a few tile-sized
-    temporaries that stay in cache.  This plays the role of the paper's fast
-    black-box sampler for the covariance/IE experiments (there the sampler was
-    an existing H2Opus matrix); the cost is one evaluation of all N^2 kernel
-    entries per application, whatever the number of columns, which is fine at
-    reproduction scale and keeps the operator exact so accuracy checks are
-    meaningful.
+    N x N matrix or a slab of it: kernel values are generated one square tile
+    of ``128 x 128`` entries (128 KiB) at a time and immediately multiplied,
+    so an application allocates its ``(n, d)`` output plus a few tile-sized
+    temporaries that stay in cache.  The matrix is symmetric, so only the
+    tiles on or above the diagonal are evaluated: an off-diagonal tile ``T =
+    K[I, J]`` is applied twice, ``out[I] += T @ omega[J]`` and ``out[J] +=
+    T.T @ omega[I]``.  This plays the role of the paper's fast black-box
+    sampler for the covariance/IE experiments (there the sampler was an
+    existing H2Opus matrix); the cost is one evaluation of about N^2 / 2
+    kernel entries per application, whatever the number of columns, which is
+    fine at reproduction scale and keeps the operator exact so accuracy checks
+    are meaningful.
 
-    ``row_block`` fixes the number of rows per tile (default: as many as fit
-    one tile); a band of rows wider than one tile is cut along the columns and
-    its partial products are accumulated.  The tiling never changes a kernel
-    value: whatever the kernel derives from the whole point set (the
-    coincident-point floor of the radial kernels) is computed once per
-    application, not per tile.
+    ``row_block`` is the side of the square tile (default 128).  The tiling
+    never changes a kernel value: whatever the kernel derives from the whole
+    point set (the coincident-point floor of the radial kernels) is computed
+    once per application, not per tile.
     """
 
     def __init__(
@@ -115,11 +116,13 @@ class KernelMatVecOperator(SketchingOperator):
         return int(self.points.shape[0])
 
     def _multiply(self, omega: np.ndarray) -> np.ndarray:
-        n = self.n
         tile = self.kernel._tile_function(self.points, self.points)
-        out = np.zeros((n, omega.shape[1]), dtype=np.float64)
-        for rows, cols in _tiles(n, n, self.row_block):
-            out[rows] += tile(rows, cols) @ omega[cols]
+        out = np.zeros((self.n, omega.shape[1]), dtype=np.float64)
+        for rows, cols in _upper_tiles(self.n, self.row_block):
+            block = tile(rows, cols)
+            out[rows] += block @ omega[cols]
+            if cols != rows:
+                out[cols] += block.T @ omega[rows]
         return out
 
 

@@ -381,13 +381,18 @@ class TestResultMetadata:
         assert levels[0].num_nodes == 2 ** levels[0].depth
 
     def test_entries_evaluated_matches_stored_blocks(self, cov_h2_result):
-        """Only dense and coupling blocks are evaluated directly (O(r N) asymptotically)."""
+        """Only dense and coupling blocks are evaluated directly (O(r N)
+        asymptotically), and of each mirrored pair only ``(s, t)`` with
+        ``s <= t``: its twin is stored as the transpose."""
         n = cov_h2_result.matrix.num_rows
         matrix = cov_h2_result.matrix
-        stored = sum(d.size for d in matrix.dense.values()) + sum(
-            b.size for b in matrix.coupling.values()
+        evaluated = sum(
+            block.size
+            for blocks in (matrix.dense, matrix.coupling)
+            for (s, t), block in blocks.items()
+            if s <= t
         )
-        assert cov_h2_result.entries_evaluated == stored
+        assert cov_h2_result.entries_evaluated == evaluated
         assert cov_h2_result.entries_evaluated < n * n
 
     def test_norm_estimate_positive(self, cov_h2_result):

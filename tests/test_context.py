@@ -25,9 +25,11 @@ from repro import (
     GeneralAdmissibility,
     GeometryContext,
     H2Constructor,
+    HelmholtzKernel,
     Matern52Kernel,
     Session,
     WeakAdmissibility,
+    WhiteNoiseKernel,
     build_block_partition,
     uniform_cube_points,
 )
@@ -144,6 +146,25 @@ class TestDenseCacheRule:
         for owner in (GeometryContext, Session):
             with pytest.raises(TypeError):
                 owner(points, leaf_size=32, **knob)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            ExponentialKernel(0.2),
+            HelmholtzKernel(3.0, diagonal_value=1.5),
+            0.5 * ExponentialKernel(0.2) + WhiteNoiseKernel(1e-2),
+        ],
+        ids=["exponential", "helmholtz", "exponential+nugget"],
+    )
+    def test_cached_values_equal_kernel_matrix(self, points, kernel):
+        """The value cache is the mirrored tiling of the cached distances:
+        the same matrix as ``kernel.matrix``, bit for bit."""
+        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        operator, extractor = ctx.bind(kernel)
+        expected = kernel.matrix(ctx.tree.points)
+        assert np.array_equal(operator.matrix, expected)
+        assert extractor.matrix is operator.matrix
+        assert np.array_equal(ctx._distances, ctx._distances.T)
 
     def test_uncached_entries_are_exact_on_any_index_set(self, points, monkeypatch):
         """Contiguous leaf ranges and the unsorted or gapped skeleton sets of

@@ -48,8 +48,9 @@ class TestPairwiseDistances:
 
 
 class TestTiledEvaluation:
-    """Large outputs are produced in tiles of ``_TILE`` entries; the result
-    must not depend on where the tile boundaries fall."""
+    """Large outputs are produced in square tiles of side ``_TILE_SIDE``; the
+    result must not depend on where the tile boundaries fall, nor on whether
+    a tile of one point set against itself is evaluated or mirrored."""
 
     @pytest.fixture()
     def clouds(self):
@@ -71,19 +72,23 @@ class TestTiledEvaluation:
     )
     def test_tiled_equals_untiled(self, monkeypatch, clouds, kernel):
         x, y = clouds
-        monkeypatch.setattr(kernel_base, "_TILE", x.size * y.size)  # one tile
+        monkeypatch.setattr(kernel_base, "_TILE_SIDE", x.shape[0])  # one tile
         distances = pairwise_distances(x, y)
         values = kernel.evaluate(x, y)
+        self_values = kernel.matrix(x)
         coincident = (x[:, None, :] == y[None, :, :]).all(axis=2)
         assert coincident.sum() == 79 and np.array_equal(distances == 0.0, coincident)
-        assert np.all(np.isfinite(values))
-        # Bands of 1, 3 and 7 rows: boundaries cut through the duplicated rows.
-        for band in (1, 3, 7):
-            monkeypatch.setattr(kernel_base, "_TILE", band * y.shape[0])
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(self_values))
+        # Tiles of side 1, 3 and 7: boundaries cut through the duplicated rows.
+        for side in (1, 3, 7):
+            monkeypatch.setattr(kernel_base, "_TILE_SIDE", side)
             tiled = pairwise_distances(x, y)
             assert np.array_equal(tiled == 0.0, distances == 0.0)
             assert np.allclose(tiled, distances, rtol=0.0, atol=1e-13)
             assert np.allclose(kernel.evaluate(x, y), values, rtol=1e-13, atol=1e-13)
+            mirrored = kernel.matrix(x)
+            assert np.array_equal(mirrored, mirrored.T)
+            assert np.allclose(mirrored, self_values, rtol=1e-13, atol=1e-13)
 
     def test_small_outputs_take_the_untiled_code(self, monkeypatch):
         """At most one tile: a single call on the whole index range."""
@@ -93,28 +98,62 @@ class TestTiledEvaluation:
             calls.append((rows, cols))
             return np.ones((rows.stop - rows.start, cols.stop - cols.start))
 
-        monkeypatch.setattr(kernel_base, "_TILE", 12)
-        result = kernel_base._tiled(3, 4, ones)
-        assert calls == [(slice(0, 3), slice(0, 4))] and result.shape == (3, 4)
+        monkeypatch.setattr(kernel_base, "_TILE_SIDE", 3)
+        result = kernel_base._tiled(3, 3, ones)
+        assert calls == [(slice(0, 3), slice(0, 3))] and result.shape == (3, 3)
         calls.clear()
         result = kernel_base._tiled(7, 4, ones)
-        assert calls == [(slice(i, min(i + 3, 7)), slice(0, 4)) for i in (0, 3, 6)]
+        assert calls == [
+            (slice(i, min(i + 3, 7)), slice(j, min(j + 3, 4)))
+            for i in (0, 3, 6)
+            for j in (0, 3)
+        ]
         assert np.array_equal(result, np.ones((7, 4)))
 
-    def test_tiles_cut_columns_once_a_band_exceeds_the_tile(self, monkeypatch):
-        monkeypatch.setattr(kernel_base, "_TILE", 12)
-        tiles = list(kernel_base._tiles(5, 30))  # one row is wider than a tile
-        assert tiles[:3] == [(slice(0, 1), slice(j, min(j + 12, 30))) for j in (0, 12, 24)]
-        assert len(tiles) == 15
-        assert list(kernel_base._tiles(5, 30, row_block=4)) == [
-            (slice(i, min(i + 4, 5)), slice(j, j + 3))
+    def test_tiles_are_square_unless_the_output_is_thin(self, monkeypatch):
+        monkeypatch.setattr(kernel_base, "_TILE_SIDE", 3)
+        assert list(kernel_base._tiles(5, 7)) == [
+            (slice(i, min(i + 3, 5)), slice(j, min(j + 3, 7)))
+            for i in (0, 3)
+            for j in (0, 3, 6)
+        ]
+        # Two rows: tiles of the same 9 entries, stretched along the columns.
+        assert list(kernel_base._tiles(2, 10)) == [
+            (slice(0, 2), slice(0, 4)), (slice(0, 2), slice(4, 8)), (slice(0, 2), slice(8, 10))
+        ]
+        assert list(kernel_base._tiles(10, 2)) == [
+            (slice(0, 4), slice(0, 2)), (slice(4, 8), slice(0, 2)), (slice(8, 10), slice(0, 2))
+        ]
+        assert list(kernel_base._tiles(5, 30, side=4)) == [
+            (slice(i, min(i + 4, 5)), slice(j, min(j + 4, 30)))
             for i in (0, 4)
-            for j in range(0, 30, 3)
+            for j in range(0, 30, 4)
         ]
         assert np.array_equal(
             kernel_base._tiled(5, 30, lambda r, c: np.add.outer(np.r_[r], np.r_[c])),
             np.add.outer(np.arange(5), np.arange(30)),
         )
+
+    def test_mirror_evaluates_the_upper_triangle_once(self, monkeypatch):
+        """Seven points in tiles of three: the six tiles on or above the
+        diagonal are evaluated, the three below are their transposes."""
+        monkeypatch.setattr(kernel_base, "_TILE_SIDE", 3)
+        calls = []
+
+        def outer(rows, cols):
+            calls.append((rows, cols))
+            return np.add.outer(10.0 * np.r_[rows], np.r_[cols]) + np.add.outer(
+                np.r_[rows], 10.0 * np.r_[cols]
+            )
+
+        full = np.add.outer(11.0 * np.arange(7), 11.0 * np.arange(7))
+        assert np.array_equal(kernel_base._tiled(7, 7, outer, mirror=True), full)
+        assert calls == list(kernel_base._upper_tiles(7)) == [
+            (slice(i, min(i + 3, 7)), slice(j, min(j + 3, 7)))
+            for i in (0, 3, 6)
+            for j in (0, 3, 6)
+            if j >= i
+        ]
 
 
 class TestKernelValues:

@@ -10,6 +10,7 @@ poisoned batchmate that must fail in isolation.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -294,6 +295,51 @@ class TestModelRegistry:
 
 
 # ------------------------------------------------------------------ micro-batch
+class TestExecutionLock:
+    """What the per-model lock no longer has to guard: with the apply plan
+    compiled (and the backend resolved) first, the compiled apply and the HSS
+    solve allocate their buffers per call, so two threads working on one
+    matrix get the serial answers bit for bit.  The lock itself stays (see
+    ``repro.serve.registry``)."""
+
+    def test_concurrent_matmat_and_solve_match_serial(self, serve_operator):
+        factorization = repro.factorize(serve_operator, shift=NOISE)
+        assert type(factorization).__name__ == "HSSFactorization"
+        rng = np.random.default_rng(17)
+        blocks = [rng.standard_normal((N, 1 + i % 4)) for i in range(50)]
+        serve_operator.apply_plan()
+        serial = [
+            (serve_operator.matmat(b), factorization.solve(b)) for b in blocks
+        ]
+        results, errors = {}, []
+        start = threading.Barrier(2, timeout=60)
+
+        def worker(tag):
+            try:
+                start.wait()
+                results[tag] = [
+                    (serve_operator.matmat(b), factorization.solve(b)) for b in blocks
+                ]
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(tag,)) for tag in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and sorted(results) == [0, 1]
+        for outputs in results.values():
+            for (y, x), (y_ref, x_ref) in zip(outputs, serial):
+                assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
+
+
 class TestMicroBatcher:
     def test_coalesces_concurrent_requests_into_one_launch(self, serve_operator):
         registry = ModelRegistry()

@@ -70,15 +70,17 @@ class TestOperators:
         omega = rng.standard_normal((op.n, 3))
         assert np.allclose(op.multiply(omega), dense_cov_2d @ omega, atol=1e-10)
 
-    def test_kernel_matvec_operator_any_row_block(self, tree_2d, exp_kernel, dense_cov_2d):
-        """Row bands of 1, 7, 256 and n rows (the last wider than one tile, so
-        it is cut along the columns and accumulated) and the default."""
-        n = tree_2d.num_points
-        assert n * n > kernel_base._TILE
+    def test_kernel_matvec_operator_any_row_block(self, exp_kernel):
+        """Square tiles of side 1, 7, 256 and n (one tile) and the default 128,
+        at an N that is a multiple of none of them but 1 and n."""
+        points = uniform_cube_points(300, dim=2, seed=6)
+        n = points.shape[0]
+        dense = exp_kernel.matrix(points)
         omega = np.random.default_rng(2).standard_normal((n, 5))
+        assert n % 7 and n % kernel_base._TILE_SIDE and n > 256
         for row_block in (1, 7, 256, n, None):
-            op = KernelMatVecOperator(exp_kernel, tree_2d.points, row_block=row_block)
-            assert np.allclose(op.multiply(omega), dense_cov_2d @ omega, rtol=0.0, atol=1e-11)
+            op = KernelMatVecOperator(exp_kernel, points, row_block=row_block)
+            assert np.allclose(op.multiply(omega), dense @ omega, rtol=0.0, atol=1e-11)
 
     def test_tiling_never_changes_which_pairs_are_coincident(self, monkeypatch):
         """The snap-to-zero floor comes from the whole point set, not from the
@@ -99,16 +101,32 @@ class TestOperators:
             assert dense[0, 1] == dense[1, 0] == kernel.diagonal_value
             assert np.abs(dense).max() < 1e4
             with monkeypatch.context() as patch:
-                patch.setattr(kernel_base, "_TILE", 16)
+                patch.setattr(kernel_base, "_TILE_SIDE", 4)
                 for row_block in (1, 7, 256, n, None):
                     op = KernelMatVecOperator(kernel, points, row_block=row_block)
                     assert np.allclose(
                         op.multiply(omega), dense @ omega, rtol=0.0, atol=1e-9
                     )
 
+    def test_duplicates_in_different_tiles_get_the_diagonal_value(self):
+        """A point repeated 200 rows later sits in another tile: the tile that
+        holds the pair is evaluated once and mirrored, and both entries get
+        ``diagonal_value``."""
+        points = uniform_cube_points(300, dim=3, seed=9)
+        points[250] = points[3]
+        kernel = HelmholtzKernel(3.0, diagonal_value=1.5)
+        dense = kernel.matrix(points)
+        assert dense[3, 250] == dense[250, 3] == 1.5
+        assert np.all(np.isfinite(dense))
+        omega = np.random.default_rng(3).standard_normal((300, 4))
+        exact = kernel.evaluate(points, points.copy()) @ omega  # unmirrored
+        assert np.allclose(
+            KernelMatVecOperator(kernel, points).multiply(omega), exact, rtol=0.0, atol=1e-11
+        )
+
     def test_kernel_matvec_operator_streams_tiles(self):
         """No N x N array and no slab of one: N = 4096 would need 128 MiB for the
-        matrix; an application may hold its output and a few 2 MiB tiles."""
+        matrix; an application may hold its output and a few 128 KiB tiles."""
         n, columns = 4096, 64
         op = KernelMatVecOperator(
             ExponentialKernel(0.2), uniform_cube_points(n, dim=2, seed=3)
@@ -120,7 +138,7 @@ class TestOperators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 4 * 8 * kernel_base._TILE
+        assert peak <= out.nbytes + 8 * 8 * kernel_base._TILE_SIDE**2
 
     def test_low_rank_operator(self):
         lr = random_low_rank(40, 3, seed=3)
