@@ -305,6 +305,21 @@ class TestStackedExtraction:
             mask[:p, :q] = False
             assert np.all(padded[i][mask] == 0.0)
 
+    def test_extraction_into_named_slots_leaves_the_others(self, dense_cov_2d):
+        """``extract_blocks_into`` writes request ``i`` at ``slots[i]`` and
+        touches no other slot: the compiled sweep's owners-only fill."""
+        ex = DenseEntryExtractor(dense_cov_2d)
+        requests = [(np.arange(2), np.arange(5, 8)), (np.arange(3, 6), np.arange(4))]
+        out = np.full((4, 3, 4), -1.0)
+        out[[2, 0]] = 0.0
+        ex.extract_blocks_into(out, [2, 0], requests)
+        assert ex.entries_evaluated == 6 + 12
+        for slot, (rows, cols) in zip([2, 0], requests):
+            p, q = len(rows), len(cols)
+            assert np.array_equal(out[slot, :p, :q], dense_cov_2d[np.ix_(rows, cols)])
+        assert np.all(out[2, 2:] == 0.0) and np.all(out[2, :, 3:] == 0.0)
+        assert np.all(out[[1, 3]] == -1.0)
+
     def test_padded_extraction_empty_request_list(self, dense_cov_2d):
         ex = DenseEntryExtractor(dense_cov_2d)
         counter = KernelLaunchCounter()
