@@ -147,9 +147,9 @@ def run_gp_sweep():
 def test_gp_sweep(benchmark):
     records = benchmark.pedantic(run_gp_sweep, rounds=1, iterations=1)
     for r in records:
-        # Geometry reuse must beat cold construction at every size; the >= 2x
-        # acceptance bar at N = 4096 is enforced by the slow test-suite
-        # (tests/test_context.py::TestAcceptance).
+        # Geometry reuse must beat cold construction at every size.  No test
+        # asserts a ratio; tests/test_context.py::TestAcceptance pins the
+        # reuse itself (one tree, one construction plan per sweep).
         assert r["speedup"] > 1.0
         # The sweep should select a grid point and produce a finite likelihood.
         assert r["best_length_scale"] in SCALES

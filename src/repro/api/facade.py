@@ -457,7 +457,7 @@ class Session:
         """Construct the hierarchical representation of ``K(kernel)``.
 
         Re-uses every cached geometry ingredient of the session (tree,
-        partition, distances, frozen sample bank, plan skeletons), so
+        partition, distances, frozen sample bank, construction packing), so
         repeated calls across hyperparameters cost little more than the
         kernel-value work.  ``format="hodlr"``/``"hmatrix"`` convert the
         constructed matrix through the :func:`~repro.api.conversion.convert`

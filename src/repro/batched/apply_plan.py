@@ -51,7 +51,10 @@ the block-row marshaling it shares with the construction sweep
   (:class:`~repro.batched.block_rows.LeafLayout`);
 * block rows are grouped by fan-in; a fan-in above
   :data:`~repro.batched.block_rows.FAN_PAD` is padded to a multiple of it with
-  zero blocks that read the sentinel zero source block.
+  zero blocks that read the sentinel zero source block;
+* each fan group's blocks are padded to the stage's block shape
+  (:func:`~repro.batched.block_rows.pad_blocks`) and laid side by side into
+  its operand (:func:`~repro.batched.block_rows.fan_operands`).
 
 Padded rows and columns of ``U``/``E``/``B``/``D`` are zero, so the padded hat
 entries stay exactly zero through every phase — the compiled apply is
@@ -61,13 +64,13 @@ bit-for-bit a reordering of the reference loop's arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from ..observe.memory import memory_ledger
 from .backend import BatchedBackend, get_backend
-from .block_rows import LeafLayout, RowGroup, build_row_groups
+from .block_rows import LeafLayout, RowGroup, build_row_groups, fan_operands, pad_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hmatrix.h2matrix import H2Matrix
@@ -77,20 +80,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: upward/downward per-level hat vectors.
 BufferKey = Tuple
 
-#: A matrix block a stage reads: ``("U", node, transposed)``, ``("E", child,
-#: transposed)``, ``("B", s, t, transposed)`` or ``("D", s, t, transposed)``.
-BlockKey = Tuple
-
 
 @dataclass(frozen=True, eq=False)
 class ApplyStage:
     """One batched launch of block-row GEMMs.
 
     ``a`` is the contiguous ``(g, p, c*q)`` stack of row operands: slot ``j``
-    of row ``i`` holds the block ``keys[group.block_req[i*c + j]]`` (zero for
-    padding).  ``dest_pos`` holds the ``g`` (unique) destination block
-    positions and ``src_pos`` the ``g*c`` gathered source block positions in
-    the stacks named by ``dest``/``src``.
+    of row ``i`` holds its block top-left (zero for padding).  ``dest_pos``
+    holds the ``g`` (unique) destination block positions and ``src_pos`` the
+    ``g*c`` gathered source block positions in the stacks named by
+    ``dest``/``src``.
     """
 
     op: str
@@ -98,7 +97,6 @@ class ApplyStage:
     dest: BufferKey
     src: BufferKey
     group: RowGroup
-    keys: Sequence[BlockKey]
     a: np.ndarray
 
     @property
@@ -133,8 +131,9 @@ class _Phase:
     """The block rows of one (phase, level) before compilation.
 
     ``rows`` maps a destination position to its ``(source position, block
-    index)`` pairs, the index into ``keys``; every block is zero-padded to
-    ``shape``.
+    index)`` pairs, the index into ``blocks`` (views of the matrix blocks,
+    transposed where the stage reads a transpose); every block is
+    zero-padded to ``shape``.
     """
 
     op: str
@@ -143,39 +142,12 @@ class _Phase:
     src: BufferKey
     shape: Tuple[int, int]
     sentinel: int
-    keys: List[BlockKey] = field(default_factory=list)
+    blocks: List[np.ndarray] = field(default_factory=list)
     rows: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
 
-    def add(self, dest_pos: int, src_pos: int, key: BlockKey) -> None:
-        self.rows.setdefault(dest_pos, []).append((src_pos, len(self.keys)))
-        self.keys.append(key)
-
-
-def _lookup_block(matrix: "H2Matrix", key: BlockKey) -> np.ndarray:
-    kind = key[0]
-    if kind == "U":
-        block = matrix.basis.leaf_bases[key[1]]
-    elif kind == "E":
-        block = matrix.basis.transfers[key[1]]
-    elif kind == "B":
-        block = matrix.coupling[(key[1], key[2])]
-    else:
-        block = matrix.dense[(key[1], key[2])]
-    return block.T if key[-1] else block
-
-
-def _fill(stage: ApplyStage, matrix: "H2Matrix") -> None:
-    """(Re)write ``stage.a`` from the blocks of ``matrix``: every real slot
-    holds its block top-left, everything else is zero."""
-    a, fan = stage.a, stage.fan_in
-    q = a.shape[2] // fan
-    a[...] = 0.0
-    for slot, req in enumerate(stage.group.block_req.tolist()):
-        if req < 0:
-            continue
-        i, j = divmod(slot, fan)
-        block = _lookup_block(matrix, stage.keys[req])
-        a[i, : block.shape[0], j * q : j * q + block.shape[1]] = block
+    def add(self, dest_pos: int, src_pos: int, block: np.ndarray) -> None:
+        self.rows.setdefault(dest_pos, []).append((src_pos, len(self.blocks)))
+        self.blocks.append(block)
 
 
 class H2ApplyPlan:
@@ -211,10 +183,14 @@ class H2ApplyPlan:
             self._level_pos[level] = {node: i for i, node in enumerate(nodes)}
             self._level_rank[level] = max(basis.rank(node) for node in nodes)
 
-        self._forward_stages = self._assemble(matrix, transpose=False)
+        # The transpose's coupling and dense rows compile lazily from these
+        # block dicts.  Holding them, not the matrix (which holds this plan),
+        # leaves no reference cycle: a dropped matrix is freed at once instead
+        # of at the next cyclic garbage collection.
+        self._tree, self._coupling, self._dense = tree, matrix.coupling, matrix.dense
+        self._sweeps = self._sweep_stages(matrix)
+        self._forward_stages = self._assemble(transpose=False)
         self._transpose_stages: List[ApplyStage] | None = None
-        self._matrix = matrix  # needed for lazy transpose compilation
-        self._signature = self._structure(matrix)
         # Compile-time workspace accounting (never touches the per-apply path).
         self._ledger_key = memory_ledger().track(
             self, {"workspace": self.memory_bytes()}
@@ -222,17 +198,19 @@ class H2ApplyPlan:
 
     # ------------------------------------------------------------ compilation
     @staticmethod
-    def _compile(phase: _Phase, matrix: "H2Matrix") -> List[ApplyStage]:
-        """One stage per fan group of ``phase``'s rows, filled from ``matrix``."""
+    def _compile(phase: _Phase) -> List[ApplyStage]:
+        """One stage per fan group of ``phase``'s rows; each group's blocks are
+        padded on their own, so no second copy of a whole phase is held."""
         p, q = phase.shape
-        keys = tuple(phase.keys)
-        stages = []
-        for group in build_row_groups(phase.rows.items(), phase.sentinel):
-            a = np.empty((group.num_rows, p, group.fan * q), dtype=np.float64)
-            stage = ApplyStage(phase.op, phase.level, phase.dest, phase.src, group, keys, a)
-            _fill(stage, matrix)
-            stages.append(stage)
-        return stages
+        return [
+            ApplyStage(
+                phase.op, phase.level, phase.dest, phase.src, group,
+                fan_operands(
+                    group, pad_blocks([phase.blocks[i] for i in group.real_blocks], p, q)
+                ),
+            )
+            for group in build_row_groups(phase.rows.items(), phase.sentinel)
+        ]
 
     def _sweep_stages(self, matrix: "H2Matrix"):
         """Leaf, upsweep, downsweep and expansion stages (shared with transpose)."""
@@ -256,8 +234,8 @@ class H2ApplyPlan:
             if u is None or u.size == 0:
                 continue
             lpos = self.leaves.pos[node]
-            leaf.add(pos, lpos, ("U", node, True))
-            expand.add(lpos, pos, ("U", node, False))
+            leaf.add(pos, lpos, u.T)
+            expand.add(lpos, pos, u)
 
         up: List[ApplyStage] = []
         down: List[ApplyStage] = []
@@ -281,21 +259,20 @@ class H2ApplyPlan:
                 if e is None or e.size == 0 or parent not in parent_pos:
                     continue
                 ppos = parent_pos[parent]
-                upsweep.add(ppos, cpos, ("E", child, True))
-                downsweep.add(cpos, ppos, ("E", child, False))
-            up.extend(self._compile(upsweep, matrix))
-            down.extend(self._compile(downsweep, matrix))
+                upsweep.add(ppos, cpos, e.T)
+                downsweep.add(cpos, ppos, e)
+            up.extend(self._compile(upsweep))
+            down.extend(self._compile(downsweep))
         down.reverse()  # downsweep pushes root-ward hats before leaf-ward ones
-        return self._compile(leaf, matrix), up, down, self._compile(expand, matrix)
+        return self._compile(leaf), up, down, self._compile(expand)
 
-    def _coupling_stages(
-        self, matrix: "H2Matrix", transpose: bool
-    ) -> List[ApplyStage]:
+    def _coupling_stages(self, transpose: bool) -> List[ApplyStage]:
         phases: Dict[int, _Phase] = {}
-        for (s, t) in sorted(matrix.coupling):
-            if matrix.coupling[(s, t)].size == 0:
+        for (s, t) in sorted(self._coupling):
+            block = self._coupling[(s, t)]
+            if block.size == 0:
                 continue
-            level = matrix.tree.level_of(s)
+            level = self._tree.level_of(s)
             pos = self._level_pos.get(level)
             if pos is None or s not in pos or t not in pos:
                 continue
@@ -306,126 +283,45 @@ class H2ApplyPlan:
                     sentinel=len(pos),
                 )
             dest, src = (t, s) if transpose else (s, t)
-            phases[level].add(pos[dest], pos[src], ("B", s, t, transpose))
+            phases[level].add(pos[dest], pos[src], block.T if transpose else block)
         return [
-            stage
-            for level in sorted(phases)
-            for stage in self._compile(phases[level], matrix)
+            stage for level in sorted(phases) for stage in self._compile(phases[level])
         ]
 
-    def _dense_stages(self, matrix: "H2Matrix", transpose: bool) -> List[ApplyStage]:
+    def _dense_stages(self, transpose: bool) -> List[ApplyStage]:
         m = self.leaves.height
         phase = _Phase(
             "apply_dense", self.depth, ("y",), ("x",), (m, m),
             sentinel=len(self.leaves.nodes),
         )
-        for (s, t) in sorted(matrix.dense):
-            if matrix.dense[(s, t)].size == 0:
+        for (s, t) in sorted(self._dense):
+            block = self._dense[(s, t)]
+            if block.size == 0:
                 continue
             dest, src = (t, s) if transpose else (s, t)
-            phase.add(self.leaves.pos[dest], self.leaves.pos[src], ("D", s, t, transpose))
-        return self._compile(phase, matrix)
+            phase.add(
+                self.leaves.pos[dest], self.leaves.pos[src], block.T if transpose else block
+            )
+        return self._compile(phase)
 
-    def _assemble(self, matrix: "H2Matrix", transpose: bool) -> List[ApplyStage]:
-        if not transpose:
-            self._sweeps = self._sweep_stages(matrix)
+    def _assemble(self, transpose: bool) -> List[ApplyStage]:
         leaf_stages, up, down, expand_stages = self._sweeps
         return [
             *leaf_stages,
             *up,
-            *self._coupling_stages(matrix, transpose),
+            *self._coupling_stages(transpose),
             *down,
             *expand_stages,
-            *self._dense_stages(matrix, transpose),
+            *self._dense_stages(transpose),
         ]
 
     def _ensure_transpose(self) -> List[ApplyStage]:
         if self._transpose_stages is None:
-            self._transpose_stages = self._assemble(self._matrix, transpose=True)
+            self._transpose_stages = self._assemble(transpose=True)
             memory_ledger().account(
                 self._ledger_key, {"workspace": self.memory_bytes()}
             )
         return self._transpose_stages
-
-    # ----------------------------------------------------- coefficient refresh
-    @staticmethod
-    def _structure(matrix: "H2Matrix") -> Tuple:
-        """Structural fingerprint: everything the compiled layout depends on.
-
-        Two matrices with equal structures (tree sizes, per-node ranks, block
-        key sets and therefore all block shapes) compile to identical plans up
-        to the *values* inside the stacked operands — exactly the situation of
-        a hyperparameter sweep re-constructing the same geometry with new
-        kernel coefficients.
-        """
-        tree, basis = matrix.tree, matrix.basis
-        ranks = tuple(
-            (node, basis.rank(node))
-            for node in range(tree.num_nodes)
-            if basis.has_basis(node) and basis.rank(node) > 0
-        )
-        leaf_sizes = tuple(int(tree.cluster_size(node)) for node in tree.leaves())
-        coupling = tuple(
-            sorted((s, t) for (s, t), b in matrix.coupling.items() if b.size)
-        )
-        dense = tuple(sorted((s, t) for (s, t), d in matrix.dense.items() if d.size))
-        bases = tuple(
-            sorted(
-                (node, u.shape)
-                for node, u in basis.leaf_bases.items()
-                if u is not None and u.size
-            )
-        )
-        transfers = tuple(
-            sorted(
-                (node, e.shape)
-                for node, e in basis.transfers.items()
-                if e is not None and e.size
-            )
-        )
-        return (tree.num_points, ranks, leaf_sizes, coupling, dense, bases, transfers)
-
-    def matches(self, matrix: "H2Matrix") -> bool:
-        """Whether ``matrix`` has the structure this plan was compiled for."""
-        return self._structure(matrix) == self._signature
-
-    def refresh(self, matrix: "H2Matrix") -> "H2ApplyPlan":
-        """Re-stack the plan's operands with the blocks of ``matrix`` in place.
-
-        The sweep-reuse fast path: when a re-construction over the same
-        geometry reproduces the structure of the originally compiled matrix
-        (same tree, per-node ranks and block key sets — see :meth:`matches`),
-        the compiled layout (positions, paddings, stage grouping) is still
-        valid and only the numerical coefficients need re-stacking.  Raises
-        :class:`ValueError` on a structural mismatch; compile a fresh plan in
-        that case.
-
-        Ownership moves to ``matrix``: the plan's operand arrays are mutated,
-        so the previously attached matrix (if it still points at this plan)
-        is detached and will lazily compile a fresh plan of its own on next
-        use — earlier sweep results stay correct at the cost of a recompile
-        if they are applied again.
-        """
-        if not self.matches(matrix):
-            raise ValueError(
-                "matrix structure does not match the compiled plan; "
-                "use compile_apply_plan to build a fresh plan"
-            )
-        previous = self._matrix
-        if (
-            previous is not None
-            and previous is not matrix
-            and getattr(previous, "_plan", None) is self
-        ):
-            previous._plan = None
-        # Sweep stages are shared between forward and transpose: fill once.
-        stages = {id(stage): stage for stage in self._forward_stages}
-        for stage in self._transpose_stages or ():
-            stages.setdefault(id(stage), stage)
-        for stage in stages.values():
-            _fill(stage, matrix)
-        self._matrix = matrix
-        return self
 
     # -------------------------------------------------------------- execution
     def execute(

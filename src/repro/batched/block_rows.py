@@ -1,16 +1,22 @@
-"""Block-row marshaling shared by the compiled apply and construction sweeps.
+"""All of the marshaling: variable-size blocks into padded uniform stacks.
 
 The paper's GPU contribution is the marshaling step: the variable-size work of
-all nodes on a tree level becomes a few uniform batched launches.  Both
-compiled engines (:mod:`repro.batched.apply_plan`,
-:mod:`repro.batched.construction_plan`) phrase a level's block products as
-non-uniform BSR *block rows* ``(dest, [(src, block_index), ...])`` over plain
-``(count + 1, rows, k)`` stacks whose last block is the *sentinel*, which
-stays zero, and marshal them here:
+all nodes on a tree level becomes a few uniform batched launches.  This module
+is the only code that writes ragged blocks into padded stacks; the compiled
+apply (:mod:`repro.batched.apply_plan`), the compiled construction sweep
+(:mod:`repro.batched.construction_plan`) and the HSS factorization
+(:mod:`repro.solvers.hss_factor`) all call it.  The two compiled engines
+phrase a level's block products as non-uniform BSR *block rows* ``(dest,
+[(src, block_index), ...])`` over plain ``(count + 1, rows, k)`` stacks whose
+last block is the *sentinel*, which stays zero:
 
+* :func:`pad_blocks` writes ragged 2-D blocks top-left into a zeroed
+  ``(g, rows, cols)`` stack;
 * :func:`build_row_groups` groups the rows by bucketed fan-in
   (:func:`fan_bucket`), one launch per group; a row shorter than its bucket is
   padded with zero blocks that read the sentinel;
+* :func:`fan_operands` lays a group's padded blocks side by side into its
+  ``(g, p, fan * q)`` GEMM operand;
 * :class:`LeafLayout` lays the leaf blocks of an ``(n, k)`` array out as a
   zero-padded ``(leaves + 1, height, k)`` stack and reads them back.
 """
@@ -18,7 +24,7 @@ stays zero, and marshal them here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +54,7 @@ class RowGroup:
     ``dest_pos[i]`` is the destination block of row ``i`` and
     ``src_pos[i * fan + j]`` the source block of its ``j``-th slot (the
     sentinel block for padded slots).  ``block_req[i * fan + j]`` indexes the
-    caller's block list (``-1`` for padding) and drives the stacking of the
+    caller's block list (``-1`` for padding); :func:`fan_operands` stacks the
     blocks into the ``(g, p, fan * q)`` GEMM operand.
     """
 
@@ -65,6 +71,11 @@ class RowGroup:
     def num_blocks(self) -> int:
         """Real (un-padded) blocks of the group."""
         return int(np.count_nonzero(self.block_req >= 0))
+
+    @property
+    def real_blocks(self) -> np.ndarray:
+        """The caller's block indices of the real slots, in slot order."""
+        return self.block_req[self.block_req >= 0]
 
 
 def build_row_groups(
@@ -95,6 +106,40 @@ def build_row_groups(
             RowGroup(fan=fan, dest_pos=dest_pos, src_pos=src_pos, block_req=block_req)
         )
     return groups
+
+
+def pad_blocks(
+    blocks: Sequence[Optional[np.ndarray]], rows: int, cols: int
+) -> np.ndarray:
+    """The 2-D ``blocks`` as a zeroed ``(len(blocks), rows, cols)`` stack, each
+    block top-left; a ``None`` or empty block leaves its slot zero.  Blocks
+    may be views of any strides (a transpose is copied as such)."""
+    stack = np.zeros((len(blocks), rows, cols), dtype=np.float64)
+    for slot, block in zip(stack, blocks):
+        if block is not None and block.size:
+            slot[: block.shape[0], : block.shape[1]] = block
+    return stack
+
+
+def fan_operands(group: RowGroup, stack: np.ndarray) -> np.ndarray:
+    """The ``(g, p, fan * q)`` GEMM operand of ``group``.
+
+    ``stack`` is the ``(num_blocks, p, q)`` stack of the group's real blocks in
+    slot order (block ``group.real_blocks[m]`` of the caller's list is
+    ``stack[m]``); slot ``j`` of row ``i`` gets columns ``j * q`` to ``(j + 1)
+    * q``, padded slots stay exactly zero.  A fan-1 group has no padded slot,
+    so a contiguous ``stack`` *is* its operand (returned, not copied).
+    """
+    g, fan = group.num_rows, group.fan
+    if fan == 1:
+        return np.ascontiguousarray(stack, dtype=np.float64)
+    p, q = int(stack.shape[1]), int(stack.shape[2])
+    a = np.zeros((g, p, fan * q), dtype=np.float64)
+    # Viewing ``a`` as ``(g, fan, p, q)`` (slot-major) lets one fancy
+    # assignment place every real block without an intermediate copy.
+    rows, slots = np.divmod(np.nonzero(group.block_req >= 0)[0], fan)
+    a.reshape(g, p, fan, q).transpose(0, 2, 1, 3)[rows, slots] = stack
+    return a
 
 
 class LeafLayout:

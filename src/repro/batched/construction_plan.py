@@ -91,7 +91,7 @@ import numpy as np
 
 from ..observe.tracer import phase_span
 from .backend import BatchedBackend
-from .block_rows import LeafLayout, RowGroup, build_row_groups
+from .block_rows import LeafLayout, RowGroup, build_row_groups, fan_operands, pad_blocks
 from .counters import KernelLaunchCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,33 +132,6 @@ class PairMirror:
     @property
     def nbytes(self) -> int:
         return int(self.owners.nbytes + self.twins.nbytes + self.sources.nbytes)
-
-
-def _launch_operands(
-    groups: Sequence[RowGroup], padded_blocks: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One ``(operand, dest_pos, src_pos)`` launch per fan group.
-
-    ``padded_blocks`` is the ``(num_requests, p, q)`` output of
-    :meth:`~repro.sketching.entry_extractor.EntryExtractor.extract_blocks_padded`;
-    each group's ``(g, p, fan * q)`` operand gets every real slot filled with
-    one vectorised scatter, padded slots stay exactly zero.
-    """
-    p, q = int(padded_blocks.shape[1]), int(padded_blocks.shape[2])
-    launches = []
-    for group in groups:
-        g, fan = group.num_rows, group.fan
-        a = np.zeros((g, p, fan * q), dtype=np.float64)
-        real = group.block_req >= 0
-        if np.any(real):
-            # Scatter straight into the fused row layout: viewing ``a`` as
-            # ``(g, fan, p, q)`` (slot-major) lets one fancy assignment place
-            # every real block without an intermediate copy.
-            slot_view = a.reshape(g, p, fan, q).transpose(0, 2, 1, 3)
-            flat_rows, flat_slots = np.divmod(np.nonzero(real)[0], fan)
-            slot_view[flat_rows, flat_slots] = padded_blocks[group.block_req[real]]
-        launches.append((a, group.dest_pos, group.src_pos))
-    return launches
 
 
 class ConstructionPlan:
@@ -395,11 +368,9 @@ class _ReplayRecord:
     parent_heights: np.ndarray
     merge_node: np.ndarray
     merge_row: np.ndarray
-    #: Fan-grouped coupling-subtract launches ``(operand, dest_pos, src_pos)``,
-    #: attached once the level's coupling blocks have been extracted.
-    coupling_ops: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=list
-    )
+    #: Fan-grouped coupling-subtract launches ``(group, operand)``, attached
+    #: once the level's coupling blocks have been extracted.
+    coupling_ops: List[Tuple[RowGroup, np.ndarray]] = field(default_factory=list)
 
 
 class PackedSweepEngine:
@@ -425,7 +396,7 @@ class PackedSweepEngine:
         self.counter: KernelLaunchCounter = backend.counter
         self.tracer = tracer
         self.records: Dict[int, _ReplayRecord] = {}
-        self._dense_ops: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._dense_ops: List[Tuple[RowGroup, np.ndarray]] = []
 
     # ------------------------------------------------------------- marshaling
     def _gather(self, launches: int = 1) -> None:
@@ -467,7 +438,10 @@ class PackedSweepEngine:
             extractor, requests, self.plan.dense_mirror, self.plan.leaves.height
         )
         with phase_span(self.tracer, "misc"):
-            self._dense_ops = _launch_operands(self.plan.dense_groups, padded)
+            self._dense_ops = [
+                (group, fan_operands(group, padded[group.real_blocks]))
+                for group in self.plan.dense_groups
+            ]
         return [
             padded[i, : len(rows), : len(cols)]
             for i, (rows, cols) in enumerate(requests)
@@ -495,9 +469,10 @@ class PackedSweepEngine:
         )
         if record is not None:
             with phase_span(self.tracer, "misc"):
-                record.coupling_ops = _launch_operands(
-                    self.plan.coupling_groups[depth], padded
-                )
+                record.coupling_ops = [
+                    (group, fan_operands(group, padded[group.real_blocks]))
+                    for group in self.plan.coupling_groups[depth]
+                ]
         return [
             padded[i, : len(rows), : len(cols)].copy()
             for i, (rows, cols) in enumerate(requests)
@@ -518,13 +493,13 @@ class PackedSweepEngine:
             self.plan.leaves.load(y, y_stack)
             self._gather()
         with phase_span(self.tracer, "bsr_gemm"):
-            for a, dest_pos, src_pos in self._dense_ops:
+            for group, a in self._dense_ops:
                 self.backend.batched_gemm_scatter(
                     y_stack,
-                    dest_pos,
+                    group.dest_pos,
                     a,
                     omega_stack,
-                    src_pos,
+                    group.src_pos,
                     alpha=-1.0,
                     operation="construct_dense",
                 )
@@ -580,12 +555,11 @@ class PackedSweepEngine:
             shrink_row[i, : dec.rank] = dec.skeleton
         t_stack = rest_node = rest_row = None
         if t_pad:
-            t_stack = np.zeros((count, r_pad, t_pad), dtype=np.float64)
+            t_stack = pad_blocks([dec.T for dec in decompositions], r_pad, t_pad)
             rest_node = np.full((count, t_pad), count, dtype=np.int64)
             rest_row = np.zeros((count, t_pad), dtype=np.int64)
             for i, dec in enumerate(decompositions):
                 rest = len(dec.redundant)
-                t_stack[i, : dec.rank, :rest] = dec.T
                 rest_node[i, :rest] = i
                 rest_row[i, :rest] = dec.redundant
 
@@ -659,13 +633,13 @@ class PackedSweepEngine:
         Omega^{l+1}`` (one launch per fan group), then stack sibling pairs
         (one marshaling launch)."""
         with phase_span(self.tracer, "bsr_gemm"):
-            for a, dest_pos, src_pos in record.coupling_ops:
+            for group, a in record.coupling_ops:
                 self.backend.batched_gemm_scatter(
                     y_next,
-                    dest_pos,
+                    group.dest_pos,
                     a,
                     omega_next,
-                    src_pos,
+                    group.src_pos,
                     alpha=-1.0,
                     operation="construct_coupling",
                 )
@@ -725,9 +699,9 @@ class PackedSweepEngine:
     # ------------------------------------------------------------- statistics
     def memory_bytes(self) -> int:
         """Bytes held by the stacked operands and replay records."""
-        total = sum(a.nbytes for a, _, _ in self._dense_ops)
+        total = sum(a.nbytes for _, a in self._dense_ops)
         for record in self.records.values():
             if record.t_stack is not None:
                 total += record.t_stack.nbytes
-            total += sum(a.nbytes for a, _, _ in record.coupling_ops)
+            total += sum(a.nbytes for _, a in record.coupling_ops)
         return int(total)

@@ -10,14 +10,11 @@ touches is independent of ``theta``:
 * the random sketching vectors ``Omega`` (the sample pattern),
 * the number of samples the adaptive construction ends up needing
   (ranks move slowly with the kernel parameters), and
-* the compiled apply-plan skeleton (positions, paddings, stage grouping),
-  whenever the re-construction reproduces the same per-node ranks.
+* the static packing of the compiled construction sweep.
 
 :class:`GeometryContext` caches all of it once and hands
 :meth:`construct` out per parameter point, so re-construction costs little
-more than the unavoidable kernel-value work: sweeping three length scales is
-close to the cost of one cold construction plus two "evaluate + re-stack"
-passes rather than three full cold runs.
+more than the unavoidable kernel-value work and one apply-plan compile.
 
 While the permuted distance matrix and one kernel-value matrix fit in
 600 MiB (n up to 6,270), the distances are stored once and each parameter
@@ -133,8 +130,6 @@ class ContextStatistics:
     """Reuse counters of a :class:`GeometryContext` (sweep diagnostics)."""
 
     constructions: int = 0
-    plan_compilations: int = 0
-    plan_reuses: int = 0
     result_cache_hits: int = 0
     artifact_cache_hits: int = 0
     sample_columns_cached: int = 0
@@ -219,7 +214,6 @@ class GeometryContext:
 
         self._omega_bank = _OmegaBank(n, rng)
         self._warm_samples: Optional[int] = None
-        self._plan = None
         #: Static packing of the compiled construction sweep (pure geometry);
         #: compiled lazily on the first construction, shared by all of them.
         self._construction_plan = None
@@ -283,9 +277,7 @@ class GeometryContext:
         :class:`~repro.core.config.ConstructionConfig` (or pass ``config``
         directly).  ``warm_start`` seeds the initial sketch with the largest
         sample count any previous construction of this context needed, so the
-        adaptive loop typically converges in its first round.  The previous
-        compiled apply plan is re-stacked in place whenever the new matrix
-        reproduces its structure.
+        adaptive loop typically converges in its first round.
 
         Repeating the *identical* ``(kernel, tolerance, sample_block_size)``
         point (the inner loop of a noise/nugget sweep, where the compressed
@@ -412,14 +404,8 @@ class GeometryContext:
         self.statistics.constructions += 1
         self.statistics.sample_columns_cached = self._omega_bank.num_columns
 
-        matrix = result.matrix
-        matrix.apply_backend = self.backend
-        if self._plan is not None and self._plan.matches(matrix):
-            matrix.reuse_plan(self._plan)
-            self.statistics.plan_reuses += 1
-        else:
-            self._plan = matrix.apply_plan()
-            self.statistics.plan_compilations += 1
+        result.matrix.apply_backend = self.backend
+        result.matrix.apply_plan()  # compiled here, inside the construction time
         return result
 
     # ------------------------------------------------------------- diagnostics
@@ -438,7 +424,7 @@ class GeometryContext:
             f"GeometryContext(n={self.num_points}, depth={self.tree.depth}, "
             f"cache={'dense' if self._distances is not None else 'none'}, "
             f"constructions={stats.constructions}, "
-            f"plan_reuses={stats.plan_reuses}, "
+            f"result_cache_hits={stats.result_cache_hits}, "
             f"memory_mb={self.memory_bytes() / 2**20:.1f})"
         )
 

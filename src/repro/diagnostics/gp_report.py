@@ -35,7 +35,9 @@ class GPFitReport:
     rank_range: Tuple[int, int]
     construction_launches: int
     apply_launches: int
-    plan_reused: bool
+    #: The context's result cache served the construction (a repeated
+    #: ``(kernel, tolerance)`` point, e.g. a noise-only sweep).
+    result_reused: bool
     construction_seconds: float
     factorization_seconds: float
     solve_seconds: float
@@ -62,7 +64,7 @@ class GPFitReport:
             "samples": self.construction_samples,
             "rank_range": f"{lo}-{hi}",
             "launches": self.construction_launches + self.apply_launches,
-            "plan_reused": self.plan_reused,
+            "result_reused": self.result_reused,
             "time_s": self.total_seconds,
         }
 
@@ -78,7 +80,7 @@ def gp_sweep_table(
                 param_names.append(name)
     headers = (
         param_names
-        + ["noise", "log-lik", "logdet", "CG its", "samples", "launches", "reused", "s"]
+        + ["noise", "log-lik", "logdet", "CG its", "samples", "launches", "result reused", "s"]
     )
     rows = []
     for r in reports:
@@ -91,7 +93,7 @@ def gp_sweep_table(
                 r.cg_iterations,
                 r.construction_samples,
                 r.construction_launches + r.apply_launches,
-                "yes" if r.plan_reused else "no",
+                "yes" if r.result_reused else "no",
                 r.total_seconds,
             ]
         )

@@ -8,7 +8,7 @@ library —
 * the covariance matrix ``K`` is compressed once per hyperparameter point with
   the sketching constructor, through a geometry-reusing
   :class:`~repro.core.context.GeometryContext` (tree, partition, distances,
-  sample pattern and apply-plan skeleton are shared across the sweep);
+  sample pattern and construction-sweep packing are shared across the sweep);
 * the marginal log-likelihood uses the HSS factorization of the *shifted*
   covariance ``K + noise I`` (skeleton elimination on the nested generators,
   :class:`~repro.solvers.hss_factor.HSSFactorization`) for ``log det`` (the
@@ -207,7 +207,7 @@ class GaussianProcess:
             span.set(
                 log_marginal_likelihood=state.log_likelihood,
                 cg_iterations=state.report.cg_iterations,
-                plan_reused=state.report.plan_reused,
+                result_reused=state.report.result_reused,
             )
         registry = tracer.metrics
         if registry is not None:
@@ -221,12 +221,12 @@ class GaussianProcess:
         self, y: np.ndarray, kernel: KernelFunction, noise: float
     ) -> _FittedState:
         stats = self.context.statistics
-        reuses_before = stats.plan_reuses + stats.result_cache_hits
+        hits_before = stats.result_cache_hits
         t_construct = time.perf_counter()
         result = self.context.construct(kernel, tolerance=self.tolerance)
         construct_seconds = time.perf_counter() - t_construct
         matrix = result.matrix
-        plan_reused = stats.plan_reuses + stats.result_cache_hits > reuses_before
+        result_reused = stats.result_cache_hits > hits_before
 
         defect = matrix.weak_partition_defect()
         if defect is not None:
@@ -270,7 +270,7 @@ class GaussianProcess:
             rank_range=result.rank_range,
             construction_launches=result.total_kernel_launches,
             apply_launches=int(apply_launches),
-            plan_reused=plan_reused,
+            result_reused=result_reused,
             construction_seconds=construct_seconds,
             factorization_seconds=factor_seconds,
             solve_seconds=solve_seconds,

@@ -136,13 +136,14 @@ class H2Matrix(HierarchicalOperatorMixin):
 
     # ----------------------------------------------------------------- matvec
     def apply_plan(self, rebuild: bool = False) -> "H2ApplyPlan":
-        """The compiled batched apply plan of this matrix (built and cached on
-        first use).
+        """The compiled batched apply plan of this matrix, compiled from its
+        own blocks on first use and cached.
 
-        Pass ``rebuild=True`` after mutating coupling/dense/basis blocks in
-        place — the compiled plans hold copies of the block data; the entry
-        plan (:meth:`entry_plan`) is dropped with it and recompiled on its
-        next use.
+        The plan holds padded copies of the blocks.  Pass ``rebuild=True``
+        after mutating coupling/dense/basis blocks in place: the apply plan
+        is recompiled, and the entry plan (:meth:`entry_plan`, which copies
+        the bases and references the coupling and dense blocks) is dropped
+        and recompiled on its next use.
         """
         if self._plan is None or rebuild:
             from ..batched.apply_plan import compile_apply_plan
@@ -150,21 +151,6 @@ class H2Matrix(HierarchicalOperatorMixin):
             self._plan = compile_apply_plan(self)
         if rebuild:
             self._entry_plan = None
-        return self._plan
-
-    def reuse_plan(self, plan: "H2ApplyPlan") -> "H2ApplyPlan":
-        """Adopt a structurally matching compiled plan, re-stacking its operands.
-
-        The hyperparameter-sweep fast path (see
-        :meth:`~repro.batched.apply_plan.H2ApplyPlan.refresh`): when this
-        matrix was re-constructed over the same geometry with the same
-        per-node ranks and block sets as ``plan``'s original matrix, the plan
-        skeleton (positions, paddings, stage grouping) is reused and only the
-        coefficients are refilled in place.  Raises :class:`ValueError` on a
-        structural mismatch — fall back to :meth:`apply_plan` then.
-        """
-        self._plan = plan.refresh(self)
-        self._entry_plan = None
         return self._plan
 
     def _resolve_backend(

@@ -62,6 +62,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrf, dlaswp, dtrtrs
 
+from ..batched.block_rows import pad_blocks
 from ..hmatrix.h2matrix import H2Matrix
 from ..hmatrix.hodlr import HODLRMatrix
 from ..observe.tracer import NOOP_TRACER
@@ -192,17 +193,17 @@ class HSSFactorization:
         leaves = tree.leaves()
         sizes = tree.level_sizes(tree.depth)
         m = int(sizes.max())
-        d = np.zeros((len(leaves), m + 1, m + 1))
-        local = np.arange(m + 1)
-        for i, node in enumerate(leaves):
-            block = h2.dense.get((node, node))
+        blocks = [h2.dense.get((node, node)) for node in leaves]
+        for node, block in zip(leaves, blocks):
             if block is None:
                 raise ValueError(f"leaf {node} has no dense diagonal block")
-            size = int(sizes[i])
-            d[i, :size, :size] = block
-            d[i, local[:size], local[:size]] += self.shift
+        d = pad_blocks(blocks, m + 1, m + 1)
+        local = np.arange(m + 1)
+        real = local < sizes[:, None]
+        nodes, rows = np.nonzero(real)
+        d[nodes, rows, rows] += self.shift
         idx = tree.starts[np.asarray(leaves)][:, None] + local
-        idx[local >= sizes[:, None]] = n
+        idx[~real] = n
         return _Front(d, idx)
 
     def _level_basis(
@@ -214,20 +215,18 @@ class HSSFactorization:
         tree, basis = h2.tree, h2.basis
         nodes = tree.nodes_at_level(level)
         ranks = np.array([basis.rank(node) for node in nodes], dtype=np.int64)
-        rows = front.d.shape[1]
-        w = np.zeros((len(nodes), rows, int(ranks.max())))
+        rows, k = front.d.shape[1], int(ranks.max())
         if level == tree.depth:
-            for i, node in enumerate(nodes):
-                u = basis.leaf_bases.get(node)
-                if u is not None and u.size:
-                    w[i, : u.shape[0], : u.shape[1]] = u
+            w = pad_blocks([basis.leaf_bases.get(node) for node in nodes], rows, k)
             return w, ranks
+        # The children of a level are its nodes' sibling pairs in order, so
+        # their padded transfers stack pairwise into ``[E_c1; E_c2]``.
         half = (rows - 1) // 2
-        for i, node in enumerate(nodes):
-            for child, offset in zip(tree.children(node), (0, half)):
-                e = basis.transfers.get(child)
-                if e is not None and e.size:
-                    w[i, offset : offset + e.shape[0], : e.shape[1]] = e
+        children = [child for node in nodes for child in tree.children(node)]
+        w = np.zeros((len(nodes), rows, k))
+        w[:, : 2 * half] = pad_blocks(
+            [basis.transfers.get(child) for child in children], half, k
+        ).reshape(len(nodes), 2 * half, k)
         mix = front.child_mix
         if mix is not None:
             w[:, :half] = self._gemm(mix[0::2], w[:, :half])
@@ -286,8 +285,11 @@ class HSSFactorization:
         r_loc = np.argsort(~redundant, axis=1, kind="stable")[:, :r]
         r_loc[np.arange(r) >= counts[:, None]] = sentinel
         t = w[nodes, r_loc]
-        for i, t_rows in t_generic.items():
-            t[i, :, : t_rows.shape[1]] = t_rows[r_loc[i]]
+        if generic.size:
+            # Columns beyond a node's rank are zero in ``w`` as in ``T``.
+            t[generic] = pad_blocks(
+                [t_generic[int(i)][r_loc[i]] for i in generic], r, k
+            )
         mix = w[nodes, s_loc] if generic.size else None
         return s_loc, r_loc, t, mix
 
@@ -332,15 +334,12 @@ class HSSFactorization:
         diagonal blocks ``[[S_c1, B_12], [B_21, S_c2]]`` of ``level``."""
         tree = h2.tree
         g, k = schur.shape[0] // 2, schur.shape[1]
+        pairs = [tree.children(node) for node in tree.nodes_at_level(level)]
         d = np.zeros((g, 2 * k + 1, 2 * k + 1))
         d[:, :k, :k] = schur[0::2]
         d[:, k : 2 * k, k : 2 * k] = schur[1::2]
-        for i, node in enumerate(tree.nodes_at_level(level)):
-            c1, c2 = tree.children(node)
-            for (a, b), (ro, co) in (((c1, c2), (0, k)), ((c2, c1), (k, 0))):
-                block = h2.coupling.get((a, b))
-                if block is not None and block.size:
-                    d[i, ro : ro + block.shape[0], co : co + block.shape[1]] = block
+        d[:, :k, k : 2 * k] = pad_blocks([h2.coupling.get((c1, c2)) for c1, c2 in pairs], k, k)
+        d[:, k : 2 * k, :k] = pad_blocks([h2.coupling.get((c2, c1)) for c1, c2 in pairs], k, k)
         if mix is not None:
             m1, m2 = mix[0::2], mix[1::2]
             m1_t, m2_t = m1.transpose(0, 2, 1), m2.transpose(0, 2, 1)

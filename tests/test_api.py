@@ -446,6 +446,22 @@ class TestExecutionPolicy:
             for backend in (repro.SerialBackend, repro.VectorizedBackend):
                 assert not hasattr(backend, method)
 
+    def test_no_apply_plan_restack_path(self):
+        """An apply plan is compiled from its own matrix only: nothing
+        re-stacks it with another matrix's blocks, and nothing counts that."""
+        from dataclasses import fields
+
+        from repro.core.context import ContextStatistics
+
+        for name in ("refresh", "matches", "_structure"):
+            assert not hasattr(repro.batched.H2ApplyPlan, name)
+        assert not hasattr(repro.H2Matrix, "reuse_plan")
+        assert "keys" not in {f.name for f in fields(repro.batched.ApplyStage)}
+        stats = {f.name for f in fields(ContextStatistics)}
+        assert not stats & {"plan_reuses", "plan_compilations"}
+        report = {f.name for f in fields(repro.GPFitReport)}
+        assert "result_reused" in report and "plan_reused" not in report
+
     def test_no_variable_batches_or_padding_knobs(self, api_points, api_kernel):
         """Batched buffers are plain 3-D stacks; fan and rank padding are fixed."""
         assert not hasattr(repro, "VariableBatch")

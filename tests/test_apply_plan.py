@@ -302,6 +302,30 @@ class TestCompileApplyPlanApi:
         assert plan.memory_bytes() > forward_bytes
         assert plan_entries() == [{"workspace": plan.memory_bytes()}]
 
+    def test_a_dropped_matrix_is_freed_without_the_cyclic_gc(self):
+        """The plan keeps the matrix's block dicts, not the matrix that holds
+        the plan: no reference cycle, so a dropped matrix (and its compiled
+        plans) is freed by reference counting at once — a cycle would wait
+        for the next cyclic collection and raise the peak footprint."""
+        import gc
+        import weakref
+
+        points = uniform_cube_points(300, dim=2, seed=4)
+        h2 = compress(points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1)
+        plan = h2.apply_plan()
+        x = np.random.default_rng(3).standard_normal((300, 2))
+        expected = h2.rmatmat(x, permuted=True)
+        alive = weakref.ref(h2)
+        gc.disable()
+        try:
+            del h2
+            assert alive() is None
+        finally:
+            gc.enable()
+        # A plan that outlives its matrix still compiles its transpose.
+        plan._transpose_stages = None
+        assert np.array_equal(plan.execute(x, transpose=True), expected)
+
     def test_execute_rejects_bad_shapes(self, h2_problem):
         plan = h2_problem["h2"].apply_plan()
         with pytest.raises(ValueError):

@@ -211,3 +211,98 @@ class TestBackendEquivalence:
         vector = VectorizedBackend()
         vector.batched_min_r_diag(mats)
         assert vector.counter.by_operation()["batched_qr"] == 2
+
+
+class TestSharedMarshaling:
+    """``pad_blocks`` / ``fan_operands`` against a naive per-slot, per-entry loop."""
+
+    @staticmethod
+    def naive_pad(blocks, rows, cols):
+        out = np.zeros((len(blocks), rows, cols))
+        for i, block in enumerate(blocks):
+            if block is None:
+                continue
+            for r in range(block.shape[0]):
+                for c in range(block.shape[1]):
+                    out[i, r, c] = block[r, c]
+        return out
+
+    @classmethod
+    def naive_operand(cls, group, blocks, p, q):
+        out = np.zeros((group.num_rows, p, group.fan * q))
+        for slot, req in enumerate(group.block_req):
+            if req < 0:
+                continue
+            i, j = divmod(slot, group.fan)
+            out[i, :, j * q : (j + 1) * q] = cls.naive_pad([blocks[req]], p, q)[0]
+        return out
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+    def test_ragged_empty_and_none_blocks(self):
+        from repro.batched.block_rows import pad_blocks
+
+        rng = np.random.default_rng(0)
+        shapes = [(3, 5), (0, 4), None, (1, 1), (4, 2), (2, 0)]
+        blocks = [None if s is None else rng.standard_normal(s) for s in shapes]
+        stack = pad_blocks(blocks, 4, 5)
+        self.assert_bitwise(stack, self.naive_pad(blocks, 4, 5))
+        assert not stack[[1, 2, 5]].any()
+
+    def test_transposed_and_strided_views(self):
+        from repro.batched.block_rows import pad_blocks
+
+        base = np.random.default_rng(1).standard_normal((7, 9))
+        blocks = [
+            base.T[::2],  # (5, 7) non-contiguous transpose
+            base[1:6:2, ::3].T,  # (3, 3)
+            np.asfortranarray(base[:4, :6]),
+            base[::-1, 2:5],  # negative stride
+        ]
+        assert not any(b.flags.c_contiguous for b in blocks[:2])
+        stack = pad_blocks(blocks, 7, 7)
+        self.assert_bitwise(stack, self.naive_pad(blocks, 7, 7))
+        assert stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fan_operands_match_the_per_slot_loop(self, seed):
+        from repro.batched.block_rows import (
+            FAN_PAD, build_row_groups, fan_operands, pad_blocks,
+        )
+
+        rng = np.random.default_rng(seed)
+        p, q, sources = 5, 4, 9
+        fans = [1, 2, 2, FAN_PAD, FAN_PAD + 2, 3 * FAN_PAD - 1, 0, 1]
+        blocks, rows = [], []
+        for dest, fan in enumerate(fans):
+            row = []
+            for _ in range(fan):
+                shape = (int(rng.integers(0, p + 1)), int(rng.integers(1, q + 1)))
+                block = rng.standard_normal(shape)
+                # Every third block is handed over as a transposed view.
+                if len(blocks) % 3 == 0:
+                    block = np.ascontiguousarray(block.T).T
+                row.append((int(rng.integers(0, sources)), len(blocks)))
+                blocks.append(block)
+            rows.append((dest, row))
+        groups = build_row_groups(rows, sentinel=sources)
+        assert any(group.fan > FAN_PAD for group in groups)
+        for group in groups:
+            stack = pad_blocks([blocks[i] for i in group.real_blocks], p, q)
+            a = fan_operands(group, stack)
+            self.assert_bitwise(a, self.naive_operand(group, blocks, p, q))
+            assert (a is stack) == (group.fan == 1)  # fan 1: no copy
+            padded = np.nonzero(group.block_req < 0)[0]
+            for i, j in zip(*np.divmod(padded, group.fan)):
+                assert not a[i, :, j * q : (j + 1) * q].any()
+                assert group.src_pos[i * group.fan + j] == sources
+
+    def test_zero_groups(self):
+        from repro.batched.block_rows import build_row_groups, pad_blocks
+
+        assert pad_blocks([], 3, 2).shape == (0, 3, 2)
+        assert build_row_groups([], sentinel=0) == []
+        assert build_row_groups([(0, []), (1, [])], sentinel=2) == []

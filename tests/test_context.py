@@ -1,10 +1,9 @@
-"""Tests of the geometry-reuse construction context (repro.core.context)
-and the apply-plan coefficient refresh it drives.
+"""Tests of the geometry-reuse construction context (repro.core.context).
 
 The context must be a pure optimization: constructions through it have to
 match the accuracy of from-scratch constructions at every cache policy, while
 actually re-using the cached pieces (frozen sample pattern, warm-started
-sample counts, result cache, plan skeleton).  The slow acceptance test pins
+sample counts, result cache, construction packing).  The slow acceptance test pins
 the reuse behind the headline claim — a 3-point length-scale sweep at
 N = 4096 builds one tree and one construction plan for three constructions;
 the benchmark measures what that saves.
@@ -37,7 +36,7 @@ from repro.core import context as context_module
 from repro.core.context import _OmegaBank
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
-from oracles import LoopConstructor, matvec_loop
+from oracles import LoopConstructor
 
 N = 700
 TOL = 1e-7
@@ -281,25 +280,19 @@ class TestReuse:
         x = np.random.default_rng(7).standard_normal(N)
         assert rel_err(second.matrix.matvec(x, permuted=True), dense @ x) < 50 * TOL
 
-    def test_plan_reuse_does_not_corrupt_earlier_results(self, points):
-        """Refreshing the shared plan must detach, not poison, earlier matrices.
-
-        A noise-style sweep revisiting the same structure re-stacks the shared
-        plan skeleton with new coefficients; matrices returned earlier in the
-        sweep have to keep computing *their own* kernel's products.
-        """
+    def test_each_construction_compiles_its_own_plan(self, points):
+        """Every construction compiles its own apply plan inside ``construct``;
+        a later construction over the same geometry leaves earlier matrices
+        computing their own kernel's products."""
         ctx = GeometryContext(points, leaf_size=32, seed=9)
         x = np.random.default_rng(8).standard_normal(N)
-        # Warm-started runs replay an identical sample schedule, so from the
-        # second construction onward the structure repeats; bypass the result
-        # cache to force actual re-constructions.
-        ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
-        ctx._last_result = None
         first = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
+        assert first.matrix._plan is not None
         before = first.matrix.matvec(x, permuted=True)
-        ctx._last_result = None
+        ctx._last_result = None  # bypass the result cache: a real re-construction
         second = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
-        assert ctx.statistics.plan_reuses >= 1
+        assert second.matrix._plan is not None
+        assert second.matrix._plan is not first.matrix._plan
         after = first.matrix.matvec(x, permuted=True)
         assert np.array_equal(before, after)
         dense = ExponentialKernel(0.2).matrix(ctx.tree.points)
@@ -320,14 +313,14 @@ class TestReuse:
         ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
         stats = ctx.statistics.as_dict()
         assert stats["constructions"] == 1
-        assert stats["plan_compilations"] == 1
+        assert "plan_compilations" not in stats and "plan_reuses" not in stats
         assert stats["sample_columns_cached"] > 0
         assert ctx.memory_bytes() > 0
         assert "GeometryContext" in ctx.describe()
         assert "cache=dense" in ctx.describe()
 
     def test_plan_reuse_is_not_a_switch(self, context):
-        """A compiled plan is re-stacked whenever it matches; no opt-out."""
+        """There is no apply-plan reuse, and no keyword to ask for one."""
         with pytest.raises(TypeError):
             context.construct(
                 ExponentialKernel(0.2), tolerance=TOL, reuse_plan=False
@@ -379,59 +372,14 @@ class TestOmegaBank:
         assert bank.nbytes == 37 * 128 * 8
 
 
-class TestPlanRefresh:
-    @pytest.fixture(scope="class")
-    def refresh_pair(self, points):
-        """Two constructions with identical structure but different coefficients."""
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
-        first = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
-        plan = first.matrix.apply_plan()
-        # Re-scale every block of a copy of the matrix: same structure,
-        # different coefficients.
-        import copy
-
-        scaled = copy.deepcopy(first.matrix)
-        for key in scaled.coupling:
-            scaled.coupling[key] = 2.0 * scaled.coupling[key]
-        for key in scaled.dense:
-            scaled.dense[key] = 2.0 * scaled.dense[key]
-        object.__setattr__(scaled, "_plan", None)
-        return first.matrix, scaled, plan
-
-    def test_refresh_reproduces_recompiled_apply(self, refresh_pair):
-        original, scaled, plan = refresh_pair
-        x = np.random.default_rng(5).standard_normal((N, 3))
-        expected = scaled.apply_plan(rebuild=True).execute(x)
-        refreshed = scaled.reuse_plan(plan)
-        assert np.array_equal(refreshed.execute(x), expected)
-
-    def test_refresh_covers_transpose_stages(self, refresh_pair):
-        original, scaled, plan = refresh_pair
-        x = np.random.default_rng(6).standard_normal(N)
-        expected = matvec_loop(scaled, x)  # symmetric data: loop as reference
-        scaled.reuse_plan(plan)
-        assert np.allclose(scaled.rmatvec(x), expected, atol=1e-10)
-
-    def test_matches_reports_structure(self, refresh_pair, points):
-        original, scaled, plan = refresh_pair
-        assert plan.matches(scaled)
-        other = GeometryContext(points, leaf_size=64, seed=1).construct(
-            ExponentialKernel(0.2), tolerance=TOL
-        )
-        assert not plan.matches(other.matrix)
-        with pytest.raises(ValueError):
-            plan.refresh(other.matrix)
-
-
 @pytest.mark.slow
 class TestAcceptance:
     def test_sweep_reuse_at_4096(self):
         """Acceptance: a 3-point length-scale sweep shares one geometry.
 
         The reuse the sweep speedup stands for, read from the context's
-        counters: one tree and one construction plan for three constructions.
-        Each length scale changes the ranks, so every apply plan is compiled
-        fresh.  The wall-clock ratio is measured by the benchmark
+        counters: one tree and one construction plan for three constructions,
+        each of which compiles its own apply plan.  The wall-clock ratio is measured by the benchmark
         (``gp_sweep_s``, ``core.warm_construct_s``), not asserted here.
         """
         n = 4096
@@ -444,7 +392,7 @@ class TestAcceptance:
         stats = ctx.statistics
         assert stats.constructions == 3
         assert stats.construction_plan_compilations == 1
-        assert (stats.plan_compilations, stats.plan_reuses) == (3, 0)
+        assert all(result.matrix._plan is not None for result in results)
         assert all(result.matrix.tree is ctx.tree for result in results)
 
         # Accuracy parity on the last sweep point.

@@ -265,12 +265,6 @@ class TestLifecycle:
             rtol=0.0, atol=1e-12,
         )
 
-    def test_reuse_plan_drops_the_entry_plan(self, small_h2):
-        apply_plan = small_h2.apply_plan()
-        entry_plan = small_h2.entry_plan()
-        small_h2.reuse_plan(apply_plan)
-        assert small_h2.entry_plan() is not entry_plan
-
     def test_loaded_operator_compiles_its_own_plan(self, small_h2, tmp_path):
         small_h2.entry_plan()
         save_operator(small_h2, tmp_path / "m.reproart")

