@@ -13,7 +13,9 @@ For every N this benchmark builds the 2D covariance problem, bootstraps a
 compressed matrix once so the timed constructions sample through the fast H2
 apply (the paper's black-box regime, the same as ``recompress_h2``), then
 times the compiled sweep on both backends, reporting points/second and
-sweep/generation launch counts.
+sweep/generation launch counts.  Every timed construction compiles its own
+:class:`~repro.batched.ConstructionPlan`, as every product construction does,
+so points/second includes the plan compile.
 Results are printed as a table and emitted as the standard ``BENCH_JSON``
 line.  Sizes follow ``REPRO_BENCH_SIZES``.
 """
@@ -26,7 +28,6 @@ import pytest
 from repro import (
     ClusterTree,
     ConstructionConfig,
-    ConstructionPlan,
     DenseEntryExtractor,
     DenseOperator,
     ExponentialKernel,
@@ -62,7 +63,7 @@ def _setup(n: int):
     return partition, dense, bootstrap.matrix
 
 
-def _construct(partition, dense, sampler, backend, plan):
+def _construct(partition, dense, sampler, backend):
     config = ConstructionConfig(
         tolerance=TOLERANCE,
         sample_block_size=SAMPLE_BLOCK,
@@ -75,7 +76,6 @@ def _construct(partition, dense, sampler, backend, plan):
         DenseEntryExtractor(dense),
         config,
         seed=7,
-        plan=plan,
     )
     start = time.perf_counter()
     result = constructor.construct()
@@ -84,12 +84,11 @@ def _construct(partition, dense, sampler, backend, plan):
 
 def bench_size(n: int):
     partition, dense, sampler = _setup(n)
-    plan = ConstructionPlan(partition)
     record = {"n": n, "levels": partition.tree.num_levels, "variants": {}}
     for backend in ("serial", "vectorized"):
         best, result = np.inf, None
         for _ in range(REPEATS):
-            result, seconds = _construct(partition, dense, sampler, backend, plan)
+            result, seconds = _construct(partition, dense, sampler, backend)
             best = min(best, seconds)
         record["num_nodes"] = sum(level.num_nodes for level in result.levels)
         report = construction_report(result)

@@ -4,9 +4,9 @@ The headline workload of the GP subsystem (and the acceptance claim of its
 ISSUE): a log-likelihood sweep over kernel length scales re-constructs the
 compressed covariance at every parameter point, and the
 :class:`~repro.core.context.GeometryContext` makes the re-constructions
-substantially cheaper than building from scratch by caching the cluster tree,
-block partition, pairwise distances, frozen sample pattern and apply-plan
-skeleton.
+cheaper than building from scratch: it builds the cluster tree and block
+partition once and samples through the dense kernel-value matrix while that
+fits.
 
 For every N this benchmark
 
@@ -97,7 +97,6 @@ def bench_size(n: int):
         "context_sweep_s": sweep_seconds,
         "speedup": cold_seconds / sweep_seconds,
         "context": context.statistics.as_dict(),
-        "context_memory_mb": context.memory_bytes() / 2**20,
         "gp_fit_s": fit_seconds,
         "best_length_scale": gp.kernel.length_scale,
         "log_likelihood": gp.log_marginal_likelihood_,
@@ -115,7 +114,6 @@ def run_gp_sweep():
                 "cold sweep [s]",
                 "context sweep [s]",
                 "speedup",
-                "ctx mem [MB]",
                 "GP fit [s]",
                 "best l",
                 "log-lik",
@@ -126,7 +124,6 @@ def run_gp_sweep():
                     r["cold_sweep_s"],
                     r["context_sweep_s"],
                     f"{r['speedup']:.2f}x",
-                    r["context_memory_mb"],
                     r["gp_fit_s"],
                     r["best_length_scale"],
                     r["log_likelihood"],
@@ -149,7 +146,7 @@ def test_gp_sweep(benchmark):
     for r in records:
         # Geometry reuse must beat cold construction at every size.  No test
         # asserts a ratio; tests/test_context.py::TestAcceptance pins the
-        # reuse itself (one tree, one construction plan per sweep).
+        # reuse itself (one tree and one partition per sweep).
         assert r["speedup"] > 1.0
         # The sweep should select a grid point and produce a finite likelihood.
         assert r["best_length_scale"] in SCALES

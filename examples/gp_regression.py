@@ -9,9 +9,9 @@ every subsystem of the library:
    factorization and the representer weights from factorization-preconditioned
    CG over the compiled batched apply plan;
 3. select the kernel length scale and nugget by a grid sweep refined with
-   Nelder–Mead — every sweep point re-uses the cached geometry of the
-   :class:`repro.Session` (tree, partition, distances, frozen sample bank),
-   which is what makes model selection affordable;
+   Nelder–Mead — every sweep point re-uses the geometry of the
+   :class:`repro.Session` (tree, partition, sample seed), so no sweep point
+   builds a tree or a partition;
 4. predict mean/uncertainty at held-out points and draw posterior samples.
 
 Run with:  python examples/gp_regression.py [N]
@@ -39,9 +39,8 @@ def main(n: int = 2048) -> None:
     y = target_function(train) + NOISE_TRUE * rng.standard_normal(n)
 
     # --- fit with model selection -----------------------------------------
-    # A Session caches the geometry (tree, partition, distances, sample
-    # bank); gp() hands the GP the same cached context every sweep point
-    # re-uses.
+    # A Session builds the geometry once (tree, partition, sample seed);
+    # gp() hands the GP the same context every sweep point re-uses.
     session = Session(train, seed=2)
     gp = session.gp(
         ExponentialKernel(length_scale=0.5),  # deliberately bad initial guess

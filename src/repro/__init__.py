@@ -59,8 +59,8 @@ by level, O(levels) batched launches per solve); ``convert(h2, "hodlr")`` +
 True
 
 Gaussian-process regression shares the same session geometry — every
-hyperparameter sweep point re-uses the cached tree/partition/distances/sample
-bank:
+hyperparameter sweep point re-uses the session's tree, partition and sample
+seed:
 
 >>> gp = sess.gp(repro.ExponentialKernel(0.2), noise=1e-2)
 >>> gp.fit(np.sin(points[:, 0] * 6.0),

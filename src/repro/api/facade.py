@@ -356,8 +356,7 @@ class Session:
     """Fluent geometry-reuse workflow over a fixed point set.
 
     Wraps a :class:`~repro.core.context.GeometryContext` (tree, partition,
-    cached distances, frozen sample bank, compiled plans) behind chainable
-    steps::
+    sample seed, last result) behind chainable steps::
 
         sess = repro.Session(points, seed=0)
         solve = sess.compress(kernel, tol=1e-8).factor(noise=1e-2).solve(b)
@@ -394,9 +393,7 @@ class Session:
         cache_dir: object | None = None,
     ):
         self.policy = policy if policy is not None else ExecutionPolicy()
-        self._points = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(points, dtype=np.float64))
-        )
+        self._points = np.ascontiguousarray(points, dtype=np.float64)
         self.context = GeometryContext(
             self._points,
             leaf_size=leaf_size,
@@ -456,12 +453,12 @@ class Session:
     ) -> "Session":
         """Construct the hierarchical representation of ``K(kernel)``.
 
-        Re-uses every cached geometry ingredient of the session (tree,
-        partition, distances, frozen sample bank, construction packing), so
-        repeated calls across hyperparameters cost little more than the
-        kernel-value work.  ``format="hodlr"``/``"hmatrix"`` convert the
-        constructed matrix through the :func:`~repro.api.conversion.convert`
-        registry; ``"h2"``/``"hss"`` return it as constructed (the session's
+        Re-uses the session's tree, partition and sample seed, so repeated
+        calls across hyperparameters build no geometry and sketch with the
+        same random vectors; each runs its own construction.
+        ``format="hodlr"``/``"hmatrix"`` convert the constructed matrix
+        through the :func:`~repro.api.conversion.convert` registry;
+        ``"h2"``/``"hss"`` return it as constructed (the session's
         admissibility decides which of the two it is).
         """
         fmt = format.lower()

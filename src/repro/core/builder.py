@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,8 +151,6 @@ class H2Constructor:
         extractor: EntryExtractor,
         config: ConstructionConfig | None = None,
         seed: SeedLike = None,
-        sample_source: Callable[[int], np.ndarray] | None = None,
-        plan: ConstructionPlan | None = None,
         tracer: object | None = None,
         recovery: object | None = None,
         faults: object | None = None,
@@ -163,23 +161,8 @@ class H2Constructor:
         self.extractor = extractor
         self.config = config if config is not None else ConstructionConfig()
         self.rng = as_generator(seed)
-        #: Optional external source of random sample blocks: a callable
-        #: ``count -> (n, count)`` replacing the backend's ``batched_rand``.
-        #: A :class:`~repro.core.context.GeometryContext` passes a frozen
-        #: sample bank here so every construction of a hyperparameter sweep
-        #: sketches with the *same* random vectors.
-        self.sample_source = sample_source
-        #: Optional precompiled :class:`ConstructionPlan` of this partition
-        #: (the static packing of the sweep).  A
-        #: :class:`~repro.core.context.GeometryContext` compiles it once and
-        #: shares it across every construction of a sweep; when absent, the
-        #: first construction compiles its own.
-        if plan is not None and plan.partition is not partition:
-            raise ValueError(
-                "the supplied ConstructionPlan was compiled for a different "
-                "block partition"
-            )
-        self.plan = plan
+        #: The static packing of the sweep, compiled by :meth:`construct`.
+        self.plan: ConstructionPlan | None = None
 
         n = self.tree.num_points
         if operator.n != n or extractor.n != n:
@@ -229,9 +212,9 @@ class H2Constructor:
         retries run out, raised as the typed ``ConstructionFaultError``; a
         memory-budget breach raises ``MemoryBudgetError`` before the sweep
         allocates; rank saturation re-constructs with escalated
-        sample/tolerance budgets.  Every retry restores the RNG and sample
-        bank to their pre-construction state, so a retry whose fault does not
-        re-fire is bit-identical to an uninjected run.
+        sample/tolerance budgets.  Every retry restores the RNG to its
+        pre-construction state, so a retry whose fault does not re-fire is
+        bit-identical to an uninjected run.
         """
         if self.recovery is None:
             return self._construct()
@@ -250,7 +233,7 @@ class H2Constructor:
           unchanged: running the same sweep again cannot succeed.
         * A *compiled-sweep failure* (any other exception, e.g. an injected
           launch failure) is retried ``max_retries`` times from the restored
-          RNG and sample bank, then raised as ``ConstructionFaultError``
+          RNG, then raised as ``ConstructionFaultError``
           whose ``context`` records the retries.
         * *Rank saturation* (adaptive construction exhausted its sample
           budget without converging) re-constructs with the sample budget
@@ -348,11 +331,9 @@ class H2Constructor:
     def _reset_construction_state(self, rng_state: dict) -> None:
         """Return the constructor to its pre-construction state for a retry.
 
-        Restoring the RNG state and rewinding the frozen sample bank (when a
-        :class:`~repro.core.context.GeometryContext` supplied one) makes a
-        retry sketch with exactly the random vectors of the first attempt —
-        so a recovery whose fault does not re-fire reproduces the uninjected
-        run bit for bit.
+        Restoring the RNG state makes a retry sketch with exactly the random
+        vectors of the first attempt — so a recovery whose fault does not
+        re-fire reproduces the uninjected run bit for bit.
         """
         self.skeletons = SkeletonStore()
         self.basis = BasisTree(tree=self.tree)
@@ -360,9 +341,6 @@ class H2Constructor:
         self.couplings = {}
         self._total_samples = 0
         self.rng.bit_generator.state = rng_state
-        reset = getattr(self.sample_source, "reset", None)
-        if callable(reset):
-            reset()
 
     def _announce_recovery(self, event: str, message: str, stage: str) -> None:
         """Tracer span + (in warn mode) structured-log warning for a recovery."""
@@ -517,18 +495,7 @@ class H2Constructor:
         """Draw ``count`` fresh random vectors and sketch them through the operator."""
         n = self.tree.num_points
         with phase_span(self.tracer, "sampling"):
-            if self.sample_source is not None:
-                omega = np.ascontiguousarray(
-                    self.sample_source(count), dtype=np.float64
-                )
-                if omega.shape != (n, count):
-                    raise ValueError(
-                        f"sample_source returned shape {omega.shape}, "
-                        f"expected {(n, count)}"
-                    )
-                self.counter.record("batched_rand", 1)
-            else:
-                omega = self.backend.batched_random_normal((n, count), seed=self.rng)
+            omega = self.backend.batched_random_normal((n, count), seed=self.rng)
         y = self._sketch(omega)
         self._total_samples += count
         return omega, y

@@ -2,40 +2,38 @@
 
 A Gaussian-process log-likelihood optimization (or any kernel hyperparameter
 sweep) re-constructs the hierarchical representation of ``K(theta)`` at many
-parameter points over the *same* point set.  Almost everything the constructor
-touches is independent of ``theta``:
+parameter points over the *same* point set.  :class:`GeometryContext` builds
+what is independent of ``theta`` once and hands :meth:`construct` out per
+parameter point:
 
 * the cluster tree and block partition (pure geometry),
-* the pairwise distances every radial kernel is evaluated on,
-* the random sketching vectors ``Omega`` (the sample pattern),
-* the number of samples the adaptive construction ends up needing
-  (ranks move slowly with the kernel parameters), and
-* the static packing of the compiled construction sweep.
+* one integer sample seed, so every construction sketches with the same
+  random vectors, and
+* the last construction result (a repeated parameter point costs nothing)
+  plus an optional artifact cache.
 
-:class:`GeometryContext` caches all of it once and hands
-:meth:`construct` out per parameter point, so re-construction costs little
-more than the unavoidable kernel-value work and one apply-plan compile.
+Every construction otherwise runs Algorithm 1 as the paper states it: fresh
+Gaussian sketch blocks from its seed and its own compiled construction plan.
 
-While the permuted distance matrix and one kernel-value matrix fit in
-600 MiB (n up to 6,270), the distances are stored once and each parameter
-point evaluates the kernel profile on them in one vectorised pass; the
-sketching operator then runs on the resulting dense array, i.e. every
-black-box application is a GEMM.  Above that size nothing is cached and
-kernel rows are evaluated on the fly.
+While one ``n x n`` kernel-value matrix fits in 300 MiB (n up to 6,270),
+:meth:`GeometryContext.bind` evaluates it with ``kernel.matrix`` and every
+black-box application is a GEMM; above that size kernel rows are evaluated on
+the fly.  The dense rule pays: sampling on the fly instead made the N = 2048
+3D ``Session`` construction 23 % slower (0.389 s -> 0.477 s).
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..api.policy import ExecutionPolicy
 from ..batched.backend import BatchedBackend
-from ..kernels.base import KernelFunction, PairwiseKernel, _tiled, pairwise_distances
+from ..kernels.base import KernelFunction
 from ..sketching.entry_extractor import (
     DenseEntryExtractor,
     EntryExtractor,
@@ -50,79 +48,10 @@ from .builder import ConstructionResult, H2Constructor
 from .config import ConstructionConfig
 
 
-#: Byte budget of the dense distance cache: the ``n x n`` distance matrix and
-#: one ``n x n`` kernel-value matrix (``2 * n * n * 8`` bytes) are cached
-#: while they fit, i.e. up to n = 6,270 points.
-_DENSE_CACHE_BYTES = 600 * 2**20
-
-
-class _OmegaBank:
-    """Lazily grown bank of frozen standard-normal sample columns.
-
-    Every construction of a sweep draws its sample blocks as consecutive
-    column slices starting from column zero, so two constructions that need
-    the same number of samples sketch with *identical* random vectors — the
-    sample pattern becomes part of the cached geometry.
-    """
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = int(n)
-        self._rng = rng
-        #: The bank as it was drawn: one contiguous ``(n, width)`` block per
-        #: growth, ``_stops[i]`` the bank column at which block ``i`` ends.
-        #: Growing appends a block and copies nothing; a draw is a view of
-        #: one block whose rows are ``width`` apart, not the whole bank's.
-        self._blocks: List[np.ndarray] = []
-        self._stops: List[int] = []
-
-    @property
-    def num_columns(self) -> int:
-        return self._stops[-1] if self._stops else 0
-
-    @property
-    def nbytes(self) -> int:
-        return sum(block.nbytes for block in self._blocks)
-
-    def columns(self, start: int, stop: int) -> np.ndarray:
-        have = self.num_columns
-        if stop > have:
-            grow_to = max(stop, 2 * have, 64)
-            self._blocks.append(self._rng.standard_normal((self.n, grow_to - have)))
-            self._stops.append(grow_to)
-        parts = []
-        begin = 0
-        for block, end in zip(self._blocks, self._stops):
-            if start < end and begin < stop:
-                parts.append(block[:, max(start - begin, 0) : stop - begin])
-            begin = end
-        # A draw that straddles two growths is the one case that copies.
-        return parts[0] if len(parts) == 1 else np.hstack(parts)
-
-    def sampler(self) -> "_BankSampler":
-        """A draw callable replaying the bank from its first column.
-
-        The returned :class:`_BankSampler` supports ``reset()``, which the
-        constructor's recovery guards call before a retry so the relaunched
-        construction sketches with exactly the vectors of the first attempt.
-        """
-        return _BankSampler(self)
-
-
-class _BankSampler:
-    """Resettable cursor over an :class:`_OmegaBank` (callable ``count -> block``)."""
-
-    def __init__(self, bank: _OmegaBank):
-        self._bank = bank
-        self._cursor = 0
-
-    def __call__(self, count: int) -> np.ndarray:
-        block = self._bank.columns(self._cursor, self._cursor + count)
-        self._cursor += count
-        return block
-
-    def reset(self) -> None:
-        """Rewind to the first column (recovery retries replay the bank)."""
-        self._cursor = 0
+#: Byte budget of the dense kernel-value matrix: ``bind`` materialises the
+#: ``n x n`` values (``n * n * 8`` bytes) while they fit, i.e. up to
+#: n = 6,270 points.
+_DENSE_VALUES_BYTES = 300 * 2**20
 
 
 @dataclass
@@ -132,8 +61,6 @@ class ContextStatistics:
     constructions: int = 0
     result_cache_hits: int = 0
     artifact_cache_hits: int = 0
-    sample_columns_cached: int = 0
-    construction_plan_compilations: int = 0
     setup_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -141,7 +68,7 @@ class ContextStatistics:
 
 
 class GeometryContext:
-    """Caches every kernel-parameter-independent ingredient of H2 construction.
+    """Builds the kernel-parameter-independent geometry of H2 construction once.
 
     Parameters
     ----------
@@ -162,15 +89,18 @@ class GeometryContext:
         counter spans every construction and compiled apply; its recovery and
         faults guard every construction and artifact-cache read.
     seed:
-        Seed of the frozen sample bank.
+        Source of :attr:`sample_seed`, the one integer every construction of
+        the context seeds its sketch with: an integer, ``None`` (OS entropy)
+        or a ``Generator`` is drawn from once, at construction of the context,
+        so all constructions of one context sketch with identical vectors.
     artifact_cache:
         Optional :class:`~repro.persist.cache.ArtifactCache`.  When given,
         :meth:`construct` consults it before constructing (the key covers
         points, kernel identity, tolerance, leaf size, admissibility,
         sample block size and seed) and stores every freshly constructed
-        operator.  Requires an integer (or ``None``) ``seed`` — with a live
-        ``Generator`` the sample bank is not reproducible, so artifact
-        caching is silently disabled.
+        operator.  Requires an integer (or ``None``) ``seed`` — a live
+        ``Generator`` does not key reproducibly, so artifact caching is
+        silently disabled.
     """
 
     def __init__(
@@ -189,34 +119,25 @@ class GeometryContext:
         # it produces all account to the same place.
         self.backend: BatchedBackend = self.policy.resolve_backend()
         self.tracer = self.policy.tracer
+
+        self.tree: ClusterTree = ClusterTree.build(points, leaf_size=leaf_size)
+        self.partition: BlockPartition = build_block_partition(
+            self.tree, admissibility if admissibility is not None else WeakAdmissibility()
+        )
+        #: Seed of every construction's sketch (see ``seed``).
+        self.sample_seed = int(as_generator(seed).integers(0, 2**63 - 1))
+
         # Artifact caching needs a reproducible construction: only integer
         # (or None) seeds key deterministically, a live Generator does not.
         seed_is_hashable = seed is None or isinstance(seed, (int, np.integer))
         self.artifact_cache = artifact_cache if seed_is_hashable else None
         self._artifact_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
         self._artifact_points: Optional[np.ndarray] = (
-            np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+            np.ascontiguousarray(points, dtype=np.float64)
             if self.artifact_cache is not None
             else None
         )
-        rng = as_generator(seed)
 
-        self.tree: ClusterTree = ClusterTree.build(points, leaf_size=leaf_size)
-        self.partition: BlockPartition = build_block_partition(
-            self.tree, admissibility if admissibility is not None else WeakAdmissibility()
-        )
-        n = self.tree.num_points
-
-        self._distances: Optional[np.ndarray] = None
-        self._values: Optional[np.ndarray] = None
-        if 2 * n * n * 8 <= _DENSE_CACHE_BYTES:
-            self._distances = pairwise_distances(self.tree.points, self.tree.points)
-
-        self._omega_bank = _OmegaBank(n, rng)
-        self._warm_samples: Optional[int] = None
-        #: Static packing of the compiled construction sweep (pure geometry);
-        #: compiled lazily on the first construction, shared by all of them.
-        self._construction_plan = None
         self._last_kernel: Optional[KernelFunction] = None
         self._last_key: Optional[Tuple[float, int]] = None
         self._last_result: Optional[ConstructionResult] = None
@@ -229,38 +150,24 @@ class GeometryContext:
     def num_points(self) -> int:
         return self.tree.num_points
 
-    def bind(self, kernel: KernelFunction) -> Tuple[SketchingOperator, EntryExtractor]:
-        """Operator/extractor pair evaluating ``kernel`` over the cached geometry.
+    @property
+    def _dense_values(self) -> bool:
+        """Whether :meth:`bind` materialises the ``n x n`` kernel values."""
+        return self.num_points**2 * 8 <= _DENSE_VALUES_BYTES
 
-        With the dense distance cache the kernel values are materialised once
-        per parameter point (one vectorised profile evaluation over the cached
-        distances), so every subsequent black-box application is a plain GEMM;
+    def bind(self, kernel: KernelFunction) -> Tuple[SketchingOperator, EntryExtractor]:
+        """Operator/extractor pair evaluating ``kernel`` over the context's points.
+
+        While one ``n x n`` value matrix fits ``_DENSE_VALUES_BYTES`` the
+        kernel values are evaluated once per parameter point
+        (``kernel.matrix``), so every black-box application is a plain GEMM;
         otherwise kernel rows are generated on the fly.
         """
-        if self._distances is not None:
-            if isinstance(kernel, PairwiseKernel):
-                # Tile by tile, the upper triangle mirrored: the value matrix
-                # is the only n x n allocation.
-                distances = self._distances
-                values = _tiled(
-                    *distances.shape,
-                    lambda rows, cols: kernel.profile_with_diagonal(
-                        distances[rows, cols]
-                    ),
-                    mirror=True,
-                )
-            else:
-                values = kernel.matrix(self.tree.points)
-            # profile/evaluate already allocated a fresh contiguous array;
-            # adopt it instead of copying into a persistent buffer.
-            self._values = np.ascontiguousarray(
-                np.asarray(values, dtype=np.float64)
-            )
-            return DenseOperator(self._values), DenseEntryExtractor(self._values)
-        return (
-            KernelMatVecOperator(kernel, self.tree.points),
-            KernelEntryExtractor(kernel, self.tree.points),
-        )
+        points = self.tree.points
+        if self._dense_values:
+            values = kernel.matrix(points)
+            return DenseOperator(values), DenseEntryExtractor(values)
+        return KernelMatVecOperator(kernel, points), KernelEntryExtractor(kernel, points)
 
     # ------------------------------------------------------------ construction
     def construct(
@@ -269,20 +176,19 @@ class GeometryContext:
         tolerance: float = 1e-6,
         sample_block_size: int = 64,
         config: ConstructionConfig | None = None,
-        warm_start: bool = True,
     ) -> ConstructionResult:
-        """Construct the H2 representation of ``K(kernel)`` over the cached geometry.
+        """Construct the H2 representation of ``K(kernel)`` over the context's geometry.
 
         Parameters beyond the kernel mirror
         :class:`~repro.core.config.ConstructionConfig` (or pass ``config``
-        directly).  ``warm_start`` seeds the initial sketch with the largest
-        sample count any previous construction of this context needed, so the
-        adaptive loop typically converges in its first round.
+        directly).  Every construction sketches from :attr:`sample_seed` and
+        compiles its own construction plan.
 
         Repeating the *identical* ``(kernel, tolerance, sample_block_size)``
         point (the inner loop of a noise/nugget sweep, where the compressed
         ``K`` does not change at all) returns the previously constructed
-        result without re-running the constructor.
+        result without re-running the constructor; an explicit ``config``
+        always constructs.
         """
         cacheable = config is None
         if (
@@ -322,7 +228,7 @@ class GeometryContext:
 
         def build():
             nonlocal result
-            result = self._build(kernel, tolerance, sample_block_size, config, warm_start)
+            result = self._build(kernel, tolerance, sample_block_size, config)
             return result.matrix
 
         if artifact_key is None:
@@ -368,64 +274,37 @@ class GeometryContext:
         tolerance: float,
         sample_block_size: int,
         config: ConstructionConfig | None,
-        warm_start: bool,
     ) -> ConstructionResult:
-        """Run the constructor over the cached geometry (no result caches)."""
+        """Run the constructor over the context's geometry (no result caches)."""
         if config is None:
             config = ConstructionConfig(
                 tolerance=tolerance,
                 sample_block_size=sample_block_size,
                 backend=self.backend,
             )
-        if warm_start and self._warm_samples is not None:
-            initial = max(config.effective_initial_samples, self._warm_samples)
-            config = replace(config, initial_samples=min(initial, self.num_points))
-
-        operator, extractor = self.bind(kernel)
-        constructor = H2Constructor(
+        result = H2Constructor(
             self.partition,
-            operator,
-            extractor,
+            *self.bind(kernel),
             config=config,
-            sample_source=self._omega_bank.sampler(),
-            plan=self._construction_plan,
+            seed=self.sample_seed,
             tracer=self.tracer,
             recovery=self.policy.recovery,
             faults=self.policy.faults,
-        )
-        result = constructor.construct()
-        if self._construction_plan is None and constructor.plan is not None:
-            # The packed sweep compiled the static geometry packing; keep it
-            # for every subsequent construction of this sweep.
-            self._construction_plan = constructor.plan
-            self.statistics.construction_plan_compilations += 1
-
-        self._warm_samples = max(self._warm_samples or 0, result.total_samples)
+        ).construct()
         self.statistics.constructions += 1
-        self.statistics.sample_columns_cached = self._omega_bank.num_columns
 
         result.matrix.apply_backend = self.backend
         result.matrix.apply_plan()  # compiled here, inside the construction time
         return result
 
     # ------------------------------------------------------------- diagnostics
-    def memory_bytes(self) -> int:
-        """Bytes held by the cached distances/values/sample bank."""
-        total = self._omega_bank.nbytes
-        if self._distances is not None:
-            total += self._distances.nbytes
-        if self._values is not None:
-            total += self._values.nbytes
-        return int(total)
-
     def describe(self) -> str:
         stats = self.statistics
         return (
             f"GeometryContext(n={self.num_points}, depth={self.tree.depth}, "
-            f"cache={'dense' if self._distances is not None else 'none'}, "
+            f"values={'dense' if self._dense_values else 'kernel'}, "
             f"constructions={stats.constructions}, "
-            f"result_cache_hits={stats.result_cache_hits}, "
-            f"memory_mb={self.memory_bytes() / 2**20:.1f})"
+            f"result_cache_hits={stats.result_cache_hits})"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience

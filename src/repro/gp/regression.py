@@ -7,8 +7,8 @@ library —
 
 * the covariance matrix ``K`` is compressed once per hyperparameter point with
   the sketching constructor, through a geometry-reusing
-  :class:`~repro.core.context.GeometryContext` (tree, partition, distances,
-  sample pattern and construction-sweep packing are shared across the sweep);
+  :class:`~repro.core.context.GeometryContext` (tree, partition and sample
+  seed are shared across the sweep);
 * the marginal log-likelihood uses the HSS factorization of the *shifted*
   covariance ``K + noise I`` (skeleton elimination on the nested generators,
   :class:`~repro.solvers.hss_factor.HSSFactorization`) for ``log det`` (the
@@ -39,7 +39,7 @@ from ..kernels.base import KernelFunction, PairwiseKernel
 from ..solvers.hss_factor import HSSFactorization, factorize
 from ..solvers.ladder import guarded_solve
 from ..utils.rng import SeedLike, as_generator
-from ..utils.validation import check_positive
+from ..utils.validation import check_positive, require
 from .sweep import hyperparameter_grid, nelder_mead
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -122,8 +122,10 @@ class GaussianProcess:
         seed: SeedLike = 0,
         context: GeometryContext | None = None,
     ):
-        self.train_points = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(train_points, dtype=np.float64))
+        self.train_points = np.ascontiguousarray(train_points, dtype=np.float64)
+        require(
+            self.train_points.ndim == 2 and self.train_points.shape[0] > 0,
+            "points must be a (n, dim) array",
         )
         check_positive(noise, "noise")
         check_positive(tolerance, "tolerance")

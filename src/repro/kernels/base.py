@@ -70,7 +70,7 @@ class KernelFunction(ABC):
 
         The canonical move of a hyperparameter sweep: the kernel *family* stays
         fixed while its parameters change, so everything geometric (cluster
-        tree, block partition, sample pattern) can be reused across the sweep.
+        tree, block partition, sample seed) can be reused across the sweep.
         Dataclass kernels re-run their ``__post_init__`` validation; unknown
         parameter names raise :class:`TypeError`.
         """

@@ -9,7 +9,7 @@ operations.  Against the per-node oracle (``oracles.LoopConstructor``, the
 construction analogue of ``oracles.matvec_loop``), the packed path reproduces
 the fixed-seed skeleton selections at the acceptance configuration and always reproduces the
 sample schedule and compression quality.  Property tests pin down the
-workspace lifecycle (plan sharing, capacity growth, frozen-bank replay).
+workspace lifecycle (lazy plan compile, capacity growth).
 """
 
 import numpy as np
@@ -54,7 +54,7 @@ def _kernel(name):
     return HelmholtzKernel(wavenumber=3.0)
 
 
-def _construct(partition, dense, path, backend, seed=3, plan=None, **config_kwargs):
+def _construct(partition, dense, path, backend, seed=3, **config_kwargs):
     config_kwargs.setdefault("tolerance", 1e-6)
     config_kwargs.setdefault("sample_block_size", 16)
     config = ConstructionConfig(backend=backend, **config_kwargs)
@@ -64,7 +64,6 @@ def _construct(partition, dense, path, backend, seed=3, plan=None, **config_kwar
         DenseEntryExtractor(dense),
         config,
         seed=seed,
-        plan=plan,
     )
     return constructor, constructor.construct()
 
@@ -247,7 +246,7 @@ class TestLaunchSchedule:
 
 
 class TestWorkspaceLifecycle:
-    """Plan sharing, preallocated sample buffers and frozen-bank replay."""
+    """Lazy plan compile and preallocated sample buffers."""
 
     @pytest.fixture(scope="class")
     def small_problem(self):
@@ -257,66 +256,11 @@ class TestWorkspaceLifecycle:
         dense = ExponentialKernel(0.2).matrix(tree.points)
         return partition, dense
 
-    def test_plan_is_shared_across_constructions(self, small_problem):
-        partition, dense = small_problem
-        plan = ConstructionPlan(partition)
-        c1, _ = _construct(partition, dense, "packed", "vectorized", plan=plan)
-        c2, _ = _construct(partition, dense, "packed", "vectorized", plan=plan)
-        assert c1.plan is plan and c2.plan is plan
-        assert_same_skeletons(c1, c2, "shared-plan constructions")
-
     def test_plan_compiled_lazily_when_absent(self, small_problem):
         partition, dense = small_problem
         constructor, _ = _construct(partition, dense, "packed", "vectorized")
         assert isinstance(constructor.plan, ConstructionPlan)
         assert constructor.plan.partition is partition
-
-    def test_plan_partition_mismatch_rejected(self, small_problem):
-        partition, dense = small_problem
-        other_points = uniform_cube_points(460, dim=2, seed=14)
-        other_tree = ClusterTree.build(other_points, leaf_size=16)
-        other_partition = build_block_partition(
-            other_tree, GeneralAdmissibility(eta=0.7)
-        )
-        with pytest.raises(ValueError, match="different"):
-            H2Constructor(
-                partition,
-                DenseOperator(dense),
-                DenseEntryExtractor(dense),
-                ConstructionConfig(),
-                plan=ConstructionPlan(other_partition),
-            )
-
-    def test_frozen_sample_source_replays_identically(self, small_problem):
-        """The same sample bank pushes bit-identical state through the workspace."""
-        partition, dense = small_problem
-        # Two packed constructions drawing the identical sample columns (the
-        # frozen-bank scenario of GeometryContext) must replay identically.
-        draws = []
-
-        def frozen_source(count):
-            index = len(draws)
-            rng = np.random.default_rng(2000 + index)
-            block = rng.standard_normal((partition.tree.num_points, count))
-            draws.append(block)
-            return block
-
-        c1 = H2Constructor(
-            partition, DenseOperator(dense), DenseEntryExtractor(dense),
-            ConstructionConfig(tolerance=1e-6, sample_block_size=16),
-            sample_source=frozen_source,
-        )
-        c1.construct()
-        replay = iter(list(draws))
-        c2 = H2Constructor(
-            partition, DenseOperator(dense), DenseEntryExtractor(dense),
-            ConstructionConfig(tolerance=1e-6, sample_block_size=16),
-            sample_source=lambda count: next(replay),
-        )
-        c2.construct()
-        assert_same_skeletons(c1, c2, "frozen-bank replay")
-        for key, block in c1.couplings.items():
-            assert np.array_equal(block, c2.couplings[key])
 
     def test_level_state_append_grows_capacity(self):
         state = _LevelState(
@@ -348,12 +292,10 @@ class TestWorkspaceLifecycle:
 
     def test_plan_and_engine_memory_accounting(self, small_problem):
         partition, dense = small_problem
-        plan = ConstructionPlan(partition)
+        constructor, _ = _construct(partition, dense, "packed", "vectorized")
+        plan = constructor.plan
         assert plan.memory_bytes() > 0
         assert "ConstructionPlan" in repr(plan)
-        constructor, _ = _construct(
-            partition, dense, "packed", "vectorized", plan=plan
-        )
         # The engine is transient, but its operand accounting is reachable
         # through a fresh engine fed by the same plan.
         from repro.batched.backend import get_backend
@@ -440,7 +382,6 @@ class TestAcceptance:
             ConstructionConfig(tolerance=1e-8, norm_estimate=8.0),
             seed=3,
         ).construct()
-        plan = ConstructionPlan(partition)
         config = ConstructionConfig(
             tolerance=1e-8, sample_block_size=8, norm_estimate=8.0
         )
@@ -452,7 +393,6 @@ class TestAcceptance:
                 DenseEntryExtractor(dense),
                 config,
                 seed=7,
-                plan=plan,
             )
             return constructor, constructor.construct()
 
