@@ -5,16 +5,19 @@ integral-equation solves):
 
 1. compress the covariance matrix into an H2 matrix with the bottom-up
    sketching constructor — this is the fast operator;
-2. sketch a *loose* HSS approximation of the same system and factor it with
-   the HODLR factorization — this is the preconditioner;
+2. sketch a *loose* HSS approximation of the same system and factor it on
+   its own generators — this is the preconditioner;
 3. run CG with and without the preconditioner and compare convergence;
-4. cross-check with the near-linear HODLR *direct* solve (plus the
-   log-determinant, the other quantity a Gaussian-process workload needs).
+4. cross-check with the near-linear *direct* solve of the H2 operator itself
+   (``repro.factorize`` re-compresses it onto the weak partition with the
+   same sketching constructor, then factors it), plus the log-determinant,
+   the other quantity a Gaussian-process workload needs.
 
 Run with:  python examples/kernel_system_solve.py [N]
 """
 
 import sys
+import time
 
 import numpy as np
 
@@ -24,13 +27,12 @@ from repro import (
     ExponentialKernel,
     GeneralAdmissibility,
     H2Constructor,
-    HODLRFactorization,
-    HierarchicalPreconditioner,
     KernelEntryExtractor,
     KernelMatVecOperator,
     build_block_partition,
-    build_hodlr,
     cg,
+    compress,
+    factorize,
     uniform_cube_points,
 )
 from repro.diagnostics import convergence_table, residual_series
@@ -62,10 +64,14 @@ def main(n: int = 4096) -> None:
     b = np.random.default_rng(1).standard_normal(n)
 
     # 2. Preconditioner: loose HSS sketch of the same operator, factored.
-    preconditioner = HierarchicalPreconditioner.from_operator(
-        tree, operator, extractor, tolerance=1e-3, shift=NUGGET, seed=1
+    start = time.perf_counter()
+    preconditioner = factorize(
+        compress(tree=tree, operator=operator, extractor=extractor,
+                 format="hss", tol=1e-3, seed=1),
+        shift=NUGGET,
     )
-    print(f"preconditioner: {preconditioner.statistics()}")
+    print(f"preconditioner: setup {time.perf_counter() - start:.2f}s, "
+          f"{preconditioner.memory_bytes() / 2**20:.1f} MB")
 
     # 3. CG with and without preconditioning.
     plain = cg(system_matvec, b, tol=1e-10, maxiter=4 * n)
@@ -78,23 +84,17 @@ def main(n: int = 4096) -> None:
         every=max(1, plain.iterations // 12),
     ))
 
-    # 4. Direct solve: ACA-HODLR + recursive Woodbury factorization.
-    entries = KernelEntryExtractor(kernel, tree.points)
-
-    def shifted_entries(rows, cols):
-        block = entries.extract(rows, cols)
-        if rows is cols or np.array_equal(rows, cols):
-            block = block + NUGGET * np.eye(rows.shape[0])
-        return block
-
-    factorization = HODLRFactorization(
-        build_hodlr(tree, shifted_entries, tol=1e-11)
-    )
+    # 4. Direct solve: the strong H2 operator re-compressed onto the weak
+    #    partition (tol 1e-6) and factored by HSS skeleton elimination.
+    start = time.perf_counter()
+    factorization = factorize(h2, shift=NUGGET)
+    factor_seconds = time.perf_counter() - start
     x_direct = factorization.solve(b)
     residual = np.linalg.norm(system_matvec(x_direct) - b) / np.linalg.norm(b)
     sign, logabsdet = factorization.slogdet()
     print()
-    print(f"HODLR direct solve: relative residual {residual:.2e}, "
+    print(f"HSS direct solve: factor {factor_seconds:.2f}s, "
+          f"relative residual {residual:.2e}, "
           f"logdet {sign * logabsdet:+.4e}, "
           f"factor memory {factorization.memory_bytes() / 2**20:.1f} MB")
     iterative_vs_direct = np.linalg.norm(accelerated.x - x_direct) / np.linalg.norm(x_direct)

@@ -38,7 +38,7 @@ from repro.resilience import RecoveryPolicy
 def run(points, b, *, policy, label, factor=True):
     print(f"--- {label} " + "-" * max(0, 60 - len(label)))
     sess = Session(points, policy=policy, seed=2)
-    result = sess.compress(ExponentialKernel(1.0), 1e-8, format="hss").result
+    result = sess.compress(ExponentialKernel(1.0), 1e-8).result
     print(
         f"constructed via {result.construction_path!r}: "
         f"ranks {result.rank_range}, converged={result.converged}"

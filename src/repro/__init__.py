@@ -40,8 +40,9 @@ Compress a covariance matrix into a hierarchical operator in three lines:
 (512, 512)
 >>> y = h2 @ np.ones(512)       # compiled batched apply, original ordering
 
-``format="hss"`` / ``"hodlr"`` / ``"hmatrix"`` select the other formats;
-``repro.convert(h2, "hodlr")`` moves between them.
+``format="hss"`` builds the weak-admissibility (HSS) matrix instead; both
+formats run the sketching constructor, and ``repro.convert(h2, "hodlr")``
+moves to the other formats.
 
 Solving linear systems (see the top-level README.md for the full
 walk-through): a :class:`~repro.api.facade.Session` chains construction,
@@ -182,7 +183,6 @@ from .sketching import (
 )
 from .solvers import (
     FrontReport,
-    HierarchicalPreconditioner,
     HODLRFactorization,
     HSSFactorization,
     KrylovResult,
@@ -239,7 +239,6 @@ __all__ = [
     "HelmholtzKernel",
     "HierarchicalOperator",
     "HierarchicalOperatorMixin",
-    "HierarchicalPreconditioner",
     "KernelEntryExtractor",
     "KernelFunction",
     "KernelLaunchCounter",

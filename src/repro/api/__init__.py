@@ -13,7 +13,7 @@ One stable surface over the whole library:
   the fluent entry points (points + kernel → operator in one call; chained
   ``compress/sweep/factor/solve/gp`` workflows with geometry reuse);
 * :func:`~repro.api.conversion.convert` — the format-conversion registry
-  (``h2 → hodlr/hmatrix/dense``, extensible via
+  (``h2 → hodlr/dense``, extensible via
   :func:`~repro.api.conversion.register_conversion`).
 
 The protocol and policy modules are import-light; the façade (which pulls in

@@ -12,18 +12,19 @@ source          target      notes
 ==============  ==========  ====================================================
 ``H2Matrix``    ``hodlr``   weak (HSS) partition: expand nested bases exactly;
                             strong partition: re-compress onto the weak
-                            partition with ACA on the H2 entry evaluator
-                            (``tol=`` / ``max_rank=`` forwarded) — either way
-                            the bridge to the HODLR direct solver
-``H2Matrix``    ``hmatrix`` re-compress every admissible block independently
-                            with ACA on the H2 entry evaluator (``tol=`` /
-                            ``max_rank=`` forwarded)
+                            partition of the same tree with Algorithm 1
+                            (:func:`~repro.core.recompression.recompress_h2`,
+                            ``tol=`` / ``max_rank=`` forwarded, ``seed=0``),
+                            then expand — either way the bridge to the HODLR
+                            direct solver
 ``H2Matrix``    ``dense``   dense reconstruction (small problems)
 ``HODLRMatrix`` ``dense``   dense reconstruction
 ``HMatrix``     ``dense``   dense reconstruction
 any             itself      identity (returned unchanged)
 ==============  ==========  ====================================================
 
+A conversion either expands structure exactly or re-compresses with the
+sketching constructor; none runs a second compression algorithm.
 ``"hss"`` is accepted as a target alias of ``"h2"`` for matrices already on
 the weak partition (HSS *is* an H2 matrix there); requesting it for any
 other operator raises :class:`ValueError`.
@@ -35,9 +36,13 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from ..core.config import ConstructionConfig
+from ..core.recompression import recompress_h2
 from ..hmatrix.h2matrix import H2Matrix
-from ..hmatrix.hmatrix import HMatrix, build_hmatrix_aca
-from ..hmatrix.hodlr import HODLRMatrix, _hodlr_from_h2, build_hodlr
+from ..hmatrix.hmatrix import HMatrix
+from ..hmatrix.hodlr import HODLRMatrix, _hodlr_from_h2
+from ..tree.admissibility import WeakAdmissibility
+from ..tree.block_partition import build_block_partition
 
 #: ``(source class, target format name) -> conversion callable``.
 _CONVERSIONS: Dict[Tuple[type, str], Callable] = {}
@@ -72,9 +77,10 @@ def convert(op: object, target_format: str, **kwargs: object):
     """Convert a hierarchical operator to ``target_format``.
 
     ``target_format`` is one of the registry names (``"h2"``, ``"hss"``,
-    ``"hodlr"``, ``"hmatrix"``, ``"dense"``, plus anything registered via
+    ``"hodlr"``, ``"dense"``, plus anything registered via
     :func:`register_conversion`); extra keyword arguments are forwarded to
-    the conversion (e.g. ``tol=`` for the ACA-based ``hmatrix`` target).
+    the conversion (e.g. ``tol=`` for the re-compression of a strong H2
+    matrix to ``hodlr``).
     Converting an operator to its own format returns it unchanged.
     """
     fmt = target_format.lower()
@@ -83,8 +89,6 @@ def convert(op: object, target_format: str, **kwargs: object):
         # silently passing a strong-admissibility matrix through would hand
         # downstream HSS consumers (HODLR factorization, GP) a wrong-format
         # operator.
-        from ..tree.admissibility import WeakAdmissibility
-
         if isinstance(op, H2Matrix) and isinstance(
             op.partition.admissibility, WeakAdmissibility
         ):
@@ -114,16 +118,26 @@ def convert(op: object, target_format: str, **kwargs: object):
 
 
 # ----------------------------------------------------------- built-in bridges
-def _hmatrix_from_h2(
+def _recompress_weak(
     h2: H2Matrix, tol: float = 1e-6, max_rank: int | None = None
-) -> HMatrix:
-    """Re-compress an H2 matrix into independent-block H form (ACA per block)."""
-    return build_hmatrix_aca(
-        h2.partition,
-        lambda rows, cols: h2.get_block(rows, cols, permuted=True),
-        tol=tol,
-        max_rank=max_rank,
-    )
+) -> H2Matrix:
+    """``h2`` re-compressed onto the weak (HSS) partition of its own tree.
+
+    Algorithm 1 with ``h2`` as the black-box sampler and entry evaluator
+    (:func:`~repro.core.recompression.recompress_h2`), at ``tol`` /
+    ``max_rank`` and ``seed=0`` so the result is deterministic; it applies on
+    ``h2``'s backend.  This is how a strong-admissibility matrix reaches the
+    HSS factorization (:func:`~repro.solvers.hss_factor.factorize`) and the
+    HODLR format.
+    """
+    weak = recompress_h2(
+        h2,
+        partition=build_block_partition(h2.tree, WeakAdmissibility()),
+        config=ConstructionConfig(tolerance=tol, max_rank=max_rank),
+        seed=0,
+    ).matrix
+    weak.apply_backend = h2.apply_backend
+    return weak
 
 
 def _hodlr_from_h2_any(
@@ -135,23 +149,12 @@ def _hodlr_from_h2_any(
     non-nested low-rank sibling blocks (``tol``/``max_rank`` are ignored —
     no re-compression happens).  On a strong-admissibility partition the
     coupling structure does not match HODLR's sibling blocks, so the matrix
-    is re-compressed onto the weak partition: every off-diagonal sibling
-    block is rebuilt with partial-pivoted ACA on the H2 entry evaluator
-    (accuracy governed by ``tol``, the forwarded default ``1e-6``).  The old
-    behaviour — leaking the internal ``ValueError: dense off-diagonal
-    block ... not on the weak partition`` — is gone; ``convert(h2, "hodlr")``
-    now succeeds for both admissibility families.
+    is first re-compressed onto the weak partition (:func:`_recompress_weak`,
+    accuracy governed by ``tol``, default ``1e-6``) and that is expanded.
     """
-    from ..tree.admissibility import WeakAdmissibility
-
-    if isinstance(h2.partition.admissibility, WeakAdmissibility):
-        return _hodlr_from_h2(h2)
-    return build_hodlr(
-        h2.tree,
-        lambda rows, cols: h2.get_block(rows, cols, permuted=True),
-        tol=tol,
-        max_rank=max_rank,
-    )
+    if h2.weak_partition_defect() is not None:
+        h2 = _recompress_weak(h2, tol=tol, max_rank=max_rank)
+    return _hodlr_from_h2(h2)
 
 
 def _to_dense(op, permuted: bool = False) -> np.ndarray:
@@ -159,7 +162,6 @@ def _to_dense(op, permuted: bool = False) -> np.ndarray:
 
 
 register_conversion(H2Matrix, "hodlr", _hodlr_from_h2_any)
-register_conversion(H2Matrix, "hmatrix", _hmatrix_from_h2)
 register_conversion(H2Matrix, "dense", _to_dense)
 register_conversion(HODLRMatrix, "dense", _to_dense)
 register_conversion(HMatrix, "dense", _to_dense)

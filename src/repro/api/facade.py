@@ -35,8 +35,6 @@ import numpy as np
 from ..core.builder import ConstructionResult, H2Constructor
 from ..core.config import ConstructionConfig
 from ..core.context import GeometryContext
-from ..hmatrix.hmatrix import build_hmatrix_aca
-from ..hmatrix.hodlr import build_hodlr
 from ..kernels.base import KernelFunction
 from ..observe.health import check_operator_health
 from ..sketching.entry_extractor import (
@@ -49,7 +47,6 @@ from ..tree.admissibility import GeneralAdmissibility, WeakAdmissibility
 from ..tree.block_partition import BlockPartition, build_block_partition
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike
-from .conversion import convert
 from .policy import ExecutionPolicy
 from .protocol import HierarchicalOperator
 
@@ -57,12 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gp.regression import GaussianProcess
     from ..observe.health import HealthReport
     from ..persist.cache import ArtifactCache
-    from ..solvers.hodlr_factor import HODLRFactorization
     from ..solvers.hss_factor import HSSFactorization
     from ..solvers.krylov import KrylovResult
 
 #: Hierarchical formats :func:`compress` can target directly.
-FORMATS: Tuple[str, ...] = ("h2", "hss", "hodlr", "hmatrix")
+FORMATS: Tuple[str, ...] = ("h2", "hss")
 
 
 def _resolve_cache(
@@ -81,12 +77,10 @@ def _resolve_cache(
 
 def _default_admissibility(
     fmt: str, eta: float, admissibility: object | None
-) -> object | None:
+) -> object:
     """The admissibility a compression request resolves to (cache-key form)."""
     if admissibility is not None:
         return admissibility
-    if fmt == "hodlr":
-        return None  # HODLR needs no block partition
     return WeakAdmissibility() if fmt == "hss" else GeneralAdmissibility(eta=eta)
 
 
@@ -98,8 +92,8 @@ def _resolve_geometry(
     admissibility: object | None,
     tree: Optional[ClusterTree],
     partition: Optional[BlockPartition],
-) -> Tuple[ClusterTree, Optional[BlockPartition]]:
-    """Tree + (optional) partition for the requested format."""
+) -> Tuple[ClusterTree, BlockPartition]:
+    """Tree + partition for the requested format."""
     if partition is not None:
         return partition.tree, partition
     if tree is None:
@@ -108,8 +102,6 @@ def _resolve_geometry(
                 "compress() needs points, a tree or a partition to define the geometry"
             )
         tree = ClusterTree.build(points, leaf_size=leaf_size)
-    if fmt == "hodlr":
-        return tree, None  # HODLR needs no block partition
     return tree, build_block_partition(
         tree, _default_admissibility(fmt, eta, admissibility)
     )
@@ -186,20 +178,20 @@ def compress(
         ``extractor=`` overrides (cluster-tree permuted ordering, the expert
         path used by the benchmark harness).
     format:
-        ``"h2"`` (strong admissibility, the paper's constructor), ``"hss"``
-        (weak admissibility), ``"hodlr"`` (per-block ACA) or ``"hmatrix"``
-        (independent low-rank blocks, ACA).
+        ``"h2"`` (strong admissibility) or ``"hss"`` (weak admissibility);
+        both run the paper's sketching constructor.  Other formats are
+        reached from these through :func:`~repro.api.conversion.convert`
+        (e.g. ``convert(op, "hodlr")``).
     tol:
-        Compression tolerance of the chosen constructor.
+        Compression tolerance of the constructor.
     leaf_size, eta, admissibility:
         Geometry knobs (ignored when ``tree``/``partition`` is given);
         ``admissibility`` defaults to general admissibility at ``eta`` for
-        ``"h2"``/``"hmatrix"`` and weak admissibility for ``"hss"``.
+        ``"h2"`` and weak admissibility for ``"hss"``.
     sample_block_size, adaptive, initial_samples, max_samples, max_rank:
-        Sketching-constructor knobs (``max_rank`` also caps the ACA ranks of
-        ``"hodlr"``/``"hmatrix"``).
+        Sketching-constructor knobs.
     seed:
-        Seed of the sketching vectors (``"h2"``/``"hss"`` only).
+        Seed of the sketching vectors.
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` whose backend, tracer,
         recovery, faults and health thresholds the construction, the cache
@@ -210,8 +202,7 @@ def compress(
         over the individual knobs.
     full_result:
         Return the :class:`~repro.core.builder.ConstructionResult` (with
-        sampling/launch statistics) instead of just the operator
-        (``"h2"``/``"hss"`` only).
+        sampling/launch statistics) instead of just the operator.
     cache, cache_dir:
         Opt into the content-addressed artifact cache
         (:class:`~repro.persist.cache.ArtifactCache`): pass an instance, a
@@ -310,36 +301,26 @@ def _compress(
             points, fmt, leaf_size, eta, admissibility, tree, partition
         )
         op, ex = _resolve_evaluators(kernel, geo_tree, operator, extractor)
-        if fmt in ("h2", "hss"):
-            result = H2Constructor(
-                geo_partition, op, ex,
-                config=config if config is not None else policy.construction_config(
-                    tolerance=tol,
-                    sample_block_size=sample_block_size,
-                    adaptive=adaptive,
-                    initial_samples=initial_samples,
-                    max_samples=max_samples,
-                    max_rank=max_rank,
-                ),
-                seed=seed, tracer=policy.tracer,
-                recovery=policy.recovery, faults=policy.faults,
-            ).construct()
-            return result.matrix
-        if full_result:
-            raise ValueError(
-                "full_result=True is only available for the sketching formats "
-                "('h2'/'hss'); the ACA formats return the operator directly"
-            )
-        if fmt == "hodlr":
-            return build_hodlr(geo_tree, ex.extract, tol=tol, max_rank=max_rank)
-        return build_hmatrix_aca(geo_partition, ex.extract, tol=tol, max_rank=max_rank)
+        result = H2Constructor(
+            geo_partition, op, ex,
+            config=config if config is not None else policy.construction_config(
+                tolerance=tol,
+                sample_block_size=sample_block_size,
+                adaptive=adaptive,
+                initial_samples=initial_samples,
+                max_samples=max_samples,
+                max_rank=max_rank,
+            ),
+            seed=seed, tracer=policy.tracer,
+            recovery=policy.recovery, faults=policy.faults,
+        ).construct()
+        return result.matrix
 
     if artifact_key is None:
         compressed, hit = build(), False
     else:
         compressed, hit = artifact_cache.get_or_build(artifact_key, build, policy)
-    if hasattr(compressed, "apply_backend"):
-        compressed.apply_backend = policy.resolve_backend()
+    compressed.apply_backend = policy.resolve_backend()
     health = None
     if policy.health is not None and isinstance(kernel, KernelFunction):
         health = check_operator_health(
@@ -404,7 +385,7 @@ class Session:
         )
         self._result: Optional[ConstructionResult] = None
         self._operator: Optional[HierarchicalOperator] = None
-        self._factorization: "HSSFactorization | HODLRFactorization | None" = None
+        self._factorization: "HSSFactorization | None" = None
         self._shift: float = 0.0
 
     # ------------------------------------------------------------------ state
@@ -436,7 +417,7 @@ class Session:
         return self._operator
 
     @property
-    def factorization(self) -> "HSSFactorization | HODLRFactorization":
+    def factorization(self) -> "HSSFactorization":
         """The most recent :meth:`factor` factorization."""
         if self._factorization is None:
             raise RuntimeError("call factor() first")
@@ -447,7 +428,6 @@ class Session:
         self,
         kernel: KernelFunction,
         tol: float = 1e-6,
-        format: str = "h2",
         sample_block_size: int = 64,
         **construct_kwargs: object,
     ) -> "Session":
@@ -455,23 +435,11 @@ class Session:
 
         Re-uses the session's tree, partition and sample seed, so repeated
         calls across hyperparameters build no geometry and sketch with the
-        same random vectors; each runs its own construction.
-        ``format="hodlr"``/``"hmatrix"`` convert the constructed matrix
-        through the :func:`~repro.api.conversion.convert` registry;
-        ``"h2"``/``"hss"`` return it as constructed (the session's
-        admissibility decides which of the two it is).
+        same random vectors; each runs its own construction.  The session's
+        admissibility decides the format: HSS on the default weak partition,
+        strong H2 otherwise.  Other formats are one
+        :func:`~repro.api.conversion.convert` of :attr:`operator` away.
         """
-        fmt = format.lower()
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {format!r}; available: {list(FORMATS)}")
-        if fmt == "hss" and not isinstance(
-            self.partition.admissibility, WeakAdmissibility
-        ):
-            raise ValueError(
-                "format='hss' requires a weak-admissibility session; this "
-                "session was built with "
-                f"{type(self.partition.admissibility).__name__}"
-            )
         result = self.context.construct(
             kernel,
             tolerance=tol,
@@ -479,23 +447,13 @@ class Session:
             **construct_kwargs,
         )
         self._result = result
-        operator: HierarchicalOperator = result.matrix
         if self.policy.health is not None:
             result.health = check_operator_health(
                 result.matrix, kernel, tol, thresholds=self.policy.health,
                 tracer=self.policy.tracer,
                 source="loaded" if result.construction_path == "cache" else "constructed",
             )
-        if fmt == "hodlr":
-            operator = convert(operator, "hodlr")
-        elif fmt == "hmatrix":
-            operator = convert(operator, "hmatrix", tol=tol)
-        if operator is not result.matrix and self.policy.health is not None:
-            check_operator_health(
-                operator, kernel, tol, thresholds=self.policy.health,
-                tracer=self.policy.tracer, source="converted",
-            )
-        self._operator = operator
+        self._operator = result.matrix
         # The previous factorization (and its noise shift) described the old
         # operator; solve() must not silently reuse them.
         self._factorization = None
@@ -522,9 +480,10 @@ class Session:
         weak-admissibility (HSS) matrix of a default session is factored on
         its own nested generators by level-by-level skeleton elimination
         (:class:`~repro.solvers.hss_factor.HSSFactorization`, exact up to
-        round-off); a ``format="hodlr"`` operator runs the recursive Woodbury
-        factorization, and a strong-admissibility H2 matrix is first
-        re-compressed to HODLR with ACA (slow — prefer a weak session).
+        round-off); the strong-admissibility H2 matrix of a session built
+        with a strong admissibility is first re-compressed onto the weak
+        partition with the sketching constructor (``tol=1e-6``, ``seed=0``)
+        and then factored the same way.
         """
         from ..solvers.hss_factor import factorize
 

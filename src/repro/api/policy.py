@@ -67,7 +67,7 @@ class ExecutionPolicy:
     health:
         :class:`~repro.observe.health.HealthThresholds` enabling the
         numerical-health telemetry: a stochastic compression-error probe on
-        every operator this policy constructs, loads or converts, and
+        every operator this policy constructs or loads, and
         post-hoc convergence diagnosis (stagnation / divergence /
         preconditioner-ineffectiveness) on every Krylov solve.  Breaches
         *warn* through the ``repro.observe.health`` structured logger — they

@@ -142,8 +142,9 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
 
     This is the weak-partition (exact) path of the registered ``h2 -> hodlr``
     conversion of the :func:`repro.api.convert` registry; call
-    ``convert(h2, "hodlr")``, which re-compresses with ACA instead when the
-    source lives on a strong-admissibility partition.
+    ``convert(h2, "hodlr")``, which first re-compresses onto the weak
+    partition with the sketching constructor when the source lives on a
+    strong-admissibility partition.
 
     Raises :class:`ValueError` when the H2 matrix does not live on the weak
     partition (off-diagonal dense blocks or non-sibling coupling blocks).

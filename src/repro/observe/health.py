@@ -5,7 +5,7 @@ that actually sinks deployments — whether the hierarchical approximation and
 the solves on top of it are numerically healthy.  Three kinds of signals:
 
 * :func:`estimate_compression_error` — a cheap stochastic relative-error
-  estimate of a constructed/loaded/converted operator against the exact
+  estimate of a constructed or loaded operator against the exact
   kernel: ``k`` Gaussian probe vectors are pushed through the operator and
   through exact kernel rows on a sampled row subset, and the Frobenius-norm
   mismatch is reported relative to the exact block.  Cost is
@@ -205,7 +205,7 @@ def rank_level_summary(operator: object) -> Dict[int, Dict[str, float]]:
 class HealthReport:
     """Outcome of :func:`check_operator_health` (stored on results)."""
 
-    source: str  #: ``constructed`` / ``loaded`` / ``converted``
+    source: str  #: ``constructed`` / ``loaded``
     est_relative_error: float
     tol: float
     error_factor: float

@@ -24,19 +24,9 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from ..batched.counters import KernelLaunchCounter
+from ..batched.counters import CounterSnapshot, KernelLaunchCounter
 from .metrics import MetricsRegistry, metrics as _global_metrics
 from .span import Span, SpanEvent
-
-
-def _delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
-    """Per-key difference ``after - before``, dropping zero entries."""
-    out: Dict[str, int] = {}
-    for key, value in after.items():
-        diff = value - before.get(key, 0)
-        if diff:
-            out[key] = diff
-    return out
 
 
 class _NoopSpan:
@@ -132,7 +122,7 @@ class _SpanContext:
     """Context manager produced by :meth:`SpanTracer.span`."""
 
     __slots__ = ("_tracer", "_name", "_category", "_attributes", "_span",
-                 "_counts0", "_calls0", "_mem")
+                 "_counter0", "_mem")
 
     def __init__(self, tracer: "SpanTracer", name: str, category: str,
                  attributes: Dict[str, object]):
@@ -141,8 +131,7 @@ class _SpanContext:
         self._category = category
         self._attributes = attributes
         self._span: Optional[Span] = None
-        self._counts0: Optional[Dict[str, int]] = None
-        self._calls0: Optional[Dict[str, int]] = None
+        self._counter0: Optional[CounterSnapshot] = None
         self._mem: Optional[List[int]] = None
 
     def __enter__(self) -> Span:
@@ -156,8 +145,8 @@ class _SpanContext:
         )
         counter = tracer.counter
         if counter is not None:
-            self._counts0 = dict(counter.counts)
-            self._calls0 = dict(counter.calls)
+            # Under the counter's lock: repro.serve records from a thread pool.
+            self._counter0 = counter.snapshot()
         if parent is not None:
             parent.children.append(span)
         else:
@@ -177,9 +166,10 @@ class _SpanContext:
         if self._mem is not None and tracer.memory is not None:
             span.attributes.update(tracer.memory.exit(self._mem))
         counter = tracer.counter
-        if counter is not None and self._counts0 is not None:
-            span.launches = _delta(counter.counts, self._counts0)
-            span.calls = _delta(counter.calls, self._calls0)
+        if counter is not None and self._counter0 is not None:
+            delta = counter.since(self._counter0)
+            span.launches = delta.counts
+            span.calls = delta.calls
         if exc_type is not None:
             span.attributes.setdefault("error", exc_type.__name__)
         stack = tracer._stack

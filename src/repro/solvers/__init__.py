@@ -1,4 +1,4 @@
-"""Solver subsystem: Krylov methods + hierarchical factorization/preconditioning.
+"""Solver subsystem: Krylov methods + hierarchical factorization.
 
 Everything the library constructs (H2/HSS/HODLR/H matrices, sketching
 operators, dense and sparse matrices) plugs into the same three layers:
@@ -6,15 +6,15 @@ operators, dense and sparse matrices) plugs into the same three layers:
 * :mod:`~repro.solvers.krylov` — matrix-free CG / GMRES(m) / BiCGStab with
   residual histories and pluggable preconditioners;
 * :mod:`~repro.solvers.hss_factor` — :func:`factorize`, the one entry point
-  to a direct solver, and :class:`HSSFactorization`, which it runs on the
-  weak-admissibility (HSS) output of the constructor: level-by-level skeleton
-  elimination on the nested generators themselves, near-linear direct solves
-  and log-determinants in O(levels) batched launches;
+  to a direct solver, and :class:`HSSFactorization`, which it runs on every
+  H2 matrix: level-by-level skeleton elimination on the nested generators of
+  the weak-admissibility (HSS) output of the constructor — a strong H2 matrix
+  is first re-compressed onto the weak partition with the same constructor —
+  near-linear direct solves and log-determinants in O(levels) batched
+  launches.  A factorization is itself a valid ``M=`` preconditioner of the
+  Krylov methods (a loose-tolerance one is a cheap ``M^{-1}``);
 * :mod:`~repro.solvers.hodlr_factor` — the recursive Woodbury
-  :class:`HODLRFactorization`, the route for non-nested input only
-  (``build_hodlr``, ``convert(strong_h2, "hodlr")``);
-* :mod:`~repro.solvers.preconditioner` — loose sketched constructions applied
-  as ``M^{-1}`` inside the Krylov loop;
+  :class:`HODLRFactorization`, the route for non-nested HODLR input only;
 * :mod:`~repro.solvers.multifrontal_solve` — a nested-dissection sparse solve
   whose large fronts are compressed with the sketching constructor (the
   paper's application scenario);
@@ -29,7 +29,6 @@ from .hss_factor import HSSFactorization, factorize
 from .krylov import KrylovResult, bicgstab, cg, gmres
 from .ladder import RungReport, escalation_ladder, guarded_solve
 from .multifrontal_solve import FrontReport, MultifrontalSolver
-from .preconditioner import HierarchicalPreconditioner
 
 __all__ = [
     "cg",
@@ -42,7 +41,6 @@ __all__ = [
     "HODLRFactorization",
     "HSSFactorization",
     "factorize",
-    "HierarchicalPreconditioner",
     "MultifrontalSolver",
     "FrontReport",
 ]

@@ -76,8 +76,11 @@ class HODLRFactorization:
     hodlr:
         The matrix to factor.  Must cover the whole cluster tree (every leaf
         has a dense diagonal block, every sibling pair a low-rank block —
-        exactly what :func:`~repro.hmatrix.hodlr.build_hodlr` and
-        ``repro.convert(h2, "hodlr")`` produce).
+        exactly what ``repro.convert(h2, "hodlr")`` and the HODLR builders
+        of :mod:`repro.hmatrix.hodlr` produce).  The library factors its own
+        H2 matrices with :class:`~repro.solvers.hss_factor.HSSFactorization`
+        (:func:`~repro.solvers.hss_factor.factorize`); this class is for
+        HODLR input.
     shift:
         Optional diagonal shift: factors ``A + shift * I`` instead of ``A``
         (a nugget/regularization term, also the usual way to make a loose

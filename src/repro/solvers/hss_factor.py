@@ -120,8 +120,8 @@ class HSSFactorization:
     h2:
         The matrix to factor.  Must live on the weak partition (dense blocks on
         the leaf diagonal, couplings between siblings) — anything else raises
-        :class:`ValueError`; :func:`factorize` routes such matrices through
-        ``convert(h2, "hodlr")``.  Couplings need not be symmetric.  The
+        :class:`ValueError`; :func:`factorize` re-compresses such matrices
+        onto the weak partition first.  Couplings need not be symmetric.  The
         generators are only read, never written or kept.
     shift:
         Optional diagonal shift: factors ``A + shift * I``.
@@ -506,8 +506,10 @@ def factorize(
       ``compress(format="hss")`` and the GP produce) is factored on its own
       generators by :class:`HSSFactorization`;
     * an :class:`H2Matrix` on a strong partition is first re-compressed onto
-      the weak one by ``convert(operator, "hodlr")`` (ACA on its entry
-      evaluator: slow, and only as accurate as that re-compression);
+      the weak partition of its own tree with the sketching constructor
+      (:func:`~repro.core.recompression.recompress_h2` at ``tol=1e-6``,
+      ``seed=0``, so the factorization is only as accurate as that
+      re-compression) and then factored by :class:`HSSFactorization`;
     * a :class:`~repro.hmatrix.hodlr.HODLRMatrix` (non-nested bases) goes to
       the recursive Woodbury :class:`HODLRFactorization`.
 
@@ -516,11 +518,11 @@ def factorize(
     :class:`TypeError`.
     """
     if isinstance(operator, H2Matrix):
-        if operator.weak_partition_defect() is None:
-            return HSSFactorization(operator, shift=shift, tracer=tracer)
-        from ..api.conversion import convert
+        if operator.weak_partition_defect() is not None:
+            from ..api.conversion import _recompress_weak
 
-        operator = convert(operator, "hodlr")
+            operator = _recompress_weak(operator)
+        return HSSFactorization(operator, shift=shift, tracer=tracer)
     if isinstance(operator, HODLRMatrix):
         return HODLRFactorization(operator, shift=shift, tracer=tracer)
     raise TypeError(

@@ -9,9 +9,8 @@ sparse PDE systems) without ever forming a dense matrix.  All three methods
   compiled batched apply path (:mod:`repro.batched.apply_plan`), and the
   resulting backend/launch diagnostics are recorded in ``KrylovResult.extra``,
 * accept a pluggable preconditioner (``None``, a callable ``x -> M^{-1} x``, or
-  an object with ``solve``/``matvec`` such as
-  :class:`repro.solvers.preconditioner.HierarchicalPreconditioner` or a
-  factorization from :func:`repro.solvers.factorize`),
+  an object with ``solve``/``matvec`` such as a factorization from
+  :func:`repro.solvers.factorize`),
 * record the full relative-residual history in a :class:`KrylovResult` for the
   convergence diagnostics.
 

@@ -33,7 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..hmatrix.hss import _build_hss
+from ..api.facade import compress
 from ..multifrontal.poisson import grid_coordinates, poisson_grid_points
 from ..sketching.entry_extractor import DenseEntryExtractor
 from ..sketching.operators import DenseOperator
@@ -206,11 +206,11 @@ class MultifrontalSolver:
         rng: np.random.Generator,
     ):
         size = front.shape[0]
-        compress = (
+        compressible = (
             compress_tolerance is not None
             and size >= max(compress_min_size, 2 * compress_leaf_size)
         )
-        if not compress:
+        if not compressible:
             lu, piv = sla.lu_factor(front, check_finite=False)
             report = FrontReport(
                 level=level,
@@ -225,13 +225,15 @@ class MultifrontalSolver:
             )
         tree = ClusterTree.build(separator_points, leaf_size=compress_leaf_size)
         permuted = front[np.ix_(tree.perm, tree.perm)]
-        result = _build_hss(
-            tree,
-            DenseOperator(permuted),
-            DenseEntryExtractor(permuted),
-            tolerance=compress_tolerance,
+        result = compress(
+            tree=tree,
+            operator=DenseOperator(permuted),
+            extractor=DenseEntryExtractor(permuted),
+            format="hss",
+            tol=compress_tolerance,
             sample_block_size=min(64, max(8, size // 8)),
             seed=rng,
+            full_result=True,
         )
         factorization = factorize(result.matrix)
         report = FrontReport(

@@ -21,7 +21,6 @@ import repro
 from repro import (
     ExecutionPolicy,
     HierarchicalOperator,
-    HMatrix,
     HODLRMatrix,
     H2Matrix,
     KernelLaunchCounter,
@@ -36,6 +35,7 @@ from repro import (
 )
 from repro.api import FORMATS, available_conversions, register_conversion
 from repro.api.protocol import PROTOCOL_METHODS
+from repro.hmatrix import build_hmatrix_aca
 
 N = 400
 LEAF = 32
@@ -66,7 +66,10 @@ def api_dense(api_points, api_kernel) -> np.ndarray:
 
 @pytest.fixture(scope="module", params=["h2", "hss", "hodlr", "hmatrix", "recompressed"])
 def conforming_operator(request, api_points, api_kernel):
-    """Every operator family that must satisfy the protocol."""
+    """Every operator family that must satisfy the protocol: the sketching
+    formats from :func:`compress`, HODLR as the exact expansion of an HSS
+    matrix, the H matrix from the ACA builder (its only producer) and a
+    recompression result."""
     fmt = request.param
     if fmt == "recompressed":
         base = compress(
@@ -78,8 +81,19 @@ def conforming_operator(request, api_points, api_kernel):
         # The update acts in the permuted ordering; map it back to original.
         extra = extra[np.ix_(base.tree.iperm, base.tree.iperm)]
         return fmt, result.matrix, extra
-    op = compress(api_points, api_kernel, format=fmt, tol=TOL, leaf_size=LEAF, seed=3)
-    return fmt, op, None
+    if fmt == "hmatrix":
+        tree = repro.ClusterTree.build(api_points, leaf_size=LEAF)
+        op = build_hmatrix_aca(
+            repro.build_block_partition(tree, repro.GeneralAdmissibility(eta=0.7)),
+            repro.KernelEntryExtractor(api_kernel, tree.points).extract,
+            tol=TOL,
+        )
+        return fmt, op, None
+    op = compress(
+        api_points, api_kernel, format="h2" if fmt == "h2" else "hss",
+        tol=TOL, leaf_size=LEAF, seed=3,
+    )
+    return fmt, (convert(op, "hodlr") if fmt == "hodlr" else op), None
 
 
 @pytest.fixture
@@ -273,9 +287,13 @@ class TestCompressFacade:
         assert result.total_samples > 0
         assert result.total_kernel_launches > 0
 
-    def test_full_result_rejected_for_aca_formats(self, api_points, api_kernel):
-        with pytest.raises(ValueError, match="full_result"):
-            compress(api_points, api_kernel, format="hodlr", full_result=True)
+    @pytest.mark.parametrize("fmt", ["hodlr", "hmatrix"])
+    def test_aca_formats_are_not_compress_targets(self, api_points, api_kernel, fmt):
+        """compress runs only the sketching constructor; HODLR is reached
+        through convert and the H matrix only through the ACA builder."""
+        assert FORMATS == ("h2", "hss")
+        with pytest.raises(ValueError, match="unknown format"):
+            compress(api_points, api_kernel, format=fmt)
 
     def test_hss_uses_weak_partition(self, api_points, api_kernel):
         from repro import WeakAdmissibility
@@ -296,10 +314,10 @@ class TestConvertRegistry:
         assert isinstance(hodlr, HODLRMatrix)
         assert np.allclose(hodlr.to_dense(), weak_h2.to_dense(), rtol=0, atol=1e-10)
 
-    def test_h2_to_hmatrix(self, weak_h2):
-        h = convert(weak_h2, "hmatrix", tol=1e-10)
-        assert isinstance(h, HMatrix)
-        assert np.allclose(h.to_dense(), weak_h2.to_dense(), rtol=0, atol=1e-5)
+    def test_h2_has_no_hmatrix_bridge(self, weak_h2):
+        with pytest.raises(ValueError, match="no conversion"):
+            convert(weak_h2, "hmatrix")
+        assert ("H2Matrix", "hmatrix") not in available_conversions()
 
     def test_to_dense_target(self, weak_h2):
         dense = convert(weak_h2, "dense")
@@ -348,14 +366,38 @@ class TestConvertRegistry:
             conversion._CONVERSIONS.pop((H2Matrix, "sentinel"))
 
     def test_strong_partition_converts_to_hodlr(self, api_points, api_kernel):
-        """General-admissibility H2 re-compresses into HODLR (ACA per block)
-        instead of leaking the internal weak-partition ValueError."""
+        """General-admissibility H2 re-compresses onto the weak partition
+        with the sketching constructor, then expands into HODLR, instead of
+        leaking the internal weak-partition ValueError."""
         strong = compress(
             api_points, api_kernel, format="h2", tol=TOL, leaf_size=LEAF, seed=7
         )
         hodlr = convert(strong, "hodlr", tol=1e-8)
         assert isinstance(hodlr, HODLRMatrix)
         assert rel(hodlr.to_dense(), strong.to_dense()) < 1e-6
+
+    def test_strong_hodlr_conversion_honours_max_rank(self, api_points, api_kernel):
+        """``max_rank`` reaches the recompression's construction config and
+        caps every sibling block of the expanded HODLR matrix."""
+        strong = compress(
+            api_points, api_kernel, format="h2", tol=TOL, leaf_size=LEAF, seed=7
+        )
+        uncapped = convert(strong, "hodlr", tol=1e-10)
+        capped = convert(strong, "hodlr", tol=1e-10, max_rank=4)
+        assert uncapped.rank_range()[1] > 4
+        assert capped.rank_range()[1] <= 4
+        assert rel(capped.to_dense(), strong.to_dense()) > rel(
+            uncapped.to_dense(), strong.to_dense()
+        )
+
+    def test_strong_hodlr_conversion_is_deterministic(self, api_points, api_kernel):
+        """The recompression runs at a fixed seed: two conversions of the
+        same strong matrix are bit-identical."""
+        strong = compress(
+            api_points, api_kernel, format="h2", tol=TOL, leaf_size=LEAF, seed=7
+        )
+        first = convert(strong, "hodlr").to_dense()
+        assert np.array_equal(first, convert(strong, "hodlr").to_dense())
 
     def test_weak_partition_hodlr_conversion_stays_exact(self, weak_h2):
         """The weak-partition fast path is untouched: exact, no re-compression."""
@@ -551,21 +593,28 @@ class TestSession:
         with pytest.raises(ValueError, match="unknown method"):
             session.solve(b, method="direct-inverse")
 
-    def test_compress_to_other_formats(self, session, api_kernel):
-        hodlr = session.compress(api_kernel, tol=TOL, format="hodlr").operator
-        assert isinstance(session.factor().factorization, repro.HODLRFactorization)
-        assert isinstance(hodlr, HODLRMatrix)
-        with pytest.raises(ValueError, match="unknown format"):
-            session.compress(api_kernel, format="butterfly")
-
-    def test_hss_format_requires_weak_session(self, api_points, api_kernel):
+    def test_strong_session_factors_by_recompression(self, api_points, api_kernel, api_dense):
+        """A strong-admissibility session compresses to strong H2 and its
+        factor() recompresses onto the weak partition before the HSS
+        factorization; the factorization preconditions the session solve."""
         from repro import GeneralAdmissibility
 
         strong = Session(
-            api_points, leaf_size=LEAF, admissibility=GeneralAdmissibility(eta=0.7)
+            api_points, leaf_size=LEAF, admissibility=GeneralAdmissibility(eta=0.7),
+            seed=9,
         )
-        with pytest.raises(ValueError, match="weak-admissibility"):
-            strong.compress(api_kernel, format="hss")
+        strong.compress(api_kernel, tol=TOL)
+        assert strong.operator.weak_partition_defect() is not None
+        strong.factor(noise=1e-2)
+        assert isinstance(strong.factorization, repro.HSSFactorization)
+        a = api_dense + 1e-2 * np.eye(N)
+        b = np.random.default_rng(12).standard_normal(N)
+        # The recompression runs at tol=1e-6, so the direct solve carries
+        # that error amplified by 1/noise; CG on the operator removes it.
+        assert rel(strong.factorization.solve(b), np.linalg.solve(a, b)) < 1e-3
+        solve = strong.solve(b, tol=1e-8)
+        assert solve.converged
+        assert rel(a @ solve.x, b) < 1e-5
 
     def test_recompress_resets_factorization_shift(self, api_points, api_kernel, api_dense):
         """A re-compress must drop the previous factor() and its noise shift."""

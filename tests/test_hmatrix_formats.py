@@ -1,4 +1,4 @@
-"""Tests for ACA, HODLR, the non-nested H matrix and the HSS wrapper."""
+"""Tests for ACA, HODLR, the non-nested H matrix and HSS compression."""
 
 import numpy as np
 import pytest

@@ -353,11 +353,11 @@ class TestFactorize:
         b = np.random.default_rng(19).standard_normal(600)
         assert _rel(factorize(base_hss, shift=1e-2).solve(b), woodbury.solve(b)) < 1e-10
 
-    def test_strong_h2_takes_the_aca_route(self):
+    def test_strong_h2_is_recompressed_onto_the_weak_partition(self):
         points = uniform_cube_points(256, dim=2, seed=5)
         strong = compress(points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1)
         factorization = factorize(strong, shift=1e-2)
-        assert isinstance(factorization, HODLRFactorization)
+        assert isinstance(factorization, HSSFactorization)
         a = strong.to_dense() + 1e-2 * np.eye(256)
         b = np.random.default_rng(23).standard_normal(256)
         assert _rel(factorization.solve(b), np.linalg.solve(a, b)) < 1e-3
@@ -366,6 +366,75 @@ class TestFactorize:
     def test_rejects_what_has_no_factorization(self, operator):
         with pytest.raises(TypeError, match="cannot factorize"):
             factorize(operator)
+
+
+class TestNoACAOnProductPaths:
+    """Every product path to a factorization or a HODLR matrix runs the
+    sketching constructor: with the ACA builders refusing to run,
+    :func:`factorize`, ``convert(strong_h2, "hodlr")`` and the ladder's
+    factorization all succeed on a strong-admissibility H2 matrix, and its
+    factorization is as accurate as that of a fresh HSS compression."""
+
+    SHIFT = 1e-2
+    TOL = 1e-6
+
+    @pytest.fixture
+    def no_aca(self, monkeypatch):
+        import repro.hmatrix.hmatrix as hmatrix_module
+        import repro.hmatrix.hodlr as hodlr_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ACA entered on a product path")
+
+        monkeypatch.setattr(hodlr_module, "aca_from_entry_function", refuse)
+        monkeypatch.setattr(hmatrix_module, "aca_from_entry_function", refuse)
+
+    @staticmethod
+    def _cloud(dim):
+        # 3D needs small leaves at this size for the strong partition to
+        # hold any admissible block.
+        leaf = 32 if dim == 2 else 16
+        return uniform_cube_points(1024, dim=dim, seed=3), ExponentialKernel(0.2), leaf
+
+    def test_strong_h2_never_enters_aca(self, no_aca):
+        from repro import HODLRMatrix
+        from repro.observe import NOOP_TRACER
+        from repro.solvers.ladder import _factorization_for
+
+        points, kernel, leaf = self._cloud(2)
+        strong = compress(points, kernel, tol=self.TOL, leaf_size=leaf, seed=1)
+        assert strong.weak_partition_defect() is not None
+        assert isinstance(factorize(strong, shift=self.SHIFT), HSSFactorization)
+        hodlr = convert(strong, "hodlr")
+        assert isinstance(hodlr, HODLRMatrix)
+        assert _rel(hodlr.to_dense(), strong.to_dense()) < 1e-4
+        assert isinstance(
+            _factorization_for(strong, self.SHIFT, NOOP_TRACER), HSSFactorization
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_strong_factorization_matches_fresh_hss(self, no_aca, dim):
+        points, kernel, leaf = self._cloud(dim)
+        n = points.shape[0]
+        strong = compress(points, kernel, tol=self.TOL, leaf_size=leaf, seed=1)
+        weak = compress(
+            points, kernel, format="hss", tol=self.TOL, leaf_size=leaf, seed=1
+        )
+        dense = kernel.matrix(points) + self.SHIFT * np.eye(n)
+        b = np.random.default_rng(31).standard_normal(n)
+
+        def residual(factorization):
+            x = factorization.solve(b)
+            return np.linalg.norm(dense @ x - b) / np.linalg.norm(b)
+
+        recompressed = factorize(strong, shift=self.SHIFT)
+        assert residual(recompressed) <= 1.5 * residual(
+            factorize(weak, shift=self.SHIFT)
+        )
+        sign, logdet = recompressed.slogdet()
+        ref_sign, ref_logdet = np.linalg.slogdet(dense)
+        assert sign == ref_sign
+        assert logdet == pytest.approx(ref_logdet, rel=1e-6)
 
 
 class TestLadderFactorization:

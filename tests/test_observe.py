@@ -10,6 +10,7 @@ from the phase spans, and the exporters emit valid output.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -160,6 +161,59 @@ class TestSpanNesting:
             pass
         assert registry.histogram("span.solve.seconds").count == 1
         assert registry.histogram("span.bare-name.seconds").count == 1
+
+
+class TestSpanCounterThreadSafety:
+    """Spans read the shared launch counter under its lock while another
+    thread records into it (``repro.serve`` records from a thread pool)."""
+
+    SPANS = 1000
+
+    def test_spans_survive_concurrent_fresh_operation_names(self):
+        counter = KernelLaunchCounter()
+        tracer = fresh_tracer(counter)
+        stop = threading.Event()
+        released = threading.Semaphore(0)
+        errors = []
+
+        def recorder():
+            # A few never-seen operation names per span: each one grows the
+            # counter's dicts while the main thread snapshots and diffs them.
+            fresh = 0
+            while not stop.is_set():
+                if released.acquire(timeout=0.01):
+                    for _ in range(4):
+                        counter.record(f"fresh{fresh}")
+                        fresh += 1
+
+        before = counter.total()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with tracer.span("outer"):
+                thread = threading.Thread(target=recorder)
+                thread.start()
+                try:
+                    for i in range(self.SPANS):
+                        released.release()
+                        with tracer.span(f"span{i}"):
+                            pass
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                finally:
+                    stop.set()
+                    thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not errors
+        (outer,) = tracer.roots
+        assert len(outer.children) == self.SPANS
+        assert all(span.closed for span in outer.children)
+        assert sum(root.total_launches for root in tracer.roots) == (
+            counter.total() - before
+        )
+        assert counter.total() > before
 
 
 class TestNoopTracer:

@@ -563,7 +563,7 @@ class TestSessionResilience:
             points, policy=ExecutionPolicy(recovery=recovery, **policy_kwargs),
             seed=2,
         )
-        sess.compress(ExponentialKernel(1.0), 1e-10, format="hss")
+        sess.compress(ExponentialKernel(1.0), 1e-10)
         return sess
 
     def test_strict_raises_on_stagnation(self, session_setup):
@@ -592,7 +592,7 @@ class TestSessionResilience:
         # caller gets the flagged result back.
         points, b = session_setup
         sess = Session(points, seed=2)
-        sess.compress(ExponentialKernel(1.0), 1e-10, format="hss")
+        sess.compress(ExponentialKernel(1.0), 1e-10)
         result = sess.solve(b, tol=1e-10, maxiter=2)
         assert not result.converged
 
@@ -673,7 +673,7 @@ class TestGaussianProcessResilience:
 # ------------------------------------------------------------- guarded solve
 def _session_solve(points, y, policy):
     sess = Session(points, policy=policy, seed=2)
-    sess.compress(ExponentialKernel(1.0), 1e-10, format="hss")
+    sess.compress(ExponentialKernel(1.0), 1e-10)
     sess.solve(y, tol=1e-8)
 
 

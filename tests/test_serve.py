@@ -615,6 +615,39 @@ class TestMicroBatcher:
         batcher.close()
 
 
+class TestStrongModel:
+    """A strong-admissibility model answers ``solve`` and ``logdet``: its
+    factorization is the HSS factorization of its re-compression onto the
+    weak partition."""
+
+    N = 1024
+
+    def test_strong_model_solves_and_logdets(self):
+        points = uniform_cube_points(self.N, dim=2, seed=13)
+        kernel = ExponentialKernel(0.2)
+        operator = repro.compress(
+            points, kernel, format="h2", tol=1e-6, leaf_size=32, seed=5
+        )
+        assert operator.weak_partition_defect() is not None
+        server = InferenceServer()
+        server.register("strong", operator, noise=NOISE)
+        model = server.registry.get("strong")
+        assert isinstance(model.factorization(), repro.HSSFactorization)
+
+        dense = kernel.evaluate(points, points) + NOISE * np.eye(self.N)
+        b = np.random.default_rng(14).standard_normal(self.N)
+        response = run(server.handle(SolveRequest(model="strong", b=b)))
+        assert response.converged and response.method == "direct"
+        residual = np.linalg.norm(dense @ response.x - b) / np.linalg.norm(b)
+        assert residual < 1e-3
+
+        logdet = run(server.handle(LogdetRequest(model="strong")))
+        ref_sign, ref_logdet = np.linalg.slogdet(dense)
+        assert logdet.sign == ref_sign == 1.0
+        assert logdet.logdet == pytest.approx(ref_logdet, rel=1e-6)
+        run(server.aclose())
+
+
 # --------------------------------------------------------------------- server
 class TestInferenceServer:
     def test_solve_direct_matches_factorization(self, serve_operator):

@@ -1,8 +1,6 @@
-"""Tests for the solver subsystem (Krylov, HODLR factorization, preconditioning,
-multifrontal solve) including the acceptance criteria on the 4096-point SPD
-covariance system."""
-
-import time
+"""Tests for the solver subsystem (Krylov, HODLR factorization, factorizations
+as preconditioners, multifrontal solve) including the acceptance criteria on
+the 4096-point SPD covariance system."""
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from repro import (
     DenseOperator,
     ExponentialKernel,
     HODLRFactorization,
-    HierarchicalPreconditioner,
     LowRankMatrix,
     MultifrontalSolver,
     as_linear_operator,
@@ -24,6 +21,7 @@ from repro import (
     cg,
     gmres,
     convert,
+    factorize,
     uniform_cube_points,
 )
 from repro.diagnostics import convergence_table, residual_series
@@ -342,8 +340,9 @@ class TestHODLRFactorization:
         assert np.linalg.norm(a_perm @ x - b) / np.linalg.norm(b) < 1e-6
 
     def test_hodlr_conversion_recompresses_strong_partition(self, cov_h2, rel_err):
-        """Strong-admissibility H2 converts via per-block ACA re-compression
-        (the internal weak-partition ValueError no longer leaks)."""
+        """Strong-admissibility H2 converts by re-compression onto the weak
+        partition with the sketching constructor (the internal weak-partition
+        ValueError no longer leaks)."""
         hodlr = convert(cov_h2, "hodlr", tol=1e-8)
         assert rel_err(hodlr.to_dense(), cov_h2.to_dense()) < 1e-6
 
@@ -446,13 +445,14 @@ class TestAcceptance:
         plain = cg(a, b, tol=1e-8, maxiter=4000)
         assert plain.converged
 
-        preconditioner = HierarchicalPreconditioner.from_operator(
-            tree,
-            DenseOperator(a_perm),
-            DenseEntryExtractor(a_perm),
-            tolerance=1e-4,
+        preconditioner = factorize(compress(
+            tree=tree,
+            operator=DenseOperator(a_perm),
+            extractor=DenseEntryExtractor(a_perm),
+            format="hss",
+            tol=1e-4,
             seed=3,
-        )
+        ))
         preconditioned = cg(a, b, tol=1e-8, maxiter=4000, M=preconditioner)
         assert preconditioned.converged
         assert preconditioned.final_residual <= 1e-8
@@ -476,71 +476,24 @@ class TestAcceptance:
         assert np.linalg.norm(x - reference) / np.linalg.norm(reference) <= 1e-6
 
 
-class TestHierarchicalPreconditioner:
-    @pytest.fixture(scope="class")
-    def system(self):
+class TestFactorizationPreconditioner:
+    """A loose HSS factorization is itself the ``M=`` of the Krylov methods
+    (CG is covered by ``TestAcceptance``)."""
+
+    def test_loose_factorization_preconditions_gmres(self):
         points = uniform_cube_points(900, dim=2, seed=31)
         tree = ClusterTree.build(points, leaf_size=32)
-        kernel = ExponentialKernel(length_scale=0.2)
-        a = kernel.matrix(points) + 0.01 * np.eye(900)
+        a = ExponentialKernel(length_scale=0.2).matrix(points) + 0.01 * np.eye(900)
         a_perm = a[np.ix_(tree.perm, tree.perm)]
         b = np.random.default_rng(6).standard_normal(900)
-        return tree, a, a_perm, b
-
-    def test_from_operator_accelerates_cg(self, system):
-        tree, a, a_perm, b = system
-        plain = cg(a, b, tol=1e-8, maxiter=3000)
-        preconditioner = HierarchicalPreconditioner.from_operator(
-            tree, DenseOperator(a_perm), DenseEntryExtractor(a_perm),
-            tolerance=1e-3, seed=1,
-        )
-        accelerated = cg(a, b, tol=1e-8, maxiter=3000, M=preconditioner)
-        assert accelerated.converged
-        assert accelerated.iterations < plain.iterations
-
-    def test_from_entries(self, system):
-        tree, a, a_perm, b = system
-        preconditioner = HierarchicalPreconditioner.from_entries(
-            tree, lambda r, c: a_perm[np.ix_(r, c)], tolerance=1e-4
-        )
-        result = cg(a, b, tol=1e-8, maxiter=3000, M=preconditioner)
-        assert result.converged
-        assert result.iterations < 60
-
-    def test_statistics(self, system):
-        tree, _, a_perm, _ = system
-        preconditioner = HierarchicalPreconditioner.from_operator(
-            tree, DenseOperator(a_perm), DenseEntryExtractor(a_perm),
-            tolerance=1e-2, seed=2,
-        )
-        stats = preconditioner.statistics()
-        assert stats["n"] == 900
-        assert stats["factor_memory_mb"] > 0
-        assert "rank_range" in stats
-
-    @pytest.mark.parametrize("builder", ["from_operator", "from_entries"])
-    def test_setup_seconds_times_build_and_factorization(self, system, builder):
-        tree, _, a_perm, _ = system
-        if builder == "from_operator":
-            args = (DenseOperator(a_perm), DenseEntryExtractor(a_perm))
-        else:
-            args = (lambda r, c: a_perm[np.ix_(r, c)],)
-        start = time.perf_counter()
-        preconditioner = getattr(HierarchicalPreconditioner, builder)(
-            tree, *args, tolerance=1e-2
-        )
-        elapsed = time.perf_counter() - start
-        seconds = preconditioner.setup_seconds
-        assert 0.0 < seconds <= elapsed
-        assert preconditioner.statistics()["setup_seconds"] == seconds
-
-    def test_gmres_with_hierarchical_preconditioner(self, system):
-        tree, a, a_perm, b = system
-        preconditioner = HierarchicalPreconditioner.from_entries(
-            tree, lambda r, c: a_perm[np.ix_(r, c)], tolerance=1e-4
-        )
+        preconditioner = factorize(compress(
+            tree=tree, operator=DenseOperator(a_perm),
+            extractor=DenseEntryExtractor(a_perm), format="hss", tol=1e-3, seed=1,
+        ))
+        plain = gmres(a, b, tol=1e-8, restart=30, maxiter=900)
         result = gmres(a, b, tol=1e-8, restart=30, maxiter=900, M=preconditioner)
         assert result.converged
+        assert result.iterations < plain.iterations
         assert np.linalg.norm(a @ result.x - b) / np.linalg.norm(b) < 1e-7
 
 
@@ -605,6 +558,19 @@ class TestMultifrontalSolver:
         preconditioned = cg(a, b, tol=1e-10, maxiter=5000, M=solver)
         assert preconditioned.converged
         assert preconditioned.iterations < plain.iterations / 2
+
+    def test_compressed_fronts_solve_to_the_compression_tolerance(self):
+        """Fronts compressed through ``compress(format="hss")`` and factored
+        by ``factorize``; at a tight tolerance the solve is near exact."""
+        a = poisson_matrix((15, 15))
+        solver = MultifrontalSolver.build(
+            a, (15, 15), max_levels=2, compress_tolerance=1e-10,
+            compress_min_size=8, compress_leaf_size=4,
+        )
+        assert not solver.is_exact
+        b = np.random.default_rng(6).standard_normal(225)
+        x = solver.solve(b)
+        assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
