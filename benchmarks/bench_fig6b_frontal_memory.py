@@ -22,9 +22,9 @@ from repro import (
     GeneralAdmissibility,
     H2Constructor,
     build_block_partition,
-    build_hodlr,
     compress,
 )
+from repro.baselines import build_hodlr
 from repro.diagnostics import format_series
 from repro.multifrontal import root_frontal_matrix
 

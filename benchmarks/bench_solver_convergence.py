@@ -21,12 +21,11 @@ import pytest
 
 from repro import (
     ClusterTree,
-    HODLRFactorization,
-    build_hodlr,
     cg,
     compress,
     factorize,
 )
+from repro.baselines import HODLRFactorization, build_hodlr
 from repro.diagnostics import format_table
 
 from common import (

@@ -9,9 +9,9 @@ This is the minimal end-to-end workflow of the library through the
    evaluator of Algorithm 1 are assembled behind the scenes;
 3. use the resulting H2 operator: fast matvec, memory report, error check.
 
-Every format (``h2``/``hss``/``hodlr``/``hmatrix``) returns an operator
-implementing the same ``HierarchicalOperator`` protocol, so everything below
-works unchanged with ``format="hss"`` etc.
+Both formats (``h2``/``hss``) return an operator implementing the same
+``HierarchicalOperator`` protocol, so everything below works unchanged with
+``format="hss"``.
 
 Run with:  python examples/quickstart.py [N]
 """

@@ -10,13 +10,15 @@ including the cluster-tree / block-partition substrate, kernel matrices, a
 batched (GPU-style) execution engine behind a named backend registry
 (:mod:`repro.backends`), the bottom-up sketching construction algorithm
 (fixed-sample and adaptive, compiled level-wise sweep), H2 arithmetic through
-compiled batched apply plans, low-rank update recompression, the top-down
-peeling and sketched H-matrix baselines, Krylov solvers with hierarchical
+compiled batched apply plans, low-rank update recompression, Krylov solvers with hierarchical
 factorization/preconditioning, Gaussian-process regression with
 geometry-reuse hyperparameter sweeps, and a multifrontal frontal-matrix
-substrate for the weak-admissibility comparisons.
+substrate for the weak-admissibility comparisons.  The paper's comparators
+(top-down peeling, sketched H matrices, HODLR and ACA) live in
+:mod:`repro.baselines`, which no product path imports.
 
-Every hierarchical format (H2, HSS, HODLR, H) implements the same
+The product's one operator format, the H2 matrix (HSS is H2 on the weak
+partition), implements the
 :class:`~repro.api.protocol.HierarchicalOperator` protocol, and the
 :mod:`repro.api` façade reduces the pipeline to one call per step.
 :mod:`repro.observe` adds an opt-in hierarchical tracer (pass
@@ -41,16 +43,15 @@ Compress a covariance matrix into a hierarchical operator in three lines:
 >>> y = h2 @ np.ones(512)       # compiled batched apply, original ordering
 
 ``format="hss"`` builds the weak-admissibility (HSS) matrix instead; both
-formats run the sketching constructor, and ``repro.convert(h2, "hodlr")``
-moves to the other formats.
+formats run the sketching constructor.
 
 Solving linear systems (see the top-level README.md for the full
 walk-through): a :class:`~repro.api.facade.Session` chains construction,
 factorization and solves over one cached geometry.  ``factor`` is
 :func:`repro.factorize`: the weak-admissibility (HSS) matrix a session builds
 is factored on its own nested generators by :class:`HSSFactorization` (level
-by level, O(levels) batched launches per solve); ``convert(h2, "hodlr")`` +
-:class:`HODLRFactorization` is the route for non-nested input only:
+by level, O(levels) batched launches per solve), and a strong H2 matrix is
+re-compressed onto the weak partition first:
 
 >>> sess = repro.Session(points, seed=1)
 >>> solve = (sess.compress(repro.ExponentialKernel(0.2), tol=1e-8)
@@ -80,10 +81,7 @@ from .api import (
     HierarchicalOperator,
     HierarchicalOperatorMixin,
     Session,
-    available_conversions,
     compress,
-    convert,
-    register_conversion,
 )
 from .batched import (
     BatchedBackend,
@@ -127,13 +125,9 @@ from .geometry import (
 from .hmatrix import (
     BasisTree,
     H2Matrix,
-    HMatrix,
-    HODLRMatrix,
     LinearOperator,
     ShiftedLinearOperator,
     as_linear_operator,
-    build_hmatrix_aca,
-    build_hodlr,
 )
 from .kernels import (
     ExponentialKernel,
@@ -183,7 +177,6 @@ from .sketching import (
 )
 from .solvers import (
     FrontReport,
-    HODLRFactorization,
     HSSFactorization,
     KrylovResult,
     MultifrontalSolver,
@@ -200,6 +193,8 @@ from .tree import (
     WeakAdmissibility,
     build_block_partition,
 )
+# Only for benchmarks/e2e, which ROADMAP item 1(a) moves off them.
+from .baselines import HODLRFactorization, convert
 
 __version__ = "1.4.0"
 
@@ -231,9 +226,7 @@ __all__ = [
     "H2EntryExtractor",
     "H2Matrix",
     "H2Operator",
-    "HMatrix",
     "HODLRFactorization",
-    "HODLRMatrix",
     "HSSFactorization",
     "HealthThresholds",
     "HelmholtzKernel",
@@ -272,12 +265,9 @@ __all__ = [
     "__version__",
     "apply_report",
     "as_linear_operator",
-    "available_conversions",
     "backends",
     "bicgstab",
     "build_block_partition",
-    "build_hmatrix_aca",
-    "build_hodlr",
     "cg",
     "compile_apply_plan",
     "compress",
@@ -302,7 +292,6 @@ __all__ = [
     "random_low_rank",
     "random_sphere_points",
     "recompress_h2",
-    "register_conversion",
     "residual_series",
     "resilience",
     "row_id",

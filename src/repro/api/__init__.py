@@ -11,10 +11,7 @@ One stable surface over the whole library:
   named registry of :mod:`repro.backends`;
 * :func:`~repro.api.facade.compress` / :class:`~repro.api.facade.Session` —
   the fluent entry points (points + kernel → operator in one call; chained
-  ``compress/sweep/factor/solve/gp`` workflows with geometry reuse);
-* :func:`~repro.api.conversion.convert` — the format-conversion registry
-  (``h2 → hodlr/dense``, extensible via
-  :func:`~repro.api.conversion.register_conversion`).
+  ``compress/sweep/factor/solve/gp`` workflows with geometry reuse).
 
 The protocol and policy modules are import-light; the façade (which pulls in
 the constructor, solver and GP subsystems) loads lazily on first attribute
@@ -33,9 +30,6 @@ _LAZY = {
     "FORMATS": "facade",
     "Session": "facade",
     "compress": "facade",
-    "available_conversions": "conversion",
-    "convert": "conversion",
-    "register_conversion": "conversion",
 }
 
 __all__ = [
@@ -45,10 +39,7 @@ __all__ = [
     "HierarchicalOperatorMixin",
     "PROTOCOL_METHODS",
     "Session",
-    "available_conversions",
     "compress",
-    "convert",
-    "register_conversion",
 ]
 
 

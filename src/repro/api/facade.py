@@ -179,9 +179,7 @@ def compress(
         path used by the benchmark harness).
     format:
         ``"h2"`` (strong admissibility) or ``"hss"`` (weak admissibility);
-        both run the paper's sketching constructor.  Other formats are
-        reached from these through :func:`~repro.api.conversion.convert`
-        (e.g. ``convert(op, "hodlr")``).
+        both run the paper's sketching constructor.
     tol:
         Compression tolerance of the constructor.
     leaf_size, eta, admissibility:
@@ -437,8 +435,7 @@ class Session:
         calls across hyperparameters build no geometry and sketch with the
         same random vectors; each runs its own construction.  The session's
         admissibility decides the format: HSS on the default weak partition,
-        strong H2 otherwise.  Other formats are one
-        :func:`~repro.api.conversion.convert` of :attr:`operator` away.
+        strong H2 otherwise.
         """
         result = self.context.construct(
             kernel,

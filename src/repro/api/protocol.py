@@ -1,8 +1,8 @@
 """The :class:`HierarchicalOperator` protocol: one contract for every format.
 
-The library produces several hierarchical representations — nested-basis H2
-matrices (strong or weak/HSS admissibility), non-nested H matrices and HODLR
-matrices — and every downstream subsystem (Krylov solvers, factorizations,
+The library produces nested-basis H2 matrices (strong or weak/HSS
+admissibility), and :mod:`repro.baselines` adds the non-nested H and HODLR
+comparators; every downstream subsystem (Krylov solvers, factorizations,
 Gaussian processes, diagnostics, benchmarks) only ever needs the same small
 surface: shapes, forward/transpose applies for vectors and blocks, dense
 reconstruction and memory/rank accounting, all with uniform ``permuted=``

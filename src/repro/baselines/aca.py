@@ -3,8 +3,8 @@
 ACA builds a low-rank approximation of a matrix block from O(k (m + n)) of its
 entries.  It is the classical entry-evaluation-based compression scheme used
 by H-matrix codes (HLIBpro, ButterflyPACK's entry-based mode, ...); in this
-reproduction it powers the non-nested :class:`~repro.hmatrix.hmatrix.HMatrix`
-and :class:`~repro.hmatrix.hodlr.HODLRMatrix` baselines that the paper
+reproduction it powers the non-nested :class:`~repro.baselines.hmatrix.HMatrix`
+and :class:`~repro.baselines.hodlr.HODLRMatrix` baselines that the paper
 compares against.
 """
 

@@ -32,7 +32,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..hmatrix.hmatrix import HMatrix
 from ..linalg.low_rank import LowRankMatrix
 from ..linalg.norm_estimation import estimate_spectral_norm
 from ..linalg.qr import smallest_r_diagonal, truncated_pivoted_qr
@@ -40,6 +39,7 @@ from ..sketching.entry_extractor import EntryExtractor
 from ..sketching.operators import SketchingOperator
 from ..tree.block_partition import BlockPartition
 from ..utils.rng import SeedLike, as_generator
+from .hmatrix import HMatrix
 
 
 @dataclass

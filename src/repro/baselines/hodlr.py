@@ -17,10 +17,11 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..api.protocol import HierarchicalOperatorMixin
+from ..core.recompression import _recompress_weak
+from ..hmatrix.h2matrix import H2Matrix
 from ..linalg.low_rank import LowRankMatrix
 from ..tree.cluster_tree import ClusterTree
 from .aca import aca_from_entry_function
-from .h2matrix import H2Matrix
 
 EntryFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -140,11 +141,9 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
     the nested generators) — it is a format conversion, and the test oracle
     of that factorization.
 
-    This is the weak-partition (exact) path of the registered ``h2 -> hodlr``
-    conversion of the :func:`repro.api.convert` registry; call
-    ``convert(h2, "hodlr")``, which first re-compresses onto the weak
-    partition with the sketching constructor when the source lives on a
-    strong-admissibility partition.
+    This is the weak-partition (exact) path of :func:`convert`, which first
+    re-compresses onto the weak partition with the sketching constructor when
+    the source lives on a strong-admissibility partition.
 
     Raises :class:`ValueError` when the H2 matrix does not live on the weak
     partition (off-diagonal dense blocks or non-sibling coupling blocks).
@@ -160,3 +159,30 @@ def _hodlr_from_h2(h2: H2Matrix) -> HODLRMatrix:
         right = h2.basis.explicit_basis(t)
         hodlr.off_diagonal[(s, t)] = LowRankMatrix(left, right)
     return hodlr
+
+
+def convert(
+    op: object, target_format: str, tol: float = 1e-6, max_rank: int | None = None
+) -> HODLRMatrix:
+    """``op`` as a :class:`HODLRMatrix` — the only conversion there is.
+
+    On the weak (HSS) partition an :class:`H2Matrix` expands *exactly* into
+    non-nested sibling blocks (``tol`` / ``max_rank`` are ignored).  On a
+    strong partition it is first re-compressed onto the weak partition of its
+    own tree (:func:`~repro.core.recompression._recompress_weak` at ``tol`` /
+    ``max_rank``, ``seed=0``) and that is expanded.  A :class:`HODLRMatrix`
+    is returned unchanged.  Any other target raises :class:`ValueError`:
+    every operator reaches a dense matrix through ``to_dense()``.
+    """
+    if target_format.lower() != "hodlr":
+        raise ValueError(
+            f"no conversion to {target_format!r}: the only target is 'hodlr' "
+            "(use op.to_dense() for a dense matrix)"
+        )
+    if isinstance(op, HODLRMatrix):
+        return op
+    if not isinstance(op, H2Matrix):
+        raise ValueError(f"no conversion from {type(op).__name__} to 'hodlr'")
+    if op.weak_partition_defect() is not None:
+        op = _recompress_weak(op, tol=tol, max_rank=max_rank)
+    return _hodlr_from_h2(op)

@@ -30,8 +30,8 @@ from typing import Dict, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from ..hmatrix.hodlr import HODLRMatrix
 from ..utils.validation import require
+from .hodlr import HODLRMatrix
 
 
 def _slogdet_from_lu(lu: np.ndarray, piv: np.ndarray) -> Tuple[float, float]:
@@ -69,15 +69,15 @@ class _NodeFactor:
 
 
 class HODLRFactorization:
-    """Factor a :class:`~repro.hmatrix.hodlr.HODLRMatrix` for direct solves.
+    """Factor a :class:`~repro.baselines.hodlr.HODLRMatrix` for direct solves.
 
     Parameters
     ----------
     hodlr:
         The matrix to factor.  Must cover the whole cluster tree (every leaf
         has a dense diagonal block, every sibling pair a low-rank block —
-        exactly what ``repro.convert(h2, "hodlr")`` and the HODLR builders
-        of :mod:`repro.hmatrix.hodlr` produce).  The library factors its own
+        exactly what ``convert(h2, "hodlr")`` and the HODLR builders
+        of :mod:`repro.baselines.hodlr` produce).  The library factors its own
         H2 matrices with :class:`~repro.solvers.hss_factor.HSSFactorization`
         (:func:`~repro.solvers.hss_factor.factorize`); this class is for
         HODLR input.

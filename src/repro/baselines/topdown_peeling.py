@@ -35,7 +35,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..hmatrix.hodlr import HODLRMatrix
 from ..linalg.low_rank import LowRankMatrix
 from ..linalg.qr import smallest_r_diagonal, truncated_pivoted_qr
 from ..linalg.norm_estimation import estimate_spectral_norm
@@ -43,6 +42,7 @@ from ..sketching.entry_extractor import EntryExtractor
 from ..sketching.operators import SketchingOperator
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike, as_generator
+from .hodlr import HODLRMatrix
 
 
 @dataclass

@@ -4,7 +4,7 @@ The paper's construction needs two batched operations from its input: the
 sketching operator and the *entry evaluation function* (``batchedGen``).  When
 the input is itself an H2 matrix — the low-rank update application, the
 re-compression of a strong H2 matrix onto the weak partition behind its
-factorization and HODLR conversion, the test-oracle ACA builders — the
+factorization, the baselines' HODLR conversion and ACA builders — the
 entries of arbitrary sub-blocks ``A[rows, cols]`` have to come out of the
 nested representation.  :class:`H2EntryPlan` is compiled once per
 :class:`~repro.hmatrix.h2matrix.H2Matrix` and evaluates a stack of requests

@@ -22,7 +22,8 @@ from ..sketching.entry_extractor import (
     SumEntryExtractor,
 )
 from ..sketching.operators import H2Operator, LowRankOperator, SumOperator
-from ..tree.block_partition import BlockPartition
+from ..tree.admissibility import WeakAdmissibility
+from ..tree.block_partition import BlockPartition, build_block_partition
 from ..utils.rng import SeedLike
 from .builder import ConstructionResult, H2Constructor
 from .config import ConstructionConfig
@@ -82,6 +83,27 @@ def recompress_h2(
         target_partition, operator, extractor, config=config, seed=seed
     )
     return constructor.construct()
+
+
+def _recompress_weak(
+    h2: H2Matrix, tol: float = 1e-6, max_rank: int | None = None
+) -> H2Matrix:
+    """``h2`` re-compressed onto the weak (HSS) partition of its own tree.
+
+    Algorithm 1 with ``h2`` as the black-box sampler and entry evaluator
+    (:func:`recompress_h2`), at ``tol`` / ``max_rank`` and ``seed=0`` so the
+    result is deterministic; it applies on ``h2``'s backend.  This is how a
+    strong-admissibility matrix reaches the HSS factorization
+    (:func:`~repro.solvers.hss_factor.factorize`).
+    """
+    weak = recompress_h2(
+        h2,
+        partition=build_block_partition(h2.tree, WeakAdmissibility()),
+        config=ConstructionConfig(tolerance=tol, max_rank=max_rank),
+        seed=0,
+    ).matrix
+    weak.apply_backend = h2.apply_backend
+    return weak
 
 
 def low_rank_update_reference_matvec(

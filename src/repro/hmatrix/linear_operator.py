@@ -3,7 +3,7 @@
 The solver subsystem (:mod:`repro.solvers`) is matrix-free: Krylov methods and
 norm estimators only ever apply ``A @ x``.  This module provides the single
 adapter that turns *anything the library produces* — an :class:`~repro.hmatrix.h2matrix.H2Matrix`,
-:class:`~repro.hmatrix.hodlr.HODLRMatrix`, :class:`~repro.hmatrix.hmatrix.HMatrix`,
+:class:`~repro.baselines.hodlr.HODLRMatrix`, :class:`~repro.baselines.hmatrix.HMatrix`,
 :class:`~repro.linalg.low_rank.LowRankMatrix`, a sketching operator, a dense
 array, a SciPy sparse matrix or a bare callable — into a uniform object with
 ``shape``, ``matvec``, ``matmat`` and ``@``, so solvers never special-case

@@ -3,7 +3,7 @@
 The observability spine of the library.  One :class:`SpanTracer`, carried by
 an :class:`repro.api.ExecutionPolicy`, records a tree of :class:`Span` objects
 as work flows through the constructor, the compiled apply plans, the Krylov
-solvers, the HODLR factorization and the GP sweeps.  Each span carries
+solvers, the HSS factorization and the GP sweeps.  Each span carries
 wall-clock time plus launch/FLOP/byte attribution read from the backend's
 :class:`~repro.batched.counters.KernelLaunchCounter`, so the trace and the
 paper's launch-count arguments come from the same source of truth.

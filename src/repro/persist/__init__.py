@@ -6,7 +6,7 @@ processes.  This package makes it survive:
 * :mod:`repro.persist.format` — the ``REPROART`` binary container (header
   JSON + 64-byte-aligned raw buffers, mmap-able for zero-copy loads);
 * :mod:`repro.persist.serializers` — exact round-trip (de)serialization of
-  the H2/HSS, HODLR and H formats behind a :func:`register_format` registry;
+  the one persisted format, the H2 matrix (HSS included);
 * :mod:`repro.persist.cache` — :class:`ArtifactCache`, content-addressed by
   (geometry, kernel identity, tolerance, format, format version, seed), the
   cache-aside layer :func:`repro.compress` / :class:`repro.Session` /
@@ -34,10 +34,9 @@ from .format import (
     write_artifact,
 )
 from .serializers import (
+    H2_FORMAT_VERSION,
     format_version,
     load,
-    register_format,
-    registered_formats,
     save,
 )
 
@@ -53,6 +52,7 @@ __all__ = [
     "ArtifactFormatError",
     "ArtifactVersionError",
     "CONTAINER_VERSION",
+    "H2_FORMAT_VERSION",
     "MAGIC",
     "default_cache",
     "format_version",
@@ -60,8 +60,6 @@ __all__ = [
     "load",
     "load_operator",
     "read_artifact",
-    "register_format",
-    "registered_formats",
     "save",
     "save_operator",
     "write_artifact",

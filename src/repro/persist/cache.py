@@ -19,7 +19,7 @@ backend, tracer, construction path — does not):
 * the kernel *identity*: class qualname plus scalar hyperparameters,
   recursing through composite kernels;
 * the construction tolerance, the requested format (``hss`` and ``h2`` hash
-  differently even though both store an ``h2`` artifact), the registered
+  differently even though both store an ``h2`` artifact), the
   ``format_version`` of the stored layout, the sketching seed and any extra
   sampling knobs the caller passes.
 
@@ -52,16 +52,11 @@ from .serializers import (
     admissibility_descriptor,
     format_version,
     load,
-    registered_formats,
     save,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.policy import ExecutionPolicy
-
-#: Formats that persist as another format's artifact (HSS is H2 on the weak
-#: partition); the *requested* name still participates in the key.
-_STORAGE_ALIASES = {"hss": "h2"}
 
 #: ``get(on_corruption=...)`` under each recovery mode (see :meth:`get_or_build`).
 _CORRUPTION_MODES = {"strict": "raise", "warn": "warn", "recover": "evict"}
@@ -246,16 +241,13 @@ class ArtifactCache:
 
         ``extra`` carries any further construction knobs that change the
         result (sampling block size, rank caps, ...); it must be
-        JSON-serializable.  Raises :class:`ArtifactError` for formats without
-        a registered serializer or admissibilities without a descriptor.
+        JSON-serializable.  Raises :class:`ArtifactError` for formats that
+        do not persist (anything but ``h2`` / ``hss``) or admissibilities
+        without a descriptor.  ``hss`` and ``h2`` hash differently although
+        both store an ``h2`` artifact.
         """
         fmt = normalize_choice(format)
-        stored = _STORAGE_ALIASES.get(fmt, fmt)
-        if stored not in registered_formats():
-            raise ArtifactError(
-                f"format {format!r} has no registered persist serializer; "
-                f"registered: {registered_formats()}"
-            )
+        version = format_version(fmt)
         pts = np.ascontiguousarray(
             np.atleast_2d(np.asarray(points, dtype=np.float64))
         )
@@ -273,7 +265,7 @@ class ArtifactCache:
             "kernel": kernel_descriptor(kernel),
             "tol": float(tol),
             "format": fmt,
-            "format_version": format_version(stored),
+            "format_version": version,
             "seed": None if seed is None else int(seed),
             "extra": extra or {},
         }

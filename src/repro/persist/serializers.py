@@ -1,36 +1,30 @@
-"""Per-format (de)serialization of hierarchical operators.
+"""(De)serialization of the one persisted format, the H2 matrix.
 
-Each registered format contributes a *pack* function (operator → header
-metadata + ordered raw buffers) and an *unpack* function (metadata + buffers →
-operator), plus a ``format_version`` bumped whenever its layout changes.
-:func:`save` dispatches on the operator's ``format_name``; :func:`load`
-dispatches on the format name recorded in the artifact header and rejects
-version mismatches with :class:`~repro.persist.format.ArtifactVersionError`.
+:func:`_pack_h2` turns an :class:`~repro.hmatrix.h2matrix.H2Matrix` (HSS
+included: it is H2 on the weak partition) into header metadata + ordered raw
+buffers and :func:`_unpack_h2` reverses it; :data:`H2_FORMAT_VERSION` is
+bumped whenever that layout changes.  :func:`load` reads ``"h2"`` artifacts
+only, rejects any other recorded format with
+:class:`~repro.persist.format.ArtifactFormatError` and version mismatches with
+:class:`~repro.persist.format.ArtifactVersionError`.
 
 Round trips are *exact*: buffers are raw float64/int64 bytes, dictionary key
 orders are preserved through explicit key lists in the metadata, and loaded
 arrays are zero-copy read-only views into the artifact's memmap (the formats
 only ever read their block data during applies).  ``load(path).to_dense()``
 is bitwise-equal to the saved operator's ``to_dense()``.
-
-Third-party formats register through :func:`register_format` — the same
-extension discipline as :func:`repro.backends.register` and
-:func:`repro.api.register_conversion`.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..hmatrix.basis_tree import BasisTree
 from ..hmatrix.h2matrix import H2Matrix
-from ..hmatrix.hmatrix import HMatrix
-from ..hmatrix.hodlr import HODLRMatrix
-from ..linalg.low_rank import LowRankMatrix
 from ..tree.admissibility import (
     AdmissibilityCondition,
     GeneralAdmissibility,
@@ -49,67 +43,33 @@ from .format import (
 Buffers = List[Tuple[str, np.ndarray]]
 
 
-class _FormatSpec(NamedTuple):
-    version: int
-    pack: Callable[[object], Tuple[dict, Buffers]]
-    unpack: Callable[[dict, Dict[str, np.ndarray]], object]
+#: Layout version of the one persisted format, ``"h2"`` (HSS is H2 on the weak
+#: partition); bump it whenever :func:`_pack_h2` changes.
+H2_FORMAT_VERSION = 1
 
-
-#: ``format_name -> (format_version, pack, unpack)``.
-_FORMATS: Dict[str, _FormatSpec] = {}
-
-
-def register_format(
-    name: str,
-    version: int,
-    pack: Callable[[object], Tuple[dict, Buffers]],
-    unpack: Callable[[dict, Dict[str, np.ndarray]], object],
-    overwrite: bool = False,
-) -> None:
-    """Register a persistable operator format.
-
-    ``pack(op)`` returns ``(meta, buffers)`` — a JSON-serializable metadata
-    dict and an ordered list of ``(name, array)`` pairs; ``unpack(meta,
-    buffers)`` reconstructs the operator from them.  Bump ``version`` whenever
-    the layout changes; :func:`load` refuses artifacts whose recorded version
-    differs from the registered one.
-    """
-    key = name.lower()
-    if not overwrite and key in _FORMATS:
-        raise ValueError(
-            f"persist format {key!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    _FORMATS[key] = _FormatSpec(int(version), pack, unpack)
-
-
-def registered_formats() -> Tuple[str, ...]:
-    """Sorted names of the formats :func:`save`/:func:`load` understand."""
-    return tuple(sorted(_FORMATS))
+#: Format names that persist; both store an ``"h2"`` artifact.
+_SAVED_FORMATS = ("h2", "hss")
 
 
 def format_version(name: str) -> int:
-    """The current ``format_version`` of a registered format."""
-    spec = _FORMATS.get(name.lower())
-    if spec is None:
+    """The current ``format_version`` of the artifact stored for ``name``."""
+    if name.lower() not in _SAVED_FORMATS:
         raise ArtifactError(
-            f"unknown persist format {name!r}; registered: {registered_formats()}"
+            f"unknown persist format {name!r}; only H2 matrices ('h2'/'hss') "
+            "persist"
         )
-    return spec.version
+    return H2_FORMAT_VERSION
 
 
 def save(op: object, path: str | os.PathLike) -> Path:
     """Write ``op`` to ``path`` as a versioned artifact and return the path."""
-    name = getattr(op, "format_name", None)
-    spec = _FORMATS.get(name.lower()) if isinstance(name, str) else None
-    if spec is None:
+    if not isinstance(op, H2Matrix):
         raise ArtifactError(
-            f"cannot persist {type(op).__name__} (format_name={name!r}); "
-            f"registered formats: {registered_formats()} — add one with "
-            "repro.persist.register_format"
+            f"cannot persist {type(op).__name__}: only H2 matrices ('h2'/'hss') "
+            "persist"
         )
-    meta, buffers = spec.pack(op)
-    return write_artifact(path, name, spec.version, meta, buffers)
+    meta, buffers = _pack_h2(op)
+    return write_artifact(path, "h2", H2_FORMAT_VERSION, meta, buffers)
 
 
 def load(path: str | os.PathLike, mmap: bool = True, verify: bool = False):
@@ -120,25 +80,25 @@ def load(path: str | os.PathLike, mmap: bool = True, verify: bool = False):
     checks every buffer's stored SHA-256 before reconstruction (see
     :func:`~repro.persist.format.read_artifact`).  Raises
     :class:`~repro.persist.format.ArtifactVersionError` when the artifact's
-    recorded format version differs from the registered one, and
-    :class:`~repro.persist.format.ArtifactFormatError` on unknown formats or
-    corrupted files.
+    recorded format version differs from :data:`H2_FORMAT_VERSION`, and
+    :class:`~repro.persist.format.ArtifactFormatError` on any format but
+    ``"h2"`` (the ``"hodlr"`` / ``"hmatrix"`` artifacts of earlier releases
+    included) or corrupted files.
     """
     header, buffers = read_artifact(path, mmap=mmap, verify=verify)
     name = str(header["format"]).lower()
-    spec = _FORMATS.get(name)
-    if spec is None:
+    if name != "h2":
         raise ArtifactFormatError(
-            f"{path}: artifact stores unregistered format {name!r}; "
-            f"registered: {registered_formats()}"
+            f"{path}: artifact stores format {name!r}; this library reads 'h2' "
+            "artifacts only"
         )
     recorded = int(header["format_version"])
-    if recorded != spec.version:
+    if recorded != H2_FORMAT_VERSION:
         raise ArtifactVersionError(
             f"{path}: format {name!r} artifact is version {recorded}, this "
-            f"library reads version {spec.version}"
+            f"library reads version {H2_FORMAT_VERSION}"
         )
-    return spec.unpack(header["meta"], buffers)
+    return _unpack_h2(header["meta"], buffers)
 
 
 # -------------------------------------------------------------- shared pieces
@@ -260,27 +220,6 @@ def _unpack_block_dict(
     }
 
 
-def _pack_low_rank_dict(
-    blocks: Dict[Tuple[int, int], LowRankMatrix], prefix: str, meta: dict,
-    buffers: Buffers,
-) -> None:
-    meta[f"{prefix}_keys"] = [[int(s), int(t)] for s, t in blocks]
-    for i, lr in enumerate(blocks.values()):
-        buffers.append((f"{prefix}_left/{i}", lr.left))
-        buffers.append((f"{prefix}_right/{i}", lr.right))
-
-
-def _unpack_low_rank_dict(
-    prefix: str, meta: dict, buffers: Dict[str, np.ndarray]
-) -> Dict[Tuple[int, int], LowRankMatrix]:
-    return {
-        (int(s), int(t)): LowRankMatrix(
-            buffers[f"{prefix}_left/{i}"], buffers[f"{prefix}_right/{i}"]
-        )
-        for i, (s, t) in enumerate(meta[f"{prefix}_keys"])
-    }
-
-
 # ------------------------------------------------------------------ H2 format
 def _pack_h2(h2: H2Matrix) -> Tuple[dict, Buffers]:
     meta: dict = {"symmetric": bool(h2.symmetric)}
@@ -329,55 +268,3 @@ def _unpack_h2(meta: dict, buffers: Dict[str, np.ndarray]) -> H2Matrix:
         dense=_unpack_block_dict("dense", meta, buffers),
         symmetric=bool(meta["symmetric"]),
     )
-
-
-# --------------------------------------------------------------- HODLR format
-def _pack_hodlr(hodlr: HODLRMatrix) -> Tuple[dict, Buffers]:
-    meta: dict = {}
-    buffers: Buffers = []
-    _pack_tree(hodlr.tree, meta, buffers)
-    _pack_low_rank_dict(hodlr.off_diagonal, "off_diagonal", meta, buffers)
-    meta["diagonal_nodes"] = [int(node) for node in hodlr.diagonal]
-    buffers.extend(
-        (f"diagonal/{i}", array)
-        for i, array in enumerate(hodlr.diagonal.values())
-    )
-    return meta, buffers
-
-
-def _unpack_hodlr(meta: dict, buffers: Dict[str, np.ndarray]) -> HODLRMatrix:
-    tree = _unpack_tree(meta, buffers)
-    return HODLRMatrix(
-        tree=tree,
-        off_diagonal=_unpack_low_rank_dict("off_diagonal", meta, buffers),
-        diagonal={
-            int(node): buffers[f"diagonal/{i}"]
-            for i, node in enumerate(meta["diagonal_nodes"])
-        },
-    )
-
-
-# ------------------------------------------------------------- HMatrix format
-def _pack_hmatrix(h: HMatrix) -> Tuple[dict, Buffers]:
-    meta: dict = {}
-    buffers: Buffers = []
-    _pack_tree(h.tree, meta, buffers)
-    _pack_partition(h.partition, meta, buffers)
-    _pack_low_rank_dict(h.low_rank, "low_rank", meta, buffers)
-    _pack_block_dict(h.dense, "dense", meta, buffers)
-    return meta, buffers
-
-
-def _unpack_hmatrix(meta: dict, buffers: Dict[str, np.ndarray]) -> HMatrix:
-    tree = _unpack_tree(meta, buffers)
-    return HMatrix(
-        tree=tree,
-        partition=_unpack_partition(tree, meta, buffers),
-        low_rank=_unpack_low_rank_dict("low_rank", meta, buffers),
-        dense=_unpack_block_dict("dense", meta, buffers),
-    )
-
-
-register_format("h2", 1, _pack_h2, _unpack_h2)
-register_format("hodlr", 1, _pack_hodlr, _unpack_hodlr)
-register_format("hmatrix", 1, _pack_hmatrix, _unpack_hmatrix)

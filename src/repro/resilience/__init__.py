@@ -16,7 +16,7 @@ The resilience subsystem turns the warn-only health signals of
   (``ExecutionPolicy(faults=...)`` / ``REPRO_FAULTS``) exercising every
   recovery path reproducibly;
 * the solver escalation ladder lives in :mod:`repro.solvers.ladder`
-  (CG → preconditioned CG → GMRES(m) → HODLR direct).
+  (CG → preconditioned CG → GMRES(m) → HSS direct).
 """
 
 from .errors import (

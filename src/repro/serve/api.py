@@ -277,9 +277,24 @@ def request_from_wire(endpoint: str, payload: dict) -> ServeRequest:
             )
         kwargs["method"] = method
         if "tol" in payload:
-            kwargs["tol"] = float(payload["tol"])
+            tol = payload["tol"]
+            if (
+                isinstance(tol, bool)
+                or not isinstance(tol, (int, float))
+                or not np.isfinite(tol)
+                or tol <= 0
+            ):
+                raise RequestValidationError(
+                    f"field 'tol' must be a finite number > 0, not {tol!r}"
+                )
+            kwargs["tol"] = float(tol)
         if payload.get("maxiter") is not None:
-            kwargs["maxiter"] = int(payload["maxiter"])
+            maxiter = payload["maxiter"]
+            if isinstance(maxiter, bool) or not isinstance(maxiter, int) or maxiter < 1:
+                raise RequestValidationError(
+                    f"field 'maxiter' must be an integer >= 1, not {maxiter!r}"
+                )
+            kwargs["maxiter"] = maxiter
     return cls(**kwargs)
 
 

@@ -99,10 +99,8 @@ def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarra
     compiled apply and the HSS solve allocate their buffers per call; what
     the lock still guards is first-use state built without a lock of its own
     (``H2Matrix.apply_plan()``, the plan's transpose stages, the matrix's
-    backend resolution) and, for HODLR models only, the recursive HODLR
-    solve, whose ``lu_solve`` must not run on two threads at once (see
-    :mod:`repro.serve.registry`); H2 models, strong or weak, solve through
-    the HSS factorization.
+    backend resolution; see :mod:`repro.serve.registry`).  Every model, strong
+    or weak, solves through the HSS factorization.
     The time spent acquiring it is ``serve.batch.lock_wait_ms``.
     """
     start = time.perf_counter()

@@ -17,7 +17,10 @@ Routes::
 
 Errors map onto conventional status codes: 400 for validation failures, 404
 for unknown models/routes, 500 otherwise — always with a JSON body
-``{"error": ..., "type": ...}``.
+``{"error": ..., "type": ...}``.  A request that cannot be framed (malformed
+request line, a ``Content-Length`` that is not a non-negative integer: 400; a
+body over :data:`MAX_BODY_BYTES`: 413, never read) gets its error with
+``Connection: close`` and the connection is closed.
 
 Quick use::
 
@@ -121,6 +124,12 @@ class HttpAdapter:
                     parsed = await self._read_request(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
+                except _HttpError as exc:
+                    await self._write_response(
+                        writer, exc.status, _error_body(exc), "application/json",
+                        keep_alive=False,
+                    )
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -155,7 +164,10 @@ class HttpAdapter:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -185,11 +197,7 @@ class HttpAdapter:
                 raise _HttpError(405, f"{method} not allowed on {path}")
             raise _HttpError(404, f"no route {path!r}")
         except _HttpError as exc:
-            return (
-                exc.status,
-                _json({"error": str(exc), "type": "http"}),
-                "application/json",
-            )
+            return exc.status, _error_body(exc), "application/json"
         except Exception as exc:
             return (
                 _error_status(exc),
@@ -215,6 +223,10 @@ class HttpAdapter:
         )
         writer.write(head.encode("ascii") + payload)
         await writer.drain()
+
+
+def _error_body(exc: _HttpError) -> bytes:
+    return _json({"error": str(exc), "type": "http"})
 
 
 def _json(payload: dict) -> bytes:

@@ -13,12 +13,11 @@ or HSS-solve it at once and get the serial answer.  The lock stays for what
 is still built or run unguarded: the first ``H2Matrix.apply_plan()`` compile
 (two threads would both compile and race on ``_plan`` / ``_entry_plan``), the
 plan's lazily assembled transpose stages (``_ensure_transpose``), the
-matrix's lazy backend resolution (``_resolve_backend``), and — for a model
-registered as a HODLR matrix only — the recursive
-``HODLRFactorization.solve``, whose SciPy ``lu_solve`` corrupts the heap when
-two threads call it at once.  Every H2 model, strong or weak, is factored by
-the HSS factorization: a strong one is first re-compressed onto the weak
-partition with the sketching constructor.
+matrix's lazy backend resolution (``_resolve_backend``).  Every model is an
+H2 matrix factored by the HSS factorization (a strong one is first
+re-compressed onto the weak partition with the sketching constructor), so no
+served solve runs the recursive HODLR Woodbury solve whose SciPy
+``lu_solve`` is not thread-safe.
 
 :class:`ModelRegistry` resolves models from four sources, in order of
 explicitness: an operator instance, an artifact path
@@ -75,8 +74,7 @@ class ServedModel:
         self.requests = 0
         self.health = None
         #: Serializes numerical work on this model: guards the lazy apply
-        #: plan, transpose stages and backend, and the HODLR solve (module
-        #: docstring).
+        #: plan, transpose stages and backend (module docstring).
         self.lock = threading.Lock()
         self._factor_lock = threading.Lock()
         self._factorization = None
@@ -94,10 +92,9 @@ class ServedModel:
     def factorization(self):
         """The factorization of ``K + noise I`` (built on first use).
 
-        :func:`repro.solvers.factorize` picks it from the operator: an HSS
-        matrix is factored on its own generators, a strong H2 matrix on the
-        generators of its re-compression onto the weak partition, a HODLR
-        matrix by the recursive Woodbury elimination.  Thread-safe double-checked build:
+        :func:`repro.solvers.factorize` builds it: an HSS matrix is factored
+        on its own generators, a strong H2 matrix on the generators of its
+        re-compression onto the weak partition.  Thread-safe double-checked build:
         concurrent first requests block on one construction instead of each
         paying it.
         """

@@ -1,6 +1,6 @@
 """Solver subsystem: Krylov methods + hierarchical factorization.
 
-Everything the library constructs (H2/HSS/HODLR/H matrices, sketching
+Everything the library constructs (H2/HSS matrices, sketching
 operators, dense and sparse matrices) plugs into the same three layers:
 
 * :mod:`~repro.solvers.krylov` — matrix-free CG / GMRES(m) / BiCGStab with
@@ -13,8 +13,6 @@ operators, dense and sparse matrices) plugs into the same three layers:
   near-linear direct solves and log-determinants in O(levels) batched
   launches.  A factorization is itself a valid ``M=`` preconditioner of the
   Krylov methods (a loose-tolerance one is a cheap ``M^{-1}``);
-* :mod:`~repro.solvers.hodlr_factor` — the recursive Woodbury
-  :class:`HODLRFactorization`, the route for non-nested HODLR input only;
 * :mod:`~repro.solvers.multifrontal_solve` — a nested-dissection sparse solve
   whose large fronts are compressed with the sketching constructor (the
   paper's application scenario);
@@ -24,7 +22,6 @@ operators, dense and sparse matrices) plugs into the same three layers:
   and :func:`guarded_solve`, the one policy-guarded Krylov solve.
 """
 
-from .hodlr_factor import HODLRFactorization
 from .hss_factor import HSSFactorization, factorize
 from .krylov import KrylovResult, bicgstab, cg, gmres
 from .ladder import RungReport, escalation_ladder, guarded_solve
@@ -38,7 +35,6 @@ __all__ = [
     "guarded_solve",
     "KrylovResult",
     "RungReport",
-    "HODLRFactorization",
     "HSSFactorization",
     "factorize",
     "MultifrontalSolver",

@@ -25,8 +25,8 @@ block: ``D_parent = [[S_c1, B_12], [B_21, S_c2]]`` with the stored couplings.
 The root is one dense LU, the determinant the product over all pivot blocks.
 No inner basis is ever expanded and nothing is re-solved per ancestor, which
 is what the nested-basis expansion + recursive Woodbury route
-(``convert(h2, "hodlr")`` + :class:`~repro.solvers.hodlr_factor.HODLRFactorization`)
-pays for.
+(``convert(h2, "hodlr")`` + :class:`~repro.baselines.hodlr_factor.HODLRFactorization`,
+the comparator and test oracle) pays for.
 
 A basis without ``k`` unit rows (hand-built, or re-mixed ``W -> W G``) gets its
 split from one partially pivoted LU of ``W`` instead: ``T = W_r W_s^{-1}`` is
@@ -63,10 +63,9 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrf, dlaswp, dtrtrs
 
 from ..batched.block_rows import pad_blocks
+from ..core.recompression import _recompress_weak
 from ..hmatrix.h2matrix import H2Matrix
-from ..hmatrix.hodlr import HODLRMatrix
 from ..observe.tracer import NOOP_TRACER
-from .hodlr_factor import HODLRFactorization
 
 #: Stacks per level: its nodes sorted by rank and cut into this many buckets.
 #: One stack pads every node to the level's largest redundant count *and*
@@ -499,8 +498,8 @@ class HSSFactorization:
 
 def factorize(
     operator: object, shift: float = 0.0, tracer: object | None = None
-) -> "HSSFactorization | HODLRFactorization":
-    """Factor ``operator + shift I`` with the factorization its structure admits.
+) -> HSSFactorization:
+    """Factor the :class:`H2Matrix` ``operator + shift I``.
 
     * an :class:`H2Matrix` on the weak partition (HSS — what ``Session``,
       ``compress(format="hss")`` and the GP produce) is factored on its own
@@ -509,23 +508,14 @@ def factorize(
       the weak partition of its own tree with the sketching constructor
       (:func:`~repro.core.recompression.recompress_h2` at ``tol=1e-6``,
       ``seed=0``, so the factorization is only as accurate as that
-      re-compression) and then factored by :class:`HSSFactorization`;
-    * a :class:`~repro.hmatrix.hodlr.HODLRMatrix` (non-nested bases) goes to
-      the recursive Woodbury :class:`HODLRFactorization`.
+      re-compression) and then factored by :class:`HSSFactorization`.
 
-    Both results offer ``solve`` / ``slogdet`` / ``logdet`` /
-    ``determinant_sign`` / ``memory_bytes``.  Anything else raises
-    :class:`TypeError`.
+    Anything else raises :class:`TypeError`.
     """
-    if isinstance(operator, H2Matrix):
-        if operator.weak_partition_defect() is not None:
-            from ..api.conversion import _recompress_weak
-
-            operator = _recompress_weak(operator)
-        return HSSFactorization(operator, shift=shift, tracer=tracer)
-    if isinstance(operator, HODLRMatrix):
-        return HODLRFactorization(operator, shift=shift, tracer=tracer)
-    raise TypeError(
-        f"cannot factorize a {type(operator).__name__}: expected an H2Matrix "
-        "or an HODLRMatrix (see repro.convert)"
-    )
+    if not isinstance(operator, H2Matrix):
+        raise TypeError(
+            f"cannot factorize a {type(operator).__name__}: expected an H2Matrix"
+        )
+    if operator.weak_partition_defect() is not None:
+        operator = _recompress_weak(operator)
+    return HSSFactorization(operator, shift=shift, tracer=tracer)

@@ -87,16 +87,16 @@ def _factorization_for(
     """:func:`~repro.solvers.hss_factor.factorize` of ``a + shift I``, or
     ``None`` when ``a`` is not a format that has a factorization.
 
-    Dense arrays, black-box operators and H matrices return ``None`` — the
-    factorization rungs are then skipped.  An error raised *while* factoring
-    an H2/HSS/HODLR matrix is a defect, not a missing ingredient: it
-    propagates.
+    Anything but an :class:`~repro.hmatrix.h2matrix.H2Matrix` (dense arrays,
+    black-box operators, the comparator formats of :mod:`repro.baselines`)
+    returns ``None`` — the factorization rungs are then skipped.  An error
+    raised *while* factoring an H2/HSS matrix is a defect, not a missing
+    ingredient: it propagates.
     """
     from ..hmatrix.h2matrix import H2Matrix
-    from ..hmatrix.hodlr import HODLRMatrix
     from .hss_factor import factorize
 
-    if not isinstance(a, (H2Matrix, HODLRMatrix)):
+    if not isinstance(a, H2Matrix):
         return None
     return factorize(a, shift=shift, tracer=tracer)
 

@@ -6,7 +6,8 @@ Covers the tentpole of the façade PR:
   every format produced by :func:`repro.compress` (plus recompression /
   low-rank-update results) runs through the same matvec/matmat/rmatvec/
   rmatmat/to_dense/dense-equivalence and ``permuted=`` round-trip checks;
-* the :func:`repro.convert` format-conversion registry;
+* :func:`repro.baselines.convert`, the H2 → HODLR conversion of the
+  comparator formats;
 * the :class:`~repro.api.policy.ExecutionPolicy` / :mod:`repro.backends`
   registry threading;
 * :class:`repro.Session` chaining (compress → factor → solve, sweep, gp).
@@ -21,21 +22,18 @@ import repro
 from repro import (
     ExecutionPolicy,
     HierarchicalOperator,
-    HODLRMatrix,
-    H2Matrix,
     KernelLaunchCounter,
     SerialBackend,
     Session,
     SpanTracer,
     compress,
-    convert,
     random_low_rank,
     recompress_h2,
     uniform_cube_points,
 )
-from repro.api import FORMATS, available_conversions, register_conversion
+from repro.api import FORMATS
 from repro.api.protocol import PROTOCOL_METHODS
-from repro.hmatrix import build_hmatrix_aca
+from repro.baselines import HODLRMatrix, build_hmatrix_aca, convert
 
 N = 400
 LEAF = 32
@@ -317,53 +315,39 @@ class TestConvertRegistry:
     def test_h2_has_no_hmatrix_bridge(self, weak_h2):
         with pytest.raises(ValueError, match="no conversion"):
             convert(weak_h2, "hmatrix")
-        assert ("H2Matrix", "hmatrix") not in available_conversions()
 
     def test_to_dense_target(self, weak_h2):
-        dense = convert(weak_h2, "dense")
-        assert np.allclose(dense, weak_h2.to_dense(), rtol=0, atol=0)
+        """There is no ``"dense"`` target: the error points at ``to_dense()``."""
+        with pytest.raises(ValueError, match=r"to_dense\(\)"):
+            convert(weak_h2, "dense")
 
     def test_identity_conversion(self, weak_h2):
-        assert convert(weak_h2, "h2") is weak_h2
-        assert convert(weak_h2, "hss") is weak_h2
         hodlr = convert(weak_h2, "hodlr")
         assert convert(hodlr, "hodlr") is hodlr
+        for target in ("h2", "hss"):
+            with pytest.raises(ValueError, match="no conversion"):
+                convert(weak_h2, target)
 
     def test_unknown_target_raises(self, weak_h2):
         with pytest.raises(ValueError, match="no conversion"):
             convert(weak_h2, "butterfly")
 
-    def test_hss_target_rejects_strong_partition(self, api_points, api_kernel):
-        strong = compress(
-            api_points, api_kernel, format="h2", tol=TOL, leaf_size=LEAF, seed=7
+    def test_only_h2_and_hodlr_sources_convert(self, api_points, api_kernel, weak_h2):
+        """The target name is case-insensitive; an H matrix has no route."""
+        assert isinstance(convert(weak_h2, "HODLR"), HODLRMatrix)
+        tree = repro.ClusterTree.build(api_points, leaf_size=LEAF)
+        hmatrix = build_hmatrix_aca(
+            repro.build_block_partition(tree, repro.GeneralAdmissibility(eta=0.7)),
+            repro.KernelEntryExtractor(api_kernel, tree.points).extract,
+            tol=1e-4,
         )
-        with pytest.raises(ValueError, match="weak-admissibility"):
-            convert(strong, "hss")
-        hodlr = convert(
-            compress(api_points, api_kernel, format="hss", tol=TOL,
-                     leaf_size=LEAF, seed=7),
-            "hodlr",
-        )
-        with pytest.raises(ValueError, match="weak-admissibility"):
-            convert(hodlr, "hss")
+        with pytest.raises(ValueError, match="from HMatrix"):
+            convert(hmatrix, "hodlr")
 
     def test_unsupported_source_lists_targets(self, weak_h2):
         hodlr = convert(weak_h2, "hodlr")
         with pytest.raises(ValueError, match="dense"):
             convert(hodlr, "hmatrix")
-
-    def test_registry_is_extensible(self, weak_h2):
-        sentinel = object()
-        register_conversion(H2Matrix, "sentinel", lambda op: sentinel)
-        try:
-            assert convert(weak_h2, "sentinel") is sentinel
-            with pytest.raises(ValueError, match="already registered"):
-                register_conversion(H2Matrix, "sentinel", lambda op: None)
-            assert ("H2Matrix", "sentinel") in available_conversions()
-        finally:
-            from repro.api import conversion
-
-            conversion._CONVERSIONS.pop((H2Matrix, "sentinel"))
 
     def test_strong_partition_converts_to_hodlr(self, api_points, api_kernel):
         """General-admissibility H2 re-compresses onto the weak partition

@@ -1,7 +1,7 @@
 """Tests of the Gaussian-process subsystem (repro.gp).
 
 The GP layer composes every subsystem — construction through a
-:class:`~repro.core.context.GeometryContext`, HODLR factorization for the
+:class:`~repro.core.context.GeometryContext`, HSS factorization for the
 log-determinant, preconditioned CG over the compiled batched apply plan for
 the solves — so these tests pin its statistical outputs against the dense
 ``numpy.linalg`` reference: marginal log-likelihood, posterior mean/variance,

@@ -8,11 +8,11 @@ from repro import (
     DenseOperator,
     WeakAdmissibility,
     build_block_partition,
-    build_hodlr,
     compress,
 )
-from repro.hmatrix.aca import aca_from_entry_function, aca_low_rank
-from repro.hmatrix.hmatrix import build_hmatrix_aca
+from repro.baselines import build_hodlr
+from repro.baselines.aca import aca_from_entry_function, aca_low_rank
+from repro.baselines.hmatrix import build_hmatrix_aca
 
 
 class TestACA:

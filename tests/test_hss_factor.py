@@ -27,17 +27,16 @@ from repro import (
     GaussianKernel,
     H2Matrix,
     HelmholtzKernel,
-    HODLRFactorization,
     HSSFactorization,
     RecoveryPolicy,
     compress,
-    convert,
     escalation_ladder,
     factorize,
     load_operator,
     save_operator,
     uniform_cube_points,
 )
+from repro.baselines import HODLRFactorization, HODLRMatrix, convert
 from repro.hmatrix.basis_tree import BasisTree
 
 GRID_N = 320
@@ -346,10 +345,16 @@ class TestCompiledSolve:
 # ------------------------------------------------------- the one entry point
 class TestFactorize:
     def test_picks_by_structure(self, base_hss):
+        """Only an H2 matrix factors; its HODLR expansion is the oracle."""
+        from repro.observe import NOOP_TRACER
+        from repro.solvers.ladder import _factorization_for
+
         assert isinstance(factorize(base_hss, shift=1e-2), HSSFactorization)
         hodlr = convert(base_hss, "hodlr")
-        woodbury = factorize(hodlr, shift=1e-2)
-        assert isinstance(woodbury, HODLRFactorization)
+        with pytest.raises(TypeError, match="expected an H2Matrix"):
+            factorize(hodlr, shift=1e-2)
+        assert _factorization_for(hodlr, 1e-2, NOOP_TRACER) is None
+        woodbury = HODLRFactorization(hodlr, shift=1e-2)
         b = np.random.default_rng(19).standard_normal(600)
         assert _rel(factorize(base_hss, shift=1e-2).solve(b), woodbury.solve(b)) < 1e-10
 
@@ -367,6 +372,24 @@ class TestFactorize:
         with pytest.raises(TypeError, match="cannot factorize"):
             factorize(operator)
 
+    @pytest.mark.parametrize("fmt", ["hodlr", "hmatrix"])
+    def test_rejects_the_baseline_formats(self, base_hss, fmt):
+        """The comparator formats have no product factorization."""
+        from repro import GeneralAdmissibility, build_block_partition
+        from repro.baselines import build_hmatrix_aca
+
+        if fmt == "hodlr":
+            op = convert(base_hss, "hodlr")
+        else:
+            dense = base_hss.to_dense(permuted=True)
+            op = build_hmatrix_aca(
+                build_block_partition(base_hss.tree, GeneralAdmissibility(eta=0.7)),
+                lambda rows, cols: dense[np.ix_(rows, cols)],
+                tol=1e-6,
+            )
+        with pytest.raises(TypeError, match="expected an H2Matrix"):
+            factorize(op, shift=1e-2)
+
 
 class TestNoACAOnProductPaths:
     """Every product path to a factorization or a HODLR matrix runs the
@@ -380,8 +403,8 @@ class TestNoACAOnProductPaths:
 
     @pytest.fixture
     def no_aca(self, monkeypatch):
-        import repro.hmatrix.hmatrix as hmatrix_module
-        import repro.hmatrix.hodlr as hodlr_module
+        import repro.baselines.hmatrix as hmatrix_module
+        import repro.baselines.hodlr as hodlr_module
 
         def refuse(*args, **kwargs):
             raise AssertionError("ACA entered on a product path")
@@ -397,7 +420,6 @@ class TestNoACAOnProductPaths:
         return uniform_cube_points(1024, dim=dim, seed=3), ExponentialKernel(0.2), leaf
 
     def test_strong_h2_never_enters_aca(self, no_aca):
-        from repro import HODLRMatrix
         from repro.observe import NOOP_TRACER
         from repro.solvers.ladder import _factorization_for
 
@@ -447,6 +469,17 @@ class TestLadderFactorization:
         a = base_hss.to_dense() + np.eye(600)  # a dense array: nothing to factor
         b = np.random.default_rng(29).standard_normal(600)
         result = escalation_ladder(a, b, tol=1e-8, recovery=self.RECOVERY)
+        rungs = {r["rung"]: r for r in result.extra["escalation"]["rungs"]}
+        assert rungs["pcg"]["skipped"] and rungs["direct"]["skipped"]
+        assert result.extra["escalation"]["converged_rung"] == "cg"
+
+    def test_baseline_format_skips_the_direct_rungs(self, base_hss):
+        """A HODLR matrix is solved matrix-free: nothing factors it."""
+        hodlr = convert(base_hss, "hodlr")
+        b = np.random.default_rng(37).standard_normal(600)
+        result = escalation_ladder(
+            hodlr, b, tol=1e-8, shift=1.0, recovery=self.RECOVERY
+        )
         rungs = {r["rung"]: r for r in result.extra["escalation"]["rungs"]}
         assert rungs["pcg"]["skipped"] and rungs["direct"]["skipped"]
         assert result.extra["escalation"]["converged_rung"] == "cg"

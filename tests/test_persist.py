@@ -33,7 +33,7 @@ from repro import (
     compress,
     uniform_cube_points,
 )
-from repro.hmatrix import build_hmatrix_aca
+from repro.baselines import build_hmatrix_aca, convert
 from repro.persist import (
     ArtifactError,
     ArtifactFormatError,
@@ -61,26 +61,15 @@ def persist_kernel() -> ExponentialKernel:
     return ExponentialKernel(length_scale=0.3)
 
 
-@pytest.fixture(scope="module", params=["h2", "hss", "hodlr", "hmatrix"])
+@pytest.fixture(scope="module", params=["h2", "hss"])
 def saved_operator(request, persist_points, persist_kernel, tmp_path_factory):
-    """One operator of every persisted format: the sketching formats from
-    :func:`compress`, HODLR as the exact expansion of an HSS matrix and the
-    H matrix from the ACA builder (its only producer)."""
+    """One operator of each persisted format: the strong H2 and the HSS
+    matrix from :func:`compress`."""
     fmt = request.param
-    if fmt == "hmatrix":
-        tree = repro.ClusterTree.build(persist_points, leaf_size=LEAF)
-        op = build_hmatrix_aca(
-            repro.build_block_partition(tree, repro.GeneralAdmissibility(eta=0.7)),
-            repro.KernelEntryExtractor(persist_kernel, tree.points).extract,
-            tol=TOL,
-        )
-    else:
-        op = compress(
-            persist_points, persist_kernel, format="h2" if fmt == "h2" else "hss",
-            tol=TOL, leaf_size=LEAF, seed=5,
-        )
-        if fmt == "hodlr":
-            op = repro.convert(op, "hodlr")
+    op = compress(
+        persist_points, persist_kernel, format=fmt, tol=TOL, leaf_size=LEAF,
+        seed=5,
+    )
     path = tmp_path_factory.mktemp("artifacts") / f"{fmt}.repro"
     op.save(path)
     return fmt, op, path
@@ -206,8 +195,32 @@ class TestContainerValidation:
             load_operator(path)
 
     def test_unpersistable_operator(self, tmp_path):
-        with pytest.raises(ArtifactError, match="register_format"):
+        with pytest.raises(ArtifactError, match="only H2 matrices"):
             save_operator(object(), tmp_path / "nope.repro")
+
+    def test_baseline_formats_do_not_persist(self, persist_points, persist_kernel, tmp_path):
+        """HODLR and H matrices are comparators, not product formats."""
+        tree = repro.ClusterTree.build(persist_points, leaf_size=LEAF)
+        weak = compress(
+            persist_points, persist_kernel, format="hss", tol=TOL,
+            leaf_size=LEAF, seed=5,
+        )
+        hmatrix = build_hmatrix_aca(
+            repro.build_block_partition(tree, repro.GeneralAdmissibility(eta=0.7)),
+            repro.KernelEntryExtractor(persist_kernel, tree.points).extract,
+            tol=TOL,
+        )
+        for op in (convert(weak, "hodlr"), hmatrix):
+            with pytest.raises(ArtifactError, match="only H2 matrices"):
+                save_operator(op, tmp_path / "baseline.repro")
+
+    @pytest.mark.parametrize("fmt", ["hodlr", "hmatrix"])
+    def test_old_baseline_artifact_is_unknown_format(self, fmt, tmp_path):
+        """Artifacts of the formats earlier releases persisted load typed."""
+        path = tmp_path / f"{fmt}.repro"
+        write_artifact(path, fmt, 1, {}, [("x", np.zeros(3))])
+        with pytest.raises(ArtifactFormatError, match=fmt):
+            load_operator(path)
 
 
 class TestKernelDescriptor:
@@ -252,6 +265,39 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path)
         with pytest.raises(ArtifactError, match="butterfly"):
             cache.key(persist_points, persist_kernel, tol=1e-6, format="butterfly")
+
+    @pytest.mark.parametrize("fmt", ["hodlr", "hmatrix"])
+    def test_baseline_formats_have_no_key(
+        self, persist_points, persist_kernel, tmp_path, fmt
+    ):
+        with pytest.raises(ArtifactError, match=fmt):
+            ArtifactCache(tmp_path).key(
+                persist_points, persist_kernel, tol=1e-6, format=fmt
+            )
+
+    def test_format_version_is_the_h2_layout(self):
+        from repro.persist import H2_FORMAT_VERSION, format_version
+
+        assert format_version("h2") == format_version("HSS") == H2_FORMAT_VERSION == 1
+        with pytest.raises(ArtifactError, match="hodlr"):
+            format_version("hodlr")
+
+    def test_keys_are_stable_across_releases(self, tmp_path):
+        """A fixed h2 and hss request hashes to the key of release 1.4.0,
+        so existing cache entries stay valid."""
+        cache = ArtifactCache(tmp_path)
+        points = uniform_cube_points(64, dim=2, seed=0)
+        kernel = ExponentialKernel(0.2)
+        h2 = cache.key(
+            points, kernel, tol=1e-6, format="h2", leaf_size=16,
+            admissibility=repro.GeneralAdmissibility(eta=0.7), seed=3,
+        )
+        hss = cache.key(
+            points, kernel, tol=1e-6, format="hss", leaf_size=16,
+            admissibility=repro.WeakAdmissibility(), seed=3,
+        )
+        assert h2 == "dc0a36ae52777102940b71b81625dc117ea85ea786537f930c151bb7e828607c"
+        assert hss == "573b1f3de275317b69696aba246626cfb8e3c5e6af323f62226458e3fe7c068b"
 
     def test_miss_then_hit(self, saved_operator, persist_points, persist_kernel, tmp_path):
         _, op, _ = saved_operator

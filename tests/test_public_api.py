@@ -30,8 +30,6 @@ class TestAllListing:
     def test_facade_names_exported(self):
         for name in (
             "compress",
-            "convert",
-            "register_conversion",
             "Session",
             "ExecutionPolicy",
             "HierarchicalOperator",
@@ -41,8 +39,19 @@ class TestAllListing:
             assert name in repro.__all__, name
 
     def test_legacy_names_still_exported(self):
-        for name in ("H2Constructor", "build_hodlr"):
-            assert name in repro.__all__, name
+        assert "H2Constructor" in repro.__all__
+
+    def test_baseline_formats_leave_the_top_level(self):
+        """HODLR, H matrices and ACA live in repro.baselines; the top level
+        keeps only the two names benchmarks/e2e still imports."""
+        import repro.baselines
+
+        for name in ("HMatrix", "HODLRMatrix", "build_hodlr", "build_hmatrix_aca",
+                     "register_conversion", "available_conversions"):
+            assert name not in repro.__all__, name
+            assert not hasattr(repro, name), name
+        assert repro.convert is repro.baselines.convert
+        assert repro.HODLRFactorization is repro.baselines.HODLRFactorization
 
     def test_versions_agree(self):
         import pathlib

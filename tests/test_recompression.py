@@ -8,10 +8,11 @@ from repro import (
     H2Operator,
     LowRankOperator,
     SumOperator,
+    WeakAdmissibility,
     random_low_rank,
     recompress_h2,
 )
-from repro.core.recompression import low_rank_update_reference_matvec
+from repro.core.recompression import _recompress_weak, low_rank_update_reference_matvec
 
 
 class TestPlainRecompression:
@@ -29,6 +30,27 @@ class TestPlainRecompression:
         assert result.total_samples > 0
         assert result.entries_evaluated > 0
         assert result.matrix.partition is cov_h2.partition
+
+
+class TestWeakRecompression:
+    """``_recompress_weak``: how a strong H2 matrix reaches the HSS factor."""
+
+    def test_lands_on_the_weak_partition(self, cov_h2, rel_err):
+        assert cov_h2.weak_partition_defect() is not None
+        weak = _recompress_weak(cov_h2)
+        assert isinstance(weak.partition.admissibility, WeakAdmissibility)
+        assert weak.partition.tree is cov_h2.tree
+        assert weak.weak_partition_defect() is None
+        assert weak.apply_backend is cov_h2.apply_backend
+        assert rel_err(weak.to_dense(permuted=True), cov_h2.to_dense(permuted=True)) < 1e-4
+
+    def test_is_deterministic(self, cov_h2):
+        first = _recompress_weak(cov_h2).to_dense(permuted=True)
+        assert np.array_equal(first, _recompress_weak(cov_h2).to_dense(permuted=True))
+
+    def test_max_rank_caps_every_basis(self, cov_h2):
+        weak = _recompress_weak(cov_h2, tol=1e-10, max_rank=4)
+        assert max(weak.basis.ranks.values()) <= 4
 
 
 class TestLowRankUpdate:

@@ -11,7 +11,7 @@ Covers the tentpole of the resilience PR:
   ``warn`` (structured warning + recovery) and ``recover`` (silent recovery)
   — with *bitwise* equality against an uninjected reference wherever a
   recovery claims to reproduce the clean run;
-* the solver escalation ladder (CG → preconditioned CG → GMRES(m) → HODLR
+* the solver escalation ladder (CG → preconditioned CG → GMRES(m) → HSS
   direct) standalone, through :meth:`repro.Session.solve`, and through
   :class:`repro.GaussianProcess`;
 * construction guards: NaN screening, rank-saturation escalation,
@@ -465,7 +465,7 @@ class TestRankSaturation:
 # ------------------------------------------------------------------- ladder
 class TestEscalationLadder:
     """cg stagnates at rung_maxiter=20 on the exponential kernel; pcg
-    (HODLR-preconditioned) converges in O(1) iterations."""
+    (HSS-preconditioned) converges in O(1) iterations."""
 
     @pytest.fixture(scope="class")
     def hss_system(self):

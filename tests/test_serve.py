@@ -36,6 +36,7 @@ from repro.serve import (
     response_to_wire,
     serve_http,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 N = 192
 NOISE = 1e-2
@@ -894,6 +895,20 @@ class TestWireCodec:
                                         "method": "magic"})
         with pytest.raises(RequestValidationError):
             request_from_wire("matvec", {"model": 3, "x": [1.0]})
+        for bad in ({"tol": None}, {"tol": -1}, {"maxiter": [3]}, {"maxiter": 0}):
+            with pytest.raises(RequestValidationError):
+                request_from_wire("solve", {"model": "m", "b": [1.0], **bad})
+
+    def test_tol_and_maxiter_bounds(self):
+        """The smallest valid values pass; a JSON boolean is not a number."""
+        request = request_from_wire(
+            "solve", {"model": "m", "b": [1.0], "tol": 1, "maxiter": 1}
+        )
+        assert request.tol == 1.0 and isinstance(request.tol, float)
+        assert request.maxiter == 1
+        for bad in ({"tol": True}, {"tol": float("inf")}, {"maxiter": 2.0}):
+            with pytest.raises(RequestValidationError):
+                request_from_wire("solve", {"model": "m", "b": [1.0], **bad})
 
     def test_response_to_wire_serializes_arrays(self):
         from repro.serve import SolveResponse
@@ -985,6 +1000,58 @@ class TestHttpAdapter:
         assert results["bad_shape"][0] == 400
         assert results["no_route"][0] == 404
         assert results["wrong_method"][0] == 405
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            pytest.param(
+                "POST /v1/solve HTTP/1.1\r\nContent-Length: "
+                f"{MAX_BODY_BYTES + 1}\r\n\r\n",
+                413, id="oversized",
+            ),
+            pytest.param("GARBAGE\r\n\r\n", 400, id="bad_request_line"),
+            pytest.param(
+                "POST /v1/solve HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                400, id="non_integer_length",
+            ),
+            pytest.param(
+                "POST /v1/solve HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                400, id="negative_length",
+            ),
+        ],
+    )
+    def test_unframeable_request_gets_its_error(
+        self, serve_operator, caplog, raw, status
+    ):
+        """A request the adapter cannot frame gets its 400/413 with a JSON
+        error and ``Connection: close``; the oversized body is never read,
+        nothing reaches asyncio's unhandled-exception log, and the adapter
+        keeps serving new connections."""
+        import json
+        import logging
+
+        server = make_server(serve_operator)
+
+        async def main():
+            http = await serve_http(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", http.port)
+            writer.write(raw.encode())
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            after = await self._request(http.port, "GET", "/v1/health")
+            await http.aclose()
+            await server.aclose()
+            return reply, after
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply, after = run(main())
+        head, _, content = reply.partition(b"\r\n\r\n")
+        assert int(head.split(None, 2)[1]) == status
+        assert b"Connection: close" in head
+        assert json.loads(content)["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert after[0] == 200
 
 
 # ------------------------------------------------------- end-to-end launch count

@@ -11,19 +11,17 @@ from repro import (
     DenseEntryExtractor,
     DenseOperator,
     ExponentialKernel,
-    HODLRFactorization,
     LowRankMatrix,
     MultifrontalSolver,
     as_linear_operator,
     bicgstab,
-    build_hodlr,
     compress,
     cg,
     gmres,
-    convert,
     factorize,
     uniform_cube_points,
 )
+from repro.baselines import HODLRFactorization, build_hodlr, convert
 from repro.diagnostics import convergence_table, residual_series
 from repro.multifrontal import poisson_matrix
 
