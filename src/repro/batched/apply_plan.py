@@ -22,6 +22,13 @@ matvec costs O(levels) batched dispatches instead of one small GEMM per tree
 node, and every dispatch is recorded in the backend's
 :class:`~repro.batched.counters.KernelLaunchCounter`.
 
+The forward dense and coupling operands are the matrix's block storage.  The
+construction sweep (:mod:`repro.batched.construction_plan`) stacks exactly
+these operands for its own subtract launches; the plan of a constructed
+matrix *adopts* them (``H2ApplyPlan(matrix, dense, coupling)``) and compiles
+only the four basis phases.  :meth:`H2ApplyPlan.view_blocks` then makes every
+block of the matrix's dicts a view of its slot, so each block exists once.
+
 The phases mirror the reference loop exactly:
 
 ========================  ====================================================
@@ -64,13 +71,20 @@ bit-for-bit a reordering of the reference loop's arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..observe.memory import memory_ledger
 from .backend import BatchedBackend, get_backend
-from .block_rows import LeafLayout, RowGroup, build_row_groups, fan_operands, pad_blocks
+from .block_rows import (
+    FanOperands,
+    LeafLayout,
+    RowGroup,
+    build_row_groups,
+    fan_operands,
+    pad_blocks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hmatrix.h2matrix import H2Matrix
@@ -132,8 +146,9 @@ class _Phase:
 
     ``rows`` maps a destination position to its ``(source position, block
     index)`` pairs, the index into ``blocks`` (views of the matrix blocks,
-    transposed where the stage reads a transpose); every block is
-    zero-padded to ``shape``.
+    transposed where the stage reads a transpose) and ``keys`` (the block's
+    dict key, ``None`` for a basis block); every block is zero-padded to
+    ``shape``.
     """
 
     op: str
@@ -143,23 +158,59 @@ class _Phase:
     shape: Tuple[int, int]
     sentinel: int
     blocks: List[np.ndarray] = field(default_factory=list)
+    keys: List[Optional[Tuple[int, int]]] = field(default_factory=list)
     rows: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
 
-    def add(self, dest_pos: int, src_pos: int, block: np.ndarray) -> None:
+    def add(
+        self, dest_pos: int, src_pos: int, block: np.ndarray,
+        key: Optional[Tuple[int, int]] = None,
+    ) -> None:
         self.rows.setdefault(dest_pos, []).append((src_pos, len(self.blocks)))
         self.blocks.append(block)
+        self.keys.append(key)
+
+    def compile(self) -> FanOperands:
+        """One operand per fan group of the rows; each group's blocks are
+        padded on their own, so no second copy of a whole phase is held."""
+        p, q = self.shape
+        groups = build_row_groups(self.rows.items(), self.sentinel)
+        operands = [
+            fan_operands(group, pad_blocks([self.blocks[i] for i in group.real_blocks], p, q))
+            for group in groups
+        ]
+        return FanOperands(self.keys, groups, operands)
+
+    def stages(self, operands: FanOperands) -> List[ApplyStage]:
+        return [
+            ApplyStage(self.op, self.level, self.dest, self.src, group, a)
+            for group, a in zip(operands.groups, operands.operands)
+        ]
 
 
 class H2ApplyPlan:
     """Per-level batched execution plan of an :class:`~repro.hmatrix.h2matrix.H2Matrix`.
 
     Build with :func:`compile_apply_plan` (or ``H2Matrix.apply_plan()``, which
-    caches the compiled plan on the matrix).  The plan holds padded *copies* of
-    the matrix blocks — mutating the matrix after compilation requires
-    recompiling.
+    caches the compiled plan on the matrix).  The forward dense and coupling
+    stages are either compiled from the matrix's blocks or *adopted*: given as
+    the fan-grouped operands the construction sweep already marshaled
+    (``dense`` / ``coupling``, keyed by depth, whose slots the matrix's
+    blocks already view), in which case only the four basis phases are
+    compiled.  A coupling level is adopted when its positions and padding are
+    the plan's — every node of the level carries a nonzero rank; otherwise it
+    is compiled from the blocks.
+
+    :meth:`view_blocks` makes the operands the blocks' only storage: the
+    matrix's dense and coupling dicts become views of their slots.  A matrix
+    mutated after compilation must recompile (``apply_plan(rebuild=True)``).
     """
 
-    def __init__(self, matrix: "H2Matrix"):
+    def __init__(
+        self,
+        matrix: "H2Matrix",
+        dense: Optional[FanOperands] = None,
+        coupling: Optional[Mapping[int, FanOperands]] = None,
+    ):
         tree = matrix.tree
         basis = matrix.basis
         self.n = tree.num_points
@@ -188,8 +239,13 @@ class H2ApplyPlan:
         # leaves no reference cycle: a dropped matrix is freed at once instead
         # of at the next cyclic garbage collection.
         self._tree, self._coupling, self._dense = tree, matrix.coupling, matrix.dense
+        #: The forward dense/coupling operands with the dict holding their
+        #: blocks and whether they were adopted, and the bytes of the blocks
+        #: stored as views into them.
+        self._block_operands: List[Tuple[dict, FanOperands, bool]] = []
+        self._viewed_bytes = 0
         self._sweeps = self._sweep_stages(matrix)
-        self._forward_stages = self._assemble(transpose=False)
+        self._forward_stages = self._assemble(False, dense, coupling or {})
         self._transpose_stages: List[ApplyStage] | None = None
         # Compile-time workspace accounting (never touches the per-apply path).
         self._ledger_key = memory_ledger().track(
@@ -199,18 +255,8 @@ class H2ApplyPlan:
     # ------------------------------------------------------------ compilation
     @staticmethod
     def _compile(phase: _Phase) -> List[ApplyStage]:
-        """One stage per fan group of ``phase``'s rows; each group's blocks are
-        padded on their own, so no second copy of a whole phase is held."""
-        p, q = phase.shape
-        return [
-            ApplyStage(
-                phase.op, phase.level, phase.dest, phase.src, group,
-                fan_operands(
-                    group, pad_blocks([phase.blocks[i] for i in group.real_blocks], p, q)
-                ),
-            )
-            for group in build_row_groups(phase.rows.items(), phase.sentinel)
-        ]
+        """One stage per fan group of ``phase``'s rows."""
+        return phase.stages(phase.compile())
 
     def _sweep_stages(self, matrix: "H2Matrix"):
         """Leaf, upsweep, downsweep and expansion stages (shared with transpose)."""
@@ -266,58 +312,122 @@ class H2ApplyPlan:
         down.reverse()  # downsweep pushes root-ward hats before leaf-ward ones
         return self._compile(leaf), up, down, self._compile(expand)
 
-    def _coupling_stages(self, transpose: bool) -> List[ApplyStage]:
-        phases: Dict[int, _Phase] = {}
-        for (s, t) in sorted(self._coupling):
+    def _forward(
+        self, phase: _Phase, blocks: dict, given: Optional[FanOperands]
+    ) -> List[ApplyStage]:
+        """A forward dense/coupling phase: its given operands, or compiled
+        ones; either way remembered for :meth:`view_blocks`."""
+        operands = given if given is not None else phase.compile()
+        self._block_operands.append((blocks, operands, given is not None))
+        return phase.stages(operands)
+
+    def _adoptable(self, level: int, operands: FanOperands) -> bool:
+        """Whether a construction level's coupling operands (over every node
+        of the level, padded to its largest rank) are this plan's: every node
+        of the level has a hat-vector position, padded to the same rank."""
+        pos = self._level_pos.get(level)
+        return (
+            pos is not None
+            and len(pos) == len(self._tree.nodes_at_level(level))
+            and all(a.shape[1] == self._level_rank[level] for a in operands.operands)
+        )
+
+    def _coupling_phase(self, level: int) -> _Phase:
+        r = self._level_rank[level]
+        return _Phase(
+            "apply_coupling", level, ("ghat", level), ("hat", level), (r, r),
+            sentinel=len(self._level_pos[level]),
+        )
+
+    def _coupling_stages(
+        self, transpose: bool, given: Mapping[int, FanOperands]
+    ) -> List[ApplyStage]:
+        adopted = {
+            level: operands for level, operands in given.items()
+            if self._adoptable(level, operands)
+        }
+        phases = {level: self._coupling_phase(level) for level in adopted}
+        # Walk the blocks only when some lie outside the adopted levels.
+        adopted_blocks = sum(len(operands.keys) for operands in adopted.values())
+        pairs = sorted(self._coupling) if adopted_blocks < len(self._coupling) else []
+        for (s, t) in pairs:
             block = self._coupling[(s, t)]
-            if block.size == 0:
-                continue
             level = self._tree.level_of(s)
+            if block.size == 0 or level in adopted:
+                continue
             pos = self._level_pos.get(level)
             if pos is None or s not in pos or t not in pos:
                 continue
             if level not in phases:
-                r = self._level_rank[level]
-                phases[level] = _Phase(
-                    "apply_coupling", level, ("ghat", level), ("hat", level), (r, r),
-                    sentinel=len(pos),
-                )
+                phases[level] = self._coupling_phase(level)
             dest, src = (t, s) if transpose else (s, t)
-            phases[level].add(pos[dest], pos[src], block.T if transpose else block)
-        return [
-            stage for level in sorted(phases) for stage in self._compile(phases[level])
-        ]
+            phases[level].add(
+                pos[dest], pos[src], block.T if transpose else block, (s, t)
+            )
+        stages: List[ApplyStage] = []
+        for level in sorted(phases):
+            stages += (
+                self._compile(phases[level]) if transpose
+                else self._forward(phases[level], self._coupling, adopted.get(level))
+            )
+        return stages
 
-    def _dense_stages(self, transpose: bool) -> List[ApplyStage]:
+    def _dense_stages(
+        self, transpose: bool, given: Optional[FanOperands]
+    ) -> List[ApplyStage]:
         m = self.leaves.height
         phase = _Phase(
             "apply_dense", self.depth, ("y",), ("x",), (m, m),
             sentinel=len(self.leaves.nodes),
         )
-        for (s, t) in sorted(self._dense):
-            block = self._dense[(s, t)]
-            if block.size == 0:
-                continue
-            dest, src = (t, s) if transpose else (s, t)
-            phase.add(
-                self.leaves.pos[dest], self.leaves.pos[src], block.T if transpose else block
-            )
-        return self._compile(phase)
+        if given is None:
+            for (s, t) in sorted(self._dense):
+                block = self._dense[(s, t)]
+                if block.size == 0:
+                    continue
+                dest, src = (t, s) if transpose else (s, t)
+                phase.add(
+                    self.leaves.pos[dest], self.leaves.pos[src],
+                    block.T if transpose else block, (s, t),
+                )
+        if transpose:
+            return self._compile(phase)
+        return self._forward(phase, self._dense, given)
 
-    def _assemble(self, transpose: bool) -> List[ApplyStage]:
+    def _assemble(
+        self,
+        transpose: bool,
+        dense: Optional[FanOperands],
+        coupling: Mapping[int, FanOperands],
+    ) -> List[ApplyStage]:
         leaf_stages, up, down, expand_stages = self._sweeps
         return [
             *leaf_stages,
             *up,
-            *self._coupling_stages(transpose),
+            *self._coupling_stages(transpose, coupling),
             *down,
             *expand_stages,
-            *self._dense_stages(transpose),
+            *self._dense_stages(transpose, dense),
         ]
+
+    def view_blocks(self) -> None:
+        """Store every dense and coupling block of the compiled-from matrix as
+        an exact-shape view of its forward operand slot, so the operands are
+        the blocks' only copy; :meth:`memory_bytes` then counts only the bytes
+        beyond them (padding, basis and transpose operands)."""
+        viewed = 0
+        for blocks, operands, adopted in self._block_operands:
+            keys = operands.keys
+            if not adopted:  # adopted operands' blocks view them already
+                views = operands.views([blocks[key].shape for key in keys])
+                blocks.update(zip(keys, views))
+            viewed += sum(blocks[key].nbytes for key in keys)
+        self._viewed_bytes = viewed
+        memory_ledger().account(self._ledger_key, {"workspace": self.memory_bytes()})
 
     def _ensure_transpose(self) -> List[ApplyStage]:
         if self._transpose_stages is None:
-            self._transpose_stages = self._assemble(transpose=True)
+            self._transpose_stages = self._assemble(True, None, {})
             memory_ledger().account(
                 self._ledger_key, {"workspace": self.memory_bytes()}
             )
@@ -412,7 +522,8 @@ class H2ApplyPlan:
         return sum(stage.flops(k) for stage in self._forward_stages)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the pre-stacked static operand arrays."""
+        """Bytes held by the pre-stacked static operand arrays, less the
+        matrix blocks stored in them (:meth:`view_blocks`)."""
         total = sum(stage.a.nbytes for stage in self._forward_stages)
         if self._transpose_stages is not None:
             shared = {id(stage.a) for stage in self._forward_stages}
@@ -421,7 +532,7 @@ class H2ApplyPlan:
                 for stage in self._transpose_stages
                 if id(stage.a) not in shared
             )
-        return int(total)
+        return int(total - self._viewed_bytes)
 
     def stage_counts(self) -> Dict[str, int]:
         """Number of batched dispatches per phase, e.g. ``{"apply_coupling": 7, ...}``."""

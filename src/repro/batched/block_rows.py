@@ -17,6 +17,9 @@ last block is the *sentinel*, which stays zero:
   padded with zero blocks that read the sentinel;
 * :func:`fan_operands` lays a group's padded blocks side by side into its
   ``(g, p, fan * q)`` GEMM operand;
+* :class:`FanOperands` keeps a keyed block list as those operands — the only
+  copy of the blocks: :meth:`FanOperands.views` hands each block back as an
+  exact-shape view of its slot;
 * :class:`LeafLayout` lays the leaf blocks of an ``(n, k)`` array out as a
   zero-padded ``(leaves + 1, height, k)`` stack and reads them back.
 """
@@ -140,6 +143,51 @@ def fan_operands(group: RowGroup, stack: np.ndarray) -> np.ndarray:
     rows, slots = np.divmod(np.nonzero(group.block_req >= 0)[0], fan)
     a.reshape(g, p, fan, q).transpose(0, 2, 1, 3)[rows, slots] = stack
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class FanOperands:
+    """A keyed block list as fan-grouped GEMM operands.
+
+    ``operands[i]`` is the ``(g, p, fan * q)`` operand of ``groups[i]``; a
+    group's ``block_req`` entry ``b`` is the block ``keys[b]``.  Every block
+    sits in exactly one slot, so the operands can be the blocks' only storage.
+    """
+
+    keys: Sequence[Tuple[int, int]]
+    groups: Sequence[RowGroup]
+    operands: Sequence[np.ndarray]
+
+    @classmethod
+    def from_padded(
+        cls,
+        keys: Sequence[Tuple[int, int]],
+        groups: Sequence[RowGroup],
+        padded: np.ndarray,
+    ) -> "FanOperands":
+        """The operands of ``groups`` over the ``(len(keys), p, q)`` stack of
+        every block (``padded`` is not referenced afterwards)."""
+        operands = [fan_operands(g, padded[g.real_blocks]) for g in groups]
+        return cls(keys, groups, operands)
+
+    def views(self, shapes: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+        """Block ``b`` of shape ``shapes[b]`` as a view of its operand slot, in
+        key order.  An empty block is a fresh empty array: a view would keep
+        its operand alive for no data."""
+        views: List[Optional[np.ndarray]] = [None] * len(self.keys)
+        for group, a in zip(self.groups, self.operands):
+            q = int(a.shape[2]) // group.fan
+            for slot, b in enumerate(group.block_req.tolist()):
+                if b < 0:
+                    continue
+                row, j = divmod(slot, group.fan)
+                rows, cols = shapes[b]
+                views[b] = (
+                    a[row, :rows, j * q : j * q + cols]
+                    if rows and cols
+                    else np.zeros((rows, cols))
+                )
+        return views
 
 
 class LeafLayout:

@@ -25,13 +25,13 @@ Two pieces cooperate:
     buffers — preallocated ``(count + 1, m_pad, capacity)`` stacks (the last
     block is the sentinel zero block read by fan-in padding) into which
     adaptive sampling rounds write only the *new* columns instead of
-    re-copying every node's sample block — and the per-level *replay records*
-    (skeleton/redundant row gather maps, the stacked ID coefficients ``T``,
-    coupling GEMM operands, child-to-parent merge maps) that push freshly
-    drawn samples up the tree (``updateSamples``) in O(levels) batched
-    launches per round.  The random inputs are projected as ``X^T Omega =
-    Omega(J) + T Omega(redundant)``: the identity block of ``X = P [I; T^T]``
-    is a gather, never a multiply.
+    re-copying every node's sample block — the fan-grouped dense and coupling
+    operands, and the per-level *replay records* (skeleton/redundant row
+    gather maps, the stacked ID coefficients ``T``, child-to-parent merge
+    maps) that push freshly drawn samples up the tree (``updateSamples``) in
+    O(levels) batched launches per round.  The random inputs are projected
+    as ``X^T Omega = Omega(J) + T Omega(redundant)``: the identity block of
+    ``X = P [I; T^T]`` is a gather, never a multiply.
     Lifecycle, driven by ``H2Constructor._run_levels``: ``load_dense`` →
     ``init_leaf`` → per level ``finish_level`` → ``load_couplings`` →
     ``merge_to_parent``, with ``sweep_slab`` + ``state.append`` for every
@@ -78,20 +78,29 @@ block list of a level holds ``(s, t)`` and ``(t, s)`` alike, and ``D_{t,s} =
 D_{s,t}^T``, ``B_{t,s} = B_{s,t}^T``.  :class:`PairMirror` splits each list
 once (pure geometry) into the *owners* ``s <= t``, the only blocks the entry
 extractor is asked for, and their twins, which one transposed copy fills in
-the same padded stack.  A ``(q, p)`` twin shape no longer forms a shape group
-of its own.
+a transient padded extraction stack.  A ``(q, p)`` twin shape no longer forms
+a shape group of its own.
+
+**One copy of every block.**  The padded stack lives only inside
+``load_dense`` / ``load_couplings``: it is marshaled into the fan-grouped
+subtract operands (:class:`~repro.batched.block_rows.FanOperands`, owners and
+twins each at their own slot) and dropped.  Those operands are what the
+compiled apply of the finished matrix reads
+(:meth:`PackedSweepEngine.apply_operands`, adopted by
+:class:`~repro.batched.apply_plan.H2ApplyPlan`), and the blocks the
+constructor stores are views into them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..observe.tracer import phase_span
 from .backend import BatchedBackend
-from .block_rows import LeafLayout, RowGroup, build_row_groups, fan_operands, pad_blocks
+from .block_rows import FanOperands, LeafLayout, RowGroup, build_row_groups, pad_blocks
 from .counters import KernelLaunchCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,6 +108,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tree.block_partition import BlockPartition
 
 Request = Tuple[np.ndarray, np.ndarray]
+
+#: The operands of a level without admissible blocks.
+_NO_OPERANDS = FanOperands((), (), ())
 
 
 @dataclass(frozen=True)
@@ -214,9 +226,10 @@ class ConstructionPlan:
         return int(total)
 
     def sweep_workspace_bytes(self, columns: int) -> int:
-        """Bytes a :class:`PackedSweepEngine` allocates at the leaf level for
-        ``columns`` sample columns: the padded dense stack, its fan-grouped
-        operand copy and the ``omega``/``y`` sample stacks (float64)."""
+        """Peak bytes a :class:`PackedSweepEngine` allocates at the leaf level
+        for ``columns`` sample columns: the transient padded dense stack, the
+        fan-grouped operands it becomes (the matrix's dense storage) and the
+        ``omega``/``y`` sample stacks (float64)."""
         height = self.leaves.height
         block = height * height
         dense_stack = len(self.dense_pairs) * block
@@ -368,17 +381,16 @@ class _ReplayRecord:
     parent_heights: np.ndarray
     merge_node: np.ndarray
     merge_row: np.ndarray
-    #: Fan-grouped coupling-subtract launches ``(group, operand)``, attached
-    #: once the level's coupling blocks have been extracted.
-    coupling_ops: List[Tuple[RowGroup, np.ndarray]] = field(default_factory=list)
 
 
 class PackedSweepEngine:
     """Per-construction executor of the packed level-wise construction sweep.
 
-    Owns the dynamic (kernel- and rank-dependent) state: the stacked dense
-    GEMM operands, the per-level :class:`_LevelState` sample buffers and the
-    :class:`_ReplayRecord` chain used by ``updateSamples``.  The driving
+    Owns the dynamic (kernel- and rank-dependent) state: the fan-grouped
+    dense and coupling operands (the blocks' only storage, handed to the
+    finished matrix's apply plan by :meth:`apply_operands`), the per-level
+    :class:`_LevelState` sample buffers and the :class:`_ReplayRecord` chain
+    used by ``updateSamples``.  The driving
     :class:`~repro.core.builder.H2Constructor` keeps all numerical decisions
     (convergence, tolerances, IDs, skeleton bookkeeping); the engine only
     marshals packed buffers and issues batched launches —
@@ -396,7 +408,10 @@ class PackedSweepEngine:
         self.counter: KernelLaunchCounter = backend.counter
         self.tracer = tracer
         self.records: Dict[int, _ReplayRecord] = {}
-        self._dense_ops: List[Tuple[RowGroup, np.ndarray]] = []
+        #: Largest rank of every skeletonised level: its coupling padding.
+        self.level_rank: Dict[int, int] = {}
+        self.dense_ops: Optional[FanOperands] = None
+        self.coupling_ops: Dict[int, FanOperands] = {}
 
     # ------------------------------------------------------------- marshaling
     def _gather(self, launches: int = 1) -> None:
@@ -423,60 +438,58 @@ class PackedSweepEngine:
             padded[mirror.twins] = padded[mirror.sources].transpose(0, 2, 1)
         return padded
 
+    def _operands(
+        self, keys: Sequence[Tuple[int, int]], groups: Sequence[RowGroup],
+        padded: np.ndarray, requests: Sequence[Request],
+    ) -> Tuple[FanOperands, List[np.ndarray]]:
+        """Marshal the padded extraction into fan-grouped operands, and every
+        block as an exact-shape view of its slot (the padding is exact
+        zeros); ``padded`` is garbage once the caller returns."""
+        with phase_span(self.tracer, "misc"):
+            operands = FanOperands.from_padded(keys, groups, padded)
+            return operands, operands.views(
+                [(len(rows), len(cols)) for rows, cols in requests]
+            )
+
     def load_dense(
         self, extractor: "EntryExtractor", requests: Sequence[Request]
     ) -> List[np.ndarray]:
         """Evaluate ``plan.dense_pairs`` in one padded ``batchedGen`` launch
-        (the owners only, twins mirrored) and stack them into the fan-grouped
-        dense-subtract operands.
-
-        Returns the exact-shape blocks as views into the padded stack (the
-        padding is exact zeros); copying thousands of leaf blocks would double
-        the marshaling traffic.
-        """
+        (the owners only, twins mirrored) into the fan-grouped dense-subtract
+        operands; returns the blocks as views into them."""
+        plan = self.plan
         padded = self._extract(
-            extractor, requests, self.plan.dense_mirror, self.plan.leaves.height
+            extractor, requests, plan.dense_mirror, plan.leaves.height
         )
-        with phase_span(self.tracer, "misc"):
-            self._dense_ops = [
-                (group, fan_operands(group, padded[group.real_blocks]))
-                for group in self.plan.dense_groups
-            ]
-        return [
-            padded[i, : len(rows), : len(cols)]
-            for i, (rows, cols) in enumerate(requests)
-        ]
+        self.dense_ops, blocks = self._operands(
+            plan.dense_pairs, plan.dense_groups, padded, requests
+        )
+        return blocks
 
     def load_couplings(
         self, depth: int, extractor: "EntryExtractor", requests: Sequence[Request]
     ) -> List[np.ndarray]:
         """Evaluate ``plan.coupling_pairs[depth]`` at the level's skeletons
-        (the owners only, twins mirrored).
+        (the owners only, twins mirrored) into the level's fan-grouped
+        coupling operands, padded to the level's largest rank; returns the
+        blocks as views into them.
 
-        When the sweep continues above ``depth`` the padded stack (padded to
-        the replay record's ``r_pad``) becomes the level's coupling-subtract
-        operands.  Returns exact-shape *copies*: ranks vary within a level, so
-        views would pin the whole padded extraction for the lifetime of the
-        H2 matrix.
+        Below ``plan.top_depth`` the operands are also the level's
+        coupling-subtract launches.
         """
-        record = self.records.get(depth)
-        pad = (
-            record.r_pad if record is not None
-            else max(len(index) for request in requests for index in request)
-        )
+        plan = self.plan
         padded = self._extract(
-            extractor, requests, self.plan.coupling_mirrors[depth], pad
+            extractor, requests, plan.coupling_mirrors[depth], self.level_rank[depth]
         )
-        if record is not None:
-            with phase_span(self.tracer, "misc"):
-                record.coupling_ops = [
-                    (group, fan_operands(group, padded[group.real_blocks]))
-                    for group in self.plan.coupling_groups[depth]
-                ]
-        return [
-            padded[i, : len(rows), : len(cols)].copy()
-            for i, (rows, cols) in enumerate(requests)
-        ]
+        self.coupling_ops[depth], blocks = self._operands(
+            plan.coupling_pairs[depth], plan.coupling_groups[depth], padded, requests
+        )
+        return blocks
+
+    def apply_operands(self) -> Tuple[FanOperands, Dict[int, FanOperands]]:
+        """The dense and per-depth coupling operands, for the finished
+        matrix's :class:`~repro.batched.apply_plan.H2ApplyPlan` to adopt."""
+        return self.dense_ops, self.coupling_ops
 
     def _load_leaves(
         self,
@@ -493,7 +506,7 @@ class PackedSweepEngine:
             self.plan.leaves.load(y, y_stack)
             self._gather()
         with phase_span(self.tracer, "bsr_gemm"):
-            for group, a in self._dense_ops:
+            for group, a in zip(self.dense_ops.groups, self.dense_ops.operands):
                 self.backend.batched_gemm_scatter(
                     y_stack,
                     group.dest_pos,
@@ -531,6 +544,7 @@ class PackedSweepEngine:
         block last) — or ``None`` at ``plan.top_depth``, where the sweep ends
         and nothing would read them.
         """
+        self.level_rank[state.depth] = max((d.rank for d in decompositions), default=0)
         if state.depth == self.plan.top_depth:
             return None
         with phase_span(self.tracer, "shrink_upsweep"):
@@ -632,8 +646,9 @@ class PackedSweepEngine:
         parent height, b)`` stacks: subtract the couplings, ``Y^{l+1} -= B @
         Omega^{l+1}`` (one launch per fan group), then stack sibling pairs
         (one marshaling launch)."""
+        operands = self.coupling_ops.get(record.depth, _NO_OPERANDS)
         with phase_span(self.tracer, "bsr_gemm"):
-            for group, a in record.coupling_ops:
+            for group, a in zip(operands.groups, operands.operands):
                 self.backend.batched_gemm_scatter(
                     y_next,
                     group.dest_pos,
@@ -698,10 +713,10 @@ class PackedSweepEngine:
 
     # ------------------------------------------------------------- statistics
     def memory_bytes(self) -> int:
-        """Bytes held by the stacked operands and replay records."""
-        total = sum(a.nbytes for _, a in self._dense_ops)
-        for record in self.records.values():
-            if record.t_stack is not None:
-                total += record.t_stack.nbytes
-            total += sum(a.nbytes for _, a in record.coupling_ops)
-        return int(total)
+        """Bytes of the replay records' ``T`` stacks: the dense and coupling
+        operands are the constructed matrix's storage, accounted there."""
+        return int(sum(
+            record.t_stack.nbytes
+            for record in self.records.values()
+            if record.t_stack is not None
+        ))

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..batched.apply_plan import H2ApplyPlan
 from ..batched.backend import BatchedBackend, get_backend
 from ..batched.construction_plan import ConstructionPlan, PackedSweepEngine
 from ..batched.counters import KernelLaunchCounter
@@ -406,9 +407,16 @@ class H2Constructor:
             coupling=self.couplings,
             dense=self.dense_blocks,
         )
+        # The sweep's dense and coupling operands are the blocks' storage and
+        # the apply's operands: the plan adopts them and compiles only the
+        # basis phases.
+        operands = sweep.apply_operands()
+        if operands is not None:
+            with phase_span(self.tracer, "misc"):
+                matrix.adopt_plan(H2ApplyPlan(matrix, *operands))
         # Memory telemetry: the constructed operator and the sweep's workspace
-        # report into the process-wide ledger; the entries auto-release when
-        # the objects are garbage-collected.
+        # report into the process-wide ledger (the apply plan reports itself);
+        # the entries auto-release when the objects are garbage-collected.
         from ..observe.memory import categorize_operator_bytes, memory_ledger
 
         ledger = memory_ledger()
@@ -440,8 +448,9 @@ class H2Constructor:
 
         Raises :class:`~repro.resilience.errors.MemoryBudgetError` when the
         installed fault injector fires ``memory-budget-exceeded`` or the
-        leaf-level footprint the compiled plan predicts (padded dense stack,
-        its fan-grouped operand copy, omega + sketch stacks) exceeds
+        leaf-level peak the compiled plan predicts (the transient padded dense
+        extraction, the fan-grouped operands it becomes — the matrix's dense
+        storage — and the omega + sketch stacks) exceeds
         ``RecoveryPolicy.memory_budget_bytes`` — in every recovery mode, and
         before the sweep allocates anything.
         """

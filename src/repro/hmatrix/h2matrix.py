@@ -20,14 +20,19 @@ Apply engine
 ------------
 ``matvec`` / ``matmat`` and the transpose applies ``rmatvec`` / ``rmatmat``
 execute through a *compiled batched plan*
-(:mod:`repro.batched.apply_plan`): on first use the matrix is flattened into
-per-level stacked block batches which then run as O(levels) batched launches
-on a pluggable :class:`~repro.batched.backend.BatchedBackend`.  The backend is
-selected per matrix (:attr:`H2Matrix.apply_backend`, default ``"vectorized"``)
-or per call (the ``backend=`` argument); the launch statistics accumulate in
-the backend's :class:`~repro.batched.counters.KernelLaunchCounter`.  The
-compiled plan is the only apply; the per-node reference loop it is tested
-against lives in the test-suite (``tests/oracles.py``).
+(:mod:`repro.batched.apply_plan`): the matrix is flattened into per-level
+stacked block batches which then run as O(levels) batched launches on a
+pluggable :class:`~repro.batched.backend.BatchedBackend`.  The plan's dense
+and coupling operands are the blocks' only copy: a constructed matrix comes
+with the plan that adopted the construction sweep's operands, any other
+matrix compiles one on first use, and either way the ``dense`` /
+``coupling`` dicts hold views into it (:meth:`H2Matrix.adopt_plan`).  The
+backend is selected per matrix (:attr:`H2Matrix.apply_backend`, default
+``"vectorized"``) or per call (the ``backend=`` argument); the launch
+statistics accumulate in the backend's
+:class:`~repro.batched.counters.KernelLaunchCounter`.  The compiled plan is
+the only apply; the per-node reference loop it is tested against lives in
+the test-suite (``tests/oracles.py``).
 
 Entry evaluation
 ----------------
@@ -136,22 +141,31 @@ class H2Matrix(HierarchicalOperatorMixin):
 
     # ----------------------------------------------------------------- matvec
     def apply_plan(self, rebuild: bool = False) -> "H2ApplyPlan":
-        """The compiled batched apply plan of this matrix, compiled from its
-        own blocks on first use and cached.
+        """The compiled batched apply plan of this matrix, cached.
 
-        The plan holds padded copies of the blocks.  Pass ``rebuild=True``
-        after mutating coupling/dense/basis blocks in place: the apply plan
-        is recompiled, and the entry plan (:meth:`entry_plan`, which copies
-        the bases and references the coupling and dense blocks) is dropped
-        and recompiled on its next use.
+        A constructed matrix comes with its plan (the construction's operands,
+        adopted); any other matrix compiles one from its blocks on first use.
+        Either way the matrix then keeps its dense and coupling blocks as
+        views of the plan's operands (:meth:`adopt_plan`): one copy.  Pass
+        ``rebuild=True`` after mutating coupling/dense/basis blocks in place:
+        the apply plan is recompiled from the blocks and the blocks re-pointed
+        at it.
         """
         if self._plan is None or rebuild:
             from ..batched.apply_plan import compile_apply_plan
 
-            self._plan = compile_apply_plan(self)
-        if rebuild:
-            self._entry_plan = None
+            self.adopt_plan(compile_apply_plan(self))
         return self._plan
+
+    def adopt_plan(self, plan: "H2ApplyPlan") -> None:
+        """Make ``plan`` (compiled from this matrix's blocks) the cached apply
+        plan, with every dense and coupling block re-pointed at a view of its
+        operand slot.  The entry plan (:meth:`entry_plan`, which copies the
+        bases and references the blocks) is dropped and recompiled on its
+        next use, so it never keeps the old blocks alive."""
+        plan.view_blocks()
+        self._plan = plan
+        self._entry_plan = None
 
     def _resolve_backend(
         self, backend: "BatchedBackend | str | None"

@@ -14,7 +14,14 @@ contiguous bytes and read back as *views into a single* :class:`numpy.memmap`
 — opening a multi-GB operator costs milliseconds and no copies, and the OS
 pages block data in on first touch.  Buffer offsets in the directory are
 relative to the (aligned) start of the data section, so the header length
-never feeds back into the offsets it describes.
+never feeds back into the offsets it describes.  Buffers hold native
+little-endian ``float64`` / ``int64`` only (:data:`DTYPES`, everything an H2
+matrix stores); a directory entry with another dtype, or a negative or
+non-integer shape, offset or byte count, is a format error.
+
+Each buffer is made contiguous once — a no-op unless it is a strided view, as
+the blocks of a constructed matrix are — hashed as is, and the file is
+written with gathered ``writev`` calls, not one ``write`` per buffer and gap.
 
 Writes are atomic: the file is assembled under a temporary name in the target
 directory and :func:`os.replace`-d into place, so readers (and the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -44,8 +52,13 @@ CONTAINER_VERSION = 2
 #: Buffer alignment in bytes — generous enough for any numpy dtype and for
 #: cache-line/SIMD-friendly access through the memmap.
 ALIGNMENT = 64
+#: The buffer dtypes a container stores (``numpy.dtype.str``).
+DTYPES = ("<f8", "<i8")
 
 _PREAMBLE = struct.Struct("<8sIQ")
+_ZEROS = memoryview(bytes(ALIGNMENT))
+#: Buffers per ``writev`` call, well inside every platform's ``IOV_MAX``.
+_GATHER = 512
 
 
 class ArtifactError(Exception):
@@ -64,6 +77,26 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def _is_count(value: object) -> bool:
+    """A non-negative JSON integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _write_gathered(fd: int, chunks: List[memoryview | np.ndarray]) -> None:
+    """Write the bytes of ``chunks`` (memoryviews and C-contiguous arrays) in
+    order at ``fd``'s position, :data:`_GATHER` per ``writev`` call, resuming
+    after a short write."""
+    for start in range(0, len(chunks), _GATHER):
+        batch = chunks[start : start + _GATHER]
+        while batch:
+            written = os.writev(fd, batch)
+            while batch and written >= batch[0].nbytes:
+                written -= batch[0].nbytes
+                batch.pop(0)
+            if batch:
+                batch[0] = memoryview(batch[0]).cast("B")[written:]
+
+
 def write_artifact(
     path: str | os.PathLike,
     format_name: str,
@@ -75,27 +108,36 @@ def write_artifact(
 
     ``buffers`` is an *ordered* sequence of ``(name, array)`` pairs; the order
     is preserved in the buffer directory, so serializers can rely on it to
-    reconstruct insertion-ordered dictionaries exactly.
+    reconstruct insertion-ordered dictionaries exactly.  An array whose dtype
+    is not in :data:`DTYPES` raises :class:`ArtifactFormatError` before
+    anything is written.
     """
     path = Path(path)
     directory: List[dict] = []
-    arrays: List[Tuple[int, np.ndarray]] = []
+    chunks: List[memoryview | np.ndarray] = []
     offset = 0
     for name, array in buffers:
         array = np.ascontiguousarray(array)
-        offset = _align(offset)
+        if array.dtype.str not in DTYPES:
+            raise ArtifactFormatError(
+                f"cannot store buffer {name!r} of dtype {array.dtype.str!r}; "
+                f"artifacts hold {' / '.join(DTYPES)} only"
+            )
+        start = _align(offset)
         directory.append(
             {
                 "name": str(name),
                 "dtype": array.dtype.str,
                 "shape": list(array.shape),
-                "offset": offset,
+                "offset": start,
                 "nbytes": int(array.nbytes),
-                "sha256": hashlib.sha256(array.tobytes()).hexdigest(),
+                "sha256": hashlib.sha256(array).hexdigest(),
             }
         )
-        arrays.append((offset, array))
-        offset += array.nbytes
+        if start > offset:
+            chunks.append(_ZEROS[: start - offset])
+        chunks.append(array)
+        offset = start + array.nbytes
 
     header = {
         "container_version": CONTAINER_VERSION,
@@ -109,17 +151,13 @@ def write_artifact(
 
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_PREAMBLE.pack(MAGIC, CONTAINER_VERSION, len(payload)))
-            fh.write(payload)
-            fh.write(b"\0" * (data_start - _PREAMBLE.size - len(payload)))
-            position = 0
-            for buffer_offset, array in arrays:
-                if buffer_offset > position:
-                    fh.write(b"\0" * (buffer_offset - position))
-                    position = buffer_offset
-                fh.write(array.data)
-                position += array.nbytes
+        with open(tmp, "wb", buffering=0) as fh:
+            _write_gathered(fh.fileno(), [
+                memoryview(_PREAMBLE.pack(MAGIC, CONTAINER_VERSION, len(payload))),
+                memoryview(payload),
+                _ZEROS[: data_start - _PREAMBLE.size - len(payload)],
+                *chunks,
+            ])
         os.replace(tmp, path)
     finally:
         if tmp.exists():  # pragma: no cover - only on a failed write
@@ -191,15 +229,31 @@ def read_artifact(
     for entry in header["buffers"]:
         try:
             name = entry["name"]
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = data_start + int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+            dtype, shape = entry["dtype"], entry["shape"]
+            offset, nbytes = entry["offset"], entry["nbytes"]
+        except (KeyError, TypeError) as exc:
             raise ArtifactFormatError(
                 f"{path}: malformed buffer directory entry: {exc}"
             ) from exc
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        if dtype not in DTYPES:
+            raise ArtifactFormatError(
+                f"{path}: buffer {name!r} has dtype {dtype!r}; artifacts hold "
+                f"{' / '.join(DTYPES)} only"
+            )
+        if not (
+            isinstance(shape, list)
+            and all(_is_count(s) for s in shape)
+            and _is_count(offset)
+            and _is_count(nbytes)
+        ):
+            raise ArtifactFormatError(
+                f"{path}: buffer {name!r} has a malformed directory entry "
+                f"(shape {shape!r}, offset {offset!r}, nbytes {nbytes!r}: "
+                "each must be a non-negative integer)"
+            )
+        dtype = np.dtype(dtype)
+        offset += data_start
+        expected = dtype.itemsize * math.prod(shape)
         if expected != nbytes:
             raise ArtifactFormatError(
                 f"{path}: buffer {name!r} declares {nbytes} bytes but its "
@@ -213,11 +267,11 @@ def read_artifact(
         if verify:
             digest = entry.get("sha256")
             if digest is not None:
-                actual = hashlib.sha256(raw_bytes.tobytes()).hexdigest()
+                actual = hashlib.sha256(raw_bytes).hexdigest()
                 if actual != digest:
                     raise ArtifactFormatError(
                         f"{path}: buffer {name!r} failed its checksum "
                         f"(stored {digest[:12]}…, computed {actual[:12]}…)"
                     )
-        buffers[name] = raw_bytes.view(dtype).reshape(shape)
+        buffers[name] = raw_bytes.view(dtype).reshape(tuple(shape))
     return header, buffers

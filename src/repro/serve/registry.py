@@ -11,7 +11,9 @@ The compiled apply (``H2ApplyPlan``) and the HSS solve allocate their work
 buffers per call, so once a model's lazy state exists two threads may apply
 or HSS-solve it at once and get the serial answer.  The lock stays for what
 is still built or run unguarded: the first ``H2Matrix.apply_plan()`` compile
-(two threads would both compile and race on ``_plan`` / ``_entry_plan``), the
+of a model that did not come out of the constructor, e.g. a loaded one (two
+threads would both compile, both re-point the block dicts at their own plan
+and race on ``_plan`` / ``_entry_plan``), the
 plan's lazily assembled transpose stages (``_ensure_transpose``), the
 matrix's lazy backend resolution (``_resolve_backend``).  Every model is an
 H2 matrix factored by the HSS factorization (a strong one is first

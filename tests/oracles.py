@@ -204,6 +204,10 @@ class NodeSweep:
             omega, y = self._merge(depth, y_next, omega_next)
         return omega, y
 
+    def apply_operands(self) -> None:
+        """Nothing marshaled: the matrix compiles its apply plan on first use."""
+        return None
+
     def memory_bytes(self) -> int:
         """No workspace of its own: blocks and row IDs are held by reference."""
         return 0

@@ -214,6 +214,66 @@ class TestContainerValidation:
             with pytest.raises(ArtifactError, match="only H2 matrices"):
                 save_operator(op, tmp_path / "baseline.repro")
 
+    @staticmethod
+    def _hand_built(path, entry, data: bytes):
+        """A container whose one buffer directory entry is ``entry``."""
+        import hashlib
+        import json
+
+        from repro.persist.format import CONTAINER_VERSION, _PREAMBLE, _align
+
+        entry = {"name": "a", "offset": 0, "sha256": hashlib.sha256(data).hexdigest(),
+                 **entry}
+        header = {"container_version": CONTAINER_VERSION, "format": "test",
+                  "format_version": 1, "meta": {}, "buffers": [entry]}
+        payload = json.dumps(header).encode()
+        data_start = _align(_PREAMBLE.size + len(payload))
+        with open(path, "wb") as fh:
+            fh.write(_PREAMBLE.pack(MAGIC, CONTAINER_VERSION, len(payload)))
+            fh.write(payload)
+            fh.write(b"\0" * (data_start - _PREAMBLE.size - len(payload)))
+            fh.write(data)
+        return path
+
+    def test_negative_shape_is_rejected(self, tmp_path):
+        path = self._hand_built(
+            tmp_path / "neg.repro",
+            {"dtype": "<f8", "shape": [-1, 32], "nbytes": -256}, bytes(256),
+        )
+        with pytest.raises(ArtifactFormatError, match="non-negative integer"):
+            read_artifact(path)
+
+    def test_object_dtype_is_a_format_error(self, tmp_path):
+        path = self._hand_built(
+            tmp_path / "object.repro",
+            {"dtype": "|O", "shape": [4], "nbytes": 32}, bytes(32),
+        )
+        with pytest.raises(ArtifactFormatError, match="artifacts hold"):
+            read_artifact(path)
+
+    @pytest.mark.parametrize("dtype", ["<c16", ">f8"])
+    def test_foreign_dtype_is_rejected_even_when_verified(self, dtype, tmp_path):
+        path = self._hand_built(
+            tmp_path / "foreign.repro",
+            {"dtype": dtype, "shape": [32 // np.dtype(dtype).itemsize], "nbytes": 32},
+            bytes(32),
+        )
+        with pytest.raises(ArtifactFormatError, match="artifacts hold"):
+            read_artifact(path, verify=True)
+
+    def test_foreign_dtype_is_not_written(self, tmp_path):
+        with pytest.raises(ArtifactFormatError, match="artifacts hold"):
+            write_artifact(tmp_path / "f4.repro", "test", 1, {}, [("x", np.zeros(3, np.float32))])
+        assert not list(tmp_path.iterdir())
+
+    def test_strided_buffers_write_their_contiguous_bytes(self, tmp_path):
+        stack = np.arange(96.0).reshape(2, 6, 8)
+        views = [("a", stack[0, :5, 2:7]), ("b", stack[1].T), ("c", np.zeros((0, 4)))]
+        path = write_artifact(tmp_path / "views.repro", "test", 1, {}, views)
+        _, buffers = read_artifact(path, verify=True)
+        for name, view in views:
+            assert np.array_equal(buffers[name], view), name
+
     @pytest.mark.parametrize("fmt", ["hodlr", "hmatrix"])
     def test_old_baseline_artifact_is_unknown_format(self, fmt, tmp_path):
         """Artifacts of the formats earlier releases persisted load typed."""
