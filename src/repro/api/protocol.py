@@ -84,8 +84,9 @@ class HierarchicalOperator(ABC):
         requires a 2-D block and routes through the format's batched
         multi-RHS path.
     ``rmatvec`` / ``rmatmat``
-        Exact transpose applies (whether or not the stored data is
-        symmetric).
+        Exact transpose applies.  An H2 matrix runs its forward plan and
+        raises ``ValueError`` unless its stored block pairs are exact
+        transposes of each other.
     ``__matmul__``
         ``op @ x`` as an alias of the forward apply.
     ``to_dense(permuted=False)``
@@ -229,7 +230,7 @@ class HierarchicalOperatorMixin:
     def rmatvec(
         self, x: np.ndarray, permuted: bool = False, **kwargs: object
     ) -> np.ndarray:
-        """Transpose apply ``A^T x`` (exact, whether or not the data is symmetric)."""
+        """Transpose apply ``A^T x`` (exact; see ``rmatvec`` in the protocol)."""
         return self._apply(x, permuted=permuted, transpose=True, **kwargs)
 
     def rmatmat(

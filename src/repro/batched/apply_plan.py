@@ -40,11 +40,12 @@ The phases mirror the reference loop exactly:
 ``apply_dense``           dense leaf rows, ``y_s += [D_{s,t1} … D_{s,tc}] x``
 ========================  ====================================================
 
-The transpose apply (``rmatvec``/``rmatmat``) shares the basis/transfer stages
-(the format is symmetric in its bases, ``V = U``) and rebuilds the coupling
-and dense rows column-wise with transposed blocks, compiled lazily on first
-use.  Multi-RHS applies (``matmat``) reuse the same plan — only the number of
-columns ``k`` of the hat buffers changes at execution time.
+The transpose apply (``rmatvec``/``rmatmat``) runs the forward stages: the
+bases are shared (``V = U``) and the construction stores every twin block as
+the exact transpose of its owner, so ``A^T x`` is ``A x`` bit for bit.  The
+plan checks once that the stored pairs are mirrored and otherwise refuses the
+transpose apply.  Multi-RHS applies (``matmat``) reuse the same plan — only
+the number of columns ``k`` of the hat buffers changes at execution time.
 
 Zero-padding
 ------------
@@ -234,19 +235,17 @@ class H2ApplyPlan:
             self._level_pos[level] = {node: i for i, node in enumerate(nodes)}
             self._level_rank[level] = max(basis.rank(node) for node in nodes)
 
-        # The transpose's coupling and dense rows compile lazily from these
-        # block dicts.  Holding them, not the matrix (which holds this plan),
-        # leaves no reference cycle: a dropped matrix is freed at once instead
-        # of at the next cyclic garbage collection.
+        # The mirror check reads these block dicts.  Holding them, not the
+        # matrix (which holds this plan), leaves no reference cycle: a dropped
+        # matrix is freed at once instead of at the next cyclic collection.
         self._tree, self._coupling, self._dense = tree, matrix.coupling, matrix.dense
         #: The forward dense/coupling operands with the dict holding their
         #: blocks and whether they were adopted, and the bytes of the blocks
         #: stored as views into them.
         self._block_operands: List[Tuple[dict, FanOperands, bool]] = []
         self._viewed_bytes = 0
-        self._sweeps = self._sweep_stages(matrix)
-        self._forward_stages = self._assemble(False, dense, coupling or {})
-        self._transpose_stages: List[ApplyStage] | None = None
+        self._forward_stages = self._assemble(matrix, dense, coupling or {})
+        self._mirrored = False
         # Compile-time workspace accounting (never touches the per-apply path).
         self._ledger_key = memory_ledger().track(
             self, {"workspace": self.memory_bytes()}
@@ -259,7 +258,7 @@ class H2ApplyPlan:
         return phase.stages(phase.compile())
 
     def _sweep_stages(self, matrix: "H2Matrix"):
-        """Leaf, upsweep, downsweep and expansion stages (shared with transpose)."""
+        """Leaf, upsweep, downsweep and expansion stages."""
         tree = matrix.tree
         basis = matrix.basis
         depth = tree.depth
@@ -339,9 +338,7 @@ class H2ApplyPlan:
             sentinel=len(self._level_pos[level]),
         )
 
-    def _coupling_stages(
-        self, transpose: bool, given: Mapping[int, FanOperands]
-    ) -> List[ApplyStage]:
+    def _coupling_stages(self, given: Mapping[int, FanOperands]) -> List[ApplyStage]:
         adopted = {
             level: operands for level, operands in given.items()
             if self._adoptable(level, operands)
@@ -360,21 +357,13 @@ class H2ApplyPlan:
                 continue
             if level not in phases:
                 phases[level] = self._coupling_phase(level)
-            dest, src = (t, s) if transpose else (s, t)
-            phases[level].add(
-                pos[dest], pos[src], block.T if transpose else block, (s, t)
-            )
+            phases[level].add(pos[s], pos[t], block, (s, t))
         stages: List[ApplyStage] = []
         for level in sorted(phases):
-            stages += (
-                self._compile(phases[level]) if transpose
-                else self._forward(phases[level], self._coupling, adopted.get(level))
-            )
+            stages += self._forward(phases[level], self._coupling, adopted.get(level))
         return stages
 
-    def _dense_stages(
-        self, transpose: bool, given: Optional[FanOperands]
-    ) -> List[ApplyStage]:
+    def _dense_stages(self, given: Optional[FanOperands]) -> List[ApplyStage]:
         m = self.leaves.height
         phase = _Phase(
             "apply_dense", self.depth, ("y",), ("x",), (m, m),
@@ -385,36 +374,30 @@ class H2ApplyPlan:
                 block = self._dense[(s, t)]
                 if block.size == 0:
                     continue
-                dest, src = (t, s) if transpose else (s, t)
-                phase.add(
-                    self.leaves.pos[dest], self.leaves.pos[src],
-                    block.T if transpose else block, (s, t),
-                )
-        if transpose:
-            return self._compile(phase)
+                phase.add(self.leaves.pos[s], self.leaves.pos[t], block, (s, t))
         return self._forward(phase, self._dense, given)
 
     def _assemble(
         self,
-        transpose: bool,
+        matrix: "H2Matrix",
         dense: Optional[FanOperands],
         coupling: Mapping[int, FanOperands],
     ) -> List[ApplyStage]:
-        leaf_stages, up, down, expand_stages = self._sweeps
+        leaf_stages, up, down, expand_stages = self._sweep_stages(matrix)
         return [
             *leaf_stages,
             *up,
-            *self._coupling_stages(transpose, coupling),
+            *self._coupling_stages(coupling),
             *down,
             *expand_stages,
-            *self._dense_stages(transpose, dense),
+            *self._dense_stages(dense),
         ]
 
     def view_blocks(self) -> None:
         """Store every dense and coupling block of the compiled-from matrix as
         an exact-shape view of its forward operand slot, so the operands are
         the blocks' only copy; :meth:`memory_bytes` then counts only the bytes
-        beyond them (padding, basis and transpose operands)."""
+        beyond them (padding and basis operands)."""
         viewed = 0
         for blocks, operands, adopted in self._block_operands:
             keys = operands.keys
@@ -425,13 +408,24 @@ class H2ApplyPlan:
         self._viewed_bytes = viewed
         memory_ledger().account(self._ledger_key, {"workspace": self.memory_bytes()})
 
-    def _ensure_transpose(self) -> List[ApplyStage]:
-        if self._transpose_stages is None:
-            self._transpose_stages = self._assemble(True, None, {})
-            memory_ledger().account(
-                self._ledger_key, {"workspace": self.memory_bytes()}
-            )
-        return self._transpose_stages
+    def _check_mirrored(self) -> None:
+        """Raise ``ValueError`` unless every stored block pair is mirrored:
+        ``B_{t,s}`` is exactly ``B_{s,t}^T`` and ``D_{t,s}`` exactly
+        ``D_{s,t}^T``, diagonal blocks included.  Then ``A^T = A`` and the
+        forward stages are the transpose apply.  The verdict is kept, so the
+        blocks are read once per plan; a matrix edited afterwards recompiles
+        (``apply_plan(rebuild=True)``), and its new plan checks again."""
+        if self._mirrored:
+            return
+        for name, blocks in (("coupling", self._coupling), ("dense", self._dense)):
+            for (s, t), block in blocks.items():
+                twin = blocks.get((t, s))
+                if twin is None or (s <= t and not np.array_equal(twin, block.T)):
+                    raise ValueError(
+                        f"the transpose apply needs mirrored blocks: {name} block "
+                        f"({t}, {s}) is not the transpose of ({s}, {t})"
+                    )
+        self._mirrored = True
 
     # -------------------------------------------------------------- execution
     def execute(
@@ -490,8 +484,9 @@ class H2ApplyPlan:
             buffers[("hat", level)] = np.zeros(shape)
             buffers[("ghat", level)] = np.zeros(shape)
 
-        stages = self._ensure_transpose() if transpose else self._forward_stages
-        for stage in stages:
+        if transpose:
+            self._check_mirrored()
+        for stage in self._forward_stages:
             be.batched_gemm_scatter(
                 buffers[stage.dest],
                 stage.dest_pos,
@@ -525,13 +520,6 @@ class H2ApplyPlan:
         """Bytes held by the pre-stacked static operand arrays, less the
         matrix blocks stored in them (:meth:`view_blocks`)."""
         total = sum(stage.a.nbytes for stage in self._forward_stages)
-        if self._transpose_stages is not None:
-            shared = {id(stage.a) for stage in self._forward_stages}
-            total += sum(
-                stage.a.nbytes
-                for stage in self._transpose_stages
-                if id(stage.a) not in shared
-            )
         return int(total - self._viewed_bytes)
 
     def stage_counts(self) -> Dict[str, int]:

@@ -27,9 +27,9 @@ and coupling operands are the blocks' only copy: a constructed matrix comes
 with the plan that adopted the construction sweep's operands, any other
 matrix compiles one on first use, and either way the ``dense`` /
 ``coupling`` dicts hold views into it (:meth:`H2Matrix.adopt_plan`).  The
-backend is selected per matrix (:attr:`H2Matrix.apply_backend`, default
-``"vectorized"``) or per call (the ``backend=`` argument); the launch
-statistics accumulate in the backend's
+transpose applies run the same plan.  The backend is selected per matrix
+(:attr:`H2Matrix.apply_backend`, default ``"vectorized"``) or per call (the
+``backend=`` argument); the launch statistics accumulate in the backend's
 :class:`~repro.batched.counters.KernelLaunchCounter`.  The compiled plan is
 the only apply; the per-node reference loop it is tested against lives in
 the test-suite (``tests/oracles.py``).
@@ -66,12 +66,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class H2Matrix(HierarchicalOperatorMixin):
-    """A (symmetric) H2 matrix over a cluster tree and block partition.
+    """A symmetric H2 matrix over a cluster tree and block partition.
 
     Implements the :class:`~repro.api.protocol.HierarchicalOperator`
     protocol; the derived applies (``matvec``/``matmat``/``rmatvec``/
     ``rmatmat``/``@``) come from the shared mixin and accept a per-call
-    ``backend=`` keyword routed to the compiled batched plan.
+    ``backend=`` keyword routed to the compiled batched plan.  The transpose
+    applies run the forward plan and need every stored pair mirrored,
+    ``B_{t,s} = B_{s,t}^T`` and ``D_{t,s} = D_{s,t}^T`` exactly, as the
+    constructor stores them; otherwise they raise ``ValueError`` (``matvec``
+    still works).
     """
 
     format_name = "h2"

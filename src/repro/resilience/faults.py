@@ -39,6 +39,7 @@ e.g. ``"nan-in-gemm-output:nth=2;fail-nth-launch:nth=1,times=3"``.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -153,6 +154,10 @@ class FaultInjector:
         #: Chronological record of every firing (kind, site, event index).
         self.log: List[Dict[str, object]] = []
         self._rng = np.random.default_rng(seed)
+        # One injector serves every thread of a policy (the server's worker
+        # pool among them): the event counts, the firing log and the
+        # generator's draws are read-modify-writes, serialised here.
+        self._lock = threading.Lock()
 
     @classmethod
     def from_spec(cls, text: str, seed: int = 0) -> "FaultInjector":
@@ -179,15 +184,16 @@ class FaultInjector:
         spec = self.specs.get(kind)
         if spec is None:
             return None
-        events = self._events.get(kind, 0) + 1
-        self._events[kind] = events
-        if events < spec.nth:
-            return None
-        fired = self._fired.get(kind, 0)
-        if spec.times >= 0 and fired >= spec.times:
-            return None
-        self._fired[kind] = fired + 1
-        self.log.append({"kind": kind, "site": site, "event": events})
+        with self._lock:
+            events = self._events.get(kind, 0) + 1
+            self._events[kind] = events
+            if events < spec.nth:
+                return None
+            fired = self._fired.get(kind, 0)
+            if spec.times >= 0 and fired >= spec.times:
+                return None
+            self._fired[kind] = fired + 1
+            self.log.append({"kind": kind, "site": site, "event": events})
         _global_metrics().counter("resilience.faults_injected").inc()
         return spec
 
@@ -213,7 +219,8 @@ class FaultInjector:
             return y
         poisoned = np.array(y, dtype=np.float64, copy=True)
         k = min(max(1, spec.count), poisoned.size)
-        positions = self._rng.choice(poisoned.size, size=k, replace=False)
+        with self._lock:
+            positions = self._rng.choice(poisoned.size, size=k, replace=False)
         poisoned.flat[positions] = np.nan
         return poisoned
 
@@ -230,7 +237,8 @@ class FaultInjector:
         size = os.path.getsize(path)
         lo = size // 2
         k = max(1, spec.count)
-        offsets = self._rng.integers(lo, size, size=k)
+        with self._lock:
+            offsets = self._rng.integers(lo, size, size=k)
         with open(path, "r+b") as fh:
             for offset in offsets:
                 fh.seek(int(offset))

@@ -29,8 +29,7 @@ Isolation guarantees:
   take its batchmates down with it.
 
 Every launch observes ``serve.batch.queue_ms`` (oldest admission → launch
-start) and ``serve.batch.lock_wait_ms`` (model-lock acquisition on the
-worker).  With ``enabled=False`` (or ``max_batch=1``) every request executes
+start).  With ``enabled=False`` (or ``max_batch=1``) every request executes
 alone on the worker pool — the baseline the acceptance benchmark compares
 against.
 """
@@ -95,26 +94,19 @@ class _Queue:
 def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarray:
     """The synchronous block operation of ``kind`` (runs on a worker thread).
 
-    The model's execution lock serializes numerical work per model.  The
-    compiled apply and the HSS solve allocate their buffers per call; what
-    the lock still guards is first-use state built without a lock of its own
-    (``H2Matrix.apply_plan()``, the plan's transpose stages, the matrix's
-    backend resolution; see :mod:`repro.serve.registry`).  Every model, strong
-    or weak, solves through the HSS factorization.
-    The time spent acquiring it is ``serve.batch.lock_wait_ms``.
+    It takes no lock: the model's apply plan and backend were built at
+    registration, the compiled apply and the HSS solve allocate their buffers
+    per call, and the factorization guards its own first build (see
+    :mod:`repro.serve.registry`).  Every model, strong or weak, solves
+    through the HSS factorization.
     """
-    start = time.perf_counter()
-    with model.lock:
-        metrics().histogram("serve.batch.lock_wait_ms").observe(
-            (time.perf_counter() - start) * 1000.0
-        )
-        if kind == "matvec":
-            return model.operator.matmat(block)
-        if kind == "solve":
-            return model.factorization().solve(block)
-        if kind == "predict":
-            return model.operator.matmat(model.factorization().solve(block))
-        raise ValueError(f"unknown batch kind {kind!r}; use one of {BATCH_KINDS}")
+    if kind == "matvec":
+        return model.operator.matmat(block)
+    if kind == "solve":
+        return model.factorization().solve(block)
+    if kind == "predict":
+        return model.operator.matmat(model.factorization().solve(block))
+    raise ValueError(f"unknown batch kind {kind!r}; use one of {BATCH_KINDS}")
 
 
 class MicroBatcher:
@@ -134,9 +126,9 @@ class MicroBatcher:
         Worker pool for the numerical work (default: a private
         2-worker :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy/BLAS
         release the GIL, so admission stays responsive while a batch runs).
-        Every launch holds its model's lock, so launches of one model run one
-        at a time whatever their kind: the second worker helps only across
-        models.
+        Launches take no lock, so one model's launches of different kinds
+        (or of one kind, when batching is off) may run on both workers at
+        once.
     tracer:
         Span tracer for ``serve.batch`` spans (default: no tracing).
     """

@@ -3,23 +3,21 @@
 A :class:`ServedModel` bundles everything one tenant's queries need — the
 compressed operator, the lazily built factorization of ``K + noise I``
 (:func:`repro.solvers.factorize`; first ``solve``/``predict``/``logdet`` pays it, later
-requests reuse it), the cached log-determinant, and an execution lock that
-serializes numerical work per model — concurrency across *different* models,
-and micro-batching within one model, are the parallelism stories.
+requests reuse it) and the cached log-determinant.  Concurrency across
+*different* models, and micro-batching within one model, are the parallelism
+stories.
 
-The compiled apply (``H2ApplyPlan``) and the HSS solve allocate their work
-buffers per call, so once a model's lazy state exists two threads may apply
-or HSS-solve it at once and get the serial answer.  The lock stays for what
-is still built or run unguarded: the first ``H2Matrix.apply_plan()`` compile
-of a model that did not come out of the constructor, e.g. a loaded one (two
-threads would both compile, both re-point the block dicts at their own plan
-and race on ``_plan`` / ``_entry_plan``), the
-plan's lazily assembled transpose stages (``_ensure_transpose``), the
-matrix's lazy backend resolution (``_resolve_backend``).  Every model is an
-H2 matrix factored by the HSS factorization (a strong one is first
-re-compressed onto the weak partition with the sketching constructor), so no
-served solve runs the recursive HODLR Woodbury solve whose SciPy
-``lu_solve`` is not thread-safe.
+A model is ready before its first request: registration builds the operator's
+compiled apply plan (a loaded model compiles it and re-points its blocks at it
+here) and resolves its batched backend.  The compiled apply and the HSS solve
+allocate their work buffers per call, and the transpose apply runs the same
+plan, so every request reads finished state and two threads may apply or
+solve one model at once and get the serial answer — no per-model lock.  The
+one piece still built on first use is the factorization, guarded by its own
+double-checked lock.  Every model is an H2 matrix factored by the HSS
+factorization (a strong one is first re-compressed onto the weak partition
+with the sketching constructor), so no served solve runs the recursive HODLR
+Woodbury solve whose SciPy ``lu_solve`` is not thread-safe.
 
 :class:`ModelRegistry` resolves models from four sources, in order of
 explicitness: an operator instance, an artifact path
@@ -75,9 +73,10 @@ class ServedModel:
         self.last_used = self.loaded_at
         self.requests = 0
         self.health = None
-        #: Serializes numerical work on this model: guards the lazy apply
-        #: plan, transpose stages and backend (module docstring).
-        self.lock = threading.Lock()
+        # Build what a first apply would, so requests read finished state
+        # (module docstring).
+        operator.apply_plan()
+        operator._resolve_backend(None)
         self._factor_lock = threading.Lock()
         self._factorization = None
         self._logdet: Optional[Tuple[float, float]] = None

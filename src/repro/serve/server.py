@@ -67,9 +67,9 @@ class InferenceServer:
         whatever arrived meanwhile, at most ``max_batch`` columns wide.
         ``batching=False`` serves every request individually.
 
-    The numerical work runs on a 2-worker pool.  Every operation holds its
-    model's lock, so one model's requests execute one at a time; the second
-    worker helps only across models.
+    The numerical work runs on a 2-worker pool.  It takes no per-model lock:
+    a registered model's apply plan and backend already exist, so one model's
+    requests may run on both workers at once.
     """
 
     def __init__(
@@ -210,7 +210,7 @@ class InferenceServer:
 
     async def _solve_cg(self, model: ServedModel, request: SolveRequest):
         """Factorization-preconditioned CG under the policy's recovery mode,
-        in one worker hop under the model lock (escalation included)."""
+        in one worker hop (escalation included)."""
         b = np.asarray(request.b, dtype=np.float64)
         if b.ndim != 1 or b.shape[0] != model.n:
             raise RequestValidationError(
@@ -225,13 +225,12 @@ class InferenceServer:
         def run():
             from ..solvers.ladder import guarded_solve
 
-            with model.lock:
-                return guarded_solve(
-                    model.operator, b, method="cg", tol=request.tol,
-                    maxiter=request.maxiter, shift=model.noise,
-                    factorization=model.factorization(), policy=self.policy,
-                    log_fields={"model": model.name},
-                )
+            return guarded_solve(
+                model.operator, b, method="cg", tol=request.tol,
+                maxiter=request.maxiter, shift=model.noise,
+                factorization=model.factorization(), policy=self.policy,
+                log_fields={"model": model.name},
+            )
 
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self.batcher._executor, run)
@@ -242,13 +241,8 @@ class InferenceServer:
         async def body() -> LogdetResponse:
             model = self.registry.get(request.model)
             loop = asyncio.get_running_loop()
-
-            def run():
-                with model.lock:
-                    return model.slogdet()
-
             sign, logabs = await loop.run_in_executor(
-                self.batcher._executor, run
+                self.batcher._executor, model.slogdet
             )
             self.registry.refresh_accounting(model)
             return LogdetResponse(logdet=logabs, sign=sign)

@@ -7,10 +7,9 @@ operand contents exactly.  Five fixed-seed problems — the four
 ``tests/test_apply_plan.py`` problems (460 2D points, equal leaves) and one
 with ragged leaves (N = 300, leaf 24) — on both backends.  Per problem the
 plan's stage count, its per-phase stage counts and its operand bytes before
-and after the lazily compiled transpose are pinned; per backend the sha256 of
-the output bytes of a forward and a transpose apply with ``k = 1`` and
-``k = 3`` fixed inputs.  A hash pins every bit, so a reordered accumulation
-changes it.
+and after a transpose apply are pinned; per backend the sha256 of the output
+bytes of a forward and a transpose apply with ``k = 1`` and ``k = 3`` fixed
+inputs.  A hash pins every bit, so a reordered accumulation changes it.
 
 One deliberate change since: the output hashes were re-pinned when
 ``kernel.matrix`` moved from one 2 MiB band to 128 x 128 tiles, the upper
@@ -19,6 +18,12 @@ bitwise symmetric (so every coupling and dense twin the construction stores is
 an exact transpose of its owner), but a few hundred of their N^2 entries moved
 in the last bit with the tile boundaries (380 of 211,600 for the exponential
 kernel at N = 460).  Stage counts and operand bytes did not change.
+
+A second deliberate change: the transpose apply used to compile a transposed
+copy of the coupling and dense rows on first use; it now runs the forward
+stages of the mirrored matrix.  Its output hashes were already the forward
+ones and did not change; the operand bytes after a transpose apply became the
+bytes before it.
 """
 
 import hashlib
@@ -108,13 +113,13 @@ PINNED_PLANS = {'covariance-leaf16': {'num_stages': 20,
                                         'apply_expand': 1,
                                         'apply_leaf': 1,
                                         'apply_upsweep': 1},
-                       'memory_bytes': (2049240, 3860400)},
+                       'memory_bytes': (2049240, 2049240)},
  'covariance-leaf48': {'num_stages': 8,
                        'stage_counts': {'apply_coupling': 4,
                                         'apply_dense': 2,
                                         'apply_expand': 1,
                                         'apply_leaf': 1},
-                       'memory_bytes': (1771840, 3424896)},
+                       'memory_bytes': (1771840, 1771840)},
  'helmholtz-leaf16': {'num_stages': 20,
                       'stage_counts': {'apply_coupling': 10,
                                        'apply_dense': 6,
@@ -122,19 +127,19 @@ PINNED_PLANS = {'covariance-leaf16': {'num_stages': 20,
                                        'apply_expand': 1,
                                        'apply_leaf': 1,
                                        'apply_upsweep': 1},
-                      'memory_bytes': (2359680, 4381440)},
+                      'memory_bytes': (2359680, 2359680)},
  'helmholtz-leaf48': {'num_stages': 8,
                       'stage_counts': {'apply_coupling': 4,
                                        'apply_dense': 2,
                                        'apply_expand': 1,
                                        'apply_leaf': 1},
-                      'memory_bytes': (2078952, 3942608)},
+                      'memory_bytes': (2078952, 2078952)},
  'ragged-leaf24': {'num_stages': 9,
                    'stage_counts': {'apply_coupling': 5,
                                     'apply_dense': 2,
                                     'apply_expand': 1,
                                     'apply_leaf': 1},
-                   'memory_bytes': (805528, 1560896)}}
+                   'memory_bytes': (805528, 805528)}}
 
 PINNED_OUTPUTS = {('covariance-leaf16', 'serial'): {'forward_k1': 'b49efc0e94a514c2',
                                    'transpose_k1': 'b49efc0e94a514c2',

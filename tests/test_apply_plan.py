@@ -286,9 +286,10 @@ class TestCompileApplyPlanApi:
         out = plan.execute(x[:, None], backend="vectorized")[:, 0]
         assert rel_err(out, matvec_loop(h2, x, permuted=True)) < TOL
 
-    def test_ledger_follows_the_lazy_transpose_compile(self, h2_problem):
-        """The transpose stages compiled on the first ``rmatvec`` are in the
-        memory ledger's workspace entry of the plan."""
+    def test_transpose_apply_runs_the_forward_stages(self, h2_problem):
+        """``rmatmat`` is one pass over the forward stages: it records exactly
+        ``plan.num_stages`` launches and compiles nothing, so neither the
+        plan's bytes nor its memory-ledger entry move."""
         h2 = h2_problem["h2"]
         plan = h2.apply_plan(rebuild=True)
 
@@ -296,11 +297,36 @@ class TestCompileApplyPlanApi:
             owners = memory_ledger().by_owner()
             return [v for k, v in owners.items() if k.startswith("H2ApplyPlan")]
 
-        assert plan_entries() == [{"workspace": plan.memory_bytes()}]
         forward_bytes = plan.memory_bytes()
-        h2.rmatvec(np.ones(h2.num_rows))
-        assert plan.memory_bytes() > forward_bytes
-        assert plan_entries() == [{"workspace": plan.memory_bytes()}]
+        assert plan_entries() == [{"workspace": forward_bytes}]
+        counter = KernelLaunchCounter()
+        x = np.random.default_rng(14).standard_normal((h2.num_rows, 3))
+        out = h2.rmatmat(x, backend=get_backend("vectorized", counter=counter))
+        assert counter.total_calls() == plan.num_stages
+        assert plan.memory_bytes() == forward_bytes
+        assert plan_entries() == [{"workspace": forward_bytes}]
+        assert np.array_equal(out, h2.matmat(x))
+
+    @pytest.mark.parametrize("blocks", ["coupling", "dense"])
+    def test_an_unmirrored_pair_refuses_the_transpose_apply(self, blocks):
+        """One block of a pair edited and the plan rebuilt: ``matvec`` applies
+        the edited matrix, ``rmatvec`` names the pair and raises; restoring the
+        block makes the transpose apply work again."""
+        points = uniform_cube_points(300, dim=2, seed=4)
+        h2 = compress(points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1)
+        store = getattr(h2, blocks)
+        s, t = next(key for key in sorted(store) if key[0] < key[1] and store[key].size)
+        x = np.random.default_rng(5).standard_normal(h2.num_rows)
+        expected = h2.rmatvec(x)
+        original = store[(s, t)][0, 0]
+        store[(s, t)][0, 0] += 1.0
+        h2.apply_plan(rebuild=True)
+        assert np.allclose(h2.matvec(x), h2.to_dense() @ x, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match=rf"{blocks} block \({t}, {s}\)"):
+            h2.rmatvec(x)
+        store[(s, t)][0, 0] = original
+        h2.apply_plan(rebuild=True)
+        assert np.array_equal(h2.rmatvec(x), expected)
 
     def test_a_dropped_matrix_is_freed_without_the_cyclic_gc(self):
         """The plan keeps the matrix's block dicts, not the matrix that holds
@@ -314,7 +340,7 @@ class TestCompileApplyPlanApi:
         h2 = compress(points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1)
         plan = h2.apply_plan()
         x = np.random.default_rng(3).standard_normal((300, 2))
-        expected = h2.rmatmat(x, permuted=True)
+        expected = h2.matmat(x, permuted=True)
         alive = weakref.ref(h2)
         gc.disable()
         try:
@@ -322,8 +348,7 @@ class TestCompileApplyPlanApi:
             assert alive() is None
         finally:
             gc.enable()
-        # A plan that outlives its matrix still compiles its transpose.
-        plan._transpose_stages = None
+        # A plan that outlives its matrix still checks its blocks are mirrored.
         assert np.array_equal(plan.execute(x, transpose=True), expected)
 
     def test_execute_rejects_bad_shapes(self, h2_problem):

@@ -166,6 +166,11 @@ class TestEdgeCases:
         dense = h2.to_dense()
         assert np.abs(dense - dense.T).max() > 1e-2  # B_ts != B_st^T
         _check_against_dense(h2)
+        # The transpose apply runs the forward plan, so it refuses the matrix.
+        x = np.ones(h2.shape[0])
+        np.testing.assert_allclose(h2.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="mirrored"):
+            h2.rmatvec(x)
 
     def test_block_diagonal_operator(self, base_hss):
         """Every rank 0: the leaf level (two rank buckets) eliminates

@@ -214,6 +214,37 @@ class TestFaultInjector:
         # Fault budget spent: the real maxiter passes through untouched.
         assert inj.stall_maxiter(500) == 500
 
+    def test_firing_counts_every_event_under_threads(self):
+        """Four threads share one injector (as a served policy's worker pool
+        does): no event or firing is lost, so a ``times=1`` fault cannot fire
+        twice."""
+        import sys
+        import threading
+
+        inj = FaultInjector.from_spec("stall-convergence:nth=1,times=-1")
+        calls, threads = 20_000, 4
+        start = threading.Barrier(threads, timeout=60)
+
+        def worker():
+            start.wait()
+            for _ in range(calls):
+                inj.stall_maxiter(500)
+
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert len(inj.log) == calls * threads
+        assert inj.fired("stall-convergence") == calls * threads
+        assert [entry["event"] for entry in inj.log] == list(range(1, calls * threads + 1))
+
     def test_counter_increments(self):
         before = counter_value("resilience.faults_injected")
         inj = FaultInjector.from_spec("memory-budget-exceeded")

@@ -296,49 +296,51 @@ class TestModelRegistry:
 
 
 # ------------------------------------------------------------------ micro-batch
-class TestExecutionLock:
-    """What the per-model lock no longer has to guard: with the apply plan
-    compiled (and the backend resolved) first, the compiled apply and the HSS
-    solve allocate their buffers per call, so two threads working on one
-    matrix get the serial answers bit for bit.  The lock itself stays (see
-    ``repro.serve.registry``)."""
+class TestReadyAtRegistration:
+    """A served model takes no lock: registration builds everything a first
+    apply would — a loaded model compiles its apply plan and re-points its
+    blocks at it, and its backend is resolved — and the compiled apply and
+    the HSS solve allocate their buffers per call.  So concurrent first
+    requests of one model return the serial answers bit for bit."""
 
-    def test_concurrent_matmat_and_solve_match_serial(self, serve_operator):
-        factorization = repro.factorize(serve_operator, shift=NOISE)
-        assert type(factorization).__name__ == "HSSFactorization"
+    def test_loaded_model_serves_concurrent_first_requests(
+        self, serve_operator, tmp_path
+    ):
+        from repro.batched.backend import BatchedBackend
+
+        path = tmp_path / "m.repro"
+        repro.save_operator(serve_operator, path)
+        server = InferenceServer(batching=False)
+        model = server.register("m", path=path, noise=NOISE)
+        operator = model.operator
+        plan = operator._plan
+        assert plan is not None
+        assert isinstance(operator.apply_backend, BatchedBackend)
+        assert not model.factored
+
+        reference = repro.load_operator(path)
+        factorization = repro.factorize(reference, shift=NOISE)
         rng = np.random.default_rng(17)
-        blocks = [rng.standard_normal((N, 1 + i % 4)) for i in range(50)]
-        serve_operator.apply_plan()
-        serial = [
-            (serve_operator.matmat(b), factorization.solve(b)) for b in blocks
-        ]
-        results, errors = {}, []
-        start = threading.Barrier(2, timeout=60)
+        blocks = [rng.standard_normal((N, 1 + i % 4)) for i in range(24)]
+        serial = [(reference.matmat(b), factorization.solve(b)) for b in blocks]
 
-        def worker(tag):
-            try:
-                start.wait()
-                results[tag] = [
-                    (serve_operator.matmat(b), factorization.solve(b)) for b in blocks
-                ]
-            except Exception as exc:  # pragma: no cover - reported below
-                errors.append(exc)
+        async def main():
+            requests = []
+            for b in blocks:
+                requests += [MatvecRequest(model="m", x=b), SolveRequest(model="m", b=b)]
+            return await asyncio.gather(*[server.handle(r) for r in requests])
 
-        threads = [threading.Thread(target=worker, args=(tag,)) for tag in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            responses = run(main())
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors and sorted(results) == [0, 1]
-        for outputs in results.values():
-            for (y, x), (y_ref, x_ref) in zip(outputs, serial):
-                assert np.array_equal(y, y_ref) and np.array_equal(x, x_ref)
+            run(server.aclose())
+        assert operator._plan is plan
+        for i, (y_ref, x_ref) in enumerate(serial):
+            assert np.array_equal(responses[2 * i].y, y_ref)
+            assert np.array_equal(responses[2 * i + 1].x, x_ref)
 
 
 class TestMicroBatcher:
@@ -434,9 +436,8 @@ class TestMicroBatcher:
         responses = run(main())
         assert server.batcher.launches == 10
         assert [r.batch_size for rs in responses for r in rs] == [2] * 20
-        # One queue-time and one lock-wait observation per launch.
-        for name in ("serve.batch.queue_ms", "serve.batch.lock_wait_ms"):
-            assert metrics().histogram(name).summary()["count"] == 10
+        # One queue-time observation per launch.
+        assert metrics().histogram("serve.batch.queue_ms").summary()["count"] == 10
         for c, rs in enumerate(responses):
             for r, x in zip(rs, payloads[c]):
                 np.testing.assert_allclose(
