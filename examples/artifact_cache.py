@@ -15,6 +15,11 @@ produces is a pure function of (geometry, kernel, tolerance, format, seed).
 3. anything that changes the result (tolerance, kernel hyperparameters,
    seed, leaf size, format) changes the key, so stale hits cannot happen.
 
+The demo checks what it shows: the loaded operator's ``to_dense()`` and first
+matvec are bitwise those of the saved one, and the warm compression is a cache
+hit with the same bits.  It prints ``artifact cache demo: OK`` and exits
+non-zero otherwise.
+
 Run with:  python examples/artifact_cache.py [N]
 """
 
@@ -43,7 +48,13 @@ def main(n: int = 4096) -> None:
         start = time.perf_counter()
         loaded = repro.load_operator(path)
         load_s = time.perf_counter() - start
+        x = np.random.default_rng(2).standard_normal(n)
+        failures = []
+        if not np.array_equal(loaded @ x, h2 @ x):
+            failures.append("the loaded operator's first matvec differs")
         exact = np.array_equal(loaded.to_dense(), h2.to_dense())
+        if not exact:
+            failures.append("the loaded operator's to_dense() differs")
         print(
             f"save: {save_s:.3f}s ({path.stat().st_size / 2**20:.1f} MB), "
             f"zero-copy load: {load_s * 1e3:.1f}ms, bitwise round trip: {exact}"
@@ -54,9 +65,14 @@ def main(n: int = 4096) -> None:
         start = time.perf_counter()
         repro.compress(points, kernel, tol=1e-6, seed=1, cache_dir=cache_dir)
         cold_s = time.perf_counter() - start
+        cache = repro.ArtifactCache(cache_dir)
         start = time.perf_counter()
-        warm = repro.compress(points, kernel, tol=1e-6, seed=1, cache_dir=cache_dir)
+        warm = repro.compress(points, kernel, tol=1e-6, seed=1, cache=cache)
         warm_s = time.perf_counter() - start
+        if cache.hits != 1:
+            failures.append(f"the warm compress was no cache hit ({cache.statistics()})")
+        if not np.array_equal(warm @ x, h2 @ x):
+            failures.append("the warm operator's matvec differs")
         print(
             f"cold compress (construct + store): {cold_s:.2f}s, "
             f"warm compress (cache hit): {warm_s * 1e3:.1f}ms "
@@ -66,7 +82,6 @@ def main(n: int = 4096) -> None:
         print(f"warm operator matvec norm: {np.linalg.norm(y):.6g}")
 
         # A different tolerance (or kernel, or seed, ...) is a different key.
-        cache = repro.ArtifactCache(cache_dir)
         repro.compress(points, kernel, tol=1e-4, seed=1, cache=cache)
         print(f"cache after a tol=1e-4 request: {cache.statistics()}")
 
@@ -82,6 +97,10 @@ def main(n: int = 4096) -> None:
             f"second Session construction_path={sess.result.construction_path!r} "
             f"(artifact cache hits: {hits})"
         )
+    if failures:
+        print("artifact cache demo: FAILED: " + "; ".join(failures))
+        sys.exit(1)
+    print("artifact cache demo: OK")
 
 
 if __name__ == "__main__":

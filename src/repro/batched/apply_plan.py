@@ -24,10 +24,12 @@ node, and every dispatch is recorded in the backend's
 
 The forward dense and coupling operands are the matrix's block storage.  The
 construction sweep (:mod:`repro.batched.construction_plan`) stacks exactly
-these operands for its own subtract launches; the plan of a constructed
-matrix *adopts* them (``H2ApplyPlan(matrix, dense, coupling)``) and compiles
-only the four basis phases.  :meth:`H2ApplyPlan.view_blocks` then makes every
-block of the matrix's dicts a view of its slot, so each block exists once.
+these operands for its own subtract launches, and an artifact
+(:mod:`repro.persist.serializers`) stores them as they are; the plan of a
+constructed or a loaded matrix *adopts* them (``H2ApplyPlan(matrix, dense,
+coupling)``) and compiles only the four basis phases.
+:meth:`H2ApplyPlan.view_blocks` makes every block of the matrix's dicts a
+view of its slot, so each block exists once.
 
 The phases mirror the reference loop exactly:
 
@@ -88,7 +90,31 @@ from .block_rows import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hmatrix.basis_tree import BasisTree
     from ..hmatrix.h2matrix import H2Matrix
+    from ..tree.cluster_tree import ClusterTree
+
+
+def hat_layout(
+    tree: "ClusterTree", basis: "BasisTree"
+) -> Tuple[Dict[int, Dict[int, int]], Dict[int, int]]:
+    """The per-level hat-vector layout of an apply plan: per level, the
+    position of every node carrying a (nonzero-rank) basis, and the largest
+    rank, to which the level's hat stack and coupling slots are padded.
+    Levels without such a node are omitted."""
+    level_pos: Dict[int, Dict[int, int]] = {}
+    level_rank: Dict[int, int] = {}
+    for level in range(tree.depth, -1, -1):
+        nodes = [
+            node
+            for node in tree.nodes_at_level(level)
+            if basis.has_basis(node) and basis.rank(node) > 0
+        ]
+        if nodes:
+            level_pos[level] = {node: i for i, node in enumerate(nodes)}
+            level_rank[level] = max(basis.rank(node) for node in nodes)
+    return level_pos, level_rank
+
 
 #: Buffer keys: ``("x",)`` / ``("y",)`` are the leaf-blocked (padded)
 #: input/output vectors, ``("hat", level)`` / ``("ghat", level)`` the
@@ -194,12 +220,12 @@ class H2ApplyPlan:
     Build with :func:`compile_apply_plan` (or ``H2Matrix.apply_plan()``, which
     caches the compiled plan on the matrix).  The forward dense and coupling
     stages are either compiled from the matrix's blocks or *adopted*: given as
-    the fan-grouped operands the construction sweep already marshaled
-    (``dense`` / ``coupling``, keyed by depth, whose slots the matrix's
-    blocks already view), in which case only the four basis phases are
-    compiled.  A coupling level is adopted when its positions and padding are
-    the plan's — every node of the level carries a nonzero rank; otherwise it
-    is compiled from the blocks.
+    fan-grouped operands already in the plan's layout (``dense`` /
+    ``coupling``, keyed by level, whose slots the matrix's blocks already
+    view), in which case only the four basis phases are compiled.  The
+    construction sweep hands over its operands of every level whose nodes all
+    carry a nonzero rank (the sweep's positions are then the plan's); a
+    loaded artifact hands over the operands :meth:`block_operands` saved.
 
     :meth:`view_blocks` makes the operands the blocks' only storage: the
     matrix's dense and coupling dicts become views of their slots.  A matrix
@@ -213,36 +239,20 @@ class H2ApplyPlan:
         coupling: Optional[Mapping[int, FanOperands]] = None,
     ):
         tree = matrix.tree
-        basis = matrix.basis
         self.n = tree.num_points
         self.num_levels = tree.num_levels
         self.depth = tree.depth
         self.leaves = LeafLayout(tree)
-
-        # Per-level hat-vector layout: nodes carrying a (nonzero-rank) basis,
-        # all padded to the maximum rank of their level so each hat buffer is
-        # one uniform stack.
-        self._level_pos: Dict[int, Dict[int, int]] = {}
-        self._level_rank: Dict[int, int] = {}
-        for level in range(tree.depth, -1, -1):
-            nodes = [
-                node
-                for node in tree.nodes_at_level(level)
-                if basis.has_basis(node) and basis.rank(node) > 0
-            ]
-            if not nodes:
-                continue
-            self._level_pos[level] = {node: i for i, node in enumerate(nodes)}
-            self._level_rank[level] = max(basis.rank(node) for node in nodes)
+        self._level_pos, self._level_rank = hat_layout(tree, matrix.basis)
 
         # The mirror check reads these block dicts.  Holding them, not the
         # matrix (which holds this plan), leaves no reference cycle: a dropped
         # matrix is freed at once instead of at the next cyclic collection.
         self._tree, self._coupling, self._dense = tree, matrix.coupling, matrix.dense
-        #: The forward dense/coupling operands with the dict holding their
-        #: blocks and whether they were adopted, and the bytes of the blocks
-        #: stored as views into them.
-        self._block_operands: List[Tuple[dict, FanOperands, bool]] = []
+        #: The forward dense/coupling phases with their operands and whether
+        #: those were adopted, and the bytes of the blocks stored as views
+        #: into them.
+        self._block_operands: List[Tuple[_Phase, FanOperands, bool]] = []
         self._viewed_bytes = 0
         self._forward_stages = self._assemble(matrix, dense, coupling or {})
         self._mirrored = False
@@ -312,24 +322,13 @@ class H2ApplyPlan:
         return self._compile(leaf), up, down, self._compile(expand)
 
     def _forward(
-        self, phase: _Phase, blocks: dict, given: Optional[FanOperands]
+        self, phase: _Phase, given: Optional[FanOperands]
     ) -> List[ApplyStage]:
         """A forward dense/coupling phase: its given operands, or compiled
         ones; either way remembered for :meth:`view_blocks`."""
         operands = given if given is not None else phase.compile()
-        self._block_operands.append((blocks, operands, given is not None))
+        self._block_operands.append((phase, operands, given is not None))
         return phase.stages(operands)
-
-    def _adoptable(self, level: int, operands: FanOperands) -> bool:
-        """Whether a construction level's coupling operands (over every node
-        of the level, padded to its largest rank) are this plan's: every node
-        of the level has a hat-vector position, padded to the same rank."""
-        pos = self._level_pos.get(level)
-        return (
-            pos is not None
-            and len(pos) == len(self._tree.nodes_at_level(level))
-            and all(a.shape[1] == self._level_rank[level] for a in operands.operands)
-        )
 
     def _coupling_phase(self, level: int) -> _Phase:
         r = self._level_rank[level]
@@ -339,18 +338,14 @@ class H2ApplyPlan:
         )
 
     def _coupling_stages(self, given: Mapping[int, FanOperands]) -> List[ApplyStage]:
-        adopted = {
-            level: operands for level, operands in given.items()
-            if self._adoptable(level, operands)
-        }
-        phases = {level: self._coupling_phase(level) for level in adopted}
+        phases = {level: self._coupling_phase(level) for level in given}
         # Walk the blocks only when some lie outside the adopted levels.
-        adopted_blocks = sum(len(operands.keys) for operands in adopted.values())
+        adopted_blocks = sum(len(operands.keys) for operands in given.values())
         pairs = sorted(self._coupling) if adopted_blocks < len(self._coupling) else []
         for (s, t) in pairs:
             block = self._coupling[(s, t)]
             level = self._tree.level_of(s)
-            if block.size == 0 or level in adopted:
+            if block.size == 0 or level in given:
                 continue
             pos = self._level_pos.get(level)
             if pos is None or s not in pos or t not in pos:
@@ -360,7 +355,7 @@ class H2ApplyPlan:
             phases[level].add(pos[s], pos[t], block, (s, t))
         stages: List[ApplyStage] = []
         for level in sorted(phases):
-            stages += self._forward(phases[level], self._coupling, adopted.get(level))
+            stages += self._forward(phases[level], given.get(level))
         return stages
 
     def _dense_stages(self, given: Optional[FanOperands]) -> List[ApplyStage]:
@@ -375,7 +370,7 @@ class H2ApplyPlan:
                 if block.size == 0:
                     continue
                 phase.add(self.leaves.pos[s], self.leaves.pos[t], block, (s, t))
-        return self._forward(phase, self._dense, given)
+        return self._forward(phase, given)
 
     def _assemble(
         self,
@@ -393,13 +388,26 @@ class H2ApplyPlan:
             *self._dense_stages(dense),
         ]
 
+    def block_operands(self) -> Tuple[FanOperands, Dict[int, FanOperands]]:
+        """The forward dense operands and the coupling operands per level:
+        the blocks' storage, in the layout ``H2ApplyPlan(matrix, dense,
+        coupling)`` adopts (what an artifact stores)."""
+        dense, coupling = None, {}
+        for phase, operands, _ in self._block_operands:
+            if phase.op == "apply_dense":
+                dense = operands
+            else:
+                coupling[phase.level] = operands
+        return dense, coupling
+
     def view_blocks(self) -> None:
         """Store every dense and coupling block of the compiled-from matrix as
         an exact-shape view of its forward operand slot, so the operands are
         the blocks' only copy; :meth:`memory_bytes` then counts only the bytes
         beyond them (padding and basis operands)."""
         viewed = 0
-        for blocks, operands, adopted in self._block_operands:
+        for phase, operands, adopted in self._block_operands:
+            blocks = self._dense if phase.op == "apply_dense" else self._coupling
             keys = operands.keys
             if not adopted:  # adopted operands' blocks view them already
                 views = operands.views([blocks[key].shape for key in keys])

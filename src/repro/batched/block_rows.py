@@ -19,7 +19,8 @@ last block is the *sentinel*, which stays zero:
   ``(g, p, fan * q)`` GEMM operand;
 * :class:`FanOperands` keeps a keyed block list as those operands — the only
   copy of the blocks: :meth:`FanOperands.views` hands each block back as an
-  exact-shape view of its slot;
+  exact-shape view of its slot, and :meth:`FanOperands.check` holds operands
+  read back from an artifact to that layout;
 * :class:`LeafLayout` lays the leaf blocks of an ``(n, k)`` array out as a
   zero-padded ``(leaves + 1, height, k)`` stack and reads them back.
 """
@@ -27,7 +28,7 @@ last block is the *sentinel*, which stays zero:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,6 +170,73 @@ class FanOperands:
         every block (``padded`` is not referenced afterwards)."""
         operands = [fan_operands(g, padded[g.real_blocks]) for g in groups]
         return cls(keys, groups, operands)
+
+    def check(
+        self,
+        pos: Mapping[int, int],
+        shape: Tuple[int, int],
+        block_shapes: Sequence[Tuple[int, int]],
+    ) -> None:
+        """Raise ``ValueError`` unless these are well-formed operands over the
+        positions ``pos`` (node -> position; the sentinel is ``len(pos)``),
+        padded to slots of ``shape``, of blocks of ``block_shapes`` (in key
+        order): every operand ``(g, p, fan * q)`` with ``g * fan`` int64 slot
+        indices, every block in exactly one slot, in the row of its key's
+        destination and reading its key's source, and no larger than its
+        slot.  For operands read from a file: a valid one is applied as is."""
+        p, q = shape
+        sentinel = len(pos)
+        try:
+            dest = np.array([pos[s] for s, _ in self.keys], dtype=np.int64)
+            src = np.array([pos[t] for _, t in self.keys], dtype=np.int64)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a block of node {exc} lies outside the layout") from exc
+        sizes = np.asarray(block_shapes, dtype=np.int64).reshape(-1, 2)
+        if sizes.shape[0] != len(self.keys) or sizes.min(initial=0) < 0:
+            raise ValueError("the block shapes do not match the blocks")
+        if sizes[:, 0].max(initial=0) > p or sizes[:, 1].max(initial=0) > q:
+            raise ValueError(f"a block is larger than its {p} x {q} slot")
+        if len(self.groups) != len(self.operands):
+            raise ValueError("every fan group needs one operand")
+        placed = []
+        for group, a in zip(self.groups, self.operands):
+            g, fan = group.num_rows, group.fan
+            arrays = (group.dest_pos, group.src_pos, group.block_req)
+            if not (
+                g > 0 and fan > 0
+                and all(x.dtype == np.int64 for x in arrays)
+                and [x.shape for x in arrays] == [(g,), (g * fan,), (g * fan,)]
+                and a.dtype == np.float64 and a.shape == (g, p, fan * q)
+            ):
+                raise ValueError(
+                    f"a fan-{fan} group of {g} rows does not match its operand "
+                    f"of shape {a.shape} ({p} x {q} slots)"
+                )
+            if (
+                group.dest_pos.min() < 0 or group.dest_pos.max() >= sentinel
+                or group.src_pos.min() < 0 or group.src_pos.max() > sentinel
+                or np.unique(group.dest_pos).size != g
+            ):
+                raise ValueError(
+                    f"a slot position lies outside [0, {sentinel}] or a row repeats"
+                )
+            req = group.block_req
+            if req.min() < -1 or req.max() >= len(self.keys):
+                raise ValueError(f"a slot's block lies outside [-1, {len(self.keys)})")
+            real = req >= 0
+            blocks = req[real]
+            rows = np.nonzero(real)[0] // fan
+            if not (
+                np.array_equal(group.dest_pos[rows], dest[blocks])
+                and np.array_equal(group.src_pos[real], src[blocks])
+            ):
+                raise ValueError("a block sits in a slot of other positions than its key's")
+            placed.append(blocks)
+        if not np.array_equal(
+            np.sort(np.concatenate([np.empty(0, np.int64), *placed])),
+            np.arange(len(self.keys)),
+        ):
+            raise ValueError("every block must sit in exactly one slot")
 
     def views(self, shapes: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
         """Block ``b`` of shape ``shapes[b]`` as a view of its operand slot, in

@@ -87,8 +87,10 @@ subtract operands (:class:`~repro.batched.block_rows.FanOperands`, owners and
 twins each at their own slot) and dropped.  Those operands are what the
 compiled apply of the finished matrix reads
 (:meth:`PackedSweepEngine.apply_operands`, adopted by
-:class:`~repro.batched.apply_plan.H2ApplyPlan`), and the blocks the
-constructor stores are views into them.
+:class:`~repro.batched.apply_plan.H2ApplyPlan` at every level whose nodes all
+carry a nonzero rank) and what an artifact of the matrix stores
+(:mod:`repro.persist.serializers`), and the blocks the constructor stores are
+views into them.
 """
 
 from __future__ import annotations

@@ -409,11 +409,21 @@ class H2Constructor:
         )
         # The sweep's dense and coupling operands are the blocks' storage and
         # the apply's operands: the plan adopts them and compiles only the
-        # basis phases.
+        # basis phases.  The sweep indexes every node of a level, the plan
+        # its nonzero-rank nodes: a level with a rank-0 node is compiled.
         operands = sweep.apply_operands()
         if operands is not None:
+            dense, coupling = operands
+            adoptable = {
+                depth: level_operands
+                for depth, level_operands in coupling.items()
+                if all(
+                    self.basis.has_basis(node) and self.basis.rank(node) > 0
+                    for node in self.tree.nodes_at_level(depth)
+                )
+            }
             with phase_span(self.tracer, "misc"):
-                matrix.adopt_plan(H2ApplyPlan(matrix, *operands))
+                matrix.adopt_plan(H2ApplyPlan(matrix, dense, adoptable))
         # Memory telemetry: the constructed operator and the sweep's workspace
         # report into the process-wide ledger (the apply plan reports itself);
         # the entries auto-release when the objects are garbage-collected.

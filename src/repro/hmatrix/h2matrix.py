@@ -61,6 +61,7 @@ from .basis_tree import BasisTree
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.apply_plan import H2ApplyPlan
     from ..batched.backend import BatchedBackend
+    from ..batched.block_rows import FanOperands
     from ..batched.entry_plan import H2EntryPlan
 
 
@@ -103,6 +104,75 @@ class H2Matrix(HierarchicalOperatorMixin):
     _entry_plan: "Optional[H2EntryPlan]" = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The dense and per-level coupling operands of a matrix stored as them
+    #: (:meth:`from_operands`), until its first :meth:`apply_plan` adopts them.
+    _operands: "Optional[Tuple[FanOperands, Dict[int, FanOperands]]]" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_operands(
+        cls,
+        tree: ClusterTree,
+        partition: BlockPartition,
+        basis: BasisTree,
+        coupling_shapes: Dict[Tuple[int, int], Tuple[int, int]],
+        dense_shapes: Dict[Tuple[int, int], Tuple[int, int]],
+        coupling_operands: Dict[int, "FanOperands"],
+        dense_operands: "FanOperands",
+        symmetric: bool = True,
+    ) -> "H2Matrix":
+        """The matrix whose blocks are stored as the forward operands of its
+        apply plan (what :meth:`~repro.batched.apply_plan.H2ApplyPlan.block_operands`
+        returns), as an artifact holds them.
+
+        Every block of ``coupling_shapes`` / ``dense_shapes`` (dict order and
+        shapes) becomes an exact-shape view of its slot, or an empty array
+        when it has no slot; nothing is copied or compiled, and the first
+        :meth:`apply_plan` adopts the operands.  Raises ``ValueError`` unless
+        the operands are in that plan's layout (:meth:`FanOperands.check`)
+        and every block without a slot is empty.
+        """
+        from ..batched.apply_plan import hat_layout
+        from ..batched.block_rows import LeafLayout
+
+        leaves = LeafLayout(tree)
+        level_pos, level_rank = hat_layout(tree, basis)
+        shapes = {"dense": dense_shapes, "coupling": coupling_shapes}
+        stored = [("dense", dense_operands, leaves.pos, leaves.height)]
+        for level, operands in coupling_operands.items():
+            if level not in level_pos:
+                raise ValueError(f"coupling operands of level {level}, which has no basis")
+            stored.append(("coupling", operands, level_pos[level], level_rank[level]))
+        views: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"dense": {}, "coupling": {}}
+        for name, operands, pos, size in stored:
+            try:
+                block_shapes = [shapes[name][key] for key in operands.keys]
+            except KeyError as exc:
+                raise ValueError(f"{name} operand block {exc} is not a block") from exc
+            operands.check(pos, (size, size), block_shapes)
+            for key, view in zip(operands.keys, operands.views(block_shapes)):
+                if key in views[name]:
+                    raise ValueError(f"{name} block {key} sits in two operands")
+                views[name][key] = view
+
+        def blocks(name: str) -> Dict[Tuple[int, int], np.ndarray]:
+            out = {}
+            for key, shape in shapes[name].items():
+                block = views[name].get(key)
+                if block is None:
+                    if shape[0] * shape[1]:
+                        raise ValueError(f"{name} block {key} is stored in no operand")
+                    block = np.zeros(shape)
+                out[key] = block
+            return out
+
+        matrix = cls(
+            tree=tree, partition=partition, basis=basis,
+            coupling=blocks("coupling"), dense=blocks("dense"), symmetric=symmetric,
+        )
+        matrix._operands = (dense_operands, dict(coupling_operands))
+        return matrix
 
     # ----------------------------------------------------------------- basics
     @property
@@ -148,17 +218,19 @@ class H2Matrix(HierarchicalOperatorMixin):
         """The compiled batched apply plan of this matrix, cached.
 
         A constructed matrix comes with its plan (the construction's operands,
-        adopted); any other matrix compiles one from its blocks on first use.
-        Either way the matrix then keeps its dense and coupling blocks as
-        views of the plan's operands (:meth:`adopt_plan`): one copy.  Pass
-        ``rebuild=True`` after mutating coupling/dense/basis blocks in place:
-        the apply plan is recompiled from the blocks and the blocks re-pointed
-        at it.
+        adopted), a loaded one adopts the operands it was stored as
+        (:meth:`from_operands`) on first use, and any other matrix compiles
+        one from its blocks on first use.  Either way the matrix then keeps
+        its dense and coupling blocks as views of the plan's operands
+        (:meth:`adopt_plan`): one copy.  Pass ``rebuild=True`` after mutating
+        coupling/dense/basis blocks in place: the apply plan is recompiled
+        from the blocks and the blocks re-pointed at it.
         """
         if self._plan is None or rebuild:
-            from ..batched.apply_plan import compile_apply_plan
+            from ..batched.apply_plan import H2ApplyPlan
 
-            self.adopt_plan(compile_apply_plan(self))
+            operands = () if rebuild or self._operands is None else self._operands
+            self.adopt_plan(H2ApplyPlan(self, *operands))
         return self._plan
 
     def adopt_plan(self, plan: "H2ApplyPlan") -> None:
@@ -170,6 +242,7 @@ class H2Matrix(HierarchicalOperatorMixin):
         plan.view_blocks()
         self._plan = plan
         self._entry_plan = None
+        self._operands = None
 
     def _resolve_backend(
         self, backend: "BatchedBackend | str | None"

@@ -19,9 +19,10 @@ little-endian ``float64`` / ``int64`` only (:data:`DTYPES`, everything an H2
 matrix stores); a directory entry with another dtype, or a negative or
 non-integer shape, offset or byte count, is a format error.
 
-Each buffer is made contiguous once — a no-op unless it is a strided view, as
-the blocks of a constructed matrix are — hashed as is, and the file is
-written with gathered ``writev`` calls, not one ``write`` per buffer and gap.
+Each buffer is made contiguous (a no-op for the contiguous arrays an H2
+artifact stores: its tree, bases and apply-plan operands; a strided view is
+copied once), hashed as is, and the file is written with gathered ``writev``
+calls, not one ``write`` per buffer and gap.
 
 Writes are atomic: the file is assembled under a temporary name in the target
 directory and :func:`os.replace`-d into place, so readers (and the
@@ -273,5 +274,7 @@ def read_artifact(
                         f"{path}: buffer {name!r} failed its checksum "
                         f"(stored {digest[:12]}…, computed {actual[:12]}…)"
                     )
-        buffers[name] = raw_bytes.view(dtype).reshape(tuple(shape))
+        # A plain ndarray over the map (its base), not a memmap: memmap's
+        # Python-level indexing would tax every block view taken of it.
+        buffers[name] = raw_bytes.view(dtype).reshape(tuple(shape)).view(np.ndarray)
     return header, buffers

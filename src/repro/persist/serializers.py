@@ -4,15 +4,30 @@
 included: it is H2 on the weak partition) into header metadata + ordered raw
 buffers and :func:`_unpack_h2` reverses it; :data:`H2_FORMAT_VERSION` is
 bumped whenever that layout changes.  :func:`load` reads ``"h2"`` artifacts
-only, rejects any other recorded format with
-:class:`~repro.persist.format.ArtifactFormatError` and version mismatches with
+of the current version only, rejects any other recorded format with
+:class:`~repro.persist.format.ArtifactFormatError` and version mismatches
+(version-1 files included) with
 :class:`~repro.persist.format.ArtifactVersionError`.
 
+The dense and coupling blocks are stored as the matrix's apply plan holds
+them (:meth:`~repro.batched.apply_plan.H2ApplyPlan.block_operands`): per
+operand set (the dense phase, and the coupling phase of every level) the
+fan-grouped ``(g, p, fan * q)`` operands, one buffer per fan group, with the
+group's ``dest_pos`` / ``src_pos`` / ``block_req`` index arrays and the
+set's block order; per block dict its keys and exact block shapes.  Saving a
+matrix without a plan builds the plan first; the operands are contiguous, so
+they are written as they are, padding included.  Loading builds the matrix
+with :meth:`~repro.hmatrix.h2matrix.H2Matrix.from_operands`: every block an
+exact-shape view of its mapped slot, nothing compiled; its first apply adopts
+the mapped operands.  Malformed metadata, a missing buffer or an index array
+that does not fit the plan's layout raise
+:class:`~repro.persist.format.ArtifactFormatError`.
+
 Round trips are *exact*: buffers are raw float64/int64 bytes, dictionary key
-orders are preserved through explicit key lists in the metadata, and loaded
-arrays are zero-copy read-only views into the artifact's memmap (the formats
-only ever read their block data during applies).  ``load(path).to_dense()``
-is bitwise-equal to the saved operator's ``to_dense()``.
+orders are preserved through explicit key lists, and loaded arrays are
+zero-copy read-only views into the artifact's memmap (the formats only ever
+read their block data during applies).  ``load(path).to_dense()`` is
+bitwise-equal to the saved operator's ``to_dense()``.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..batched.block_rows import FanOperands, RowGroup
 from ..hmatrix.basis_tree import BasisTree
 from ..hmatrix.h2matrix import H2Matrix
 from ..tree.admissibility import (
@@ -44,8 +60,10 @@ Buffers = List[Tuple[str, np.ndarray]]
 
 
 #: Layout version of the one persisted format, ``"h2"`` (HSS is H2 on the weak
-#: partition); bump it whenever :func:`_pack_h2` changes.
-H2_FORMAT_VERSION = 1
+#: partition); bump it whenever :func:`_pack_h2` changes.  Version 2 stores
+#: the dense and coupling blocks as the fan-grouped operands of the apply
+#: plan; version-1 files (one buffer per block) are not read.
+H2_FORMAT_VERSION = 2
 
 #: Format names that persist; both store an ``"h2"`` artifact.
 _SAVED_FORMATS = ("h2", "hss")
@@ -76,14 +94,15 @@ def load(path: str | os.PathLike, mmap: bool = True, verify: bool = False):
     """Load the operator stored at ``path``.
 
     ``mmap=True`` (default) maps the block data zero-copy, so a multi-GB
-    operator opens in milliseconds and pages in lazily.  ``verify=True``
+    operator opens in milliseconds and pages in lazily; its first apply
+    adopts the mapped operands.  ``verify=True``
     checks every buffer's stored SHA-256 before reconstruction (see
     :func:`~repro.persist.format.read_artifact`).  Raises
     :class:`~repro.persist.format.ArtifactVersionError` when the artifact's
     recorded format version differs from :data:`H2_FORMAT_VERSION`, and
     :class:`~repro.persist.format.ArtifactFormatError` on any format but
     ``"h2"`` (the ``"hodlr"`` / ``"hmatrix"`` artifacts of earlier releases
-    included) or corrupted files.
+    included), corrupted files and malformed metadata or index arrays.
     """
     header, buffers = read_artifact(path, mmap=mmap, verify=verify)
     name = str(header["format"]).lower()
@@ -98,7 +117,12 @@ def load(path: str | os.PathLike, mmap: bool = True, verify: bool = False):
             f"{path}: format {name!r} artifact is version {recorded}, this "
             f"library reads version {H2_FORMAT_VERSION}"
         )
-    return _unpack_h2(header["meta"], buffers)
+    try:
+        return _unpack_h2(header["meta"], buffers)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactFormatError(
+            f"{path}: malformed 'h2' artifact ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # -------------------------------------------------------------- shared pieces
@@ -201,23 +225,92 @@ def _unpack_partition(
     )
 
 
-def _pack_block_dict(
-    blocks: Dict[Tuple[int, int], np.ndarray], prefix: str, meta: dict,
+def _index_buffer(buffers: Dict[str, np.ndarray], name: str, ndim: int) -> np.ndarray:
+    array = buffers[name]
+    if array.dtype != np.int64 or array.ndim != ndim or (ndim == 2 and array.shape[1] != 2):
+        raise ArtifactFormatError(
+            f"buffer {name!r} of dtype {array.dtype} and shape {array.shape} is "
+            f"not an int64 {'(n, 2) ' if ndim == 2 else ''}index array"
+        )
+    return array
+
+
+def _pack_blocks(
+    name: str,
+    blocks: Dict[Tuple[int, int], np.ndarray],
+    stored: List[Tuple[str, FanOperands]],
     buffers: Buffers,
 ) -> None:
-    meta[f"{prefix}_keys"] = [[int(s), int(t)] for s, t in blocks]
+    """The keys and shapes of ``blocks`` (dict order), then every operand set
+    of ``stored`` as it is: its blocks (indices into the keys) and per fan
+    group the index arrays and the operand."""
+    index = {key: i for i, key in enumerate(blocks)}
+    placed = set()
     buffers.extend(
-        (f"{prefix}/{i}", array) for i, array in enumerate(blocks.values())
+        [
+            (f"{name}/keys", np.array(list(blocks), dtype=np.int64).reshape(-1, 2)),
+            (
+                f"{name}/shapes",
+                np.array([b.shape for b in blocks.values()], dtype=np.int64).reshape(-1, 2),
+            ),
+        ]
     )
+    for prefix, operands in stored:
+        try:
+            order = [index[key] for key in operands.keys]
+        except KeyError as exc:
+            raise ArtifactError(
+                f"{name} block {exc} of the apply plan is not a block of the "
+                "matrix: recompile it first (apply_plan(rebuild=True))"
+            ) from exc
+        placed.update(order)
+        buffers.append((f"{prefix}/blocks", np.array(order, dtype=np.int64)))
+        for j, (group, a) in enumerate(zip(operands.groups, operands.operands)):
+            buffers.extend(
+                [
+                    (f"{prefix}/{j}/dest_pos", group.dest_pos),
+                    (f"{prefix}/{j}/src_pos", group.src_pos),
+                    (f"{prefix}/{j}/block_req", group.block_req),
+                    (f"{prefix}/{j}/operand", a),
+                ]
+            )
+    for key, block in blocks.items():
+        if block.size and index[key] not in placed:
+            raise ArtifactError(
+                f"{name} block {key} is not in the apply plan: recompile it "
+                "first (apply_plan(rebuild=True))"
+            )
 
 
-def _unpack_block_dict(
-    prefix: str, meta: dict, buffers: Dict[str, np.ndarray]
-) -> Dict[Tuple[int, int], np.ndarray]:
-    return {
-        (int(s), int(t)): buffers[f"{prefix}/{i}"]
-        for i, (s, t) in enumerate(meta[f"{prefix}_keys"])
-    }
+def _unpack_shapes(
+    name: str, buffers: Dict[str, np.ndarray]
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    keys = _index_buffer(buffers, f"{name}/keys", 2).tolist()
+    shapes = _index_buffer(buffers, f"{name}/shapes", 2).tolist()
+    out = {(s, t): (rows, cols) for (s, t), (rows, cols) in zip(keys, shapes)}
+    if not len(out) == len(keys) == len(shapes):
+        raise ArtifactFormatError(f"the {name} keys repeat or miss their shapes")
+    return out
+
+
+def _unpack_operands(
+    prefix: str, groups: int, keys: List[Tuple[int, int]],
+    buffers: Dict[str, np.ndarray],
+) -> FanOperands:
+    order = _index_buffer(buffers, f"{prefix}/blocks", 1)
+    if order.size and (order.min() < 0 or order.max() >= len(keys)):
+        raise ArtifactFormatError(f"{prefix}: a block index lies outside the keys")
+    row_groups, operands = [], []
+    for j in range(groups):  # H2Matrix.from_operands checks them
+        dest, src = buffers[f"{prefix}/{j}/dest_pos"], buffers[f"{prefix}/{j}/src_pos"]
+        row_groups.append(
+            RowGroup(
+                fan=src.size // max(dest.size, 1), dest_pos=dest, src_pos=src,
+                block_req=buffers[f"{prefix}/{j}/block_req"],
+            )
+        )
+        operands.append(buffers[f"{prefix}/{j}/operand"])
+    return FanOperands([keys[b] for b in order.tolist()], row_groups, operands)
 
 
 # ------------------------------------------------------------------ H2 format
@@ -239,8 +332,16 @@ def _pack_h2(h2: H2Matrix) -> Tuple[dict, Buffers]:
     buffers.extend(
         (f"transfer/{i}", array) for i, array in enumerate(basis.transfers.values())
     )
-    _pack_block_dict(h2.coupling, "coupling", meta, buffers)
-    _pack_block_dict(h2.dense, "dense", meta, buffers)
+    dense, coupling = h2.apply_plan().block_operands()
+    meta["operands"] = {
+        "dense": len(dense.groups),
+        "coupling": [[int(level), len(ops.groups)] for level, ops in coupling.items()],
+    }
+    _pack_blocks("dense", h2.dense, [("dense", dense)], buffers)
+    _pack_blocks(
+        "coupling", h2.coupling,
+        [(f"coupling/{level}", ops) for level, ops in coupling.items()], buffers,
+    )
     return meta, buffers
 
 
@@ -260,11 +361,24 @@ def _unpack_h2(meta: dict, buffers: Dict[str, np.ndarray]) -> H2Matrix:
         },
         ranks={int(node): int(rank) for node, rank in basis_meta["ranks"]},
     )
-    return H2Matrix(
+    dense_shapes = _unpack_shapes("dense", buffers)
+    coupling_shapes = _unpack_shapes("coupling", buffers)
+    counts = meta["operands"]
+    coupling_keys = list(coupling_shapes)
+    return H2Matrix.from_operands(
         tree=tree,
         partition=partition,
         basis=basis,
-        coupling=_unpack_block_dict("coupling", meta, buffers),
-        dense=_unpack_block_dict("dense", meta, buffers),
+        coupling_shapes=coupling_shapes,
+        dense_shapes=dense_shapes,
+        coupling_operands={
+            int(level): _unpack_operands(
+                f"coupling/{int(level)}", int(groups), coupling_keys, buffers
+            )
+            for level, groups in counts["coupling"]
+        },
+        dense_operands=_unpack_operands(
+            "dense", int(counts["dense"]), list(dense_shapes), buffers
+        ),
         symmetric=bool(meta["symmetric"]),
     )

@@ -8,11 +8,12 @@ requests reuse it) and the cached log-determinant.  Concurrency across
 stories.
 
 A model is ready before its first request: registration builds the operator's
-compiled apply plan (a loaded model compiles it and re-points its blocks at it
-here) and resolves its batched backend.  The compiled apply and the HSS solve
-allocate their work buffers per call, and the transpose apply runs the same
-plan, so every request reads finished state and two threads may apply or
-solve one model at once and get the serial answer — no per-model lock.  The
+compiled apply plan (a loaded model's plan adopts the mapped operands it was
+stored as, and compiles only the basis phases) and resolves its batched
+backend.  The compiled apply and the HSS solve allocate their work buffers
+per call, and the transpose apply runs the same plan, so every request reads
+finished state and two threads may apply or solve one model at once and get
+the serial answer — no per-model lock.  The
 one piece still built on first use is the factorization, guarded by its own
 double-checked lock.  Every model is an H2 matrix factored by the HSS
 factorization (a strong one is first re-compressed onto the weak partition
@@ -25,7 +26,8 @@ explicitness: an operator instance, an artifact path
 :class:`~repro.persist.cache.ArtifactCache`, or ``points + kernel`` (a
 :func:`repro.compress` that consults the same cache first).  Loaded models
 are byte-accounted in the process :class:`~repro.observe.memory.MemoryLedger`
-and evicted by TTL (seconds since last use) and by an LRU byte budget, so a
+(the operator, its apply plan's own operands and the factorization) and
+evicted by TTL (seconds since last use) and by an LRU byte budget, so a
 long-lived server bounds its own footprint.  When the registry's
 :class:`~repro.api.policy.ExecutionPolicy` carries
 :class:`~repro.observe.health.HealthThresholds`, every model is
@@ -127,21 +129,19 @@ class ServedModel:
 
     # ----------------------------------------------------------------- memory
     def memory_bytes(self) -> int:
-        """Bytes held by the operator plus the factorization (when built)."""
-        total = int(self.operator.memory_bytes()["total"])
-        factorization = self._factorization
-        if factorization is not None:
-            total += int(factorization.memory_bytes())
-        return total
+        """Bytes held by the operator, its apply plan (beyond the blocks it
+        stores) and the factorization (when built)."""
+        return int(sum(self.memory_categories().values()))
 
     def memory_categories(self) -> Dict[str, int]:
-        """Ledger categories of this model's bytes (factor data = workspace)."""
+        """Ledger categories of this model's bytes (apply plan and factor
+        data = workspace)."""
         categories = categorize_operator_bytes(self.operator.memory_bytes())
+        workspace = self.operator.apply_plan().memory_bytes()
         factorization = self._factorization
         if factorization is not None:
-            categories["workspace"] = (
-                categories.get("workspace", 0) + int(factorization.memory_bytes())
-            )
+            workspace += factorization.memory_bytes()
+        categories["workspace"] = categories.get("workspace", 0) + int(workspace)
         return categories
 
     def statistics(self) -> Dict[str, object]:

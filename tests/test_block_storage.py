@@ -3,9 +3,10 @@
 The construction sweep marshals the dense and coupling blocks into the
 fan-grouped operands of its subtract launches; the apply plan of the finished
 matrix adopts those operands, and the matrix keeps every block as a view of
-its slot.  A matrix that did not come out of the constructor (loaded,
-hand-built, mutated) compiles its plan from its blocks and is re-pointed at
-it on the first apply.  Either way there is one copy: these tests hold every
+its slot.  A loaded matrix's blocks view the mapped operands it was stored
+as, which its first apply adopts (``tests/test_persisted_operands.py``); a
+hand-built or mutated one compiles its plan from its blocks and is re-pointed
+at it on the first apply.  Either way there is one copy: these tests hold every
 block to sharing memory with exactly one forward operand of the matrix's own
 plan, and the ledger to counting it once.
 """
@@ -127,12 +128,20 @@ def test_in_place_edit_and_rebuild():
 
 
 def test_loaded_operator_views_its_plan_after_the_first_apply(tmp_path):
+    """The artifact stores the operands; the loaded plan adopts the mapped
+    ones, so each block shares memory with one of them (the base of a view
+    of a memmap is the map, not the operand: hence no ``base`` check)."""
     h2 = matrix("helmholtz-leaf48")
     loaded = load_operator(save_operator(h2, tmp_path / "m.reproart"))
     assert loaded._plan is None
     x = np.random.default_rng(1).standard_normal(h2.num_rows)
     assert np.array_equal(loaded.matvec(x), h2.matvec(x))
-    assert_blocks_view(loaded, loaded.apply_plan())
+    operands = block_operands(loaded.apply_plan())
+    assert all(isinstance(a.base, np.memmap) for a in operands)
+    for blocks in (loaded.dense, loaded.coupling):
+        for key, block in blocks.items():
+            if block.size:
+                assert sum(np.shares_memory(block, a) for a in operands) == 1, key
 
 
 def test_ledger_counts_every_block_byte_once():

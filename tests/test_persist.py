@@ -338,13 +338,14 @@ class TestArtifactCache:
     def test_format_version_is_the_h2_layout(self):
         from repro.persist import H2_FORMAT_VERSION, format_version
 
-        assert format_version("h2") == format_version("HSS") == H2_FORMAT_VERSION == 1
+        assert format_version("h2") == format_version("HSS") == H2_FORMAT_VERSION == 2
         with pytest.raises(ArtifactError, match="hodlr"):
             format_version("hodlr")
 
     def test_keys_are_stable_across_releases(self, tmp_path):
-        """A fixed h2 and hss request hashes to the key of release 1.4.0,
-        so existing cache entries stay valid."""
+        """A fixed h2 and hss request hashes to the key of H2 format version
+        2: the key moves with the stored layout's version only, so existing
+        cache entries of the current layout stay valid."""
         cache = ArtifactCache(tmp_path)
         points = uniform_cube_points(64, dim=2, seed=0)
         kernel = ExponentialKernel(0.2)
@@ -356,8 +357,8 @@ class TestArtifactCache:
             points, kernel, tol=1e-6, format="hss", leaf_size=16,
             admissibility=repro.WeakAdmissibility(), seed=3,
         )
-        assert h2 == "dc0a36ae52777102940b71b81625dc117ea85ea786537f930c151bb7e828607c"
-        assert hss == "573b1f3de275317b69696aba246626cfb8e3c5e6af323f62226458e3fe7c068b"
+        assert h2 == "5aad1bcaaa8a445efc595d89897706ab022a62818cc22bac7b80bbd5ca2fa744"
+        assert hss == "42055231ff6e5a38beae733ad495fef3a0e59ab860585a6e96b95f7d6d504f87"
 
     def test_miss_then_hit(self, saved_operator, persist_points, persist_kernel, tmp_path):
         _, op, _ = saved_operator

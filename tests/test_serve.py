@@ -175,7 +175,9 @@ class TestModelRegistry:
         assert registry.names() == ["a", "c"]
 
     def test_byte_budget_eviction_keeps_most_recent(self, serve_operator):
-        per_model = serve_operator.memory_bytes()["total"]
+        # A served model's bytes: the operator and its apply plan's own operands.
+        per_model = ModelRegistry().register("probe", serve_operator).memory_bytes()
+        assert per_model > serve_operator.memory_bytes()["total"]
         registry = ModelRegistry(max_bytes=int(per_model * 1.5))
         registry.register("a", serve_operator)
         registry.register("b", serve_operator)
@@ -298,8 +300,8 @@ class TestModelRegistry:
 # ------------------------------------------------------------------ micro-batch
 class TestReadyAtRegistration:
     """A served model takes no lock: registration builds everything a first
-    apply would — a loaded model compiles its apply plan and re-points its
-    blocks at it, and its backend is resolved — and the compiled apply and
+    apply would — a loaded model's apply plan adopts the mapped operands it
+    was stored as, and its backend is resolved — and the compiled apply and
     the HSS solve allocate their buffers per call.  So concurrent first
     requests of one model return the serial answers bit for bit."""
 
