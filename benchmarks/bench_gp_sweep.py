@@ -30,13 +30,13 @@ from repro import (
     ConstructionConfig,
     ExponentialKernel,
     GaussianProcess,
-    GeometryContext,
     H2Constructor,
     WeakAdmissibility,
     build_block_partition,
     gp_sweep_table,
     uniform_cube_points,
 )
+from repro.core import GeometryContext
 from repro.diagnostics import format_table
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 

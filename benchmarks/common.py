@@ -28,7 +28,6 @@ import numpy as np
 
 import repro
 from repro import (
-    BlockPartition,
     ClusterTree,
     DenseEntryExtractor,
     DenseOperator,
@@ -39,6 +38,7 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
+from repro.tree import BlockPartition
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_LEAF_SIZE = 64

@@ -9,9 +9,8 @@ This is the minimal end-to-end workflow of the library through the
    evaluator of Algorithm 1 are assembled behind the scenes;
 3. use the resulting H2 operator: fast matvec, memory report, error check.
 
-Both formats (``h2``/``hss``) return an operator implementing the same
-``HierarchicalOperator`` protocol, so everything below works unchanged with
-``format="hss"``.
+Both formats (``h2``/``hss``) return an ``H2Matrix`` (HSS is H2 on the weak
+partition), so everything below works unchanged with ``format="hss"``.
 
 Run with:  python examples/quickstart.py [N]
 """

@@ -17,10 +17,13 @@ substrate for the weak-admissibility comparisons.  The paper's comparators
 (top-down peeling, sketched H matrices, HODLR and ACA) live in
 :mod:`repro.baselines`, which no product path imports.
 
-The product's one operator format, the H2 matrix (HSS is H2 on the weak
-partition), implements the
-:class:`~repro.api.protocol.HierarchicalOperator` protocol, and the
-:mod:`repro.api` façade reduces the pipeline to one call per step.
+The product's one operator type is :class:`H2Matrix` (HSS is H2 on the weak
+partition), and the :mod:`repro.api` façade reduces the pipeline to one call
+per step.  The top level exports what the examples and benchmarks import,
+the kernels, the typed errors and the types the entry points take or return;
+everything else is imported from its subpackage (e.g.
+``repro.batched.get_backend``, ``repro.hmatrix.LinearOperator``,
+``repro.core.GeometryContext``).
 :mod:`repro.observe` adds an opt-in hierarchical tracer (pass
 ``ExecutionPolicy(tracer=repro.SpanTracer())``) that attributes wall time,
 batched launches and flops to nested spans across every layer, with
@@ -76,59 +79,13 @@ extractors and partitions; :func:`repro.compress` accepts them through its
 """
 
 from . import backends
-from .api import (
-    ExecutionPolicy,
-    HierarchicalOperator,
-    HierarchicalOperatorMixin,
-    Session,
-    compress,
-)
-from .batched import (
-    BatchedBackend,
-    ConstructionPlan,
-    H2ApplyPlan,
-    KernelLaunchCounter,
-    SerialBackend,
-    VectorizedBackend,
-    compile_apply_plan,
-    get_backend,
-)
-from .core import (
-    ConstructionConfig,
-    ConstructionResult,
-    GeometryContext,
-    H2Constructor,
-    recompress_h2,
-)
-from .diagnostics import (
-    GPFitReport,
-    apply_report,
-    construction_error,
-    convergence_table,
-    format_table,
-    gp_sweep_table,
-    residual_series,
-)
-from .gp import (
-    GaussianProcess,
-    NotPositiveDefiniteError,
-    hyperparameter_grid,
-    nelder_mead,
-)
-from .geometry import (
-    BoundingBox,
-    grid_points,
-    plane_points,
-    random_sphere_points,
-    uniform_cube_points,
-)
-from .hmatrix import (
-    BasisTree,
-    H2Matrix,
-    LinearOperator,
-    ShiftedLinearOperator,
-    as_linear_operator,
-)
+from .api import ExecutionPolicy, Session, compress
+from .batched import VectorizedBackend, compile_apply_plan
+from .core import ConstructionConfig, ConstructionResult, H2Constructor, recompress_h2
+from .diagnostics import gp_sweep_table
+from .gp import GaussianProcess, NotPositiveDefiniteError
+from .geometry import uniform_cube_points
+from .hmatrix import H2Matrix, as_linear_operator
 from .kernels import (
     ExponentialKernel,
     GaussianKernel,
@@ -142,25 +99,14 @@ from .kernels import (
     SumKernel,
     WhiteNoiseKernel,
 )
-from .linalg import (
-    LowRankMatrix,
-    estimate_relative_error,
-    estimate_spectral_norm,
-    random_low_rank,
-    row_id,
-)
+from .linalg import estimate_spectral_norm, random_low_rank, row_id
 from . import observe
 from .observe import HealthThresholds, SpanTracer
 from . import persist
 from .persist import ArtifactCache, load_operator, save_operator
 from . import serve
 from . import resilience
-from .resilience import (
-    FaultInjector,
-    RecoveryPolicy,
-    ResilienceError,
-    SolveDidNotConvergeError,
-)
+from .resilience import RecoveryPolicy, ResilienceError, SolveDidNotConvergeError
 from .sketching import (
     DenseEntryExtractor,
     DenseOperator,
@@ -175,19 +121,8 @@ from .sketching import (
     SumEntryExtractor,
     SumOperator,
 )
-from .solvers import (
-    FrontReport,
-    HSSFactorization,
-    KrylovResult,
-    MultifrontalSolver,
-    bicgstab,
-    cg,
-    escalation_ladder,
-    factorize,
-    gmres,
-)
+from .solvers import HSSFactorization, KrylovResult, cg, factorize, gmres
 from .tree import (
-    BlockPartition,
     ClusterTree,
     GeneralAdmissibility,
     WeakAdmissibility,
@@ -201,27 +136,17 @@ __version__ = "1.4.0"
 #: Public API, kept alphabetically sorted (guarded by tests/test_public_api.py).
 __all__ = [
     "ArtifactCache",
-    "BasisTree",
-    "BatchedBackend",
-    "BlockPartition",
-    "BoundingBox",
     "ClusterTree",
     "ConstructionConfig",
-    "ConstructionPlan",
     "ConstructionResult",
     "DenseEntryExtractor",
     "DenseOperator",
     "EntryExtractor",
     "ExecutionPolicy",
     "ExponentialKernel",
-    "FaultInjector",
-    "FrontReport",
-    "GPFitReport",
     "GaussianKernel",
     "GaussianProcess",
     "GeneralAdmissibility",
-    "GeometryContext",
-    "H2ApplyPlan",
     "H2Constructor",
     "H2EntryExtractor",
     "H2Matrix",
@@ -230,29 +155,21 @@ __all__ = [
     "HSSFactorization",
     "HealthThresholds",
     "HelmholtzKernel",
-    "HierarchicalOperator",
-    "HierarchicalOperatorMixin",
     "KernelEntryExtractor",
     "KernelFunction",
-    "KernelLaunchCounter",
     "KernelMatVecOperator",
     "KrylovResult",
     "LaplaceKernel",
-    "LinearOperator",
     "LowRankEntryExtractor",
-    "LowRankMatrix",
     "LowRankOperator",
     "Matern32Kernel",
     "Matern52Kernel",
-    "MultifrontalSolver",
     "NotPositiveDefiniteError",
     "PairwiseKernel",
     "RecoveryPolicy",
     "ResilienceError",
     "ScaledKernel",
-    "SerialBackend",
     "Session",
-    "ShiftedLinearOperator",
     "SketchingOperator",
     "SolveDidNotConvergeError",
     "SpanTracer",
@@ -263,36 +180,22 @@ __all__ = [
     "WeakAdmissibility",
     "WhiteNoiseKernel",
     "__version__",
-    "apply_report",
     "as_linear_operator",
     "backends",
-    "bicgstab",
     "build_block_partition",
     "cg",
     "compile_apply_plan",
     "compress",
-    "construction_error",
-    "convergence_table",
     "convert",
-    "escalation_ladder",
-    "estimate_relative_error",
     "estimate_spectral_norm",
     "factorize",
-    "format_table",
-    "get_backend",
     "gmres",
     "gp_sweep_table",
-    "grid_points",
-    "hyperparameter_grid",
     "load_operator",
-    "nelder_mead",
     "observe",
     "persist",
-    "plane_points",
     "random_low_rank",
-    "random_sphere_points",
     "recompress_h2",
-    "residual_series",
     "resilience",
     "row_id",
     "save_operator",

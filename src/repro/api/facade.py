@@ -20,10 +20,8 @@ and chains the full solve/GP workflows through :class:`Session`:
 >>> bool(solve.converged)
 True
 
-Every returned operator implements the
-:class:`~repro.api.protocol.HierarchicalOperator` protocol, so the solvers,
-diagnostics and GP subsystem compose against the protocol instead of a
-specific class.
+Every returned operator is an :class:`~repro.hmatrix.h2matrix.H2Matrix`,
+the one operator type the solvers, diagnostics, GP subsystem and server take.
 """
 
 from __future__ import annotations
@@ -48,10 +46,10 @@ from ..tree.block_partition import BlockPartition, build_block_partition
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike
 from .policy import ExecutionPolicy
-from .protocol import HierarchicalOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gp.regression import GaussianProcess
+    from ..hmatrix.h2matrix import H2Matrix
     from ..observe.health import HealthReport
     from ..persist.cache import ArtifactCache
     from ..solvers.hss_factor import HSSFactorization
@@ -164,7 +162,7 @@ def compress(
     full_result: bool = False,
     cache: "ArtifactCache | None" = None,
     cache_dir: object | None = None,
-) -> "HierarchicalOperator | ConstructionResult":
+) -> "H2Matrix | ConstructionResult":
     """Compress a kernel matrix into a hierarchical operator in one call.
 
     Parameters
@@ -215,7 +213,7 @@ def compress(
 
     Returns
     -------
-    HierarchicalOperator
+    H2Matrix
         The compressed operator (or the full ``ConstructionResult`` when
         ``full_result=True``).
     """
@@ -246,7 +244,7 @@ def _compress(
     full_result: bool = False,
     cache: "ArtifactCache | None" = None,
     cache_dir: object | None = None,
-) -> "Tuple[HierarchicalOperator | ConstructionResult, Optional[HealthReport]]":
+) -> "Tuple[H2Matrix | ConstructionResult, Optional[HealthReport]]":
     """:func:`compress` plus the report of its one health probe (``None``
     without ``policy.health``), which the model registry keeps."""
     fmt = format.lower()
@@ -293,7 +291,7 @@ def _compress(
 
     result: Optional[ConstructionResult] = None
 
-    def build() -> HierarchicalOperator:
+    def build() -> H2Matrix:
         nonlocal result
         geo_tree, geo_partition = _resolve_geometry(
             points, fmt, leaf_size, eta, admissibility, tree, partition
@@ -382,7 +380,7 @@ class Session:
             artifact_cache=_resolve_cache(cache, cache_dir),
         )
         self._result: Optional[ConstructionResult] = None
-        self._operator: Optional[HierarchicalOperator] = None
+        self._operator: Optional[H2Matrix] = None
         self._factorization: "HSSFactorization | None" = None
         self._shift: float = 0.0
 
@@ -408,7 +406,7 @@ class Session:
         return self._result
 
     @property
-    def operator(self) -> HierarchicalOperator:
+    def operator(self) -> H2Matrix:
         """The most recent compressed operator."""
         if self._operator is None:
             raise RuntimeError("call compress() first")

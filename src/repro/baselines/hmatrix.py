@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..api.protocol import HierarchicalOperatorMixin
+from ..hmatrix.mixin import HierarchicalOperatorMixin
 from ..linalg.low_rank import LowRankMatrix
 from ..tree.block_partition import BlockPartition
 from ..tree.cluster_tree import ClusterTree
@@ -28,10 +28,9 @@ EntryFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class HMatrix(HierarchicalOperatorMixin):
     """An H matrix over a block partition (permuted ordering).
 
-    Implements the :class:`~repro.api.protocol.HierarchicalOperator`
-    protocol; the derived applies (including the exact transpose
-    ``rmatvec``/``rmatmat`` and the block-RHS ``matmat``) come from the
-    shared mixin.
+    The applies (including the exact transpose ``rmatvec``/``rmatmat`` and
+    the block-RHS ``matmat``) come from the apply shell it shares with
+    :class:`~repro.hmatrix.h2matrix.H2Matrix`.
     """
 
     format_name = "hmatrix"

@@ -16,9 +16,9 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..api.protocol import HierarchicalOperatorMixin
 from ..core.recompression import _recompress_weak
 from ..hmatrix.h2matrix import H2Matrix
+from ..hmatrix.mixin import HierarchicalOperatorMixin
 from ..linalg.low_rank import LowRankMatrix
 from ..tree.cluster_tree import ClusterTree
 from .aca import aca_from_entry_function
@@ -30,10 +30,9 @@ EntryFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class HODLRMatrix(HierarchicalOperatorMixin):
     """A HODLR matrix over a cluster tree (permuted ordering).
 
-    Implements the :class:`~repro.api.protocol.HierarchicalOperator`
-    protocol; the derived applies (including the exact transpose
-    ``rmatvec``/``rmatmat`` and the block-RHS ``matmat``) come from the
-    shared mixin.
+    The applies (including the exact transpose ``rmatvec``/``rmatmat`` and
+    the block-RHS ``matmat``) come from the apply shell it shares with
+    :class:`~repro.hmatrix.h2matrix.H2Matrix`.
     """
 
     format_name = "hodlr"

@@ -1,10 +1,11 @@
-"""The product's one hierarchical format: H2 (nested bases), HSS on the weak partition.
+"""The product's one operator type: H2 (nested bases), HSS on the weak partition.
 
-:class:`H2Matrix` implements the shared
-:class:`~repro.api.protocol.HierarchicalOperator` protocol (uniform
-``matvec``/``matmat``/``rmatvec``/``rmatmat``/``to_dense``/``memory_bytes``/
-``statistics`` with ``permuted=`` semantics).  The non-nested comparator
-formats (HODLR, H) live in :mod:`repro.baselines`.
+:class:`H2Matrix` provides ``matvec``/``matmat``/``rmatvec``/``rmatmat``/
+``to_dense``/``memory_bytes``/``statistics`` with ``permuted=`` semantics;
+its applies come from the apply shell of :mod:`repro.hmatrix.mixin`, which
+the non-nested comparator formats of :mod:`repro.baselines` (HODLR, H) share.
+:func:`as_linear_operator` adapts it, and anything else with ``matvec``, for
+the matrix-free solvers.
 """
 
 from .basis_tree import BasisTree

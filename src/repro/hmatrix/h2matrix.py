@@ -14,7 +14,10 @@ the low-rank update experiments), memory accounting for the Fig. 6 plots, and
 dense reconstruction for validation on small problems.
 
 The matrix acts on vectors in the *original* point ordering by default; the
-internal representation lives in the cluster-tree permuted ordering.
+internal representation lives in the cluster-tree permuted ordering.  It is
+the one operator type of the product: :func:`repro.compress` and
+:class:`repro.Session` return it, and :func:`repro.factorize`,
+:mod:`repro.persist` and :mod:`repro.serve` take it.
 
 Apply engine
 ------------
@@ -52,11 +55,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import HierarchicalOperatorMixin
 from ..tree.block_partition import BlockPartition
 from ..tree.cluster_tree import ClusterTree
 from ..utils.validation import as_index_array, check_index_range
 from .basis_tree import BasisTree
+from .mixin import HierarchicalOperatorMixin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.apply_plan import H2ApplyPlan
@@ -69,10 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class H2Matrix(HierarchicalOperatorMixin):
     """A symmetric H2 matrix over a cluster tree and block partition.
 
-    Implements the :class:`~repro.api.protocol.HierarchicalOperator`
-    protocol; the derived applies (``matvec``/``matmat``/``rmatvec``/
-    ``rmatmat``/``@``) come from the shared mixin and accept a per-call
-    ``backend=`` keyword routed to the compiled batched plan.  The transpose
+    The applies (``matvec``/``matmat``/``rmatvec``/``rmatmat``/``@``) come
+    from :class:`~repro.hmatrix.mixin.HierarchicalOperatorMixin` and accept a
+    per-call ``backend=`` keyword routed to the compiled batched plan.  The transpose
     applies run the forward plan and need every stored pair mirrored,
     ``B_{t,s} = B_{s,t}^T`` and ``D_{t,s} = D_{s,t}^T`` exactly, as the
     constructor stores them; otherwise they raise ``ValueError`` (``matvec``
@@ -261,11 +263,10 @@ class H2Matrix(HierarchicalOperatorMixin):
         transpose: bool = False,
         backend: "BatchedBackend | str | None" = None,
     ) -> np.ndarray:
-        """Core apply of the :class:`~repro.api.protocol.HierarchicalOperator`
-        protocol: execute the compiled batched plan on a permuted 2-D block.
+        """Core apply: execute the compiled batched plan on a permuted 2-D block.
 
         The public ``matvec``/``matmat``/``rmatvec``/``rmatmat`` derive from
-        this through the shared mixin; their optional ``backend=`` keyword
+        this through the mixin; their optional ``backend=`` keyword
         selects the batched backend for that call only (defaulting to the
         matrix-level :attr:`apply_backend`).
         """
@@ -301,6 +302,17 @@ class H2Matrix(HierarchicalOperatorMixin):
             check_index_range(cols, self.num_rows)
             rows, cols = self.tree.iperm[rows], self.tree.iperm[cols]
         return self.entry_plan().evaluate(rows[None], cols[None])[0]
+
+    # ------------------------------------------------------------ persistence
+    def save(self, path) -> None:
+        """Write this matrix to ``path`` in the :mod:`repro.persist` format.
+
+        The artifact round-trips exactly: ``load(path).to_dense()`` is
+        bitwise-equal to ``self.to_dense()``.
+        """
+        from ..persist import save as _save
+
+        _save(self, path)
 
     # ------------------------------------------------------------------ dense
     def to_dense(self, permuted: bool = False) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""A minimal linear-operator abstraction shared by every matrix format.
+"""A minimal linear-operator abstraction for the matrix-free solvers.
 
 The solver subsystem (:mod:`repro.solvers`) is matrix-free: Krylov methods and
 norm estimators only ever apply ``A @ x``.  This module provides the single
-adapter that turns *anything the library produces* — an :class:`~repro.hmatrix.h2matrix.H2Matrix`,
-:class:`~repro.baselines.hodlr.HODLRMatrix`, :class:`~repro.baselines.hmatrix.HMatrix`,
-:class:`~repro.linalg.low_rank.LowRankMatrix`, a sketching operator, a dense
-array, a SciPy sparse matrix or a bare callable — into a uniform object with
-``shape``, ``matvec``, ``matmat`` and ``@``, so solvers never special-case
-formats.
+adapter that turns an :class:`~repro.hmatrix.h2matrix.H2Matrix` — or any
+other object with ``matvec`` and ``shape`` (the comparator formats of
+:mod:`repro.baselines`, :class:`~repro.linalg.low_rank.LowRankMatrix`), a
+sketching operator, a dense array, a SciPy sparse matrix or a bare callable —
+into a uniform object with ``shape``, ``matvec``, ``matmat`` and ``@``, so
+solvers never special-case formats.
 
 Block right-hand sides are routed through the wrapped object's ``matmat``
 when it provides one (the batched multi-RHS apply of ``H2Matrix``), so a
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import HierarchicalOperator, _apply_complex_as_real
+from .mixin import _apply_complex_as_real
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
@@ -143,15 +143,10 @@ def as_linear_operator(
     Accepted inputs, in the order they are recognised:
 
     * an existing :class:`LinearOperator` (returned unchanged);
-    * any :class:`~repro.api.protocol.HierarchicalOperator` — the check is
-      *structural*, so every format (``H2Matrix``, ``HODLRMatrix``,
-      ``HMatrix``, HSS/recompression results, third-party formats) adapts
-      without isinstance special-casing: the protocol guarantees
-      ``matvec``/``matmat``/``rmatvec``/``rmatmat``, and block right-hand
-      sides always route through the dedicated multi-RHS applies;
-    * any other object with ``.matvec`` and ``.shape`` (e.g.
-      :class:`~repro.linalg.low_rank.LowRankMatrix`), with
-      ``.matmat``/``.rmatmat`` picked up when present;
+    * any object with ``.matvec`` and ``.shape`` — an ``H2Matrix``, a
+      comparator format, a :class:`~repro.linalg.low_rank.LowRankMatrix` —
+      with ``.rmatvec``/``.matmat``/``.rmatmat`` picked up when present, so
+      block right-hand sides route through the multi-RHS applies;
     * a sketching operator (``.matvec`` and ``.n``);
     * a dense :class:`numpy.ndarray` or a SciPy sparse matrix;
     * a bare callable ``x -> A @ x`` together with the dimension ``n``.
@@ -161,7 +156,7 @@ def as_linear_operator(
     the usual route to solving shifted (nugget-regularized) kernel systems
     without touching the stored matrix.
 
-    Hierarchical formats act in the *original* point ordering (their
+    Hierarchical matrices act in the *original* point ordering (their
     ``matvec`` default), so systems and right-hand sides never need manual
     permutation.
     """
@@ -169,10 +164,6 @@ def as_linear_operator(
         return ShiftedLinearOperator(a, shift, n=n)
     if isinstance(a, LinearOperator):
         return a
-    if isinstance(a, HierarchicalOperator):
-        return LinearOperator(
-            tuple(a.shape), a.matvec, a.rmatvec, a.matmat, a.rmatmat, source=a
-        )
     matvec = getattr(a, "matvec", None)
     if callable(matvec):
         shape = getattr(a, "shape", None)

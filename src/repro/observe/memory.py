@@ -57,7 +57,7 @@ def categorize_operator_bytes(components: Dict[str, int]) -> Dict[str, int]:
 
     The unified ``total`` key is always derived and dropped; ``low_rank`` is
     dropped too when format-specific component keys (``basis``/``coupling``)
-    are present, because the protocol derives it from them.
+    are present, because ``memory_bytes()`` derives it from them.
     """
     comps = {k: int(v) for k, v in components.items() if k != "total"}
     if any(k not in ("low_rank", "dense") for k in comps):

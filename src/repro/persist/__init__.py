@@ -10,12 +10,12 @@ processes.  This package makes it survive:
 * :mod:`repro.persist.cache` — :class:`ArtifactCache`, content-addressed by
   (geometry, kernel identity, tolerance, format, format version, seed), the
   cache-aside layer :func:`repro.compress` / :class:`repro.Session` /
-  :class:`repro.GeometryContext` consult before constructing.
+  :class:`repro.core.GeometryContext` consult before constructing.
 
 Quick use::
 
     op = repro.compress(points, kernel, tol=1e-6)
-    op.save("operator.repro")                  # mixin convenience
+    op.save("operator.repro")                  # H2Matrix.save
     same = repro.persist.load("operator.repro")  # zero-copy memmap views
 
     # opt-in caching: cold run constructs + stores, warm runs load

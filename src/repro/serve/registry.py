@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..api.policy import ExecutionPolicy
-from ..api.protocol import HierarchicalOperator
+from ..hmatrix.h2matrix import H2Matrix
 from ..kernels.base import KernelFunction
 from ..observe.memory import categorize_operator_bytes, memory_ledger
 from ..observe.metrics import metrics
@@ -58,7 +58,7 @@ class ServedModel:
     def __init__(
         self,
         name: str,
-        operator: HierarchicalOperator,
+        operator: H2Matrix,
         *,
         noise: float = 0.0,
         kernel: Optional[KernelFunction] = None,
@@ -148,7 +148,7 @@ class ServedModel:
         stats: Dict[str, object] = {
             "name": self.name,
             "n": self.n,
-            "format": getattr(self.operator, "format_name", "unknown"),
+            "format": self.operator.statistics()["format"],
             "noise": self.noise,
             "requests": self.requests,
             "factored": self.factored,
@@ -212,7 +212,7 @@ class ModelRegistry:
     def register(
         self,
         name: str,
-        operator: Optional[HierarchicalOperator] = None,
+        operator: Optional[H2Matrix] = None,
         *,
         path=None,
         key: Optional[str] = None,
@@ -229,10 +229,11 @@ class ModelRegistry:
         """Register a model under ``name`` and return its record.
 
         Exactly one operator source must be provided: an ``operator``
-        instance, an artifact ``path``, a cache ``key`` (requires the
-        registry's :class:`~repro.persist.cache.ArtifactCache`), or
-        ``points`` + ``kernel`` (compressed through the cache when one is
-        configured).  ``warm=True`` builds the factorization (and caches the
+        instance (an :class:`~repro.hmatrix.h2matrix.H2Matrix`; anything
+        else raises :class:`~repro.serve.api.ServeError`), an artifact
+        ``path``, a cache ``key`` (requires the registry's
+        :class:`~repro.persist.cache.ArtifactCache`), or ``points`` +
+        ``kernel`` (compressed through the cache when one is configured).  ``warm=True`` builds the factorization (and caches the
         log-determinant) eagerly so the first query does not pay it.
         Re-registering a name replaces the old model (and releases its
         ledger bytes).
@@ -274,7 +275,10 @@ class ModelRegistry:
                 points, kernel, format=format, tol=tol, seed=seed,
                 policy=policy, cache=self.cache, **compress_kwargs,
             )
-        assert operator is not None
+        if not isinstance(operator, H2Matrix):
+            raise ServeError(
+                f"a served model is an H2Matrix, got {type(operator).__name__}"
+            )
         if policy.health is not None and kernel is not None and points is None:
             from ..observe.health import check_operator_health
 

@@ -30,8 +30,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro import H2Constructor, H2Matrix, KernelLaunchCounter
-from repro.batched import ConstructionPlan
+from repro import H2Constructor, H2Matrix
+from repro.batched import ConstructionPlan, KernelLaunchCounter
 from repro.observe.tracer import phase_span
 
 Blocks = List[np.ndarray]

@@ -2,10 +2,11 @@
 
 Covers the tentpole of the façade PR:
 
-* the :class:`~repro.api.protocol.HierarchicalOperator` conformance suite —
-  every format produced by :func:`repro.compress` (plus recompression /
-  low-rank-update results) runs through the same matvec/matmat/rmatvec/
-  rmatmat/to_dense/dense-equivalence and ``permuted=`` round-trip checks;
+* the operator conformance suite — every format produced by
+  :func:`repro.compress` (plus recompression / low-rank-update results and
+  the comparator formats that share the H2 matrix's apply shell) runs
+  through the same matvec/matmat/rmatvec/rmatmat/to_dense/dense-equivalence
+  and ``permuted=`` round-trip checks;
 * :func:`repro.baselines.convert`, the H2 → HODLR conversion of the
   comparator formats;
 * the :class:`~repro.api.policy.ExecutionPolicy` / :mod:`repro.backends`
@@ -21,9 +22,6 @@ import pytest
 import repro
 from repro import (
     ExecutionPolicy,
-    HierarchicalOperator,
-    KernelLaunchCounter,
-    SerialBackend,
     Session,
     SpanTracer,
     compress,
@@ -32,8 +30,8 @@ from repro import (
     uniform_cube_points,
 )
 from repro.api import FORMATS
-from repro.api.protocol import PROTOCOL_METHODS
 from repro.baselines import HODLRMatrix, build_hmatrix_aca, convert
+from repro.batched import KernelLaunchCounter, SerialBackend
 
 N = 400
 LEAF = 32
@@ -64,7 +62,7 @@ def api_dense(api_points, api_kernel) -> np.ndarray:
 
 @pytest.fixture(scope="module", params=["h2", "hss", "hodlr", "hmatrix", "recompressed"])
 def conforming_operator(request, api_points, api_kernel):
-    """Every operator family that must satisfy the protocol: the sketching
+    """Every operator family the solvers take: the sketching
     formats from :func:`compress`, HODLR as the exact expansion of an HSS
     matrix, the H matrix from the ACA builder (its only producer) and a
     recompression result."""
@@ -101,12 +99,20 @@ def reference(conforming_operator, api_dense):
     return fmt, op, dense
 
 
-class TestProtocolConformance:
-    def test_structural_isinstance(self, conforming_operator):
-        _, op, _ = conforming_operator
-        assert isinstance(op, HierarchicalOperator)
-        for method in PROTOCOL_METHODS:
-            assert hasattr(op, method)
+#: What the solvers, diagnostics and benchmarks call on every format.
+SOLVER_METHODS = (
+    "shape", "dtype", "matvec", "matmat", "rmatvec", "rmatmat", "__matmul__",
+    "to_dense", "memory_bytes", "statistics", "rank_range",
+)
+
+
+class TestOperatorConformance:
+    def test_has_the_methods_the_solvers_call(self, conforming_operator):
+        fmt, op, _ = conforming_operator
+        for method in SOLVER_METHODS:
+            assert hasattr(op, method), method
+        # Only the H2 matrix (HSS and recompression results included) persists.
+        assert hasattr(op, "save") == (fmt in ("h2", "hss", "recompressed"))
 
     def test_shape_and_dtype(self, conforming_operator):
         _, op, _ = conforming_operator
@@ -235,8 +241,8 @@ class TestProtocolConformance:
         expected = {"recompressed": "h2", "hss": "h2"}.get(fmt, fmt)
         assert stats["format"] == expected
 
-    def test_solvers_accept_protocol_operator(self, reference):
-        """as_linear_operator adapts any HierarchicalOperator, no isinstance."""
+    def test_solvers_accept_every_format(self, reference):
+        """as_linear_operator adapts every format through its matvec, no isinstance."""
         from repro import as_linear_operator, gmres
 
         _, op, dense = reference
@@ -250,12 +256,6 @@ class TestProtocolConformance:
         # by the system's conditioning.
         assert rel(op @ solve.x, b) < 1e-8
         assert rel(dense @ solve.x, b) < 1e-3
-
-    def test_linear_operator_is_not_hierarchical(self):
-        from repro import LinearOperator
-
-        op = LinearOperator((4, 4), lambda x: x)
-        assert not isinstance(op, HierarchicalOperator)
 
 
 class TestCompressFacade:
@@ -311,6 +311,8 @@ class TestConvertRegistry:
         hodlr = convert(weak_h2, "hodlr")
         assert isinstance(hodlr, HODLRMatrix)
         assert np.allclose(hodlr.to_dense(), weak_h2.to_dense(), rtol=0, atol=1e-10)
+        # persist writes H2 matrices only; the comparator has nothing to save.
+        assert not hasattr(HODLRMatrix, "save")
 
     def test_h2_has_no_hmatrix_bridge(self, weak_h2):
         with pytest.raises(ValueError, match="no conversion"):
@@ -420,14 +422,14 @@ class TestExecutionPolicy:
     def test_env_override_resolves_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert ExecutionPolicy().resolve_backend().name == "serial"
-        assert repro.get_backend("auto").name == "serial"
+        assert repro.batched.get_backend("auto").name == "serial"
         monkeypatch.delenv("REPRO_BACKEND")
         assert ExecutionPolicy().resolve_backend().name == "vectorized"
 
     def test_env_override_normalizes_whitespace_and_case(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "  SeRiAl ")
         assert ExecutionPolicy().resolve_backend().name == "serial"
-        assert repro.get_backend("auto").name == "serial"
+        assert repro.batched.get_backend("auto").name == "serial"
         assert ExecutionPolicy.from_env().backend == "serial"
 
     def test_blank_env_values_fall_back_to_defaults(self, monkeypatch):
@@ -435,7 +437,7 @@ class TestExecutionPolicy:
         assert ExecutionPolicy().resolve_backend().name == "vectorized"
 
     def test_inline_values_normalized(self):
-        assert repro.get_backend(" Vectorized ").name == "vectorized"
+        assert repro.batched.get_backend(" Vectorized ").name == "vectorized"
 
     def test_from_env_snapshot(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
@@ -449,12 +451,12 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             repro.ConstructionConfig(construction_path="loop")
         with pytest.raises(TypeError):
-            repro.GeometryContext(api_points, construction_path="loop")
+            repro.core.GeometryContext(api_points, construction_path="loop")
         # Backend and tracer reach a context or a GP through its policy only,
         # and recovery / faults are never written onto a backend.
         for removed in ({"backend": "serial"}, {"tracer": SpanTracer()}):
             with pytest.raises(TypeError):
-                repro.GeometryContext(api_points, **removed)
+                repro.core.GeometryContext(api_points, **removed)
         with pytest.raises(TypeError):
             repro.GaussianProcess(api_points, repro.ExponentialKernel(0.2), backend="serial")
         for name in ("recovery", "faults"):
@@ -469,7 +471,7 @@ class TestExecutionPolicy:
         for method in (
             "batched_gemm", "batched_gemm_accumulate", "batched_transpose", "batched_rows"
         ):
-            for backend in (repro.SerialBackend, repro.VectorizedBackend):
+            for backend in (repro.batched.SerialBackend, repro.VectorizedBackend):
                 assert not hasattr(backend, method)
 
     def test_no_apply_plan_restack_path(self):
@@ -485,7 +487,7 @@ class TestExecutionPolicy:
         assert "keys" not in {f.name for f in fields(repro.batched.ApplyStage)}
         stats = {f.name for f in fields(ContextStatistics)}
         assert not stats & {"plan_reuses", "plan_compilations"}
-        report = {f.name for f in fields(repro.GPFitReport)}
+        report = {f.name for f in fields(repro.diagnostics.GPFitReport)}
         assert "result_reused" in report and "plan_reused" not in report
 
     def test_no_variable_batches_or_padding_knobs(self, api_points, api_kernel):
@@ -503,7 +505,7 @@ class TestExecutionPolicy:
             repro.compile_apply_plan(h2, pad_to=16)
         partition = repro.build_block_partition(h2.tree, repro.WeakAdmissibility())
         with pytest.raises(TypeError):
-            repro.ConstructionPlan(partition, fan_pad=2)
+            repro.batched.ConstructionPlan(partition, fan_pad=2)
 
     def test_construction_config_threading(self):
         policy = ExecutionPolicy(backend="serial")
@@ -565,7 +567,7 @@ class TestSession:
 
     def test_operator_and_result_properties(self, session, api_kernel):
         session.compress(api_kernel, tol=TOL)
-        assert isinstance(session.operator, HierarchicalOperator)
+        assert isinstance(session.operator, repro.H2Matrix)
         assert session.result.matrix is session.operator
 
     def test_solve_methods(self, session, api_kernel, api_dense):

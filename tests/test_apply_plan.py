@@ -22,18 +22,16 @@ from repro import (
     GeneralAdmissibility,
     H2Constructor,
     HelmholtzKernel,
-    KernelLaunchCounter,
-    LinearOperator,
-    SerialBackend,
     VectorizedBackend,
     as_linear_operator,
     build_block_partition,
     cg,
     compile_apply_plan,
     compress,
-    get_backend,
     uniform_cube_points,
 )
+from repro.batched import KernelLaunchCounter, SerialBackend, get_backend
+from repro.hmatrix import LinearOperator
 from repro.batched.block_rows import FAN_PAD
 from repro.observe import memory_ledger
 

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (
-    KernelLaunchCounter,
-    SerialBackend,
-    VectorizedBackend,
-    get_backend,
-)
+from repro import VectorizedBackend
+from repro.batched import KernelLaunchCounter, SerialBackend, get_backend
 
 
 def random_batch(shapes, seed=0):

@@ -18,7 +18,6 @@ import pytest
 from repro import (
     ClusterTree,
     ConstructionConfig,
-    ConstructionPlan,
     DenseEntryExtractor,
     DenseOperator,
     ExponentialKernel,
@@ -32,6 +31,7 @@ from repro import (
     recompress_h2,
     uniform_cube_points,
 )
+from repro.batched import ConstructionPlan
 from repro.batched.construction_plan import PackedSweepEngine, _LevelState
 from repro.diagnostics import construction_report, dense_relative_error
 from repro.sketching.operators import H2Operator

@@ -22,7 +22,6 @@ from repro import (
     ExponentialKernel,
     GaussianProcess,
     GeneralAdmissibility,
-    GeometryContext,
     H2Constructor,
     HelmholtzKernel,
     Matern52Kernel,
@@ -33,6 +32,7 @@ from repro import (
     compress,
     uniform_cube_points,
 )
+from repro.core import GeometryContext
 from repro.core import context as context_module
 from repro.observe import metrics
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator

@@ -16,13 +16,12 @@ from repro import (
     ExecutionPolicy,
     ExponentialKernel,
     GaussianProcess,
-    GeometryContext,
     Matern32Kernel,
     gp_sweep_table,
-    hyperparameter_grid,
-    nelder_mead,
     uniform_cube_points,
 )
+from repro.core import GeometryContext
+from repro.gp import hyperparameter_grid, nelder_mead
 
 N = 800
 NOISE = 5e-2

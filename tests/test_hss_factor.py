@@ -30,12 +30,12 @@ from repro import (
     HSSFactorization,
     RecoveryPolicy,
     compress,
-    escalation_ladder,
     factorize,
     load_operator,
     save_operator,
     uniform_cube_points,
 )
+from repro.solvers import escalation_ladder
 from repro.baselines import HODLRFactorization, HODLRMatrix, convert
 from repro.hmatrix.basis_tree import BasisTree
 

@@ -381,7 +381,7 @@ class TestComposition:
 
     def test_composite_works_in_construction(self):
         """A composed kernel runs through the full constructor unchanged."""
-        from repro import GeometryContext
+        from repro.core import GeometryContext
 
         pts = uniform_cube_points(300, dim=2, seed=12)
         kernel = 0.8 * Matern32Kernel(0.3)

@@ -21,11 +21,11 @@ import repro
 from repro import (
     ExecutionPolicy,
     ExponentialKernel,
-    KernelLaunchCounter,
     Session,
     SpanTracer,
     uniform_cube_points,
 )
+from repro.batched import KernelLaunchCounter
 from repro.diagnostics import PhaseBreakdown
 from repro.diagnostics.apply_report import ApplyReport, apply_report
 from repro.observe import (

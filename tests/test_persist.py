@@ -570,7 +570,7 @@ class TestSessionIntegration:
     def test_generator_seed_disables_artifact_cache(
         self, persist_points, persist_kernel, tmp_path
     ):
-        from repro import GeometryContext
+        from repro.core import GeometryContext
 
         context = GeometryContext(
             persist_points,

@@ -106,6 +106,7 @@ class TestModelRegistry:
         assert registry.get("a") is model
         assert registry.get("a").requests == 2
         assert registry.names() == ["a"]
+        assert model.statistics()["format"] == serve_operator.statistics()["format"] == "h2"
 
     def test_get_unknown_raises(self):
         registry = ModelRegistry()
@@ -121,6 +122,27 @@ class TestModelRegistry:
             registry.register(
                 "a", serve_operator, points=serve_points, kernel=serve_kernel
             )
+
+    @pytest.mark.parametrize("kind", ["hodlr", "ndarray", "linear_operator"])
+    def test_only_an_h2_matrix_is_served(self, serve_operator, dense_matrix, kind):
+        """A served model is an H2Matrix: anything else is a ServeError
+        naming its type, raised by the registry and the server alike before
+        a model is built."""
+        from repro.baselines import convert
+        from repro.hmatrix import LinearOperator
+
+        other = {
+            "hodlr": lambda: convert(serve_operator, "hodlr"),
+            "ndarray": lambda: dense_matrix,
+            "linear_operator": lambda: LinearOperator((N, N), lambda x: x),
+        }[kind]()
+        registry = ModelRegistry()
+        server = InferenceServer()
+        for register in (registry.register, server.register):
+            with pytest.raises(ServeError, match=type(other).__name__):
+                register("a", operator=other, noise=NOISE)
+        assert registry.names() == server.registry.names() == []
+        run(server.aclose())
 
     def test_register_from_artifact_path(self, serve_operator, tmp_path):
         path = tmp_path / "m.repro"

@@ -14,7 +14,6 @@ from repro import (
     HelmholtzKernel,
     H2Operator,
     KernelEntryExtractor,
-    KernelLaunchCounter,
     KernelMatVecOperator,
     LaplaceKernel,
     LowRankEntryExtractor,
@@ -24,6 +23,7 @@ from repro import (
     random_low_rank,
     uniform_cube_points,
 )
+from repro.batched import KernelLaunchCounter
 from repro.kernels import base as kernel_base
 
 

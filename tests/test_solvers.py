@@ -11,16 +11,15 @@ from repro import (
     DenseEntryExtractor,
     DenseOperator,
     ExponentialKernel,
-    LowRankMatrix,
-    MultifrontalSolver,
     as_linear_operator,
-    bicgstab,
     compress,
     cg,
     gmres,
     factorize,
     uniform_cube_points,
 )
+from repro.linalg import LowRankMatrix
+from repro.solvers import MultifrontalSolver, bicgstab
 from repro.baselines import HODLRFactorization, build_hodlr, convert
 from repro.diagnostics import convergence_table, residual_series
 from repro.multifrontal import poisson_matrix
@@ -156,7 +155,7 @@ class TestLinearOperatorAdapter:
         assert counter.total_calls() > 0
 
     def test_shift_kwarg_builds_shifted_operator(self):
-        from repro import ShiftedLinearOperator
+        from repro.hmatrix import ShiftedLinearOperator
 
         a = np.random.default_rng(11).standard_normal((7, 7))
         op = as_linear_operator(a, shift=0.25)
