@@ -18,7 +18,8 @@ from repro import (
     H2Constructor,
     build_block_partition,
 )
-from repro.diagnostics import construction_error, format_table
+from repro.linalg import construction_error
+from repro.utils.tables import format_table
 
 from common import DEFAULT_TOLERANCE, bench_sizes, cached_problem
 

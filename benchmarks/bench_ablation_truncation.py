@@ -12,7 +12,8 @@ Two design choices of the constructor are swept on a fixed covariance problem:
 import pytest
 
 from repro import ConstructionConfig, DenseEntryExtractor, DenseOperator, H2Constructor
-from repro.diagnostics import construction_error, format_table
+from repro.linalg import construction_error
+from repro.utils.tables import format_table
 
 from common import bench_sizes, cached_problem
 

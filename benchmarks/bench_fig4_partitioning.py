@@ -11,7 +11,7 @@ constants.
 import pytest
 
 from repro import ClusterTree, GeneralAdmissibility, build_block_partition, uniform_cube_points
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 
 from common import bench_sizes
 

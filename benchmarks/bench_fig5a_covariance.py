@@ -13,7 +13,7 @@ reason the paper's baselines stop early).
 import pytest
 
 from repro.baselines import HMatrixSketchingConstructor, TopDownPeelingConstructor
-from repro.diagnostics import format_series
+from repro.utils.tables import format_series
 
 from common import (
     DEFAULT_TOLERANCE,

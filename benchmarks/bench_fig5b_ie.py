@@ -8,7 +8,7 @@ expensive, as in Fig. 5(a)).
 import pytest
 
 from repro.baselines import TopDownPeelingConstructor
-from repro.diagnostics import format_series
+from repro.utils.tables import format_series
 
 from common import (
     DEFAULT_TOLERANCE,

@@ -11,7 +11,8 @@ serial and vectorized backends.
 import pytest
 
 from repro import ConstructionConfig, random_low_rank, recompress_h2
-from repro.diagnostics import construction_error, format_series
+from repro.linalg import construction_error
+from repro.utils.tables import format_series
 from repro.sketching import H2Operator, LowRankOperator, SumOperator
 
 from common import DEFAULT_TOLERANCE, bench_sizes, cached_problem, construct_h2

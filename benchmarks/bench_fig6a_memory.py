@@ -10,7 +10,7 @@ dense N^2 growth).
 
 import pytest
 
-from repro.diagnostics import format_series
+from repro.utils.tables import format_series
 
 from common import bench_sizes, cached_problem, construct_h2
 

@@ -25,7 +25,7 @@ from repro import (
     compress,
 )
 from repro.baselines import build_hodlr
-from repro.diagnostics import format_series
+from repro.utils.tables import format_series
 from repro.multifrontal import root_frontal_matrix
 
 from common import DEFAULT_TOLERANCE, bench_grids

@@ -17,8 +17,8 @@ register.
 import pytest
 
 from repro import SpanTracer
-from repro.diagnostics import PhaseBreakdown, format_table
-from repro.diagnostics.profiling import PHASE_ORDER
+from repro.observe import PHASE_ORDER, PhaseBreakdown
+from repro.utils.tables import format_table
 
 from common import bench_sizes, cached_problem, construct_h2, emit_bench_json
 

@@ -37,7 +37,7 @@ from repro import (
     uniform_cube_points,
 )
 from repro.core import GeometryContext
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
 from common import bench_sizes, emit_bench_json

@@ -12,7 +12,7 @@ levels, not like N.
 import numpy as np
 import pytest
 
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 
 from common import bench_sizes, cached_problem, construct_h2
 

@@ -10,10 +10,10 @@ The compiled apply engine (:mod:`repro.batched.apply_plan`) claims two things:
 For every N this benchmark constructs the 2D covariance H2 matrix, then times
 the serial backend and the vectorized backend for ``k = 1`` (matvec) and
 ``k = 8`` (matmat), reporting per-apply launch counts, effective GFLOP/s and
-operand bandwidth.  Up to ``DENSE_CHECK_MAX_N`` the apply is also checked
-against the dense reconstruction ``h2.to_dense()``.  Results are printed as a
-table and emitted as the standard ``BENCH_JSON`` line.  Sizes follow
-``REPRO_BENCH_SIZES``.
+operand bandwidth, all read from the fastest traced ``apply`` span.  Up to
+``DENSE_CHECK_MAX_N`` the apply is also checked against the dense
+reconstruction ``h2.to_dense()``.  Results are printed as a table and emitted
+as the standard ``BENCH_JSON`` line.  Sizes follow ``REPRO_BENCH_SIZES``.
 """
 
 import numpy as np
@@ -24,13 +24,16 @@ from repro import (
     ConstructionConfig,
     DenseEntryExtractor,
     DenseOperator,
+    ExecutionPolicy,
     ExponentialKernel,
     GeneralAdmissibility,
     H2Constructor,
+    SpanTracer,
     build_block_partition,
     uniform_cube_points,
 )
-from repro.diagnostics import apply_report, format_table
+from repro.observe import find_spans
+from repro.utils.tables import format_table
 
 from common import bench_sizes, emit_bench_json
 
@@ -56,6 +59,18 @@ def _build(n: int):
     return result.matrix
 
 
+def fastest_apply(h2, backend: str, k: int, repeats: int):
+    """The fastest of ``repeats`` traced ``k``-column applies, after a warm-up."""
+    tracer = SpanTracer()
+    traced = ExecutionPolicy(backend=backend, tracer=tracer).resolve_backend()
+    x = np.random.default_rng(0).standard_normal((h2.num_rows, k))
+    h2.matvec(x, backend=traced)
+    tracer.reset()
+    for _ in range(repeats):
+        h2.matvec(x, backend=traced)
+    return min(find_spans(tracer, name="apply"), key=lambda span: span.duration)
+
+
 def bench_size(n: int):
     h2 = _build(n)
     x = np.random.default_rng(1).standard_normal(n)
@@ -71,8 +86,8 @@ def bench_size(n: int):
         "backends": {},
     }
     for backend in ("serial", "vectorized"):
-        report = apply_report(h2, backend=backend, k=1, repeats=7)
-        report_mm = apply_report(h2, backend=backend, k=MATMAT_COLUMNS, repeats=3)
+        span = fastest_apply(h2, backend, k=1, repeats=7)
+        span_mm = fastest_apply(h2, backend, k=MATMAT_COLUMNS, repeats=3)
         error = None
         if reference is not None:
             batched = h2.matvec(x, permuted=True, backend=backend)
@@ -80,11 +95,11 @@ def bench_size(n: int):
                 np.linalg.norm(batched - reference) / np.linalg.norm(reference)
             )
         record["backends"][backend] = {
-            "matvec_s": report.seconds_per_apply,
-            "matmat_s": report_mm.seconds_per_apply,
-            "launches": report.launches_per_apply,
-            "gflops": report.gflops,
-            "bandwidth_gb_s": report.bandwidth_gb_s,
+            "matvec_s": span.duration,
+            "matmat_s": span_mm.duration,
+            "launches": span.total_calls,
+            "gflops": span.flops / span.duration / 1e9,
+            "bandwidth_gb_s": span.attributes["operand_bytes"] / span.duration / 2**30,
             "rel_error_vs_dense": error,
         }
     return record

@@ -26,7 +26,7 @@ from repro import (
     factorize,
 )
 from repro.baselines import HODLRFactorization, build_hodlr
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 
 from common import (
     DEFAULT_SAMPLE_BLOCK,

@@ -13,7 +13,7 @@ sketching comparators are slowest.
 import pytest
 
 from repro.baselines import HMatrixSketchingConstructor, TopDownPeelingConstructor
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 
 from common import DEFAULT_TOLERANCE, baseline_max_n, bench_sizes, cached_problem, construct_h2
 

@@ -9,7 +9,7 @@ error for both the covariance and IE kernels.
 
 import pytest
 
-from repro.diagnostics import format_table
+from repro.utils.tables import format_table
 
 from common import bench_sizes, cached_problem, construct_h2, measured_error
 

@@ -158,7 +158,7 @@ def construct_h2(
 
 def measured_error(result, problem: Problem) -> float:
     """Relative spectral-norm error against the dense reference (power method)."""
-    from repro.diagnostics import construction_error
+    from repro.linalg import construction_error
 
     return construction_error(result.matrix, problem.fresh_operator(), num_iterations=8, seed=3)
 

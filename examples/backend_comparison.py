@@ -17,6 +17,7 @@ from repro import (
     ConstructionConfig,
     DenseEntryExtractor,
     DenseOperator,
+    ExecutionPolicy,
     ExponentialKernel,
     GeneralAdmissibility,
     H2Constructor,
@@ -24,12 +25,8 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.diagnostics import (
-    PhaseBreakdown,
-    apply_report,
-    format_table,
-)
-from repro.diagnostics.profiling import PHASE_ORDER
+from repro.observe import PHASE_ORDER, PhaseBreakdown, find_spans
+from repro.utils.tables import format_table
 
 
 def main(n: int = 8192) -> None:
@@ -78,6 +75,8 @@ def main(n: int = 8192) -> None:
     # The same story holds for *applying* the constructed matrix: the compiled
     # per-level plan (h2.apply_plan()) runs matvec/matmat as O(levels) batched
     # launches on either backend instead of one small GEMM per tree node.
+    # Every traced apply leaves one ``apply`` span carrying its launches,
+    # operand bytes and duration; the table reads the fastest of five.
     import numpy as np
 
     h2 = results["vectorized"].matrix
@@ -85,14 +84,18 @@ def main(n: int = 8192) -> None:
     h2.matvec(x)  # compile the apply plan
     rows = []
     for backend in ("serial", "vectorized"):
-        report = apply_report(h2, backend=backend, k=1, repeats=5)
+        tracer = SpanTracer()
+        traced = ExecutionPolicy(backend=backend, tracer=tracer).resolve_backend()
+        for _ in range(5):
+            h2.matvec(x, backend=traced)
+        span = min(find_spans(tracer, name="apply"), key=lambda s: s.duration)
         rows.append(
             [
                 backend,
-                f"{report.seconds_per_apply * 1e3:.2f}",
-                report.launches_per_apply,
-                report.block_products,
-                f"{report.bandwidth_gb_s:.2f}",
+                f"{span.duration * 1e3:.2f}",
+                span.total_calls,
+                span.attributes["block_products"],
+                f"{span.attributes['operand_bytes'] / span.duration / 2**30:.2f}",
             ]
         )
     print()

@@ -23,8 +23,8 @@ from repro import (
     compress,
 )
 from repro.baselines import build_hodlr
-from repro.diagnostics import dense_relative_error, format_table
 from repro.multifrontal import root_frontal_matrix
+from repro.utils.tables import format_table
 
 
 def main(grid: int = 20) -> None:
@@ -36,6 +36,9 @@ def main(grid: int = 20) -> None:
     dense = front.matrix[np.ix_(tree.perm, tree.perm)]
     extractor = DenseEntryExtractor(dense)
     tolerance = 1e-6
+
+    def error(approx: np.ndarray) -> str:
+        return f"{np.linalg.norm(approx - dense) / np.linalg.norm(dense):.2e}"
 
     rows = []
 
@@ -51,7 +54,7 @@ def main(grid: int = 20) -> None:
         [
             "H2 (strong admissibility, ours)",
             f"{h2.memory_mb():.2f}",
-            f"{dense_relative_error(h2.matrix.to_dense(permuted=True), dense):.2e}",
+            error(h2.matrix.to_dense(permuted=True)),
         ]
     )
 
@@ -69,7 +72,7 @@ def main(grid: int = 20) -> None:
         [
             "HSS (weak admissibility)",
             f"{hss.memory_mb():.2f}",
-            f"{dense_relative_error(hss.matrix.to_dense(permuted=True), dense):.2e}",
+            error(hss.matrix.to_dense(permuted=True)),
         ]
     )
 
@@ -78,7 +81,7 @@ def main(grid: int = 20) -> None:
         [
             "HODLR (ACA)",
             f"{hodlr.memory_bytes()['total'] / 2**20:.2f}",
-            f"{dense_relative_error(hodlr.to_dense(permuted=True), dense):.2e}",
+            error(hodlr.to_dense(permuted=True)),
         ]
     )
     rows.append(["dense", f"{dense.nbytes / 2**20:.2f}", "0"])

@@ -22,7 +22,8 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.diagnostics import construction_error, format_table
+from repro.linalg import construction_error
+from repro.utils.tables import format_table
 
 
 def main(n: int = 8192) -> None:

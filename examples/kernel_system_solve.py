@@ -35,7 +35,7 @@ from repro import (
     factorize,
     uniform_cube_points,
 )
-from repro.diagnostics import convergence_table, residual_series
+from repro.utils.tables import convergence_table, residual_series
 
 NUGGET = 1e-2
 

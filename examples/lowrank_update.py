@@ -31,7 +31,8 @@ from repro import (
     recompress_h2,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown, construction_error
+from repro.linalg import construction_error
+from repro.observe import PhaseBreakdown
 
 
 def main(n: int = 8192, update_rank: int = 32) -> None:

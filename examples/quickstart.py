@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 import repro
-from repro.diagnostics import construction_error
+from repro.linalg import construction_error
 
 
 def main(n: int = 8192) -> None:

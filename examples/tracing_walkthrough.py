@@ -9,9 +9,10 @@ same trace then serves as
 
 1. a console tree (human skim),
 2. a Chrome ``trace_event`` file for https://ui.perfetto.dev (timeline), and
-3. the data source of the diagnostics reports — the Fig. 7 phase breakdown is
-   read from the phase spans (the constructor keeps no other clock), and the
-   launch attribution matches the policy's launch counter exactly.
+3. the one record the views of :mod:`repro.observe.views` read — the Fig. 7
+   phase breakdown is read from the phase spans (the constructor keeps no
+   other clock), and the launch attribution matches the policy's launch
+   counter exactly.
 
 On top of the timings, the run demonstrates the health & resource telemetry:
 ``ExecutionPolicy(health=..., memory_profile=True)`` probes every produced
@@ -34,10 +35,10 @@ from repro import (
     SpanTracer,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown
 from repro.observe import (
     HealthThresholds,
     MetricsRegistry,
+    PhaseBreakdown,
     console_tree,
     memory_ledger,
     render_openmetrics,

@@ -7,7 +7,7 @@ A pure-Python/NumPy reproduction of
     IPDPS 2025 (arXiv:2506.16759),
 
 including the cluster-tree / block-partition substrate, kernel matrices, a
-batched (GPU-style) execution engine behind a named backend registry
+batched (GPU-style) execution engine with a serial and a vectorized backend
 (:mod:`repro.backends`), the bottom-up sketching construction algorithm
 (fixed-sample and adaptive, compiled level-wise sweep), H2 arithmetic through
 compiled batched apply plans, low-rank update recompression, Krylov solvers with hierarchical
@@ -82,8 +82,7 @@ from . import backends
 from .api import ExecutionPolicy, Session, compress
 from .batched import VectorizedBackend, compile_apply_plan
 from .core import ConstructionConfig, ConstructionResult, H2Constructor, recompress_h2
-from .diagnostics import gp_sweep_table
-from .gp import GaussianProcess, NotPositiveDefiniteError
+from .gp import GaussianProcess, NotPositiveDefiniteError, gp_sweep_table
 from .geometry import uniform_cube_points
 from .hmatrix import H2Matrix, as_linear_operator
 from .kernels import (

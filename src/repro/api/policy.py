@@ -2,7 +2,7 @@
 
 The batched backend, the tracer (which owns the shared launch counter), the
 health probes and the resilience knobs live on one :class:`ExecutionPolicy`,
-resolved through the named backend registry (:mod:`repro.backends`) and
+whose backend (a name or an instance, :mod:`repro.backends`) is
 threaded through the façade (:func:`repro.api.compress`,
 :class:`repro.api.Session`), the constructor, the compiled apply plans, the
 solvers and the GP subsystem.
@@ -48,10 +48,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        Name from the :mod:`repro.backends` registry (``"serial"``,
-        ``"vectorized"``, anything registered via
-        :func:`repro.backends.register`) or an existing
-        :class:`~repro.batched.backend.BatchedBackend` instance.  ``"auto"``
+        ``"serial"``, ``"vectorized"`` or a
+        :class:`~repro.batched.backend.BatchedBackend` instance (a custom
+        backend is passed as an instance).  ``"auto"``
         (default) follows ``REPRO_BACKEND`` and falls back to
         ``vectorized``.  :meth:`resolve_backend` resolves it once and
         returns the *same* instance on every call, so launch counters

@@ -1,33 +1,30 @@
-"""Named execution-backend registry (the public face of :mod:`repro.batched.backend`).
+"""Execution backends (the public face of :mod:`repro.batched.backend`).
 
 Every component that executes batched work — the bottom-up constructor, the
 compiled H2 apply plans, the Krylov solvers iterating on them and the GP
-subsystem — resolves its backend through this registry, so a new execution
-strategy plugs in once and is immediately available everywhere a backend name
-is accepted:
+subsystem — takes its backend as a name or as an instance:
 
 >>> import repro.backends
+>>> repro.backends.get("serial").name
+'serial'
 >>> class MyBackend(repro.backends.SerialBackend):
 ...     name = "mybackend"
->>> repro.backends.register("mybackend", MyBackend)
->>> repro.backends.get("mybackend").name
+>>> repro.ExecutionPolicy(backend=MyBackend()).resolve_backend().name
 'mybackend'
 
-Built-in names: ``serial``/``cpu`` (one BLAS call per block) and
-``vectorized``/``batched``/``gpu`` (shape-grouped stacked execution, the GPU
-analogue).  ``"auto"`` follows the ``REPRO_BACKEND`` environment variable and
-falls back to ``vectorized`` — see
-:class:`~repro.api.policy.ExecutionPolicy`, which consolidates backend
-selection, construction-path choice and launch-counter wiring.
+Names: ``serial`` (one BLAS call per block) and ``vectorized``
+(shape-grouped stacked execution, the GPU analogue).  ``"auto"`` follows the
+``REPRO_BACKEND`` environment variable and falls back to ``vectorized`` —
+see :class:`~repro.api.policy.ExecutionPolicy`, which consolidates backend
+selection and launch-counter wiring.  A :class:`BatchedBackend` instance
+passes through unchanged.
 """
 
 from .batched.backend import (
     BatchedBackend,
     SerialBackend,
     VectorizedBackend,
-    available_backends as available,
     get_backend as get,
-    register_backend as register,
 )
 from .batched.counters import KernelLaunchCounter
 
@@ -36,7 +33,5 @@ __all__ = [
     "KernelLaunchCounter",
     "SerialBackend",
     "VectorizedBackend",
-    "available",
     "get",
-    "register",
 ]

@@ -48,64 +48,63 @@ def aca_low_rank(
         return np.zeros((max(num_rows, 0), 0)), np.zeros((max(num_cols, 0), 0))
     cap = min(num_rows, num_cols)
     if max_rank is not None:
-        cap = min(cap, int(max_rank))
+        cap = max(0, min(cap, int(max_rank)))
 
-    u_cols: list[np.ndarray] = []
-    v_cols: list[np.ndarray] = []
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
+    # The factors grow column by column in preallocated blocks, so each step
+    # removes the previous cross terms with one matrix-vector product.
+    width = min(cap, 32)
+    u = np.empty((num_rows, width))
+    v = np.empty((num_cols, width))
+    rank = 0
+    used_rows = np.zeros(num_rows, dtype=bool)
+    used_cols = np.zeros(num_cols, dtype=bool)
     frob_sq = 0.0
     pivot_row = 0
 
     for _ in range(cap):
         # Residual row at the pivot row.
         row = np.array(row_func(pivot_row), dtype=np.float64).reshape(-1)
-        for u, v in zip(u_cols, v_cols):
-            row = row - u[pivot_row] * v
-        used_rows.add(pivot_row)
+        row -= v[:, :rank] @ u[pivot_row, :rank]
+        used_rows[pivot_row] = True
 
         # Column pivot: largest residual entry outside already-used columns.
-        masked = np.abs(row.copy())
-        for j in used_cols:
-            masked[j] = -np.inf
+        masked = np.abs(row)
+        masked[used_cols] = -np.inf
         pivot_col = int(np.argmax(masked))
         pivot_val = row[pivot_col]
         if not np.isfinite(pivot_val) or abs(pivot_val) < np.finfo(np.float64).tiny:
             break
-        used_cols.add(pivot_col)
+        used_cols[pivot_col] = True
 
         col = np.array(col_func(pivot_col), dtype=np.float64).reshape(-1)
-        for u, v in zip(u_cols, v_cols):
-            col = col - v[pivot_col] * u
+        col -= u[:, :rank] @ v[pivot_col, :rank]
 
         u_new = col / pivot_val
         v_new = row
-        u_cols.append(u_new)
-        v_cols.append(v_new)
-
         # Frobenius-norm bookkeeping for the stopping test.
         update_sq = float(np.dot(u_new, u_new) * np.dot(v_new, v_new))
-        cross = 0.0
-        for u, v in zip(u_cols[:-1], v_cols[:-1]):
-            cross += float(np.dot(u, u_new) * np.dot(v, v_new))
+        cross = float(np.dot(u[:, :rank].T @ u_new, v[:, :rank].T @ v_new))
+        if rank == width:
+            width = min(cap, 2 * width)
+            u = np.concatenate([u, np.empty((num_rows, width - rank))], axis=1)
+            v = np.concatenate([v, np.empty((num_cols, width - rank))], axis=1)
+        u[:, rank] = u_new
+        v[:, rank] = v_new
+        rank += 1
+
         frob_sq += update_sq + 2.0 * cross
         frob_sq = max(frob_sq, update_sq)
         if np.sqrt(update_sq) <= tol * np.sqrt(max(frob_sq, np.finfo(np.float64).tiny)):
             break
 
         # Next row pivot: largest residual entry of the new column outside used rows.
-        masked_col = np.abs(u_new.copy())
-        for i in used_rows:
-            masked_col[i] = -np.inf
+        masked_col = np.abs(u_new)
+        masked_col[used_rows] = -np.inf
         if np.all(~np.isfinite(masked_col)):
             break
         pivot_row = int(np.argmax(masked_col))
 
-    if not u_cols:
-        return np.zeros((num_rows, 0)), np.zeros((num_cols, 0))
-    u = np.column_stack(u_cols)
-    v = np.column_stack(v_cols)
-    return u, v
+    return u[:, :rank].copy(), v[:, :rank].copy()
 
 
 def aca_from_entry_function(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -285,67 +285,22 @@ class VectorizedBackend(BatchedBackend):
         return out
 
 
-#: Named backend registry.  Maps a lower-case name to a factory accepting a
-#: ``counter=`` keyword (usually the backend class itself).  Extend it through
-#: :func:`register_backend` / :func:`repro.backends.register`.
-_BACKENDS: Dict[str, type] = {}
-
-
-def register_backend(
-    name: str,
-    factory: type | "Callable[..., BatchedBackend]",
-    aliases: Sequence[str] = (),
-    overwrite: bool = False,
-) -> None:
-    """Register a named batched backend.
-
-    ``factory`` is a :class:`BatchedBackend` subclass (or any callable
-    accepting a ``counter=`` keyword and returning a backend instance); after
-    registration the name resolves everywhere a backend name is accepted —
-    :func:`get_backend`, :class:`~repro.api.policy.ExecutionPolicy`,
-    ``ConstructionConfig(backend=...)``, ``H2Matrix.matvec(backend=...)``.
-
-    Names are case-insensitive.  Re-registering an existing name raises
-    :class:`ValueError` unless ``overwrite=True`` (the built-in names can be
-    shadowed deliberately, e.g. to route ``"vectorized"`` through an
-    instrumented backend in a test).
-    """
-    keys = [normalize_choice(key) for key in (name, *aliases)]
-    if not overwrite:
-        # Validate every key before mutating so a conflicting alias does not
-        # leave a half-registered backend behind.
-        for key in keys:
-            if key in _BACKENDS:
-                raise ValueError(
-                    f"backend {key!r} is already registered; pass "
-                    "overwrite=True to replace it"
-                )
-    for key in keys:
-        _BACKENDS[key] = factory  # type: ignore[assignment]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Sorted names currently registered (including aliases)."""
-    return tuple(sorted(_BACKENDS))
-
-
-register_backend("serial", SerialBackend, aliases=("cpu",))
-register_backend("vectorized", VectorizedBackend, aliases=("batched", "gpu"))
+#: The backends a name selects.
+_BACKENDS: Dict[str, type] = {"serial": SerialBackend, "vectorized": VectorizedBackend}
 
 
 def get_backend(
     name: str | BatchedBackend | None = "auto",
     counter: KernelLaunchCounter | None = None,
 ) -> BatchedBackend:
-    """Return a backend instance from a registered name.
+    """A backend from its name, or ``name`` itself when it is a backend.
 
-    Built-in names: ``serial``/``cpu`` and ``vectorized``/``batched``/``gpu``;
-    :func:`register_backend` adds more.  ``"auto"`` (or ``None``) follows the
-    ``REPRO_BACKEND`` environment variable and falls back to ``vectorized`` —
-    the single env-override point the execution policies consolidate on.
-
-    Passing an existing backend returns it unchanged so functions can accept
-    either a name or an instance.
+    Names are ``"serial"`` and ``"vectorized"`` (case-insensitive);
+    ``"auto"`` (or ``None``) follows the ``REPRO_BACKEND`` environment
+    variable and falls back to ``vectorized``.  A :class:`BatchedBackend`
+    instance passes through unchanged: that is how a custom backend (e.g. an
+    instrumented subclass) is plugged in, as ``ExecutionPolicy(backend=...)``,
+    ``ConstructionConfig(backend=...)`` or ``H2Matrix.matvec(backend=...)``.
     """
     if isinstance(name, BatchedBackend):
         return name
@@ -353,7 +308,5 @@ def get_backend(
         name = env_choice("REPRO_BACKEND", "vectorized")
     key = normalize_choice(name)
     if key not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {sorted(set(_BACKENDS))}"
-        )
+        raise ValueError(f"unknown backend {name!r}; choose one of {sorted(_BACKENDS)}")
     return _BACKENDS[key](counter=counter)

@@ -114,7 +114,7 @@ class ConstructionResult:
     #: Root :class:`repro.observe.Span` of this construction when it ran under
     #: an enabled tracer (``None`` otherwise).  Its ``construct.phase``
     #: children are the only record of the Fig. 7 phase times
-    #: (:meth:`repro.diagnostics.PhaseBreakdown.from_span`); its launch deltas
+    #: (:meth:`repro.observe.views.PhaseBreakdown.from_span`); its launch deltas
     #: equal ``kernel_launches``.
     trace: Optional[object] = None
     #: :class:`repro.observe.HealthReport` of the stochastic compression-error

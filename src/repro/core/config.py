@@ -42,11 +42,10 @@ class ConstructionConfig:
         norm as an absolute pivot threshold (the paper's global-threshold
         variant).
     backend:
-        Batched execution backend: a name from the :mod:`repro.backends`
-        registry (``"serial"`` — CPU reference; ``"vectorized"`` —
-        shape-grouped batched execution, the GPU analogue; plus anything
-        registered via :func:`repro.backends.register`) or an existing
-        :class:`~repro.batched.backend.BatchedBackend` instance.  The
+        Batched execution backend: ``"serial"`` (CPU reference),
+        ``"vectorized"`` (shape-grouped batched execution, the GPU
+        analogue) or a :class:`~repro.batched.backend.BatchedBackend`
+        instance (:mod:`repro.backends`).  The
         default ``"auto"`` follows the ``REPRO_BACKEND`` environment
         variable, falling back to ``"vectorized"``.
     norm_estimate:

@@ -7,14 +7,20 @@ geometry-reuse sweep cache (:class:`repro.core.context.GeometryContext`)
 compose into :class:`~repro.gp.regression.GaussianProcess`: exact-up-to-
 tolerance marginal log-likelihoods, preconditioned-CG posteriors, seeded
 prior/posterior sampling and grid + Nelder–Mead hyperparameter selection.
+Every evaluated hyperparameter point leaves one :class:`GPFitReport` in
+``GaussianProcess.fit_reports_``; :func:`gp_sweep_table` prints a sweep of
+them.
 """
 
 from .regression import GaussianProcess, NotPositiveDefiniteError
+from .report import GPFitReport, gp_sweep_table
 from .sweep import hyperparameter_grid, nelder_mead
 
 __all__ = [
+    "GPFitReport",
     "GaussianProcess",
     "NotPositiveDefiniteError",
+    "gp_sweep_table",
     "hyperparameter_grid",
     "nelder_mead",
 ]

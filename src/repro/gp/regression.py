@@ -34,12 +34,12 @@ import numpy as np
 
 from ..api.policy import ExecutionPolicy
 from ..core.context import GeometryContext
-from ..diagnostics.gp_report import GPFitReport
 from ..kernels.base import KernelFunction, PairwiseKernel
 from ..solvers.hss_factor import HSSFactorization, factorize
 from ..solvers.ladder import guarded_solve
 from ..utils.rng import SeedLike, as_generator
 from ..utils.validation import check_positive, require
+from .report import GPFitReport
 from .sweep import hyperparameter_grid, nelder_mead
 
 LOG_2PI = float(np.log(2.0 * np.pi))

@@ -1,4 +1,4 @@
-"""Per-sweep-point Gaussian-process fit diagnostics.
+"""Per-sweep-point Gaussian-process fit reports.
 
 Every hyperparameter point a :class:`~repro.gp.regression.GaussianProcess`
 evaluates produces one :class:`GPFitReport` tying the statistical quantities
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .reporting import format_table
+from ..utils.tables import format_table
 
 
 @dataclass

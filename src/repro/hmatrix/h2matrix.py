@@ -93,8 +93,8 @@ class H2Matrix(HierarchicalOperatorMixin):
     #: Whether the matrix is symmetric (``V_t = U_t``); the constructor in this
     #: reproduction always produces symmetric representations, as in the paper.
     symmetric: bool = True
-    #: Backend executing the compiled apply plan: a name from the
-    #: :mod:`repro.backends` registry or a
+    #: Backend executing the compiled apply plan: ``"serial"``,
+    #: ``"vectorized"`` or a
     #: :class:`~repro.batched.backend.BatchedBackend` instance.  ``None``
     #: resolves through ``"auto"`` (the ``REPRO_BACKEND`` environment
     #: variable, falling back to vectorized) on first use; the resolved

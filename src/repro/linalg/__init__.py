@@ -4,6 +4,7 @@ low-rank objects and randomized norm estimation."""
 from .interpolative import InterpolativeDecomposition, row_id, column_id
 from .low_rank import LowRankMatrix, random_low_rank
 from .norm_estimation import (
+    construction_error,
     estimate_spectral_norm,
     estimate_relative_error,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "column_id",
     "LowRankMatrix",
     "random_low_rank",
+    "construction_error",
     "estimate_spectral_norm",
     "estimate_relative_error",
     "truncated_pivoted_qr",

@@ -9,19 +9,24 @@ Two estimators with two different jobs:
   paper's "sketched norm estimate".
 * :func:`estimate_spectral_norm` / :func:`estimate_relative_error` are the
   single-vector power method the paper uses to *validate* a construction,
-  ``|K_comp - K| / |K|`` against the black-box sampler (Section V-A).  Every
-  iteration is two full operator applications, so it stays off the
+  ``|K_comp - K| / |K|`` against the black-box sampler (Section V-A);
+  :func:`construction_error` applies it to an H2 matrix and its sampler.
+  Every iteration is two full operator applications, so it stays off the
   construction path.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..utils.rng import SeedLike, as_generator
 from .qr import householder_orthonormalize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hmatrix.h2matrix import H2Matrix
+    from ..sketching.operators import SketchingOperator
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
@@ -130,3 +135,23 @@ def estimate_relative_error(
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
+
+
+def construction_error(
+    matrix: "H2Matrix",
+    operator: "SketchingOperator",
+    num_iterations: int = 10,
+    seed: SeedLike = 0,
+) -> float:
+    """Relative spectral-norm error of ``matrix`` against the black-box ``operator``.
+
+    Both operands act in the permuted ordering; only matrix-vector products are
+    used, so this works at any problem size.
+    """
+    return estimate_relative_error(
+        operator.matvec,
+        lambda x: matrix.matvec(x, permuted=True),
+        matrix.num_rows,
+        num_iterations=num_iterations,
+        seed=seed,
+    )

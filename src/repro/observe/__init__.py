@@ -6,12 +6,15 @@ as work flows through the constructor, the compiled apply plans, the Krylov
 solvers, the HSS factorization and the GP sweeps.  Each span carries
 wall-clock time plus launch/FLOP/byte attribution read from the backend's
 :class:`~repro.batched.counters.KernelLaunchCounter`, so the trace and the
-paper's launch-count arguments come from the same source of truth.
+paper's launch-count arguments come from the same source of truth.  The
+views in :mod:`repro.observe.views` are the only readers of that record: the
+Fig. 7 :class:`PhaseBreakdown`, launch totals and span filters; a traced
+``apply`` span is read as it stands.
 
 Quick tour::
 
     from repro import ExecutionPolicy, Session
-    from repro.observe import SpanTracer, console_tree, save_chrome_trace
+    from repro.observe import PhaseBreakdown, SpanTracer, console_tree, save_chrome_trace
 
     tracer = SpanTracer()
     policy = ExecutionPolicy(backend="vectorized", tracer=tracer)
@@ -22,6 +25,7 @@ Quick tour::
         session.solve(b)
     print(console_tree(tracer))
     save_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
+    PhaseBreakdown.from_span(tracer).ordered_percentages()   # Fig. 7
 
 With the default :data:`NOOP_TRACER` nothing is recorded and the hot paths
 pay only an ``if tracer.enabled`` check.
@@ -72,9 +76,10 @@ from .openmetrics import (
 from .span import Span, SpanEvent
 from .tracer import NOOP_TRACER, NoopTracer, SpanTracer, phase_span
 from .views import (
+    PHASE_ORDER,
+    PhaseBreakdown,
     find_spans,
     launches_by_operation,
-    span_durations,
     total_launches,
 )
 
@@ -92,6 +97,8 @@ __all__ = [
     "MetricsRegistry",
     "NOOP_TRACER",
     "NoopTracer",
+    "PHASE_ORDER",
+    "PhaseBreakdown",
     "Span",
     "SpanEvent",
     "SpanTracer",
@@ -117,7 +124,6 @@ __all__ = [
     "sanitize_metric_name",
     "save_chrome_trace",
     "save_openmetrics",
-    "span_durations",
     "to_chrome_trace",
     "to_jsonl",
     "total_launches",

@@ -19,7 +19,7 @@ Two complementary instruments answer "where did the bytes go":
   :mod:`tracemalloc` readings plus an RSS sample and stores
   ``mem_peak_bytes`` / ``mem_current_bytes`` / ``mem_rss_bytes`` attributes
   on the span — visible in the console tree, the Chrome trace ``args`` and
-  :meth:`repro.diagnostics.PhaseBreakdown.from_span`.  The sampler maintains
+  :meth:`repro.observe.views.PhaseBreakdown.from_span`.  The sampler maintains
   its own frame stack and folds :func:`tracemalloc.get_traced_memory` peaks
   into every open frame at each span boundary, so nested spans attribute
   peaks correctly even though the interpreter keeps a single global peak.

@@ -10,8 +10,8 @@ inclusive (they cover the children too), ``self_launches`` recovers the
 launches issued by the span's own code.
 
 Spans are plain data.  Exporters (:mod:`repro.observe.exporters`) turn them
-into JSON-lines, Chrome ``trace_event`` JSON or a console tree; diagnostics
-(:mod:`repro.diagnostics`) rebuild their reports as views over them.
+into JSON-lines, Chrome ``trace_event`` JSON or a console tree; the views of
+:mod:`repro.observe.views` filter and aggregate them.
 """
 
 from __future__ import annotations
@@ -115,19 +115,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def find(
-        self, name: Optional[str] = None, category: Optional[str] = None
-    ) -> List["Span"]:
-        """All descendant spans (self included) matching name and/or category."""
-        out = []
-        for span in self.walk():
-            if name is not None and span.name != name:
-                continue
-            if category is not None and span.category != category:
-                continue
-            out.append(span)
-        return out
 
     # ------------------------------------------------------------------ export
     def to_dict(self) -> Dict[str, object]:

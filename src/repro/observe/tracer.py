@@ -110,7 +110,7 @@ def phase_span(tracer, name: str):
     """Open construction phase ``name`` (Fig. 7) as a ``construct.phase`` span.
 
     The only record of a phase's time: :meth:`PhaseBreakdown.from_span
-    <repro.diagnostics.PhaseBreakdown.from_span>` sums these spans.  On a
+    <repro.observe.views.PhaseBreakdown.from_span>` sums these spans.  On a
     disabled tracer it returns the cached no-op context.
     """
     if not tracer.enabled:

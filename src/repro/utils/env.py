@@ -1,7 +1,7 @@
 """Normalization of configuration choices and environment overrides.
 
-Every place that accepts a *named choice* — backend names in the
-:mod:`repro.backends` registry, recovery modes, format names, the ``REPRO_*``
+Every place that accepts a *named choice* — backend names
+(:mod:`repro.backends`), recovery modes, format names, the ``REPRO_*``
 environment variables — must agree on how values are normalized, or the same
 spelling is accepted in one spot and rejected in another (``"Vectorized"``
 resolved while ``" vectorized"`` raised).  These helpers are that single

@@ -8,7 +8,9 @@ written, with nothing batched, padded or fused:
 * :class:`LoopConstructor` — :class:`~repro.H2Constructor` over that store.
   It overrides only the store factory (``H2Constructor._new_sweep``), so every
   numerical decision is still the shared level driver's;
-* :func:`matvec_loop` — the per-node H2 apply.
+* :func:`matvec_loop` — the per-node H2 apply;
+* :func:`dense_relative_error` — the exact error of a dense reconstruction,
+  for problems small enough to hold the dense matrix.
 
 Every per-node product records one ``node_gemm`` launch on the constructor's
 counter: one kernel launch per product is what a per-node schedule costs.
@@ -293,3 +295,21 @@ def matvec_loop(h2: H2Matrix, x: np.ndarray, permuted: bool = False) -> np.ndarr
 
     y = yp if permuted else yp[tree.iperm]
     return y[:, 0] if single else y
+
+
+def dense_relative_error(
+    approx_dense: np.ndarray, reference_dense: np.ndarray, norm: str = "fro"
+) -> float:
+    """Exact relative error ``|A - R| / |R|`` in the Frobenius or 2-norm."""
+    approx_dense = np.asarray(approx_dense, dtype=np.float64)
+    reference_dense = np.asarray(reference_dense, dtype=np.float64)
+    if approx_dense.shape != reference_dense.shape:
+        raise ValueError("matrices must have identical shapes")
+    if norm not in ("fro", "2"):
+        raise ValueError("norm must be 'fro' or '2'")
+    order = None if norm == "fro" else 2
+    denominator = np.linalg.norm(reference_dense, order)
+    numerator = np.linalg.norm(approx_dense - reference_dense, order)
+    if denominator == 0.0:
+        return 0.0 if numerator == 0.0 else np.inf
+    return float(numerator / denominator)

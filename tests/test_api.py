@@ -393,31 +393,28 @@ class TestConvertRegistry:
 
 class TestExecutionPolicy:
     def test_backend_registry_roundtrip(self):
-        assert "serial" in repro.backends.available()
-        assert "vectorized" in repro.backends.available()
         assert repro.backends.get("serial").name == "serial"
+        assert repro.backends.get("vectorized").name == "vectorized"
         with pytest.raises(ValueError, match="unknown backend"):
             repro.backends.get("warp")
 
     def test_register_custom_backend(self, api_points, api_kernel):
+        """A custom backend is passed as an instance; no name is registered."""
+
         class TaggedSerial(SerialBackend):
             name = "tagged-serial"
 
-        try:
-            repro.backends.register("tagged-serial", TaggedSerial)
-            with pytest.raises(ValueError, match="already registered"):
-                repro.backends.register("tagged-serial", TaggedSerial)
-            policy = ExecutionPolicy(backend="tagged-serial")
-            assert policy.resolve_backend().name == "tagged-serial"
-            result = compress(
-                api_points, api_kernel, tol=1e-4, leaf_size=LEAF, seed=1,
-                policy=policy, full_result=True,
-            )
-            assert result.matrix.apply_backend.name == "tagged-serial"
-        finally:
-            from repro.batched import backend as backend_module
-
-            backend_module._BACKENDS.pop("tagged-serial")
+        backend = TaggedSerial()
+        policy = ExecutionPolicy(backend=backend)
+        assert policy.resolve_backend() is backend
+        result = compress(
+            api_points, api_kernel, tol=1e-4, leaf_size=LEAF, seed=1,
+            policy=policy, full_result=True,
+        )
+        assert result.matrix.apply_backend is backend
+        assert backend.counter.total() > 0
+        with pytest.raises(ValueError, match="unknown backend"):
+            ExecutionPolicy(backend="tagged-serial").resolve_backend()
 
     def test_env_override_resolves_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
@@ -487,7 +484,7 @@ class TestExecutionPolicy:
         assert "keys" not in {f.name for f in fields(repro.batched.ApplyStage)}
         stats = {f.name for f in fields(ContextStatistics)}
         assert not stats & {"plan_reuses", "plan_compilations"}
-        report = {f.name for f in fields(repro.diagnostics.GPFitReport)}
+        report = {f.name for f in fields(repro.gp.GPFitReport)}
         assert "result_reused" in report and "plan_reused" not in report
 
     def test_no_variable_batches_or_padding_knobs(self, api_points, api_kernel):
@@ -543,11 +540,6 @@ class TestExecutionPolicy:
     def test_launch_counter_accessor(self):
         policy = ExecutionPolicy(backend="serial")
         assert policy.launch_counter() is policy.resolve_backend().counter
-
-    def test_failed_alias_registration_is_atomic(self):
-        with pytest.raises(ValueError, match="already registered"):
-            repro.backends.register("brand-new", SerialBackend, aliases=("serial",))
-        assert "brand-new" not in repro.backends.available()
 
 
 class TestSession:

@@ -20,9 +20,9 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown, construction_error
-from repro.observe import MetricsRegistry
+from repro.linalg import construction_error
 from repro.linalg.norm_estimation import SKETCH_NORM_COLUMNS
+from repro.observe import MetricsRegistry, PhaseBreakdown, find_spans
 
 from oracles import LoopConstructor
 
@@ -322,7 +322,7 @@ class TestPhaseSpans:
             tracer=SpanTracer(metrics=MetricsRegistry()),
         )
         root = constructor.construct().trace
-        phases = root.find(category="construct.phase")
+        phases = find_spans(root, category="construct.phase")
         assert {span.attributes["phase"] for span in phases} == self.PHASES
         assert set(PhaseBreakdown.from_span(root).seconds) == self.PHASES
         for span in phases:

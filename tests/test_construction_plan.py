@@ -33,10 +33,9 @@ from repro import (
 )
 from repro.batched import ConstructionPlan
 from repro.batched.construction_plan import PackedSweepEngine, _LevelState
-from repro.diagnostics import construction_report, dense_relative_error
 from repro.sketching.operators import H2Operator
 
-from oracles import LoopConstructor
+from oracles import LoopConstructor, dense_relative_error
 
 BACKENDS = ["serial", "vectorized"]
 #: (kernel name, leaf size) — leaf size 16 doubles the tree depth vs 48.
@@ -46,6 +45,20 @@ PROBLEMS = [
     ("helmholtz", 16),
     ("helmholtz", 48),
 ]
+
+
+def generation_launches(result):
+    """Entry-generation launches: one per shape group of requested blocks."""
+    return result.kernel_launches.get("batched_gen", 0)
+
+
+def sweep_launches(result):
+    """The sweep schedule: every launch but entry generation."""
+    return result.total_kernel_launches - generation_launches(result)
+
+
+def sampling_rounds(result):
+    return sum(level.sampling_rounds for level in result.levels)
 
 
 def _kernel(name):
@@ -185,38 +198,37 @@ class TestLaunchCounts:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sweep_launches_are_o_levels(self, problem, backend):
         _, packed_result = problem["runs"][("packed", backend)]
-        report = construction_report(packed_result)
         levels = problem["tree"].num_levels
-        rounds = max(report.sampling_rounds, 1)
+        rounds = max(sampling_rounds(packed_result), 1)
         # Entry generation is inherently one launch per block-shape group;
         # everything else — gathers, dense/coupling GEMMs, upsweeps, QRs and
         # rank-grouped IDs — must stay a small multiple of the level count.
-        assert report.sweep_launches <= 10 * levels * rounds
+        assert sweep_launches(packed_result) <= 10 * levels * rounds
 
     def test_packed_beats_loop_launch_count(self, problem):
         _, loop_result = problem["runs"][("loop", "vectorized")]
         _, packed_result = problem["runs"][("packed", "vectorized")]
-        loop_report = construction_report(loop_result)
-        packed_report = construction_report(packed_result)
         num_nodes = sum(level.num_nodes for level in loop_result.levels)
-        assert packed_report.sweep_launches < loop_report.sweep_launches / 2
-        assert loop_report.sweep_launches > num_nodes  # the per-node schedule
+        assert sweep_launches(packed_result) < sweep_launches(loop_result) / 2
+        assert sweep_launches(loop_result) > num_nodes  # the per-node schedule
         # The oracle evaluates every dense/coupling block, the compiled sweep
         # only the ``s <= t`` half (twins are transposes): never more
         # per-shape-group generation launches, and fewer entries.
-        assert 0 < packed_report.generation_launches <= loop_report.generation_launches
+        assert 0 < generation_launches(packed_result) <= generation_launches(loop_result)
         assert packed_result.entries_evaluated < loop_result.entries_evaluated
 
-    def test_report_round_trip(self, problem):
+    def test_result_carries_the_launch_split(self, problem):
+        """The result alone carries the counts a throughput row splits: the
+        per-operation launches sum to the total, entry generation and the
+        sweep both launch, and the sweep's per-round share fits inside it."""
         _, packed_result = problem["runs"][("packed", "vectorized")]
-        report = construction_report(packed_result)
-        payload = report.as_dict()
-        assert payload["path"] == "packed"
-        assert payload["sweep_launches"] + payload["generation_launches"] == (
-            packed_result.total_kernel_launches
-        )
-        assert report.points_per_second > 0
-        assert report.sweep_launches_per_round <= report.sweep_launches
+        total = packed_result.total_kernel_launches
+        assert sum(packed_result.kernel_launches.values()) == total
+        assert 0 < generation_launches(packed_result) < total
+        rounds = max(sampling_rounds(packed_result), 1)
+        assert 0 < sweep_launches(packed_result) // rounds <= sweep_launches(packed_result)
+        assert packed_result.construction_path == "packed"
+        assert packed_result.elapsed_seconds > 0
 
 
 class TestLaunchSchedule:
@@ -404,9 +416,9 @@ class TestAcceptance:
         assert packed_result.total_samples == loop_result.total_samples
 
         # O(levels) sweep launches per convergence round ...
-        report = construction_report(packed_result)
         levels = tree.num_levels
-        assert report.sweep_launches <= 10 * levels * max(report.sampling_rounds, 1)
+        rounds = max(sampling_rounds(packed_result), 1)
+        assert sweep_launches(packed_result) <= 10 * levels * rounds
         # ... which is what the wall-clock ratio of the two sweeps stood for:
         # 1,590 compiled launches against the oracle's 1,033,497 per-node
         # products.

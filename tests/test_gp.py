@@ -21,7 +21,7 @@ from repro import (
     uniform_cube_points,
 )
 from repro.core import GeometryContext
-from repro.gp import hyperparameter_grid, nelder_mead
+from repro.gp import GPFitReport, hyperparameter_grid, nelder_mead
 
 N = 800
 NOISE = 5e-2
@@ -262,6 +262,30 @@ class TestModelSelection:
         assert "length_scale" in table
         assert "log-lik" in table
         assert table.count("\n") >= 3
+
+    def test_sweep_table_rows_follow_the_reports(self):
+        def report(params, reused):
+            return GPFitReport(
+                n=10, kernel="exponential", params=params, noise=0.5,
+                log_marginal_likelihood=-1.0, log_determinant=2.0,
+                quadratic_term=3.0, cg_iterations=7, cg_converged=True,
+                construction_samples=64, rank_range=(2, 5),
+                construction_launches=11, apply_launches=4,
+                result_reused=reused, construction_seconds=0.25,
+                factorization_seconds=0.125, solve_seconds=0.125,
+            )
+
+        reports = [report({"length_scale": 0.2}, False),
+                   report({"length_scale": 0.4, "nu": 1.5}, True)]
+        lines = gp_sweep_table(reports, title="sweep").splitlines()
+        assert lines[0] == "sweep"
+        assert lines[1].split()[:2] == ["length_scale", "nu"]
+        first, second = (line.split() for line in lines[3:])
+        assert len(lines) == 5
+        # A parameter a point lacks is left blank; launches are summed.
+        assert first[:1] == ["0.2"] and second[:2] == ["0.4", "1.5"]
+        assert first[-3:] == ["15", "no", "0.5"]
+        assert second[-3:] == ["15", "yes", "0.5"]
 
     def test_hyperparameter_grid_shapes(self):
         kernel = ExponentialKernel(0.2)

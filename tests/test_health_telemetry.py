@@ -26,7 +26,6 @@ from repro import (
     SpanTracer,
     uniform_cube_points,
 )
-from repro.diagnostics import PhaseBreakdown
 from repro.observe import (
     CATEGORIES,
     Histogram,
@@ -37,6 +36,7 @@ from repro.observe import (
     MetricsJSONLFlusher,
     MetricsRegistry,
     NOOP_TRACER,
+    PhaseBreakdown,
     StructuredLogAdapter,
     categorize_operator_bytes,
     check_operator_health,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 from repro import (
+    DenseOperator,
     ExponentialKernel,
     GaussianKernel,
     HelmholtzKernel,
@@ -16,6 +17,7 @@ from repro import (
 )
 from repro.linalg import (
     LowRankMatrix,
+    construction_error,
     estimate_relative_error,
     estimate_spectral_norm,
     random_low_rank,
@@ -28,6 +30,8 @@ from repro.linalg.qr import (
     smallest_r_diagonal,
     truncated_pivoted_qr,
 )
+
+from oracles import dense_relative_error
 
 
 def economic_mode_row_id(a, rel_tol=None, abs_tol=None, max_rank=None):
@@ -354,6 +358,13 @@ class TestNormEstimation:
         assert 0.2 * exact <= first <= 5 * exact
         assert 0.2 * exact <= other <= 5 * exact
 
+
+    def test_construction_error_close_to_dense_error(self, cov_h2, dense_cov_2d):
+        op = DenseOperator(dense_cov_2d)
+        sketched = construction_error(cov_h2, op, num_iterations=10, seed=1)
+        exact = dense_relative_error(cov_h2.to_dense(permuted=True), dense_cov_2d, norm="2")
+        assert sketched <= 50 * max(exact, 1e-16)
+        assert sketched < 1e-4
 
 COVARIANCE = {
     "exponential": ExponentialKernel(0.2),

@@ -1,5 +1,5 @@
 """Tests for repro.observe: spans, tracers, metrics, exporters and the
-trace-backed diagnostics views.
+span views.
 
 The integration tests run one traced ``Session`` pipeline (compress → factor →
 solve → GP evaluate) and check the acceptance contract: per-span launch deltas
@@ -26,12 +26,12 @@ from repro import (
     uniform_cube_points,
 )
 from repro.batched import KernelLaunchCounter
-from repro.diagnostics import PhaseBreakdown
-from repro.diagnostics.apply_report import ApplyReport, apply_report
 from repro.observe import (
     Histogram,
     MetricsRegistry,
     NOOP_TRACER,
+    PHASE_ORDER,
+    PhaseBreakdown,
     console_tree,
     find_spans,
     from_jsonl,
@@ -132,9 +132,29 @@ class TestSpanNesting:
                 pass
         (root,) = tracer.roots
         assert [span.name for span in root.walk()] == ["a", "b", "b"]
-        assert len(root.find(name="b")) == 2
-        assert len(root.find(category="x")) == 2
+        assert len(find_spans(root, name="b")) == 2
+        assert len(find_spans(root, category="x")) == 2
         assert len(find_spans(tracer, name="b", category="y")) == 1
+
+    @pytest.mark.parametrize("source", ["span", "tracer", "forest"])
+    def test_find_spans_reads_any_trace_source(self, source):
+        tracer = fresh_tracer()
+        for _ in range(2):
+            with tracer.span("a", category="x"):
+                with tracer.span("b", category="y"):
+                    pass
+        sources = {"span": tracer.roots[0], "tracer": tracer, "forest": list(tracer.roots)}
+        expected = 1 if source == "span" else 2
+        assert len(find_spans(sources[source], name="b")) == expected
+        assert len(find_spans(sources[source], category="x")) == expected
+        assert find_spans(sources[source], name="b", category="x") == []
+
+    def test_find_spans_is_the_one_filter(self):
+        from repro.observe import views
+        from repro.observe.span import Span
+
+        assert not hasattr(Span, "find")
+        assert not hasattr(views, "span_durations")
 
     def test_reset_clears_spans_not_counter(self):
         counter = KernelLaunchCounter()
@@ -398,6 +418,68 @@ class TestViews:
         assert total_launches(tracer) == tracer.counter.total()
 
 
+class TestPhaseBreakdown:
+    """The phase spans are the only record a breakdown is read from."""
+
+    def test_ordered_phases(self):
+        breakdown = PhaseBreakdown(seconds={"id": 1.0, "sampling": 3.0, "custom": 0.5})
+        ordered = breakdown.ordered()
+        assert list(ordered)[: len(PHASE_ORDER)] == list(PHASE_ORDER)
+        assert ordered["custom"] == 0.5
+        assert ordered["convergence"] == 0.0
+
+    def test_ordered_percentages_follow_phase_order(self):
+        breakdown = PhaseBreakdown(seconds={"misc": 1.0, "id": 3.0, "custom": 1.0})
+        pct = breakdown.ordered_percentages()
+        assert list(pct) == [*PHASE_ORDER, "custom"]
+        assert abs(sum(pct.values()) - 100.0) < 1e-9
+        assert pct["id"] == pytest.approx(60.0)
+        assert pct["sampling"] == 0.0
+
+    def test_repeated_phases_add_within_and_across_roots(self):
+        tracer = fresh_tracer()
+        for _ in range(2):
+            with tracer.span("construct", category="construct"):
+                with phase_span(tracer, "id"):
+                    time.sleep(0.002)
+                with phase_span(tracer, "sampling"):
+                    pass
+                with phase_span(tracer, "id"):
+                    pass
+        whole = PhaseBreakdown.from_span(tracer)
+        parts = [PhaseBreakdown.from_span(root) for root in tracer.roots]
+        assert len(parts) == 2
+        assert set(whole.seconds) == {"id", "sampling"}
+        for phase, seconds in whole.seconds.items():
+            assert seconds == pytest.approx(sum(p.seconds[phase] for p in parts))
+        assert whole.seconds["id"] >= 0.004 > whole.seconds["sampling"]
+        assert whole.peak_bytes == {}
+
+    def test_only_phase_spans_are_read(self):
+        tracer = fresh_tracer()
+        with tracer.span("construct", category="construct"):
+            with tracer.span("level/1", category="construct.level"):
+                with phase_span(tracer, "id"):
+                    pass
+            with tracer.span("apply", category="apply"):
+                pass
+            # A phase span without a ``phase`` attribute is keyed by its name.
+            with tracer.span("custom", category="construct.phase"):
+                pass
+        breakdown = PhaseBreakdown.from_span(tracer)
+        assert set(breakdown.seconds) == {"id", "custom"}
+        (construct,) = tracer.roots
+        assert breakdown.total_seconds <= construct.duration
+
+    def test_a_disabled_tracer_records_no_phase(self):
+        with phase_span(NOOP_TRACER, "sampling"):
+            pass
+        breakdown = PhaseBreakdown.from_span(NOOP_TRACER)
+        assert breakdown.seconds == {} and breakdown.peak_bytes == {}
+        assert breakdown.total_seconds == 0.0
+        assert breakdown.ordered_percentages() == dict.fromkeys(PHASE_ORDER, 0.0)
+
+
 # ------------------------------------------------- traced pipeline (tentpole)
 @pytest.fixture(scope="module")
 def traced_session():
@@ -437,9 +519,9 @@ class TestTracedPipeline:
         (construct,) = [s for s in tracer.roots if s.name == "construct"]
         assert construct.category == "construct"
         assert construct.attributes["n"] == N
-        levels = construct.find(category="construct.level")
+        levels = find_spans(construct, category="construct.level")
         assert len(levels) >= 2
-        phases = construct.find(category="construct.phase")
+        phases = find_spans(construct, category="construct.phase")
         assert phases, "the constructor should emit phase spans under the tracer"
 
     def test_phase_breakdown_reads_the_trace(self, traced_session):
@@ -489,7 +571,7 @@ class TestTracedPipeline:
         # Every preconditioner application of the session solve is one
         # solve/hss span: five launches per stack of the factorization + root.
         (cg_span,) = [s for s in tracer.roots if s.name == "solve/cg"]
-        solves = cg_span.find(name="solve/hss")
+        solves = find_spans(cg_span, name="solve/hss")
         assert solves
         for span in solves:
             assert span.attributes["n"] == N
@@ -531,41 +613,43 @@ def apply_matrix():
     )
 
 
-class TestApplyReportFromSpan:
-    def test_apply_report_equals_a_traced_matvec(self, apply_matrix):
+class TestApplySpan:
+    """A traced apply is read as it stands: its span carries the plan
+    geometry beside the calls, flops and duration of that one apply."""
+
+    def test_traced_matvec_yields_one_apply_span(self, apply_matrix):
         matrix = apply_matrix
-        measured = apply_report(matrix, backend="vectorized", k=2, repeats=3)
+        plan = matrix.apply_plan()
         tracer = fresh_tracer()
         policy = ExecutionPolicy(tracer=tracer)
-        backend = policy.resolve_backend()
         x = np.random.default_rng(0).standard_normal((matrix.num_rows, 2))
-        matrix.matvec(x, backend=backend)
+        matrix.matvec(x, backend=policy.resolve_backend())
         (span,) = find_spans(tracer, name="apply")
-        report = ApplyReport.from_span(span)
-        assert report.n == measured.n == matrix.num_rows
-        assert report.k == measured.k == 2
-        assert report.backend == measured.backend
-        assert report.levels == measured.levels
-        assert report.launches_per_apply == measured.launches_per_apply
-        assert report.launches_by_phase == measured.launches_by_phase
-        assert report.block_products == measured.block_products
-        assert report.flops_per_apply == measured.flops_per_apply
-        assert report.operand_bytes == measured.operand_bytes
-        assert measured.seconds_per_apply > 0.0
-        assert measured.gflops > 0.0
+        attrs = span.attributes
+        assert attrs["n"] == plan.n == matrix.num_rows
+        assert attrs["k"] == 2
+        assert attrs["backend"] == policy.resolve_backend().name
+        assert attrs["levels"] == plan.num_levels
+        assert attrs["block_products"] == plan.num_block_products
+        assert attrs["operand_bytes"] == sum(stage.a.nbytes for stage in plan.stages)
+        assert span.flops == plan.flops(2)
+        assert span.calls == plan.stage_counts()
+        assert span.total_calls == plan.num_stages
+        assert span.duration > 0.0
 
-    def test_apply_report_counts_one_apply(self, apply_matrix):
-        """Counts come from one span: the repeat count does not scale them,
-        and a second RHS column doubles the flops but not the launches."""
-        once = apply_report(apply_matrix, k=1, repeats=1)
-        fastest = apply_report(apply_matrix, k=1, repeats=3)
-        wide = apply_report(apply_matrix, k=2, repeats=1)
-        for report in (fastest, wide):
-            assert report.launches_per_apply == once.launches_per_apply
-            assert report.launches_by_phase == once.launches_by_phase
-            assert report.operand_bytes == once.operand_bytes
-        assert fastest.flops_per_apply == once.flops_per_apply
-        assert wide.flops_per_apply == 2 * once.flops_per_apply
+    def test_apply_span_counts_one_apply(self, apply_matrix):
+        """A second RHS column doubles the flops but not the launches."""
+        tracer = fresh_tracer()
+        backend = ExecutionPolicy(tracer=tracer).resolve_backend()
+        rng = np.random.default_rng(2)
+        for k in (1, 1, 2):
+            apply_matrix.matvec(rng.standard_normal((apply_matrix.num_rows, k)), backend=backend)
+        once, again, wide = find_spans(tracer, name="apply")
+        for span in (again, wide):
+            assert span.calls == once.calls
+            assert span.attributes["operand_bytes"] == once.attributes["operand_bytes"]
+        assert again.flops == once.flops
+        assert wide.flops == 2 * once.flops
 
     def test_traced_apply_matches_untraced_result(self, apply_matrix):
         x = np.random.default_rng(1).standard_normal(apply_matrix.num_rows)

@@ -1,4 +1,5 @@
-"""The reference loops of ``tests/oracles.py`` checked against dense matrices.
+"""The reference loops and the dense error of ``tests/oracles.py``, checked
+against dense matrices.
 
 The compiled construction sweep and the compiled apply are tested against
 these loops, so the loops are tested here on their own: against the kernel
@@ -19,9 +20,7 @@ from repro import (
     build_block_partition,
     uniform_cube_points,
 )
-from repro.diagnostics import dense_relative_error
-
-from oracles import LoopConstructor, matvec_loop
+from oracles import LoopConstructor, dense_relative_error, matvec_loop
 
 FIXTURES = {
     "strong2d": dict(n=460, dim=2, leaf_size=16, admissibility=GeneralAdmissibility(eta=0.7)),
@@ -80,3 +79,32 @@ def test_matvec_loop_rejects_a_wrong_dimension(loop_built):
     h2 = loop_built[0].matrix
     with pytest.raises(ValueError, match="dimension mismatch"):
         matvec_loop(h2, np.ones(h2.num_rows + 1))
+
+
+class TestDenseRelativeError:
+    def test_dense_relative_error(self):
+        a = np.eye(5)
+        b = np.eye(5) + 1e-3
+        err = dense_relative_error(b, a)
+        assert err == pytest.approx(np.linalg.norm(b - a) / np.linalg.norm(a))
+
+    def test_dense_relative_error_spectral(self):
+        a = np.diag([2.0, 1.0])
+        b = np.diag([2.0, 1.5])
+        assert dense_relative_error(b, a, norm="2") == pytest.approx(0.25)
+
+    def test_identical_matrices(self):
+        a = np.random.default_rng(0).standard_normal((4, 4))
+        assert dense_relative_error(a, a) == 0.0
+
+    def test_zero_reference(self):
+        assert dense_relative_error(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+        assert dense_relative_error(np.ones((2, 2)), np.zeros((2, 2))) == np.inf
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            dense_relative_error(np.eye(2), np.eye(3))
+
+    def test_invalid_norm(self):
+        with pytest.raises(ValueError):
+            dense_relative_error(np.eye(2), np.eye(2), norm="max")

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import ast
 import doctest
+import importlib
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -97,6 +100,25 @@ class TestAllListing:
             for module in (repro, repro.api):
                 assert not hasattr(module, name), (module.__name__, name)
                 assert name not in module.__all__, (module.__name__, name)
+
+    def test_diagnostics_is_gone(self):
+        """The trace is the one record of timings: no second report layer.
+        The GP sweep table stays a top-level name (examples read it)."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{repro.__name__}.diagnostics")
+        assert "gp_sweep_table" in repro.__all__
+        assert repro.gp_sweep_table is repro.gp.gp_sweep_table
+
+    def test_backend_registry_is_gone(self):
+        """A backend is a name or an instance: nothing registers one."""
+        import repro.backends
+        import repro.batched.backend
+
+        for name in ("register", "available"):
+            assert not hasattr(repro.backends, name)
+        for name in ("register_backend", "available_backends"):
+            assert not hasattr(repro.batched.backend, name)
+            assert not hasattr(repro.batched, name)
 
     def test_every_name_has_a_reader(self):
         """A top-level name is imported by an example, a benchmarks/e2e

@@ -21,7 +21,7 @@ from repro import (
 from repro.linalg import LowRankMatrix
 from repro.solvers import MultifrontalSolver, bicgstab
 from repro.baselines import HODLRFactorization, build_hodlr, convert
-from repro.diagnostics import convergence_table, residual_series
+from repro.utils.tables import convergence_table, residual_series
 from repro.multifrontal import poisson_matrix
 
 from oracles import matvec_loop
@@ -268,27 +268,31 @@ class TestHODLRFactorization:
         a_perm = kernel.matrix(tree.points) + 0.05 * np.eye(700)
         return tree, a_perm
 
-    def test_direct_solve(self, kernel_system):
+    @pytest.fixture(scope="class")
+    def tight_hodlr(self, kernel_system):
+        """The system's HODLR at ``tol=1e-12``, built once: a factorization
+        only reads it."""
         tree, a_perm = kernel_system
-        hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
-        fact = HODLRFactorization(hodlr)
+        return build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
+
+    def test_direct_solve(self, kernel_system, tight_hodlr):
+        tree, a_perm = kernel_system
+        fact = HODLRFactorization(tight_hodlr)
         b = np.random.default_rng(1).standard_normal((700, 3))
         x = fact.solve(b, permuted=True)
         assert np.linalg.norm(a_perm @ x - b) / np.linalg.norm(b) < 1e-9
 
-    def test_solve_in_original_ordering(self, kernel_system):
+    def test_solve_in_original_ordering(self, kernel_system, tight_hodlr):
         tree, a_perm = kernel_system
         a_orig = a_perm[np.ix_(tree.iperm, tree.iperm)]
-        hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
-        fact = HODLRFactorization(hodlr)
+        fact = HODLRFactorization(tight_hodlr)
         b = np.random.default_rng(2).standard_normal(700)
         x = fact.solve(b)
         assert np.linalg.norm(a_orig @ x - b) / np.linalg.norm(b) < 1e-9
 
-    def test_slogdet_matches_numpy(self, kernel_system):
+    def test_slogdet_matches_numpy(self, kernel_system, tight_hodlr):
         tree, a_perm = kernel_system
-        hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
-        fact = HODLRFactorization(hodlr)
+        fact = HODLRFactorization(tight_hodlr)
         sign_ref, logdet_ref = np.linalg.slogdet(a_perm)
         sign, logdet = fact.slogdet()
         assert sign == pytest.approx(sign_ref)
@@ -310,10 +314,9 @@ class TestHODLRFactorization:
             with pytest.raises(ValueError):
                 fact.logdet()
 
-    def test_diagonal_shift(self, kernel_system):
+    def test_diagonal_shift(self, kernel_system, tight_hodlr):
         tree, a_perm = kernel_system
-        hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
-        fact = HODLRFactorization(hodlr, shift=0.5)
+        fact = HODLRFactorization(tight_hodlr, shift=0.5)
         b = np.random.default_rng(3).standard_normal(700)
         x = fact.solve(b, permuted=True)
         shifted = a_perm + 0.5 * np.eye(700)
@@ -367,7 +370,8 @@ class TestHODLRFactorization:
 
 
 class TestSlogdetRegression:
-    """Pin slogdet()/logdet() against numpy on shifted SPD covariances.
+    """Pin the HODLR factor's slogdet()/logdet() against numpy on shifted
+    SPD covariances.
 
     The Gaussian-process marginal likelihood rides on these values, so they
     are regression-tested across tree depths (leaf sizes) and shift values,
@@ -382,13 +386,27 @@ class TestSlogdetRegression:
         points = uniform_cube_points(self.N, dim=2, seed=33)
         return points, ExponentialKernel(length_scale=0.25)
 
+    @pytest.fixture(scope="class")
+    def hodlr_at(self, covariance):
+        """``leaf_size -> (a_perm, hodlr)``, built once per leaf size and
+        shared by the shifts: a factorization only reads its HODLR."""
+        points, kernel = covariance
+        built = {}
+
+        def build(leaf_size):
+            if leaf_size not in built:
+                tree = ClusterTree.build(points, leaf_size=leaf_size)
+                a_perm = kernel.matrix(tree.points)
+                hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
+                built[leaf_size] = (a_perm, hodlr)
+            return built[leaf_size]
+
+        return build
+
     @pytest.mark.parametrize("leaf_size", [16, 40, 160])
     @pytest.mark.parametrize("shift", [0.0, 1e-6, 1e-2, 1.0])
-    def test_matches_numpy_across_depths_and_shifts(self, covariance, leaf_size, shift):
-        points, kernel = covariance
-        tree = ClusterTree.build(points, leaf_size=leaf_size)
-        a_perm = kernel.matrix(tree.points)
-        hodlr = build_hodlr(tree, lambda r, c: a_perm[np.ix_(r, c)], tol=1e-12)
+    def test_matches_numpy_across_depths_and_shifts(self, hodlr_at, leaf_size, shift):
+        a_perm, hodlr = hodlr_at(leaf_size)
         fact = HODLRFactorization(hodlr, shift=shift)
 
         shifted = a_perm + shift * np.eye(self.N)

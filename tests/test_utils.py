@@ -1,4 +1,4 @@
-"""Tests for repro.utils: prefix sums, validation and RNG helpers."""
+"""Tests for repro.utils: prefix sums, validation, RNG helpers and tables."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,13 @@ from repro.utils import (
     exclusive_prefix_sum,
     require,
     spawn_generator,
+)
+from repro.solvers.krylov import KrylovResult
+from repro.utils.tables import (
+    convergence_table,
+    format_series,
+    format_table,
+    residual_series,
 )
 from repro.utils.validation import as_index_array
 
@@ -73,3 +80,58 @@ class TestRng:
         rng = np.random.default_rng(0)
         b = spawn_generator(rng, 1).standard_normal(8)
         assert not np.array_equal(a, b)
+
+
+class TestTables:
+    def test_format_table(self):
+        text = format_table(
+            ["N", "time"], [[1024, 0.5], [2048, 1.25]], title="Construction time"
+        )
+        assert "Construction time" in text
+        assert "1024" in text and "2048" in text
+        assert len(text.splitlines()) == 5
+
+    def test_format_series_missing_points(self):
+        text = format_series(
+            "N",
+            {"ours": {1024: 0.1, 2048: 0.2}, "baseline": {1024: 1.0}},
+            title="Fig 5",
+        )
+        assert "Fig 5" in text
+        assert "-" in text  # the missing baseline point at N=2048
+
+    def test_format_table_float_format(self):
+        text = format_table(["x"], [[0.123456789]], float_format="{:.2f}")
+        assert "0.12" in text
+
+    @staticmethod
+    def krylov_result(residuals, method="cg", converged=True):
+        return KrylovResult(
+            x=np.zeros(3),
+            converged=converged,
+            iterations=max(len(residuals) - 1, 0),
+            residual_norms=np.asarray(residuals, dtype=np.float64),
+            method=method,
+            matvecs=9,
+            preconditioner_applications=4,
+            elapsed_seconds=0.5,
+        )
+
+    def test_convergence_table_row_is_the_summary(self):
+        result = self.krylov_result([1.0, 0.5, 0.25], method="gmres", converged=False)
+        lines = convergence_table({"run": result}, title=None).splitlines()
+        assert len(lines) == 3
+        assert lines[2].split() == ["run", "gmres", "2", "9", "4", "0.25", "NO", "0.5"]
+
+    def test_residual_series_keeps_first_and_last_iteration(self):
+        result = self.krylov_result(np.logspace(0, -7, 8))
+        lines = residual_series({"cg": result}, every=3, title=None).splitlines()
+        assert lines[0].split() == ["iteration", "cg"]
+        assert [int(line.split()[0]) for line in lines[2:]] == [0, 3, 6, 7]
+        assert lines[-1].split()[1] == "1.000e-07"
+
+    def test_residual_series_skips_an_empty_history(self):
+        full = self.krylov_result([1.0, 0.1])
+        empty = self.krylov_result([])
+        text = residual_series({"full": full, "empty": empty}, title=None)
+        assert text.splitlines()[0].split() == ["iteration", "full"]
