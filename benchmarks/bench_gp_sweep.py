@@ -2,17 +2,18 @@
 
 The headline workload of the GP subsystem (and the acceptance claim of its
 ISSUE): a log-likelihood sweep over kernel length scales re-constructs the
-compressed covariance at every parameter point, and the
-:class:`~repro.core.context.GeometryContext` makes the re-constructions
-cheaper than building from scratch: it builds the cluster tree and block
-partition once and samples through the dense kernel-value matrix while that
-fits.
+compressed covariance at every parameter point, and a
+:class:`~repro.api.facade.Session` makes the re-constructions cheaper than
+building from scratch: it builds the cluster tree and block partition once
+and samples through the dense kernel-value matrix while that fits.
 
 For every N this benchmark
 
 * times ``len(scales)`` *cold* constructions (fresh tree/partition/operator
-  per point, the pre-context workflow),
-* times the same sweep through one shared ``GeometryContext``,
+  per point, the workflow without geometry reuse),
+* times the same sweep through one shared ``Session`` (``Session.construct``;
+  the ``BENCH_JSON`` keys ``context_sweep_s`` / ``context`` hold its time and
+  its reuse counters),
 * runs the full GP model selection (``gp.fit`` over the length-scale grid) and
   reports per-point log-likelihoods, logdet/CG statistics and launch counts.
 
@@ -31,12 +32,12 @@ from repro import (
     ExponentialKernel,
     GaussianProcess,
     H2Constructor,
+    Session,
     WeakAdmissibility,
     build_block_partition,
     gp_sweep_table,
     uniform_cube_points,
 )
-from repro.core import GeometryContext
 from repro.utils.tables import format_table
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
@@ -69,19 +70,19 @@ def bench_size(n: int):
     cold_seconds = _cold_sweep_seconds(points)
 
     start = time.perf_counter()
-    context = GeometryContext(points, leaf_size=LEAF_SIZE, seed=3)
+    session = Session(points, leaf_size=LEAF_SIZE, seed=3)
     for length_scale in SCALES:
-        context.construct(ExponentialKernel(length_scale), tolerance=TOLERANCE)
+        session.construct(ExponentialKernel(length_scale), tol=TOLERANCE)
     sweep_seconds = time.perf_counter() - start
 
-    # Full GP model selection over the same grid (reuses the context).
+    # Full GP model selection over the same grid (reuses the session).
     gp = GaussianProcess(
         points,
         ExponentialKernel(SCALES[0]),
         noise=NOISE,
         tolerance=TOLERANCE,
         seed=3,
-        context=context,
+        session=session,
     )
     y = np.sin(4.0 * points[:, 0]) * np.cos(3.0 * points[:, 1])
     start = time.perf_counter()
@@ -96,7 +97,7 @@ def bench_size(n: int):
         "cold_sweep_s": cold_seconds,
         "context_sweep_s": sweep_seconds,
         "speedup": cold_seconds / sweep_seconds,
-        "context": context.statistics.as_dict(),
+        "context": session.statistics.as_dict(),
         "gp_fit_s": fit_seconds,
         "best_length_scale": gp.kernel.length_scale,
         "log_likelihood": gp.log_marginal_likelihood_,
@@ -112,7 +113,7 @@ def run_gp_sweep():
             [
                 "N",
                 "cold sweep [s]",
-                "context sweep [s]",
+                "session sweep [s]",
                 "speedup",
                 "GP fit [s]",
                 "best l",

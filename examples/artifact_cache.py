@@ -92,7 +92,7 @@ def main(n: int = 4096) -> None:
         repro.Session(points, seed=1, cache_dir=cache_dir).compress(kernel, tol=1e-6)
         sess = repro.Session(points, seed=1, cache_dir=cache_dir)
         sess.compress(kernel, tol=1e-6)
-        hits = sess.context.statistics.artifact_cache_hits
+        hits = sess.statistics.artifact_cache_hits
         print(
             f"second Session construction_path={sess.result.construction_path!r} "
             f"(artifact cache hits: {hits})"

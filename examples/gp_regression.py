@@ -40,7 +40,7 @@ def main(n: int = 2048) -> None:
 
     # --- fit with model selection -----------------------------------------
     # A Session builds the geometry once (tree, partition, sample seed);
-    # gp() hands the GP the same context every sweep point re-uses.
+    # gp() hands the GP the session whose geometry every sweep point re-uses.
     session = Session(train, seed=2)
     gp = session.gp(
         ExponentialKernel(length_scale=0.5),  # deliberately bad initial guess
@@ -61,7 +61,7 @@ def main(n: int = 2048) -> None:
         f"selected: length_scale={gp.kernel.length_scale:.4f} "
         f"noise={gp.noise:.2e} log-likelihood={gp.log_marginal_likelihood_:.2f}"
     )
-    print(f"geometry reuse: {gp.context.describe()}")
+    print(f"geometry reuse: {gp.session.describe()}")
 
     # --- predict at held-out points ---------------------------------------
     test = uniform_cube_points(512, dim=2, seed=3)

@@ -23,7 +23,7 @@ per step.  The top level exports what the examples and benchmarks import,
 the kernels, the typed errors and the types the entry points take or return;
 everything else is imported from its subpackage (e.g.
 ``repro.batched.get_backend``, ``repro.hmatrix.LinearOperator``,
-``repro.core.GeometryContext``).
+``repro.core.ConvergenceTester``).
 :mod:`repro.observe` adds an opt-in hierarchical tracer (pass
 ``ExecutionPolicy(tracer=repro.SpanTracer())``) that attributes wall time,
 batched launches and flops to nested spans across every layer, with

@@ -26,13 +26,16 @@ the one operator type the solvers, diagnostics, GP subsystem and server take.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import copy
+import time
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..batched.backend import BatchedBackend
 from ..core.builder import ConstructionResult, H2Constructor
 from ..core.config import ConstructionConfig
-from ..core.context import GeometryContext
 from ..kernels.base import KernelFunction
 from ..observe.health import check_operator_health
 from ..sketching.entry_extractor import (
@@ -44,7 +47,7 @@ from ..sketching.operators import DenseOperator, KernelMatVecOperator, Sketching
 from ..tree.admissibility import GeneralAdmissibility, WeakAdmissibility
 from ..tree.block_partition import BlockPartition, build_block_partition
 from ..tree.cluster_tree import ClusterTree
-from ..utils.rng import SeedLike
+from ..utils.rng import SeedLike, as_generator
 from .policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Hierarchical formats :func:`compress` can target directly.
 FORMATS: Tuple[str, ...] = ("h2", "hss")
+
+#: Byte budget of the dense kernel-value matrix: :meth:`Session.bind`
+#: materialises the ``n x n`` values (``n * n * 8`` bytes) while they fit,
+#: i.e. up to n = 6,270 points.  Sampling on the fly instead made the
+#: N = 2048 3D ``Session`` construction 23 % slower (0.389 s -> 0.477 s).
+_DENSE_VALUES_BYTES = 300 * 2**20
 
 
 def _resolve_cache(
@@ -329,11 +338,28 @@ def _compress(
     return (result if full_result else compressed), health
 
 
+@dataclass
+class SessionStatistics:
+    """Reuse counters of a :class:`Session` (sweep diagnostics)."""
+
+    constructions: int = 0
+    result_cache_hits: int = 0
+    artifact_cache_hits: int = 0
+    setup_seconds: float = 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
 class Session:
     """Fluent geometry-reuse workflow over a fixed point set.
 
-    Wraps a :class:`~repro.core.context.GeometryContext` (tree, partition,
-    sample seed, last result) behind chainable steps::
+    A kernel hyperparameter sweep (a GP likelihood optimization) constructs
+    ``K(theta)`` at many parameter points over the *same* points.  A session
+    builds what does not depend on ``theta`` once — the cluster tree, the
+    block partition and one integer sample seed, so every construction
+    sketches with the same random vectors — and keeps the last construction
+    result and an optional artifact cache.  Its steps chain::
 
         sess = repro.Session(points, seed=0)
         solve = sess.compress(kernel, tol=1e-8).factor(noise=1e-2).solve(b)
@@ -344,18 +370,31 @@ class Session:
     ----------
     points:
         ``(n, dim)`` coordinates in the original ordering.
-    leaf_size, admissibility, seed:
-        Forwarded to :class:`~repro.core.context.GeometryContext`;
-        admissibility defaults to weak (the HSS/HODLR partition every
-        downstream factorization consumes).
+    leaf_size:
+        Cluster-tree leaf size.
+    admissibility:
+        Block-partition admissibility; defaults to
+        :class:`~repro.tree.admissibility.WeakAdmissibility` (the HSS
+        partition every downstream factorization consumes — pass a
+        :class:`~repro.tree.admissibility.GeneralAdmissibility` for strong H2
+        sweeps).
     policy:
-        :class:`~repro.api.policy.ExecutionPolicy` for every construction,
-        apply and solve of this session.
+        :class:`~repro.api.policy.ExecutionPolicy` of every construction,
+        apply and solve of this session (default ``ExecutionPolicy()``).  Its
+        backend is resolved once, so one launch counter spans every
+        construction and compiled apply; its recovery and faults guard every
+        construction and artifact-cache read.
+    seed:
+        Source of :attr:`sample_seed`, the one integer every construction of
+        the session seeds its sketch with: an integer, ``None`` (OS entropy)
+        or a ``Generator`` is drawn from once, here.
     cache, cache_dir:
-        Opt into the content-addressed artifact cache for every
-        :meth:`compress` of the session (an
-        :class:`~repro.persist.cache.ArtifactCache`, a directory, or the
-        ``REPRO_CACHE_DIR`` environment variable).
+        Opt into the content-addressed artifact cache for every construction
+        of the session (an :class:`~repro.persist.cache.ArtifactCache`, a
+        directory, or the ``REPRO_CACHE_DIR`` environment variable).  The key
+        covers points, kernel identity, tolerance, leaf size, admissibility,
+        sample block size and seed.  A live ``Generator`` seed does not key
+        reproducibly, so it disables the cache.
     """
 
     def __init__(
@@ -369,35 +408,34 @@ class Session:
         cache: "ArtifactCache | None" = None,
         cache_dir: object | None = None,
     ):
+        start = time.perf_counter()
         self.policy = policy if policy is not None else ExecutionPolicy()
-        self._points = np.ascontiguousarray(points, dtype=np.float64)
-        self.context = GeometryContext(
-            self._points,
-            leaf_size=leaf_size,
-            admissibility=admissibility,
-            policy=self.policy,
-            seed=seed,
-            artifact_cache=_resolve_cache(cache, cache_dir),
+        # One backend instance (hence one launch counter) for the lifetime of
+        # the session: constructions and the compiled applies of every matrix
+        # it produces all account to the same place.
+        self.backend: BatchedBackend = self.policy.resolve_backend()
+        #: The coordinates in the original ordering.
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        self.tree: ClusterTree = ClusterTree.build(self.points, leaf_size=leaf_size)
+        self.partition: BlockPartition = build_block_partition(
+            self.tree, admissibility if admissibility is not None else WeakAdmissibility()
         )
+        #: Seed of every construction's sketch (see ``seed``).
+        self.sample_seed = int(as_generator(seed).integers(0, 2**63 - 1))
+        # Only integer (or None) seeds key deterministically.
+        seed_is_hashable = seed is None or isinstance(seed, (int, np.integer))
+        self.artifact_cache = _resolve_cache(cache, cache_dir) if seed_is_hashable else None
+        self._artifact_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
+
+        self._last_key: Optional[tuple] = None
+        self._last_result: Optional[ConstructionResult] = None
         self._result: Optional[ConstructionResult] = None
         self._operator: Optional[H2Matrix] = None
         self._factorization: "HSSFactorization | None" = None
         self._shift: float = 0.0
+        self.statistics = SessionStatistics(setup_seconds=time.perf_counter() - start)
 
     # ------------------------------------------------------------------ state
-    @property
-    def points(self) -> np.ndarray:
-        """Training coordinates in the original ordering."""
-        return self._points
-
-    @property
-    def tree(self) -> ClusterTree:
-        return self.context.tree
-
-    @property
-    def partition(self) -> BlockPartition:
-        return self.context.partition
-
     @property
     def result(self) -> ConstructionResult:
         """The most recent :meth:`compress` construction result."""
@@ -419,28 +457,142 @@ class Session:
             raise RuntimeError("call factor() first")
         return self._factorization
 
+    # ------------------------------------------------------------ construction
+    @property
+    def _dense_values(self) -> bool:
+        """Whether :meth:`bind` materialises the ``n x n`` kernel values."""
+        return self.tree.num_points**2 * 8 <= _DENSE_VALUES_BYTES
+
+    def bind(self, kernel: KernelFunction) -> Tuple[SketchingOperator, EntryExtractor]:
+        """Operator/extractor pair evaluating ``kernel`` over the session's points.
+
+        While one ``n x n`` value matrix fits ``_DENSE_VALUES_BYTES`` the
+        kernel values are evaluated once per parameter point
+        (``kernel.matrix``), so every black-box application is a plain GEMM;
+        otherwise kernel rows are generated on the fly.
+        """
+        points = self.tree.points
+        if self._dense_values:
+            values = kernel.matrix(points)
+            return DenseOperator(values), DenseEntryExtractor(values)
+        return KernelMatVecOperator(kernel, points), KernelEntryExtractor(kernel, points)
+
+    def construct(
+        self,
+        kernel: KernelFunction,
+        tol: float = 1e-6,
+        sample_block_size: int = 64,
+        config: ConstructionConfig | None = None,
+    ) -> ConstructionResult:
+        """Construct the H2 representation of ``K(kernel)`` over the session's geometry.
+
+        Every construction sketches from :attr:`sample_seed` and compiles its
+        own construction and apply plans; ``config`` overrides ``tol`` and
+        ``sample_block_size``.  The session's current operator is left as it
+        is (that is :meth:`compress`).
+
+        Repeating the *identical* ``(kernel, tol, sample_block_size)`` point
+        (the inner loop of a noise/nugget sweep, where the compressed ``K``
+        does not change at all) returns the previous result without
+        re-running the constructor; an explicit ``config`` always constructs.
+        """
+        cacheable = config is None
+        key = (type(kernel), kernel, float(tol), int(sample_block_size))
+        if cacheable and self._last_result is not None and self._last_key == key:
+            self.statistics.result_cache_hits += 1
+            return self._last_result
+
+        artifact_key = None
+        if cacheable and self.artifact_cache is not None and isinstance(kernel, KernelFunction):
+            from ..persist.format import ArtifactError
+
+            try:
+                artifact_key = self.artifact_cache.key(
+                    self.points,
+                    kernel,
+                    tol=tol,
+                    format="h2",
+                    leaf_size=self.tree.leaf_size,
+                    admissibility=self.partition.admissibility,
+                    seed=self._artifact_seed,
+                    extra={"sample_block_size": int(sample_block_size)},
+                )
+            except ArtifactError:
+                # Unhashable request (custom admissibility, ...): construct.
+                artifact_key = None
+
+        result = None
+
+        def build() -> H2Matrix:
+            nonlocal result
+            result = H2Constructor(
+                self.partition,
+                *self.bind(kernel),
+                config=config if config is not None else ConstructionConfig(
+                    tolerance=tol, sample_block_size=sample_block_size,
+                    backend=self.backend,
+                ),
+                seed=self.sample_seed,
+                tracer=self.policy.tracer,
+                recovery=self.policy.recovery,
+                faults=self.policy.faults,
+            ).construct()
+            self.statistics.constructions += 1
+            result.matrix.apply_backend = self.backend
+            result.matrix.apply_plan()  # compiled here, inside the construction time
+            return result.matrix
+
+        if artifact_key is None:
+            build()
+        else:
+            load_start = time.perf_counter()
+            matrix, hit = self.artifact_cache.get_or_build(artifact_key, build, self.policy)
+            if hit:
+                matrix.apply_backend = self.backend
+                result = ConstructionResult(
+                    matrix=matrix,
+                    config=ConstructionConfig(
+                        tolerance=tol,
+                        sample_block_size=sample_block_size,
+                        backend=self.backend,
+                    ),
+                    total_samples=0,
+                    operator_applications=0,
+                    entries_evaluated=0,
+                    elapsed_seconds=time.perf_counter() - load_start,
+                    kernel_launches={},
+                    total_kernel_launches=0,
+                    kernel_calls={},
+                    total_kernel_calls=0,
+                    norm_estimate=0.0,
+                    converged=True,
+                    construction_path="cache",
+                )
+                self.statistics.artifact_cache_hits += 1
+        if cacheable:
+            # Snapshot the kernel: a caller mutating a (mutable dataclass)
+            # kernel in place must miss the cache, not hit its own reference.
+            self._last_key = (type(kernel), copy.deepcopy(kernel)) + key[2:]
+            self._last_result = result
+        return result
+
     # ------------------------------------------------------------------ steps
     def compress(
         self,
         kernel: KernelFunction,
         tol: float = 1e-6,
         sample_block_size: int = 64,
-        **construct_kwargs: object,
+        config: ConstructionConfig | None = None,
     ) -> "Session":
-        """Construct the hierarchical representation of ``K(kernel)``.
+        """Construct ``K(kernel)`` (:meth:`construct`) and make it the current operator.
 
         Re-uses the session's tree, partition and sample seed, so repeated
         calls across hyperparameters build no geometry and sketch with the
-        same random vectors; each runs its own construction.  The session's
-        admissibility decides the format: HSS on the default weak partition,
-        strong H2 otherwise.
+        same random vectors.  The session's admissibility decides the format:
+        HSS on the default weak partition, strong H2 otherwise.  Under
+        ``policy.health`` the operator is probed once.
         """
-        result = self.context.construct(
-            kernel,
-            tolerance=tol,
-            sample_block_size=sample_block_size,
-            **construct_kwargs,
-        )
+        result = self.construct(kernel, tol, sample_block_size, config)
         self._result = result
         if self.policy.health is not None:
             result.health = check_operator_health(
@@ -533,14 +685,17 @@ class Session:
         """A :class:`~repro.gp.regression.GaussianProcess` sharing this geometry."""
         from ..gp.regression import GaussianProcess
 
-        return GaussianProcess(
-            self._points, kernel, noise=noise, context=self.context,
-            policy=self.policy, **gp_kwargs
-        )
+        return GaussianProcess(self.points, kernel, noise=noise, session=self, **gp_kwargs)
 
     # ------------------------------------------------------------ diagnostics
     def describe(self) -> str:
-        return f"Session({self.context.describe()})"
+        stats = self.statistics
+        return (
+            f"Session(n={self.tree.num_points}, depth={self.tree.depth}, "
+            f"values={'dense' if self._dense_values else 'kernel'}, "
+            f"constructions={stats.constructions}, "
+            f"result_cache_hits={stats.result_cache_hits})"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return self.describe()

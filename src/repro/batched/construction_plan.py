@@ -16,9 +16,9 @@ Two pieces cooperate:
     zero-padded uniform ``(leaves + 1, m_pad, d)`` stack, the fan-grouped
     block-row structure of the dense (inadmissible leaf) BSR product, and the
     per-level fan-grouped block-row structure of the coupling BSR products —
-    marshaled by :mod:`repro.batched.block_rows`, as the compiled apply is.  A
-    :class:`~repro.core.context.GeometryContext` compiles this once and reuses
-    it for every construction of a sweep.
+    marshaled by :mod:`repro.batched.block_rows`, as the compiled apply is.
+    Every construction compiles its own, including each construction of a
+    :class:`~repro.api.facade.Session` sweep.
 
 :class:`PackedSweepEngine`
     The per-construction executor.  It owns the :class:`_LevelState` sample

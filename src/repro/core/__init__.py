@@ -8,7 +8,6 @@ application of the paper.
 """
 
 from .builder import ConstructionResult, H2Constructor
-from .context import ContextStatistics, GeometryContext
 from .config import ConstructionConfig
 from .convergence import ConvergenceTester
 from .recompression import recompress_h2
@@ -16,8 +15,6 @@ from .skeleton_store import NodeSkeleton, SkeletonStore
 
 __all__ = [
     "H2Constructor",
-    "GeometryContext",
-    "ContextStatistics",
     "ConstructionConfig",
     "ConstructionResult",
     "ConvergenceTester",

@@ -86,23 +86,30 @@ def recompress_h2(
 
 
 def _recompress_weak(
-    h2: H2Matrix, tol: float = 1e-6, max_rank: int | None = None
+    h2: H2Matrix,
+    tol: float = 1e-6,
+    max_rank: int | None = None,
+    tracer: object | None = None,
 ) -> H2Matrix:
     """``h2`` re-compressed onto the weak (HSS) partition of its own tree.
 
     Algorithm 1 with ``h2`` as the black-box sampler and entry evaluator
-    (:func:`recompress_h2`), at ``tol`` / ``max_rank`` and ``seed=0`` so the
-    result is deterministic; it applies on ``h2``'s backend.  This is how a
-    strong-admissibility matrix reaches the HSS factorization
+    (as :func:`recompress_h2`), at ``tol`` / ``max_rank`` and ``seed=0`` so
+    the result is deterministic.  It constructs and applies on ``h2``'s
+    apply backend (hence on that backend's launch counter) under ``tracer``.
+    This is how a strong-admissibility matrix reaches the HSS factorization
     (:func:`~repro.solvers.hss_factor.factorize`).
     """
-    weak = recompress_h2(
-        h2,
-        partition=build_block_partition(h2.tree, WeakAdmissibility()),
-        config=ConstructionConfig(tolerance=tol, max_rank=max_rank),
+    backend = h2._resolve_backend(None)
+    weak = H2Constructor(
+        build_block_partition(h2.tree, WeakAdmissibility()),
+        H2Operator(h2),
+        H2EntryExtractor(h2),
+        config=ConstructionConfig(tolerance=tol, max_rank=max_rank, backend=backend),
         seed=0,
-    ).matrix
-    weak.apply_backend = h2.apply_backend
+        tracer=tracer,
+    ).construct().matrix
+    weak.apply_backend = backend
     return weak
 
 

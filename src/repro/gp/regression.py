@@ -7,8 +7,8 @@ library —
 
 * the covariance matrix ``K`` is compressed once per hyperparameter point with
   the sketching constructor, through a geometry-reusing
-  :class:`~repro.core.context.GeometryContext` (tree, partition and sample
-  seed are shared across the sweep);
+  :class:`~repro.api.facade.Session` (tree, partition and sample seed are
+  shared across the sweep);
 * the marginal log-likelihood uses the HSS factorization of the *shifted*
   covariance ``K + noise I`` (skeleton elimination on the nested generators,
   :class:`~repro.solvers.hss_factor.HSSFactorization`) for ``log det`` (the
@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.facade import Session
 from ..api.policy import ExecutionPolicy
-from ..core.context import GeometryContext
 from ..kernels.base import KernelFunction, PairwiseKernel
 from ..solvers.hss_factor import HSSFactorization, factorize
 from ..solvers.ladder import guarded_solve
@@ -92,20 +92,24 @@ class GaussianProcess:
         Construction tolerance of the compressed covariance; drives the
         accuracy of the log-likelihood and posterior.
     leaf_size, seed:
-        Forwarded to the internally created
-        :class:`~repro.core.context.GeometryContext` (ignored when an explicit
-        ``context`` is passed).  The context must use weak admissibility — the
-        HSS factorization consumes its output directly.
+        Forwarded to the internally created :class:`~repro.api.facade.Session`
+        (ignored when an explicit ``session`` is passed).  The session must
+        use weak admissibility — the HSS factorization consumes its output
+        directly.
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` of the internally created
-        context.  The GP runs under ``context.policy``: its factorizations
-        and both guarded solves (:func:`~repro.solvers.ladder.guarded_solve`)
-        read tracer, recovery, faults and health from it.  A ``context`` with
-        a different ``policy`` raises :class:`ValueError`.
+        session.  The GP runs under ``session.policy``: its constructions,
+        factorizations and both guarded solves
+        (:func:`~repro.solvers.ladder.guarded_solve`) read backend, tracer,
+        recovery, faults and health from it.  A ``session`` with a different
+        ``policy`` raises :class:`ValueError`.
     solve_tol:
         Relative residual tolerance of the preconditioned CG solves.
     max_cg_iterations:
         Iteration cap of the CG solves (``None``: the system dimension).
+    session:
+        A :class:`~repro.api.facade.Session` over the same ``train_points``
+        whose geometry, sample seed and caches the GP shares.
     """
 
     def __init__(
@@ -120,7 +124,7 @@ class GaussianProcess:
         solve_tol: float = 1e-10,
         max_cg_iterations: int | None = None,
         seed: SeedLike = 0,
-        context: GeometryContext | None = None,
+        session: Session | None = None,
     ):
         self.train_points = np.ascontiguousarray(train_points, dtype=np.float64)
         require(
@@ -134,33 +138,26 @@ class GaussianProcess:
         self.tolerance = float(tolerance)
         self.solve_tol = float(solve_tol)
         self.max_cg_iterations = max_cg_iterations
-        if context is None:
-            context = GeometryContext(
+        if session is None:
+            session = Session(
                 self.train_points, leaf_size=leaf_size, policy=policy, seed=seed
             )
-        elif policy is not None and policy is not context.policy:
+        elif policy is not None and policy is not session.policy:
             raise ValueError(
-                "policy differs from the context's policy; a GaussianProcess "
-                "runs under the policy of its context"
+                "policy differs from the session's policy; a GaussianProcess "
+                "runs under the policy of its session"
             )
-        self.context = context
-        self.policy: ExecutionPolicy = context.policy
-        if self.context.num_points != self.train_points.shape[0]:
-            raise ValueError(
-                "context was built over a different number of points "
-                f"({self.context.num_points} vs {self.train_points.shape[0]})"
-            )
-        # The context stores the points in its cluster-tree ordering; they
-        # must be the *same* points, or alpha/logdet would silently describe a
-        # different covariance than the one predict() cross-correlates with.
-        tree = self.context.tree
-        if tree.points.shape != self.train_points.shape or not np.array_equal(
-            tree.points, self.train_points[tree.perm]
+        elif session.points.shape != self.train_points.shape or not np.array_equal(
+            session.points, self.train_points
         ):
+            # Different points would make alpha/logdet silently describe a
+            # different covariance than the one predict() cross-correlates with.
             raise ValueError(
-                "context was built over different point coordinates than "
+                "session was built over different point coordinates than "
                 "train_points"
             )
+        self.session = session
+        self.policy: ExecutionPolicy = session.policy
         self._state: Optional[_FittedState] = None
         self._y: Optional[np.ndarray] = None
         #: Fit reports of every hyperparameter point evaluated by the last
@@ -222,10 +219,10 @@ class GaussianProcess:
     def _evaluate_impl(
         self, y: np.ndarray, kernel: KernelFunction, noise: float
     ) -> _FittedState:
-        stats = self.context.statistics
+        stats = self.session.statistics
         hits_before = stats.result_cache_hits
         t_construct = time.perf_counter()
-        result = self.context.construct(kernel, tolerance=self.tolerance)
+        result = self.session.construct(kernel, tol=self.tolerance)
         construct_seconds = time.perf_counter() - t_construct
         matrix = result.matrix
         result_reused = stats.result_cache_hits > hits_before
@@ -233,7 +230,7 @@ class GaussianProcess:
         defect = matrix.weak_partition_defect()
         if defect is not None:
             raise ValueError(
-                "GaussianProcess requires a weak-admissibility (HSS) context so "
+                "GaussianProcess requires a weak-admissibility (HSS) session so "
                 f"the constructed covariance can be factored exactly ({defect})"
             )
         t0 = time.perf_counter()

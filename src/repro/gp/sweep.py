@@ -2,7 +2,7 @@
 
 The model-selection loop of :meth:`repro.gp.regression.GaussianProcess.fit`:
 a cartesian grid over length scales and nuggets (every point re-using the
-cached geometry of the GP's :class:`~repro.core.context.GeometryContext`),
+cached geometry of the GP's :class:`~repro.api.facade.Session`),
 optionally refined by a compact Nelder–Mead simplex search in log-parameter
 space — gradients of the sketched log-likelihood are noisy, so a
 direct-search method is the robust default.

@@ -213,7 +213,7 @@ def pairwise_distances_stacked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     own coordinate scale — but all ``g`` blocks are evaluated with one einsum /
     matmul / sqrt pass.  This is the distance kernel behind the batched entry
     generator (``EntryExtractor._extract_stacked`` /
-    ``extract_blocks_padded``): one launch evaluates the dense or coupling
+    ``extract_blocks_into``): one launch evaluates the dense or coupling
     blocks of an entire tree level.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -262,9 +262,8 @@ class PairwiseKernel(KernelFunction):
     def profile_with_diagonal(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the profile on a distance array, honouring :attr:`diagonal_value`.
 
-        The entry point for distance-reusing evaluation paths (the
-        :class:`~repro.core.context.GeometryContext` caches the distance matrix
-        across a hyperparameter sweep and re-evaluates only this function).
+        The entry point for distance-reusing evaluation paths, which keep the
+        distances fixed and re-evaluate only this function.
         """
         values = self.profile(r)
         if self.diagonal_value is not None:

@@ -3,9 +3,8 @@
 Gaussian-process covariance models are built from a smooth base kernel plus
 observation noise, ``sigma_f^2 K(r / l) + sigma_n^2 I``.  All compositions
 here stay radial (:class:`~repro.kernels.base.PairwiseKernel`), so a
-distance-reusing evaluation path (the sweep cache of
-:class:`~repro.core.context.GeometryContext`) works for composite kernels
-exactly as for the primitive ones.  Python operators are provided as sugar:
+distance-reusing evaluation path works for composite kernels exactly as for
+the primitive ones.  Python operators are provided as sugar:
 ``0.5 * ExponentialKernel(0.2) + WhiteNoiseKernel(1e-2)``.
 
 Hyperparameter naming

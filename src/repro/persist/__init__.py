@@ -9,8 +9,8 @@ processes.  This package makes it survive:
   the one persisted format, the H2 matrix (HSS included);
 * :mod:`repro.persist.cache` — :class:`ArtifactCache`, content-addressed by
   (geometry, kernel identity, tolerance, format, format version, seed), the
-  cache-aside layer :func:`repro.compress` / :class:`repro.Session` /
-  :class:`repro.core.GeometryContext` consult before constructing.
+  cache-aside layer :func:`repro.compress` and :class:`repro.Session`
+  consult before constructing.
 
 Quick use::
 

@@ -7,9 +7,8 @@ into a SHA-256 key and stores one artifact file per key, so any process that
 asks for the same compression again loads it in milliseconds (zero-copy
 memmap) instead of re-constructing — the same cache-aside discipline as a
 Redis layer, but for operators, and consulted automatically by
-:func:`repro.compress` / :class:`repro.Session` /
-:class:`repro.core.GeometryContext` when a cache is configured (``cache_dir=`` or
-the ``REPRO_CACHE_DIR`` environment variable).
+:func:`repro.compress` and :class:`repro.Session` when a cache is configured
+(``cache_dir=`` or the ``REPRO_CACHE_DIR`` environment variable).
 
 Key ingredients (any change produces a different key, any irrelevant change —
 backend, tracer, construction path — does not):

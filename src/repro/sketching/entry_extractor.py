@@ -15,8 +15,8 @@ single ``profile_with_diagonal`` call, a low-rank extractor one batched GEMM,
 tree depth, not by the number of blocks) and :class:`SumEntryExtractor` adds
 the stacks of its terms.  Extractors without ``supports_stacked`` evaluate a
 group block by block.
-:meth:`EntryExtractor.extract_blocks_padded` / :meth:`EntryExtractor.extract_blocks_into`
-additionally zero-pad every block to one uniform shape, producing the stacked
+:meth:`EntryExtractor.extract_blocks_into` additionally writes every block into
+a zero-padded stack of one uniform shape, producing the stacked
 operand layout the compiled construction engine
 (:mod:`repro.batched.construction_plan`) feeds straight into
 ``batched_gemm_scatter``.
@@ -85,7 +85,7 @@ class EntryExtractor(ABC):
         """Group requests by exact block shape and evaluate group by group.
 
         The shared core of :meth:`extract_blocks` and
-        :meth:`extract_blocks_padded`: records one ``batched_gen`` launch per
+        :meth:`extract_blocks_into`: records one ``batched_gen`` launch per
         shape group, checks the indices of each group, evaluates it in a
         single vectorised pass when ``supports_stacked`` (falling back to a
         per-block loop otherwise or for singleton groups) and yields
@@ -137,24 +137,6 @@ class EntryExtractor(ABC):
             for pos, i in enumerate(indices):
                 out[i] = np.zeros((p, q)) if stacked is None else stacked[pos]
         return out  # type: ignore[return-value]
-
-    def extract_blocks_padded(
-        self,
-        requests: Sequence[Tuple[np.ndarray, np.ndarray]],
-        pad_rows: int,
-        pad_cols: int,
-        counter: KernelLaunchCounter | None = None,
-    ) -> np.ndarray:
-        """Evaluate a batch of sub-blocks into one zero-padded ``(g, pr, pc)`` stack.
-
-        Every request's block lands in ``out[i, :len(rows), :len(cols)]`` with
-        exact zeros in the padding — the layout the compiled construction
-        engine stacks into batched GEMM operands (see
-        :meth:`extract_blocks_into`).
-        """
-        out = np.zeros((len(requests), int(pad_rows), int(pad_cols)), dtype=np.float64)
-        self.extract_blocks_into(out, range(len(requests)), requests, counter)
-        return out
 
     def extract_blocks_into(
         self,

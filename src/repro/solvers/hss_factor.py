@@ -517,5 +517,5 @@ def factorize(
             f"cannot factorize a {type(operator).__name__}: expected an H2Matrix"
         )
     if operator.weak_partition_defect() is not None:
-        operator = _recompress_weak(operator)
+        operator = _recompress_weak(operator, tracer=tracer)
     return HSSFactorization(operator, shift=shift, tracer=tracer)

@@ -33,10 +33,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..api.facade import compress
+from ..core.builder import H2Constructor
+from ..core.config import ConstructionConfig
 from ..multifrontal.poisson import grid_coordinates, poisson_grid_points
 from ..sketching.entry_extractor import DenseEntryExtractor
 from ..sketching.operators import DenseOperator
+from ..tree.admissibility import WeakAdmissibility
+from ..tree.block_partition import build_block_partition
 from ..tree.cluster_tree import ClusterTree
 from ..utils.rng import SeedLike, as_generator
 from .hss_factor import factorize
@@ -225,16 +228,16 @@ class MultifrontalSolver:
             )
         tree = ClusterTree.build(separator_points, leaf_size=compress_leaf_size)
         permuted = front[np.ix_(tree.perm, tree.perm)]
-        result = compress(
-            tree=tree,
-            operator=DenseOperator(permuted),
-            extractor=DenseEntryExtractor(permuted),
-            format="hss",
-            tol=compress_tolerance,
-            sample_block_size=min(64, max(8, size // 8)),
+        result = H2Constructor(
+            build_block_partition(tree, WeakAdmissibility()),
+            DenseOperator(permuted),
+            DenseEntryExtractor(permuted),
+            config=ConstructionConfig(
+                tolerance=compress_tolerance,
+                sample_block_size=min(64, max(8, size // 8)),
+            ),
             seed=rng,
-            full_result=True,
-        )
+        ).construct()
         factorization = factorize(result.matrix)
         report = FrontReport(
             level=level,

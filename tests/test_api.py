@@ -448,12 +448,12 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             repro.ConstructionConfig(construction_path="loop")
         with pytest.raises(TypeError):
-            repro.core.GeometryContext(api_points, construction_path="loop")
-        # Backend and tracer reach a context or a GP through its policy only,
+            Session(api_points, construction_path="loop")
+        # Backend and tracer reach a session or a GP through its policy only,
         # and recovery / faults are never written onto a backend.
         for removed in ({"backend": "serial"}, {"tracer": SpanTracer()}):
             with pytest.raises(TypeError):
-                repro.core.GeometryContext(api_points, **removed)
+                Session(api_points, **removed)
         with pytest.raises(TypeError):
             repro.GaussianProcess(api_points, repro.ExponentialKernel(0.2), backend="serial")
         for name in ("recovery", "faults"):
@@ -476,13 +476,13 @@ class TestExecutionPolicy:
         re-stacks it with another matrix's blocks, and nothing counts that."""
         from dataclasses import fields
 
-        from repro.core.context import ContextStatistics
+        from repro.api.facade import SessionStatistics
 
         for name in ("refresh", "matches", "_structure"):
             assert not hasattr(repro.batched.H2ApplyPlan, name)
         assert not hasattr(repro.H2Matrix, "reuse_plan")
         assert "keys" not in {f.name for f in fields(repro.batched.ApplyStage)}
-        stats = {f.name for f in fields(ContextStatistics)}
+        stats = {f.name for f in fields(SessionStatistics)}
         assert not stats & {"plan_reuses", "plan_compilations"}
         report = {f.name for f in fields(repro.gp.GPFitReport)}
         assert "result_reused" in report and "plan_reused" not in report
@@ -608,15 +608,15 @@ class TestSession:
         assert rel(dense_other @ solve.x, b) < 1e-4
 
     def test_sweep_reuses_geometry(self, session):
-        before = session.context.statistics.constructions
+        before = session.statistics.constructions
         kernels = [repro.ExponentialKernel(ls) for ls in (0.2, 0.3, 0.45)]
         results = session.sweep(kernels, tol=1e-6)
         assert len(results) == 3
-        assert session.context.statistics.constructions >= before + 2
+        assert session.statistics.constructions >= before + 2
 
     def test_gp_shares_context(self, session, api_points):
         gp = session.gp(repro.ExponentialKernel(0.3), noise=1e-2, tolerance=1e-6)
-        assert gp.context is session.context
+        assert gp.session is session
         y = np.sin(api_points[:, 0] * 4.0)
         gp.fit(y)
         assert np.isfinite(gp.log_marginal_likelihood_)

@@ -1,9 +1,9 @@
-"""Tests of the geometry-reuse construction context (repro.core.context).
+"""Tests of the geometry reuse of a ``Session`` (``Session.construct``).
 
-The context must be a pure optimization: constructions through it have to
+The session must be a pure optimization: constructions through it have to
 match the accuracy of from-scratch constructions on both sides of the dense
 value rule, while re-using what it keeps (tree, partition, sample seed,
-result cache).  Every construction of one context sketches from the same
+result cache).  Every construction of one session sketches from the same
 sample seed, so repeated constructions — recovered ones included — are
 bitwise equal.  The slow acceptance test pins the reuse behind the headline
 claim — a 3-point length-scale sweep at N = 4096 builds one tree and one
@@ -32,8 +32,7 @@ from repro import (
     compress,
     uniform_cube_points,
 )
-from repro.core import GeometryContext
-from repro.core import context as context_module
+from repro.api import facade
 from repro.observe import metrics
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
@@ -53,25 +52,25 @@ def points():
 
 
 @pytest.fixture(scope="module")
-def context(points):
-    return GeometryContext(points, leaf_size=32, seed=5)
+def session(points):
+    return Session(points, leaf_size=32, seed=5)
 
 
 class TestConstructionEquivalence:
     @pytest.mark.parametrize("length_scale", [0.15, 0.3])
-    def test_matches_dense_reference(self, context, points, length_scale):
+    def test_matches_dense_reference(self, session, points, length_scale):
         kernel = ExponentialKernel(length_scale)
-        result = context.construct(kernel, tolerance=TOL)
-        dense = kernel.matrix(context.tree.points)
+        result = session.construct(kernel, tol=TOL)
+        dense = kernel.matrix(session.tree.points)
         x = np.random.default_rng(0).standard_normal(N)
         err = rel_err(result.matrix.matvec(x, permuted=True), dense @ x)
         assert err < 50 * TOL
 
     def test_matches_from_scratch_accuracy(self, points):
-        """Context constructions are as accurate as cold ones at the same tol."""
+        """Session constructions are as accurate as cold ones at the same tol."""
         kernel = Matern52Kernel(0.25)
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
-        warm = ctx.construct(kernel, tolerance=TOL)
+        ctx = Session(points, leaf_size=32, seed=5)
+        warm = ctx.construct(kernel, tol=TOL)
 
         tree = ClusterTree.build(points, leaf_size=32)
         partition = build_block_partition(tree, WeakAdmissibility())
@@ -94,21 +93,21 @@ class TestConstructionEquivalence:
         """Both sides of the dense-value size rule (n = 700 is far below it;
         a zero budget forces on-the-fly kernel evaluation)."""
         if values == "kernel":
-            monkeypatch.setattr(context_module, "_DENSE_VALUES_BYTES", 0)
+            monkeypatch.setattr(facade, "_DENSE_VALUES_BYTES", 0)
         kernel = ExponentialKernel(0.2)
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        ctx = Session(points, leaf_size=32, seed=5)
         assert f"values={values}" in ctx.describe()
-        result = ctx.construct(kernel, tolerance=TOL)
+        result = ctx.construct(kernel, tol=TOL)
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(2).standard_normal(N)
         assert rel_err(result.matrix.matvec(x, permuted=True), dense @ x) < 50 * TOL
 
     def test_general_admissibility_context(self, points):
         kernel = ExponentialKernel(0.2)
-        ctx = GeometryContext(
+        ctx = Session(
             points, leaf_size=32, admissibility=GeneralAdmissibility(eta=0.7), seed=5
         )
-        result = ctx.construct(kernel, tolerance=TOL)
+        result = ctx.construct(kernel, tol=TOL)
         assert len(result.matrix.dense) > len(list(ctx.tree.leaves()))
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(3).standard_normal(N)
@@ -120,11 +119,11 @@ class TestConstructionEquivalence:
     [
         lambda p: Session(p).compress(ExponentialKernel(0.2)),
         lambda p: GaussianProcess(p, ExponentialKernel(0.2), noise=1e-2),
-        lambda p: GeometryContext(p),
+        lambda p: Session(p),
         lambda p: compress(p, ExponentialKernel(0.2)),
         lambda p: ClusterTree.build(p),
     ],
-    ids=["Session", "GaussianProcess", "GeometryContext", "compress", "ClusterTree"],
+    ids=["Session", "GaussianProcess", "bare-Session", "compress", "ClusterTree"],
 )
 def test_one_dimensional_points_are_rejected(build):
     """A 1-D array is n scalars, not one point in n dimensions."""
@@ -139,15 +138,15 @@ class TestDenseValuesRule:
     VALUES_BYTES = N * N * 8
 
     def test_cutoff_is_6270_points(self):
-        assert 6270 * 6270 * 8 <= context_module._DENSE_VALUES_BYTES
-        assert 6271 * 6271 * 8 > context_module._DENSE_VALUES_BYTES
+        assert 6270 * 6270 * 8 <= facade._DENSE_VALUES_BYTES
+        assert 6271 * 6271 * 8 > facade._DENSE_VALUES_BYTES
 
     @pytest.mark.parametrize("short_by", [0, 1])
     def test_bind_follows_the_budget(self, points, short_by, monkeypatch):
         monkeypatch.setattr(
-            context_module, "_DENSE_VALUES_BYTES", self.VALUES_BYTES - short_by
+            facade, "_DENSE_VALUES_BYTES", self.VALUES_BYTES - short_by
         )
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        ctx = Session(points, leaf_size=32, seed=5)
         operator, extractor = ctx.bind(ExponentialKernel(0.2))
         if short_by:
             assert isinstance(operator, KernelMatVecOperator)
@@ -162,9 +161,8 @@ class TestDenseValuesRule:
         "knob", [{"distance_cache": "dense"}, {"cache_limit_mb": 1.0}]
     )
     def test_size_alone_picks_the_cache(self, points, knob):
-        for owner in (GeometryContext, Session):
-            with pytest.raises(TypeError):
-                owner(points, leaf_size=32, **knob)
+        with pytest.raises(TypeError):
+            Session(points, leaf_size=32, **knob)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -178,7 +176,7 @@ class TestDenseValuesRule:
     def test_dense_values_equal_kernel_matrix(self, points, kernel):
         """The dense values are ``kernel.matrix`` over the permuted points,
         bit for bit, shared by the operator and the extractor."""
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        ctx = Session(points, leaf_size=32, seed=5)
         operator, extractor = ctx.bind(kernel)
         expected = kernel.matrix(ctx.tree.points)
         assert np.array_equal(operator.matrix, expected)
@@ -187,8 +185,8 @@ class TestDenseValuesRule:
     def test_uncached_entries_are_exact_on_any_index_set(self, points, monkeypatch):
         """Contiguous leaf ranges and the unsorted or gapped skeleton sets of
         coupling blocks, one by one and stacked, all read the kernel."""
-        monkeypatch.setattr(context_module, "_DENSE_VALUES_BYTES", 0)
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        monkeypatch.setattr(facade, "_DENSE_VALUES_BYTES", 0)
+        ctx = Session(points, leaf_size=32, seed=5)
         kernel = ExponentialKernel(0.2)
         operator, extractor = ctx.bind(kernel)
         dense = kernel.matrix(ctx.tree.points)
@@ -214,19 +212,19 @@ def _seed(name):
 
 
 class TestSamplePattern:
-    """Every construction of one context sketches from its one sample seed."""
+    """Every construction of one session sketches from its one sample seed."""
 
     def test_same_seed_same_matrix_across_contexts(self, points):
         kernel = ExponentialKernel(0.2)
         x = np.random.default_rng(4).standard_normal(N)
         products = {
-            seed: GeometryContext(points, leaf_size=32, seed=seed)
-            .construct(kernel, tolerance=TOL)
+            seed: Session(points, leaf_size=32, seed=seed)
+            .construct(kernel, tol=TOL)
             .matrix.matvec(x, permuted=True)
             for seed in (7, 8)
         }
-        again = GeometryContext(points, leaf_size=32, seed=7).construct(
-            kernel, tolerance=TOL
+        again = Session(points, leaf_size=32, seed=7).construct(
+            kernel, tol=TOL
         )
         assert np.array_equal(again.matrix.matvec(x, permuted=True), products[7])
         assert not np.array_equal(products[7], products[8])
@@ -237,7 +235,7 @@ class TestSamplePattern:
     ):
         """Re-constructing a sweep point sketches with the same vectors and
         runs bit-identically through the packed level buffers."""
-        ctx = GeometryContext(points, leaf_size=32, seed=_seed(seed))
+        ctx = Session(points, leaf_size=32, seed=_seed(seed))
         kernel = ExponentialKernel(0.2)
         # Passing an explicit config bypasses the result cache, so both runs
         # execute the full packed sweep.
@@ -255,8 +253,8 @@ class TestSamplePattern:
 
     def test_compiled_and_per_node_sweeps_share_the_sample_seed(self, points):
         """``construct()`` and the per-node oracle (``LoopConstructor``)
-        seeded with the context's sample seed draw the same samples."""
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
+        seeded with the session's sample seed draw the same samples."""
+        ctx = Session(points, leaf_size=32, seed=9)
         kernel = ExponentialKernel(0.2)
         config = ConstructionConfig(tolerance=TOL, backend=ctx.backend)
         packed = ctx.construct(kernel, config=config)
@@ -273,15 +271,15 @@ class TestSamplePattern:
 
 
 class TestRecovery:
-    """A recovered context construction restores the RNG and replays the
+    """A recovered session construction restores the RNG and replays the
     uninjected construction bit for bit."""
 
     @pytest.fixture(scope="class")
     def reference(self, points):
-        ctx = GeometryContext(points, leaf_size=32, seed=5)
+        ctx = Session(points, leaf_size=32, seed=5)
         x = np.random.default_rng(6).standard_normal(N)
         return x, [
-            ctx.construct(ExponentialKernel(ls), tolerance=TOL).matrix.matvec(x)
+            ctx.construct(ExponentialKernel(ls), tol=TOL).matrix.matvec(x)
             for ls in (0.2, 0.35)
         ]
 
@@ -293,12 +291,12 @@ class TestRecovery:
     ):
         x, want = reference
         before = metrics().counter("resilience.retries").value
-        ctx = GeometryContext(
+        ctx = Session(
             points, leaf_size=32, seed=5,
             policy=ExecutionPolicy(recovery="recover", faults=faults),
         )
         for ls, expected in zip((0.2, 0.35), want):
-            result = ctx.construct(ExponentialKernel(ls), tolerance=TOL)
+            result = ctx.construct(ExponentialKernel(ls), tol=TOL)
             assert np.array_equal(result.matrix.matvec(x), expected)
         assert ctx.policy.faults.fired(faults.split(":")[0]) == 1
         assert metrics().counter("resilience.retries").value > before
@@ -306,23 +304,23 @@ class TestRecovery:
 
 class TestReuse:
     def test_result_cache_hit_on_identical_point(self, points):
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
-        first = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
-        second = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
+        ctx = Session(points, leaf_size=32, seed=9)
+        first = ctx.construct(ExponentialKernel(0.2), tol=TOL)
+        second = ctx.construct(ExponentialKernel(0.2), tol=TOL)
         assert second is first
         assert ctx.statistics.result_cache_hits == 1
         # A different hyperparameter must re-construct.
-        third = ctx.construct(ExponentialKernel(0.35), tolerance=TOL)
+        third = ctx.construct(ExponentialKernel(0.35), tol=TOL)
         assert third is not first
         assert ctx.statistics.constructions == 2
 
     def test_result_cache_misses_on_in_place_kernel_mutation(self, points):
         """Mutating a kernel in place must not produce a stale cache hit."""
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
+        ctx = Session(points, leaf_size=32, seed=9)
         kernel = ExponentialKernel(0.2)
-        first = ctx.construct(kernel, tolerance=TOL)
+        first = ctx.construct(kernel, tol=TOL)
         kernel.length_scale = 0.4  # dataclasses are mutable
-        second = ctx.construct(kernel, tolerance=TOL)
+        second = ctx.construct(kernel, tol=TOL)
         assert second is not first
         assert ctx.statistics.result_cache_hits == 0
         dense = ExponentialKernel(0.4).matrix(ctx.tree.points)
@@ -333,13 +331,13 @@ class TestReuse:
         """Every construction compiles its own apply plan inside ``construct``;
         a later construction over the same geometry leaves earlier matrices
         computing their own kernel's products."""
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
+        ctx = Session(points, leaf_size=32, seed=9)
         x = np.random.default_rng(8).standard_normal(N)
-        first = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
+        first = ctx.construct(ExponentialKernel(0.2), tol=TOL)
         assert first.matrix._plan is not None
         before = first.matrix.matvec(x, permuted=True)
         ctx._last_result = None  # bypass the result cache: a real re-construction
-        second = ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
+        second = ctx.construct(ExponentialKernel(0.2), tol=TOL)
         assert second.matrix._plan is not None
         assert second.matrix._plan is not first.matrix._plan
         after = first.matrix.matvec(x, permuted=True)
@@ -349,23 +347,23 @@ class TestReuse:
         assert rel_err(second.matrix.matvec(x, permuted=True), dense @ x) < 50 * TOL
 
     def test_statistics_and_describe(self, points):
-        ctx = GeometryContext(points, leaf_size=32, seed=9)
-        ctx.construct(ExponentialKernel(0.2), tolerance=TOL)
+        ctx = Session(points, leaf_size=32, seed=9)
+        ctx.construct(ExponentialKernel(0.2), tol=TOL)
         stats = ctx.statistics.as_dict()
         assert stats["constructions"] == 1
         assert set(stats) == {
             "constructions", "result_cache_hits", "artifact_cache_hits",
             "setup_seconds",
         }
-        assert "GeometryContext" in ctx.describe()
+        assert "Session(" in ctx.describe()
         assert "values=dense" in ctx.describe()
 
     @pytest.mark.parametrize("knob", ["reuse_plan", "warm_start"])
-    def test_reuse_is_not_a_switch(self, context, knob):
+    def test_reuse_is_not_a_switch(self, session, knob):
         """There is no apply-plan reuse or warm start, and no keyword to ask
         for either."""
         with pytest.raises(TypeError):
-            context.construct(ExponentialKernel(0.2), tolerance=TOL, **{knob: False})
+            session.construct(ExponentialKernel(0.2), tol=TOL, **{knob: False})
 
 
 @pytest.mark.slow
@@ -381,9 +379,9 @@ class TestAcceptance:
         n = 4096
         scales = [0.15, 0.2, 0.3]
         pts = uniform_cube_points(n, dim=3, seed=1)
-        ctx = GeometryContext(pts, leaf_size=64, seed=3)
+        ctx = Session(pts, leaf_size=64, seed=3)
         results = [
-            ctx.construct(ExponentialKernel(ls), tolerance=1e-6) for ls in scales
+            ctx.construct(ExponentialKernel(ls), tol=1e-6) for ls in scales
         ]
         stats = ctx.statistics
         assert stats.constructions == 3

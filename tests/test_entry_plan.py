@@ -97,7 +97,8 @@ class TestAgainstDense:
         blocks = extractor.extract_blocks(requests)
         pad_rows = max(len(rows) for rows, _ in requests)
         pad_cols = max(len(cols) for _, cols in requests)
-        padded = extractor.extract_blocks_padded(requests, pad_rows, pad_cols)
+        padded = np.zeros((len(requests), pad_rows, pad_cols))
+        extractor.extract_blocks_into(padded, range(len(requests)), requests)
         for i, ((rows, cols), block) in enumerate(zip(requests, blocks)):
             expected = dense[np.ix_(rows, cols)]
             assert block.shape == expected.shape

@@ -1,7 +1,7 @@
 """Tests of the Gaussian-process subsystem (repro.gp).
 
 The GP layer composes every subsystem — construction through a
-:class:`~repro.core.context.GeometryContext`, HSS factorization for the
+:class:`~repro.api.facade.Session`, HSS factorization for the
 log-determinant, preconditioned CG over the compiled batched apply plan for
 the solves — so these tests pin its statistical outputs against the dense
 ``numpy.linalg`` reference: marginal log-likelihood, posterior mean/variance,
@@ -17,10 +17,10 @@ from repro import (
     ExponentialKernel,
     GaussianProcess,
     Matern32Kernel,
+    Session,
     gp_sweep_table,
     uniform_cube_points,
 )
-from repro.core import GeometryContext
 from repro.gp import GPFitReport, hyperparameter_grid, nelder_mead
 
 N = 800
@@ -110,39 +110,43 @@ class TestLogLikelihood:
             gp.fit(np.ones(N + 1))
 
     def test_rejects_context_over_different_points(self, gp_problem):
-        """A shared context must cover the same coordinates, not just the count."""
+        """A shared session must cover the same coordinates, not just the count."""
         other = uniform_cube_points(N, dim=2, seed=99)
-        context = GeometryContext(other, leaf_size=32, seed=1)
+        session = Session(other, leaf_size=32, seed=1)
         with pytest.raises(ValueError, match="different point coordinates"):
             GaussianProcess(
-                gp_problem["points"], gp_problem["kernel"], context=context
+                gp_problem["points"], gp_problem["kernel"], session=session
             )
+        fewer = Session(gp_problem["points"][:-1], leaf_size=32, seed=1)
+        with pytest.raises(ValueError, match="different point coordinates"):
+            GaussianProcess(gp_problem["points"], gp_problem["kernel"], session=fewer)
 
     def test_runs_under_the_policy_of_its_context(self, gp_problem):
-        context = GeometryContext(gp_problem["points"], leaf_size=32, seed=1)
-        with pytest.raises(ValueError, match="context's policy"):
+        session = Session(gp_problem["points"], leaf_size=32, seed=1)
+        with pytest.raises(ValueError, match="session's policy"):
             GaussianProcess(
-                gp_problem["points"], gp_problem["kernel"], context=context,
+                gp_problem["points"], gp_problem["kernel"], session=session,
                 policy=ExecutionPolicy(),
             )
         gp = GaussianProcess(
-            gp_problem["points"], gp_problem["kernel"], context=context,
-            policy=context.policy,
+            gp_problem["points"], gp_problem["kernel"], session=session,
+            policy=session.policy,
         )
-        assert gp.policy is context.policy
+        assert gp.policy is session.policy
+        assert gp.session is session
 
     def test_configuration_errors_propagate_from_fit(self, gp_problem):
         """Only non-PD points are skipped; setup errors must surface."""
         from repro import GeneralAdmissibility
 
-        context = GeometryContext(
+        session = Session(
             gp_problem["points"],
             leaf_size=32,
             admissibility=GeneralAdmissibility(eta=0.7),
             seed=1,
         )
         gp = GaussianProcess(
-            gp_problem["points"], gp_problem["kernel"], noise=NOISE, context=context
+            gp_problem["points"], gp_problem["kernel"], noise=NOISE, session=session
         )
         with pytest.raises(ValueError, match="weak-admissibility"):
             gp.fit(gp_problem["y"])

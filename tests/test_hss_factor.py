@@ -372,6 +372,29 @@ class TestFactorize:
         b = np.random.default_rng(23).standard_normal(256)
         assert _rel(factorization.solve(b), np.linalg.solve(a, b)) < 1e-3
 
+    def test_strong_recompression_is_traced_on_the_policy_counter(self):
+        """The re-compression of a strong operator runs on its apply backend
+        under the tracer ``factorize`` takes: one ``construct`` span inside the
+        caller's span, whose launches land on the policy's counter."""
+        from repro import ExecutionPolicy
+        from repro.observe import SpanTracer, find_spans
+
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(tracer=tracer)
+        points = uniform_cube_points(256, dim=2, seed=5)
+        strong = compress(
+            points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1,
+            policy=policy,
+        )
+        before = policy.launch_counter().total()
+        with tracer.span("caller") as caller:
+            factorize(strong, shift=1e-2, tracer=tracer)
+        constructs = find_spans(caller, name="construct")
+        assert len(constructs) == 1
+        assert constructs[0].total_launches > 0
+        assert caller.total_launches == policy.launch_counter().total() - before
+        assert caller.total_launches >= constructs[0].total_launches
+
     @pytest.mark.parametrize("operator", [np.eye(4), None, "h2"])
     def test_rejects_what_has_no_factorization(self, operator):
         with pytest.raises(TypeError, match="cannot factorize"):

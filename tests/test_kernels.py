@@ -381,12 +381,12 @@ class TestComposition:
 
     def test_composite_works_in_construction(self):
         """A composed kernel runs through the full constructor unchanged."""
-        from repro.core import GeometryContext
+        from repro import Session
 
         pts = uniform_cube_points(300, dim=2, seed=12)
         kernel = 0.8 * Matern32Kernel(0.3)
-        ctx = GeometryContext(pts, leaf_size=32, seed=2)
-        result = ctx.construct(kernel, tolerance=1e-7)
+        ctx = Session(pts, leaf_size=32, seed=2)
+        result = ctx.construct(kernel, tol=1e-7)
         dense = kernel.matrix(ctx.tree.points)
         x = np.random.default_rng(3).standard_normal(300)
         err = np.linalg.norm(result.matrix.matvec(x, permuted=True) - dense @ x)

@@ -9,9 +9,9 @@ Covers the tentpole of the persistence PR:
   format-version mismatches fail loudly with typed errors;
 * :class:`repro.persist.ArtifactCache` keying, hit/miss accounting, LRU
   eviction, corrupted-entry recovery;
-* the cache-aside integration of :func:`repro.compress`, :class:`repro.Session`
-  and :class:`repro.GeometryContext` (including the ``REPRO_CACHE_DIR``
-  environment opt-in), and that a warm re-compression is a pure cache hit.
+* the cache-aside integration of :func:`repro.compress` and
+  :class:`repro.Session` (including the ``REPRO_CACHE_DIR`` environment
+  opt-in), and that a warm re-compression is a pure cache hit.
 """
 
 from __future__ import annotations
@@ -528,12 +528,12 @@ class TestSessionIntegration:
     ):
         first = Session(persist_points, leaf_size=LEAF, seed=1, cache_dir=tmp_path)
         first.compress(persist_kernel, tol=1e-6)
-        assert first.context.statistics.artifact_cache_hits == 0
-        assert first.context.statistics.constructions == 1
+        assert first.statistics.artifact_cache_hits == 0
+        assert first.statistics.constructions == 1
 
         second = Session(persist_points, leaf_size=LEAF, seed=1, cache_dir=tmp_path)
         second.compress(persist_kernel, tol=1e-6)
-        stats = second.context.statistics
+        stats = second.statistics
         assert stats.artifact_cache_hits == 1
         assert stats.constructions == 0
         assert second.result.construction_path == "cache"
@@ -554,7 +554,7 @@ class TestSessionIntegration:
             .factor(noise=1e-2)
             .solve(np.ones(N))
         )
-        assert warm.context.statistics.artifact_cache_hits == 1
+        assert warm.statistics.artifact_cache_hits == 1
         assert solve.converged
 
     def test_in_memory_result_cache_still_first(
@@ -563,24 +563,22 @@ class TestSessionIntegration:
         sess = Session(persist_points, leaf_size=LEAF, seed=1, cache_dir=tmp_path)
         sess.compress(persist_kernel, tol=1e-6)
         sess.compress(persist_kernel, tol=1e-6)
-        stats = sess.context.statistics
+        stats = sess.statistics
         assert stats.result_cache_hits == 1
         assert stats.artifact_cache_hits == 0
 
     def test_generator_seed_disables_artifact_cache(
         self, persist_points, persist_kernel, tmp_path
     ):
-        from repro.core import GeometryContext
-
-        context = GeometryContext(
+        session = Session(
             persist_points,
             leaf_size=LEAF,
             seed=np.random.default_rng(0),
-            artifact_cache=ArtifactCache(tmp_path),
+            cache=ArtifactCache(tmp_path),
         )
-        assert context.artifact_cache is None
-        context.construct(persist_kernel, tolerance=1e-6)
-        assert context.statistics.artifact_cache_hits == 0
+        assert session.artifact_cache is None
+        session.construct(persist_kernel, tol=1e-6)
+        assert session.statistics.artifact_cache_hits == 0
 
 
 class TestWarmCompress:

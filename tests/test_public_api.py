@@ -168,3 +168,67 @@ class TestQuickstartDoctest:
         # The quickstart must exercise the façade, not the legacy boilerplate.
         assert "repro.compress(" in repro.__doc__
         assert "Session(" in repro.__doc__
+
+
+def _imported_modules(path: Path) -> set:
+    """Modules ``path`` (a module of ``src/repro``) imports at run time:
+    ``from a import b`` counts as ``a`` and ``a.b``; imports under
+    ``if TYPE_CHECKING:`` are skipped."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    package = list(parts if parts[-1] == "__init__" else parts[:-1])
+    if package[-1] == "__init__":
+        package = package[:-1]
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If):
+            test = node.test
+            name = test.id if isinstance(test, ast.Name) else getattr(test, "attr", None)
+            if name == "TYPE_CHECKING":
+                for child in node.orelse:
+                    visit(child)
+                return
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            source = ".".join(base + ([node.module] if node.module else []))
+            found.add(source)
+            found.update(f"{source}.{alias.name}" for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+class TestLayering:
+    """The construction core and the solvers sit below the façade: neither
+    imports ``repro.api``, and the core does not import ``repro.persist``."""
+
+    FORBIDDEN = {
+        "core": ("repro.api", "repro.persist"),
+        "solvers": ("repro.api",),
+    }
+
+    @pytest.mark.parametrize("layer", sorted(FORBIDDEN))
+    def test_layer_imports_nothing_above_it(self, layer):
+        modules = sorted((ROOT / "src" / "repro" / layer).rglob("*.py"))
+        assert modules
+        violations = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in modules
+            for name in sorted(_imported_modules(path))
+            if any(name == top or name.startswith(top + ".")
+                   for top in self.FORBIDDEN[layer])
+        ]
+        assert violations == []
+
+    def test_walk_resolves_relative_imports(self):
+        """The walk resolves ``from .x`` / ``from ..x`` imports and skips the
+        typing-only ones."""
+        facade = _imported_modules(ROOT / "src" / "repro" / "api" / "facade.py")
+        assert {"repro.api.policy", "repro.core.builder"} <= facade
+        ladder = _imported_modules(ROOT / "src" / "repro" / "solvers" / "ladder.py")
+        assert "repro.solvers.krylov" in ladder
+        assert not any(name.startswith("repro.api") for name in ladder)

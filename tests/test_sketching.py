@@ -27,6 +27,13 @@ from repro.batched import KernelLaunchCounter
 from repro.kernels import base as kernel_base
 
 
+def _padded(extractor, requests, pad_rows, pad_cols, counter=None):
+    """``requests`` evaluated into a zeroed ``(g, pad_rows, pad_cols)`` stack."""
+    out = np.zeros((len(requests), pad_rows, pad_cols))
+    extractor.extract_blocks_into(out, range(len(requests)), requests, counter)
+    return out
+
+
 class TestOperators:
     def test_dense_operator_multiply(self, dense_cov_2d):
         op = DenseOperator(dense_cov_2d)
@@ -294,7 +301,7 @@ class TestStackedExtraction:
             rng, dense_cov_2d.shape[0], [(3, 5), (3, 5), (2, 4), (1, 1)]
         )
         counter = KernelLaunchCounter()
-        padded = ex.extract_blocks_padded(requests, 4, 6, counter=counter)
+        padded = _padded(ex, requests, 4, 6, counter=counter)
         assert padded.shape == (4, 4, 6)
         # Three distinct shapes -> three generation launches.
         assert counter.by_operation()["batched_gen"] == 3
@@ -323,15 +330,15 @@ class TestStackedExtraction:
     def test_padded_extraction_empty_request_list(self, dense_cov_2d):
         ex = DenseEntryExtractor(dense_cov_2d)
         counter = KernelLaunchCounter()
-        out = ex.extract_blocks_padded([], 3, 3, counter=counter)
+        out = _padded(ex, [], 3, 3, counter=counter)
         assert out.shape == (0, 3, 3)
         assert counter.by_operation() == {}
 
     def test_padded_extraction_skips_zero_size_blocks(self, dense_cov_2d):
         ex = DenseEntryExtractor(dense_cov_2d)
         empty = np.zeros(0, dtype=np.int64)
-        out = ex.extract_blocks_padded(
-            [(np.arange(2), np.arange(3)), (empty, np.arange(3))], 3, 3
+        out = _padded(
+            ex, [(np.arange(2), np.arange(3)), (empty, np.arange(3))], 3, 3
         )
         assert np.array_equal(out[0, :2, :3], dense_cov_2d[:2, :3])
         assert np.all(out[1] == 0.0)
@@ -362,7 +369,7 @@ class TestStackedExtraction:
         assert ex.calls == 3
         for (rows, cols), block in zip(requests, blocks):
             assert np.array_equal(block, dense_cov_2d[np.ix_(rows, cols)])
-        padded = ex.extract_blocks_padded(requests, 3, 4)
+        padded = _padded(ex, requests, 3, 4)
         assert ex.calls == 6
         for i, (rows, cols) in enumerate(requests):
             assert np.array_equal(
@@ -377,7 +384,7 @@ class TestStackedExtraction:
         blocks = ex.extract_blocks(requests, counter=counter)
         # One record per shape group whatever the evaluation path.
         assert counter.by_operation()["batched_gen"] == 2
-        padded = ex.extract_blocks_padded(requests, 3, 4)
+        padded = _padded(ex, requests, 3, 4)
         for i, ((rows, cols), block) in enumerate(zip(requests, blocks)):
             expected = cov_h2.get_block(rows, cols, permuted=True)
             assert np.allclose(block, expected, rtol=0.0, atol=1e-14)
@@ -392,7 +399,7 @@ class TestStackedExtraction:
         rng = np.random.default_rng(2)
         requests = self._requests(rng, ex.n, [(5, 6), (5, 6), (1, 9)])
         reference = cov_h2.to_dense(permuted=True) + lr.to_dense()
-        padded = ex.extract_blocks_padded(requests, 5, 9)
+        padded = _padded(ex, requests, 5, 9)
         for i, ((rows, cols), block) in enumerate(zip(requests, ex.extract_blocks(requests))):
             assert np.allclose(block, reference[np.ix_(rows, cols)], rtol=0.0, atol=1e-13)
             assert np.array_equal(padded[i, : len(rows), : len(cols)], block)
@@ -400,7 +407,7 @@ class TestStackedExtraction:
     def test_padding_smaller_than_a_block_is_rejected(self, dense_cov_2d):
         ex = DenseEntryExtractor(dense_cov_2d)
         with pytest.raises(ValueError, match="does not fit"):
-            ex.extract_blocks_padded([(np.arange(4), np.arange(2))], 3, 3)
+            _padded(ex, [(np.arange(4), np.arange(2))], 3, 3)
 
     def test_every_extractor_rejects_bad_indices(
         self, cov_h2, dense_cov_2d, tree_2d, exp_kernel
@@ -422,7 +429,7 @@ class TestStackedExtraction:
                 with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
                     ex.extract_blocks([good, request])
                 with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
-                    ex.extract_blocks_padded([good, request[::-1]], 3, 3)
+                    _padded(ex, [good, request[::-1]], 3, 3)
             with pytest.raises(IndexError, match="integer"):
                 ex.extract_blocks([(np.array([0.5, 1.0]), np.arange(2))])
 
