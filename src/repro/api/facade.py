@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .policy import ExecutionPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gp.regression import GaussianProcess
     from ..hmatrix.h2matrix import H2Matrix
-    from ..observe.health import HealthReport
     from ..persist.cache import ArtifactCache
     from ..solvers.hss_factor import HSSFactorization
     from ..solvers.krylov import KrylovResult
@@ -217,8 +216,10 @@ def compress(
         (zero-copy memmap) instead of re-constructed; otherwise it is
         constructed and stored.  Only plain requests participate — expert
         overrides (``tree``/``partition``/``operator``/``extractor``/
-        ``config``), dense-array kernels, non-integer seeds and
-        ``full_result=True`` always construct.
+        ``config``), dense-array kernels and non-integer seeds always
+        construct.  A hit is a full result too: ``full_result=True`` returns
+        a :class:`~repro.core.builder.ConstructionResult` with
+        ``construction_path == "cache"``.
 
     Returns
     -------
@@ -226,36 +227,6 @@ def compress(
         The compressed operator (or the full ``ConstructionResult`` when
         ``full_result=True``).
     """
-    return _compress(**locals())[0]  # every argument, by name
-
-
-def _compress(
-    points: Optional[np.ndarray] = None,
-    kernel: object = None,
-    *,
-    format: str = "h2",
-    tol: float = 1e-6,
-    leaf_size: int = 64,
-    eta: float = 0.7,
-    admissibility: object | None = None,
-    sample_block_size: int = 64,
-    adaptive: bool = True,
-    initial_samples: int | None = None,
-    max_samples: int | None = None,
-    max_rank: int | None = None,
-    seed: SeedLike = None,
-    policy: ExecutionPolicy | None = None,
-    tree: Optional[ClusterTree] = None,
-    partition: Optional[BlockPartition] = None,
-    operator: Optional[SketchingOperator] = None,
-    extractor: Optional[EntryExtractor] = None,
-    config: ConstructionConfig | None = None,
-    full_result: bool = False,
-    cache: "ArtifactCache | None" = None,
-    cache_dir: object | None = None,
-) -> "Tuple[H2Matrix | ConstructionResult, Optional[HealthReport]]":
-    """:func:`compress` plus the report of its one health probe (``None``
-    without ``policy.health``), which the model registry keeps."""
     fmt = format.lower()
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {format!r}; available: {list(FORMATS)}")
@@ -264,78 +235,123 @@ def _compress(
     artifact_cache = _resolve_cache(cache, cache_dir)
     artifact_key = None
     if (
-        artifact_cache is not None
-        and points is not None
-        and isinstance(kernel, KernelFunction)
+        points is not None
         and tree is None
         and partition is None
         and operator is None
         and extractor is None
         and config is None
-        and not full_result
         and isinstance(seed, (int, np.integer, type(None)))
     ):
-        from ..persist.format import ArtifactError
+        artifact_key = _artifact_key(
+            artifact_cache, points, kernel,
+            tol=tol,
+            format=fmt,
+            leaf_size=leaf_size,
+            admissibility=_default_admissibility(fmt, eta, admissibility),
+            seed=None if seed is None else int(seed),
+            extra={
+                "sample_block_size": int(sample_block_size),
+                "adaptive": bool(adaptive),
+                "initial_samples": initial_samples,
+                "max_samples": max_samples,
+                "max_rank": max_rank,
+            },
+        )
 
-        try:
-            artifact_key = artifact_cache.key(
-                points,
-                kernel,
-                tol=tol,
-                format=fmt,
-                leaf_size=leaf_size,
-                admissibility=_default_admissibility(fmt, eta, admissibility),
-                seed=None if seed is None else int(seed),
-                extra={
-                    "sample_block_size": int(sample_block_size),
-                    "adaptive": bool(adaptive),
-                    "initial_samples": initial_samples,
-                    "max_samples": max_samples,
-                    "max_rank": max_rank,
-                },
-            )
-        except ArtifactError:
-            # Unhashable request (custom admissibility, ...): construct as usual.
-            artifact_key = None
+    def problem() -> Tuple[BlockPartition, SketchingOperator, EntryExtractor]:
+        geo_tree, geo_partition = _resolve_geometry(
+            points, fmt, leaf_size, eta, admissibility, tree, partition
+        )
+        return (geo_partition,) + _resolve_evaluators(
+            kernel, geo_tree, operator, extractor
+        )
 
+    result = _construct_or_load(
+        problem,
+        config if config is not None else policy.construction_config(
+            tolerance=tol,
+            sample_block_size=sample_block_size,
+            adaptive=adaptive,
+            initial_samples=initial_samples,
+            max_samples=max_samples,
+            max_rank=max_rank,
+        ),
+        seed, policy, artifact_cache, artifact_key,
+    )
+    _probe_health(result, kernel, policy)
+    return result if full_result else result.matrix
+
+
+def _artifact_key(
+    cache: "ArtifactCache | None", points: np.ndarray, kernel: object,
+    **request: object,
+) -> Optional[str]:
+    """The artifact-cache key of a compression request, or ``None`` when
+    there is no cache, no kernel function (a dense array) or the request
+    does not hash (custom admissibility, ...): such a request constructs."""
+    from ..persist.format import ArtifactError
+
+    if cache is None or not isinstance(kernel, KernelFunction):
+        return None
+    try:
+        return cache.key(points, kernel, **request)
+    except ArtifactError:
+        return None
+
+
+def _construct_or_load(
+    problem: Callable[[], Tuple[BlockPartition, SketchingOperator, EntryExtractor]],
+    config: ConstructionConfig,
+    seed: SeedLike,
+    policy: ExecutionPolicy,
+    cache: "ArtifactCache | None",
+    key: Optional[str],
+) -> ConstructionResult:
+    """Run Algorithm 1 on ``problem()`` (partition, operator, extractor) or
+    load the artifact stored under ``key``.
+
+    The constructor runs under the policy's tracer, recovery and faults; a
+    cache read under its recovery.  ``problem`` is called only when
+    something is constructed.  Either way the result's matrix applies on
+    ``policy.resolve_backend()``.
+    """
     result: Optional[ConstructionResult] = None
 
     def build() -> H2Matrix:
         nonlocal result
-        geo_tree, geo_partition = _resolve_geometry(
-            points, fmt, leaf_size, eta, admissibility, tree, partition
-        )
-        op, ex = _resolve_evaluators(kernel, geo_tree, operator, extractor)
         result = H2Constructor(
-            geo_partition, op, ex,
-            config=config if config is not None else policy.construction_config(
-                tolerance=tol,
-                sample_block_size=sample_block_size,
-                adaptive=adaptive,
-                initial_samples=initial_samples,
-                max_samples=max_samples,
-                max_rank=max_rank,
-            ),
-            seed=seed, tracer=policy.tracer,
+            *problem(), config=config, seed=seed, tracer=policy.tracer,
             recovery=policy.recovery, faults=policy.faults,
         ).construct()
+        result.matrix.apply_backend = policy.resolve_backend()
         return result.matrix
 
-    if artifact_key is None:
-        compressed, hit = build(), False
-    else:
-        compressed, hit = artifact_cache.get_or_build(artifact_key, build, policy)
-    compressed.apply_backend = policy.resolve_backend()
-    health = None
-    if policy.health is not None and isinstance(kernel, KernelFunction):
-        health = check_operator_health(
-            compressed, kernel, tol if result is None else result.config.tolerance,
-            thresholds=policy.health, tracer=policy.tracer,
-            source="loaded" if hit else "constructed",
+    if key is None:
+        build()
+        return result
+    start = time.perf_counter()
+    matrix, hit = cache.get_or_build(key, build, policy)
+    if hit:
+        matrix.apply_backend = policy.resolve_backend()
+        result = ConstructionResult.from_cache(
+            matrix, config, time.perf_counter() - start
         )
-    if result is not None:
-        result.health = health
-    return (result if full_result else compressed), health
+    return result
+
+
+def _probe_health(
+    result: ConstructionResult, kernel: object, policy: ExecutionPolicy
+) -> None:
+    """Under ``policy.health``, probe ``result.matrix`` against ``kernel`` at
+    the tolerance it was built at and keep the report as ``result.health``."""
+    if policy.health is None or not isinstance(kernel, KernelFunction):
+        return
+    result.health = check_operator_health(
+        result.matrix, kernel, result.config.tolerance,
+        thresholds=policy.health, tracer=policy.tracer,
+        source="loaded" if result.construction_path == "cache" else "constructed",
+    )
 
 
 @dataclass
@@ -502,73 +518,27 @@ class Session:
             self.statistics.result_cache_hits += 1
             return self._last_result
 
-        artifact_key = None
-        if cacheable and self.artifact_cache is not None and isinstance(kernel, KernelFunction):
-            from ..persist.format import ArtifactError
-
-            try:
-                artifact_key = self.artifact_cache.key(
-                    self.points,
-                    kernel,
-                    tol=tol,
-                    format="h2",
-                    leaf_size=self.tree.leaf_size,
-                    admissibility=self.partition.admissibility,
-                    seed=self._artifact_seed,
-                    extra={"sample_block_size": int(sample_block_size)},
-                )
-            except ArtifactError:
-                # Unhashable request (custom admissibility, ...): construct.
-                artifact_key = None
-
-        result = None
-
-        def build() -> H2Matrix:
-            nonlocal result
-            result = H2Constructor(
-                self.partition,
-                *self.bind(kernel),
-                config=config if config is not None else ConstructionConfig(
-                    tolerance=tol, sample_block_size=sample_block_size,
-                    backend=self.backend,
-                ),
-                seed=self.sample_seed,
-                tracer=self.policy.tracer,
-                recovery=self.policy.recovery,
-                faults=self.policy.faults,
-            ).construct()
-            self.statistics.constructions += 1
-            result.matrix.apply_backend = self.backend
-            result.matrix.apply_plan()  # compiled here, inside the construction time
-            return result.matrix
-
-        if artifact_key is None:
-            build()
+        artifact_key = None if not cacheable else _artifact_key(
+            self.artifact_cache, self.points, kernel,
+            tol=tol,
+            format="h2",
+            leaf_size=self.tree.leaf_size,
+            admissibility=self.partition.admissibility,
+            seed=self._artifact_seed,
+            extra={"sample_block_size": int(sample_block_size)},
+        )
+        result = _construct_or_load(
+            lambda: (self.partition,) + self.bind(kernel),
+            config if config is not None else self.policy.construction_config(
+                tolerance=tol, sample_block_size=sample_block_size
+            ),
+            self.sample_seed, self.policy, self.artifact_cache, artifact_key,
+        )
+        if result.construction_path == "cache":
+            self.statistics.artifact_cache_hits += 1
         else:
-            load_start = time.perf_counter()
-            matrix, hit = self.artifact_cache.get_or_build(artifact_key, build, self.policy)
-            if hit:
-                matrix.apply_backend = self.backend
-                result = ConstructionResult(
-                    matrix=matrix,
-                    config=ConstructionConfig(
-                        tolerance=tol,
-                        sample_block_size=sample_block_size,
-                        backend=self.backend,
-                    ),
-                    total_samples=0,
-                    operator_applications=0,
-                    entries_evaluated=0,
-                    elapsed_seconds=time.perf_counter() - load_start,
-                    kernel_launches={},
-                    total_kernel_launches=0,
-                    kernel_calls={},
-                    total_kernel_calls=0,
-                    norm_estimate=0.0,
-                    converged=True,
-                    construction_path="cache",
-                )
-                self.statistics.artifact_cache_hits += 1
+            self.statistics.constructions += 1
+            result.matrix.apply_plan()  # compiled here, inside the construction time
         if cacheable:
             # Snapshot the kernel: a caller mutating a (mutable dataclass)
             # kernel in place must miss the cache, not hit its own reference.
@@ -593,13 +563,8 @@ class Session:
         ``policy.health`` the operator is probed once.
         """
         result = self.construct(kernel, tol, sample_block_size, config)
+        _probe_health(result, kernel, self.policy)
         self._result = result
-        if self.policy.health is not None:
-            result.health = check_operator_health(
-                result.matrix, kernel, tol, thresholds=self.policy.health,
-                tracer=self.policy.tracer,
-                source="loaded" if result.construction_path == "cache" else "constructed",
-            )
         self._operator = result.matrix
         # The previous factorization (and its noise shift) described the old
         # operator; solve() must not silently reuse them.

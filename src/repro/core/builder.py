@@ -122,6 +122,28 @@ class ConstructionResult:
     #: (``None`` otherwise — the probe is off by default).
     health: Optional[object] = None
 
+    @classmethod
+    def from_cache(
+        cls, matrix: H2Matrix, config: ConstructionConfig, elapsed_seconds: float
+    ) -> "ConstructionResult":
+        """The result of loading ``matrix`` from the artifact cache for a
+        request at ``config``: nothing sampled, evaluated or launched."""
+        return cls(
+            matrix=matrix,
+            config=config,
+            total_samples=0,
+            operator_applications=0,
+            entries_evaluated=0,
+            elapsed_seconds=elapsed_seconds,
+            kernel_launches={},
+            total_kernel_launches=0,
+            kernel_calls={},
+            total_kernel_calls=0,
+            norm_estimate=0.0,
+            converged=True,
+            construction_path="cache",
+        )
+
     @property
     def rank_range(self) -> Tuple[int, int]:
         return self.matrix.rank_range()

@@ -112,16 +112,3 @@ def _recompress_weak(
     weak.apply_backend = backend
     return weak
 
-
-def low_rank_update_reference_matvec(
-    h2: H2Matrix, low_rank_update: Optional[LowRankMatrix]
-):
-    """Reference (permuted-ordering) matvec of ``h2 + low_rank_update`` for validation."""
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = h2.matvec(x, permuted=True)
-        if low_rank_update is not None:
-            y = y + low_rank_update.matvec(x)
-        return y
-
-    return matvec

@@ -127,9 +127,6 @@ class BasisTree:
             return (0, 0)
         return (int(min(values)), int(max(values)))
 
-    def ranks_at_level(self, level: int) -> list[int]:
-        return [self.rank(node) for node in self.tree.nodes_at_level(level) if self.has_basis(node)]
-
     def validate_shapes(self) -> None:
         """Structural consistency checks used by the test-suite."""
         for node, basis in self.leaf_bases.items():

@@ -233,8 +233,14 @@ class ModelRegistry:
         else raises :class:`~repro.serve.api.ServeError`), an artifact
         ``path``, a cache ``key`` (requires the registry's
         :class:`~repro.persist.cache.ArtifactCache`), or ``points`` +
-        ``kernel`` (compressed through the cache when one is configured).  ``warm=True`` builds the factorization (and caches the
-        log-determinant) eagerly so the first query does not pay it.
+        ``kernel`` (:func:`repro.compress` through the registry's cache:
+        a repeated plain request loads its artifact, and the requests
+        ``compress`` keeps out of the cache, such as ``config=`` or
+        operator overrides, construct).  Under ``policy.health`` the model
+        keeps the health report of that construction or load
+        (``source="loaded"`` on a cache hit).  ``warm=True`` builds the
+        factorization (and caches the log-determinant) eagerly so the first
+        query does not pay it.
         Re-registering a name replaces the old model (and releases its
         ledger bytes).
         """
@@ -268,13 +274,15 @@ class ModelRegistry:
         elif points is not None:
             if kernel is None:
                 raise ServeError("points-based registration requires kernel=")
-            from ..api.facade import _compress
+            from ..api.facade import compress
 
             # compress() probes what it constructs or loads; keep that report.
-            operator, health = _compress(
+            result = compress(
                 points, kernel, format=format, tol=tol, seed=seed,
-                policy=policy, cache=self.cache, **compress_kwargs,
+                policy=policy, cache=self.cache, full_result=True,
+                **compress_kwargs,
             )
+            operator, health = result.matrix, result.health
         if not isinstance(operator, H2Matrix):
             raise ServeError(
                 f"a served model is an H2Matrix, got {type(operator).__name__}"

@@ -82,10 +82,6 @@ class _Preconditioner:
         else:
             raise TypeError(f"cannot interpret {type(m).__name__} as a preconditioner")
 
-    @property
-    def is_identity(self) -> bool:
-        return self._apply is None
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self._apply is None:
             return x

@@ -9,6 +9,8 @@ written, with nothing batched, padded or fused:
   It overrides only the store factory (``H2Constructor._new_sweep``), so every
   numerical decision is still the shared level driver's;
 * :func:`matvec_loop` — the per-node H2 apply;
+* :func:`low_rank_update_reference_matvec` — the apply of ``H2 + U V^T``
+  as two separate products, for checking a recompressed update;
 * :func:`dense_relative_error` — the exact error of a dense reconstruction,
   for problems small enough to hold the dense matrix.
 
@@ -295,6 +297,18 @@ def matvec_loop(h2: H2Matrix, x: np.ndarray, permuted: bool = False) -> np.ndarr
 
     y = yp if permuted else yp[tree.iperm]
     return y[:, 0] if single else y
+
+
+def low_rank_update_reference_matvec(h2: H2Matrix, low_rank_update=None):
+    """Reference (permuted-ordering) matvec of ``h2 + low_rank_update``."""
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        y = h2.matvec(x, permuted=True)
+        if low_rank_update is not None:
+            y = y + low_rank_update.matvec(x)
+        return y
+
+    return matvec
 
 
 def dense_relative_error(

@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro import (
+    ConstructionConfig,
     ExecutionPolicy,
     ExponentialKernel,
     Session,
@@ -412,6 +413,25 @@ class TestCompressionProbe:
                 (sess.result.construction_path, sess.result.health.source)
             )
         assert outcomes == [("packed", "constructed"), ("cache", "loaded")]
+
+    @pytest.mark.parametrize("entry", ["session", "compress"])
+    def test_probe_reads_the_constructed_tolerance(self, entry):
+        """A ``config=`` tolerance overrides ``tol``; the probe bounds the
+        error by the tolerance the operator was built at."""
+        points = uniform_cube_points(600, dim=2, seed=5)
+        kernel = ExponentialKernel(0.25)
+        policy = ExecutionPolicy(health=HealthThresholds())
+        request = dict(tol=1e-8, config=ConstructionConfig(tolerance=1e-2))
+        if entry == "session":
+            result = Session(points, seed=1, policy=policy).compress(
+                kernel, **request
+            ).result
+        else:
+            result = repro.compress(
+                points, kernel, seed=1, policy=policy, full_result=True, **request
+            )
+        assert result.health.tol == 1e-2
+        assert not result.health.flagged
 
     def test_health_off_by_default(self):
         points = uniform_cube_points(N, dim=2, seed=5)

@@ -503,12 +503,37 @@ class TestCompressIntegration:
             persist_points, persist_kernel, tol=1e-6, leaf_size=LEAF,
             seed=np.random.default_rng(0), cache=cache,
         )
-        compress(
-            persist_points, persist_kernel, tol=1e-6, leaf_size=LEAF, seed=3,
-            full_result=True, cache=cache,
-        )
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.statistics()["entries"] == 0
+        # full_result=True is not an override: its repeat is a cache hit.
+        kwargs = dict(tol=1e-6, leaf_size=LEAF, seed=3, full_result=True, cache=cache)
+        cold = compress(persist_points, persist_kernel, **kwargs)
+        warm = compress(persist_points, persist_kernel, **kwargs)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cold.construction_path == "packed"
+        assert warm.construction_path == "cache"
+        assert warm.config.tolerance == 1e-6
+        assert (warm.total_samples, warm.total_kernel_launches) == (0, 0)
+        assert np.array_equal(warm.matrix.to_dense(), cold.matrix.to_dense())
+
+    def test_artifact_keys_are_stable(self, persist_points, persist_kernel, tmp_path):
+        """A stored entry is named by its request's key; these hex keys were
+        written by earlier releases, and a change to them orphans every
+        cache entry users hold."""
+        compress_cache = ArtifactCache(tmp_path / "compress")
+        compress(persist_points, persist_kernel, tol=1e-6, seed=3, cache=compress_cache)
+        session_cache = ArtifactCache(tmp_path / "session")
+        Session(persist_points, seed=1, cache=session_cache).compress(
+            persist_kernel, tol=1e-6
+        )
+        stored = [
+            sorted(path.stem for path in cache.directory.glob("*.repro"))
+            for cache in (compress_cache, session_cache)
+        ]
+        assert stored == [
+            ["6b8634f1f1f5765d83c4d6c31d5fa281aafc4d68c38e3ea4df8f2f47098ece8b"],
+            ["693c2ee35cde051b666536a3ac0da671e2148f9dfbf4975bea79a83c349fce00"],
+        ]
 
     def test_warm_operator_still_solves(self, persist_points, persist_kernel, tmp_path):
         from repro import gmres

@@ -12,7 +12,9 @@ from repro import (
     random_low_rank,
     recompress_h2,
 )
-from repro.core.recompression import _recompress_weak, low_rank_update_reference_matvec
+from repro.core.recompression import _recompress_weak
+
+from oracles import low_rank_update_reference_matvec
 
 
 class TestPlainRecompression:
