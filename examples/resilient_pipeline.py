@@ -9,8 +9,9 @@ one compress → factor → solve pipeline three times:
    policy retries from a restored RNG/sample-bank state.  The recovered
    operator acts **bit-identically** to the clean one;
 3. **stagnation** — a stall-convergence fault caps CG far below convergence
-   and the solve escalates through the ladder (CG → preconditioned CG →
-   GMRES(m) → direct) until one rung delivers the requested tolerance.
+   and the guarded solve escalates through the rungs CG → preconditioned
+   CG → GMRES(m) → direct until one delivers the requested tolerance; the
+   printed record starts with the stalled CG.
 
 A :class:`repro.SpanTracer` rides along so the recovery spans (category
 ``"resilience"``) show up in the console tree next to the construction
@@ -79,7 +80,7 @@ def main(n: int = 2048) -> None:
     for span in find_spans(tracer, category="resilience"):
         print(f"  {span.name} (stage={span.attributes.get('stage', '?')})")
 
-    # 3. Stagnation: cap CG at 3 iterations; the ladder escalates until a
+    # 3. Stagnation: cap CG at 3 iterations; the solve escalates until a
     # preconditioned rung reaches tol.
     stalled = ExecutionPolicy(
         recovery=RecoveryPolicy(rung_maxiter=40),
@@ -89,7 +90,7 @@ def main(n: int = 2048) -> None:
         points, b, policy=stalled, label="stall-convergence", factor=False
     )
     ladder = escalated.extra.get("escalation", {})
-    print(f"escalated from {escalated.extra.get('escalated_from')!r}; ladder rungs:")
+    print(f"escalated from {escalated.extra.get('escalated_from')!r}; rungs:")
     for rung in ladder.get("rungs", ()):
         print(
             f"  {rung['rung']:>6}: converged={rung['converged']} "

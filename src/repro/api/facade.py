@@ -610,38 +610,28 @@ class Session:
         b: np.ndarray,
         tol: float = 1e-10,
         maxiter: int | None = None,
-        method: str = "auto",
+        method: str = "cg",
     ) -> "KrylovResult":
         """Solve ``(K + noise I) x = b`` against the compressed operator.
 
-        ``method="auto"`` runs CG on the compiled batched apply,
-        preconditioned by the :meth:`factor` factorization when one exists;
-        ``"cg"``/``"gmres"``/``"bicgstab"`` select the Krylov method
-        explicitly, and ``"ladder"`` runs the full
-        :func:`~repro.solvers.ladder.escalation_ladder` (CG → preconditioned
-        CG → GMRES(m) → direct).  The ``noise`` shift of the last
-        :meth:`factor` call is applied to the operator, so factor+solve agree
-        on the system.
+        ``method`` is ``"cg"`` (default) or ``"gmres"``, run on the compiled
+        batched apply and preconditioned by the :meth:`factor` factorization
+        when one exists.  The ``noise`` shift of the last :meth:`factor` call
+        is applied to the operator, so factor+solve agree on the system.
 
-        The Krylov methods run through
-        :func:`~repro.solvers.ladder.guarded_solve` under the session policy:
-        with a :class:`~repro.resilience.RecoveryPolicy`, a non-converged
-        solve raises (``strict``), warns (``warn``) or escalates through the
-        remaining ladder rungs (``recover``), never returned silently.
+        The solve runs through :func:`~repro.solvers.ladder.guarded_solve`
+        under the session policy: with a
+        :class:`~repro.resilience.RecoveryPolicy`, a non-converged solve
+        raises (``strict``), warns (``warn``) or escalates through the
+        remaining rungs of CG → preconditioned CG → GMRES(m) → direct
+        (``recover``), never returned silently.
         """
-        from ..solvers.ladder import escalation_ladder, guarded_solve
+        from ..solvers.ladder import guarded_solve
 
-        if method == "ladder":
-            return escalation_ladder(
-                self.operator, b, tol=tol, maxiter=maxiter,
-                shift=self._shift, factorization=self._factorization,
-                recovery=self.policy.recovery, tracer=self.policy.tracer,
-                faults=self.policy.faults, health=self.policy.health,
-            )
         return guarded_solve(
-            self.operator, b, method="cg" if method == "auto" else method,
-            tol=tol, maxiter=maxiter, shift=self._shift,
-            factorization=self._factorization, policy=self.policy,
+            self.operator, b, method=method, tol=tol, maxiter=maxiter,
+            shift=self._shift, factorization=self._factorization,
+            policy=self.policy,
         )
 
     def gp(

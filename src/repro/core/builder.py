@@ -77,6 +77,17 @@ from .config import ConstructionConfig
 from .convergence import ConvergenceTester
 from .skeleton_store import NodeSkeleton, SkeletonStore
 
+#: Retry budget of the in-place recoveries under a recovery policy:
+#: sample-block relaunches after NaN/Inf screening and compiled-sweep retries
+#: after an engine failure.
+MAX_RETRIES = 2
+#: Re-construction budget of the rank-saturation recovery: the first retry
+#: multiplies the sample budget by ``SAMPLE_BUDGET_FACTOR``, later retries
+#: also multiply the ID tolerance by ``TOLERANCE_RELAX``.
+MAX_SAMPLE_RETRIES = 2
+SAMPLE_BUDGET_FACTOR = 2.0
+TOLERANCE_RELAX = 10.0
+
 
 @dataclass
 class LevelReport:
@@ -255,13 +266,13 @@ class H2Constructor:
           sample corruption that survived its relaunch budget) propagates
           unchanged: running the same sweep again cannot succeed.
         * A *compiled-sweep failure* (any other exception, e.g. an injected
-          launch failure) is retried ``max_retries`` times from the restored
+          launch failure) is retried ``MAX_RETRIES`` times from the restored
           RNG, then raised as ``ConstructionFaultError``
           whose ``context`` records the retries.
         * *Rank saturation* (adaptive construction exhausted its sample
           budget without converging) re-constructs with the sample budget
-          escalated by ``sample_budget_factor``, then with the ID tolerance
-          relaxed by ``tolerance_relax``, up to ``max_sample_retries``
+          escalated by ``SAMPLE_BUDGET_FACTOR``, then with the ID tolerance
+          relaxed by ``TOLERANCE_RELAX``, up to ``MAX_SAMPLE_RETRIES``
           re-constructions.
 
         ``strict`` mode raises the typed error at the first detection; in
@@ -278,7 +289,7 @@ class H2Constructor:
             except ResilienceError:
                 raise
             except Exception as exc:
-                if policy.mode == "strict" or engine_retries >= policy.max_retries:
+                if policy.mode == "strict" or engine_retries >= MAX_RETRIES:
                     raise ConstructionFaultError(
                         f"compiled sweep failed after {engine_retries} "
                         f"retries: {exc}",
@@ -290,7 +301,7 @@ class H2Constructor:
                 self._announce_recovery(
                     "packed-retry",
                     f"compiled sweep failed ({exc!r}); retry "
-                    f"{engine_retries}/{policy.max_retries}",
+                    f"{engine_retries}/{MAX_RETRIES}",
                     stage="construct.packed",
                 )
                 self._reset_construction_state(rng_state)
@@ -306,7 +317,7 @@ class H2Constructor:
                     stage="construct.adapt",
                     context={"total_samples": self._total_samples},
                 )
-            if sample_retries >= policy.max_sample_retries:
+            if sample_retries >= MAX_SAMPLE_RETRIES:
                 self._announce_recovery(
                     "rank-saturation-exhausted",
                     "rank-saturation retries exhausted; returning the "
@@ -320,7 +331,7 @@ class H2Constructor:
             self._announce_recovery(
                 "rank-saturation-retry",
                 f"re-constructing with escalated budgets (retry "
-                f"{sample_retries}/{policy.max_sample_retries}: "
+                f"{sample_retries}/{MAX_SAMPLE_RETRIES}: "
                 f"max_samples={self.config.max_samples}, "
                 f"tolerance={self.config.tolerance:g})",
                 stage="construct.adapt",
@@ -338,17 +349,16 @@ class H2Constructor:
         at the matrix dimension); later retries — or a budget already at the
         cap — additionally relax the ID tolerance.
         """
-        policy = self.recovery
         cfg = self.config
         n = self.tree.num_points
         cap = n if cfg.max_samples is None else min(cfg.max_samples, n)
         updates: Dict[str, object] = {}
         if cap < n:
             updates["max_samples"] = min(
-                n, max(cap + 1, int(cap * policy.sample_budget_factor))
+                n, max(cap + 1, int(cap * SAMPLE_BUDGET_FACTOR))
             )
         if retry > 1 or cap >= n:
-            updates["tolerance"] = cfg.tolerance * policy.tolerance_relax
+            updates["tolerance"] = cfg.tolerance * TOLERANCE_RELAX
         return replace(cfg, **updates)
 
     def _reset_construction_state(self, rng_state: dict) -> None:
@@ -561,16 +571,15 @@ class H2Constructor:
 
         A corrupted block models a transient failure of the sketching GEMM,
         so recovery *relaunches the same multiply* (same ``omega``) up to
-        ``RecoveryPolicy.max_retries`` times — a relaunch whose fault does
-        not re-fire is bitwise identical to the uninjected sketch.  Strict
-        mode raises immediately; a block still corrupted after the relaunch
-        budget raises in every mode (never a silent wrong answer).
+        ``MAX_RETRIES`` times — a relaunch whose fault does not re-fire is
+        bitwise identical to the uninjected sketch.  Strict mode raises
+        immediately; a block still corrupted after the relaunch budget raises
+        in every mode (never a silent wrong answer).
         """
         if np.all(np.isfinite(y)):
             return y
-        policy = self.recovery
         bad = int(y.size - np.count_nonzero(np.isfinite(y)))
-        if policy.mode == "strict":
+        if self.recovery.mode == "strict":
             raise SampleCorruptionError(
                 f"sketched sample block contains {bad} non-finite entries",
                 stage="construct.sample",
@@ -582,7 +591,7 @@ class H2Constructor:
             "relaunching the sketch",
             stage="construct.sample",
         )
-        for _ in range(policy.max_retries):
+        for _ in range(MAX_RETRIES):
             _metrics().counter("resilience.retries").inc()
             with phase_span(self.tracer, "sampling"):
                 y = self.operator.multiply(omega)
@@ -594,9 +603,9 @@ class H2Constructor:
         bad = int(y.size - np.count_nonzero(np.isfinite(y)))
         raise SampleCorruptionError(
             f"sketched sample block still contains {bad} non-finite entries "
-            f"after {policy.max_retries} relaunches",
+            f"after {MAX_RETRIES} relaunches",
             stage="construct.sample",
-            context={"bad_entries": bad, "retries": policy.max_retries},
+            context={"bad_entries": bad, "retries": MAX_RETRIES},
         )
 
     def _samples_exhausted(self) -> bool:

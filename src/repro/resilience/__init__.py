@@ -7,16 +7,18 @@ The resilience subsystem turns the warn-only health signals of
     policy = repro.ExecutionPolicy(recovery="recover")     # or RecoveryPolicy(...)
     h2 = repro.compress(points, kernel, policy=policy)
 
-* :class:`RecoveryPolicy` — strict / warn / recover modes with per-stage
-  retry budgets, consulted at every guarded boundary (sample sketching, the
-  packed sweep engine, artifact loads, Krylov solves);
+* :class:`RecoveryPolicy` — the strict / warn / recover mode, the
+  iteration budget of each escalation rung and the workspace budget,
+  consulted at every guarded boundary (sample sketching, the packed sweep
+  engine, artifact loads, Krylov solves);
 * :class:`~repro.resilience.errors.ResilienceError` and subclasses — the
   typed failure surface (never a silent wrong answer);
 * :class:`FaultInjector` — deterministic, seedable fault injection
   (``ExecutionPolicy(faults=...)`` / ``REPRO_FAULTS``) exercising every
   recovery path reproducibly;
-* the solver escalation ladder lives in :mod:`repro.solvers.ladder`
-  (CG → preconditioned CG → GMRES(m) → HSS direct).
+* the one guarded solve lives in :mod:`repro.solvers.ladder`
+  (:func:`~repro.solvers.ladder.guarded_solve`: CG → preconditioned CG →
+  GMRES(m) → HSS direct).
 """
 
 from .errors import (
@@ -30,12 +32,11 @@ from .errors import (
     SolveDidNotConvergeError,
 )
 from .faults import FAULT_KINDS, FaultInjector, FaultSpec, InjectedFault
-from .policy import DEFAULT_LADDER, MODES, RecoveryPolicy, resilience_adapter
+from .policy import MODES, RecoveryPolicy, resilience_adapter
 
 __all__ = [
     "ArtifactIntegrityError",
     "ConstructionFaultError",
-    "DEFAULT_LADDER",
     "EscalationExhaustedError",
     "FAULT_KINDS",
     "FaultInjector",

@@ -3,8 +3,8 @@
 Everything the library constructs (H2/HSS matrices, sketching
 operators, dense and sparse matrices) plugs into the same three layers:
 
-* :mod:`~repro.solvers.krylov` — matrix-free CG / GMRES(m) / BiCGStab with
-  residual histories and pluggable preconditioners;
+* :mod:`~repro.solvers.krylov` — matrix-free CG / GMRES(m) with residual
+  histories and pluggable preconditioners;
 * :mod:`~repro.solvers.hss_factor` — :func:`factorize`, the one entry point
   to a direct solver, and :class:`HSSFactorization`, which it runs on every
   H2 matrix: level-by-level skeleton elimination on the nested generators of
@@ -16,25 +16,22 @@ operators, dense and sparse matrices) plugs into the same three layers:
 * :mod:`~repro.solvers.multifrontal_solve` — a nested-dissection sparse solve
   whose large fronts are compressed with the sketching constructor (the
   paper's application scenario);
-* :mod:`~repro.solvers.ladder` — the resilience escalation ladder
-  (CG → preconditioned CG → GMRES(m) → direct) entered on
-  non-converged solves under a :class:`~repro.resilience.RecoveryPolicy`,
-  and :func:`guarded_solve`, the one policy-guarded Krylov solve.
+* :mod:`~repro.solvers.ladder` — :func:`guarded_solve`, the one
+  policy-guarded Krylov solve of an H2 matrix, which under a ``recover``
+  :class:`~repro.resilience.RecoveryPolicy` escalates a non-converged solve
+  through CG → preconditioned CG → GMRES(m) → direct.
 """
 
 from .hss_factor import HSSFactorization, factorize
-from .krylov import KrylovResult, bicgstab, cg, gmres
-from .ladder import RungReport, escalation_ladder, guarded_solve
+from .krylov import KrylovResult, cg, gmres
+from .ladder import guarded_solve
 from .multifrontal_solve import FrontReport, MultifrontalSolver
 
 __all__ = [
     "cg",
     "gmres",
-    "bicgstab",
-    "escalation_ladder",
     "guarded_solve",
     "KrylovResult",
-    "RungReport",
     "HSSFactorization",
     "factorize",
     "MultifrontalSolver",

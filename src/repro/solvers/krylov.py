@@ -1,8 +1,8 @@
-"""Matrix-free Krylov solvers: CG, restarted GMRES and BiCGStab.
+"""Matrix-free Krylov solvers: CG and restarted GMRES.
 
 The constructed hierarchical matrices are fast operators; these solvers turn
 them into linear-system workloads (kernel regression, integral equations,
-sparse PDE systems) without ever forming a dense matrix.  All three methods
+sparse PDE systems) without ever forming a dense matrix.  Both methods
 
 * accept anything :func:`repro.hmatrix.linear_operator.as_linear_operator`
   understands as the system operator — hierarchical operators iterate on the
@@ -15,7 +15,7 @@ sparse PDE systems) without ever forming a dense matrix.  All three methods
   convergence diagnostics.
 
 Convergence is declared when ``||b - A x|| / ||b|| <= tol`` (true residual for
-CG/BiCGStab; for GMRES the recurrence residual, which coincides with the true
+CG; for GMRES the recurrence residual, which coincides with the true
 residual of the right-preconditioned system).
 """
 
@@ -398,103 +398,3 @@ def _least_squares_residual(h: np.ndarray, rhs: np.ndarray):
     if res.size:
         return y, float(np.sqrt(res[0]))
     return y, float(np.linalg.norm(h @ y - rhs))
-
-
-def bicgstab(
-    a: object,
-    b: np.ndarray,
-    tol: float = 1e-8,
-    maxiter: int | None = None,
-    M: object | None = None,
-    x0: np.ndarray | None = None,
-    callback: Callable[[int, float], None] | None = None,
-    tracer: object | None = None,
-    health: object | None = None,
-) -> KrylovResult:
-    """Preconditioned BiCGStab for a general square ``a`` (van der Vorst 1992).
-
-    Under an enabled tracer the solve runs inside a ``solve/bicgstab`` span
-    with one ``iteration`` event per step.
-    """
-    start = time.perf_counter()
-    op, b, x = _prepare(a, b, x0)
-    tracer = tracer if tracer is not None else _tracer_of(op)
-    return _traced_solve(
-        "bicgstab", tracer,
-        lambda: _bicgstab_body(op, b, x, tol, maxiter, M, callback, tracer,
-                               start, health),
-        op, b,
-    )
-
-
-def _bicgstab_body(op, b, x, tol, maxiter, M, callback, tracer,
-                   start, health=None) -> KrylovResult:
-    precond = _Preconditioner(M)
-    n = b.shape[0]
-    maxiter = n if maxiter is None else int(maxiter)
-
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return _result("bicgstab", np.zeros_like(b), [0.0], True, 0, precond,
-                       start, tracer=tracer, health=health)
-
-    matvecs = 0
-    r = b - op.matvec(x) if x.any() else b.copy()
-    if x.any():
-        matvecs += 1
-    history = [float(np.linalg.norm(r)) / b_norm]
-    if history[0] <= tol:
-        return _result("bicgstab", x, history, True, matvecs, precond, start,
-                       tracer=tracer, health=health)
-
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    converged = False
-    for iteration in range(maxiter):
-        rho_next = float(r_hat @ r)
-        if rho_next == 0.0 or omega == 0.0:
-            break  # breakdown
-        beta = (rho_next / rho) * (alpha / omega)
-        rho = rho_next
-        p = r + beta * (p - omega * v)
-        p_hat = precond(p)
-        v = op.matvec(p_hat)
-        matvecs += 1
-        denom = float(r_hat @ v)
-        if denom == 0.0:
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        if float(np.linalg.norm(s)) / b_norm <= tol:
-            x = x + alpha * p_hat
-            history.append(float(np.linalg.norm(s)) / b_norm)
-            if tracer.enabled:
-                tracer.event("iteration", method="bicgstab",
-                             iteration=iteration + 1, residual=history[-1])
-            if callback is not None:
-                callback(iteration + 1, history[-1])
-            converged = True
-            break
-        s_hat = precond(s)
-        t = op.matvec(s_hat)
-        matvecs += 1
-        tt = float(t @ t)
-        omega = float(t @ s) / tt if tt > 0.0 else 0.0
-        x = x + alpha * p_hat + omega * s_hat
-        r = s - omega * t
-        rel = float(np.linalg.norm(r)) / b_norm
-        history.append(rel)
-        if tracer.enabled:
-            tracer.event("iteration", method="bicgstab",
-                         iteration=iteration + 1, residual=rel)
-        if callback is not None:
-            callback(iteration + 1, rel)
-        if rel <= tol:
-            converged = True
-            break
-    return _result(
-        "bicgstab", x, history, converged, matvecs, precond, start,
-        tracer=tracer, health=health, **_apply_info(op)
-    )

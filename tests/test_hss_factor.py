@@ -35,7 +35,7 @@ from repro import (
     save_operator,
     uniform_cube_points,
 )
-from repro.solvers import escalation_ladder
+from repro.solvers import guarded_solve
 from repro.baselines import HODLRFactorization, HODLRMatrix, convert
 from repro.hmatrix.basis_tree import BasisTree
 
@@ -350,15 +350,17 @@ class TestCompiledSolve:
 # ------------------------------------------------------- the one entry point
 class TestFactorize:
     def test_picks_by_structure(self, base_hss):
-        """Only an H2 matrix factors; its HODLR expansion is the oracle."""
-        from repro.observe import NOOP_TRACER
-        from repro.solvers.ladder import _factorization_for
+        """Only an H2 matrix factors (or takes a guarded solve); its HODLR
+        expansion is the oracle."""
+        from repro import ExecutionPolicy
 
         assert isinstance(factorize(base_hss, shift=1e-2), HSSFactorization)
         hodlr = convert(base_hss, "hodlr")
         with pytest.raises(TypeError, match="expected an H2Matrix"):
             factorize(hodlr, shift=1e-2)
-        assert _factorization_for(hodlr, 1e-2, NOOP_TRACER) is None
+        with pytest.raises(TypeError, match="expected an H2Matrix"):
+            guarded_solve(hodlr, np.ones(600), tol=1e-8, shift=1e-2,
+                          policy=ExecutionPolicy(recovery="recover"))
         woodbury = HODLRFactorization(hodlr, shift=1e-2)
         b = np.random.default_rng(19).standard_normal(600)
         assert _rel(factorize(base_hss, shift=1e-2).solve(b), woodbury.solve(b)) < 1e-10
@@ -422,9 +424,10 @@ class TestFactorize:
 class TestNoACAOnProductPaths:
     """Every product path to a factorization or a HODLR matrix runs the
     sketching constructor: with the ACA builders refusing to run,
-    :func:`factorize`, ``convert(strong_h2, "hodlr")`` and the ladder's
-    factorization all succeed on a strong-admissibility H2 matrix, and its
-    factorization is as accurate as that of a fresh HSS compression."""
+    :func:`factorize`, ``convert(strong_h2, "hodlr")`` and the factorization
+    a guarded solve escalates to all succeed on a strong-admissibility H2
+    matrix, and its factorization is as accurate as that of a fresh HSS
+    compression."""
 
     SHIFT = 1e-2
     TOL = 1e-6
@@ -448,8 +451,7 @@ class TestNoACAOnProductPaths:
         return uniform_cube_points(1024, dim=dim, seed=3), ExponentialKernel(0.2), leaf
 
     def test_strong_h2_never_enters_aca(self, no_aca):
-        from repro.observe import NOOP_TRACER
-        from repro.solvers.ladder import _factorization_for
+        from repro import ExecutionPolicy
 
         points, kernel, leaf = self._cloud(2)
         strong = compress(points, kernel, tol=self.TOL, leaf_size=leaf, seed=1)
@@ -458,9 +460,12 @@ class TestNoACAOnProductPaths:
         hodlr = convert(strong, "hodlr")
         assert isinstance(hodlr, HODLRMatrix)
         assert _rel(hodlr.to_dense(), strong.to_dense()) < 1e-4
-        assert isinstance(
-            _factorization_for(strong, self.SHIFT, NOOP_TRACER), HSSFactorization
+        # A zero-iteration CG escalates: the pcg rung factors the operator.
+        solve = guarded_solve(
+            strong, np.ones(1024), tol=1e-8, maxiter=0, shift=self.SHIFT,
+            policy=ExecutionPolicy(recovery="recover"),
         )
+        assert solve.converged and solve.extra["escalation"]["escalations"] >= 1
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_strong_factorization_matches_fresh_hss(self, no_aca, dim):
@@ -488,36 +493,26 @@ class TestNoACAOnProductPaths:
 
 
 class TestLadderFactorization:
-    """``_factorization_for`` used to wrap conversion and factorization in
-    ``except Exception: return None``."""
+    """The factorization an escalation builds is :func:`factorize`'s: an
+    error raised while factoring is a defect and propagates (it used to be
+    swallowed by ``except Exception: return None``)."""
 
-    RECOVERY = RecoveryPolicy(ladder=("pcg", "direct", "cg"), rung_maxiter=200)
+    @staticmethod
+    def _escalate(operator):
+        from repro import ExecutionPolicy
 
-    def test_operator_without_factorization_skips_the_direct_rungs(self, base_hss):
-        a = base_hss.to_dense() + np.eye(600)  # a dense array: nothing to factor
-        b = np.random.default_rng(29).standard_normal(600)
-        result = escalation_ladder(a, b, tol=1e-8, recovery=self.RECOVERY)
-        rungs = {r["rung"]: r for r in result.extra["escalation"]["rungs"]}
-        assert rungs["pcg"]["skipped"] and rungs["direct"]["skipped"]
-        assert result.extra["escalation"]["converged_rung"] == "cg"
-
-    def test_baseline_format_skips_the_direct_rungs(self, base_hss):
-        """A HODLR matrix is solved matrix-free: nothing factors it."""
-        hodlr = convert(base_hss, "hodlr")
-        b = np.random.default_rng(37).standard_normal(600)
-        result = escalation_ladder(
-            hodlr, b, tol=1e-8, shift=1.0, recovery=self.RECOVERY
+        # maxiter=0: the first CG fails without a matvec, so the escalation
+        # has to factor the operator.
+        return guarded_solve(
+            operator, np.ones(600), tol=1e-8, maxiter=0,
+            policy=ExecutionPolicy(recovery=RecoveryPolicy(rung_maxiter=200)),
         )
-        rungs = {r["rung"]: r for r in result.extra["escalation"]["rungs"]}
-        assert rungs["pcg"]["skipped"] and rungs["direct"]["skipped"]
-        assert result.extra["escalation"]["converged_rung"] == "cg"
 
     def test_failure_while_factoring_propagates(self, base_hss):
         broken = _copy(base_hss)
         del broken.dense[next(iter(broken.dense))]
-        b = np.ones(600)
         with pytest.raises(ValueError, match="no dense diagonal block"):
-            escalation_ladder(broken, b, tol=1e-8, recovery=self.RECOVERY)
+            self._escalate(broken)
 
     def test_programming_error_propagates(self, base_hss, monkeypatch):
         def boom(self, h2):
@@ -525,6 +520,4 @@ class TestLadderFactorization:
 
         monkeypatch.setattr(HSSFactorization, "_factor", boom)
         with pytest.raises(AttributeError, match="a bug"):
-            escalation_ladder(
-                base_hss, np.ones(600), tol=1e-8, recovery=self.RECOVERY
-            )
+            self._escalate(base_hss)

@@ -687,6 +687,28 @@ class TestPolicyWiring:
         policy = ExecutionPolicy(backend="serial", tracer=tracer)
         assert policy.with_backend("vectorized").tracer is tracer
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the tracer rides on the backend, so the last "
+        "policy to resolve a shared backend receives every apply span",
+    )
+    def test_shared_backend_keeps_each_policy_tracer(self):
+        """An operator compressed under policy A records its applies into
+        A's tracer, even after policy B resolves the same backend instance."""
+        from repro.batched.backend import VectorizedBackend
+
+        backend = VectorizedBackend()
+        a, b = fresh_tracer(), fresh_tracer()
+        matrix = repro.compress(
+            uniform_cube_points(N, dim=2, seed=7), ExponentialKernel(0.25),
+            tol=1e-6, leaf_size=LEAF, seed=1,
+            policy=ExecutionPolicy(backend=backend, tracer=a),
+        )
+        ExecutionPolicy(backend=backend, tracer=b).resolve_backend()
+        matrix.matvec(np.ones(N))
+        assert len(find_spans(a, name="apply")) == 1
+        assert not find_spans(b, name="apply")
+
 
 # ------------------------------------------------------------------- overhead
 class TestDisabledTracing:

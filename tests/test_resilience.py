@@ -11,12 +11,12 @@ Covers the tentpole of the resilience PR:
   ``warn`` (structured warning + recovery) and ``recover`` (silent recovery)
   — with *bitwise* equality against an uninjected reference wherever a
   recovery claims to reproduce the clean run;
-* the solver escalation ladder (CG → preconditioned CG → GMRES(m) → HSS
-  direct) standalone, through :meth:`repro.Session.solve`, and through
+* the one guarded solve (CG → preconditioned CG → GMRES(m) → HSS direct)
+  standalone, through :meth:`repro.Session.solve`, and through
   :class:`repro.GaussianProcess`;
 * construction guards: NaN screening, rank-saturation escalation,
   compiled-sweep retries ending in a typed failure, the workspace budget;
-* the acceptance criteria: the ladder solves an ill-conditioned system CG
+* the acceptance criteria: the escalation solves an ill-conditioned system CG
   alone cannot (slow), and with resilience disabled ``construct()`` is the
   unguarded sweep.
 """
@@ -51,7 +51,7 @@ from repro.resilience import (
     SampleCorruptionError,
     SolveDidNotConvergeError,
 )
-from repro.solvers import escalation_ladder
+from repro.solvers import factorize, guarded_solve
 
 # 2048 points are needed for a real packed level sweep: at N=512/leaf=64 the
 # strong-admissibility partition has no admissible blocks, so packed-path
@@ -92,11 +92,15 @@ def counter_value(name: str) -> int:
 # ------------------------------------------------------------------- policy
 class TestRecoveryPolicy:
     def test_modes_and_constructors(self):
+        from dataclasses import fields
+
         assert RecoveryPolicy().mode == "recover"
-        assert RecoveryPolicy.strict().mode == "strict"
-        assert RecoveryPolicy.warn().mode == "warn"
-        assert RecoveryPolicy.recover().mode == "recover"
-        assert RecoveryPolicy.strict().with_mode("warn").mode == "warn"
+        for mode in ("strict", "warn", "recover"):
+            assert RecoveryPolicy(mode=mode).mode == mode
+            assert ExecutionPolicy(recovery=mode).recovery == RecoveryPolicy(mode=mode)
+        assert [f.name for f in fields(RecoveryPolicy)] == [
+            "mode", "rung_maxiter", "memory_budget_bytes",
+        ]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -301,8 +305,9 @@ class TestConstructionFaultMatrix:
     def test_persistent_fail_launch_raises_after_retries(self, packed_points, mode):
         # times=-1 fails every attempt: the retry budget runs out and the
         # failure surfaces typed, with the retries on record.
+        from repro.core.builder import MAX_RETRIES as retries
+
         policy = ExecutionPolicy(recovery=mode, faults="fail-nth-launch:times=-1")
-        retries = policy.recovery.max_retries
         before = counter_value("resilience.retries")
         with pytest.raises(ConstructionFaultError) as excinfo:
             compress_policy(packed_points, policy)
@@ -494,8 +499,14 @@ class TestRankSaturation:
 
 
 # ------------------------------------------------------------------- ladder
+def recover_policy(rung_maxiter: int = 100, **kwargs) -> ExecutionPolicy:
+    return ExecutionPolicy(
+        recovery=RecoveryPolicy(rung_maxiter=rung_maxiter), **kwargs
+    )
+
+
 class TestEscalationLadder:
-    """cg stagnates at rung_maxiter=20 on the exponential kernel; pcg
+    """cg stagnates at 20 iterations on the exponential kernel; pcg
     (HSS-preconditioned) converges in O(1) iterations."""
 
     @pytest.fixture(scope="class")
@@ -507,11 +518,20 @@ class TestEscalationLadder:
         b = np.random.default_rng(4).standard_normal(1024)
         return op, b
 
+    @pytest.fixture(scope="class")
+    def small_hss_system(self):
+        points = uniform_cube_points(512, dim=2, seed=9)
+        op = repro.compress(
+            points, ExponentialKernel(1.0), tol=1e-10, format="hss", seed=2
+        )
+        b = np.random.default_rng(4).standard_normal(512)
+        return op, b
+
     def test_cg_fails_pcg_converges(self, hss_system):
         op, b = hss_system
-        recovery = RecoveryPolicy(rung_maxiter=20)
-        result = escalation_ladder(
-            op, b, tol=1e-8, shift=1e-6, recovery=recovery
+        result = guarded_solve(
+            op, b, tol=1e-8, shift=1e-6, maxiter=20,
+            policy=recover_policy(rung_maxiter=20),
         )
         assert result.converged
         ladder = result.extra["escalation"]
@@ -527,9 +547,9 @@ class TestEscalationLadder:
         op, b = hss_system
         tracer = repro.SpanTracer()
         before = counter_value("resilience.escalations")
-        escalation_ladder(
-            op, b, tol=1e-8, shift=1e-6,
-            recovery=RecoveryPolicy(rung_maxiter=20), tracer=tracer,
+        guarded_solve(
+            op, b, tol=1e-8, shift=1e-6, maxiter=20,
+            policy=recover_policy(rung_maxiter=20, tracer=tracer),
         )
         assert counter_value("resilience.escalations") > before
         from repro.observe import find_spans
@@ -539,46 +559,92 @@ class TestEscalationLadder:
 
     def test_exhaustion_raises_with_result(self, hss_system):
         op, b = hss_system
-        recovery = RecoveryPolicy(rung_maxiter=3, ladder=("cg",))
         with pytest.raises(EscalationExhaustedError) as excinfo:
-            escalation_ladder(op, b, tol=1e-12, shift=1e-6, recovery=recovery)
+            # No rung iterates, and the direct solve misses 1e-15.
+            guarded_solve(
+                op, b, tol=1e-15, shift=1e-6, maxiter=0,
+                policy=recover_policy(rung_maxiter=0),
+            )
         # The best partial result rides on the error for inspection.
         assert excinfo.value.result is not None
         assert not excinfo.value.result.converged
-
-    def test_exhaustion_warn_returns_flagged(self, hss_system, resilience_log):
-        op, b = hss_system
-        recovery = RecoveryPolicy(
-            mode="warn", rung_maxiter=3, ladder=("cg",)
-        )
-        result = escalation_ladder(
-            op, b, tol=1e-12, shift=1e-6, recovery=recovery
-        )
-        assert not result.converged
-        assert any("escalation-exhausted" in m for m in resilience_log)
+        rungs = [r["rung"] for r in excinfo.value.context["rungs"]]
+        assert rungs == ["cg", "pcg", "gmres", "direct"]
 
     def test_stall_fault_drives_escalation(self, hss_system):
         op, b = hss_system
-        faults = FaultInjector.from_spec("stall-convergence:iters=2")
-        result = escalation_ladder(
+        result = guarded_solve(
             op, b, tol=1e-8, shift=1e-6,
-            recovery=RecoveryPolicy(), faults=faults,
+            policy=recover_policy(faults="stall-convergence:iters=2"),
         )
         assert result.converged
         assert result.extra["escalation"]["escalations"] >= 1
 
-    def test_dense_operator_skips_factorized_rungs(self):
-        # No hierarchical structure: pcg/direct are skipped, gmres still runs.
+    def test_converges_at_direct(self, small_hss_system):
+        """With no iteration anywhere only the direct rung can converge: its
+        answer is checked against the operator itself."""
+        op, b = small_hss_system
+        result = guarded_solve(
+            op, b, tol=1e-10, shift=1e-6, maxiter=0,
+            policy=recover_policy(rung_maxiter=0),
+        )
+        assert result.converged and result.method == "direct"
+        ladder = result.extra["escalation"]
+        assert [r["rung"] for r in ladder["rungs"]] == ["cg", "pcg", "gmres", "direct"]
+        assert ladder["converged_rung"] == "direct"
+        assert ladder["escalations"] == 3
+        residual = op.matvec(result.x) + 1e-6 * result.x - b
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+
+    def test_direct_rung_checks_its_residual(self, small_hss_system):
+        """A factorization of the wrong system (shift 1 for shift 1e-6) misses
+        the residual check, and its zero-iteration polish cannot rescue it:
+        the last rung raises instead of returning the unchecked answer."""
+        op, b = small_hss_system
+        with pytest.raises(EscalationExhaustedError) as excinfo:
+            guarded_solve(
+                op, b, tol=1e-10, shift=1e-6, maxiter=0,
+                factorization=factorize(op, shift=1.0),
+                policy=recover_policy(rung_maxiter=0),
+            )
+        result = excinfo.value.result
+        assert not result.converged
+        assert result.method == "direct+pcg"
+
+    @pytest.mark.parametrize("method, factored, rungs", [
+        ("cg", False, ["cg", "pcg", "gmres", "direct"]),
+        ("cg", True, ["pcg", "gmres", "direct"]),
+        ("gmres", False, ["gmres", "pcg", "direct"]),
+        ("gmres", True, ["gmres", "direct"]),
+    ])
+    def test_rung_order(self, small_hss_system, method, factored, rungs):
+        """The first solve is the first rung; the escalation runs the rungs
+        of CG → PCG → GMRES → direct it did not cover, in that order."""
+        op, b = small_hss_system
+        before = counter_value("resilience.escalations")
+        with pytest.raises(EscalationExhaustedError) as excinfo:
+            guarded_solve(
+                op, b, method=method, tol=1e-15, shift=1e-6, maxiter=0,
+                factorization=factorize(op, shift=1e-6) if factored else None,
+                policy=recover_policy(rung_maxiter=0),
+            )
+        record = excinfo.value.context
+        assert [r["rung"] for r in record["rungs"]] == rungs
+        assert record["escalations"] == len(rungs) - 1
+        assert counter_value("resilience.escalations") - before == len(rungs) - 1
+
+    @pytest.mark.parametrize("mode", ["strict", "warn", "recover"])
+    def test_dense_operator_rejected(self, mode):
+        """Only an H2 matrix has the factorization the escalation needs: a
+        dense array is refused at entry, before any solve."""
         rng = np.random.default_rng(0)
         a = rng.standard_normal((64, 64))
         a = a @ a.T + 64 * np.eye(64)
-        b = rng.standard_normal(64)
-        result = escalation_ladder(a, b, tol=1e-10, recovery=RecoveryPolicy())
-        assert result.converged
-        skipped = [
-            r for r in result.extra["escalation"]["rungs"] if r.get("skipped")
-        ]
-        assert all(r["rung"] in ("pcg", "direct") for r in skipped)
+        with pytest.raises(TypeError, match="expected an H2Matrix"):
+            guarded_solve(
+                a, rng.standard_normal(64), tol=1e-12, maxiter=1,
+                policy=ExecutionPolicy(recovery=mode),
+            )
 
 
 # ------------------------------------------------------- session integration
@@ -627,14 +693,21 @@ class TestSessionResilience:
         result = sess.solve(b, tol=1e-10, maxiter=2)
         assert not result.converged
 
-    def test_ladder_method(self, session_setup):
+    def test_escalation_counts_the_first_attempt(self, session_setup):
+        """A CG rescued by PCG is one escalation: the record starts with the
+        failed CG, the counter moves by one and the time covers both."""
         points, b = session_setup
-        sess = self._session(
-            points, RecoveryPolicy(rung_maxiter=20)
-        )
-        result = sess.solve(b, tol=1e-8, method="ladder")
+        sess = self._session(points, "recover")
+        before = counter_value("resilience.escalations")
+        result = sess.solve(b, tol=1e-8, maxiter=2)
         assert result.converged
-        assert "escalation" in result.extra
+        assert result.extra["escalated_from"] == "cg"
+        ladder = result.extra["escalation"]
+        assert [r["rung"] for r in ladder["rungs"]] == ["cg", "pcg"]
+        assert [r["converged"] for r in ladder["rungs"]] == [False, True]
+        assert ladder["escalations"] == 1
+        assert counter_value("resilience.escalations") - before == 1
+        assert result.elapsed_seconds >= sum(r["time_s"] for r in ladder["rungs"])
 
     def test_stall_fault_through_session(self, session_setup):
         points, b = session_setup
@@ -825,7 +898,7 @@ class TestGuardedSolve:
 class TestAcceptance:
     def test_ladder_solves_ill_conditioned_system(self):
         """Acceptance: N=4096 exponential-kernel system where plain CG
-        stagnates; the ladder must deliver a 1e-8 relative residual."""
+        stagnates; the escalation must deliver a 1e-8 relative residual."""
         n = 4096
         points = uniform_cube_points(n, dim=2, seed=21)
         op = repro.compress(
@@ -833,9 +906,9 @@ class TestAcceptance:
         )
         b = np.random.default_rng(8).standard_normal(n)
         shift = 1e-7
-        recovery = RecoveryPolicy(rung_maxiter=30)
-        result = escalation_ladder(
-            op, b, tol=1e-8, shift=shift, recovery=recovery
+        result = guarded_solve(
+            op, b, tol=1e-8, shift=shift, maxiter=30,
+            policy=recover_policy(rung_maxiter=30),
         )
         assert result.converged
         ladder = result.extra["escalation"]

@@ -19,7 +19,7 @@ from repro import (
     uniform_cube_points,
 )
 from repro.linalg import LowRankMatrix
-from repro.solvers import MultifrontalSolver, bicgstab
+from repro.solvers import MultifrontalSolver
 from repro.baselines import HODLRFactorization, build_hodlr, convert
 from repro.utils.tables import convergence_table, residual_series
 from repro.multifrontal import poisson_matrix
@@ -181,7 +181,7 @@ class TestLinearOperatorAdapter:
 
 
 class TestKrylov:
-    @pytest.mark.parametrize("solver", [cg, gmres, bicgstab])
+    @pytest.mark.parametrize("solver", [cg, gmres])
     def test_solves_spd_system(self, solver, spd_system):
         a, b = spd_system
         result = solver(a, b, tol=1e-10, maxiter=300)
@@ -190,18 +190,16 @@ class TestKrylov:
         assert result.final_residual < 1e-10
         assert result.matvecs > 0
 
-    @pytest.mark.parametrize("solver", [gmres, bicgstab])
+    @pytest.mark.parametrize("solver", [gmres])
     def test_nonsymmetric_system(self, solver):
         rng = np.random.default_rng(5)
         a = np.eye(40) + 0.3 * rng.standard_normal((40, 40))
         b = rng.standard_normal(40)
-        result = solver(a, b, tol=1e-9, maxiter=400, restart=40) if solver is gmres else solver(
-            a, b, tol=1e-9, maxiter=400
-        )
+        result = solver(a, b, tol=1e-9, maxiter=400, restart=40)
         assert result.converged
         assert np.linalg.norm(a @ result.x - b) / np.linalg.norm(b) < 1e-8
 
-    @pytest.mark.parametrize("solver", [cg, gmres, bicgstab])
+    @pytest.mark.parametrize("solver", [cg, gmres])
     def test_zero_rhs(self, solver, spd_system):
         a, _ = spd_system
         result = solver(a, np.zeros(60))
@@ -249,7 +247,7 @@ class TestKrylov:
         assert not result.converged
         assert result.iterations == 2
 
-    @pytest.mark.parametrize("solver", [cg, gmres, bicgstab])
+    @pytest.mark.parametrize("solver", [cg, gmres])
     def test_complex_rhs_rejected_loudly(self, solver, spd_system):
         """Complex b/x0 raise instead of being silently .real-truncated."""
         a, b = spd_system
