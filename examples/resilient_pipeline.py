@@ -13,10 +13,11 @@ one compress → factor → solve pipeline three times:
    CG → GMRES(m) → direct until one delivers the requested tolerance; the
    printed record starts with the stalled CG.
 
-A :class:`repro.SpanTracer` rides along so the recovery spans (category
-``"resilience"``) show up in the console tree next to the construction
-phases, and the process-wide metrics registry counts every retry, recovery
-and escalation.
+A :class:`repro.SpanTracer` rides along so every construction retry is a
+recovery span (category ``"resilience"``) next to the construction phases.
+Each count is read from its owner: the injector's ``fired(kind)`` for the
+faults, the trace for the retries and the solve's ``extra["escalation"]``
+record for the rungs.
 
 Run with:  python examples/resilient_pipeline.py [N]
 """
@@ -32,8 +33,8 @@ from repro import (
     SpanTracer,
     uniform_cube_points,
 )
-from repro.observe import find_spans, metrics
-from repro.resilience import RecoveryPolicy
+from repro.observe import find_spans
+from repro.resilience import FAULT_KINDS, RecoveryPolicy
 
 
 def run(points, b, *, policy, label, factor=True):
@@ -76,7 +77,7 @@ def main(n: int = 2048) -> None:
     assert np.array_equal(recovered.x, clean.x), "recovery must be bitwise"
     print("recovered solution is bit-identical to the clean run")
     print()
-    print("recovery spans in the trace:")
+    print("recovery spans in the trace (one per recovery):")
     for span in find_spans(tracer, category="resilience"):
         print(f"  {span.name} (stage={span.attributes.get('stage', '?')})")
 
@@ -99,10 +100,12 @@ def main(n: int = 2048) -> None:
         )
 
     print()
-    print("resilience counters:")
-    for name, value in sorted(metrics().snapshot()["counters"].items()):
-        if name.startswith("resilience."):
-            print(f"  {name} = {value}")
+    print("faults fired, per policy:")
+    for label, policy in (("chaos", chaos), ("stall-convergence", stalled)):
+        fired = {kind: policy.faults.fired(kind) for kind in FAULT_KINDS}
+        print(f"  {label}: " + ", ".join(
+            f"{kind}={count}" for kind, count in fired.items() if count
+        ))
 
 
 if __name__ == "__main__":

@@ -17,14 +17,16 @@ same trace then serves as
 On top of the timings, the run demonstrates the health & resource telemetry:
 ``ExecutionPolicy(health=..., memory_profile=True)`` probes every produced
 operator with a stochastic compression-error estimate, triages the solver
-residual history, attributes per-span (and hence per-phase) peak memory, and
-everything aggregates into one metrics registry exported as OpenMetrics text.
+residual history and attributes per-span (and hence per-phase) peak memory.
+Every number is read from the object that keeps it: durations from the spans,
+the probe from the health report, bytes from each owner's ``memory_bytes()``.
 
 Run with:  python examples/tracing_walkthrough.py [N]
 """
 
 import sys
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 
@@ -37,11 +39,9 @@ from repro import (
 )
 from repro.observe import (
     HealthThresholds,
-    MetricsRegistry,
     PhaseBreakdown,
     console_tree,
-    memory_ledger,
-    render_openmetrics,
+    find_spans,
     save_chrome_trace,
     total_launches,
 )
@@ -52,12 +52,9 @@ NOISE = 1e-2
 def main(n: int = 2048) -> None:
     print(f"== Traced pipeline: construct -> factor -> solve -> GP fit, N={n} ==")
 
-    # One tracer for the whole run; a private metrics registry keeps the
-    # demo's histograms separate from the process-wide default.  health=
-    # probes every produced operator (warn-only), memory_profile= attaches
-    # the per-span peak-memory sampler.
-    metrics = MetricsRegistry()
-    tracer = SpanTracer(metrics=metrics)
+    # One tracer for the whole run.  health= probes every produced operator
+    # (warn-only), memory_profile= attaches the per-span peak-memory sampler.
+    tracer = SpanTracer()
     policy = ExecutionPolicy(
         tracer=tracer, health=HealthThresholds(), memory_profile=True
     )
@@ -100,14 +97,15 @@ def main(n: int = 2048) -> None:
           f"(policy counter total: {counter.total()})")
     assert total_launches(tracer) == counter.total()
 
-    # The duration histograms the tracer feeds per span category.
-    print("\n-- span duration histograms " + "-" * 36)
-    for name, summary in sorted(metrics.snapshot()["histograms"].items()):
-        if not name.startswith("span."):
-            continue  # rank/health histograms print in their own sections
-        print(f"  {name:<28} count={summary['count']:<4} "
-              f"p50={summary['p50'] * 1e3:8.2f} ms  "
-              f"p95={summary['p95'] * 1e3:8.2f} ms")
+    # Durations per span category, read from the spans themselves.
+    durations = defaultdict(list)
+    for span in find_spans(tracer):
+        durations[span.category or span.name].append(span.duration)
+    print("\n-- span durations by category " + "-" * 34)
+    for category, seconds in sorted(durations.items()):
+        print(f"  {category:<22} count={len(seconds):<5} "
+              f"total={sum(seconds) * 1e3:9.2f} ms  "
+              f"max={max(seconds) * 1e3:8.2f} ms")
 
     # 4. Numerical health: the policy probed the constructed operator against
     # exact kernel rows — a flagged report would also have warned through the
@@ -122,18 +120,21 @@ def main(n: int = 2048) -> None:
               f"..{stats['max']:.0f} (mean {stats['mean']:.1f})")
 
     # 5. Memory: per-phase construction peaks (from the span attributes the
-    # sampler wrote) and the process-wide category ledger.
+    # sampler wrote), and who holds the bytes now, each owner counting its own.
     print("\n-- construction peak memory by phase " + "-" * 27)
     for phase, peak in from_trace.ordered_peak_bytes().items():
         print(f"  {phase:<18} {peak / 2**20:7.2f} MiB")
-    print("\n-- memory ledger (who holds the bytes) " + "-" * 25)
-    for category, nbytes in memory_ledger().by_category().items():
-        print(f"  {category:<10} {nbytes / 2**20:7.2f} MiB")
-
-    # 6. OpenMetrics exposition of the same registry — scrape-ready text.
-    exposition = render_openmetrics(metrics)
-    print("\n-- openmetrics exposition (first 8 lines) " + "-" * 22)
-    print("\n".join(exposition.splitlines()[:8]))
+    matrix = result.matrix
+    held = {
+        f"operator {part}": nbytes
+        for part, nbytes in matrix.memory_bytes().items()
+        if part in ("basis", "coupling", "dense")
+    }
+    held["apply plan (beyond the blocks)"] = matrix.apply_plan().memory_bytes()
+    held["factorization"] = sess.factorization.memory_bytes()
+    print("\n-- who holds the bytes (memory_bytes() of each owner) " + "-" * 10)
+    for owner, nbytes in held.items():
+        print(f"  {owner:<32} {nbytes / 2**20:7.2f} MiB")
 
 
 if __name__ == "__main__":

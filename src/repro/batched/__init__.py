@@ -34,7 +34,7 @@ from .backend import (
 )
 from .construction_plan import ConstructionPlan, PackedSweepEngine
 from .counters import KernelLaunchCounter
-from .entry_plan import H2EntryPlan, compile_entry_plan
+from .entry_plan import H2EntryPlan
 
 __all__ = [
     "ApplyStage",
@@ -46,7 +46,6 @@ __all__ = [
     "SerialBackend",
     "VectorizedBackend",
     "compile_apply_plan",
-    "compile_entry_plan",
     "get_backend",
     "KernelLaunchCounter",
 ]

@@ -78,7 +78,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..observe.memory import memory_ledger
 from .backend import BatchedBackend, get_backend
 from .block_rows import (
     FanOperands,
@@ -256,10 +255,6 @@ class H2ApplyPlan:
         self._viewed_bytes = 0
         self._forward_stages = self._assemble(matrix, dense, coupling or {})
         self._mirrored = False
-        # Compile-time workspace accounting (never touches the per-apply path).
-        self._ledger_key = memory_ledger().track(
-            self, {"workspace": self.memory_bytes()}
-        )
 
     # ------------------------------------------------------------ compilation
     @staticmethod
@@ -414,7 +409,6 @@ class H2ApplyPlan:
                 blocks.update(zip(keys, views))
             viewed += sum(blocks[key].nbytes for key in keys)
         self._viewed_bytes = viewed
-        memory_ledger().account(self._ledger_key, {"workspace": self.memory_bytes()})
 
     def _check_mirrored(self) -> None:
         """Raise ``ValueError`` unless every stored block pair is mirrored:

@@ -208,11 +208,6 @@ class ConstructionPlan:
             default=None,
         )
 
-        # Compile-time workspace accounting (auto-released with the plan).
-        from ..observe.memory import memory_ledger
-
-        memory_ledger().track(self, {"workspace": self.memory_bytes()})
-
     @property
     def num_leaves(self) -> int:
         return len(self.leaves.nodes)

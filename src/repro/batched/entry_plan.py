@@ -171,7 +171,7 @@ class _Rows:
 class H2EntryPlan:
     """Level-batched evaluator of sub-blocks of an H2 matrix.
 
-    Build with :func:`compile_entry_plan` (or ``H2Matrix.entry_plan()``, which
+    Build with ``H2EntryPlan(matrix)`` (or ``H2Matrix.entry_plan()``, which
     caches the plan on the matrix).  The plan copies the bases and keeps
     references to the coupling and dense blocks it was compiled from —
     replacing or mutating blocks of the matrix afterwards requires
@@ -485,11 +485,3 @@ class H2EntryPlan:
         self.passes += 1
         return out
 
-
-def compile_entry_plan(matrix: "H2Matrix") -> H2EntryPlan:
-    """Compile the :class:`H2EntryPlan` of ``matrix`` and report its bytes."""
-    plan = H2EntryPlan(matrix)
-    from ..observe.memory import memory_ledger
-
-    memory_ledger().track(plan, {"workspace": plan.memory_bytes()})
-    return plan

@@ -62,7 +62,6 @@ from ..linalg.norm_estimation import sketched_spectral_norm
 from ..sketching.entry_extractor import EntryExtractor
 from ..sketching.operators import SketchingOperator
 from ..tree.block_partition import BlockPartition
-from ..observe.metrics import metrics as _metrics
 from ..observe.tracer import NOOP_TRACER, phase_span
 from ..resilience.errors import (
     ConstructionFaultError,
@@ -297,7 +296,6 @@ class H2Constructor:
                         context={"error": repr(exc), "retries": engine_retries},
                     ) from exc
                 engine_retries += 1
-                _metrics().counter("resilience.retries").inc()
                 self._announce_recovery(
                     "packed-retry",
                     f"compiled sweep failed ({exc!r}); retry "
@@ -326,7 +324,6 @@ class H2Constructor:
                 )
                 break
             sample_retries += 1
-            _metrics().counter("resilience.retries").inc()
             self.config = self._escalated_config(sample_retries)
             self._announce_recovery(
                 "rank-saturation-retry",
@@ -338,8 +335,6 @@ class H2Constructor:
             )
             self._reset_construction_state(rng_state)
 
-        if engine_retries or sample_retries:
-            _metrics().counter("resilience.recoveries").inc()
         return result
 
     def _escalated_config(self, retry: int) -> ConstructionConfig:
@@ -456,14 +451,6 @@ class H2Constructor:
             }
             with phase_span(self.tracer, "misc"):
                 matrix.adopt_plan(H2ApplyPlan(matrix, dense, adoptable))
-        # Memory telemetry: the constructed operator and the sweep's workspace
-        # report into the process-wide ledger (the apply plan reports itself);
-        # the entries auto-release when the objects are garbage-collected.
-        from ..observe.memory import categorize_operator_bytes, memory_ledger
-
-        ledger = memory_ledger()
-        ledger.track(matrix, categorize_operator_bytes(matrix.memory_bytes()))
-        ledger.track(sweep, {"workspace": sweep.memory_bytes()})
         elapsed = time.perf_counter() - start
         # Per-construction launch numbers even on a shared (policy/tracer)
         # counter: report the growth since this construction started.
@@ -592,13 +579,11 @@ class H2Constructor:
             stage="construct.sample",
         )
         for _ in range(MAX_RETRIES):
-            _metrics().counter("resilience.retries").inc()
             with phase_span(self.tracer, "sampling"):
                 y = self.operator.multiply(omega)
             if self.faults is not None:
                 y = self.faults.corrupt_gemm_output(y)
             if np.all(np.isfinite(y)):
-                _metrics().counter("resilience.recoveries").inc()
                 return y
         bad = int(y.size - np.count_nonzero(np.isfinite(y)))
         raise SampleCorruptionError(

@@ -208,12 +208,6 @@ class GaussianProcess:
                 cg_iterations=state.report.cg_iterations,
                 result_reused=state.report.result_reused,
             )
-        registry = tracer.metrics
-        if registry is not None:
-            registry.counter("gp.evaluations").inc()
-            registry.histogram("gp.log_marginal_likelihood").observe(
-                state.log_likelihood
-            )
         return state
 
     def _evaluate_impl(

@@ -279,9 +279,9 @@ class H2Matrix(HierarchicalOperatorMixin):
         """The compiled entry-evaluation plan of this matrix (built and cached
         on first use, dropped together with the apply plan)."""
         if self._entry_plan is None:
-            from ..batched.entry_plan import compile_entry_plan
+            from ..batched.entry_plan import H2EntryPlan
 
-            self._entry_plan = compile_entry_plan(self)
+            self._entry_plan = H2EntryPlan(self)
         return self._entry_plan
 
     def get_block(self, rows: np.ndarray, cols: np.ndarray, permuted: bool = True) -> np.ndarray:

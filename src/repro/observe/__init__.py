@@ -1,4 +1,4 @@
-"""repro.observe — hierarchical tracing, metrics and trace exporters.
+"""repro.observe — hierarchical tracing, health probes and trace exporters.
 
 The observability spine of the library.  One :class:`SpanTracer`, carried by
 an :class:`repro.api.ExecutionPolicy`, records a tree of :class:`Span` objects
@@ -29,11 +29,17 @@ Quick tour::
 
 With the default :data:`NOOP_TRACER` nothing is recorded and the hot paths
 pay only an ``if tracer.enabled`` check.
+
+Nothing here is process-global.  Every count has one owner that keeps it:
+launches on the backend's counter, timings on the spans, byte totals in each
+owner's ``memory_bytes()``, probe results on the :class:`HealthReport`,
+warnings as log records.  The :class:`MetricsRegistry` instruments and
+:func:`render_openmetrics` serve one reader, the ``/metrics`` endpoint of an
+:class:`~repro.serve.InferenceServer`, which owns its registry.
 """
 
 from .exporters import (
     console_tree,
-    from_jsonl,
     save_chrome_trace,
     to_chrome_trace,
     to_jsonl,
@@ -50,29 +56,9 @@ from .health import (
     rank_level_summary,
     record_solver_health,
 )
-from .memory import (
-    CATEGORIES,
-    MemoryLedger,
-    MemorySampler,
-    categorize_operator_bytes,
-    memory_ledger,
-    reset_memory_ledger,
-    rss_bytes,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics,
-    reset_metrics,
-)
-from .openmetrics import (
-    MetricsJSONLFlusher,
-    render_openmetrics,
-    sanitize_metric_name,
-    save_openmetrics,
-)
+from .memory import MemorySampler, rss_bytes
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .openmetrics import render_openmetrics, sanitize_metric_name
 from .span import Span, SpanEvent
 from .tracer import NOOP_TRACER, NoopTracer, SpanTracer, phase_span
 from .views import (
@@ -84,16 +70,13 @@ from .views import (
 )
 
 __all__ = [
-    "CATEGORIES",
     "Counter",
     "Gauge",
     "HealthEvent",
     "HealthReport",
     "HealthThresholds",
     "Histogram",
-    "MemoryLedger",
     "MemorySampler",
-    "MetricsJSONLFlusher",
     "MetricsRegistry",
     "NOOP_TRACER",
     "NoopTracer",
@@ -103,27 +86,20 @@ __all__ = [
     "SpanEvent",
     "SpanTracer",
     "StructuredLogAdapter",
-    "categorize_operator_bytes",
     "check_operator_health",
     "compression_ratio",
     "console_tree",
     "diagnose_convergence",
     "estimate_compression_error",
     "find_spans",
-    "from_jsonl",
     "launches_by_operation",
-    "memory_ledger",
-    "metrics",
     "phase_span",
     "rank_level_summary",
     "record_solver_health",
     "render_openmetrics",
-    "reset_memory_ledger",
-    "reset_metrics",
     "rss_bytes",
     "sanitize_metric_name",
     "save_chrome_trace",
-    "save_openmetrics",
     "to_chrome_trace",
     "to_jsonl",
     "total_launches",

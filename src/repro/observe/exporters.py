@@ -3,9 +3,8 @@
 All three consume the same input: a :class:`~repro.observe.tracer.SpanTracer`,
 a single :class:`~repro.observe.span.Span`, or a list of root spans.
 
-* :func:`to_jsonl` / :func:`from_jsonl` — one JSON object per span, parented
-  by integer ids; lossless round-trip of names, timing, attributes, launch
-  deltas, flops/bytes and events.
+* :func:`to_jsonl` — one JSON object per span, parented by integer ids:
+  names, timing, attributes, launch deltas, flops/bytes and events.
 * :func:`to_chrome_trace` / :func:`save_chrome_trace` — the Chrome
   ``trace_event`` JSON object format (``{"traceEvents": [...]}``) with
   complete (``"ph": "X"``) events for spans and instant (``"ph": "i"``)
@@ -76,42 +75,6 @@ def to_jsonl(source: TraceSource) -> str:
             lines.append(json.dumps(record, sort_keys=True))
             next_id += 1
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def from_jsonl(text: str) -> List[Span]:
-    """Rebuild root spans from :func:`to_jsonl` output (round-trip inverse)."""
-    spans: Dict[int, Span] = {}
-    roots: List[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        span = Span(
-            name=record["name"],
-            category=record.get("category", ""),
-            start=record.get("start", 0.0),
-            end=record.get("end"),
-            attributes=dict(record.get("attributes", {})),
-            launches={k: int(v) for k, v in record.get("launches", {}).items()},
-            calls={k: int(v) for k, v in record.get("calls", {}).items()},
-            flops=int(record.get("flops", 0)),
-            bytes=int(record.get("bytes", 0)),
-        )
-        for event in record.get("events", []):
-            span.add_event(
-                event["name"], event.get("timestamp", 0.0),
-                **event.get("attributes", {})
-            )
-        spans[record["id"]] = span
-        parent_id = record.get("parent_id")
-        if parent_id is None:
-            roots.append(span)
-        else:
-            parent = spans[parent_id]
-            span.parent = parent
-            parent.children.append(span)
-    return roots
 
 
 # -------------------------------------------------------------- Chrome trace

@@ -17,13 +17,12 @@ the solves on top of it are numerically healthy.  Three kinds of signals:
   solver layer.
 * :func:`check_operator_health` — the façade-level wrapper producing a
   :class:`HealthReport` (error estimate, per-level rank summaries,
-  compression ratio) and feeding the process metrics registry.
+  compression ratio), the one record of those numbers.
 
-Everything *warns, never raises*: threshold breaches go through
-:class:`StructuredLogAdapter` (logger ``repro.observe.health``) carrying the
-enclosing span's identity, and increment the ``health.warnings`` counter.
-Thresholds live on :class:`HealthThresholds`, carried by
-``ExecutionPolicy(health=...)``.
+Everything *warns, never raises*: threshold breaches are records of the
+``repro.observe.health`` logger, written through :class:`StructuredLogAdapter`
+with the enclosing span's identity.  Thresholds live on
+:class:`HealthThresholds`, carried by ``ExecutionPolicy(health=...)``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .metrics import MetricsRegistry, metrics as _global_metrics
 from .tracer import NOOP_TRACER
 
 _TINY = 1e-300
@@ -95,26 +93,16 @@ class StructuredLogAdapter:
     """``key=value`` warnings through :mod:`logging`, carrying span identity.
 
     All health signals report through one adapter so a deployment can route
-    them (or silence them) with a single logger name.  Each warning also
-    increments a counter in the metrics registry — ``health.warnings`` by
-    default; subsystems with their own warning budget (e.g.
-    :mod:`repro.resilience`, counting ``resilience.warnings``) pass their
-    counter name so dashboards can tell the streams apart.
+    them (or silence them) with a single logger name; :mod:`repro.resilience`
+    writes to its own logger (``repro.resilience``), so detection and
+    recovery stay two streams.  The log records are the one record of a
+    warning: count them with a :class:`logging.Handler`.
     """
 
-    def __init__(
-        self,
-        logger_name: str = "repro.observe.health",
-        metrics: Optional[MetricsRegistry] = None,
-        counter: str = "health.warnings",
-    ):
+    def __init__(self, logger_name: str = "repro.observe.health"):
         self._logger = logging.getLogger(logger_name)
-        self._metrics = metrics
-        self._counter_name = str(counter)
 
     def warn(self, event: str, span: object = None, **fields: object) -> None:
-        registry = self._metrics if self._metrics is not None else _global_metrics()
-        registry.counter(self._counter_name).inc()
         parts = [f"event={event}"]
         if span is not None:
             parts.append(f"span={getattr(span, 'name', '?')}")
@@ -126,14 +114,7 @@ class StructuredLogAdapter:
         self._logger.warning(" ".join(parts))
 
 
-_DEFAULT_ADAPTER: Optional[StructuredLogAdapter] = None
-
-
-def _adapter() -> StructuredLogAdapter:
-    global _DEFAULT_ADAPTER
-    if _DEFAULT_ADAPTER is None:
-        _DEFAULT_ADAPTER = StructuredLogAdapter()
-    return _DEFAULT_ADAPTER
+_ADAPTER = StructuredLogAdapter()
 
 
 # --------------------------------------------------------- compression probe
@@ -240,14 +221,13 @@ def check_operator_health(
     thresholds: Optional[HealthThresholds] = None,
     tracer: object = NOOP_TRACER,
     source: str = "constructed",
-    adapter: Optional[StructuredLogAdapter] = None,
 ) -> HealthReport:
     """Probe one operator and report; warns (never raises) on a breach.
 
-    Feeds the metrics registry (the tracer's when enabled, the process-wide
-    one otherwise): ``health.compression_error`` and per-level
-    ``ranks.level<L>`` histograms, the ``health.compression_ratio`` gauge,
-    and — via the adapter — the ``health.warnings`` counter on a flag.
+    The returned :class:`HealthReport` carries the error estimate, the
+    compression ratio and the per-level rank summaries; an enabled tracer
+    gets a ``health.operator_probe`` event, and a flag is a warning record
+    of the ``repro.observe.health`` logger.
     """
     thresholds = thresholds if thresholds is not None else HealthThresholds()
     est = estimate_compression_error(
@@ -261,15 +241,6 @@ def check_operator_health(
     flagged = est > bound
     ratio = compression_ratio(operator)
     levels = rank_level_summary(operator)
-
-    registry = tracer.metrics if getattr(tracer, "enabled", False) else None
-    if registry is None:
-        registry = _global_metrics()
-    registry.histogram("health.compression_error").observe(est)
-    registry.gauge("health.compression_ratio").set(ratio)
-    for level, stats in levels.items():
-        hist = registry.histogram(f"ranks.level{level}")
-        hist.observe(stats["mean"])
 
     report = HealthReport(
         source=source,
@@ -291,8 +262,7 @@ def check_operator_health(
             flagged=flagged,
         )
     if flagged:
-        active = adapter if adapter is not None else _adapter()
-        active.warn(
+        _ADAPTER.warn(
             "compression_error",
             span=getattr(tracer, "current", None),
             source=source,
@@ -382,7 +352,6 @@ def record_solver_health(
     result: object,
     thresholds: Optional[HealthThresholds],
     tracer: object = NOOP_TRACER,
-    adapter: Optional[StructuredLogAdapter] = None,
 ) -> List[HealthEvent]:
     """Diagnose a :class:`~repro.solvers.krylov.KrylovResult` in place.
 
@@ -404,12 +373,11 @@ def record_solver_health(
     if not events:
         return events
     result.extra["health_events"] = [event.to_dict() for event in events]
-    active = adapter if adapter is not None else _adapter()
     enabled = getattr(tracer, "enabled", False)
     for event in events:
         if enabled:
             tracer.event(f"health.{event.kind}", **event.attributes)
-        active.warn(event.kind,
-                    span=getattr(tracer, "current", None),
-                    **event.attributes)
+        _ADAPTER.warn(event.kind,
+                      span=getattr(tracer, "current", None),
+                      **event.attributes)
     return events

@@ -1,17 +1,13 @@
-"""Memory observability: buffer accounting and per-span peak attribution.
+"""Memory observability: per-span peak attribution.
 
-Two complementary instruments answer "where did the bytes go":
-
-* :class:`MemoryLedger` — a process-wide registry that the long-lived buffer
-  owners report into: constructed operators (basis/coupling/dense stacks),
-  compiled apply and construction plans (workspace), and the artifact cache
-  (cache).  Every entry is keyed by owner and split over the five canonical
-  categories (:data:`CATEGORIES`); :meth:`MemoryLedger.track` registers an
-  owner through a weak reference so the bytes disappear from the ledger when
-  the owning object is garbage-collected.  Totals are mirrored into the
-  process metrics registry as ``memory.<category>.bytes`` gauges, so the
-  OpenMetrics exposition (:mod:`repro.observe.openmetrics`) scrapes them for
-  free.
+The long-lived buffer owners report their own bytes: an operator's
+``memory_bytes()`` splits its basis / coupling / dense stacks, a compiled
+apply, construction or entry plan's ``memory_bytes()`` counts its workspace,
+:meth:`ArtifactCache.size_bytes <repro.persist.cache.ArtifactCache.size_bytes>`
+its files, and a served model's ``memory_bytes()`` the operator, its apply
+plan and its factorization (the model registry's byte budget).  What those
+totals cannot show is the *transient* peak of a phase, which this module
+measures:
 
 * :class:`MemorySampler` — per-span *peak* attribution.  Attached to a
   :class:`~repro.observe.tracer.SpanTracer` (``SpanTracer(memory=...)`` or
@@ -24,145 +20,13 @@ Two complementary instruments answer "where did the bytes go":
   into every open frame at each span boundary, so nested spans attribute
   peaks correctly even though the interpreter keeps a single global peak.
 
-The default is the usual zero-overhead posture: no sampler is attached and
-nothing reports into the ledger from the per-apply hot loop — accounting
-happens at compile/construct/put time, never per launch.
+No sampler is attached by default, so spans stay allocation-free.
 """
 
 from __future__ import annotations
 
-import itertools
 import tracemalloc
-import weakref
-from typing import Dict, List, Optional
-
-from .metrics import MetricsRegistry, metrics as _global_metrics
-
-#: Canonical byte categories of the ledger.
-CATEGORIES = ("basis", "coupling", "dense", "workspace", "cache")
-
-#: ``memory_bytes()`` component key -> ledger category.  Anything unknown
-#: (``low_rank``, factor blocks, ...) counts as low-rank coupling data.
-_COMPONENT_CATEGORY = {
-    "basis": "basis",
-    "coupling": "coupling",
-    "dense": "dense",
-    "workspace": "workspace",
-    "cache": "cache",
-}
-
-
-def categorize_operator_bytes(components: Dict[str, int]) -> Dict[str, int]:
-    """Map an operator's ``memory_bytes()`` dict onto the ledger categories.
-
-    The unified ``total`` key is always derived and dropped; ``low_rank`` is
-    dropped too when format-specific component keys (``basis``/``coupling``)
-    are present, because ``memory_bytes()`` derives it from them.
-    """
-    comps = {k: int(v) for k, v in components.items() if k != "total"}
-    if any(k not in ("low_rank", "dense") for k in comps):
-        comps.pop("low_rank", None)
-    out: Dict[str, int] = {}
-    for key, value in comps.items():
-        category = _COMPONENT_CATEGORY.get(key, "coupling")
-        out[category] = out.get(category, 0) + value
-    return out
-
-
-class MemoryLedger:
-    """Process-wide byte accounting by owner and category.
-
-    Owners report with :meth:`account` (explicit lifecycle) or :meth:`track`
-    (weakref-managed: the entry is released when the object dies).  Category
-    totals are mirrored as ``memory.<category>.bytes`` gauges into the
-    process metrics registry on every mutation.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self._entries: Dict[str, Dict[str, int]] = {}
-        self._metrics = metrics
-        self._ids = itertools.count()
-
-    # ----------------------------------------------------------------- updates
-    def account(self, owner: str, categories: Dict[str, int]) -> str:
-        """Set (replace) the byte accounting of ``owner``; returns the key."""
-        entry = {}
-        for category, nbytes in categories.items():
-            if category not in CATEGORIES:
-                raise ValueError(
-                    f"unknown memory category {category!r}; use one of {CATEGORIES}"
-                )
-            entry[category] = int(nbytes)
-        self._entries[owner] = entry
-        self._publish()
-        return owner
-
-    def release(self, owner: str) -> None:
-        """Drop the accounting of ``owner`` (missing owners are ignored)."""
-        if self._entries.pop(owner, None) is not None:
-            self._publish()
-
-    def track(
-        self, obj: object, categories: Dict[str, int], owner: Optional[str] = None
-    ) -> str:
-        """Account ``obj`` and auto-release when it is garbage-collected."""
-        if owner is None:
-            owner = f"{type(obj).__name__}#{next(self._ids)}"
-        self.account(owner, categories)
-        try:
-            weakref.finalize(obj, self.release, owner)
-        except TypeError:  # non-weakref-able owner: explicit release only
-            pass
-        return owner
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self._publish()
-
-    # ------------------------------------------------------------------ totals
-    def by_category(self) -> Dict[str, int]:
-        """Current bytes per category (every canonical category present)."""
-        totals = {category: 0 for category in CATEGORIES}
-        for entry in self._entries.values():
-            for category, nbytes in entry.items():
-                totals[category] += nbytes
-        return totals
-
-    def total_bytes(self) -> int:
-        return sum(self.by_category().values())
-
-    def by_owner(self) -> Dict[str, Dict[str, int]]:
-        return {owner: dict(entry) for owner, entry in self._entries.items()}
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-dict view (JSON-serializable)."""
-        return {
-            "total_bytes": self.total_bytes(),
-            "by_category": self.by_category(),
-            "owners": self.by_owner(),
-        }
-
-    def _publish(self) -> None:
-        registry = self._metrics if self._metrics is not None else _global_metrics()
-        for category, nbytes in self.by_category().items():
-            registry.gauge(f"memory.{category}.bytes").set(float(nbytes))
-
-
-_LEDGER: Optional[MemoryLedger] = None
-
-
-def memory_ledger() -> MemoryLedger:
-    """The process-wide ledger (created on first use)."""
-    global _LEDGER
-    if _LEDGER is None:
-        _LEDGER = MemoryLedger()
-    return _LEDGER
-
-
-def reset_memory_ledger() -> None:
-    """Drop every ledger entry (test isolation; a no-op before first use)."""
-    if _LEDGER is not None:
-        _LEDGER.reset()
+from typing import Dict, List
 
 
 # ---------------------------------------------------------------- RSS reading

@@ -1,18 +1,20 @@
-"""Process-wide metrics: counters, gauges and percentile histograms.
+"""Metrics instruments: counters, gauges and percentile histograms.
 
 The tracer records *structured* data (span trees); metrics are the flat,
-always-on aggregates that survive across traces — how many solves ran this
-process, the p95 construction time, the current cache occupancy.  The three
-instrument types follow the usual conventions:
+always-on aggregates a long-lived service exposes — how many requests it
+served, their p95 latency, how many launches its micro-batcher made.  The
+three instrument types follow the usual conventions:
 
 * :class:`Counter` — monotone accumulator (``inc``);
 * :class:`Gauge` — last-write-wins value (``set``);
 * :class:`Histogram` — streaming distribution with exact count/sum/min/max and
   approximate percentiles (p50/p95/p99) over a bounded reservoir of samples.
 
-A :class:`MetricsRegistry` is a get-or-create namespace of instruments; the
-module-level :func:`metrics` accessor returns the process-wide registry that
-:class:`~repro.observe.tracer.SpanTracer` feeds by default.
+A :class:`MetricsRegistry` is a get-or-create namespace of instruments.  There
+is no process-wide registry: each :class:`~repro.serve.InferenceServer` owns
+one (its micro-batcher's), and every other count lives on the object that
+makes it (cache hits on the cache, evictions on the model registry, launches
+on the backend counter, timings on the spans).
 
 Every instrument and the registry itself are **thread-safe**: the serving
 layer (:mod:`repro.serve`) updates them from asyncio worker threads, so
@@ -26,7 +28,20 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence, Tuple
+
+
+def _interpolate(data: List[float], q: float) -> float:
+    """Percentile ``q`` of the sorted samples ``data`` (``nan`` when empty)."""
+    if not data:
+        return math.nan
+    if len(data) == 1:
+        return data[0]
+    pos = (min(100.0, max(0.0, float(q))) / 100.0) * (len(data) - 1)
+    lo = int(math.floor(pos))
+    hi = min(lo + 1, len(data) - 1)
+    frac = pos - lo
+    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
 class Counter:
@@ -108,8 +123,9 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) by linear interpolation.
+    def percentiles(self, qs: Sequence[float]) -> List[float]:
+        """The ``q``-th percentiles (0..100) of ``qs``, by linear
+        interpolation over one sorted copy of the reservoir.
 
         Well-defined on every reservoir state: an empty histogram returns
         ``nan`` (there is no value to report — distinguishable from a real
@@ -117,18 +133,13 @@ class Histogram:
         itself, and out-of-range ``q`` values clamp to [0, 100] instead of
         raising so exporters can never crash a run.
         """
-        q = min(100.0, max(0.0, float(q)))
         with self._lock:
-            if not self._samples:
-                return math.nan
             data = sorted(self._samples)
-        if len(data) == 1:
-            return data[0]
-        pos = (q / 100.0) * (len(data) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(data) - 1)
-        frac = pos - lo
-        return data[lo] * (1.0 - frac) + data[hi] * frac
+        return [_interpolate(data, q) for q in qs]
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (see :meth:`percentiles`)."""
+        return self.percentiles((q,))[0]
 
     @property
     def p50(self) -> float:
@@ -146,15 +157,16 @@ class Histogram:
         if not self.count:
             return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
                     "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+        p50, p95, p99 = self.percentiles((50.0, 95.0, 99.0))
         return {
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
 
@@ -196,47 +208,19 @@ class MetricsRegistry:
                     )
         return instrument
 
+    def instruments(self) -> Tuple[List[Counter], List[Gauge], List[Histogram]]:
+        """Every counter, gauge and histogram, each list sorted by name."""
+        with self._lock:
+            return tuple(
+                [instrument for _, instrument in sorted(kind.items())]
+                for kind in (self._counters, self._gauges, self._histograms)
+            )
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-dict view of every instrument (JSON-serializable)."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
+        counters, gauges, histograms = self.instruments()
         return {
-            "counters": {n: c.value for n, c in sorted(counters.items())},
-            "gauges": {n: g.value for n, g in sorted(gauges.items())},
-            "histograms": {
-                n: h.summary() for n, h in sorted(histograms.items())
-            },
+            "counters": {c.name: c.value for c in counters},
+            "gauges": {g.name: g.value for g in gauges},
+            "histograms": {h.name: h.summary() for h in histograms},
         }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
-
-_REGISTRY: Optional[MetricsRegistry] = None
-_REGISTRY_LOCK = threading.Lock()
-
-
-def metrics() -> MetricsRegistry:
-    """The process-wide registry (created on first use)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        with _REGISTRY_LOCK:
-            if _REGISTRY is None:
-                _REGISTRY = MetricsRegistry()
-    return _REGISTRY
-
-
-def reset_metrics() -> None:
-    """Clear the process-wide registry (test isolation; keeps the instance).
-
-    Existing instrument *handles* become stale — callers should re-fetch via
-    :func:`metrics` — but anything holding only the registry keeps working.
-    A no-op before the registry's first use.
-    """
-    if _REGISTRY is not None:
-        _REGISTRY.reset()

@@ -1,9 +1,10 @@
-"""OpenMetrics / Prometheus text exposition of the metrics registry.
+"""OpenMetrics / Prometheus text exposition of a metrics registry.
 
 Renders a :class:`~repro.observe.metrics.MetricsRegistry` to the OpenMetrics
 text format (the strict superset of the Prometheus exposition format), so a
-scraper — or the future ``repro.serve`` endpoint — can consume the process
-telemetry without any new dependency:
+scraper — the ``/metrics`` endpoint of :mod:`repro.serve` renders its
+server's own registry through it — consumes the telemetry without any new
+dependency:
 
 * :class:`~repro.observe.metrics.Counter` → ``counter`` family, sample name
   suffixed ``_total``;
@@ -14,21 +15,14 @@ telemetry without any new dependency:
 Dotted repro metric names (``persist.cache.hits``) are sanitized to the
 ``[a-zA-Z_:][a-zA-Z0-9_:]*`` metric-name alphabet and prefixed ``repro_``.
 The exposition ends with the mandatory ``# EOF`` terminator.
-
-For file-based collection, :class:`MetricsJSONLFlusher` appends periodic
-JSON-line snapshots of the same registry — one line per flush, suitable for
-tailing or post-hoc loading.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import time
-from typing import Optional
 
-from .metrics import MetricsRegistry, metrics as _global_metrics
+from .metrics import MetricsRegistry
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -56,98 +50,53 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def render_openmetrics(registry: Optional[MetricsRegistry] = None) -> str:
-    """The registry as OpenMetrics text (ending in ``# EOF``)."""
-    registry = registry if registry is not None else _global_metrics()
-    snapshot = registry.snapshot()
+def render_openmetrics(registry: MetricsRegistry) -> str:
+    """The registry as OpenMetrics text (ending in ``# EOF``).
+
+    Each histogram's quantiles come from one sorted copy of its reservoir;
+    an empty histogram renders the honest ``NaN`` quantiles.
+
+    >>> from repro.observe import MetricsRegistry
+    >>> registry = MetricsRegistry()
+    >>> registry.counter("serve.requests").inc(3)
+    >>> registry.histogram("serve.matvec.latency_ms").observe(2.5)
+    >>> print(render_openmetrics(registry), end="")
+    # HELP repro_serve_requests repro counter serve.requests
+    # TYPE repro_serve_requests counter
+    repro_serve_requests_total 3
+    # HELP repro_serve_matvec_latency_ms repro histogram serve.matvec.latency_ms
+    # TYPE repro_serve_matvec_latency_ms summary
+    repro_serve_matvec_latency_ms{quantile="0.5"} 2.5
+    repro_serve_matvec_latency_ms{quantile="0.95"} 2.5
+    repro_serve_matvec_latency_ms{quantile="0.99"} 2.5
+    repro_serve_matvec_latency_ms_count 1
+    repro_serve_matvec_latency_ms_sum 2.5
+    # EOF
+    """
+    counters, gauges, histograms = registry.instruments()
     lines = []
 
-    for name, value in snapshot["counters"].items():
-        metric = sanitize_metric_name(name)
-        lines.append(f"# HELP {metric} repro counter {name}")
+    for counter in counters:
+        metric = sanitize_metric_name(counter.name)
+        lines.append(f"# HELP {metric} repro counter {counter.name}")
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total {_format_value(value)}")
+        lines.append(f"{metric}_total {_format_value(counter.value)}")
 
-    for name, value in snapshot["gauges"].items():
-        metric = sanitize_metric_name(name)
-        lines.append(f"# HELP {metric} repro gauge {name}")
+    for gauge in gauges:
+        metric = sanitize_metric_name(gauge.name)
+        lines.append(f"# HELP {metric} repro gauge {gauge.name}")
         lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(value)}")
+        lines.append(f"{metric} {_format_value(gauge.value)}")
 
-    for name, summary in snapshot["histograms"].items():
-        metric = sanitize_metric_name(name)
-        lines.append(f"# HELP {metric} repro histogram {name}")
+    for hist in histograms:
+        metric = sanitize_metric_name(hist.name)
+        lines.append(f"# HELP {metric} repro histogram {hist.name}")
         lines.append(f"# TYPE {metric} summary")
-        # Quantiles come from the live histogram, not the snapshot: the
-        # snapshot zero-fills empty reservoirs, while the exposition renders
-        # the honest ``NaN`` the percentile contract defines.
-        hist = registry.histogram(name)
-        for quantile, percentile in QUANTILES:
-            lines.append(
-                f'{metric}{{quantile="{quantile}"}} '
-                f"{_format_value(hist.percentile(percentile))}"
-            )
-        lines.append(f"{metric}_count {_format_value(summary['count'])}")
-        lines.append(f"{metric}_sum {_format_value(summary['sum'])}")
+        values = hist.percentiles([percentile for _, percentile in QUANTILES])
+        for (quantile, _), value in zip(QUANTILES, values):
+            lines.append(f'{metric}{{quantile="{quantile}"}} {_format_value(value)}')
+        lines.append(f"{metric}_count {_format_value(hist.count)}")
+        lines.append(f"{metric}_sum {_format_value(hist.sum)}")
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def save_openmetrics(path: str, registry: Optional[MetricsRegistry] = None) -> str:
-    """Write the exposition to ``path``; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_openmetrics(registry))
-    return path
-
-
-class MetricsJSONLFlusher:
-    """Periodic JSON-lines dumps of a metrics registry.
-
-    Call :meth:`maybe_flush` from any convenient point in the workload loop —
-    it appends one snapshot line at most every ``interval_seconds`` and is a
-    cheap clock read otherwise.  :meth:`flush` writes unconditionally.
-
-    Each line is ``{"elapsed_seconds": ..., "metrics": {counters, gauges,
-    histograms}}``, so ``[json.loads(l) for l in open(path)]`` recovers the
-    full series.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        interval_seconds: float = 60.0,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        if interval_seconds <= 0:
-            raise ValueError("flush interval must be positive")
-        self.path = path
-        self.interval_seconds = float(interval_seconds)
-        self._registry = registry
-        self._start = time.monotonic()
-        self._last_flush: Optional[float] = None
-        self.flush_count = 0
-
-    def maybe_flush(self) -> bool:
-        """Flush if the interval elapsed since the last flush; did we?"""
-        now = time.monotonic()
-        if (
-            self._last_flush is not None
-            and now - self._last_flush < self.interval_seconds
-        ):
-            return False
-        self.flush()
-        return True
-
-    def flush(self) -> None:
-        registry = self._registry if self._registry is not None else _global_metrics()
-        now = time.monotonic()
-        line = {
-            "elapsed_seconds": now - self._start,
-            "metrics": registry.snapshot(),
-        }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            json.dump(line, handle, sort_keys=True)
-            handle.write("\n")
-        self._last_flush = now
-        self.flush_count += 1

@@ -25,7 +25,6 @@ import time
 from typing import Dict, List, Optional
 
 from ..batched.counters import CounterSnapshot, KernelLaunchCounter
-from .metrics import MetricsRegistry, metrics as _global_metrics
 from .span import Span, SpanEvent
 
 
@@ -76,7 +75,6 @@ class NoopTracer:
 
     enabled = False
     counter: Optional[KernelLaunchCounter] = None
-    metrics: Optional[MetricsRegistry] = None
     memory = None
     roots: List[Span] = []
 
@@ -180,12 +178,6 @@ class _SpanContext:
                 stack.remove(span)
             except ValueError:
                 pass
-        registry = tracer.metrics
-        if registry is not None:
-            key = span.category or span.name
-            registry.histogram(f"span.{key}.seconds").observe(span.duration)
-            if span.launches:
-                registry.counter("launches.attributed").inc(span.self_launches)
         return False
 
 
@@ -199,11 +191,6 @@ class SpanTracer:
         for launch attribution.  Usually left ``None`` and bound lazily — the
         first backend resolved under the owning policy calls
         :meth:`bind_counter` with its counter.
-    metrics:
-        A :class:`~repro.observe.metrics.MetricsRegistry` fed one duration
-        histogram per span category.  Defaults to the process-wide registry;
-        pass ``metrics=None`` explicitly via ``record_metrics=False``-style
-        wrappers is not needed — use a private registry to isolate.
     memory:
         A :class:`~repro.observe.memory.MemorySampler` bracketing every span
         with tracemalloc/RSS readings, attaching ``mem_peak_bytes`` /
@@ -217,11 +204,9 @@ class SpanTracer:
     def __init__(
         self,
         counter: Optional[KernelLaunchCounter] = None,
-        metrics: Optional[MetricsRegistry] = None,
         memory: Optional[object] = None,
     ):
         self.counter = counter
-        self.metrics = _global_metrics() if metrics is None else metrics
         self.memory = memory
         self.roots: List[Span] = []
         self.orphan_events: List[SpanEvent] = []

@@ -24,10 +24,10 @@ backend, tracer, construction path — does not):
 
 Entries are written atomically (temp file + rename) so concurrent readers
 never see a torn artifact; eviction is LRU by file modification time against
-an optional byte budget.  Hits/misses are counted both per cache instance and
-in the process-wide :func:`repro.observe.metrics` registry
-(``persist.cache.hits`` / ``persist.cache.misses``); loads run under a
-``persist.load`` span when a tracer is supplied.
+an optional byte budget.  Hits, misses and evictions are counted on the cache
+instance (``hits`` / ``misses`` / ``evictions``, read by a server's
+``/metrics`` scrape); loads run under a ``persist.load`` span when a tracer is
+supplied.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..kernels.base import KernelFunction
-from ..observe.metrics import metrics
 from ..utils.env import normalize_choice
 from .format import ArtifactError
 from .serializers import (
@@ -308,7 +307,6 @@ class ArtifactCache:
             )
         check = self.verify if verify is None else bool(verify)
         path = self.path_for(key)
-        registry = metrics()
         if path.exists():
             try:
                 if tracer is not None and getattr(tracer, "enabled", False):
@@ -345,23 +343,9 @@ class ArtifactCache:
                         os.utime(path, (now, now))
                     except OSError:  # pragma: no cover - evicted meanwhile
                         pass
-                registry.counter("persist.cache.hits").inc()
-                # Loaded operators report into the memory ledger like freshly
-                # constructed ones (memmapped views still count their bytes).
-                from ..observe.memory import (
-                    categorize_operator_bytes,
-                    memory_ledger,
-                )
-
-                if hasattr(operator, "memory_bytes"):
-                    memory_ledger().track(
-                        operator,
-                        categorize_operator_bytes(operator.memory_bytes()),
-                    )
                 return operator
         with self._mutex:
             self.misses += 1
-        registry.counter("persist.cache.misses").inc()
         return None
 
     def put(self, key: str, operator: object) -> Path:
@@ -374,7 +358,6 @@ class ArtifactCache:
         with self._mutex, self._lock():
             path = save(operator, self.path_for(key))
             self._enforce_budget()
-        self._account_bytes()
         return path
 
     def get_or_build(
@@ -447,15 +430,6 @@ class ArtifactCache:
                     path.unlink()
                 except OSError:  # pragma: no cover - race with other process
                     pass
-        self._account_bytes()
-
-    def _account_bytes(self) -> None:
-        """Report the cache's on-disk occupancy into the memory ledger."""
-        from ..observe.memory import memory_ledger
-
-        memory_ledger().account(
-            f"ArtifactCache:{self.directory}", {"cache": self.size_bytes()}
-        )
 
     # ------------------------------------------------------------- reporting
     def size_bytes(self) -> int:

@@ -45,7 +45,6 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from ..observe.metrics import metrics as _global_metrics
 from .errors import MemoryBudgetError
 
 #: Every fault class the injector understands (also the matrix the
@@ -194,7 +193,6 @@ class FaultInjector:
                 return None
             self._fired[kind] = fired + 1
             self.log.append({"kind": kind, "site": site, "event": events})
-        _global_metrics().counter("resilience.faults_injected").inc()
         return spec
 
     # ------------------------------------------------------------- fault sites

@@ -13,13 +13,15 @@ three modes:
 ``warn``
     Recovery actions run (a corrupted pipeline has no usable "continue
     as-is"), and every one is announced through the ``repro.resilience``
-    structured logger + the ``resilience.warnings`` counter.  Conditions
+    structured logger.  Conditions
     with a usable degraded outcome (a non-converged solve, which carries an
     explicit ``converged=False``) only warn and return.
 ``recover``
-    Recovery actions run silently — visible only as tracer events and the
-    ``resilience.retries`` / ``resilience.recoveries`` /
-    ``resilience.escalations`` counters.
+    Recovery actions run silently — each construction retry is a
+    ``resilience/<event>`` span under a tracer, each solve escalation a rung
+    of the result's ``extra["escalation"]`` record (and a
+    ``resilience/ladder:<rung>`` span), and each injected fault a firing of
+    :meth:`FaultInjector.fired <repro.resilience.faults.FaultInjector.fired>`.
 
 The guarantee in every mode: *never a silent wrong answer*.  A fault is
 either recovered (a retry or escalation producing a verified-equivalent
@@ -72,19 +74,13 @@ class RecoveryPolicy:
         object.__setattr__(self, "mode", mode)
 
 
-_DEFAULT_ADAPTER: Optional[StructuredLogAdapter] = None
+_ADAPTER = StructuredLogAdapter("repro.resilience")
 
 
 def resilience_adapter() -> StructuredLogAdapter:
-    """The shared structured-log adapter of the resilience subsystem.
+    """The structured-log adapter of the resilience subsystem.
 
-    Warnings go to the ``repro.resilience`` logger and increment the
-    ``resilience.warnings`` counter (distinct from ``health.warnings`` so
-    dashboards can tell detection from recovery).
+    Warnings are records of the ``repro.resilience`` logger (distinct from
+    ``repro.observe.health``, so detection and recovery stay two streams).
     """
-    global _DEFAULT_ADAPTER
-    if _DEFAULT_ADAPTER is None:
-        _DEFAULT_ADAPTER = StructuredLogAdapter(
-            "repro.resilience", counter="resilience.warnings"
-        )
-    return _DEFAULT_ADAPTER
+    return _ADAPTER

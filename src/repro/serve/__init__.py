@@ -8,8 +8,9 @@ coalesced by the :class:`MicroBatcher` into one block-RHS ``matmat`` /
 block-solve launch — the batching opportunity the compiled apply plans were
 built for — and every request inherits the
 :class:`~repro.api.policy.ExecutionPolicy` stack: ``serve.request`` /
-``serve.batch`` tracer spans, p50/p95/p99 latency histograms exposed through
-the OpenMetrics ``metrics`` endpoint, health probes on model load, and the
+``serve.batch`` tracer spans, p50/p95/p99 latency histograms in the server's
+own metrics registry (exposed through the OpenMetrics ``metrics`` endpoint;
+two servers in one process share no count), health probes on model load, and the
 resilience recovery ladder on non-converged solves.
 
 Quick use (in-process, no socket)::

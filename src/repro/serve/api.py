@@ -147,7 +147,7 @@ class HealthRequest(ServeRequest):
 
 @dataclass(frozen=True, eq=False)
 class MetricsRequest(ServeRequest):
-    """The OpenMetrics exposition of the process metrics registry."""
+    """The OpenMetrics exposition of the server's own metrics registry."""
 
     endpoint = "metrics"
 

@@ -28,8 +28,12 @@ Isolation guarantees:
   individually (``serve.batch.fallbacks``), so one poisoned request cannot
   take its batchmates down with it.
 
-Every launch observes ``serve.batch.queue_ms`` (oldest admission → launch
-start).  With ``enabled=False`` (or ``max_batch=1``) every request executes
+The batcher owns the serving :class:`~repro.observe.metrics.MetricsRegistry`
+(``metrics``): every launch observes ``serve.batch.requests`` /
+``serve.batch.columns`` / ``serve.batch.queue_ms`` (oldest admission → launch
+start) and counts ``serve.batch.launches``, and its
+:class:`~repro.serve.InferenceServer` records its request counters and
+latencies there too.  With ``enabled=False`` (or ``max_batch=1``) every request executes
 alone on the worker pool — the baseline the acceptance benchmark compares
 against.
 """
@@ -43,7 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..observe.metrics import metrics
+from ..observe.metrics import MetricsRegistry
 from ..observe.tracer import NOOP_TRACER
 from .api import RequestValidationError
 from .registry import ServedModel
@@ -152,6 +156,8 @@ class MicroBatcher:
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._queues: Dict[Tuple[str, str], _Queue] = {}
         self._runners: Set[asyncio.Task] = set()  # live; drain() awaits them
+        #: The serving telemetry (module docstring); one per batcher.
+        self.metrics = MetricsRegistry()
         self.launches = 0
         self.coalesced_requests = 0
 
@@ -172,7 +178,7 @@ class MicroBatcher:
         if not self.enabled:
             if not np.isfinite(block).all():
                 raise RequestValidationError(_NON_FINITE)
-            metrics().histogram("serve.batch.requests").observe(1)
+            self.metrics.histogram("serve.batch.requests").observe(1)
             self.launches += 1
             self.coalesced_requests += 1
             result = await loop.run_in_executor(
@@ -226,7 +232,7 @@ class MicroBatcher:
 
     async def _launch(self, queue: _Queue, items: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
-        registry = metrics()
+        registry = self.metrics
 
         # Screen non-finite payloads out of the batch: their futures fail,
         # their batchmates still coalesce.

@@ -24,11 +24,13 @@ Woodbury solve whose SciPy ``lu_solve`` is not thread-safe.
 explicitness: an operator instance, an artifact path
 (:func:`repro.persist.load_operator`), a content key into the registry's
 :class:`~repro.persist.cache.ArtifactCache`, or ``points + kernel`` (a
-:func:`repro.compress` that consults the same cache first).  Loaded models
-are byte-accounted in the process :class:`~repro.observe.memory.MemoryLedger`
-(the operator, its apply plan's own operands and the factorization) and
-evicted by TTL (seconds since last use) and by an LRU byte budget, so a
-long-lived server bounds its own footprint.  When the registry's
+:func:`repro.compress` that consults the same cache first).  A model counts
+its own bytes (:meth:`ServedModel.memory_bytes`: the operator, its apply
+plan's own operands and the factorization), and the registry evicts by TTL
+(seconds since last use) and by an LRU byte budget over those counts, so a
+long-lived server bounds its own footprint; it counts its evictions
+(``evictions``), which a server's ``/metrics`` scrape reads with the model
+count and bytes.  When the registry's
 :class:`~repro.api.policy.ExecutionPolicy` carries
 :class:`~repro.observe.health.HealthThresholds`, every model is
 health-probed on load and the report is served by the ``health`` endpoint.
@@ -45,8 +47,6 @@ import numpy as np
 from ..api.policy import ExecutionPolicy
 from ..hmatrix.h2matrix import H2Matrix
 from ..kernels.base import KernelFunction
-from ..observe.memory import categorize_operator_bytes, memory_ledger
-from ..observe.metrics import metrics
 from .api import ModelNotFoundError, ServeError
 
 __all__ = ["ModelRegistry", "ServedModel"]
@@ -131,18 +131,12 @@ class ServedModel:
     def memory_bytes(self) -> int:
         """Bytes held by the operator, its apply plan (beyond the blocks it
         stores) and the factorization (when built)."""
-        return int(sum(self.memory_categories().values()))
-
-    def memory_categories(self) -> Dict[str, int]:
-        """Ledger categories of this model's bytes (apply plan and factor
-        data = workspace)."""
-        categories = categorize_operator_bytes(self.operator.memory_bytes())
-        workspace = self.operator.apply_plan().memory_bytes()
+        total = self.operator.memory_bytes()["total"]
+        total += self.operator.apply_plan().memory_bytes()
         factorization = self._factorization
         if factorization is not None:
-            workspace += factorization.memory_bytes()
-        categories["workspace"] = categories.get("workspace", 0) + int(workspace)
-        return categories
+            total += factorization.memory_bytes()
+        return int(total)
 
     def statistics(self) -> Dict[str, object]:
         stats: Dict[str, object] = {
@@ -241,8 +235,7 @@ class ModelRegistry:
         (``source="loaded"`` on a cache hit).  ``warm=True`` builds the
         factorization (and caches the log-determinant) eagerly so the first
         query does not pay it.
-        Re-registering a name replaces the old model (and releases its
-        ledger bytes).
+        Re-registering a name replaces the old model.
         """
         policy = policy if policy is not None else self.policy
         health = None
@@ -303,13 +296,9 @@ class ModelRegistry:
             model.slogdet()
 
         with self._mutex:
-            previous = self._models.pop(name, None)
-            if previous is not None:
-                memory_ledger().release(f"serve.model:{name}")
+            self._models.pop(name, None)
             self._models[name] = model
-            self._account(model)
             self._sweep_locked()
-        metrics().counter("serve.models.registered").inc()
         return model
 
     # ------------------------------------------------------------------ access
@@ -335,32 +324,16 @@ class ModelRegistry:
             return sorted(self._models)
 
     def evict(self, name: str) -> bool:
-        """Drop ``name`` (releases its ledger bytes); was it resident?"""
+        """Drop ``name``; was it resident?"""
         with self._mutex:
-            model = self._models.pop(name, None)
-            if model is None:
+            if self._models.pop(name, None) is None:
                 return False
-            self._drop_accounting(name)
             self.evictions += 1
-            self._publish_locked()
-        metrics().counter("serve.models.evicted").inc()
         return True
 
     def clear(self) -> None:
         with self._mutex:
-            for name in list(self._models):
-                self._models.pop(name)
-                self._drop_accounting(name)
-            self._publish_locked()
-
-    def close(self) -> None:
-        """Release the bytes every model accounts in the process-wide
-        :class:`~repro.observe.memory.MemoryLedger`: explicit entries outlive
-        the registry object otherwise.  The models stay registered, so a
-        stopped server's registry can still be read."""
-        with self._mutex:
-            for name in self._models:
-                self._drop_accounting(name)
+            self._models.clear()
 
     # ---------------------------------------------------------------- eviction
     def _sweep_locked(self) -> None:
@@ -374,9 +347,7 @@ class ModelRegistry:
             ]
             for name in expired:
                 self._models.pop(name)
-                self._drop_accounting(name)
                 self.evictions += 1
-                metrics().counter("serve.models.evicted").inc()
 
         def lru_order():
             return sorted(self._models, key=lambda n: self._models[n].last_used)
@@ -384,9 +355,7 @@ class ModelRegistry:
         if self.max_models is not None:
             for name in lru_order()[: max(0, len(self._models) - self.max_models)]:
                 self._models.pop(name)
-                self._drop_accounting(name)
                 self.evictions += 1
-                metrics().counter("serve.models.evicted").inc()
         if self.max_bytes is not None:
             total = sum(m.memory_bytes() for m in self._models.values())
             for name in lru_order():
@@ -394,32 +363,7 @@ class ModelRegistry:
                     break
                 total -= self._models[name].memory_bytes()
                 self._models.pop(name)
-                self._drop_accounting(name)
                 self.evictions += 1
-                metrics().counter("serve.models.evicted").inc()
-        self._publish_locked()
-
-    def _account(self, model: ServedModel) -> None:
-        memory_ledger().account(
-            f"serve.model:{model.name}", model.memory_categories()
-        )
-
-    def _drop_accounting(self, name: str) -> None:
-        memory_ledger().release(f"serve.model:{name}")
-
-    def _publish_locked(self) -> None:
-        registry = metrics()
-        registry.gauge("serve.models.loaded").set(len(self._models))
-        registry.gauge("serve.models.bytes").set(
-            sum(m.memory_bytes() for m in self._models.values())
-        )
-
-    def refresh_accounting(self, model: ServedModel) -> None:
-        """Re-account a model whose byte footprint changed (factorization)."""
-        with self._mutex:
-            if self._models.get(model.name) is model:
-                self._account(model)
-                self._publish_locked()
 
     # --------------------------------------------------------------- reporting
     def statistics(self) -> Dict[str, object]:

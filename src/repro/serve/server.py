@@ -5,11 +5,16 @@
 endpoint), so tests and embedders drive it in-process without a socket; the
 thin HTTP adapter (:mod:`repro.serve.http`) is an optional layer on top.
 
-Every request runs under a ``serve.request`` tracer span and reports into the
-process metrics registry: ``serve.requests.<endpoint>`` /
+Every request runs under a ``serve.request`` span of the policy's tracer and
+is counted in the server's own metrics registry — the one its
+:class:`~repro.serve.batching.MicroBatcher` owns and records its launches in
+(``server.batcher.metrics``): ``serve.requests.<endpoint>`` /
 ``serve.errors.<endpoint>`` counters and a ``serve.<endpoint>.latency_ms``
-percentile histogram (p50/p95/p99 — scraped for free by the OpenMetrics
-``metrics`` endpoint).  Expensive linear algebra micro-batches through the
+percentile histogram (p50/p95/p99).  The OpenMetrics ``metrics`` endpoint
+renders that registry, after reading the model count, bytes and evictions of
+the :class:`~repro.serve.registry.ModelRegistry` and the hits and misses of
+its artifact cache from those owners.  Two servers in one process share no
+count.  Expensive linear algebra micro-batches through the
 :class:`~repro.serve.batching.MicroBatcher`; ``method="cg"`` solves inherit
 the policy's :class:`~repro.resilience.RecoveryPolicy` on non-convergence
 (strict → raise, warn → flagged result, recover → escalation ladder).
@@ -24,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..api.policy import ExecutionPolicy
-from ..observe.metrics import metrics
+from ..observe.metrics import Counter
 from ..observe.openmetrics import render_openmetrics
 from .api import (
     HealthRequest,
@@ -47,6 +52,12 @@ from .batching import MicroBatcher
 from .registry import ModelRegistry, ServedModel
 
 __all__ = ["InferenceServer"]
+
+
+def _catch_up(counter: Counter, count: int) -> None:
+    """Advance ``counter`` to an owner's monotone ``count`` (scrapes run on
+    the event loop, one at a time)."""
+    counter.inc(max(0, int(count) - counter.value))
 
 
 class InferenceServer:
@@ -115,7 +126,7 @@ class InferenceServer:
         return await handler(request)
 
     def _start(self, request: ServeRequest):
-        registry = metrics()
+        registry = self.batcher.metrics
         registry.counter("serve.requests").inc()
         registry.counter(f"serve.requests.{request.endpoint}").inc()
         return time.perf_counter()
@@ -127,13 +138,13 @@ class InferenceServer:
         response.model = request.model
         response.request_id = request.request_id
         response.latency_ms = elapsed_ms
-        metrics().histogram(f"serve.{request.endpoint}.latency_ms").observe(
-            elapsed_ms
-        )
+        self.batcher.metrics.histogram(
+            f"serve.{request.endpoint}.latency_ms"
+        ).observe(elapsed_ms)
         return response
 
     def _fail(self, request: ServeRequest, exc: Exception) -> Exception:
-        registry = metrics()
+        registry = self.batcher.metrics
         registry.counter("serve.errors").inc()
         registry.counter(f"serve.errors.{request.endpoint}").inc()
         return exc
@@ -174,7 +185,6 @@ class InferenceServer:
             mean, batch_size = await self.batcher.submit(
                 model, "predict", request.y
             )
-            self.registry.refresh_accounting(model)  # lazy factorization bytes
             return PredictResponse(
                 mean=mean, batched=batch_size > 1, batch_size=batch_size
             )
@@ -188,7 +198,6 @@ class InferenceServer:
             model = self.registry.get(request.model)
             if request.method == "direct":
                 x, batch_size = await self.batcher.submit(model, "solve", request.b)
-                self.registry.refresh_accounting(model)
                 return SolveResponse(
                     x=x, method="direct", converged=True,
                     batched=batch_size > 1, batch_size=batch_size,
@@ -199,7 +208,6 @@ class InferenceServer:
                     f"{request.method!r}"
                 )
             result = await self._solve_cg(model, request)
-            self.registry.refresh_accounting(model)
             return SolveResponse(
                 x=result.x, method=result.method, converged=result.converged,
                 iterations=result.iterations,
@@ -244,7 +252,6 @@ class InferenceServer:
             sign, logabs = await loop.run_in_executor(
                 self.batcher._executor, model.slogdet
             )
-            self.registry.refresh_accounting(model)
             return LogdetResponse(logdet=logabs, sign=sign)
 
         return await self._serve(request, body)
@@ -277,22 +284,30 @@ class InferenceServer:
         return await self._serve(request, body)
 
     async def metrics(self, request: Optional[MetricsRequest] = None) -> MetricsResponse:
-        """The OpenMetrics exposition of the process metrics registry."""
+        """The OpenMetrics exposition of this server's registry, with the
+        model registry's and its cache's counts read in at scrape time."""
         request = request if request is not None else MetricsRequest()
 
         async def body() -> MetricsResponse:
-            return MetricsResponse(text=render_openmetrics())
+            registry = self.batcher.metrics
+            models = self.registry.statistics()
+            registry.gauge("serve.models.loaded").set(models["count"])
+            registry.gauge("serve.models.bytes").set(models["bytes"])
+            _catch_up(registry.counter("serve.models.evicted"), models["evictions"])
+            cache = self.registry.cache
+            if cache is not None:
+                _catch_up(registry.counter("persist.cache.hits"), cache.hits)
+                _catch_up(registry.counter("persist.cache.misses"), cache.misses)
+            return MetricsResponse(text=render_openmetrics(registry))
 
         return await self._serve(request, body)
 
     # --------------------------------------------------------------- lifecycle
     async def aclose(self) -> None:
-        """Answer every admitted request (including launches in flight), shut
-        the worker pool down and release the models' ledger accounting (it
-        would outlive the server)."""
+        """Answer every admitted request (including launches in flight) and
+        shut the worker pool down."""
         await self.batcher.drain()
         self.batcher.close()
-        self.registry.close()
 
     def statistics(self) -> Dict[str, object]:
         return {

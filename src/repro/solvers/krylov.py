@@ -16,7 +16,11 @@ sparse PDE systems) without ever forming a dense matrix.  Both methods
 
 Convergence is declared when ``||b - A x|| / ||b|| <= tol`` (true residual for
 CG; for GMRES the recurrence residual, which coincides with the true
-residual of the right-preconditioned system).
+residual of the right-preconditioned system).  CG recomputes ``b - A x`` with
+one matvec before it declares convergence and continues from it when the
+recurrence has drifted below the true residual (residual replacement); the
+last entry of its ``residual_norms`` is the true residual of the returned
+``x`` on every exit.
 """
 
 from __future__ import annotations
@@ -237,10 +241,17 @@ def _cg_body(op, b, x, tol, maxiter, M, callback, tracer, start,
         return _result("cg", x, history, True, matvecs, precond, start,
                        tracer=tracer, health=health)
 
+    def true_residual():
+        nonlocal matvecs
+        matvecs += 1
+        residual = b - op.matvec(x)
+        return residual, float(np.linalg.norm(residual)) / b_norm
+
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     converged = False
+    r_is_true = True  # history[-1] is the true residual of x
     for iteration in range(maxiter):
         ap = op.matvec(p)
         matvecs += 1
@@ -252,19 +263,26 @@ def _cg_body(op, b, x, tol, maxiter, M, callback, tracer, start,
         x = x + alpha * p
         r = r - alpha * ap
         rel = float(np.linalg.norm(r)) / b_norm
+        r_is_true = rel <= tol
+        if r_is_true:
+            # Converged on the recurrence: check the true residual, and go on
+            # from it when the recurrence has drifted.
+            r, rel = true_residual()
+            converged = rel <= tol
         history.append(rel)
         if tracer.enabled:
             tracer.event("iteration", method="cg", iteration=iteration + 1,
                          residual=rel)
         if callback is not None:
             callback(iteration + 1, rel)
-        if rel <= tol:
-            converged = True
+        if converged:
             break
         z = precond(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
+    if not r_is_true:
+        history[-1] = true_residual()[1]
     return _result(
         "cg", x, history, converged, matvecs, precond, start,
         tracer=tracer, health=health, **_apply_info(op)

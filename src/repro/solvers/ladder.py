@@ -25,9 +25,9 @@ not cover:
     answer.
 
 Each escalation rung runs inside its own ``resilience/ladder:<rung>`` span
-with ``RecoveryPolicy.rung_maxiter`` iterations, increments the
-``resilience.escalations`` counter and warm-starts from the best iterate so
-far.  When every rung is used up the solve raises
+with ``RecoveryPolicy.rung_maxiter`` iterations, adds one rung to the
+result's ``extra["escalation"]`` record and warm-starts from the best iterate
+so far.  When every rung is used up the solve raises
 :class:`~repro.resilience.EscalationExhaustedError` carrying the best result
 — never a silent wrong answer.
 """
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..observe.metrics import metrics as _metrics
 from ..resilience.errors import EscalationExhaustedError, SolveDidNotConvergeError
 from ..resilience.policy import resilience_adapter
 from .krylov import KrylovResult, cg, gmres
@@ -143,7 +142,6 @@ def guarded_solve(
 
         factorization = factorize(a, shift=shift, tracer=tracer)
     for rung in (r for r in ("pcg", "gmres", "direct") if r not in covered):
-        _metrics().counter("resilience.escalations").inc()
         entered = time.perf_counter()
         with tracer.span(
             f"resilience/ladder:{rung}", category="resilience",

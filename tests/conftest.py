@@ -28,23 +28,6 @@ from repro import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _isolated_telemetry():
-    """Reset the process-global metrics registry and memory ledger per test.
-
-    Both are module-level singletons that production code writes into as a
-    side effect (cache hits, health probes, ledger accounting); without a
-    reset, counts would leak between tests and depend on execution order.
-    """
-    from repro.observe import reset_memory_ledger, reset_metrics
-
-    reset_metrics()
-    reset_memory_ledger()
-    yield
-    reset_metrics()
-    reset_memory_ledger()
-
-
 @pytest.fixture(scope="session")
 def scheduled_launches():
     """``(constructor, result) -> {operation: launches}``: what the stated

@@ -8,7 +8,8 @@ as, which its first apply adopts (``tests/test_persisted_operands.py``); a
 hand-built or mutated one compiles its plan from its blocks and is re-pointed
 at it on the first apply.  Either way there is one copy: these tests hold every
 block to sharing memory with exactly one forward operand of the matrix's own
-plan, and the ledger to counting it once.
+plan, and the byte counts of the matrix and the plan (``memory_bytes()``) to
+counting it once.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro import (
     uniform_cube_points,
 )
 from repro.batched import apply_plan as apply_plan_module
-from repro.observe import memory_ledger
 from test_apply_pinned import PROBLEMS, _MATRICES, matrix
 
 BLOCK_OPS = ("apply_dense", "apply_coupling")
@@ -145,25 +145,20 @@ def test_loaded_operator_views_its_plan_after_the_first_apply(tmp_path):
 
 
 def test_ledger_counts_every_block_byte_once():
-    memory_ledger().reset()
+    """The matrix counts its blocks and the plan only the operand bytes
+    beyond them, so the two owners count every block byte once."""
     h2 = compress(
         uniform_cube_points(400, dim=2, seed=3), ExponentialKernel(0.2),
         tol=1e-7, leaf_size=32, seed=3,
     )
     plan = h2.apply_plan()
     h2.matvec(np.ones(h2.num_rows))
-    owners = memory_ledger().by_owner()
-    operator = [v for k, v in owners.items() if k.startswith("H2Matrix")]
-    plans = [v for k, v in owners.items() if k.startswith("H2ApplyPlan")]
-    assert len(operator) == len(plans) == 1
     parts = h2.memory_bytes()
-    assert operator[0] == {
-        "basis": parts["basis"], "coupling": parts["coupling"], "dense": parts["dense"]
-    }
-    operand_bytes = sum(stage.a.nbytes for stage in plan.stages)
     block_bytes = parts["coupling"] + parts["dense"]
-    assert plans[0] == {"workspace": operand_bytes - block_bytes}
+    assert parts["total"] == parts["basis"] + block_bytes
+    operand_bytes = sum(stage.a.nbytes for stage in plan.stages)
     assert plan.memory_bytes() == operand_bytes - block_bytes
+    assert parts["total"] + plan.memory_bytes() == parts["basis"] + operand_bytes
 
 
 def test_retried_compress_views_the_plan_it_returns():

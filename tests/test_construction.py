@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.linalg import construction_error
 from repro.linalg.norm_estimation import SKETCH_NORM_COLUMNS
-from repro.observe import MetricsRegistry, PhaseBreakdown, find_spans
+from repro.observe import PhaseBreakdown, find_spans
 
 from oracles import LoopConstructor
 
@@ -319,7 +319,7 @@ class TestPhaseSpans:
             DenseEntryExtractor(dense_cov_2d),
             ConstructionConfig(tolerance=1e-7, sample_block_size=32),
             seed=5,
-            tracer=SpanTracer(metrics=MetricsRegistry()),
+            tracer=SpanTracer(),
         )
         root = constructor.construct().trace
         phases = find_spans(root, category="construct.phase")
@@ -349,7 +349,7 @@ class TestPhaseSpans:
                 seed=5,
                 tracer=tracer,
             ).construct()
-            for tracer in (None, SpanTracer(metrics=MetricsRegistry()))
+            for tracer in (None, SpanTracer())
         ]
         untraced, traced = results
         assert untraced.trace is None and traced.trace is not None

@@ -33,7 +33,7 @@ from repro import (
     uniform_cube_points,
 )
 from repro.api import facade
-from repro.observe import metrics
+from repro.observe import SpanTracer, find_spans
 from repro.sketching import KernelEntryExtractor, KernelMatVecOperator
 
 from oracles import LoopConstructor
@@ -290,16 +290,20 @@ class TestRecovery:
         self, points, reference, faults
     ):
         x, want = reference
-        before = metrics().counter("resilience.retries").value
+        tracer = SpanTracer()
         ctx = Session(
             points, leaf_size=32, seed=5,
-            policy=ExecutionPolicy(recovery="recover", faults=faults),
+            policy=ExecutionPolicy(recovery="recover", faults=faults,
+                                   tracer=tracer),
         )
         for ls, expected in zip((0.2, 0.35), want):
             result = ctx.construct(ExponentialKernel(ls), tol=TOL)
             assert np.array_equal(result.matrix.matvec(x), expected)
         assert ctx.policy.faults.fired(faults.split(":")[0]) == 1
-        assert metrics().counter("resilience.retries").value > before
+        # The one recovery is one ``resilience/<event>`` span.
+        (retry,) = find_spans(tracer, category="resilience")
+        assert retry.name in ("resilience/packed-retry",
+                              "resilience/sample-relaunch")
 
 
 class TestReuse:

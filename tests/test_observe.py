@@ -1,5 +1,5 @@
-"""Tests for repro.observe: spans, tracers, metrics, exporters and the
-span views.
+"""Tests for repro.observe: spans, tracers, metrics instruments, exporters
+and the span views.
 
 The integration tests run one traced ``Session`` pipeline (compress → factor →
 solve → GP evaluate) and check the acceptance contract: per-span launch deltas
@@ -34,7 +34,6 @@ from repro.observe import (
     PhaseBreakdown,
     console_tree,
     find_spans,
-    from_jsonl,
     launches_by_operation,
     phase_span,
     to_chrome_trace,
@@ -47,8 +46,7 @@ LEAF = 32
 
 
 def fresh_tracer(counter=None):
-    """A tracer with a private metrics registry (keeps the global one clean)."""
-    return SpanTracer(counter=counter, metrics=MetricsRegistry())
+    return SpanTracer(counter=counter)
 
 
 # ---------------------------------------------------------------------- spans
@@ -171,16 +169,6 @@ class TestSpanNesting:
         tracer = fresh_tracer(first)
         tracer.bind_counter(KernelLaunchCounter())
         assert tracer.counter is first
-
-    def test_metrics_fed_per_category(self):
-        registry = MetricsRegistry()
-        tracer = SpanTracer(metrics=registry)
-        with tracer.span("work", category="solve"):
-            pass
-        with tracer.span("bare-name"):
-            pass
-        assert registry.histogram("span.solve.seconds").count == 1
-        assert registry.histogram("span.bare-name.seconds").count == 1
 
 
 class TestSpanCounterThreadSafety:
@@ -311,12 +299,6 @@ class TestMetrics:
         assert snap["counters"]["c"] == 2
         assert snap["gauges"]["g"] == 1.5
         assert snap["histograms"]["h"]["count"] == 1
-        registry.reset()
-        assert registry.counter("c").value == 0
-
-    def test_global_registry_accessor(self):
-        registry = repro.observe.metrics()
-        assert registry is repro.observe.metrics()
 
 
 # ------------------------------------------------------------------ exporters
@@ -334,25 +316,20 @@ def _sample_trace():
 
 
 class TestExporters:
-    def test_jsonl_round_trip(self):
+    def test_jsonl_records(self):
         tracer = _sample_trace()
-        text = to_jsonl(tracer)
-        assert len(text.splitlines()) == 2
-        for line in text.splitlines():
-            json.loads(line)
-        (root,) = from_jsonl(text)
+        root, child = (json.loads(line) for line in to_jsonl(tracer).splitlines())
         original = tracer.roots[0]
-        assert root.to_dict() == original.to_dict()
-        (child,) = root.children
-        assert child.to_dict() == original.children[0].to_dict()
-        assert child.parent is root
+        assert (root.pop("id"), root.pop("parent_id")) == (0, None)
+        assert root == original.to_dict()
+        assert (child.pop("id"), child.pop("parent_id")) == (1, 0)
+        assert child == original.children[0].to_dict()
 
     def test_jsonl_accepts_span_or_list(self):
         tracer = _sample_trace()
         root = tracer.roots[0]
         assert to_jsonl(root) == to_jsonl(tracer) == to_jsonl([root])
         assert to_jsonl([]) == ""
-        assert from_jsonl("") == []
 
     def test_chrome_trace_schema(self):
         tracer = _sample_trace()
@@ -594,15 +571,16 @@ class TestTracedPipeline:
         tree = console_tree(traced_session["tracer"])
         assert "construct" in tree and "solve/cg" in tree
 
-    def test_jsonl_round_trip_of_full_pipeline(self, traced_session):
+    def test_jsonl_of_full_pipeline(self, traced_session):
         tracer = traced_session["tracer"]
-        roots = from_jsonl(to_jsonl(tracer))
-        assert len(roots) == len(tracer.roots)
-        assert total_launches(roots) == total_launches(tracer)
-        assert (
-            PhaseBreakdown.from_span(roots).seconds
-            == PhaseBreakdown.from_span(tracer).seconds
-        )
+        records = [json.loads(line) for line in to_jsonl(tracer).splitlines()]
+        spans = [span for root in tracer.roots for span in root.walk()]
+        assert len(records) == len(spans)
+        assert sum(record["parent_id"] is None for record in records) == len(tracer.roots)
+        assert sum(
+            sum(record["launches"].values())
+            for record in records if record["parent_id"] is None
+        ) == total_launches(tracer)
 
 
 @pytest.fixture(scope="module")

@@ -427,18 +427,13 @@ class TestArtifactCache:
         assert cache.statistics()["entries"] == 0
 
     def test_observe_counters(self, saved_operator, tmp_path):
-        from repro.observe.metrics import metrics
-
         _, op, _ = saved_operator
-        registry = metrics()
-        hits0 = registry.counter("persist.cache.hits").value
-        misses0 = registry.counter("persist.cache.misses").value
         cache = ArtifactCache(tmp_path)
         cache.get("absent")
+        assert (cache.hits, cache.misses) == (0, 1)
         cache.put("present", op)
         cache.get("present")
-        assert registry.counter("persist.cache.hits").value == hits0 + 1
-        assert registry.counter("persist.cache.misses").value == misses0 + 1
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestCompressIntegration:

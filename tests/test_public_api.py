@@ -204,11 +204,18 @@ def _imported_modules(path: Path) -> set:
 
 class TestLayering:
     """The construction core and the solvers sit below the façade: neither
-    imports ``repro.api``, and the core does not import ``repro.persist``."""
+    imports ``repro.api``, and the core does not import ``repro.persist``.
+    No layer below ``repro.serve`` imports a metrics registry."""
 
+    #: Only ``repro.serve`` (and ``repro.observe`` itself) holds a metrics
+    #: registry: every other layer keeps its counts on its own objects.
+    REGISTRY = ("repro.observe.metrics", "repro.observe.openmetrics")
     FORBIDDEN = {
-        "core": ("repro.api", "repro.persist"),
-        "solvers": ("repro.api",),
+        "core": ("repro.api", "repro.persist") + REGISTRY,
+        "solvers": ("repro.api",) + REGISTRY,
+        "batched": REGISTRY,
+        "persist": REGISTRY,
+        "resilience": REGISTRY,
     }
 
     @pytest.mark.parametrize("layer", sorted(FORBIDDEN))

@@ -36,7 +36,7 @@ from repro import (
     Session,
     uniform_cube_points,
 )
-from repro.observe import metrics
+from repro.observe import SpanTracer, find_spans
 from repro.resilience import (
     FAULT_KINDS,
     ArtifactIntegrityError,
@@ -44,6 +44,7 @@ from repro.resilience import (
     EscalationExhaustedError,
     FaultInjector,
     FaultSpec,
+    InjectedFault,
     MemoryBudgetError,
     RankSaturationError,
     RecoveryPolicy,
@@ -83,10 +84,6 @@ def compress_policy(points, policy, **kwargs):
         points, ExponentialKernel(0.4), policy=policy,
         full_result=True, **kwargs
     )
-
-
-def counter_value(name: str) -> int:
-    return metrics().counter(name).value
 
 
 # ------------------------------------------------------------------- policy
@@ -249,12 +246,36 @@ class TestFaultInjector:
         assert inj.fired("stall-convergence") == calls * threads
         assert [entry["event"] for entry in inj.log] == list(range(1, calls * threads + 1))
 
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_fired_counts_each_kind_at_its_site(self, kind, tmp_path):
+        """The injector is the one record of its firings: ``fired(kind)``
+        and the log count every firing of ``kind`` at its own site, up to
+        ``times``, and no other kind's."""
+        artifact = tmp_path / "artifact.bin"
+        artifact.write_bytes(bytes(256))
+        inj = FaultInjector.from_spec(f"{kind}:times=2")
+        fire = {
+            "nan-in-gemm-output": lambda: inj.corrupt_gemm_output(np.ones(4)),
+            "fail-nth-launch": lambda: inj.fail_launch("construct.packed"),
+            "corrupt-artifact-buffer": lambda: inj.corrupt_artifact(artifact),
+            "memory-budget-exceeded": lambda: inj.memory_budget("construct.packed"),
+            "stall-convergence": lambda: inj.stall_maxiter(100),
+        }[kind]
+        for _ in range(3):
+            try:
+                fire()
+            except (InjectedFault, MemoryBudgetError):
+                pass
+        assert inj.fired(kind) == 2
+        assert [entry["kind"] for entry in inj.log] == [kind, kind]
+        assert all(inj.fired(other) == 0 for other in FAULT_KINDS if other != kind)
+
     def test_counter_increments(self):
-        before = counter_value("resilience.faults_injected")
         inj = FaultInjector.from_spec("memory-budget-exceeded")
+        assert inj.fired("memory-budget-exceeded") == 0
         with pytest.raises(Exception):
             inj.memory_budget("construct.packed")
-        assert counter_value("resilience.faults_injected") == before + 1
+        assert inj.fired("memory-budget-exceeded") == 1
 
 
 # ------------------------------------------------- construction fault matrix
@@ -287,9 +308,11 @@ class TestConstructionFaultMatrix:
         assert excinfo.value.stage == "construct.packed"
 
     def test_fail_launch_recover_bitwise(self, packed_points, reference):
-        before = counter_value("resilience.retries")
-        self._recovered_matches(packed_points, reference, "fail-nth-launch")
-        assert counter_value("resilience.retries") > before
+        tracer = SpanTracer()
+        self._recovered_matches(
+            packed_points, reference, "fail-nth-launch", tracer=tracer
+        )
+        assert len(find_spans(tracer, name="resilience/packed-retry")) == 1
 
     def test_fail_launch_warn_warns(
         self, packed_points, reference, resilience_log
@@ -298,8 +321,9 @@ class TestConstructionFaultMatrix:
         policy = ExecutionPolicy(recovery="warn", faults="fail-nth-launch")
         result = compress_policy(packed_points, policy)
         assert np.array_equal(result.matrix.matvec(x), want)
-        assert any("packed-retry" in m for m in resilience_log)
-        assert counter_value("resilience.warnings") > 0
+        # One fault fired, one retry, one warning record.
+        assert [m for m in resilience_log if "packed-retry" in m] == resilience_log
+        assert len(resilience_log) == policy.faults.fired("fail-nth-launch") == 1
 
     @pytest.mark.parametrize("mode", ["recover", "warn"])
     def test_persistent_fail_launch_raises_after_retries(self, packed_points, mode):
@@ -307,13 +331,15 @@ class TestConstructionFaultMatrix:
         # failure surfaces typed, with the retries on record.
         from repro.core.builder import MAX_RETRIES as retries
 
-        policy = ExecutionPolicy(recovery=mode, faults="fail-nth-launch:times=-1")
-        before = counter_value("resilience.retries")
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(
+            recovery=mode, faults="fail-nth-launch:times=-1", tracer=tracer
+        )
         with pytest.raises(ConstructionFaultError) as excinfo:
             compress_policy(packed_points, policy)
         assert excinfo.value.stage == "construct.packed"
         assert excinfo.value.context["retries"] == retries
-        assert counter_value("resilience.retries") == before + retries
+        assert len(find_spans(tracer, name="resilience/packed-retry")) == retries
         assert policy.faults.fired("fail-nth-launch") == retries + 1
 
     # --- nan-in-gemm-output ----------------------------------------------
@@ -328,9 +354,11 @@ class TestConstructionFaultMatrix:
         # Recovery relaunches the *same* multiply (same omega); once the
         # fault budget is spent the clean product comes back, so the run is
         # bitwise identical to the uninjected reference.
-        before = counter_value("resilience.recoveries")
-        self._recovered_matches(packed_points, reference, "nan-in-gemm-output")
-        assert counter_value("resilience.recoveries") > before
+        tracer = SpanTracer()
+        self._recovered_matches(
+            packed_points, reference, "nan-in-gemm-output", tracer=tracer
+        )
+        assert len(find_spans(tracer, name="resilience/sample-relaunch")) == 1
 
     @pytest.mark.parametrize("nth", [1, 2])
     def test_nan_gemm_never_reaches_the_threshold(
@@ -546,16 +574,15 @@ class TestEscalationLadder:
     def test_escalation_counter_and_spans(self, hss_system):
         op, b = hss_system
         tracer = repro.SpanTracer()
-        before = counter_value("resilience.escalations")
-        guarded_solve(
+        result = guarded_solve(
             op, b, tol=1e-8, shift=1e-6, maxiter=20,
             policy=recover_policy(rung_maxiter=20, tracer=tracer),
         )
-        assert counter_value("resilience.escalations") > before
-        from repro.observe import find_spans
-
+        escalations = result.extra["escalation"]["escalations"]
+        assert escalations >= 1
         spans = find_spans(tracer, category="resilience")
-        assert any(s.name.startswith("resilience/ladder:") for s in spans)
+        assert len(spans) == escalations
+        assert all(s.name.startswith("resilience/ladder:") for s in spans)
 
     def test_exhaustion_raises_with_result(self, hss_system):
         op, b = hss_system
@@ -621,17 +648,19 @@ class TestEscalationLadder:
         """The first solve is the first rung; the escalation runs the rungs
         of CG → PCG → GMRES → direct it did not cover, in that order."""
         op, b = small_hss_system
-        before = counter_value("resilience.escalations")
+        tracer = SpanTracer()
         with pytest.raises(EscalationExhaustedError) as excinfo:
             guarded_solve(
                 op, b, method=method, tol=1e-15, shift=1e-6, maxiter=0,
                 factorization=factorize(op, shift=1e-6) if factored else None,
-                policy=recover_policy(rung_maxiter=0),
+                policy=recover_policy(rung_maxiter=0, tracer=tracer),
             )
         record = excinfo.value.context
         assert [r["rung"] for r in record["rungs"]] == rungs
         assert record["escalations"] == len(rungs) - 1
-        assert counter_value("resilience.escalations") - before == len(rungs) - 1
+        assert [s.name for s in find_spans(tracer, category="resilience")] == [
+            f"resilience/ladder:{rung}" for rung in rungs[1:]
+        ]
 
     @pytest.mark.parametrize("mode", ["strict", "warn", "recover"])
     def test_dense_operator_rejected(self, mode):
@@ -695,10 +724,9 @@ class TestSessionResilience:
 
     def test_escalation_counts_the_first_attempt(self, session_setup):
         """A CG rescued by PCG is one escalation: the record starts with the
-        failed CG, the counter moves by one and the time covers both."""
+        failed CG, it counts one escalation and the time covers both."""
         points, b = session_setup
         sess = self._session(points, "recover")
-        before = counter_value("resilience.escalations")
         result = sess.solve(b, tol=1e-8, maxiter=2)
         assert result.converged
         assert result.extra["escalated_from"] == "cg"
@@ -706,7 +734,6 @@ class TestSessionResilience:
         assert [r["rung"] for r in ladder["rungs"]] == ["cg", "pcg"]
         assert [r["converged"] for r in ladder["rungs"]] == [False, True]
         assert ladder["escalations"] == 1
-        assert counter_value("resilience.escalations") - before == 1
         assert result.elapsed_seconds >= sum(r["time_s"] for r in ladder["rungs"])
 
     def test_stall_fault_through_session(self, session_setup):
@@ -920,8 +947,8 @@ class TestAcceptance:
 class TestDisabledResilience:
     def test_construct_without_recovery_is_the_unguarded_sweep(self, monkeypatch):
         """With no recovery and no faults, ``construct()`` never enters
-        ``_construct_guarded`` (a spy raises) and moves no ``resilience.*``
-        counter; its result is the unguarded sweep's bit for bit.  What the
+        ``_construct_guarded`` (a spy raises) and opens no ``resilience``
+        span; its result is the unguarded sweep's bit for bit.  What the
         dispatch costs in wall-clock time is the benchmark's to measure."""
         from repro.api.facade import _resolve_evaluators, _resolve_geometry
         from repro.core.builder import H2Constructor
@@ -933,10 +960,10 @@ class TestDisabledResilience:
             ExponentialKernel(0.2), tree, None, None
         )
 
-        def constructor():
+        def constructor(**kwargs):
             return H2Constructor(
                 partition, operator, extractor,
-                ConstructionConfig(tolerance=1e-5), seed=1,
+                ConstructionConfig(tolerance=1e-5), seed=1, **kwargs,
             )
 
         reference = constructor()._construct()
@@ -945,15 +972,12 @@ class TestDisabledResilience:
             raise AssertionError("construct() entered the guarded path")
 
         monkeypatch.setattr(H2Constructor, "_construct_guarded", guarded)
-        unguarded = constructor()
+        tracer = SpanTracer()
+        unguarded = constructor(tracer=tracer)
         assert unguarded.recovery is None and unguarded.faults is None
         result = unguarded.construct()
-        counters = metrics().snapshot()["counters"]
-        assert all(
-            value == 0
-            for name, value in counters.items()
-            if name.startswith("resilience.")
-        )
+        assert find_spans(tracer, name="construct")
+        assert find_spans(tracer, category="resilience") == []
         assert result.kernel_launches == reference.kernel_launches
         assert np.array_equal(
             result.matrix.to_dense(permuted=True),

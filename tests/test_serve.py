@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro import ExecutionPolicy, ExponentialKernel, uniform_cube_points
-from repro.observe import SpanTracer, metrics
+from repro.observe import SpanTracer, find_spans
 from repro.serve import (
     HealthRequest,
     InferenceServer,
@@ -186,7 +186,6 @@ class TestModelRegistry:
         with pytest.raises(ModelNotFoundError):
             registry.get("a")
         assert registry.evictions == 1
-        assert metrics().counter("serve.models.evicted").value == 1
 
     def test_lru_max_models_eviction(self, serve_operator):
         registry = ModelRegistry(max_models=2)
@@ -206,17 +205,15 @@ class TestModelRegistry:
         # Over budget: the LRU entry goes, but never the last survivor.
         assert registry.names() == ["b"]
 
-    def test_memory_ledger_accounting(self, serve_operator):
-        from repro.observe import memory_ledger
-
+    def test_registry_counts_models_bytes_and_evictions(self, serve_operator):
         registry = ModelRegistry()
-        registry.register("a", serve_operator)
-        owners = memory_ledger().by_owner()
-        assert "serve.model:a" in owners
-        assert metrics().gauge("serve.models.loaded").value == 1
-        registry.evict("a")
-        assert "serve.model:a" not in memory_ledger().by_owner()
-        assert metrics().gauge("serve.models.loaded").value == 0
+        model = registry.register("a", serve_operator)
+        stats = registry.statistics()
+        assert (stats["count"], stats["bytes"]) == (1, model.memory_bytes())
+        assert registry.evict("a")
+        assert not registry.evict("a")
+        stats = registry.statistics()
+        assert (stats["count"], stats["bytes"], stats["evictions"]) == (0, 0, 1)
 
     def test_lazy_factorization_and_logdet(self, serve_operator, dense_matrix):
         registry = ModelRegistry()
@@ -387,7 +384,7 @@ class TestMicroBatcher:
             np.testing.assert_allclose(
                 y, serve_operator.matvec(p), atol=1e-11
             )
-        summary = metrics().histogram("serve.batch.requests").summary()
+        summary = batcher.metrics.histogram("serve.batch.requests").summary()
         assert summary["count"] == 1 and summary["max"] == 12
         batcher.close()
 
@@ -461,7 +458,8 @@ class TestMicroBatcher:
         assert server.batcher.launches == 10
         assert [r.batch_size for rs in responses for r in rs] == [2] * 20
         # One queue-time observation per launch.
-        assert metrics().histogram("serve.batch.queue_ms").summary()["count"] == 10
+        queue_ms = server.batcher.metrics.histogram("serve.batch.queue_ms")
+        assert queue_ms.summary()["count"] == 10
         for c, rs in enumerate(responses):
             for r, x in zip(rs, payloads[c]):
                 np.testing.assert_allclose(
@@ -633,7 +631,7 @@ class TestMicroBatcher:
             )
 
         results = run(main())
-        assert metrics().counter("serve.batch.fallbacks").value == 1
+        assert batcher.metrics.counter("serve.batch.fallbacks").value == 1
         monkeypatch.undo()
         for (y, batch_size), p in zip(results, payloads):
             assert batch_size == 1  # answered by the individual retry
@@ -688,17 +686,6 @@ class TestInferenceServer:
         assert response.latency_ms > 0.0
         assert response.model == "m" and response.request_id
         run(server.aclose())
-
-    def test_aclose_returns_the_ledger_to_its_pre_register_total(self, serve_operator):
-        from repro.observe import memory_ledger
-
-        before = memory_ledger().total_bytes()
-        server = make_server(serve_operator)
-        run(server.handle(SolveRequest(model="m", b=np.ones(N))))  # factor bytes too
-        assert memory_ledger().total_bytes() > before
-        run(server.aclose())
-        assert "serve.model:m" not in memory_ledger().by_owner()
-        assert memory_ledger().total_bytes() == before
 
     def test_aclose_answers_every_admitted_request(
         self, serve_operator, monkeypatch
@@ -773,8 +760,9 @@ class TestInferenceServer:
                 await server.handle(SolveRequest(model="ghost", b=np.ones(N)))
 
         run(main())
-        assert metrics().counter("serve.errors").value == 1
-        assert metrics().counter("serve.errors.solve").value == 1
+        registry = server.batcher.metrics
+        assert registry.counter("serve.errors").value == 1
+        assert registry.counter("serve.errors.solve").value == 1
         run(server.aclose())
 
     def test_concurrent_solves_batch_and_match_unbatched(self, serve_operator):
@@ -825,9 +813,111 @@ class TestInferenceServer:
         assert text.rstrip().endswith("# EOF")
         assert "repro_serve_solve_latency_ms" in text
         assert 'quantile="0.99"' in text
-        assert "repro_serve_requests_total" in text
+        assert "repro_serve_requests_solve_total 1\n" in text
+        assert "repro_serve_batch_launches_total 1\n" in text
         assert "openmetrics" in response.content_type
         run(server.aclose())
+
+    def test_metrics_scrape_reads_the_registry_and_its_cache(
+        self, serve_operator, serve_points, serve_kernel, tmp_path
+    ):
+        """Model count, bytes and evictions come from the ModelRegistry, and
+        cache hits and misses from its ArtifactCache, at scrape time."""
+        cache = repro.ArtifactCache(tmp_path)
+        server = InferenceServer(ModelRegistry(cache=cache, max_models=1))
+        for name in ("a", "b"):  # a miss, then a hit that evicts "a"
+            server.register(name, points=serve_points, kernel=serve_kernel,
+                            tol=TOL, leaf_size=32, seed=5)
+        assert (cache.hits, cache.misses, server.registry.evictions) == (1, 1, 1)
+        model_bytes = server.registry.get("b").memory_bytes()
+
+        async def scrape():
+            return (await server.metrics()).text
+
+        first = run(scrape())
+        for line in ("repro_serve_models_loaded 1",
+                     f"repro_serve_models_bytes {model_bytes}",
+                     "repro_serve_models_evicted_total 1",
+                     "repro_persist_cache_hits_total 1",
+                     "repro_persist_cache_misses_total 1"):
+            assert line + "\n" in first
+        server.registry.evict("b")
+        second = run(scrape())
+        assert "repro_serve_models_loaded 0\n" in second
+        assert "repro_serve_models_evicted_total 2\n" in second
+        assert "repro_persist_cache_hits_total 1\n" in second
+        run(server.aclose())
+
+    @pytest.mark.parametrize("path", ["evict", "ttl", "max_models", "max_bytes"])
+    def test_each_eviction_is_counted_once_and_scraped(self, serve_operator, path):
+        limits = {"ttl": dict(ttl_seconds=60.0), "max_models": dict(max_models=1),
+                  "max_bytes": dict(max_bytes=1)}.get(path, {})
+        server = InferenceServer(ModelRegistry(**limits))
+        first = server.register("a", serve_operator)
+        if path == "evict":
+            assert server.registry.evict("a")
+        elif path == "ttl":
+            first.last_used -= 120.0  # idle past the TTL
+        server.register("b", serve_operator)  # sweeps the budgets
+        assert server.registry.names() == ["b"]
+        assert server.registry.evictions == 1
+        text = run(server.metrics()).text
+        assert "repro_serve_models_evicted_total 1\n" in text
+        assert "repro_serve_models_loaded 1\n" in text
+        run(server.aclose())
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_two_servers_share_no_count(self, serve_points, serve_kernel, batching):
+        """Two servers in one process, each with its own policy and tracer,
+        serve matvec and solve requests concurrently: each one's /metrics
+        text and tracer hold its own requests only."""
+        servers, tracers = [], []
+        for _ in range(2):
+            tracer = SpanTracer()
+            policy = ExecutionPolicy(tracer=tracer)
+            server = InferenceServer(policy=policy, batching=batching)
+            server.register("m", points=serve_points, kernel=serve_kernel,
+                            tol=TOL, leaf_size=32, seed=5, noise=NOISE)
+            servers.append(server)
+            tracers.append(tracer)
+        plan = {0: (3, 1), 1: (5, 2)}  # server -> (matvecs, solves)
+        rng = np.random.default_rng(12)
+
+        async def traffic(index):
+            server = servers[index]
+            matvecs, solves = plan[index]
+            requests = (
+                [MatvecRequest(model="m", x=rng.standard_normal(N))
+                 for _ in range(matvecs)]
+                + [SolveRequest(model="m", b=rng.standard_normal(N))
+                   for _ in range(solves)]
+            )
+            await asyncio.gather(*[server.handle(r) for r in requests])
+            return (await server.metrics()).text
+
+        async def main():
+            return await asyncio.gather(traffic(0), traffic(1))
+
+        texts = run(main())
+        for index, text in enumerate(texts):
+            matvecs, solves = plan[index]
+            assert f"repro_serve_requests_matvec_total {matvecs}\n" in text
+            assert f"repro_serve_requests_solve_total {solves}\n" in text
+            # The scrape is a request too, counted before it renders.
+            assert f"repro_serve_requests_total {matvecs + solves + 1}\n" in text
+            assert f"repro_serve_matvec_latency_ms_count {matvecs}\n" in text
+            assert f"repro_serve_batch_requests_sum {matvecs + solves}\n" in text
+            spans = find_spans(tracers[index], name="serve.request")
+            endpoints = sorted(span.attributes["endpoint"] for span in spans)
+            assert endpoints == sorted(
+                ["matvec"] * matvecs + ["solve"] * solves + ["metrics"]
+            )
+            batches = find_spans(tracers[index], name="serve.batch")
+            assert sum(span.attributes["requests"] for span in batches) == (
+                matvecs + solves if batching else 0
+            )
+        for server in servers:
+            run(server.aclose())
 
     def test_request_spans_are_recorded(self, serve_operator):
         tracer = SpanTracer()

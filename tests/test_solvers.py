@@ -257,6 +257,72 @@ class TestKrylov:
             solver(a, b, x0=np.zeros_like(b, dtype=np.complex128))
 
 
+class TestCGTrueResidual:
+    """CG declares convergence on ``b - A x``, not on its recurrence, and its
+    reported residual is the true residual of the returned iterate."""
+
+    SHIFT = 1e-6
+
+    @pytest.fixture(scope="class")
+    def hss_system(self):
+        points = np.random.default_rng(2).random((1024, 2))
+        op = compress(points, ExponentialKernel(length_scale=0.2),
+                      format="hss", tol=1e-10, seed=2)
+        b = np.random.default_rng(3).standard_normal(1024)
+        return op, b
+
+    def true_residual(self, op, x, b):
+        r = op.matvec(x) + self.SHIFT * x - b
+        return float(np.linalg.norm(r) / np.linalg.norm(b))
+
+    def test_guarded_solve_reports_the_true_residual(self, hss_system):
+        """A preconditioned rung at ``tol=1e-15`` reaches a recurrence
+        residual of ~1e-26 while ``b - A x`` stays ~1e-13: it must not
+        report convergence on the recurrence."""
+        from repro import ExecutionPolicy
+        from repro.resilience import EscalationExhaustedError, RecoveryPolicy
+        from repro.solvers import guarded_solve
+
+        op, b = hss_system
+        policy = ExecutionPolicy(recovery=RecoveryPolicy(rung_maxiter=3))
+        try:
+            result = guarded_solve(op, b, tol=1e-15, shift=self.SHIFT,
+                                   maxiter=3, policy=policy)
+        except EscalationExhaustedError as exc:
+            result = exc.result
+        true = self.true_residual(op, result.x, b)
+        assert result.final_residual == pytest.approx(true, rel=1e-6)
+        assert result.converged == (true <= 1e-15)
+
+    @pytest.mark.parametrize("tol, maxiter", [(1e-15, 3), (1e-8, 50), (1e-15, 1)])
+    def test_pcg_every_exit_reports_the_true_residual(self, hss_system, tol, maxiter):
+        op, b = hss_system
+        result = cg(as_linear_operator(op, shift=self.SHIFT), b, tol=tol,
+                    maxiter=maxiter, M=factorize(op, shift=self.SHIFT))
+        true = self.true_residual(op, result.x, b)
+        assert result.final_residual == pytest.approx(true, rel=1e-6)
+        assert result.converged == (true <= tol)
+        assert result.iterations == result.residual_norms.shape[0] - 1
+
+    def test_indefinite_exit_reports_the_true_residual(self):
+        """A loss of positive definiteness stops CG at its second step; the
+        reported residual is then recomputed from ``x`` (one more matvec)."""
+        a = np.diag([1.0, 1.0, 1.0, -0.5])
+        b = np.ones(4)
+        result = cg(a, b, tol=1e-12, maxiter=10)
+        assert not result.converged
+        assert (result.iterations, result.matvecs) == (1, 3)
+        true = np.linalg.norm(a @ result.x - b) / np.linalg.norm(b)
+        assert result.final_residual == pytest.approx(true, rel=1e-12)
+
+    def test_unconverged_exit_reports_the_true_residual(self, spd_system):
+        a, b = spd_system
+        result = cg(a, b, tol=1e-14, maxiter=2)
+        assert not result.converged
+        true = np.linalg.norm(a @ result.x - b) / np.linalg.norm(b)
+        assert result.final_residual == pytest.approx(true, rel=1e-12)
+
+
 class TestHODLRFactorization:
     @pytest.fixture(scope="class")
     def kernel_system(self):
