@@ -63,11 +63,12 @@ def fastest_apply(h2, backend: str, k: int, repeats: int):
     """The fastest of ``repeats`` traced ``k``-column applies, after a warm-up."""
     tracer = SpanTracer()
     traced = ExecutionPolicy(backend=backend, tracer=tracer).resolve_backend()
+    plan = h2.apply_plan()
     x = np.random.default_rng(0).standard_normal((h2.num_rows, k))
-    h2.matvec(x, backend=traced)
+    plan.execute(x, backend=traced, tracer=tracer)
     tracer.reset()
     for _ in range(repeats):
-        h2.matvec(x, backend=traced)
+        plan.execute(x, backend=traced, tracer=tracer)
     return min(find_spans(tracer, name="apply"), key=lambda span: span.duration)
 
 
@@ -90,7 +91,7 @@ def bench_size(n: int):
         span_mm = fastest_apply(h2, backend, k=MATMAT_COLUMNS, repeats=3)
         error = None
         if reference is not None:
-            batched = h2.matvec(x, permuted=True, backend=backend)
+            batched = plan.execute(x[:, None], backend=backend)[:, 0]
             error = float(
                 np.linalg.norm(batched - reference) / np.linalg.norm(reference)
             )

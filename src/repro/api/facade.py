@@ -313,8 +313,8 @@ def _construct_or_load(
 
     The constructor runs under the policy's tracer, recovery and faults; a
     cache read under its recovery.  ``problem`` is called only when
-    something is constructed.  Either way the result's matrix applies on
-    ``policy.resolve_backend()``.
+    something is constructed.  Either way the result's matrix is bound to
+    the policy (:meth:`ExecutionPolicy.bind`).
     """
     result: Optional[ConstructionResult] = None
 
@@ -324,19 +324,18 @@ def _construct_or_load(
             *problem(), config=config, seed=seed, tracer=policy.tracer,
             recovery=policy.recovery, faults=policy.faults,
         ).construct()
-        result.matrix.apply_backend = policy.resolve_backend()
         return result.matrix
 
     if key is None:
         build()
-        return result
-    start = time.perf_counter()
-    matrix, hit = cache.get_or_build(key, build, policy)
-    if hit:
-        matrix.apply_backend = policy.resolve_backend()
-        result = ConstructionResult.from_cache(
-            matrix, config, time.perf_counter() - start
-        )
+    else:
+        start = time.perf_counter()
+        matrix, hit = cache.get_or_build(key, build, policy)
+        if hit:
+            result = ConstructionResult.from_cache(
+                matrix, config, time.perf_counter() - start
+            )
+    policy.bind(result.matrix)
     return result
 
 

@@ -2,10 +2,11 @@
 
 The batched backend, the tracer (which owns the shared launch counter), the
 health probes and the resilience knobs live on one :class:`ExecutionPolicy`,
-whose backend (a name or an instance, :mod:`repro.backends`) is
-threaded through the façade (:func:`repro.api.compress`,
-:class:`repro.api.Session`), the constructor, the compiled apply plans, the
-solvers and the GP subsystem.
+which is passed to the façade (:func:`repro.api.compress`,
+:class:`repro.api.Session`), the constructor, the solvers, the GP subsystem
+and the server.  An operator created under a policy is bound to its backend
+and tracer (:meth:`ExecutionPolicy.bind`); nothing is written onto the
+backend, which several policies may share.
 
 Environment overrides (read when a knob is left at ``"auto"``):
 
@@ -37,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.backend import BatchedBackend
     from ..batched.counters import KernelLaunchCounter
     from ..core.config import ConstructionConfig
+    from ..hmatrix.h2matrix import H2Matrix
     from ..observe.health import HealthThresholds
     from ..observe.tracer import NoopTracer, SpanTracer
 
@@ -60,9 +62,8 @@ class ExecutionPolicy:
         A :class:`~repro.observe.SpanTracer` recording hierarchical spans for
         everything executed under this policy, or the zero-overhead
         :data:`~repro.observe.NOOP_TRACER` (default).  :meth:`resolve_backend`
-        binds the tracer to the resolved backend's launch counter and stores
-        it on the backend instance (the only policy value it installs there),
-        so compiled apply plans record to the same trace.
+        binds the tracer to the resolved backend's launch counter, and
+        :meth:`bind` makes an operator's applies record to it.
     health:
         :class:`~repro.observe.health.HealthThresholds` enabling the
         numerical-health telemetry: a stochastic compression-error probe on
@@ -139,11 +140,9 @@ class ExecutionPolicy:
     def resolve_backend(self) -> "BatchedBackend":
         """The backend instance this policy executes on.
 
-        Besides resolving the name, this is the single consolidation point of
-        launch-counter and tracer ownership: the policy's tracer adopts the
-        resolved backend's counter (or supplies its own to the backend
-        factory) and is installed as ``backend.tracer``.  Nothing else of
-        the policy is written onto the backend.
+        Resolves the name once.  The policy's tracer adopts the resolved
+        backend's counter (or supplies its own to the backend factory), so
+        its spans read launch deltas; the backend itself is left as it is.
         """
         from ..batched.backend import get_backend
 
@@ -152,11 +151,30 @@ class ExecutionPolicy:
         # The tracer's counter is None until its first bind: fine.
         counter = self.tracer.counter if self.tracer.enabled else None
         backend = get_backend(self.backend, counter=counter)
-        if self.tracer.enabled:
-            self.tracer.bind_counter(backend.counter)
-            backend.tracer = self.tracer
+        self.tracer.bind_counter(backend.counter)
         self._resolved = backend
         return backend
+
+    def bind(self, matrix: "H2Matrix") -> "H2Matrix":
+        """Make ``matrix`` apply on this policy's backend and record its
+        ``apply`` spans to this policy's tracer; returns the matrix.  The
+        façade binds what it constructs or loads, the server what it loads by
+        path or key.  Two policies may share one backend:
+
+        >>> import numpy as np, repro
+        >>> shared = repro.VectorizedBackend()
+        >>> a = ExecutionPolicy(backend=shared, tracer=repro.SpanTracer())
+        >>> b = ExecutionPolicy(backend=shared, tracer=repro.SpanTracer())
+        >>> points = repro.uniform_cube_points(256, dim=2, seed=0)
+        >>> first = repro.compress(points, repro.ExponentialKernel(0.2), policy=a)
+        >>> second = b.bind(repro.compress(points, repro.ExponentialKernel(0.2)))
+        >>> first.apply_backend is second.apply_backend is shared
+        True
+        >>> y1, y2 = first.matvec(np.ones(256)), second.matvec(np.ones(256))
+        >>> [len(repro.observe.find_spans(p.tracer, name="apply")) for p in (a, b)]
+        [1, 1]
+        """
+        return matrix.bind(self.resolve_backend(), self.tracer)
 
     # ------------------------------------------------------------ composition
     def construction_config(self, **overrides: object) -> "ConstructionConfig":

@@ -78,6 +78,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..observe.tracer import NOOP_TRACER
 from .backend import BatchedBackend, get_backend
 from .block_rows import (
     FanOperands,
@@ -435,18 +436,17 @@ class H2ApplyPlan:
         x: np.ndarray,
         backend: BatchedBackend | str = "vectorized",
         transpose: bool = False,
+        tracer: object = NOOP_TRACER,
     ) -> np.ndarray:
         """Apply the compiled plan to ``x`` of shape ``(n, k)`` (permuted ordering).
 
-        When the backend carries an enabled tracer (installed by
-        :meth:`repro.api.ExecutionPolicy.resolve_backend`), the apply runs
-        inside an ``apply`` span attributed with the plan's launch deltas,
-        flop count and operand bytes; otherwise the only instrumentation cost
-        is this ``enabled`` check.
+        Under an enabled ``tracer`` (a bound matrix passes its own) the apply
+        runs inside an ``apply`` span with the plan's launch deltas, flop
+        count and operand bytes; otherwise the only instrumentation cost is
+        this ``enabled`` check.
         """
         be = get_backend(backend)
-        tracer = getattr(be, "tracer", None)
-        if tracer is None or not tracer.enabled:
+        if not tracer.enabled:
             return self._execute(x, be, transpose)
         with tracer.span(
             "apply", category="apply", n=self.n, transpose=transpose,

@@ -41,20 +41,15 @@ Matrices = Sequence[np.ndarray]
 
 
 class BatchedBackend(ABC):
-    """Common interface of the batched execution backends."""
+    """Common interface of the batched execution backends: stateless kernel
+    providers whose one piece of state is the launch counter, so policies and
+    matrices may share an instance."""
 
     #: Human readable backend name (used in benchmark output).
     name: str = "abstract"
 
     def __init__(self, counter: KernelLaunchCounter | None = None):
-        from ..observe.tracer import NOOP_TRACER
-
         self.counter = counter if counter is not None else KernelLaunchCounter()
-        #: The tracer downstream layers (apply plans, solvers, GP) consult.
-        #: :meth:`repro.api.ExecutionPolicy.resolve_backend` replaces it when
-        #: the policy carries an enabled tracer; the default no-op costs one
-        #: attribute load per instrumented call site.
-        self.tracer = NOOP_TRACER
 
     # -------------------------------------------------------------- recording
     def _record(self, operation: str, launches: int) -> None:
@@ -300,7 +295,7 @@ def get_backend(
     variable and falls back to ``vectorized``.  A :class:`BatchedBackend`
     instance passes through unchanged: that is how a custom backend (e.g. an
     instrumented subclass) is plugged in, as ``ExecutionPolicy(backend=...)``,
-    ``ConstructionConfig(backend=...)`` or ``H2Matrix.matvec(backend=...)``.
+    ``ConstructionConfig(backend=...)`` or ``H2Matrix.bind(backend)``.
     """
     if isinstance(name, BatchedBackend):
         return name

@@ -137,7 +137,11 @@ class ConstructionResult:
         cls, matrix: H2Matrix, config: ConstructionConfig, elapsed_seconds: float
     ) -> "ConstructionResult":
         """The result of loading ``matrix`` from the artifact cache for a
-        request at ``config``: nothing sampled, evaluated or launched."""
+        request at ``config``: nothing sampled, evaluated or launched.  Its
+        config carries the tolerance the artifact was built at, when the
+        artifact records one."""
+        if matrix.tolerance is not None:
+            config = replace(config, tolerance=matrix.tolerance)
         return cls(
             matrix=matrix,
             config=config,
@@ -204,23 +208,18 @@ class H2Constructor:
                 f"dimension (tree: {n}, operator: {operator.n}, extractor: {extractor.n})"
             )
 
-        # Counter/tracer consolidation: an enabled tracer's counter is handed
-        # to the backend factory so one counter spans everything under the
-        # owning policy; otherwise each constructor gets a fresh counter (a
-        # backend *instance* in the config always keeps its own — per-result
-        # launch numbers then come from snapshot deltas, see _construct).
-        shared = tracer.counter if (tracer is not None and tracer.enabled) else None
+        # The tracer's counter (if any) is handed to the backend factory, so
+        # one counter spans everything under the owning policy; a backend
+        # *instance* in the config keeps its own (per-result launch numbers
+        # are snapshot deltas, see _construct).
+        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        shared = self.tracer.counter
         self.backend: BatchedBackend = get_backend(
             self.config.backend,
             counter=shared if shared is not None else KernelLaunchCounter(),
         )
         self.counter = self.backend.counter
-        self.tracer = (
-            tracer if tracer is not None
-            else getattr(self.backend, "tracer", NOOP_TRACER)
-        )
-        if self.tracer.enabled:
-            self.tracer.bind_counter(self.counter)
+        self.tracer.bind_counter(self.counter)
 
         # The caller's policy, passed in: both stay ``None`` on the unguarded
         # path so every guard below is a single attribute test.
@@ -434,6 +433,7 @@ class H2Constructor:
             coupling=self.couplings,
             dense=self.dense_blocks,
         )
+        matrix.tolerance = self.config.tolerance
         # The sweep's dense and coupling operands are the blocks' storage and
         # the apply's operands: the plan adopts them and compiles only the
         # basis phases.  The sweep indexes every node of a level, the plan

@@ -95,20 +95,20 @@ def _recompress_weak(
 
     Algorithm 1 with ``h2`` as the black-box sampler and entry evaluator
     (as :func:`recompress_h2`), at ``tol`` / ``max_rank`` and ``seed=0`` so
-    the result is deterministic.  It constructs and applies on ``h2``'s
-    apply backend (hence on that backend's launch counter) under ``tracer``.
-    This is how a strong-admissibility matrix reaches the HSS factorization
+    the result is deterministic.  It constructs on ``h2``'s apply backend
+    (hence on that backend's launch counter) under ``tracer`` (default: the
+    one ``h2`` is bound to), and the weak matrix is bound as ``h2`` is.  This
+    is how a strong-admissibility matrix reaches the HSS factorization
     (:func:`~repro.solvers.hss_factor.factorize`).
     """
-    backend = h2._resolve_backend(None)
+    backend, bound_tracer = h2.apply_backend, h2.apply_tracer
     weak = H2Constructor(
         build_block_partition(h2.tree, WeakAdmissibility()),
         H2Operator(h2),
         H2EntryExtractor(h2),
         config=ConstructionConfig(tolerance=tol, max_rank=max_rank, backend=backend),
         seed=0,
-        tracer=tracer,
+        tracer=bound_tracer if tracer is None else tracer,
     ).construct().matrix
-    weak.apply_backend = backend
-    return weak
+    return weak.bind(backend, bound_tracer)
 

@@ -30,9 +30,10 @@ and coupling operands are the blocks' only copy: a constructed matrix comes
 with the plan that adopted the construction sweep's operands, any other
 matrix compiles one on first use, and either way the ``dense`` /
 ``coupling`` dicts hold views into it (:meth:`H2Matrix.adopt_plan`).  The
-transpose applies run the same plan.  The backend is selected per matrix
-(:attr:`H2Matrix.apply_backend`, default ``"vectorized"``) or per call (the
-``backend=`` argument); the launch statistics accumulate in the backend's
+transpose applies run the same plan.  A matrix applies under one binding
+(:meth:`H2Matrix.bind`): its backend (:attr:`H2Matrix.apply_backend`) and
+the tracer its ``apply`` spans go to (:attr:`H2Matrix.apply_tracer`).  The
+launch statistics accumulate in the backend's
 :class:`~repro.batched.counters.KernelLaunchCounter`.  The compiled plan is
 the only apply; the per-node reference loop it is tested against lives in
 the test-suite (``tests/oracles.py``).
@@ -73,8 +74,8 @@ class H2Matrix(HierarchicalOperatorMixin):
     """A symmetric H2 matrix over a cluster tree and block partition.
 
     The applies (``matvec``/``matmat``/``rmatvec``/``rmatmat``/``@``) come
-    from :class:`~repro.hmatrix.mixin.HierarchicalOperatorMixin` and accept a
-    per-call ``backend=`` keyword routed to the compiled batched plan.  The transpose
+    from :class:`~repro.hmatrix.mixin.HierarchicalOperatorMixin` and run the
+    compiled batched plan under the matrix's binding (:meth:`bind`).  The transpose
     applies run the forward plan and need every stored pair mirrored,
     ``B_{t,s} = B_{s,t}^T`` and ``D_{t,s} = D_{s,t}^T`` exactly, as the
     constructor stores them; otherwise they raise ``ValueError`` (``matvec``
@@ -93,13 +94,12 @@ class H2Matrix(HierarchicalOperatorMixin):
     #: Whether the matrix is symmetric (``V_t = U_t``); the constructor in this
     #: reproduction always produces symmetric representations, as in the paper.
     symmetric: bool = True
-    #: Backend executing the compiled apply plan: ``"serial"``,
-    #: ``"vectorized"`` or a
-    #: :class:`~repro.batched.backend.BatchedBackend` instance.  ``None``
-    #: resolves through ``"auto"`` (the ``REPRO_BACKEND`` environment
-    #: variable, falling back to vectorized) on first use; the resolved
-    #: instance is kept so launch counters accumulate per matrix.
-    apply_backend: "BatchedBackend | str | None" = None
+    #: The tolerance the construction finally ran at (``None``: unknown).
+    tolerance: Optional[float] = field(default=None, init=False, compare=False)
+    #: ``(backend, tracer)`` the applies run under; written by :meth:`bind` only.
+    _binding: "Optional[Tuple[BatchedBackend, object]]" = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _plan: "Optional[H2ApplyPlan]" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -246,32 +246,38 @@ class H2Matrix(HierarchicalOperatorMixin):
         self._entry_plan = None
         self._operands = None
 
-    def _resolve_backend(
-        self, backend: "BatchedBackend | str | None"
-    ) -> "BatchedBackend":
+    # ---------------------------------------------------------------- binding
+    def bind(self, backend: "BatchedBackend | str", tracer: object = None) -> "H2Matrix":
+        """Apply on ``backend`` and record every ``apply`` span to ``tracer``
+        (default: the no-op tracer); returns the matrix.  The one writer of
+        :attr:`apply_backend` / :attr:`apply_tracer`: a policy binds what it
+        creates (:meth:`repro.api.ExecutionPolicy.bind`), and a matrix never
+        bound binds to ``"auto"`` on first use."""
         from ..batched.backend import get_backend
+        from ..observe.tracer import NOOP_TRACER
 
-        if backend is not None:
-            return get_backend(backend)
-        if self.apply_backend is None or isinstance(self.apply_backend, str):
-            self.apply_backend = get_backend(self.apply_backend or "auto")
-        return self.apply_backend
+        self._binding = (get_backend(backend), tracer or NOOP_TRACER)
+        return self
 
-    def _apply_permuted(
-        self,
-        x: np.ndarray,
-        transpose: bool = False,
-        backend: "BatchedBackend | str | None" = None,
-    ) -> np.ndarray:
-        """Core apply: execute the compiled batched plan on a permuted 2-D block.
+    def _bound(self) -> "Tuple[BatchedBackend, object]":
+        return self._binding or self.bind("auto")._binding
 
-        The public ``matvec``/``matmat``/``rmatvec``/``rmatmat`` derive from
-        this through the mixin; their optional ``backend=`` keyword
-        selects the batched backend for that call only (defaulting to the
-        matrix-level :attr:`apply_backend`).
-        """
+    @property
+    def apply_backend(self) -> "BatchedBackend":
+        """The backend the applies run on (:meth:`bind`)."""
+        return self._bound()[0]
+
+    @property
+    def apply_tracer(self) -> object:
+        """The tracer the ``apply`` spans go to (:meth:`bind`)."""
+        return self._bound()[1]
+
+    def _apply_permuted(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Core apply: execute the compiled batched plan on a permuted 2-D
+        block under the matrix's binding."""
+        backend, tracer = self._bound()
         return self.apply_plan().execute(
-            x, backend=self._resolve_backend(backend), transpose=transpose
+            x, backend=backend, transpose=transpose, tracer=tracer
         )
 
     # ------------------------------------------------------- entry evaluation

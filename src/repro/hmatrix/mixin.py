@@ -48,10 +48,7 @@ class HierarchicalOperatorMixin:
     * ``rank_range()`` — ``(min, max)`` ranks,
     * ``format_name`` — the ``"format"`` of :meth:`statistics` (``"h2"``, ...),
 
-    and inherits everything else.  Extra keyword arguments of the public
-    applies (e.g. the per-call ``backend=`` of
-    :class:`~repro.hmatrix.h2matrix.H2Matrix`) are forwarded verbatim to
-    :meth:`_apply_permuted`.
+    and inherits everything else.
     """
 
     # ------------------------------------------------------------------ basics
@@ -65,22 +62,18 @@ class HierarchicalOperatorMixin:
         return int(self.shape[0])
 
     # ------------------------------------------------------------------- apply
-    def _apply_permuted(
-        self, x: np.ndarray, transpose: bool = False, **kwargs: object
-    ) -> np.ndarray:
+    def _apply_permuted(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Apply to a 2-D block ``x`` in the permuted ordering (core hook)."""
         raise NotImplementedError  # pragma: no cover - abstract hook
 
-    def _apply(
-        self, x: np.ndarray, permuted: bool, transpose: bool, **kwargs: object
-    ) -> np.ndarray:
+    def _apply(self, x: np.ndarray, permuted: bool, transpose: bool) -> np.ndarray:
         x = np.asarray(x)
         if np.iscomplexobj(x):
             # The stored operator is real; a complex block applies to the
             # real and imaginary parts separately (scipy LinearOperator
             # semantics), side by side in one real apply.
             return _apply_complex_as_real(
-                x, lambda block: self._apply(block, permuted, transpose, **kwargs)
+                x, lambda block: self._apply(block, permuted, transpose)
             )
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -92,45 +85,36 @@ class HierarchicalOperatorMixin:
                 f"x has {x.shape[0]}"
             )
         xp = x if permuted else x[self.tree.perm]
-        yp = self._apply_permuted(xp, transpose=transpose, **kwargs)
+        yp = self._apply_permuted(xp, transpose=transpose)
         y = yp if permuted else yp[self.tree.iperm]
         return y[:, 0] if single else y
 
-    def matvec(
-        self, x: np.ndarray, permuted: bool = False, **kwargs: object
-    ) -> np.ndarray:
+    def matvec(self, x: np.ndarray, permuted: bool = False) -> np.ndarray:
         """Multiply by a vector ``(n,)`` or block ``(n, k)``.
 
         ``permuted=True`` means ``x`` is already in the cluster-tree ordering
         and the result is returned in that ordering; otherwise the original
-        point ordering is used.  Extra keyword arguments are forwarded to the
-        format's core apply.
+        point ordering is used.
         """
-        return self._apply(x, permuted=permuted, transpose=False, **kwargs)
+        return self._apply(x, permuted=permuted, transpose=False)
 
-    def matmat(
-        self, x: np.ndarray, permuted: bool = False, **kwargs: object
-    ) -> np.ndarray:
+    def matmat(self, x: np.ndarray, permuted: bool = False) -> np.ndarray:
         """Multiply by a block of vectors ``(n, k)`` in one batched apply."""
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"matmat expects a 2-D block, got shape {x.shape}")
-        return self._apply(x, permuted=permuted, transpose=False, **kwargs)
+        return self._apply(x, permuted=permuted, transpose=False)
 
-    def rmatvec(
-        self, x: np.ndarray, permuted: bool = False, **kwargs: object
-    ) -> np.ndarray:
+    def rmatvec(self, x: np.ndarray, permuted: bool = False) -> np.ndarray:
         """Transpose apply ``A^T x``."""
-        return self._apply(x, permuted=permuted, transpose=True, **kwargs)
+        return self._apply(x, permuted=permuted, transpose=True)
 
-    def rmatmat(
-        self, x: np.ndarray, permuted: bool = False, **kwargs: object
-    ) -> np.ndarray:
+    def rmatmat(self, x: np.ndarray, permuted: bool = False) -> np.ndarray:
         """Transpose apply to a block of vectors, ``A^T X``."""
         x = np.asarray(x)
         if x.ndim != 2:
             raise ValueError(f"rmatmat expects a 2-D block, got shape {x.shape}")
-        return self._apply(x, permuted=permuted, transpose=True, **kwargs)
+        return self._apply(x, permuted=permuted, transpose=True)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -12,15 +12,17 @@ Two implementations share one duck-typed protocol:
   per-operation launch/call deltas on the span, making launch attribution a
   pure read of counters that the backends maintain anyway.
 
-A tracer is carried by :class:`repro.api.ExecutionPolicy` exactly like the
-shared launch counter: ``policy.resolve_backend()`` binds the tracer to the
-backend's counter and stores the tracer on the backend instance — the one
-policy value that rides on the backend — so compiled apply plans (and
-solves that are not handed ``policy.tracer``) find it at ``backend.tracer``.
+A tracer is carried by :class:`repro.api.ExecutionPolicy`, which binds it to
+its backend's launch counter and to the operators it creates
+(``policy.bind(matrix)``); nothing is stored on the backend.  The innermost
+open span lives in a :class:`contextvars.ContextVar`, so spans nest per
+asyncio task and per thread; pool work submitted in a copy of the caller's
+context (``contextvars.copy_context().run``) nests under the caller's span.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
 from typing import Dict, List, Optional
 
@@ -149,7 +151,7 @@ class _SpanContext:
             parent.children.append(span)
         else:
             tracer.roots.append(span)
-        tracer._stack.append(span)
+        tracer._current.set(span)
         self._span = span
         sampler = tracer.memory
         if sampler is not None:
@@ -170,14 +172,7 @@ class _SpanContext:
             span.calls = delta.calls
         if exc_type is not None:
             span.attributes.setdefault("error", exc_type.__name__)
-        stack = tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        else:  # unbalanced exit (e.g. generator GC ordering); stay consistent
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
+        tracer._current.set(span.parent)
         return False
 
 
@@ -210,7 +205,9 @@ class SpanTracer:
         self.memory = memory
         self.roots: List[Span] = []
         self.orphan_events: List[SpanEvent] = []
-        self._stack: List[Span] = []
+        self._current: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
+            "repro_current_span", default=None
+        )
         self._clock = time.perf_counter
 
     # ---------------------------------------------------------------- spanning
@@ -245,11 +242,11 @@ class SpanTracer:
 
     @property
     def current(self) -> Optional[Span]:
-        """The innermost open span, or ``None`` outside any span."""
-        return self._stack[-1] if self._stack else None
+        """The innermost open span of the calling task or thread, or ``None``."""
+        return self._current.get()
 
     def reset(self) -> None:
         """Drop all recorded spans/events (the bound counter is untouched)."""
         self.roots.clear()
         self.orphan_events.clear()
-        self._stack.clear()
+        self._current.set(None)

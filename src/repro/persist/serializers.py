@@ -6,7 +6,7 @@ buffers and :func:`_unpack_h2` reverses it; :data:`H2_FORMAT_VERSION` is
 bumped whenever that layout changes.  :func:`load` reads ``"h2"`` artifacts
 of the current version only, rejects any other recorded format with
 :class:`~repro.persist.format.ArtifactFormatError` and version mismatches
-(version-1 files included) with
+(version-1 and version-2 files included) with
 :class:`~repro.persist.format.ArtifactVersionError`.
 
 The dense and coupling blocks are stored as the matrix's apply plan holds
@@ -62,8 +62,9 @@ Buffers = List[Tuple[str, np.ndarray]]
 #: Layout version of the one persisted format, ``"h2"`` (HSS is H2 on the weak
 #: partition); bump it whenever :func:`_pack_h2` changes.  Version 2 stores
 #: the dense and coupling blocks as the fan-grouped operands of the apply
-#: plan; version-1 files (one buffer per block) are not read.
-H2_FORMAT_VERSION = 2
+#: plan; version 3 adds the tolerance the matrix was built at.  Files of
+#: other versions are not read.
+H2_FORMAT_VERSION = 3
 
 #: Format names that persist; both store an ``"h2"`` artifact.
 _SAVED_FORMATS = ("h2", "hss")
@@ -315,7 +316,7 @@ def _unpack_operands(
 
 # ------------------------------------------------------------------ H2 format
 def _pack_h2(h2: H2Matrix) -> Tuple[dict, Buffers]:
-    meta: dict = {"symmetric": bool(h2.symmetric)}
+    meta: dict = {"symmetric": bool(h2.symmetric), "tolerance": h2.tolerance}
     buffers: Buffers = []
     _pack_tree(h2.tree, meta, buffers)
     _pack_partition(h2.partition, meta, buffers)
@@ -365,7 +366,7 @@ def _unpack_h2(meta: dict, buffers: Dict[str, np.ndarray]) -> H2Matrix:
     coupling_shapes = _unpack_shapes("coupling", buffers)
     counts = meta["operands"]
     coupling_keys = list(coupling_shapes)
-    return H2Matrix.from_operands(
+    matrix = H2Matrix.from_operands(
         tree=tree,
         partition=partition,
         basis=basis,
@@ -382,3 +383,5 @@ def _unpack_h2(meta: dict, buffers: Dict[str, np.ndarray]) -> H2Matrix:
         ),
         symmetric=bool(meta["symmetric"]),
     )
+    matrix.tolerance = meta["tolerance"]
+    return matrix

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -161,6 +162,14 @@ class MicroBatcher:
         self.launches = 0
         self.coalesced_requests = 0
 
+    def offload(self, fn, *args) -> "asyncio.Future":
+        """Run ``fn(*args)`` on the worker pool in a copy of the caller's
+        context, so the spans the worker opens nest under the caller's open
+        span (:mod:`repro.observe.tracer`)."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, contextvars.copy_context().run, fn, *args
+        )
+
     # ------------------------------------------------------------------ submit
     async def submit(
         self, model: ServedModel, kind: str, payload: np.ndarray
@@ -181,9 +190,7 @@ class MicroBatcher:
             self.metrics.histogram("serve.batch.requests").observe(1)
             self.launches += 1
             self.coalesced_requests += 1
-            result = await loop.run_in_executor(
-                self._executor, _execute_kind, model, kind, block
-            )
+            result = await self.offload(_execute_kind, model, kind, block)
             return (result[:, 0] if single else result), 1
 
         future: asyncio.Future = loop.create_future()
@@ -231,7 +238,6 @@ class MicroBatcher:
             queue.runner = None
 
     async def _launch(self, queue: _Queue, items: List[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
         registry = self.metrics
 
         # Screen non-finite payloads out of the batch: their futures fail,
@@ -265,8 +271,8 @@ class MicroBatcher:
             kind=queue.kind, requests=batch_requests, columns=block.shape[1],
         ):
             try:
-                result = await loop.run_in_executor(
-                    self._executor, _execute_kind, queue.model, queue.kind, block
+                result = await self.offload(
+                    _execute_kind, queue.model, queue.kind, block
                 )
             except Exception:
                 # The coalesced launch failed: isolate by retrying each
@@ -274,9 +280,8 @@ class MicroBatcher:
                 registry.counter("serve.batch.fallbacks").inc()
                 for item in good:
                     try:
-                        value = await loop.run_in_executor(
-                            self._executor, _execute_kind,
-                            queue.model, queue.kind, item.payload,
+                        value = await self.offload(
+                            _execute_kind, queue.model, queue.kind, item.payload
                         )
                     except Exception as exc:
                         if not item.future.done():

@@ -9,12 +9,13 @@ stories.
 
 A model is ready before its first request: registration builds the operator's
 compiled apply plan (a loaded model's plan adopts the mapped operands it was
-stored as, and compiles only the basis phases) and resolves its batched
-backend.  The compiled apply and the HSS solve allocate their work buffers
-per call, and the transpose apply runs the same plan, so every request reads
-finished state and two threads may apply or solve one model at once and get
-the serial answer — no per-model lock.  The
-one piece still built on first use is the factorization, guarded by its own
+stored as, and compiles only the basis phases) and fixes its binding (a
+model loaded by path or key is bound to the registering policy, an operator
+passed in keeps its own).  The compiled apply and the HSS solve allocate
+their work buffers per call, and the transpose apply runs the same plan, so
+every request reads finished state and two threads may apply or solve one
+model at once and get the serial answer — no per-model lock.  The one piece
+still built on first use is the factorization, guarded by its own
 double-checked lock.  Every model is an H2 matrix factored by the HSS
 factorization (a strong one is first re-compressed onto the weak partition
 with the sketching constructor), so no served solve runs the recursive HODLR
@@ -75,10 +76,10 @@ class ServedModel:
         self.last_used = self.loaded_at
         self.requests = 0
         self.health = None
-        # Build what a first apply would, so requests read finished state
-        # (module docstring).
+        # Build what a first apply would (the plan; the binding of an operator
+        # that has none), so requests read finished state (module docstring).
         operator.apply_plan()
-        operator._resolve_backend(None)
+        operator.apply_backend
         self._factor_lock = threading.Lock()
         self._factorization = None
         self._logdet: Optional[Tuple[float, float]] = None
@@ -232,7 +233,10 @@ class ModelRegistry:
         ``compress`` keeps out of the cache, such as ``config=`` or
         operator overrides, construct).  Under ``policy.health`` the model
         keeps the health report of that construction or load
-        (``source="loaded"`` on a cache hit).  ``warm=True`` builds the
+        (``source="loaded"`` on a cache hit), probed at the tolerance the
+        operator records (``tol`` when it records none).  A ``path`` or
+        ``key`` load is bound to ``policy`` (:meth:`ExecutionPolicy.bind`).
+        ``warm=True`` builds the
         factorization (and caches the log-determinant) eagerly so the first
         query does not pay it.
         Re-registering a name replaces the old model.
@@ -250,7 +254,7 @@ class ModelRegistry:
         if path is not None:
             from ..persist import load_operator
 
-            operator = load_operator(path)
+            operator = policy.bind(load_operator(path))
         elif key is not None:
             if self.cache is None:
                 raise ServeError(
@@ -264,6 +268,7 @@ class ModelRegistry:
 
             # strict raises on a corrupted entry; warn / recover evict it.
             operator, _ = self.cache.get_or_build(key, missing, policy)
+            policy.bind(operator)
         elif points is not None:
             if kernel is None:
                 raise ServeError("points-based registration requires kernel=")
@@ -284,7 +289,7 @@ class ModelRegistry:
             from ..observe.health import check_operator_health
 
             health = check_operator_health(
-                operator, kernel, tol, thresholds=policy.health,
+                operator, kernel, operator.tolerance or tol, thresholds=policy.health,
                 tracer=policy.tracer, source="loaded",
             )
 

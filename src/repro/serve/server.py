@@ -22,7 +22,6 @@ the policy's :class:`~repro.resilience.RecoveryPolicy` on non-convergence
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Dict, Optional
 
@@ -240,18 +239,14 @@ class InferenceServer:
                 log_fields={"model": model.name},
             )
 
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self.batcher._executor, run)
+        return await self.batcher.offload(run)
 
     async def logdet(self, request: LogdetRequest) -> LogdetResponse:
         """Cached ``log|det(K + noise I)|`` of the model."""
 
         async def body() -> LogdetResponse:
             model = self.registry.get(request.model)
-            loop = asyncio.get_running_loop()
-            sign, logabs = await loop.run_in_executor(
-                self.batcher._executor, model.slogdet
-            )
+            sign, logabs = await self.batcher.offload(model.slogdet)
             return LogdetResponse(logdet=logabs, sign=sign)
 
         return await self._serve(request, body)

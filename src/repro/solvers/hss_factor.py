@@ -142,7 +142,7 @@ class HSSFactorization:
         self.tree = h2.tree
         self.shift = float(shift)
         self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self._counter = h2._resolve_backend(None).counter
+        self._counter = h2.apply_backend.counter
         self._stages: List[_Stage] = []
         self._sign = 1.0
         self._logabsdet = 0.0

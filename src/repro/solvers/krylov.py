@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,31 +116,25 @@ def _prepare(a: object, b: np.ndarray, x0: np.ndarray | None):
     return op, b, x
 
 
-def _apply_info(op: LinearOperator) -> Dict[str, object]:
-    """Batched-apply diagnostics of the system operator, when it exposes them.
-
-    H2 operators iterate on the compiled batched path
-    (:mod:`repro.batched.apply_plan`); recording the backend name and its
-    cumulative launch counter lets solver reports attribute per-solve launch
-    costs.  Other operators contribute nothing.
-    """
-    backend = getattr(getattr(op, "source", None), "apply_backend", None)
-    name = getattr(backend, "name", None)
-    if name is None:
-        return {}
-    return {"apply_backend": name, "apply_launch_counter": backend.counter}
-
-
-def _tracer_of(op: LinearOperator) -> object:
-    """The tracer the solve should record to, discovered from the operator.
-
-    Hierarchical operators carry their apply backend, and the backend carries
-    the policy's tracer; everything else falls back to the no-op tracer.
-    """
+def _binding(op: LinearOperator) -> Tuple[object, object]:
+    """The ``(apply backend, tracer)`` an H2 system operator is bound to
+    (:meth:`~repro.hmatrix.h2matrix.H2Matrix.bind`); any other operator has
+    no backend and the no-op tracer."""
     from ..observe.tracer import NOOP_TRACER
 
-    backend = getattr(getattr(op, "source", None), "apply_backend", None)
-    return getattr(backend, "tracer", None) or NOOP_TRACER
+    source = getattr(op, "source", None)
+    return (
+        getattr(source, "apply_backend", None),
+        getattr(source, "apply_tracer", NOOP_TRACER),
+    )
+
+
+def _apply_info(op: LinearOperator) -> Dict[str, object]:
+    """The bound backend's name and launch counter, for per-solve launch costs."""
+    backend, _ = _binding(op)
+    if backend is None:
+        return {}
+    return {"apply_backend": backend.name, "apply_launch_counter": backend.counter}
 
 
 def _traced_solve(method, tracer, body, op, b):
@@ -185,9 +179,8 @@ def _result(
     )
     if health is not None:
         from ..observe.health import record_solver_health
-        from ..observe.tracer import NOOP_TRACER
 
-        record_solver_health(result, health, tracer=tracer or NOOP_TRACER)
+        record_solver_health(result, health, tracer=tracer)
     return result
 
 
@@ -204,15 +197,15 @@ def cg(
 ) -> KrylovResult:
     """Preconditioned conjugate gradients for a symmetric positive-definite ``a``.
 
-    Under an enabled tracer (passed explicitly or discovered from the
-    operator's apply backend) the solve runs inside a ``solve/cg`` span with
+    Under an enabled tracer (passed explicitly, else the one the operator is
+    bound to) the solve runs inside a ``solve/cg`` span with
     one ``iteration`` event per CG step.  ``health`` accepts
     :class:`~repro.observe.health.HealthThresholds` to run the post-hoc
     convergence diagnosis (events land in ``result.extra["health_events"]``).
     """
     start = time.perf_counter()
     op, b, x = _prepare(a, b, x0)
-    tracer = tracer if tracer is not None else _tracer_of(op)
+    tracer = tracer if tracer is not None else _binding(op)[1]
     return _traced_solve(
         "cg", tracer,
         lambda: _cg_body(op, b, x, tol, maxiter, M, callback, tracer, start,
@@ -311,7 +304,7 @@ def gmres(
     """
     start = time.perf_counter()
     op, b, x = _prepare(a, b, x0)
-    tracer = tracer if tracer is not None else _tracer_of(op)
+    tracer = tracer if tracer is not None else _binding(op)[1]
     return _traced_solve(
         "gmres", tracer,
         lambda: _gmres_body(

@@ -87,7 +87,7 @@ class TestCrossBackendEquivalence:
     def test_matvec_matches_loop_and_dense(self, h2_problem, backend):
         h2 = h2_problem["h2"]
         x = np.random.default_rng(0).standard_normal(h2.num_rows)
-        batched = h2.matvec(x, permuted=True, backend=backend)
+        batched = h2.apply_plan().execute(x[:, None], backend=backend)[:, 0]
         assert rel_err(batched, matvec_loop(h2, x, permuted=True)) < TOL
         assert rel_err(batched, h2_problem["h2_dense"] @ x) < TOL
 
@@ -95,7 +95,7 @@ class TestCrossBackendEquivalence:
     def test_matmat_matches_loop_and_dense(self, h2_problem, backend):
         h2 = h2_problem["h2"]
         x = np.random.default_rng(1).standard_normal((h2.num_rows, 6))
-        batched = h2.matmat(x, permuted=True, backend=backend)
+        batched = h2.apply_plan().execute(x, backend=backend)
         assert rel_err(batched, matvec_loop(h2, x, permuted=True)) < TOL
         assert rel_err(batched, h2_problem["h2_dense"] @ x) < TOL
 
@@ -103,14 +103,14 @@ class TestCrossBackendEquivalence:
     def test_rmatvec_matches_dense_transpose(self, h2_problem, backend):
         h2 = h2_problem["h2"]
         x = np.random.default_rng(2).standard_normal(h2.num_rows)
-        batched = h2.rmatvec(x, permuted=True, backend=backend)
+        batched = h2.apply_plan().execute(x[:, None], backend=backend, transpose=True)[:, 0]
         assert rel_err(batched, h2_problem["h2_dense"].T @ x) < TOL
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rmatmat_matches_dense_transpose(self, h2_problem, backend):
         h2 = h2_problem["h2"]
         x = np.random.default_rng(3).standard_normal((h2.num_rows, 4))
-        batched = h2.rmatmat(x, permuted=True, backend=backend)
+        batched = h2.apply_plan().execute(x, backend=backend, transpose=True)
         assert rel_err(batched, h2_problem["h2_dense"].T @ x) < TOL
 
     def test_original_ordering_matches_loop(self, h2_problem):
@@ -121,8 +121,9 @@ class TestCrossBackendEquivalence:
     def test_backends_agree_with_each_other(self, h2_problem):
         h2 = h2_problem["h2"]
         x = np.random.default_rng(5).standard_normal((h2.num_rows, 3))
-        serial = h2.matmat(x, backend="serial")
-        vectorized = h2.matmat(x, backend="vectorized")
+        plan = h2.apply_plan()
+        serial = plan.execute(x, backend="serial")
+        vectorized = plan.execute(x, backend="vectorized")
         assert rel_err(serial, vectorized) < 1e-14
 
     def test_transpose_adjoint_identity(self, h2_problem):
@@ -143,8 +144,8 @@ class TestLaunchCounts:
         plan = h2.apply_plan()
         counter = KernelLaunchCounter()
         be = get_backend(backend, counter=counter)
-        x = np.random.default_rng(7).standard_normal(h2.num_rows)
-        h2.matvec(x, backend=be)
+        x = np.random.default_rng(7).standard_normal((h2.num_rows, 1))
+        plan.execute(x, backend=be)
         calls = counter.total_calls()
         # One dispatch per compiled stage, identically on both backends.
         assert calls == plan.num_stages
@@ -292,7 +293,8 @@ class TestCompileApplyPlanApi:
         forward_bytes = plan.memory_bytes()
         counter = KernelLaunchCounter()
         x = np.random.default_rng(14).standard_normal((h2.num_rows, 3))
-        out = h2.rmatmat(x, backend=get_backend("vectorized", counter=counter))
+        h2.bind(get_backend("vectorized", counter=counter))
+        out = h2.rmatmat(x)
         assert counter.total_calls() == plan.num_stages
         assert h2.apply_plan() is plan
         assert plan.memory_bytes() == forward_bytes
@@ -368,8 +370,9 @@ class TestComplexInput:
         shape = (h2.num_rows,) if method == "matvec" else (h2.num_rows, 3)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         counter = KernelLaunchCounter()
+        h2.bind(get_backend("vectorized", counter=counter))
         apply = getattr(h2, method)
-        out = apply(z, backend=get_backend("vectorized", counter=counter))
+        out = apply(z)
         assert counter.total_calls() == h2.apply_plan().num_stages
         two_parts = apply(z.real.copy()) + 1j * apply(z.imag.copy())
         assert rel_err(out, two_parts) < 1e-14

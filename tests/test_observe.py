@@ -601,7 +601,7 @@ class TestApplySpan:
         tracer = fresh_tracer()
         policy = ExecutionPolicy(tracer=tracer)
         x = np.random.default_rng(0).standard_normal((matrix.num_rows, 2))
-        matrix.matvec(x, backend=policy.resolve_backend())
+        plan.execute(x, backend=policy.resolve_backend(), tracer=tracer)
         (span,) = find_spans(tracer, name="apply")
         attrs = span.attributes
         assert attrs["n"] == plan.n == matrix.num_rows
@@ -619,9 +619,10 @@ class TestApplySpan:
         """A second RHS column doubles the flops but not the launches."""
         tracer = fresh_tracer()
         backend = ExecutionPolicy(tracer=tracer).resolve_backend()
+        plan = apply_matrix.apply_plan()
         rng = np.random.default_rng(2)
         for k in (1, 1, 2):
-            apply_matrix.matvec(rng.standard_normal((apply_matrix.num_rows, k)), backend=backend)
+            plan.execute(rng.standard_normal((plan.n, k)), backend=backend, tracer=tracer)
         once, again, wide = find_spans(tracer, name="apply")
         for span in (again, wide):
             assert span.calls == once.calls
@@ -630,26 +631,29 @@ class TestApplySpan:
         assert wide.flops == 2 * once.flops
 
     def test_traced_apply_matches_untraced_result(self, apply_matrix):
-        x = np.random.default_rng(1).standard_normal(apply_matrix.num_rows)
+        x = np.random.default_rng(1).standard_normal((apply_matrix.num_rows, 1))
+        plan = apply_matrix.apply_plan()
         policy = ExecutionPolicy(tracer=fresh_tracer())
-        traced = apply_matrix.matvec(x, backend=policy.resolve_backend())
-        untraced = apply_matrix.matvec(x)
+        traced = plan.execute(x, backend=policy.resolve_backend(), tracer=policy.tracer)
+        untraced = apply_matrix.matvec(x, permuted=True)
         np.testing.assert_array_equal(traced, untraced)
 
 
 # ---------------------------------------------------------- policy/facade wiring
 class TestPolicyWiring:
-    def test_default_policy_uses_noop_tracer(self):
+    def test_default_policy_uses_noop_tracer(self, apply_matrix):
         policy = ExecutionPolicy(backend="serial")
         assert policy.tracer is NOOP_TRACER
-        backend = policy.resolve_backend()
-        assert backend.tracer is NOOP_TRACER
+        matrix = repro.H2Matrix(apply_matrix.tree, apply_matrix.partition, apply_matrix.basis)
+        assert matrix.apply_tracer is NOOP_TRACER
+        assert policy.bind(matrix).apply_tracer is NOOP_TRACER
+        assert matrix.apply_backend is policy.resolve_backend()
 
     def test_resolve_binds_tracer_and_counter(self):
         tracer = fresh_tracer()
         policy = ExecutionPolicy(backend="serial", tracer=tracer)
         backend = policy.resolve_backend()
-        assert backend.tracer is tracer
+        assert not hasattr(backend, "tracer")
         assert tracer.counter is backend.counter
         assert policy.launch_counter() is tracer.counter
 
@@ -665,11 +669,6 @@ class TestPolicyWiring:
         policy = ExecutionPolicy(backend="serial", tracer=tracer)
         assert policy.with_backend("vectorized").tracer is tracer
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 3: the tracer rides on the backend, so the last "
-        "policy to resolve a shared backend receives every apply span",
-    )
     def test_shared_backend_keeps_each_policy_tracer(self):
         """An operator compressed under policy A records its applies into
         A's tracer, even after policy B resolves the same backend instance."""
@@ -703,7 +702,6 @@ class TestDisabledTracing:
         matrix = repro.compress(points, ExponentialKernel(0.2), tol=1e-6, seed=1)
         plan = matrix.apply_plan()
         backend = VectorizedBackend()
-        assert not backend.tracer.enabled
 
         def no_span(self, *args, **kwargs):
             raise AssertionError("the no-op tracer opened a span")

@@ -111,6 +111,17 @@ class TestRoundTrip:
         path = save_operator(op, tmp_path / "again.repro")
         assert np.array_equal(load_operator(path).to_dense(), op.to_dense())
 
+    def test_build_tolerance_round_trips(self, saved_operator):
+        """The artifact records the tolerance the matrix was built at, and a
+        cache hit reports it in place of the request's."""
+        from repro.core import ConstructionConfig, ConstructionResult
+
+        _, op, path = saved_operator
+        loaded = load_operator(path)
+        assert op.tolerance == loaded.tolerance == TOL
+        hit = ConstructionResult.from_cache(loaded, ConstructionConfig(tolerance=1e-3), 0.0)
+        assert hit.config.tolerance == TOL
+
     def test_statistics_preserved(self, saved_operator):
         _, op, path = saved_operator
         loaded = load_operator(path)
@@ -338,13 +349,13 @@ class TestArtifactCache:
     def test_format_version_is_the_h2_layout(self):
         from repro.persist import H2_FORMAT_VERSION, format_version
 
-        assert format_version("h2") == format_version("HSS") == H2_FORMAT_VERSION == 2
+        assert format_version("h2") == format_version("HSS") == H2_FORMAT_VERSION == 3
         with pytest.raises(ArtifactError, match="hodlr"):
             format_version("hodlr")
 
     def test_keys_are_stable_across_releases(self, tmp_path):
         """A fixed h2 and hss request hashes to the key of H2 format version
-        2: the key moves with the stored layout's version only, so existing
+        3: the key moves with the stored layout's version only, so existing
         cache entries of the current layout stay valid."""
         cache = ArtifactCache(tmp_path)
         points = uniform_cube_points(64, dim=2, seed=0)
@@ -357,8 +368,8 @@ class TestArtifactCache:
             points, kernel, tol=1e-6, format="hss", leaf_size=16,
             admissibility=repro.WeakAdmissibility(), seed=3,
         )
-        assert h2 == "5aad1bcaaa8a445efc595d89897706ab022a62818cc22bac7b80bbd5ca2fa744"
-        assert hss == "42055231ff6e5a38beae733ad495fef3a0e59ab860585a6e96b95f7d6d504f87"
+        assert h2 == "8812a4e67bdf056626224ef42e6badc66c9107b836c3e22a0b68368e46f0fb36"
+        assert hss == "df15d258aa46e480ebdcbc349fed9e1f769c40cd68c4dba6469685c639d2eca3"
 
     def test_miss_then_hit(self, saved_operator, persist_points, persist_kernel, tmp_path):
         _, op, _ = saved_operator
@@ -512,8 +523,8 @@ class TestCompressIntegration:
         assert np.array_equal(warm.matrix.to_dense(), cold.matrix.to_dense())
 
     def test_artifact_keys_are_stable(self, persist_points, persist_kernel, tmp_path):
-        """A stored entry is named by its request's key; these hex keys were
-        written by earlier releases, and a change to them orphans every
+        """A stored entry is named by its request's key; these hex keys are
+        those of H2 format version 3, and a change to them orphans every
         cache entry users hold."""
         compress_cache = ArtifactCache(tmp_path / "compress")
         compress(persist_points, persist_kernel, tol=1e-6, seed=3, cache=compress_cache)
@@ -526,8 +537,8 @@ class TestCompressIntegration:
             for cache in (compress_cache, session_cache)
         ]
         assert stored == [
-            ["6b8634f1f1f5765d83c4d6c31d5fa281aafc4d68c38e3ea4df8f2f47098ece8b"],
-            ["693c2ee35cde051b666536a3ac0da671e2148f9dfbf4975bea79a83c349fce00"],
+            ["7ae42929b7eeb52fbdcfe645cb11c70d3116754efe0c70190451b30b00508c93"],
+            ["4031bb561c9512494099abfc727cb54a0154973eb1f91cebef1ffdbdb42a2c82"],
         ]
 
     def test_warm_operator_still_solves(self, persist_points, persist_kernel, tmp_path):

@@ -170,14 +170,45 @@ class TestQuickstartDoctest:
         assert "Session(" in repro.__doc__
 
 
+def _package_of(path: Path) -> list:
+    """The dotted package of ``path``, a module of ``src/repro``, as parts."""
+    parts = list(path.relative_to(ROOT / "src").with_suffix("").parts)
+    return parts[:-1]
+
+
+def _import_source(node: ast.ImportFrom, package: list) -> str:
+    """The absolute module of ``from <module> import ...`` in ``package``."""
+    base = package[: len(package) - node.level + 1] if node.level else []
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _defining_module(source: str, name: str) -> str | None:
+    """The module of ``src/repro`` that ``from source import name`` reaches
+    when ``source`` is a package: the submodule ``source.name``, or the module
+    the package's ``__init__`` imports ``name`` from, followed through
+    re-exports; ``None`` when ``source`` is not a package of ``src/repro``."""
+    init = ROOT / "src" / Path(*source.split(".")) / "__init__.py"
+    if not init.exists():
+        return None
+    sub = init.parent / name
+    if sub.with_suffix(".py").exists() or (sub / "__init__.py").exists():
+        return f"{source}.{name}"
+    for node in ast.walk(ast.parse(init.read_text(), filename=str(init))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            if (alias.asname or alias.name) == name:
+                origin = _import_source(node, _package_of(init))
+                return _defining_module(origin, alias.name) or origin
+    return None
+
+
 def _imported_modules(path: Path) -> set:
     """Modules ``path`` (a module of ``src/repro``) imports at run time:
-    ``from a import b`` counts as ``a`` and ``a.b``; imports under
-    ``if TYPE_CHECKING:`` are skipped."""
-    parts = path.relative_to(ROOT / "src").with_suffix("").parts
-    package = list(parts if parts[-1] == "__init__" else parts[:-1])
-    if package[-1] == "__init__":
-        package = package[:-1]
+    ``from a import b`` counts as ``a``, ``a.b`` and, when ``a`` is a package,
+    the module that defines ``b``; imports under ``if TYPE_CHECKING:`` are
+    skipped."""
+    package = _package_of(path)
     found = set()
 
     def visit(node: ast.AST) -> None:
@@ -191,10 +222,13 @@ def _imported_modules(path: Path) -> set:
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            source = ".".join(base + ([node.module] if node.module else []))
+            source = _import_source(node, package)
             found.add(source)
-            found.update(f"{source}.{alias.name}" for alias in node.names)
+            for alias in node.names:
+                found.add(f"{source}.{alias.name}")
+                defining = _defining_module(source, alias.name)
+                if defining is not None:
+                    found.add(defining)
         for child in ast.iter_child_nodes(node):
             visit(child)
 
@@ -203,9 +237,11 @@ def _imported_modules(path: Path) -> set:
 
 
 class TestLayering:
-    """The construction core and the solvers sit below the façade: neither
-    imports ``repro.api``, and the core does not import ``repro.persist``.
-    No layer below ``repro.serve`` imports a metrics registry."""
+    """The construction core, the solvers, the operator, the batched engine
+    and the tracer sit below the façade: none imports ``repro.api`` (so no
+    binding is built from the policy type below it), and the core does not
+    import ``repro.persist``.  No layer below ``repro.serve`` imports a
+    metrics registry."""
 
     #: Only ``repro.serve`` (and ``repro.observe`` itself) holds a metrics
     #: registry: every other layer keeps its counts on its own objects.
@@ -213,7 +249,9 @@ class TestLayering:
     FORBIDDEN = {
         "core": ("repro.api", "repro.persist") + REGISTRY,
         "solvers": ("repro.api",) + REGISTRY,
-        "batched": REGISTRY,
+        "batched": ("repro.api",) + REGISTRY,
+        "hmatrix": ("repro.api",),
+        "observe": ("repro.api",),
         "persist": REGISTRY,
         "resilience": REGISTRY,
     }
@@ -239,3 +277,5 @@ class TestLayering:
         ladder = _imported_modules(ROOT / "src" / "repro" / "solvers" / "ladder.py")
         assert "repro.solvers.krylov" in ladder
         assert not any(name.startswith("repro.api") for name in ladder)
+        # ``from ..observe import MetricsRegistry`` reaches the defining module.
+        assert _defining_module("repro.observe", "MetricsRegistry") == "repro.observe.metrics"

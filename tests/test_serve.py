@@ -168,6 +168,47 @@ class TestModelRegistry:
         with pytest.raises(ServeError):
             ModelRegistry().register("c", key=key)  # no cache configured
 
+    @pytest.mark.parametrize("source", ["path", "key"])
+    def test_loaded_model_applies_under_the_registering_policy(
+        self, serve_operator, serve_points, serve_kernel, tmp_path, source
+    ):
+        """A model loaded by path or key is bound to the policy that
+        registered it: it applies on that policy's backend instance and
+        records its ``apply`` span into that policy's tracer."""
+        cache = repro.ArtifactCache(tmp_path)
+        key = cache.key(serve_points, serve_kernel, tol=TOL, format="hss",
+                        leaf_size=32, seed=5)
+        cache.put(key, serve_operator)
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(backend="serial", tracer=tracer)
+        registry = ModelRegistry(policy=policy, cache=cache)
+        found = {"path": {"path": cache.path_for(key)}, "key": {"key": key}}
+        model = registry.register("a", **found[source])
+        assert model.operator.apply_backend is policy.resolve_backend()
+        y = model.operator.matvec(np.ones(N))
+        (span,) = find_spans(tracer, name="apply")
+        assert span.attributes["backend"] == "serial"
+        np.testing.assert_allclose(y, serve_operator.matvec(np.ones(N)), atol=1e-12)
+
+    def test_loaded_model_is_probed_at_its_build_tolerance(
+        self, serve_points, serve_kernel, tmp_path
+    ):
+        """An artifact records the tolerance it was built at, and the health
+        probe of a load reads it rather than ``register(tol=)``."""
+        from repro import HealthThresholds
+
+        points = uniform_cube_points(600, dim=2, seed=11)
+        kernel = ExponentialKernel(0.2)
+        loose = repro.compress(points, kernel, format="hss", tol=1e-2, seed=0)
+        assert loose.tolerance == 1e-2
+        path = tmp_path / "loose.repro"
+        repro.save_operator(loose, path)
+        assert repro.load_operator(path).tolerance == 1e-2
+        registry = ModelRegistry(policy=ExecutionPolicy(health=HealthThresholds()))
+        model = registry.register("a", path=path, kernel=kernel)
+        assert model.health.tol == 1e-2
+        assert not model.health.flagged
+
     def test_register_from_points_uses_cache(self, serve_points, serve_kernel,
                                              tmp_path):
         cache = repro.ArtifactCache(tmp_path)
@@ -946,6 +987,43 @@ class TestInferenceServer:
         assert "serve.request" in names
         assert "serve.batch" in names
         run(server.aclose())
+
+    def test_spans_nest_per_request_and_per_worker(self, serve_operator, tmp_path):
+        """Concurrent requests each open their own ``serve.request`` span, and
+        the ``apply`` a pool worker runs nests under its ``serve.batch``."""
+        path = tmp_path / "m.repro"
+        repro.save_operator(serve_operator, path)
+        tracer = SpanTracer()
+        server = InferenceServer(policy=ExecutionPolicy(tracer=tracer))
+        server.register("m", path=path, noise=NOISE)
+        rng = np.random.default_rng(4)
+
+        async def main():
+            await asyncio.gather(*[
+                server.handle(MatvecRequest(model="m", x=rng.standard_normal(N)))
+                for _ in range(16)
+            ])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(main())
+        finally:
+            sys.setswitchinterval(interval)
+            run(server.aclose())
+
+        def ancestors(span):
+            while span.parent is not None:
+                span = span.parent
+                yield span.name
+
+        spans = [span for root in tracer.roots for span in root.walk()]
+        requests = [span for span in spans if span.name == "serve.request"]
+        applies = [span for span in spans if span.name == "apply"]
+        assert len(requests) == 16
+        assert not any("serve.request" in ancestors(span) for span in requests)
+        assert applies
+        assert all("serve.batch" in ancestors(span) for span in applies)
 
     def test_strict_recovery_raises_on_unconverged_cg(self, serve_operator):
         from repro import SolveDidNotConvergeError
