@@ -43,17 +43,19 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
     tree = ClusterTree.build(points, leaf_size=64)
     partition = build_block_partition(tree, GeneralAdmissibility(eta=0.7))
     kernel = ExponentialKernel(0.2)
-    # Traced, so each result's phase split can be read from its spans.
-    config = ExecutionPolicy(tracer=SpanTracer()).construction_config(
-        tolerance=1e-6, sample_block_size=64
-    )
+    # Traced, so each result's phase split can be read from its spans.  The
+    # base is bound to the policy, so its recompression traces there too.
+    policy = ExecutionPolicy(tracer=SpanTracer())
+    config = policy.construction_config(tolerance=1e-6, sample_block_size=64)
     base = H2Constructor(
         partition,
         KernelMatVecOperator(kernel, tree.points),
         KernelEntryExtractor(kernel, tree.points),
         config,
         seed=8,
+        tracer=policy.tracer,
     ).construct()
+    policy.bind(base.matrix)
     print(
         f"base H2 matrix: {base.elapsed_seconds:.2f}s, {base.total_samples} samples, "
         f"{base.memory_mb():.1f} MB"

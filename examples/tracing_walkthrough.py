@@ -12,12 +12,13 @@ same trace then serves as
 3. the one record the views of :mod:`repro.observe.views` read — the Fig. 7
    phase breakdown is read from the phase spans (the constructor keeps no
    other clock), and the launch attribution matches the policy's launch
-   counter exactly.
+   counter exactly: a span counts the launches of its own task or thread.
 
 On top of the timings, the run demonstrates the health & resource telemetry:
-``ExecutionPolicy(health=..., memory_profile=True)`` probes every produced
-operator with a stochastic compression-error estimate, triages the solver
-residual history and attributes per-span (and hence per-phase) peak memory.
+``ExecutionPolicy(health=...)`` probes every produced operator with a
+stochastic compression-error estimate and triages the solver residual
+history, and ``SpanTracer(memory=MemorySampler())`` attributes per-span (and
+hence per-phase) peak memory.
 Every number is read from the object that keeps it: durations from the spans,
 the probe from the health report, bytes from each owner's ``memory_bytes()``.
 
@@ -39,6 +40,7 @@ from repro import (
 )
 from repro.observe import (
     HealthThresholds,
+    MemorySampler,
     PhaseBreakdown,
     console_tree,
     find_spans,
@@ -52,12 +54,11 @@ NOISE = 1e-2
 def main(n: int = 2048) -> None:
     print(f"== Traced pipeline: construct -> factor -> solve -> GP fit, N={n} ==")
 
-    # One tracer for the whole run.  health= probes every produced operator
-    # (warn-only), memory_profile= attaches the per-span peak-memory sampler.
-    tracer = SpanTracer()
-    policy = ExecutionPolicy(
-        tracer=tracer, health=HealthThresholds(), memory_profile=True
-    )
+    # One tracer for the whole run, built with the per-span peak-memory
+    # sampler; health= probes every produced operator (warn-only).
+    sampler = MemorySampler()
+    tracer = SpanTracer(memory=sampler)
+    policy = ExecutionPolicy(tracer=tracer, health=HealthThresholds())
 
     points = uniform_cube_points(n, dim=2, seed=0)
     kernel = ExponentialKernel(length_scale=0.2)
@@ -90,8 +91,10 @@ def main(n: int = 2048) -> None:
     for phase, pct in from_trace.ordered_percentages().items():
         print(f"  {phase:<18} {pct:5.1f}%")
 
-    # Launch attribution is exact: the root spans' inclusive counter deltas
-    # sum to precisely what the policy's shared launch counter recorded.
+    # Launch attribution is exact: every launch is credited to the spans open
+    # in the task or thread that issued it, and all of this run's launches
+    # happened inside the tracer's spans, so the root spans sum to precisely
+    # what the policy backend's launch counter recorded.
     counter = policy.launch_counter()
     print(f"\nlaunches attributed to spans: {total_launches(tracer)} "
           f"(policy counter total: {counter.total()})")
@@ -135,6 +138,7 @@ def main(n: int = 2048) -> None:
     print("\n-- who holds the bytes (memory_bytes() of each owner) " + "-" * 10)
     for owner, nbytes in held.items():
         print(f"  {owner:<32} {nbytes / 2**20:7.2f} MiB")
+    sampler.close()
 
 
 if __name__ == "__main__":

@@ -598,9 +598,7 @@ class Session:
         """
         from ..solvers.hss_factor import factorize
 
-        self._factorization = factorize(
-            self.operator, shift=noise, tracer=self.policy.tracer
-        )
+        self._factorization = factorize(self.operator, shift=noise)
         self._shift = float(noise)
         return self
 

@@ -1,12 +1,14 @@
 """Execution policy: one object deciding *how* the library executes.
 
-The batched backend, the tracer (which owns the shared launch counter), the
-health probes and the resilience knobs live on one :class:`ExecutionPolicy`,
-which is passed to the façade (:func:`repro.api.compress`,
-:class:`repro.api.Session`), the constructor, the solvers, the GP subsystem
-and the server.  An operator created under a policy is bound to its backend
-and tracer (:meth:`ExecutionPolicy.bind`); nothing is written onto the
-backend, which several policies may share.
+The batched backend, the tracer, the health probes and the resilience knobs
+live on one :class:`ExecutionPolicy`, which is passed to the façade
+(:func:`repro.api.compress`, :class:`repro.api.Session`), the constructor,
+the GP subsystem and the server.  An operator created under a policy is
+bound to its backend and tracer (:meth:`ExecutionPolicy.bind`), and the
+solvers, the factorization and the recompression read that binding.
+Nothing is written onto the backend or the tracer, which several policies
+may share: a span counts the launches of the task or thread that opened it
+(:mod:`repro.observe.tracer`), not those of a counter it was handed.
 
 Environment overrides (read when a knob is left at ``"auto"``):
 
@@ -26,7 +28,7 @@ Environment overrides (read when a knob is left at ``"auto"``):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..observe.tracer import NOOP_TRACER
@@ -56,14 +58,14 @@ class ExecutionPolicy:
         (default) follows ``REPRO_BACKEND`` and falls back to
         ``vectorized``.  :meth:`resolve_backend` resolves it once and
         returns the *same* instance on every call, so launch counters
-        accumulate per policy (read :meth:`launch_counter`; pass
-        ``tracer=SpanTracer(counter=...)`` to share an explicit counter).
+        accumulate per policy (read :meth:`launch_counter`).
     tracer:
         A :class:`~repro.observe.SpanTracer` recording hierarchical spans for
         everything executed under this policy, or the zero-overhead
-        :data:`~repro.observe.NOOP_TRACER` (default).  :meth:`resolve_backend`
-        binds the tracer to the resolved backend's launch counter, and
-        :meth:`bind` makes an operator's applies record to it.
+        :data:`~repro.observe.NOOP_TRACER` (default).  The constructor runs
+        under it, and :meth:`bind` makes the work on an operator (applies,
+        solves, factorizations) record to it.  Per-span peak memory is the
+        tracer's own option, ``SpanTracer(memory=MemorySampler())``.
     health:
         :class:`~repro.observe.health.HealthThresholds` enabling the
         numerical-health telemetry: a stochastic compression-error probe on
@@ -72,12 +74,6 @@ class ExecutionPolicy:
         preconditioner-ineffectiveness) on every Krylov solve.  Breaches
         *warn* through the ``repro.observe.health`` structured logger — they
         never raise.  ``None`` (default) disables all probes.
-    memory_profile:
-        When ``True`` and the tracer is enabled, attach a
-        :class:`~repro.observe.memory.MemorySampler` so every span carries
-        ``mem_peak_bytes`` / ``mem_current_bytes`` / ``mem_rss_bytes``
-        attributes (tracemalloc-based; meaningful overhead — keep off for
-        benchmarking).  Ignored without an enabled tracer.
     recovery:
         A :class:`~repro.resilience.RecoveryPolicy` (or a bare mode string
         ``"strict"``/``"warn"``/``"recover"``) turning detected faults into
@@ -104,7 +100,6 @@ class ExecutionPolicy:
     backend: "Union[str, BatchedBackend]" = "auto"
     tracer: "Union[SpanTracer, NoopTracer, None]" = None
     health: "Optional[HealthThresholds]" = None
-    memory_profile: bool = False
     recovery: "Union[RecoveryPolicy, str, None]" = None
     faults: "Union[FaultInjector, str, None]" = None
     _resolved: "Optional[BatchedBackend]" = field(
@@ -131,35 +126,23 @@ class ExecutionPolicy:
             # not fatal: REPRO_FAULTS alone turns any run into a chaos test
             # that is still expected to produce correct results.
             self.recovery = RecoveryPolicy(mode="recover")
-        if self.memory_profile and self.tracer.enabled and self.tracer.memory is None:
-            from ..observe.memory import MemorySampler
-
-            self.tracer.memory = MemorySampler()
 
     # ------------------------------------------------------------- resolution
     def resolve_backend(self) -> "BatchedBackend":
-        """The backend instance this policy executes on.
-
-        Resolves the name once.  The policy's tracer adopts the resolved
-        backend's counter (or supplies its own to the backend factory), so
-        its spans read launch deltas; the backend itself is left as it is.
-        """
+        """The backend instance this policy executes on (the name is
+        resolved once)."""
         from ..batched.backend import get_backend
 
-        if self._resolved is not None:
-            return self._resolved
-        # The tracer's counter is None until its first bind: fine.
-        counter = self.tracer.counter if self.tracer.enabled else None
-        backend = get_backend(self.backend, counter=counter)
-        self.tracer.bind_counter(backend.counter)
-        self._resolved = backend
-        return backend
+        if self._resolved is None:
+            self._resolved = get_backend(self.backend)
+        return self._resolved
 
     def bind(self, matrix: "H2Matrix") -> "H2Matrix":
-        """Make ``matrix`` apply on this policy's backend and record its
-        ``apply`` spans to this policy's tracer; returns the matrix.  The
-        façade binds what it constructs or loads, the server what it loads by
-        path or key.  Two policies may share one backend:
+        """Make ``matrix`` apply on this policy's backend and record the work
+        on it (applies, solves, factorizations, recompressions) to this
+        policy's tracer; returns the matrix.  The façade binds what it
+        constructs or loads, the server what it loads by path or key.  Two
+        policies may share one backend:
 
         >>> import numpy as np, repro
         >>> shared = repro.VectorizedBackend()
@@ -188,17 +171,6 @@ class ExecutionPolicy:
 
         overrides.setdefault("backend", self.resolve_backend())
         return ConstructionConfig(**overrides)  # type: ignore[arg-type]
-
-    def with_backend(self, backend: "Union[str, BatchedBackend]") -> "ExecutionPolicy":
-        """A copy of this policy on a different backend."""
-        return replace(self, backend=backend)
-
-    @classmethod
-    def from_env(cls, **overrides: object) -> "ExecutionPolicy":
-        """Policy snapshot of the current ``REPRO_*`` environment."""
-        values: dict = {"backend": env_choice("REPRO_BACKEND", "vectorized")}
-        values.update(overrides)
-        return cls(**values)
 
     # ------------------------------------------------------------ diagnostics
     def launch_counter(self) -> "KernelLaunchCounter":

@@ -284,10 +284,7 @@ class VectorizedBackend(BatchedBackend):
 _BACKENDS: Dict[str, type] = {"serial": SerialBackend, "vectorized": VectorizedBackend}
 
 
-def get_backend(
-    name: str | BatchedBackend | None = "auto",
-    counter: KernelLaunchCounter | None = None,
-) -> BatchedBackend:
+def get_backend(name: str | BatchedBackend | None = "auto") -> BatchedBackend:
     """A backend from its name, or ``name`` itself when it is a backend.
 
     Names are ``"serial"`` and ``"vectorized"`` (case-insensitive);
@@ -304,4 +301,4 @@ def get_backend(
     key = normalize_choice(name)
     if key not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choose one of {sorted(_BACKENDS)}")
-    return _BACKENDS[key](counter=counter)
+    return _BACKENDS[key]()

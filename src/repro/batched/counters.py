@@ -6,10 +6,16 @@ because all per-node work of a level is fused into a constant number of
 batched calls.  :class:`KernelLaunchCounter` records one "launch" for every
 batched dispatch issued by a backend (per shape group for the vectorized
 backend), letting the benchmark harness verify the O(log N) behaviour.
+
+A record also credits every trace span open in the calling task or thread
+(:data:`OPEN_SPANS`, which :class:`repro.observe.SpanTracer` sets while a
+span is open), so a span counts exactly the launches of its own context,
+whichever counter they are recorded on.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -21,6 +27,14 @@ from typing import Dict, Mapping
 #: update, so one lock for all counters costs nothing measurable — and keeps
 #: a counter copyable, which a per-instance lock would not.
 _LOCK = threading.Lock()
+
+#: The spans open in the calling task or thread, outermost first.  Each
+#: record adds its launches and its call to every one of them; a thread
+#: starts with none, and work submitted in a copy of a context
+#: (``contextvars.copy_context().run``) counts in that context's spans.
+OPEN_SPANS: "contextvars.ContextVar[tuple]" = contextvars.ContextVar(
+    "repro_open_spans", default=()
+)
 
 
 def _delta(after: Mapping[str, int], before: Mapping[str, int]) -> Dict[str, int]:
@@ -64,12 +78,19 @@ class KernelLaunchCounter:
     calls: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def record(self, operation: str, launches: int = 1) -> None:
-        """Record one batched-primitive call dispatching ``launches`` launches."""
+        """Record one batched-primitive call dispatching ``launches`` launches,
+        on this counter and on every span open in the calling context."""
         if launches < 0:
             raise ValueError("launches must be non-negative")
+        launches = int(launches)
+        spans = OPEN_SPANS.get()
         with _LOCK:
-            self.counts[operation] += int(launches)
+            self.counts[operation] += launches
             self.calls[operation] += 1
+            for span in spans:
+                if launches:
+                    span.launches[operation] = span.launches.get(operation, 0) + launches
+                span.calls[operation] = span.calls.get(operation, 0) + 1
 
     def total(self) -> int:
         """Total number of recorded launches across all operations."""
@@ -92,10 +113,8 @@ class KernelLaunchCounter:
     def snapshot(self) -> "CounterSnapshot":
         """A frozen copy of the current per-operation tallies.
 
-        Pair with :meth:`since` to report the launches of one region of work
-        (a single construction, a single apply) even when the counter is
-        shared across many regions — the consolidation contract of
-        :class:`repro.api.ExecutionPolicy` and :class:`repro.observe.SpanTracer`.
+        Pair with :meth:`since` to report the growth of this counter over one
+        region of work (a construction's ``ConstructionResult`` launches).
         """
         with _LOCK:
             return CounterSnapshot(counts=dict(self.counts), calls=dict(self.calls))

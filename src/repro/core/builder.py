@@ -55,7 +55,6 @@ import numpy as np
 from ..batched.apply_plan import H2ApplyPlan
 from ..batched.backend import BatchedBackend, get_backend
 from ..batched.construction_plan import ConstructionPlan, PackedSweepEngine
-from ..batched.counters import KernelLaunchCounter
 from ..hmatrix.basis_tree import BasisTree
 from ..hmatrix.h2matrix import H2Matrix
 from ..linalg.norm_estimation import sketched_spectral_norm
@@ -124,8 +123,9 @@ class ConstructionResult:
     #: Root :class:`repro.observe.Span` of this construction when it ran under
     #: an enabled tracer (``None`` otherwise).  Its ``construct.phase``
     #: children are the only record of the Fig. 7 phase times
-    #: (:meth:`repro.observe.views.PhaseBreakdown.from_span`); its launch deltas
-    #: equal ``kernel_launches``.
+    #: (:meth:`repro.observe.views.PhaseBreakdown.from_span`).  Its launches
+    #: equal ``kernel_launches`` plus what the black-box sampler issues in the
+    #: construction's context on another backend (an H2 sampler's apply).
     trace: Optional[object] = None
     #: :class:`repro.observe.HealthReport` of the stochastic compression-error
     #: probe when the construction ran under ``ExecutionPolicy(health=...)``
@@ -208,18 +208,9 @@ class H2Constructor:
                 f"dimension (tree: {n}, operator: {operator.n}, extractor: {extractor.n})"
             )
 
-        # The tracer's counter (if any) is handed to the backend factory, so
-        # one counter spans everything under the owning policy; a backend
-        # *instance* in the config keeps its own (per-result launch numbers
-        # are snapshot deltas, see _construct).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        shared = self.tracer.counter
-        self.backend: BatchedBackend = get_backend(
-            self.config.backend,
-            counter=shared if shared is not None else KernelLaunchCounter(),
-        )
+        self.backend: BatchedBackend = get_backend(self.config.backend)
         self.counter = self.backend.counter
-        self.tracer.bind_counter(self.counter)
 
         # The caller's policy, passed in: both stay ``None`` on the unguarded
         # path so every guard below is a single attribute test.
@@ -452,8 +443,8 @@ class H2Constructor:
             with phase_span(self.tracer, "misc"):
                 matrix.adopt_plan(H2ApplyPlan(matrix, dense, adoptable))
         elapsed = time.perf_counter() - start
-        # Per-construction launch numbers even on a shared (policy/tracer)
-        # counter: report the growth since this construction started.
+        # Per-construction launch numbers even on a shared backend: report
+        # the growth of its counter since this construction started.
         launch_delta = self.counter.since(launches_at_start)
         return ConstructionResult(
             matrix=matrix,

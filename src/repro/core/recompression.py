@@ -56,6 +56,11 @@ def recompress_h2(
     seed:
         Seed or generator for the sketching vectors.
 
+    The construction runs under the tracer ``h2`` is bound to
+    (:meth:`H2Matrix.bind`), so a bound base matrix traces its
+    recompression (``result.trace``); its launches are counted on the
+    backend of ``config``.
+
     Returns
     -------
     ConstructionResult
@@ -80,7 +85,8 @@ def recompress_h2(
     extractor = extractors[0] if len(extractors) == 1 else SumEntryExtractor(extractors)
 
     constructor = H2Constructor(
-        target_partition, operator, extractor, config=config, seed=seed
+        target_partition, operator, extractor, config=config, seed=seed,
+        tracer=h2.apply_tracer,
     )
     return constructor.construct()
 
@@ -89,26 +95,25 @@ def _recompress_weak(
     h2: H2Matrix,
     tol: float = 1e-6,
     max_rank: int | None = None,
-    tracer: object | None = None,
 ) -> H2Matrix:
     """``h2`` re-compressed onto the weak (HSS) partition of its own tree.
 
     Algorithm 1 with ``h2`` as the black-box sampler and entry evaluator
     (as :func:`recompress_h2`), at ``tol`` / ``max_rank`` and ``seed=0`` so
-    the result is deterministic.  It constructs on ``h2``'s apply backend
-    (hence on that backend's launch counter) under ``tracer`` (default: the
-    one ``h2`` is bound to), and the weak matrix is bound as ``h2`` is.  This
-    is how a strong-admissibility matrix reaches the HSS factorization
+    the result is deterministic.  It constructs on ``h2``'s binding (its
+    apply backend, hence that backend's launch counter, and its tracer), and
+    the weak matrix is bound as ``h2`` is.  This is how a
+    strong-admissibility matrix reaches the HSS factorization
     (:func:`~repro.solvers.hss_factor.factorize`).
     """
-    backend, bound_tracer = h2.apply_backend, h2.apply_tracer
+    backend, tracer = h2.apply_backend, h2.apply_tracer
     weak = H2Constructor(
         build_block_partition(h2.tree, WeakAdmissibility()),
         H2Operator(h2),
         H2EntryExtractor(h2),
         config=ConstructionConfig(tolerance=tol, max_rank=max_rank, backend=backend),
         seed=0,
-        tracer=bound_tracer if tracer is None else tracer,
+        tracer=tracer,
     ).construct().matrix
-    return weak.bind(backend, bound_tracer)
+    return weak.bind(backend, tracer)
 

@@ -98,11 +98,11 @@ class GaussianProcess:
         directly.
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` of the internally created
-        session.  The GP runs under ``session.policy``: its constructions,
-        factorizations and both guarded solves
-        (:func:`~repro.solvers.ladder.guarded_solve`) read backend, tracer,
-        recovery, faults and health from it.  A ``session`` with a different
-        ``policy`` raises :class:`ValueError`.
+        session.  The GP runs under ``session.policy``: its constructions
+        and both guarded solves (:func:`~repro.solvers.ladder.guarded_solve`)
+        read backend, tracer, recovery, faults and health from it, and its
+        factorizations run on the binding the session gave each matrix.  A
+        ``session`` with a different ``policy`` raises :class:`ValueError`.
     solve_tol:
         Relative residual tolerance of the preconditioned CG solves.
     max_cg_iterations:
@@ -228,7 +228,7 @@ class GaussianProcess:
                 f"the constructed covariance can be factored exactly ({defect})"
             )
         t0 = time.perf_counter()
-        factorization = factorize(matrix, shift=noise, tracer=self.policy.tracer)
+        factorization = factorize(matrix, shift=noise)
         factor_seconds = time.perf_counter() - t0
         if factorization.determinant_sign <= 0.0:
             raise NotPositiveDefiniteError(

@@ -4,9 +4,10 @@ The observability spine of the library.  One :class:`SpanTracer`, carried by
 an :class:`repro.api.ExecutionPolicy`, records a tree of :class:`Span` objects
 as work flows through the constructor, the compiled apply plans, the Krylov
 solvers, the HSS factorization and the GP sweeps.  Each span carries
-wall-clock time plus launch/FLOP/byte attribution read from the backend's
-:class:`~repro.batched.counters.KernelLaunchCounter`, so the trace and the
-paper's launch-count arguments come from the same source of truth.  The
+wall-clock time plus launch/FLOP/byte attribution: every
+:class:`~repro.batched.counters.KernelLaunchCounter` record credits the
+spans open in the calling task or thread, so the trace and the paper's
+launch-count arguments come from the same source of truth.  The
 views in :mod:`repro.observe.views` are the only readers of that record: the
 Fig. 7 :class:`PhaseBreakdown`, launch totals and span filters; a traced
 ``apply`` span is read as it stands.

@@ -9,9 +9,10 @@ plan and its factorization (the model registry's byte budget).  What those
 totals cannot show is the *transient* peak of a phase, which this module
 measures:
 
-* :class:`MemorySampler` — per-span *peak* attribution.  Attached to a
-  :class:`~repro.observe.tracer.SpanTracer` (``SpanTracer(memory=...)`` or
-  ``ExecutionPolicy(memory_profile=True)``), it brackets every span with
+* :class:`MemorySampler` — per-span *peak* attribution.  Given to a
+  :class:`~repro.observe.tracer.SpanTracer` when it is built
+  (``SpanTracer(memory=MemorySampler())``; nothing attaches one later), it
+  brackets every span with
   :mod:`tracemalloc` readings plus an RSS sample and stores
   ``mem_peak_bytes`` / ``mem_current_bytes`` / ``mem_rss_bytes`` attributes
   on the span — visible in the console tree, the Chrome trace ``args`` and

@@ -3,11 +3,11 @@
 A :class:`Span` is one timed region of work (``construct``, ``phase/id``,
 ``solve/cg`` ...).  Spans nest — the tracer maintains a stack, so a span opened
 while another is active becomes its child — and each span carries, besides
-wall-clock time, the *launch attribution* pulled from the backend's
-:class:`~repro.batched.counters.KernelLaunchCounter`: the per-operation launch
-and call deltas observed while the span was open.  Because the deltas are
-inclusive (they cover the children too), ``self_launches`` recovers the
-launches issued by the span's own code.
+wall-clock time, the *launch attribution* credited by every
+:class:`~repro.batched.counters.KernelLaunchCounter` record made in its task
+or thread while it was open: the per-operation launches and calls.  Because
+the counts are inclusive (they cover the children too), ``self_launches``
+recovers the launches issued by the span's own code.
 
 Spans are plain data.  Exporters (:mod:`repro.observe.exporters`) turn them
 into JSON-lines, Chrome ``trace_event`` JSON or a console tree; the views of
@@ -41,8 +41,8 @@ class Span:
     """One timed, attributed region of work in a trace tree.
 
     ``start``/``end`` are :func:`time.perf_counter` readings; ``launches`` and
-    ``calls`` are the *inclusive* per-operation counter deltas observed between
-    them (children included).  ``flops`` and ``bytes`` are explicit
+    ``calls`` are the *inclusive* per-operation counts recorded in the span's
+    context between them (children included).  ``flops`` and ``bytes`` are explicit
     attributions added by instrumented code (e.g. the compiled apply plan).
     """
 

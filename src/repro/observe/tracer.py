@@ -7,17 +7,21 @@ Two implementations share one duck-typed protocol:
   and every other method is a ``pass``.  Hot paths keep a
   ``if tracer.enabled:`` guard around anything that would allocate, so a
   policy without tracing pays a single attribute load per call site.
-* :class:`SpanTracer` — the real thing.  Opening a span snapshots the bound
-  :class:`~repro.batched.counters.KernelLaunchCounter`; closing it stores the
-  per-operation launch/call deltas on the span, making launch attribution a
-  pure read of counters that the backends maintain anyway.
+* :class:`SpanTracer` — the real thing.  An open span is pushed onto
+  :data:`~repro.batched.counters.OPEN_SPANS`, and every
+  :meth:`KernelLaunchCounter.record
+  <repro.batched.counters.KernelLaunchCounter.record>` credits the spans
+  open in the calling task or thread: a span counts the launches of its own
+  context, on whichever backend they run, and nothing else.
 
 A tracer is carried by :class:`repro.api.ExecutionPolicy`, which binds it to
-its backend's launch counter and to the operators it creates
-(``policy.bind(matrix)``); nothing is stored on the backend.  The innermost
-open span lives in a :class:`contextvars.ContextVar`, so spans nest per
-asyncio task and per thread; pool work submitted in a copy of the caller's
-context (``contextvars.copy_context().run``) nests under the caller's span.
+the operators it creates (``policy.bind(matrix)``); work on an operator
+records to the tracer it is bound to, and nothing is written onto a tracer
+or a backend.  The innermost open span lives in a
+:class:`contextvars.ContextVar`, so spans nest per asyncio task and per
+thread; pool work submitted in a copy of the caller's context
+(``contextvars.copy_context().run``) nests, and counts, under the caller's
+span, and a bare thread starts outside every span.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import contextvars
 import time
 from typing import Dict, List, Optional
 
-from ..batched.counters import CounterSnapshot, KernelLaunchCounter
+from ..batched.counters import OPEN_SPANS
 from .span import Span, SpanEvent
 
 
@@ -76,8 +80,6 @@ class NoopTracer:
     __slots__ = ()
 
     enabled = False
-    counter: Optional[KernelLaunchCounter] = None
-    memory = None
     roots: List[Span] = []
 
     def span(self, name: str, category: str = "", **attributes: object) -> _NoopSpanContext:
@@ -90,9 +92,6 @@ class NoopTracer:
         return None
 
     def add_bytes(self, count: int) -> None:
-        return None
-
-    def bind_counter(self, counter: KernelLaunchCounter) -> None:
         return None
 
     def reset(self) -> None:
@@ -122,7 +121,7 @@ class _SpanContext:
     """Context manager produced by :meth:`SpanTracer.span`."""
 
     __slots__ = ("_tracer", "_name", "_category", "_attributes", "_span",
-                 "_counter0", "_mem")
+                 "_open", "_mem")
 
     def __init__(self, tracer: "SpanTracer", name: str, category: str,
                  attributes: Dict[str, object]):
@@ -131,7 +130,7 @@ class _SpanContext:
         self._category = category
         self._attributes = attributes
         self._span: Optional[Span] = None
-        self._counter0: Optional[CounterSnapshot] = None
+        self._open: tuple = ()
         self._mem: Optional[List[int]] = None
 
     def __enter__(self) -> Span:
@@ -143,15 +142,13 @@ class _SpanContext:
             attributes=self._attributes,
             parent=parent,
         )
-        counter = tracer.counter
-        if counter is not None:
-            # Under the counter's lock: repro.serve records from a thread pool.
-            self._counter0 = counter.snapshot()
         if parent is not None:
             parent.children.append(span)
         else:
             tracer.roots.append(span)
         tracer._current.set(span)
+        self._open = OPEN_SPANS.get()
+        OPEN_SPANS.set(self._open + (span,))
         self._span = span
         sampler = tracer.memory
         if sampler is not None:
@@ -163,45 +160,49 @@ class _SpanContext:
         tracer = self._tracer
         span = self._span
         span.end = tracer._clock()
-        if self._mem is not None and tracer.memory is not None:
+        if self._mem is not None:
             span.attributes.update(tracer.memory.exit(self._mem))
-        counter = tracer.counter
-        if counter is not None and self._counter0 is not None:
-            delta = counter.since(self._counter0)
-            span.launches = delta.counts
-            span.calls = delta.calls
         if exc_type is not None:
             span.attributes.setdefault("error", exc_type.__name__)
         tracer._current.set(span.parent)
+        OPEN_SPANS.set(self._open)
         return False
 
 
 class SpanTracer:
     """Recording tracer: builds a forest of :class:`~repro.observe.span.Span`.
 
+    A span's ``launches`` / ``calls`` are the launches recorded in the task or
+    thread that opened it while it was open (children and pool work
+    submitted in a copy of its context included), so two threads tracing at
+    once each see only their own work:
+
+    >>> import threading
+    >>> from repro.batched import KernelLaunchCounter
+    >>> tracer, counter = SpanTracer(), KernelLaunchCounter()
+    >>> def work(name, launches):
+    ...     with tracer.span(name):
+    ...         counter.record("gemm", launches)
+    >>> threads = [threading.Thread(target=work, args=(f"t{i}", i)) for i in (1, 5)]
+    >>> for thread in threads: thread.start()
+    >>> for thread in threads: thread.join()
+    >>> sorted((root.name, root.total_launches) for root in tracer.roots)
+    [('t1', 1), ('t5', 5)]
+    >>> counter.total()
+    6
+
     Parameters
     ----------
-    counter:
-        The :class:`~repro.batched.counters.KernelLaunchCounter` spans read
-        for launch attribution.  Usually left ``None`` and bound lazily — the
-        first backend resolved under the owning policy calls
-        :meth:`bind_counter` with its counter.
     memory:
         A :class:`~repro.observe.memory.MemorySampler` bracketing every span
         with tracemalloc/RSS readings, attaching ``mem_peak_bytes`` /
         ``mem_current_bytes`` / ``mem_rss_bytes`` span attributes.  ``None``
-        (default) keeps spans allocation-free; usually enabled via
-        ``ExecutionPolicy(memory_profile=True)``.
+        (default) keeps spans allocation-free.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        counter: Optional[KernelLaunchCounter] = None,
-        memory: Optional[object] = None,
-    ):
-        self.counter = counter
+    def __init__(self, memory: Optional[object] = None):
         self.memory = memory
         self.roots: List[Span] = []
         self.orphan_events: List[SpanEvent] = []
@@ -234,19 +235,13 @@ class SpanTracer:
         if current is not None:
             current.add_bytes(count)
 
-    # ----------------------------------------------------------------- wiring
-    def bind_counter(self, counter: KernelLaunchCounter) -> None:
-        """Adopt ``counter`` for launch attribution (first bind wins)."""
-        if self.counter is None:
-            self.counter = counter
-
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span of the calling task or thread, or ``None``."""
         return self._current.get()
 
     def reset(self) -> None:
-        """Drop all recorded spans/events (the bound counter is untouched)."""
+        """Drop all recorded spans/events (no counter is touched)."""
         self.roots.clear()
         self.orphan_events.clear()
         self._current.set(None)

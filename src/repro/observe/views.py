@@ -50,8 +50,10 @@ def find_spans(
 def launches_by_operation(source: TraceSource) -> Dict[str, int]:
     """Inclusive per-operation launch counts summed over the *root* spans.
 
-    Only roots are summed (their deltas already include all descendants), so
-    the result equals the backend counter's growth over the traced region.
+    Only roots are summed (their counts already include all descendants).  A
+    span counts the launches recorded in its own task or thread, so when
+    every launch of a region ran inside the traced spans the result equals
+    the backend counter's growth over that region.
     """
     totals: Dict[str, int] = defaultdict(int)
     for root in _roots(source):
@@ -77,7 +79,7 @@ class PhaseBreakdown:
 
     seconds: Dict[str, float]
     #: Peak allocated bytes per phase — populated only when the construction
-    #: traced under ``ExecutionPolicy(memory_profile=True)`` (empty otherwise).
+    #: was traced by ``SpanTracer(memory=MemorySampler())`` (empty otherwise).
     peak_bytes: Dict[str, int] = field(default_factory=dict)
 
     @property

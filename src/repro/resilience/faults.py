@@ -163,14 +163,6 @@ class FaultInjector:
         """Injector from the ``REPRO_FAULTS`` grammar."""
         return cls(text, seed=seed)
 
-    @classmethod
-    def from_env(cls, seed: int = 0) -> "Optional[FaultInjector]":
-        """Injector configured by ``REPRO_FAULTS``, or ``None`` when unset."""
-        raw = os.environ.get("REPRO_FAULTS", "").strip()
-        if not raw:
-            return None
-        return cls.from_spec(raw, seed=seed)
-
     # ------------------------------------------------------------------ firing
     def installed(self, kind: str) -> bool:
         return kind in self.specs

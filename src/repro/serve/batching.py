@@ -12,7 +12,11 @@ The first request admitted to an idle queue starts the queue's runner task,
 which launches the oldest pending requests (up to ``max_batch`` columns),
 awaits that launch, and repeats until the queue is empty.  So a lone request
 launches on the next loop tick, requests ready in the same tick share one
-launch, and arrivals during a launch coalesce into the next one.  A launch
+launch, and arrivals during a launch coalesce into the next one.  The runner
+starts in an empty :mod:`contextvars` context, so each launch is a root
+``serve.batch`` span whose ``request_ids`` name the requests it carried, and
+its launches count there rather than in the span of whichever request found
+the queue idle.  A launch
 column-stacks its payloads (vectors and ``(n, k)`` blocks side by side — each
 caller gets exactly its own columns back, in its original shape), executes
 once on a worker thread, and scatters the result columns to the futures.
@@ -64,12 +68,14 @@ _NON_FINITE = "payload contains non-finite values (NaN/Inf)"
 class _Pending:
     """One admitted request: a normalized ``(n, k)`` payload plus its future."""
 
-    __slots__ = ("payload", "single", "future", "enqueued")
+    __slots__ = ("payload", "single", "future", "request_id", "enqueued")
 
-    def __init__(self, payload: np.ndarray, single: bool, future: asyncio.Future):
+    def __init__(self, payload: np.ndarray, single: bool, future: asyncio.Future,
+                 request_id: str):
         self.payload = payload
         self.single = single
         self.future = future
+        self.request_id = request_id
         self.enqueued = time.perf_counter()
 
 
@@ -135,7 +141,8 @@ class MicroBatcher:
         (or of one kind, when batching is off) may run on both workers at
         once.
     tracer:
-        Span tracer for ``serve.batch`` spans (default: no tracing).
+        Span tracer for the ``serve.batch`` root spans, one per coalesced
+        launch (default: no tracing).
     """
 
     def __init__(
@@ -172,13 +179,16 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ submit
     async def submit(
-        self, model: ServedModel, kind: str, payload: np.ndarray
+        self, model: ServedModel, kind: str, payload: np.ndarray,
+        request_id: str = "",
     ) -> Tuple[np.ndarray, int]:
         """Execute ``kind`` for ``payload``, coalescing with concurrent peers.
 
         Returns ``(result, batch_size)`` where ``batch_size`` is the number
         of requests that shared the launch (1 when the request ran alone).
         The result has the payload's shape (vector in, vector out).
+        ``request_id`` is listed in the ``request_ids`` of the
+        ``serve.batch`` span that carries the payload.
         """
         if kind not in BATCH_KINDS:
             raise ValueError(f"unknown batch kind {kind!r}; use one of {BATCH_KINDS}")
@@ -199,9 +209,13 @@ class MicroBatcher:
             # New key, or the registry replaced the model under this name:
             # never coalesce payloads across two different operators.
             queue = self._queues[(model.name, kind)] = _Queue(model, kind)
-        queue.items.append(_Pending(block, single, future))
+        queue.items.append(_Pending(block, single, future, request_id))
         if queue.runner is None:
-            queue.runner = loop.create_task(self._run(queue))
+            # From an empty context: the runner serves every request that
+            # joins the queue, not only the one that found it idle.
+            queue.runner = contextvars.Context().run(
+                loop.create_task, self._run(queue)
+            )
             self._runners.add(queue.runner)
             queue.runner.add_done_callback(self._runners.discard)
         result, batch_size = await future
@@ -269,6 +283,7 @@ class MicroBatcher:
         with self._tracer.span(
             "serve.batch", category="serve", model=queue.model.name,
             kind=queue.kind, requests=batch_requests, columns=block.shape[1],
+            request_ids=[item.request_id for item in good],
         ):
             try:
                 result = await self.offload(

@@ -113,8 +113,7 @@ class ServedModel:
                     "serve.factor", category="serve", model=self.name
                 ):
                     self._factorization = factorize(
-                        self.operator, shift=self.noise,
-                        tracer=self.policy.tracer,
+                        self.operator, shift=self.noise
                     )
             return self._factorization
 

@@ -169,7 +169,9 @@ class InferenceServer:
 
         async def body() -> MatvecResponse:
             model = self.registry.get(request.model)
-            y, batch_size = await self.batcher.submit(model, "matvec", request.x)
+            y, batch_size = await self.batcher.submit(
+                model, "matvec", request.x, request.request_id
+            )
             return MatvecResponse(
                 y=y, batched=batch_size > 1, batch_size=batch_size
             )
@@ -182,7 +184,7 @@ class InferenceServer:
         async def body() -> PredictResponse:
             model = self.registry.get(request.model)
             mean, batch_size = await self.batcher.submit(
-                model, "predict", request.y
+                model, "predict", request.y, request.request_id
             )
             return PredictResponse(
                 mean=mean, batched=batch_size > 1, batch_size=batch_size
@@ -196,7 +198,9 @@ class InferenceServer:
         async def body() -> SolveResponse:
             model = self.registry.get(request.model)
             if request.method == "direct":
-                x, batch_size = await self.batcher.submit(model, "solve", request.b)
+                x, batch_size = await self.batcher.submit(
+                    model, "solve", request.b, request.request_id
+                )
                 return SolveResponse(
                     x=x, method="direct", converged=True,
                     batched=batch_size > 1, batch_size=batch_size,

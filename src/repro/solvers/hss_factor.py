@@ -65,7 +65,6 @@ from scipy.linalg.lapack import dgetrf, dlaswp, dtrtrs
 from ..batched.block_rows import pad_blocks
 from ..core.recompression import _recompress_weak
 from ..hmatrix.h2matrix import H2Matrix
-from ..observe.tracer import NOOP_TRACER
 
 #: Stacks per level: its nodes sorted by rank and cut into this many buckets.
 #: One stack pads every node to the level's largest redundant count *and*
@@ -124,15 +123,15 @@ class HSSFactorization:
         generators are only read, never written or kept.
     shift:
         Optional diagonal shift: factors ``A + shift * I``.
-    tracer:
-        Optional :class:`repro.observe.SpanTracer`.  The build runs in a
-        ``factor/hss`` span (``n``, ``shift``, ``levels``, ``stages``,
-        ``eliminated``, ``root_size``, ``bytes``), every solve in a
-        ``solve/hss`` span (``n``, ``k``, ``stages``, ``launches``).
+
+    The factorization runs on ``h2``'s binding (:meth:`H2Matrix.bind`): it
+    records its launches on the apply backend's counter and its spans to
+    the apply tracer — the build in a ``factor/hss`` span (``n``, ``shift``,
+    ``levels``, ``stages``, ``eliminated``, ``root_size``, ``bytes``), every
+    solve in a ``solve/hss`` span (``n``, ``k``, ``stages``, ``launches``).
     """
 
-    def __init__(self, h2: H2Matrix, shift: float = 0.0,
-                 tracer: object | None = None):
+    def __init__(self, h2: H2Matrix, shift: float = 0.0):
         defect = h2.weak_partition_defect()
         if defect is not None:
             raise ValueError(
@@ -141,7 +140,7 @@ class HSSFactorization:
             )
         self.tree = h2.tree
         self.shift = float(shift)
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
+        self._tracer = h2.apply_tracer
         self._counter = h2.apply_backend.counter
         self._stages: List[_Stage] = []
         self._sign = 1.0
@@ -496,9 +495,7 @@ class HSSFactorization:
         return int(total)
 
 
-def factorize(
-    operator: object, shift: float = 0.0, tracer: object | None = None
-) -> HSSFactorization:
+def factorize(operator: object, shift: float = 0.0) -> HSSFactorization:
     """Factor the :class:`H2Matrix` ``operator + shift I``.
 
     * an :class:`H2Matrix` on the weak partition (HSS — what ``Session``,
@@ -510,6 +507,8 @@ def factorize(
       ``seed=0``, so the factorization is only as accurate as that
       re-compression) and then factored by :class:`HSSFactorization`.
 
+    Both run on the operator's binding (backend and tracer).
+
     Anything else raises :class:`TypeError`.
     """
     if not isinstance(operator, H2Matrix):
@@ -517,5 +516,5 @@ def factorize(
             f"cannot factorize a {type(operator).__name__}: expected an H2Matrix"
         )
     if operator.weak_partition_defect() is not None:
-        operator = _recompress_weak(operator, tracer=tracer)
-    return HSSFactorization(operator, shift=shift, tracer=tracer)
+        operator = _recompress_weak(operator)
+    return HSSFactorization(operator, shift=shift)

@@ -5,9 +5,11 @@ them into linear-system workloads (kernel regression, integral equations,
 sparse PDE systems) without ever forming a dense matrix.  Both methods
 
 * accept anything :func:`repro.hmatrix.linear_operator.as_linear_operator`
-  understands as the system operator — hierarchical operators iterate on the
-  compiled batched apply path (:mod:`repro.batched.apply_plan`), and the
-  resulting backend/launch diagnostics are recorded in ``KrylovResult.extra``,
+  understands as the system operator — an H2 matrix iterates on the compiled
+  batched apply path (:mod:`repro.batched.apply_plan`) under its binding
+  (:meth:`~repro.hmatrix.h2matrix.H2Matrix.bind`): the solve's span goes to
+  the tracer it is bound to, and its backend's name to
+  ``KrylovResult.extra["apply_backend"]``,
 * accept a pluggable preconditioner (``None``, a callable ``x -> M^{-1} x``, or
   an object with ``solve``/``matvec`` such as a factorization from
   :func:`repro.solvers.factorize`),
@@ -130,14 +132,14 @@ def _binding(op: LinearOperator) -> Tuple[object, object]:
 
 
 def _apply_info(op: LinearOperator) -> Dict[str, object]:
-    """The bound backend's name and launch counter, for per-solve launch costs."""
+    """The bound backend's name (a solve's launches are its span's)."""
     backend, _ = _binding(op)
     if backend is None:
         return {}
-    return {"apply_backend": backend.name, "apply_launch_counter": backend.counter}
+    return {"apply_backend": backend.name}
 
 
-def _traced_solve(method, tracer, body, op, b):
+def _traced_solve(method, tracer, body, b):
     """Run ``body()`` inside a ``solve/<method>`` span (or plainly when off)."""
     if not tracer.enabled:
         return body()
@@ -192,25 +194,23 @@ def cg(
     M: object | None = None,
     x0: np.ndarray | None = None,
     callback: Callable[[int, float], None] | None = None,
-    tracer: object | None = None,
     health: object | None = None,
 ) -> KrylovResult:
     """Preconditioned conjugate gradients for a symmetric positive-definite ``a``.
 
-    Under an enabled tracer (passed explicitly, else the one the operator is
-    bound to) the solve runs inside a ``solve/cg`` span with
-    one ``iteration`` event per CG step.  ``health`` accepts
+    When the operator is bound to an enabled tracer the solve runs inside a
+    ``solve/cg`` span with one ``iteration`` event per CG step.  ``health`` accepts
     :class:`~repro.observe.health.HealthThresholds` to run the post-hoc
     convergence diagnosis (events land in ``result.extra["health_events"]``).
     """
     start = time.perf_counter()
     op, b, x = _prepare(a, b, x0)
-    tracer = tracer if tracer is not None else _binding(op)[1]
+    tracer = _binding(op)[1]
     return _traced_solve(
         "cg", tracer,
         lambda: _cg_body(op, b, x, tol, maxiter, M, callback, tracer, start,
                          health),
-        op, b,
+        b,
     )
 
 
@@ -291,26 +291,25 @@ def gmres(
     M: object | None = None,
     x0: np.ndarray | None = None,
     callback: Callable[[int, float], None] | None = None,
-    tracer: object | None = None,
     health: object | None = None,
 ) -> KrylovResult:
     """Right-preconditioned restarted GMRES(m) for a general square ``a``.
 
     ``maxiter`` bounds the *total* number of inner iterations across restarts.
     Right preconditioning solves ``A M^{-1} u = b`` with ``x = M^{-1} u``, so
-    the reported residuals are true residuals of the original system.  Under
-    an enabled tracer the solve runs inside a ``solve/gmres`` span with one
-    ``iteration`` event per inner iteration.
+    the reported residuals are true residuals of the original system.  When
+    the operator is bound to an enabled tracer the solve runs inside a
+    ``solve/gmres`` span with one ``iteration`` event per inner iteration.
     """
     start = time.perf_counter()
     op, b, x = _prepare(a, b, x0)
-    tracer = tracer if tracer is not None else _binding(op)[1]
+    tracer = _binding(op)[1]
     return _traced_solve(
         "gmres", tracer,
         lambda: _gmres_body(
             op, b, x, tol, restart, maxiter, M, callback, tracer, start, health
         ),
-        op, b,
+        b,
     )
 
 

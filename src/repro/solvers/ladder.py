@@ -24,8 +24,8 @@ not cover:
     checked explicitly, so even the last rung cannot return an unchecked
     answer.
 
-Each escalation rung runs inside its own ``resilience/ladder:<rung>`` span
-with ``RecoveryPolicy.rung_maxiter`` iterations, adds one rung to the
+Each escalation rung runs inside its own ``resilience/ladder:<rung>`` span,
+recorded to the tracer the operator is bound to, with ``RecoveryPolicy.rung_maxiter`` iterations, adds one rung to the
 result's ``extra["escalation"]`` record and warm-starts from the best iterate
 so far.  When every rung is used up the solve raises
 :class:`~repro.resilience.EscalationExhaustedError` carrying the best result
@@ -67,7 +67,8 @@ def guarded_solve(
 
     The policy's ``stall-convergence`` fault caps ``maxiter`` of the first
     solve, then ``method`` (``"cg"`` or ``"gmres"``) runs preconditioned by
-    ``factorization`` with the policy's tracer and health thresholds.  A
+    ``factorization`` with the policy's health thresholds, and records to
+    the tracer ``a`` is bound to (:meth:`ExecutionPolicy.bind`).  A
     non-converged result under a recovery policy raises
     :class:`SolveDidNotConvergeError` (``strict``), is warned about and
     returned flagged (``warn``; the event is ``log_fields["event"]``, default
@@ -105,7 +106,7 @@ def guarded_solve(
     op = as_linear_operator(a, shift=shift)
     result = solvers[method](
         op, b, tol=tol, maxiter=maxiter,
-        M=factorization, x0=x0, tracer=policy.tracer, health=policy.health,
+        M=factorization, x0=x0, health=policy.health,
     )
     recovery = policy.recovery
     if result.converged or recovery is None:
@@ -136,11 +137,11 @@ def guarded_solve(
     best = result
     b_arr = np.asarray(b, dtype=np.float64).reshape(-1)
     budget = recovery.rung_maxiter
-    tracer = policy.tracer
+    tracer = a.apply_tracer
     if factorization is None:
         from .hss_factor import factorize
 
-        factorization = factorize(a, shift=shift, tracer=tracer)
+        factorization = factorize(a, shift=shift)
     for rung in (r for r in ("pcg", "gmres", "direct") if r not in covered):
         entered = time.perf_counter()
         with tracer.span(
@@ -153,7 +154,7 @@ def guarded_solve(
                 solver = gmres if rung == "gmres" else cg
                 result = solver(
                     op, b_arr, tol=tol, maxiter=budget, M=factorization,
-                    x0=best.x, tracer=tracer, health=policy.health,
+                    x0=best.x, health=policy.health,
                 )
                 if rung == "pcg":
                     result.method = "pcg"
@@ -193,7 +194,7 @@ def _direct(op, b: np.ndarray, factorization: object, tol: float,
         # The factorization approximates the operator at its own
         # (construction) accuracy; polish with preconditioned CG.
         result = cg(op, b, tol=tol, maxiter=maxiter, M=factorization, x0=x,
-                    tracer=policy.tracer, health=policy.health)
+                    health=policy.health)
         result.method = "direct+pcg"
         return result
     return KrylovResult(

@@ -427,7 +427,6 @@ class TestExecutionPolicy:
         monkeypatch.setenv("REPRO_BACKEND", "  SeRiAl ")
         assert ExecutionPolicy().resolve_backend().name == "serial"
         assert repro.batched.get_backend("auto").name == "serial"
-        assert ExecutionPolicy.from_env().backend == "serial"
 
     def test_blank_env_values_fall_back_to_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "   ")
@@ -435,10 +434,6 @@ class TestExecutionPolicy:
 
     def test_inline_values_normalized(self):
         assert repro.batched.get_backend(" Vectorized ").name == "vectorized"
-
-    def test_from_env_snapshot(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert ExecutionPolicy.from_env().backend == "serial"
 
     def test_no_user_set_sweep_selection_or_counter(self, api_points):
         """The compiled sweep is the constructor; nothing selects another."""
@@ -512,7 +507,7 @@ class TestExecutionPolicy:
 
     def test_shared_counter_accumulates(self, api_points, api_kernel):
         counter = KernelLaunchCounter()
-        policy = ExecutionPolicy(backend="serial", tracer=SpanTracer(counter=counter))
+        policy = ExecutionPolicy(backend=SerialBackend(counter=counter))
         op = compress(
             api_points, api_kernel, tol=1e-4, leaf_size=LEAF, seed=1, policy=policy
         )
@@ -529,13 +524,6 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             ExecutionPolicy(backend="serial", share_backend=False)
         assert not hasattr(ExecutionPolicy(), "share_backend")
-
-    def test_with_backend_copies(self):
-        policy = ExecutionPolicy(backend="serial", recovery="warn")
-        other = policy.with_backend("vectorized")
-        assert other.recovery.mode == "warn"
-        assert other.resolve_backend().name == "vectorized"
-        assert policy.resolve_backend().name == "serial"
 
     def test_launch_counter_accessor(self):
         policy = ExecutionPolicy(backend="serial")

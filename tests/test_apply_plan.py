@@ -30,7 +30,7 @@ from repro import (
     compress,
     uniform_cube_points,
 )
-from repro.batched import KernelLaunchCounter, SerialBackend, get_backend
+from repro.batched import KernelLaunchCounter, SerialBackend
 from repro.hmatrix import LinearOperator
 from repro.batched.block_rows import FAN_PAD
 
@@ -143,7 +143,9 @@ class TestLaunchCounts:
         h2 = h2_problem["h2"]
         plan = h2.apply_plan()
         counter = KernelLaunchCounter()
-        be = get_backend(backend, counter=counter)
+        be = {"serial": SerialBackend, "vectorized": VectorizedBackend}[backend](
+            counter=counter
+        )
         x = np.random.default_rng(7).standard_normal((h2.num_rows, 1))
         plan.execute(x, backend=be)
         calls = counter.total_calls()
@@ -293,7 +295,7 @@ class TestCompileApplyPlanApi:
         forward_bytes = plan.memory_bytes()
         counter = KernelLaunchCounter()
         x = np.random.default_rng(14).standard_normal((h2.num_rows, 3))
-        h2.bind(get_backend("vectorized", counter=counter))
+        h2.bind(VectorizedBackend(counter=counter))
         out = h2.rmatmat(x)
         assert counter.total_calls() == plan.num_stages
         assert h2.apply_plan() is plan
@@ -370,7 +372,7 @@ class TestComplexInput:
         shape = (h2.num_rows,) if method == "matvec" else (h2.num_rows, 3)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         counter = KernelLaunchCounter()
-        h2.bind(get_backend("vectorized", counter=counter))
+        h2.bind(VectorizedBackend(counter=counter))
         apply = getattr(h2, method)
         out = apply(z)
         assert counter.total_calls() == h2.apply_plan().num_stages
@@ -438,9 +440,7 @@ class TestAcceptance:
             plan = h2.apply_plan()
             counter = KernelLaunchCounter()
             x = np.random.default_rng(1).standard_normal(n)
-            batched = h2.matvec(
-                x, permuted=True, backend=get_backend("vectorized", counter=counter)
-            )
+            batched = h2.bind(VectorizedBackend(counter=counter)).matvec(x, permuted=True)
             assert counter.total() == counter.total_calls() == plan.num_stages
             assert plan.num_stages <= 8 * h2.tree.num_levels
             assert rel_err(batched, matvec_loop(h2, x, permuted=True)) < 1e-12

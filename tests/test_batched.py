@@ -81,7 +81,7 @@ class TestBackendFactory:
 
     def test_counter_attached(self):
         counter = KernelLaunchCounter()
-        backend = get_backend("serial", counter=counter)
+        backend = SerialBackend(counter=counter)
         assert backend.counter is counter
 
 

@@ -203,26 +203,29 @@ class TestPolicyKnobs:
     def test_defaults_are_off(self):
         policy = ExecutionPolicy()
         assert policy.health is None
-        assert policy.memory_profile is False
-        assert policy.tracer.memory is None
-
-    def test_memory_profile_attaches_sampler(self):
-        tracer = fresh_tracer()
-        policy = ExecutionPolicy(tracer=tracer, memory_profile=True)
-        assert isinstance(policy.tracer.memory, MemorySampler)
-        policy.tracer.memory.close()
-
-    def test_memory_profile_ignored_without_tracer(self):
-        policy = ExecutionPolicy(memory_profile=True)
         assert policy.tracer is NOOP_TRACER
-        assert policy.tracer.memory is None
+
+    def test_memory_sampling_is_a_tracer_option(self):
+        """A policy has no memory knob (five init fields) and attaches no
+        sampler to a tracer built without one: it writes nothing onto a
+        tracer other policies may hold."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy) if f.init] == [
+            "backend", "tracer", "health", "recovery", "faults",
+        ]
+        plain = fresh_tracer()
+        ExecutionPolicy(tracer=plain).resolve_backend()
+        assert plain.memory is None
 
     def test_existing_sampler_not_replaced(self):
         sampler = MemorySampler(sample_rss=False)
         try:
             tracer = fresh_tracer(memory=sampler)
-            policy = ExecutionPolicy(tracer=tracer, memory_profile=True)
-            assert policy.tracer.memory is sampler
+            policy = ExecutionPolicy(tracer=tracer)
+            policy.resolve_backend()
+            assert policy.tracer is tracer
+            assert tracer.memory is sampler
         finally:
             sampler.close()
 

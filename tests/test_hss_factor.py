@@ -375,8 +375,8 @@ class TestFactorize:
         assert _rel(factorization.solve(b), np.linalg.solve(a, b)) < 1e-3
 
     def test_strong_recompression_is_traced_on_the_policy_counter(self):
-        """The re-compression of a strong operator runs on its apply backend
-        under the tracer ``factorize`` takes: one ``construct`` span inside the
+        """The re-compression of a strong operator runs on its binding (the
+        policy's backend and tracer): one ``construct`` span inside the
         caller's span, whose launches land on the policy's counter."""
         from repro import ExecutionPolicy
         from repro.observe import SpanTracer, find_spans
@@ -390,7 +390,7 @@ class TestFactorize:
         )
         before = policy.launch_counter().total()
         with tracer.span("caller") as caller:
-            factorize(strong, shift=1e-2, tracer=tracer)
+            factorize(strong, shift=1e-2)
         constructs = find_spans(caller, name="construct")
         assert len(constructs) == 1
         assert constructs[0].total_launches > 0

@@ -2,13 +2,14 @@
 and the span views.
 
 The integration tests run one traced ``Session`` pipeline (compress → factor →
-solve → GP evaluate) and check the acceptance contract: per-span launch deltas
+solve → GP evaluate) and check the acceptance contract: per-span launch counts
 sum exactly to the policy counter totals, the Fig. 7 ``PhaseBreakdown`` is read
 from the phase spans, and the exporters emit valid output.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import sys
 import threading
@@ -45,15 +46,11 @@ N = 256
 LEAF = 32
 
 
-def fresh_tracer(counter=None):
-    return SpanTracer(counter=counter)
-
-
 # ---------------------------------------------------------------------- spans
 class TestSpanNesting:
     def test_nesting_and_launch_attribution(self):
         counter = KernelLaunchCounter()
-        tracer = fresh_tracer(counter)
+        tracer = SpanTracer()
         with tracer.span("outer", category="test") as outer:
             counter.record("gemm", 3)
             with tracer.span("inner", category="test") as inner:
@@ -76,7 +73,7 @@ class TestSpanNesting:
         assert inner.calls == {"gemm": 1, "qr": 1}
 
     def test_durations_nest(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
                 time.sleep(0.002)
@@ -89,14 +86,14 @@ class TestSpanNesting:
         )
 
     def test_open_span_reports_zero_duration(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with tracer.span("outer") as outer:
             assert not outer.closed
             assert outer.duration == 0.0
         assert outer.closed
 
     def test_exception_marks_span(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with pytest.raises(RuntimeError):
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
@@ -106,7 +103,7 @@ class TestSpanNesting:
         assert tracer.current is None
 
     def test_events_and_attributes(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         tracer.event("orphan", detail=1)
         with tracer.span("work", category="test", n=4) as span:
             span.set(extra="yes").add_flops(100)
@@ -122,7 +119,7 @@ class TestSpanNesting:
         assert span.bytes == 80
 
     def test_walk_and_find(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with tracer.span("a", category="x"):
             with tracer.span("b", category="y"):
                 pass
@@ -136,7 +133,7 @@ class TestSpanNesting:
 
     @pytest.mark.parametrize("source", ["span", "tracer", "forest"])
     def test_find_spans_reads_any_trace_source(self, source):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         for _ in range(2):
             with tracer.span("a", category="x"):
                 with tracer.span("b", category="y"):
@@ -156,7 +153,7 @@ class TestSpanNesting:
 
     def test_reset_clears_spans_not_counter(self):
         counter = KernelLaunchCounter()
-        tracer = fresh_tracer(counter)
+        tracer = SpanTracer()
         with tracer.span("work"):
             counter.record("gemm", 1)
         tracer.reset()
@@ -164,29 +161,41 @@ class TestSpanNesting:
         assert tracer.current is None
         assert counter.total() == 1
 
-    def test_bind_counter_first_wins(self):
-        first = KernelLaunchCounter()
-        tracer = fresh_tracer(first)
-        tracer.bind_counter(KernelLaunchCounter())
-        assert tracer.counter is first
+    def test_raising_span_stops_counting_on_exit(self):
+        """A span that exits by an exception leaves the open spans as it found
+        them: later records count in its parent only, then in no span."""
+        counter = KernelLaunchCounter()
+        tracer = SpanTracer()
+        with tracer.span("outer") as outer:
+            with pytest.raises(RuntimeError):
+                with tracer.span("doomed") as doomed:
+                    counter.record("gemm")
+                    raise RuntimeError("boom")
+            counter.record("qr")
+        counter.record("after")
+        assert doomed.launches == {"gemm": 1}
+        assert outer.launches == {"gemm": 1, "qr": 1}
+        assert counter.by_operation() == {"gemm": 1, "qr": 1, "after": 1}
 
 
 class TestSpanCounterThreadSafety:
-    """Spans read the shared launch counter under its lock while another
-    thread records into it (``repro.serve`` records from a thread pool)."""
+    """A span counts the launches of its own task or thread: work submitted
+    in a copy of its context counts in it, a bare thread in no span.  The
+    counts stay exact while two threads record into one span at once
+    (``repro.serve`` runs pool work in a copy of the request's context)."""
 
     SPANS = 1000
 
-    def test_spans_survive_concurrent_fresh_operation_names(self):
+    def test_copied_context_counts_in_outer_under_concurrent_fresh_names(self):
         counter = KernelLaunchCounter()
-        tracer = fresh_tracer(counter)
+        tracer = SpanTracer()
         stop = threading.Event()
         released = threading.Semaphore(0)
         errors = []
 
         def recorder():
             # A few never-seen operation names per span: each one grows the
-            # counter's dicts while the main thread snapshots and diffs them.
+            # dicts of ``outer`` while the main thread records into it too.
             fresh = 0
             while not stop.is_set():
                 if released.acquire(timeout=0.01):
@@ -198,30 +207,189 @@ class TestSpanCounterThreadSafety:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            with tracer.span("outer"):
+            with tracer.span("outer") as outer:
+                context = contextvars.copy_context()
+                thread = threading.Thread(target=context.run, args=(recorder,))
+                thread.start()
+                try:
+                    for i in range(self.SPANS):
+                        released.release()
+                        with tracer.span(f"span{i}"):
+                            counter.record("main")
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                finally:
+                    stop.set()
+                    thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not errors
+        assert not thread.is_alive()
+        assert tracer.roots == [outer]
+        assert len(outer.children) == self.SPANS
+        assert all(span.closed for span in outer.children)
+        # Each child saw its own record only; outer saw both threads'.
+        assert all(span.launches == {"main": 1} for span in outer.children)
+        fresh = sum(n for op, n in outer.launches.items() if op.startswith("fresh"))
+        assert fresh > 0
+        assert outer.total_launches == counter.total() - before == self.SPANS + fresh
+
+    def test_spans_survive_concurrent_fresh_operation_names(self):
+        """A bare thread grows the counter's own dicts with never-seen names
+        while the main thread opens, records into and closes its spans."""
+        counter = KernelLaunchCounter()
+        tracer = SpanTracer()
+        stop = threading.Event()
+        released = threading.Semaphore(0)
+        errors = []
+        recorded = []
+
+        def recorder():
+            fresh = 0
+            while not stop.is_set():
+                if released.acquire(timeout=0.01):
+                    for _ in range(4):
+                        counter.record(f"fresh{fresh}")
+                        fresh += 1
+            recorded.append(fresh)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with tracer.span("outer") as outer:
                 thread = threading.Thread(target=recorder)
                 thread.start()
                 try:
                     for i in range(self.SPANS):
                         released.release()
                         with tracer.span(f"span{i}"):
-                            pass
+                            counter.record("main")
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
                 finally:
                     stop.set()
-                    thread.join()
+                    thread.join(timeout=30.0)
         finally:
             sys.setswitchinterval(interval)
 
         assert not errors
-        (outer,) = tracer.roots
+        assert not thread.is_alive()
+        assert tracer.roots == [outer]
         assert len(outer.children) == self.SPANS
         assert all(span.closed for span in outer.children)
+        assert all(span.launches == {"main": 1} for span in outer.children)
+        # The bare thread's records grew the counter and no span.
+        (fresh,) = recorded
+        assert fresh > 0
+        assert outer.launches == {"main": self.SPANS}
+        assert counter.total() == self.SPANS + fresh
+
+    def test_bare_thread_counts_in_no_span(self):
+        counter = KernelLaunchCounter()
+        tracer = SpanTracer()
+        with tracer.span("outer") as outer:
+            thread = threading.Thread(target=counter.record, args=("bare", 3))
+            thread.start()
+            thread.join(timeout=30.0)
+            counter.record("own")
+        assert not thread.is_alive()
+        assert counter.by_operation() == {"bare": 3, "own": 1}
+        assert outer.launches == {"own": 1}
+        assert total_launches(tracer) == 1
+
+
+class TestContextAttribution:
+    """Launches are attributed by context, not by a counter bound to the
+    tracer: concurrent threads and policies sharing one tracer each see
+    exactly their own work."""
+
+    def test_two_threads_applying_one_matrix_see_their_own_applies(self):
+        points = uniform_cube_points(1024, dim=2, seed=5)
+        matrix = repro.compress(points, ExponentialKernel(0.2), tol=1e-6, seed=1)
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(tracer=tracer)
+        policy.bind(matrix)
+        stages = matrix.apply_plan().num_stages
+        counter = policy.launch_counter()
+        x = np.random.default_rng(0).standard_normal(1024)
+        first_open, second_done = threading.Event(), threading.Event()
+
+        def first():
+            # Open across the whole of the other thread's work.
+            with tracer.span("thread-1"):
+                matrix.matvec(x)
+                first_open.set()
+                second_done.wait(timeout=30.0)
+
+        def second():
+            first_open.wait(timeout=30.0)
+            with tracer.span("thread-5"):
+                for _ in range(5):
+                    matrix.matvec(x)
+            second_done.set()
+
+        before = counter.total()
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        spans = {root.name: root for root in tracer.roots}
+        assert spans["thread-1"].total_launches == 1 * stages
+        assert spans["thread-5"].total_launches == 5 * stages
         assert sum(root.total_launches for root in tracer.roots) == (
             counter.total() - before
         )
-        assert counter.total() > before
+
+    def test_shared_tracer_counts_each_policys_construction(self):
+        from repro.batched.backend import VectorizedBackend
+
+        tracer = SpanTracer()
+        points = uniform_cube_points(N, dim=2, seed=7)
+        results = [
+            repro.compress(
+                points, ExponentialKernel(0.25), tol=1e-6, leaf_size=LEAF,
+                seed=1, full_result=True,
+                policy=ExecutionPolicy(backend=VectorizedBackend(), tracer=tracer),
+            )
+            for _ in range(2)
+        ]
+        constructs = find_spans(tracer, name="construct")
+        assert len(constructs) == 2
+        for result, span in zip(results, constructs):
+            assert result.trace is span
+            assert result.total_kernel_launches > 0
+            assert span.total_launches == result.total_kernel_launches
+
+    def test_interleaved_tasks_see_their_own_launches(self):
+        """Two asyncio tasks on one loop, each in its own span, interleave at
+        every await; each span counts only its own task's records."""
+        import asyncio
+
+        counter = KernelLaunchCounter()
+        tracer = SpanTracer()
+
+        async def work(name, launches):
+            with tracer.span(name):
+                for _ in range(launches):
+                    counter.record(name)
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(work("task-2", 2), work("task-7", 7))
+
+        with tracer.span("outside") as outside:
+            asyncio.run(main())
+        # The tasks ran in copies of this context: their spans nest under
+        # ``outside``, which counts both tasks' records.
+        assert tracer.roots == [outside]
+        spans = {child.name: child for child in outside.children}
+        assert spans["task-2"].launches == {"task-2": 2}
+        assert spans["task-7"].launches == {"task-7": 7}
+        assert outside.launches == {"task-2": 2, "task-7": 7}
+        assert counter.total() == 9
 
 
 class TestNoopTracer:
@@ -239,14 +407,12 @@ class TestNoopTracer:
             assert span.duration == 0.0
         NOOP_TRACER.event("ignored")
         NOOP_TRACER.add_flops(5)
-        NOOP_TRACER.bind_counter(KernelLaunchCounter())
         NOOP_TRACER.reset()
-        assert NOOP_TRACER.counter is None
         assert NOOP_TRACER.roots == []
 
     def test_phase_span_is_the_cached_context(self):
         assert phase_span(NOOP_TRACER, "sampling") is NOOP_TRACER.span("x")
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with phase_span(tracer, "id") as span:
             pass
         assert (span.name, span.category) == ("phase/id", "construct.phase")
@@ -302,9 +468,9 @@ class TestMetrics:
 
 
 # ------------------------------------------------------------------ exporters
-def _sample_trace():
-    counter = KernelLaunchCounter()
-    tracer = fresh_tracer(counter)
+def _sample_trace(counter=None):
+    counter = counter if counter is not None else KernelLaunchCounter()
+    tracer = SpanTracer()
     with tracer.span("root", category="test", n=8) as root:
         counter.record("gemm", 2)
         root.add_flops(1000)
@@ -377,7 +543,7 @@ class TestExporters:
 
 class TestViews:
     def test_phase_breakdown_accumulates(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with tracer.span("construct", category="construct"):
             with phase_span(tracer, "id"):
                 time.sleep(0.001)
@@ -389,10 +555,11 @@ class TestViews:
         assert seconds["id"] == sum(span.duration for span in spans)
 
     def test_launch_totals_use_root_deltas(self):
-        tracer = _sample_trace()
+        counter = KernelLaunchCounter()
+        tracer = _sample_trace(counter)
         assert launches_by_operation(tracer) == {"gemm": 2, "qr": 1}
         assert total_launches(tracer) == 3
-        assert total_launches(tracer) == tracer.counter.total()
+        assert total_launches(tracer) == counter.total()
 
 
 class TestPhaseBreakdown:
@@ -414,7 +581,7 @@ class TestPhaseBreakdown:
         assert pct["sampling"] == 0.0
 
     def test_repeated_phases_add_within_and_across_roots(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         for _ in range(2):
             with tracer.span("construct", category="construct"):
                 with phase_span(tracer, "id"):
@@ -433,7 +600,7 @@ class TestPhaseBreakdown:
         assert whole.peak_bytes == {}
 
     def test_only_phase_spans_are_read(self):
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         with tracer.span("construct", category="construct"):
             with tracer.span("level/1", category="construct.level"):
                 with phase_span(tracer, "id"):
@@ -463,7 +630,7 @@ def traced_session():
     """One fully traced pipeline: compress → factor → solve → GP evaluate."""
     points = uniform_cube_points(N, dim=2, seed=3)
     kernel = ExponentialKernel(0.25)
-    policy = ExecutionPolicy(tracer=fresh_tracer())
+    policy = ExecutionPolicy(tracer=SpanTracer())
     sess = Session(points, leaf_size=LEAF, seed=1, policy=policy)
     sess.compress(kernel, tol=1e-6).factor(noise=1e-2)
     solve = sess.solve(np.ones(N), tol=1e-8)
@@ -482,7 +649,6 @@ class TestTracedPipeline:
     def test_launch_sums_match_policy_counter_exactly(self, traced_session):
         tracer = traced_session["tracer"]
         counter = traced_session["policy"].launch_counter()
-        assert tracer.counter is counter
         assert total_launches(tracer) == counter.total()
         assert launches_by_operation(tracer) == counter.by_operation()
         # Self-attribution partitions the inclusive totals without loss.
@@ -598,7 +764,7 @@ class TestApplySpan:
     def test_traced_matvec_yields_one_apply_span(self, apply_matrix):
         matrix = apply_matrix
         plan = matrix.apply_plan()
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         policy = ExecutionPolicy(tracer=tracer)
         x = np.random.default_rng(0).standard_normal((matrix.num_rows, 2))
         plan.execute(x, backend=policy.resolve_backend(), tracer=tracer)
@@ -617,7 +783,7 @@ class TestApplySpan:
 
     def test_apply_span_counts_one_apply(self, apply_matrix):
         """A second RHS column doubles the flops but not the launches."""
-        tracer = fresh_tracer()
+        tracer = SpanTracer()
         backend = ExecutionPolicy(tracer=tracer).resolve_backend()
         plan = apply_matrix.apply_plan()
         rng = np.random.default_rng(2)
@@ -633,7 +799,7 @@ class TestApplySpan:
     def test_traced_apply_matches_untraced_result(self, apply_matrix):
         x = np.random.default_rng(1).standard_normal((apply_matrix.num_rows, 1))
         plan = apply_matrix.apply_plan()
-        policy = ExecutionPolicy(tracer=fresh_tracer())
+        policy = ExecutionPolicy(tracer=SpanTracer())
         traced = plan.execute(x, backend=policy.resolve_backend(), tracer=policy.tracer)
         untraced = apply_matrix.matvec(x, permuted=True)
         np.testing.assert_array_equal(traced, untraced)
@@ -649,25 +815,13 @@ class TestPolicyWiring:
         assert policy.bind(matrix).apply_tracer is NOOP_TRACER
         assert matrix.apply_backend is policy.resolve_backend()
 
-    def test_resolve_binds_tracer_and_counter(self):
-        tracer = fresh_tracer()
+    def test_resolve_writes_nothing_onto_backend_or_tracer(self):
+        tracer = SpanTracer()
         policy = ExecutionPolicy(backend="serial", tracer=tracer)
         backend = policy.resolve_backend()
         assert not hasattr(backend, "tracer")
-        assert tracer.counter is backend.counter
-        assert policy.launch_counter() is tracer.counter
-
-    def test_tracer_with_preexisting_counter_is_shared(self):
-        counter = KernelLaunchCounter()
-        tracer = fresh_tracer(counter)
-        policy = ExecutionPolicy(backend="serial", tracer=tracer)
-        backend = policy.resolve_backend()
-        assert backend.counter is counter
-
-    def test_with_backend_keeps_tracer(self):
-        tracer = fresh_tracer()
-        policy = ExecutionPolicy(backend="serial", tracer=tracer)
-        assert policy.with_backend("vectorized").tracer is tracer
+        assert not hasattr(tracer, "counter")
+        assert policy.launch_counter() is backend.counter
 
     def test_shared_backend_keeps_each_policy_tracer(self):
         """An operator compressed under policy A records its applies into
@@ -675,7 +829,7 @@ class TestPolicyWiring:
         from repro.batched.backend import VectorizedBackend
 
         backend = VectorizedBackend()
-        a, b = fresh_tracer(), fresh_tracer()
+        a, b = SpanTracer(), SpanTracer()
         matrix = repro.compress(
             uniform_cube_points(N, dim=2, seed=7), ExponentialKernel(0.25),
             tol=1e-6, leaf_size=LEAF, seed=1,

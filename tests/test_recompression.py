@@ -33,6 +33,34 @@ class TestPlainRecompression:
         assert result.entries_evaluated > 0
         assert result.matrix.partition is cov_h2.partition
 
+    def test_traces_under_the_input_binding(self):
+        """A base bound to a traced policy traces its recompression there:
+        one ``construct`` root whose sampling phases hold the base's applies
+        and whose launches are the result's (sampler on the same backend)."""
+        import repro
+        from repro import ExecutionPolicy, ExponentialKernel, SpanTracer, uniform_cube_points
+        from repro.observe import PhaseBreakdown, find_spans
+
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(backend="serial", tracer=tracer)
+        base = repro.compress(
+            uniform_cube_points(512, dim=2, seed=3), ExponentialKernel(0.25),
+            tol=1e-6, leaf_size=32, seed=1, policy=policy,
+        )
+        assert base.apply_tracer is tracer
+        roots_before = len(tracer.roots)
+        cfg = policy.construction_config(tolerance=1e-6, sample_block_size=32)
+        update = random_low_rank(base.num_rows, 4, seed=2, symmetric=True)
+        result = recompress_h2(base, update, config=cfg, seed=3)
+
+        assert tracer.roots[roots_before:] == [result.trace]
+        assert result.trace.name == "construct"
+        applies = find_spans(result.trace, name="apply")
+        assert applies
+        assert all(span.parent.attributes["phase"] == "sampling" for span in applies)
+        assert PhaseBreakdown.from_span(result.trace).seconds["sampling"] > 0.0
+        assert result.trace.total_launches == result.total_kernel_launches > 0
+
 
 class TestWeakRecompression:
     """``_recompress_weak``: how a strong H2 matrix reaches the HSS factor."""

@@ -23,6 +23,7 @@ Covers the tentpole of the resilience PR:
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 import numpy as np
@@ -533,6 +534,18 @@ def recover_policy(rung_maxiter: int = 100, **kwargs) -> ExecutionPolicy:
     )
 
 
+@contextlib.contextmanager
+def bound(op, policy: ExecutionPolicy):
+    """``op`` bound to ``policy`` inside the block (its solves and rung spans
+    record to the policy's tracer), to its own binding again after it."""
+    backend, tracer = op.apply_backend, op.apply_tracer
+    policy.bind(op)
+    try:
+        yield op
+    finally:
+        op.bind(backend, tracer)
+
+
 class TestEscalationLadder:
     """cg stagnates at 20 iterations on the exponential kernel; pcg
     (HSS-preconditioned) converges in O(1) iterations."""
@@ -574,10 +587,11 @@ class TestEscalationLadder:
     def test_escalation_counter_and_spans(self, hss_system):
         op, b = hss_system
         tracer = repro.SpanTracer()
-        result = guarded_solve(
-            op, b, tol=1e-8, shift=1e-6, maxiter=20,
-            policy=recover_policy(rung_maxiter=20, tracer=tracer),
-        )
+        policy = recover_policy(rung_maxiter=20, tracer=tracer)
+        with bound(op, policy):
+            result = guarded_solve(
+                op, b, tol=1e-8, shift=1e-6, maxiter=20, policy=policy,
+            )
         escalations = result.extra["escalation"]["escalations"]
         assert escalations >= 1
         spans = find_spans(tracer, category="resilience")
@@ -649,11 +663,12 @@ class TestEscalationLadder:
         of CG → PCG → GMRES → direct it did not cover, in that order."""
         op, b = small_hss_system
         tracer = SpanTracer()
-        with pytest.raises(EscalationExhaustedError) as excinfo:
+        policy = recover_policy(rung_maxiter=0, tracer=tracer)
+        with bound(op, policy), pytest.raises(EscalationExhaustedError) as excinfo:
             guarded_solve(
                 op, b, method=method, tol=1e-15, shift=1e-6, maxiter=0,
                 factorization=factorize(op, shift=1e-6) if factored else None,
-                policy=recover_policy(rung_maxiter=0, tracer=tracer),
+                policy=policy,
             )
         record = excinfo.value.context
         assert [r["rung"] for r in record["rungs"]] == rungs

@@ -1025,6 +1025,39 @@ class TestInferenceServer:
         assert applies
         assert all("serve.batch" in ancestors(span) for span in applies)
 
+    def test_batches_are_roots_carrying_their_request_ids(self, serve_operator,
+                                                          tmp_path):
+        """Each coalesced launch is a root ``serve.batch`` span naming the
+        requests it carried, and the root spans count every launch once."""
+        path = tmp_path / "m.repro"
+        repro.save_operator(serve_operator, path)
+        tracer = SpanTracer()
+        policy = ExecutionPolicy(tracer=tracer)
+        server = InferenceServer(policy=policy, max_batch=8)
+        server.register("m", path=path, noise=NOISE)
+        counter = policy.launch_counter()
+        rng = np.random.default_rng(5)
+        requests = [
+            MatvecRequest(model="m", x=rng.standard_normal(N)) for _ in range(64)
+        ]
+        before = counter.total()
+
+        async def main():
+            await asyncio.gather(*[server.handle(request) for request in requests])
+
+        try:
+            run(main())
+        finally:
+            run(server.aclose())
+        batches = find_spans(tracer, name="serve.batch")
+        assert len(batches) >= 64 // 8
+        assert all(span.parent is None for span in batches)
+        carried = [rid for span in batches for rid in span.attributes["request_ids"]]
+        assert sorted(carried) == sorted(request.request_id for request in requests)
+        assert sum(root.total_launches for root in tracer.roots) == (
+            counter.total() - before
+        )
+
     def test_strict_recovery_raises_on_unconverged_cg(self, serve_operator):
         from repro import SolveDidNotConvergeError
 

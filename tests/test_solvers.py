@@ -148,11 +148,21 @@ class TestLinearOperatorAdapter:
         assert result_batched.final_residual <= 1e-8
 
     def test_krylov_records_apply_backend(self, cov_h2):
+        """A solve reports its backend by name; its launches are its span's:
+        one apply plan's stages per matvec."""
+        from repro.observe import SpanTracer, find_spans
+
         b = np.random.default_rng(10).standard_normal(cov_h2.num_rows)
-        result = cg(cov_h2, b, tol=1e-6, maxiter=2000)
+        backend, tracer = cov_h2.apply_backend, SpanTracer()
+        cov_h2.bind(backend, tracer)
+        try:
+            result = cg(cov_h2, b, tol=1e-6, maxiter=2000)
+        finally:
+            cov_h2.bind(backend)
         assert result.extra.get("apply_backend") == "vectorized"
-        counter = result.extra["apply_launch_counter"]
-        assert counter.total_calls() > 0
+        (span,) = find_spans(tracer, name="solve/cg")
+        stages = cov_h2.apply_plan().num_stages
+        assert span.total_calls == result.matvecs * stages > 0
 
     def test_shift_kwarg_builds_shifted_operator(self):
         from repro.hmatrix import ShiftedLinearOperator
