@@ -31,7 +31,6 @@ from repro.utils.tables import format_table
 from common import (
     DEFAULT_SAMPLE_BLOCK,
     bench_sizes,
-    emit_bench_json,
     make_covariance_problem,
 )
 
@@ -130,7 +129,6 @@ def run_convergence_sweep():
             title="Solver convergence: covariance system (K + 1e-2 I) x = b, tol 1e-8",
         )
     )
-    emit_bench_json("solver_convergence", rows)
     return rows
 
 

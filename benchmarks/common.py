@@ -19,7 +19,6 @@ scaled with environment variables:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List
@@ -161,22 +160,6 @@ def measured_error(result, problem: Problem) -> float:
     from repro.linalg import construction_error
 
     return construction_error(result.matrix, problem.fresh_operator(), num_iterations=8, seed=3)
-
-
-def speedup_table(times: Dict[str, float]) -> Dict[str, float]:
-    """Speedups of every entry relative to the slowest entry."""
-    worst = max(times.values())
-    return {name: worst / value if value > 0 else float("inf") for name, value in times.items()}
-
-
-def emit_bench_json(name: str, records: object) -> None:
-    """Print one machine-readable ``BENCH_JSON`` line for a benchmark's results.
-
-    The standard benchmark interchange format of this repository: a single
-    line ``BENCH_JSON {"bench": <name>, "records": <records>}`` that harness
-    scripts can grep out of the human-readable table output.
-    """
-    print("BENCH_JSON " + json.dumps({"bench": name, "records": records}, default=float))
 
 
 _PROBLEM_CACHE: Dict[tuple, Problem] = {}

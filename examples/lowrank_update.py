@@ -9,6 +9,10 @@ Workflow mirroring hierarchical-LU / multifrontal Schur-complement updates:
    entry evaluator extracts entries from both representations;
 4. validate the result against the exact sum with the power method.
 
+The partition (leaf 64, eta 1.5) has admissible blocks from N = 1024 on, so
+even a small run sketches; the script exits non-zero if the base matrix took
+no samples.
+
 Run with:  python examples/lowrank_update.py [N]
 """
 
@@ -16,6 +20,7 @@ import sys
 
 from repro import (
     ClusterTree,
+    ConstructionConfig,
     ExecutionPolicy,
     ExponentialKernel,
     GeneralAdmissibility,
@@ -35,18 +40,20 @@ from repro.linalg import construction_error
 from repro.observe import PhaseBreakdown
 
 
-def main(n: int = 8192, update_rank: int = 32) -> None:
+def main(n: int = 8192, update_rank: int = 32) -> int:
     print(f"== H2 + rank-{update_rank} low-rank update recompression (N={n}) ==")
 
     # Step 1: an initial H2 matrix of the exponential covariance kernel.
     points = uniform_cube_points(n, dim=3, seed=7)
     tree = ClusterTree.build(points, leaf_size=64)
-    partition = build_block_partition(tree, GeneralAdmissibility(eta=0.7))
+    partition = build_block_partition(tree, GeneralAdmissibility(eta=1.5))
     kernel = ExponentialKernel(0.2)
     # Traced, so each result's phase split can be read from its spans.  The
     # base is bound to the policy, so its recompression traces there too.
     policy = ExecutionPolicy(tracer=SpanTracer())
-    config = policy.construction_config(tolerance=1e-6, sample_block_size=64)
+    config = ConstructionConfig(
+        tolerance=1e-6, sample_block_size=64, backend=policy.resolve_backend()
+    )
     base = H2Constructor(
         partition,
         KernelMatVecOperator(kernel, tree.points),
@@ -60,6 +67,9 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
         f"base H2 matrix: {base.elapsed_seconds:.2f}s, {base.total_samples} samples, "
         f"{base.memory_mb():.1f} MB"
     )
+    if base.total_samples == 0:
+        print("the partition has no admissible block: nothing was sketched")
+        return 1
 
     # Step 2: a symmetric low-rank update (permuted ordering, as the H2 matrix).
     update = random_low_rank(n, update_rank, seed=9, symmetric=True, scale=0.5)
@@ -83,8 +93,9 @@ def main(n: int = 8192, update_rank: int = 32) -> None:
     reference = SumOperator([H2Operator(base.matrix), LowRankOperator(update)])
     error = construction_error(result.matrix, reference, num_iterations=8, seed=11)
     print(f"measured relative error of the updated H2 matrix: {error:.3e}")
+    return 0
 
 
 if __name__ == "__main__":
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 8192
-    main(size)
+    sys.exit(main(size))

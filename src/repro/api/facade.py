@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +47,7 @@ from ..sketching.operators import DenseOperator, KernelMatVecOperator, Sketching
 from ..tree.admissibility import GeneralAdmissibility, WeakAdmissibility
 from ..tree.block_partition import BlockPartition, build_block_partition
 from ..tree.cluster_tree import ClusterTree
+from ..utils.env import normalize_choice
 from ..utils.rng import SeedLike, as_generator
 from .policy import ExecutionPolicy
 
@@ -203,7 +204,8 @@ def compress(
         ``ExecutionPolicy()`` (env-driven).
     config:
         Full :class:`~repro.core.config.ConstructionConfig` override; wins
-        over the individual knobs.
+        over the individual knobs.  The policy carries the backend: the
+        config's ``backend`` is ``"auto"`` or the policy's own instance.
     full_result:
         Return the :class:`~repro.core.builder.ConstructionResult` (with
         sampling/launch statistics) instead of just the operator.
@@ -269,7 +271,7 @@ def compress(
 
     result = _construct_or_load(
         problem,
-        config if config is not None else policy.construction_config(
+        config if config is not None else ConstructionConfig(
             tolerance=tol,
             sample_block_size=sample_block_size,
             adaptive=adaptive,
@@ -311,11 +313,22 @@ def _construct_or_load(
     """Run Algorithm 1 on ``problem()`` (partition, operator, extractor) or
     load the artifact stored under ``key``.
 
-    The constructor runs under the policy's tracer, recovery and faults; a
-    cache read under its recovery.  ``problem`` is called only when
-    something is constructed.  Either way the result's matrix is bound to
-    the policy (:meth:`ExecutionPolicy.bind`).
+    The constructor runs on the policy's backend and under its tracer,
+    recovery and faults; a cache read under its recovery.  ``config.backend``
+    is ``"auto"`` or that backend (``ValueError`` otherwise).  ``problem`` is
+    called only when something is constructed.  Either way the result's
+    matrix is bound to the policy (:meth:`ExecutionPolicy.bind`).
     """
+    backend = policy.resolve_backend()
+    named = config.backend
+    if named is not backend and not (
+        isinstance(named, str) and normalize_choice(named) == "auto"
+    ):
+        raise ValueError(
+            f"config.backend={named!r} is not the policy's backend; pass the "
+            "backend as ExecutionPolicy(backend=...)"
+        )
+    config = replace(config, backend=backend)
     result: Optional[ConstructionResult] = None
 
     def build() -> H2Matrix:
@@ -528,7 +541,7 @@ class Session:
         )
         result = _construct_or_load(
             lambda: (self.partition,) + self.bind(kernel),
-            config if config is not None else self.policy.construction_config(
+            config if config is not None else ConstructionConfig(
                 tolerance=tol, sample_block_size=sample_block_size
             ),
             self.sample_seed, self.policy, self.artifact_cache, artifact_key,

@@ -39,7 +39,6 @@ from ..utils.env import env_choice
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..batched.backend import BatchedBackend
     from ..batched.counters import KernelLaunchCounter
-    from ..core.config import ConstructionConfig
     from ..hmatrix.h2matrix import H2Matrix
     from ..observe.health import HealthThresholds
     from ..observe.tracer import NoopTracer, SpanTracer
@@ -58,7 +57,10 @@ class ExecutionPolicy:
         (default) follows ``REPRO_BACKEND`` and falls back to
         ``vectorized``.  :meth:`resolve_backend` resolves it once and
         returns the *same* instance on every call, so launch counters
-        accumulate per policy (read :meth:`launch_counter`).
+        accumulate per policy (read :meth:`launch_counter`).  Every
+        construction under the policy runs on it: a ``config=`` given to
+        ``compress`` or ``Session.construct`` leaves its ``backend`` at
+        ``"auto"`` or passes this instance.
     tracer:
         A :class:`~repro.observe.SpanTracer` recording hierarchical spans for
         everything executed under this policy, or the zero-overhead
@@ -158,19 +160,6 @@ class ExecutionPolicy:
         [1, 1]
         """
         return matrix.bind(self.resolve_backend(), self.tracer)
-
-    # ------------------------------------------------------------ composition
-    def construction_config(self, **overrides: object) -> "ConstructionConfig":
-        """A :class:`~repro.core.config.ConstructionConfig` under this policy.
-
-        Keyword arguments mirror the config fields (``tolerance``,
-        ``sample_block_size``, ...); the policy fills ``backend`` unless
-        explicitly overridden.
-        """
-        from ..core.config import ConstructionConfig
-
-        overrides.setdefault("backend", self.resolve_backend())
-        return ConstructionConfig(**overrides)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------ diagnostics
     def launch_counter(self) -> "KernelLaunchCounter":

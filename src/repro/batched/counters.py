@@ -132,13 +132,6 @@ class KernelLaunchCounter:
             self.counts.clear()
             self.calls.clear()
 
-    def merge(self, other: "KernelLaunchCounter") -> None:
-        with _LOCK:
-            for op, n in other.counts.items():
-                self.counts[op] += n
-            for op, n in other.calls.items():
-                self.calls[op] += n
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         parts = ", ".join(f"{op}={n}" for op, n in sorted(self.counts.items()))
         return f"KernelLaunchCounter(total={self.total()}, {parts})"

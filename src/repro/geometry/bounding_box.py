@@ -50,10 +50,6 @@ class BoundingBox:
         return int(self.low.shape[0])
 
     @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.low + self.high)
-
-    @property
     def extents(self) -> np.ndarray:
         """Edge lengths of the box along each axis."""
         return self.high - self.low
@@ -61,10 +57,6 @@ class BoundingBox:
     def diameter(self) -> float:
         """Euclidean length of the box diagonal."""
         return float(np.linalg.norm(self.extents))
-
-    def longest_axis(self) -> int:
-        """Index of the axis with the largest extent (KD-tree split axis)."""
-        return int(np.argmax(self.extents))
 
     def distance(self, other: "BoundingBox") -> float:
         """Minimum Euclidean distance between this box and ``other``.

@@ -65,17 +65,6 @@ class LowRankMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         return self.left[rows] @ self.right[cols].T
 
-    def frobenius_norm(self) -> float:
-        """Frobenius norm computed through the ``k x k`` Gram matrices."""
-        gram = (self.left.T @ self.left) @ (self.right.T @ self.right)
-        return float(np.sqrt(max(np.trace(gram), 0.0)))
-
-    def symmetrized(self) -> "LowRankMatrix":
-        """Return the symmetric low-rank matrix ``0.5 (U V^T + V U^T)`` of rank ``2k``."""
-        left = np.hstack([0.5 * self.left, 0.5 * self.right])
-        right = np.hstack([self.right, self.left])
-        return LowRankMatrix(left, right)
-
 
 def random_low_rank(
     n: int,

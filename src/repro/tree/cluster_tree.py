@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -231,19 +231,10 @@ class ClusterTree:
         )
         return float(np.linalg.norm(gap))
 
-    def cluster_points(self, node: int) -> np.ndarray:
-        """Coordinates of the points owned by ``node`` (a contiguous view)."""
-        return self.points[self.starts[node] : self.ends[node]]
-
     def level_sizes(self, level: int) -> np.ndarray:
         """Cluster sizes of all nodes at ``level`` as an array."""
         nodes = np.fromiter(self.nodes_at_level(level), dtype=np.int64)
         return (self.ends[nodes] - self.starts[nodes]).astype(np.int64)
-
-    def iter_levels_bottom_up(self) -> Iterator[int]:
-        """Iterate levels from the leaf level up to (and excluding) the root."""
-        for level in range(self.depth, 0, -1):
-            yield level
 
     # ------------------------------------------------------------- validation
     def validate(self) -> None:

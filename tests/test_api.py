@@ -499,11 +499,52 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             repro.batched.ConstructionPlan(partition, fan_pad=2)
 
-    def test_construction_config_threading(self):
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_explicit_config_constructs_on_the_policy_backend(
+        self, api_points, api_kernel, backend_name
+    ):
+        """``config=`` sets the construction knobs; the policy still carries
+        the backend: the construction runs, counts and binds on it.  The
+        vectorized case matters too: the default ``backend="auto"`` must not
+        fall back to a fresh vectorized backend of its own."""
+        config = repro.ConstructionConfig(tolerance=1e-6)
+        policy = ExecutionPolicy(backend=backend_name, tracer=SpanTracer())
+        result = compress(
+            api_points, api_kernel, leaf_size=LEAF, seed=1, config=config,
+            policy=policy, full_result=True,
+        )
+        backend = policy.resolve_backend()
+        assert result.trace.attributes["backend"] == backend_name
+        # >=: an attempt retried under REPRO_FAULTS counts on the backend too.
+        assert backend.counter.total() >= result.total_kernel_launches > 0
+        assert result.matrix.apply_backend is backend
+
+        session = Session(
+            api_points, leaf_size=LEAF, seed=1,
+            policy=ExecutionPolicy(backend=backend_name),
+        )
+        result = session.construct(api_kernel, config=config)
+        assert session.backend.counter.total() >= result.total_kernel_launches > 0
+        assert result.matrix.apply_backend is session.backend
+
+    def test_config_naming_another_backend_raises(self, api_points, api_kernel):
         policy = ExecutionPolicy(backend="serial")
-        config = policy.construction_config(tolerance=1e-4)
-        assert config.tolerance == 1e-4
-        assert config.backend.name == "serial"
+        own = repro.ConstructionConfig(backend=policy.resolve_backend())
+        assert compress(
+            api_points, api_kernel, leaf_size=LEAF, seed=1, config=own,
+            policy=policy,
+        ).apply_backend is policy.resolve_backend()
+        for other in ("serial", SerialBackend()):
+            config = repro.ConstructionConfig(backend=other)
+            with pytest.raises(ValueError, match="not the policy's backend"):
+                compress(
+                    api_points, api_kernel, leaf_size=LEAF, seed=1,
+                    config=config, policy=policy,
+                )
+            with pytest.raises(ValueError, match="not the policy's backend"):
+                Session(api_points, leaf_size=LEAF, policy=policy).construct(
+                    api_kernel, config=config
+                )
 
     def test_shared_counter_accumulates(self, api_points, api_kernel):
         counter = KernelLaunchCounter()

@@ -27,15 +27,15 @@ class TestCounters:
         assert counter.by_operation()["gemm"] == 5
         assert counter.calls_by_operation()["gemm"] == 2
 
-    def test_reset_and_merge(self):
-        a, b = KernelLaunchCounter(), KernelLaunchCounter()
-        a.record("x", 2)
-        b.record("x", 1)
-        b.record("y", 4)
-        a.merge(b)
-        assert a.by_operation() == {"x": 3, "y": 4}
-        a.reset()
-        assert a.total() == 0 and a.total_calls() == 0
+    def test_reset(self):
+        counter = KernelLaunchCounter()
+        counter.record("x", 2)
+        counter.record("y", 4)
+        counter.reset()
+        assert counter.total() == 0 and counter.total_calls() == 0
+        assert counter.by_operation() == {}
+        counter.record("x")
+        assert counter.by_operation() == {"x": 1}
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):

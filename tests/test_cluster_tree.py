@@ -74,7 +74,7 @@ class TestStructure:
 
     def test_bounding_boxes_contain_points(self, tree_2d):
         for node in range(tree_2d.num_nodes):
-            pts = tree_2d.cluster_points(node)
+            pts = tree_2d.points[tree_2d.starts[node] : tree_2d.ends[node]]
             assert np.all(pts >= tree_2d.box_low[node] - 1e-12)
             assert np.all(pts <= tree_2d.box_high[node] + 1e-12)
 
@@ -82,10 +82,6 @@ class TestStructure:
         # sibling leaves should be closer than far-apart leaves on average
         assert tree_2d.distance(1, 2) <= tree_2d.diameter(0)
         assert tree_2d.diameter(0) >= tree_2d.diameter(1)
-
-    def test_iter_levels_bottom_up(self, tree_2d):
-        levels = list(tree_2d.iter_levels_bottom_up())
-        assert levels == list(range(tree_2d.depth, 0, -1))
 
     def test_level_sizes_sum_to_n(self, tree_2d):
         for level in range(tree_2d.num_levels):
@@ -127,7 +123,9 @@ class TestBuildEdgeCases:
         tree = ClusterTree.build(pts, leaf_size=10)
         tree.validate()
         # 1D median splits should produce contiguous, ordered leaves
-        leaf_mins = [tree.cluster_points(leaf).min() for leaf in tree.leaves()]
+        leaf_mins = [
+            tree.points[tree.starts[leaf] : tree.ends[leaf]].min() for leaf in tree.leaves()
+        ]
         assert leaf_mins == sorted(leaf_mins)
 
     def test_duplicate_points(self):

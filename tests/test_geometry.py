@@ -20,14 +20,14 @@ class TestBoundingBox:
         assert np.array_equal(box.low, [0.0, -1.0])
         assert np.array_equal(box.high, [2.0, 1.0])
 
-    def test_diameter_and_center(self):
+    def test_diameter(self):
         box = BoundingBox(np.zeros(3), np.array([3.0, 4.0, 0.0]))
         assert box.diameter() == pytest.approx(5.0)
-        assert np.array_equal(box.center, [1.5, 2.0, 0.0])
 
-    def test_longest_axis(self):
-        box = BoundingBox(np.zeros(3), np.array([1.0, 5.0, 2.0]))
-        assert box.longest_axis() == 1
+    def test_dim_and_extents(self):
+        box = BoundingBox(np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 2.0]))
+        assert box.dim == 3
+        assert np.array_equal(box.extents, [1.0, 2.0, 0.0])
 
     def test_distance_disjoint(self):
         a = BoundingBox(np.zeros(2), np.ones(2))

@@ -255,20 +255,24 @@ class TestLowRank:
         cols = np.array([0, 19])
         assert np.allclose(lr.entries(rows, cols), lr.to_dense()[np.ix_(rows, cols)])
 
-    def test_frobenius_norm(self):
-        lr = random_low_rank(40, 5, seed=4)
-        assert lr.frobenius_norm() == pytest.approx(np.linalg.norm(lr.to_dense()), rel=1e-10)
-
     def test_symmetric_generation(self):
         lr = random_low_rank(15, 3, seed=5, symmetric=True)
         dense = lr.to_dense()
         assert np.allclose(dense, dense.T)
 
-    def test_symmetrized(self):
-        lr = random_low_rank(15, 3, seed=6)
-        sym = lr.symmetrized()
-        assert np.allclose(sym.to_dense(), 0.5 * (lr.to_dense() + lr.to_dense().T))
-        assert sym.rank == 6
+    def test_rectangular_factors(self):
+        rng = np.random.default_rng(6)
+        lr = LowRankMatrix(rng.standard_normal((12, 3)), rng.standard_normal((7, 3)))
+        assert lr.shape == (12, 7)
+        dense = lr.to_dense()
+        assert dense.shape == (12, 7)
+        x = rng.standard_normal(7)
+        assert np.allclose(lr.matvec(x), dense @ x)
+        assert np.allclose(lr.entries(np.array([11]), np.array([0, 6])), dense[[11]][:, [0, 6]])
+
+    def test_one_dimensional_factor_raises(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            LowRankMatrix(np.zeros(5), np.zeros((5, 1)))
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -623,6 +623,33 @@ class TestPhaseBreakdown:
         assert breakdown.total_seconds == 0.0
         assert breakdown.ordered_percentages() == dict.fromkeys(PHASE_ORDER, 0.0)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_fig7_breakdown_at_paper_geometry(self, backend):
+        """Fig. 7 on the 3D covariance problem of Section V-A (N = 4096,
+        leaf 64, eta 0.7, dense sampler and extractor): the phase shares
+        add up to 100 %, and sampling, BSR multiplication and entry
+        generation outweigh the IDs.  Below N = 4096 this partition has no
+        admissible block, so nothing is sampled."""
+        points = uniform_cube_points(4096, dim=3, seed=1)
+        tree = repro.ClusterTree.build(points, leaf_size=64)
+        dense = ExponentialKernel(0.2).matrix(tree.points)
+        result = repro.compress(
+            partition=repro.build_block_partition(
+                tree, repro.GeneralAdmissibility(eta=0.7)
+            ),
+            operator=repro.DenseOperator(dense),
+            extractor=repro.DenseEntryExtractor(dense),
+            tol=1e-6, sample_block_size=64, seed=7,
+            policy=ExecutionPolicy(backend=backend, tracer=SpanTracer()),
+            full_result=True,
+        )
+        pct = PhaseBreakdown.from_span(result.trace).ordered_percentages()
+        assert sum(pct.values()) == pytest.approx(100.0)
+        assert pct["sampling"] > 0.0
+        heavy = pct["sampling"] + pct["bsr_gemm"] + pct["entry_generation"]
+        assert heavy > pct["id"]
+
 
 # ------------------------------------------------- traced pipeline (tentpole)
 @pytest.fixture(scope="module")

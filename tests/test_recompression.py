@@ -49,7 +49,9 @@ class TestPlainRecompression:
         )
         assert base.apply_tracer is tracer
         roots_before = len(tracer.roots)
-        cfg = policy.construction_config(tolerance=1e-6, sample_block_size=32)
+        cfg = ConstructionConfig(
+            tolerance=1e-6, sample_block_size=32, backend=policy.resolve_backend()
+        )
         update = random_low_rank(base.num_rows, 4, seed=2, symmetric=True)
         result = recompress_h2(base, update, config=cfg, seed=3)
 

@@ -1283,11 +1283,11 @@ class TestHttpAdapter:
 # ------------------------------------------------------- end-to-end launch count
 @pytest.mark.slow
 def test_micro_batched_throughput_beats_unbatched(serve_operator):
-    """Scaled-down version of the acceptance benchmark, pinned on what its
-    throughput gain stands for: three gathered waves of 32 solves take one
-    launch per wave batched and one per request unbatched, with the same
-    answers (the measured >=3x at N=4096 / 64 clients lives in
-    bench_serve_latency.py)."""
+    """The serving gate, pinned on what a micro-batching throughput gain
+    stands for: three gathered waves of 32 solves take one launch per wave
+    batched and one per request unbatched, with the same answers.  The
+    measured throughputs are the benchmark's ``serve_rps`` against
+    ``serve.unbatched_rps`` (traced run of ``benchmarks/e2e/run.py``)."""
     rng = np.random.default_rng(0)
     payloads = [rng.standard_normal(N) for _ in range(32)]
 
