@@ -5,9 +5,9 @@ every subsystem of the library:
 
 1. draw noisy observations of a smooth function at scattered 2D points;
 2. fit a Gaussian process through ``Session.gp`` — the covariance is compressed with
-   the sketching constructor, its log-determinant comes from the HSS
-   factorization and the representer weights from factorization-preconditioned
-   CG over the compiled batched apply plan;
+   the sketching constructor, and its log-determinant and the representer
+   weights come from the HSS factorization of the shifted covariance (a
+   direct solve, exact up to round-off);
 3. select the kernel length scale and nugget by a grid sweep refined with
    Nelder–Mead — every sweep point re-uses the geometry of the
    :class:`repro.Session` (tree, partition, sample seed), so no sweep point

@@ -460,7 +460,6 @@ class Session:
         self._result: Optional[ConstructionResult] = None
         self._operator: Optional[H2Matrix] = None
         self._factorization: "HSSFactorization | None" = None
-        self._shift: float = 0.0
         self.statistics = SessionStatistics(setup_seconds=time.perf_counter() - start)
 
     # ------------------------------------------------------------------ state
@@ -581,7 +580,6 @@ class Session:
         # The previous factorization (and its noise shift) described the old
         # operator; solve() must not silently reuse them.
         self._factorization = None
-        self._shift = 0.0
         return self
 
     def sweep(
@@ -612,7 +610,6 @@ class Session:
         from ..solvers.hss_factor import factorize
 
         self._factorization = factorize(self.operator, shift=noise)
-        self._shift = float(noise)
         return self
 
     def solve(
@@ -640,7 +637,8 @@ class Session:
 
         return guarded_solve(
             self.operator, b, method=method, tol=tol, maxiter=maxiter,
-            shift=self._shift, factorization=self._factorization,
+            shift=self._factorization.shift if self._factorization else 0.0,
+            factorization=self._factorization,
             policy=self.policy,
         )
 

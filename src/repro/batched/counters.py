@@ -127,11 +127,6 @@ class KernelLaunchCounter:
                 calls=_delta(self.calls, snapshot.calls),
             )
 
-    def reset(self) -> None:
-        with _LOCK:
-            self.counts.clear()
-            self.calls.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         parts = ", ".join(f"{op}={n}" for op, n in sorted(self.counts.items()))
         return f"KernelLaunchCounter(total={self.total()}, {parts})"

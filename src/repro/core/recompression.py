@@ -59,7 +59,8 @@ def recompress_h2(
     The construction runs under the tracer ``h2`` is bound to
     (:meth:`H2Matrix.bind`), so a bound base matrix traces its
     recompression (``result.trace``); its launches are counted on the
-    backend of ``config``.
+    backend of ``config``.  The result is bound as ``h2`` is: it applies on
+    ``h2``'s backend and records its ``apply`` spans to ``h2``'s tracer.
 
     Returns
     -------
@@ -88,7 +89,9 @@ def recompress_h2(
         target_partition, operator, extractor, config=config, seed=seed,
         tracer=h2.apply_tracer,
     )
-    return constructor.construct()
+    result = constructor.construct()
+    result.matrix.bind(h2.apply_backend, h2.apply_tracer)
+    return result
 
 
 def _recompress_weak(

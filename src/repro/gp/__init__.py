@@ -2,10 +2,10 @@
 
 The canonical consumer of every layer of the library: construction
 (:mod:`repro.core`), the batched apply engine (:mod:`repro.batched`), the
-HSS factorization and Krylov solvers (:mod:`repro.solvers`) and the
+HSS factorization and its direct solve (:mod:`repro.solvers`) and the
 geometry-reusing :class:`repro.Session` compose into
 :class:`~repro.gp.regression.GaussianProcess`: exact-up-to-
-tolerance marginal log-likelihoods, preconditioned-CG posteriors, seeded
+tolerance marginal log-likelihoods, direct-solve posteriors, seeded
 prior/posterior sampling and grid + Nelder–Mead hyperparameter selection.
 Every evaluated hyperparameter point leaves one :class:`GPFitReport` in
 ``GaussianProcess.fit_reports_``; :func:`gp_sweep_table` prints a sweep of

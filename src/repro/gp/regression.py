@@ -12,11 +12,12 @@ library —
 * the marginal log-likelihood uses the HSS factorization of the *shifted*
   covariance ``K + noise I`` (skeleton elimination on the nested generators,
   :class:`~repro.solvers.hss_factor.HSSFactorization`) for ``log det`` (the
-  sum over its pivot blocks) and as the preconditioner of a CG solve for the quadratic term, iterating on the
-  compiled batched apply plan of the H2 matrix;
-* posterior mean/variance at test points reuse the factorization-seeded CG
-  machinery; prior and posterior sampling draw from a seeded generator so
-  results are reproducible across execution backends.
+  sum over its pivot blocks) and as the direct solver of the quadratic
+  term (:func:`~repro.solvers.ladder.direct_solve`: the factorization is of
+  the shifted covariance itself, so its answer is exact up to round-off);
+* posterior mean/variance at test points reuse the same direct solve on a
+  block of right-hand sides; prior and posterior sampling draw from a seeded
+  generator so results are reproducible across execution backends.
 
 The likelihood is "exact up to tolerance": with construction tolerance
 ``eps`` the returned value matches the dense
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from ..api.facade import Session
 from ..api.policy import ExecutionPolicy
 from ..kernels.base import KernelFunction, PairwiseKernel
 from ..solvers.hss_factor import HSSFactorization, factorize
-from ..solvers.ladder import guarded_solve
+from ..solvers.ladder import DIRECT_TOL, direct_solve
 from ..utils.rng import SeedLike, as_generator
 from ..utils.validation import check_positive, require
 from .report import GPFitReport
@@ -60,17 +61,11 @@ class _FittedState:
 
     kernel: KernelFunction
     noise: float
-    result: object  # ConstructionResult
+    matrix: object  # H2Matrix
     factorization: HSSFactorization
     alpha: np.ndarray
     log_likelihood: float
-    log_determinant: float
-    quadratic_term: float
     report: GPFitReport
-
-    @property
-    def matrix(self):
-        return self.result.matrix
 
 
 class GaussianProcess:
@@ -99,14 +94,10 @@ class GaussianProcess:
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` of the internally created
         session.  The GP runs under ``session.policy``: its constructions
-        and both guarded solves (:func:`~repro.solvers.ladder.guarded_solve`)
-        read backend, tracer, recovery, faults and health from it, and its
-        factorizations run on the binding the session gave each matrix.  A
-        ``session`` with a different ``policy`` raises :class:`ValueError`.
-    solve_tol:
-        Relative residual tolerance of the preconditioned CG solves.
-    max_cg_iterations:
-        Iteration cap of the CG solves (``None``: the system dimension).
+        and solves read backend, tracer, recovery, faults and health from it,
+        and its factorizations run on the binding the session gave each
+        matrix.  A ``session`` with a different ``policy`` raises
+        :class:`ValueError`.
     session:
         A :class:`~repro.api.facade.Session` over the same ``train_points``
         whose geometry, sample seed and caches the GP shares.
@@ -121,8 +112,6 @@ class GaussianProcess:
         tolerance: float = 1e-8,
         leaf_size: int = 64,
         policy: "ExecutionPolicy | None" = None,
-        solve_tol: float = 1e-10,
-        max_cg_iterations: int | None = None,
         seed: SeedLike = 0,
         session: Session | None = None,
     ):
@@ -136,8 +125,6 @@ class GaussianProcess:
         self.kernel = kernel
         self.noise = float(noise)
         self.tolerance = float(tolerance)
-        self.solve_tol = float(solve_tol)
-        self.max_cg_iterations = max_cg_iterations
         if session is None:
             session = Session(
                 self.train_points, leaf_size=leaf_size, policy=policy, seed=seed
@@ -188,107 +175,87 @@ class GaussianProcess:
     def _evaluate(
         self, y: np.ndarray, kernel: KernelFunction, noise: float
     ) -> _FittedState:
-        """Construct, factor and solve at one hyperparameter point.
-
-        Under an enabled tracer every candidate runs inside a ``gp/evaluate``
-        span whose children are the construction, factorization and solve
-        spans of the layers below.
-        """
+        """Construct, factor and solve at one hyperparameter point, inside a
+        ``gp/evaluate`` span whose children are the construction,
+        factorization and solve spans of the layers below."""
         check_positive(noise, "noise")
-        tracer = self.policy.tracer
-        if not tracer.enabled:
-            return self._evaluate_impl(y, kernel, noise)
-        with tracer.span(
+        with self.policy.tracer.span(
             "gp/evaluate", category="gp",
             kernel=type(kernel).__name__, noise=float(noise),
         ) as span:
-            state = self._evaluate_impl(y, kernel, noise)
+            stats = self.session.statistics
+            hits_before = stats.result_cache_hits
+            t_construct = time.perf_counter()
+            result = self.session.construct(kernel, tol=self.tolerance)
+            construct_seconds = time.perf_counter() - t_construct
+            matrix = result.matrix
+            result_reused = stats.result_cache_hits > hits_before
+
+            defect = matrix.weak_partition_defect()
+            if defect is not None:
+                raise ValueError(
+                    "GaussianProcess requires a weak-admissibility (HSS) session so "
+                    f"the constructed covariance can be factored exactly ({defect})"
+                )
+            t0 = time.perf_counter()
+            factorization = factorize(matrix, shift=noise)
+            factor_seconds = time.perf_counter() - t0
+            if factorization.determinant_sign <= 0.0:
+                raise NotPositiveDefiniteError(
+                    "shifted covariance is not positive definite at "
+                    f"noise={noise:.3e}; increase the noise/nugget or loosen the "
+                    "construction tolerance"
+                )
+            log_determinant = factorization.logdet()
+
+            launches_before = matrix.apply_backend.counter.total()
+            t0 = time.perf_counter()
+            alpha = self._solve(matrix, factorization, noise, y)
+            solve_seconds = time.perf_counter() - t0
+            apply_launches = matrix.apply_backend.counter.total() - launches_before
+
+            quadratic = float(y @ alpha)
+            n = y.shape[0]
+            log_likelihood = -0.5 * (quadratic + log_determinant + n * LOG_2PI)
+
+            report = GPFitReport(
+                n=n,
+                kernel=type(kernel).__name__,
+                params=kernel.hyperparameters(),
+                noise=float(noise),
+                log_marginal_likelihood=log_likelihood,
+                log_determinant=log_determinant,
+                quadratic_term=quadratic,
+                construction_samples=result.total_samples,
+                rank_range=result.rank_range,
+                construction_launches=result.total_kernel_launches,
+                apply_launches=int(apply_launches),
+                result_reused=result_reused,
+                construction_seconds=construct_seconds,
+                factorization_seconds=factor_seconds,
+                solve_seconds=solve_seconds,
+            )
+            state = _FittedState(
+                kernel=kernel,
+                noise=float(noise),
+                matrix=matrix,
+                factorization=factorization,
+                alpha=alpha,
+                log_likelihood=log_likelihood,
+                report=report,
+            )
             span.set(
-                log_marginal_likelihood=state.log_likelihood,
-                cg_iterations=state.report.cg_iterations,
-                result_reused=state.report.result_reused,
+                log_marginal_likelihood=log_likelihood,
+                result_reused=result_reused,
             )
         return state
 
-    def _evaluate_impl(
-        self, y: np.ndarray, kernel: KernelFunction, noise: float
-    ) -> _FittedState:
-        stats = self.session.statistics
-        hits_before = stats.result_cache_hits
-        t_construct = time.perf_counter()
-        result = self.session.construct(kernel, tol=self.tolerance)
-        construct_seconds = time.perf_counter() - t_construct
-        matrix = result.matrix
-        result_reused = stats.result_cache_hits > hits_before
-
-        defect = matrix.weak_partition_defect()
-        if defect is not None:
-            raise ValueError(
-                "GaussianProcess requires a weak-admissibility (HSS) session so "
-                f"the constructed covariance can be factored exactly ({defect})"
-            )
-        t0 = time.perf_counter()
-        factorization = factorize(matrix, shift=noise)
-        factor_seconds = time.perf_counter() - t0
-        if factorization.determinant_sign <= 0.0:
-            raise NotPositiveDefiniteError(
-                "shifted covariance is not positive definite at "
-                f"noise={noise:.3e}; increase the noise/nugget or loosen the "
-                "construction tolerance"
-            )
-        log_determinant = factorization.logdet()
-
-        launches_before = matrix.apply_backend.counter.total()
-        t0 = time.perf_counter()
-        solve = self._guarded_solve(matrix, y, noise, factorization)
-        solve_seconds = time.perf_counter() - t0
-        apply_launches = matrix.apply_backend.counter.total() - launches_before
-
-        alpha = solve.x
-        quadratic = float(y @ alpha)
-        n = y.shape[0]
-        log_likelihood = -0.5 * (quadratic + log_determinant + n * LOG_2PI)
-
-        report = GPFitReport(
-            n=n,
-            kernel=type(kernel).__name__,
-            params=kernel.hyperparameters(),
-            noise=float(noise),
-            log_marginal_likelihood=log_likelihood,
-            log_determinant=log_determinant,
-            quadratic_term=quadratic,
-            cg_iterations=solve.iterations,
-            cg_converged=solve.converged,
-            construction_samples=result.total_samples,
-            rank_range=result.rank_range,
-            construction_launches=result.total_kernel_launches,
-            apply_launches=int(apply_launches),
-            result_reused=result_reused,
-            construction_seconds=construct_seconds,
-            factorization_seconds=factor_seconds,
-            solve_seconds=solve_seconds,
-        )
-        return _FittedState(
-            kernel=kernel,
-            noise=float(noise),
-            result=result,
-            factorization=factorization,
-            alpha=alpha,
-            log_likelihood=log_likelihood,
-            log_determinant=log_determinant,
-            quadratic_term=quadratic,
-            report=report,
-        )
-
-    def _guarded_solve(self, matrix, b, noise, factorization, x0=None):
-        """``(K + noise I) x = b``: CG preconditioned by the factorization,
-        under the policy's recovery mode (``gp-solve-not-converged`` warns)."""
-        return guarded_solve(
-            matrix, b, method="cg", tol=self.solve_tol,
-            maxiter=self.max_cg_iterations, shift=noise,
-            factorization=factorization, x0=x0, policy=self.policy,
-            log_fields={"event": "gp-solve-not-converged"},
-        )
+    def _solve(self, matrix, factorization, noise, b):
+        """``(K + noise I) X = B`` by :func:`~repro.solvers.direct_solve`."""
+        return direct_solve(
+            matrix, b, factorization, shift=noise, tol=DIRECT_TOL,
+            policy=self.policy, log_fields={"event": "gp-solve-not-converged"},
+        ).x
 
     # --------------------------------------------------------------------- fit
     def fit(
@@ -401,29 +368,6 @@ class GaussianProcess:
             [float(self.kernel.evaluate(p[None], p[None])[0, 0]) for p in points]
         )
 
-    def _solve_shifted(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``(K + noise I) X = B`` through the factorization + CG polish.
-
-        The factorization solves the whole block directly (near-linear);
-        one batched residual check through the compiled apply plan detects
-        columns outside the solve tolerance, which are polished with a few
-        preconditioned CG iterations against the true shifted operator.
-        """
-        state = self._require_fit()
-        single = b.ndim == 1
-        block = b[:, None] if single else b
-        x = state.factorization.solve(block)
-        residual = block - (state.matrix.matmat(x) + self.noise * x)
-        b_norms = np.linalg.norm(block, axis=0)
-        r_norms = np.linalg.norm(residual, axis=0)
-        needs_polish = r_norms > self.solve_tol * 1e2 * np.maximum(b_norms, 1e-300)
-        for j in np.nonzero(needs_polish)[0]:
-            x[:, j] = self._guarded_solve(
-                state.matrix, block[:, j], self.noise, state.factorization,
-                x0=x[:, j],
-            ).x
-        return x[:, 0] if single else x
-
     def predict(
         self,
         points: np.ndarray,
@@ -441,7 +385,7 @@ class GaussianProcess:
         mean = k_cross @ state.alpha
         if not return_std:
             return mean
-        v = self._solve_shifted(k_cross.T)
+        v = self._solve(state.matrix, state.factorization, state.noise, k_cross.T)
         variance = self._prior_variance(points) - np.einsum(
             "ij,ji->i", k_cross, v
         )
@@ -499,7 +443,7 @@ class GaussianProcess:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         k_cross = self._cross_covariance(points)
         mean = k_cross @ state.alpha
-        v = self._solve_shifted(k_cross.T)
+        v = self._solve(state.matrix, state.factorization, state.noise, k_cross.T)
         cov = self.kernel.evaluate(points, points) - k_cross @ v
         cov = 0.5 * (cov + cov.T)
         chol = self._cholesky(cov, jitter)

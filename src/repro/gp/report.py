@@ -4,15 +4,15 @@ Every hyperparameter point a :class:`~repro.gp.regression.GaussianProcess`
 evaluates produces one :class:`GPFitReport` tying the statistical quantities
 (log-likelihood split into its determinant and quadratic terms) to the
 systems-level costs that produced them: construction samples and launches,
-solver iterations, the launches of the solve stage (compiled applies plus
-factorization solves) and per-phase wall time.
+the launches of the solve stage (the factorization's direct solve) and
+per-phase wall time.
 :func:`gp_sweep_table` renders a sweep's reports in the same tabular format as
 the paper-figure benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..utils.tables import format_table
@@ -29,8 +29,6 @@ class GPFitReport:
     log_marginal_likelihood: float
     log_determinant: float
     quadratic_term: float
-    cg_iterations: int
-    cg_converged: bool
     construction_samples: int
     rank_range: Tuple[int, int]
     construction_launches: int
@@ -41,7 +39,6 @@ class GPFitReport:
     construction_seconds: float
     factorization_seconds: float
     solve_seconds: float
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -50,23 +47,6 @@ class GPFitReport:
             + self.factorization_seconds
             + self.solve_seconds
         )
-
-    def summary(self) -> Dict[str, object]:
-        lo, hi = self.rank_range
-        return {
-            "n": self.n,
-            "kernel": self.kernel,
-            **{k: float(v) for k, v in self.params.items()},
-            "noise": self.noise,
-            "log_likelihood": self.log_marginal_likelihood,
-            "logdet": self.log_determinant,
-            "cg_iters": self.cg_iterations,
-            "samples": self.construction_samples,
-            "rank_range": f"{lo}-{hi}",
-            "launches": self.construction_launches + self.apply_launches,
-            "result_reused": self.result_reused,
-            "time_s": self.total_seconds,
-        }
 
 
 def gp_sweep_table(
@@ -80,7 +60,7 @@ def gp_sweep_table(
                 param_names.append(name)
     headers = (
         param_names
-        + ["noise", "log-lik", "logdet", "CG its", "samples", "launches", "result reused", "s"]
+        + ["noise", "log-lik", "logdet", "samples", "launches", "result reused", "s"]
     )
     rows = []
     for r in reports:
@@ -90,7 +70,6 @@ def gp_sweep_table(
                 r.noise,
                 r.log_marginal_likelihood,
                 r.log_determinant,
-                r.cg_iterations,
                 r.construction_samples,
                 r.construction_launches + r.apply_launches,
                 "yes" if r.result_reused else "no",

@@ -94,9 +94,6 @@ class NoopTracer:
     def add_bytes(self, count: int) -> None:
         return None
 
-    def reset(self) -> None:
-        return None
-
     @property
     def current(self) -> None:
         return None
@@ -239,9 +236,3 @@ class SpanTracer:
     def current(self) -> Optional[Span]:
         """The innermost open span of the calling task or thread, or ``None``."""
         return self._current.get()
-
-    def reset(self) -> None:
-        """Drop all recorded spans/events (no counter is touched)."""
-        self.roots.clear()
-        self.orphan_events.clear()
-        self._current.set(None)

@@ -32,6 +32,8 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..solvers.ladder import DIRECT_TOL
+
 __all__ = [
     "ENDPOINTS",
     "HealthRequest",
@@ -107,8 +109,11 @@ class MatvecRequest(ServeRequest):
 class SolveRequest(ServeRequest):
     """Solve ``(K + noise I) x = b`` under the model's registered noise.
 
-    ``method="direct"`` (default) routes through the model's
-    factorization and micro-batches with concurrent callers;
+    ``method="direct"`` (default) solves with the model's factorization
+    (:func:`~repro.solvers.direct_solve`) and micro-batches with concurrent
+    callers.  A strong model's factorization is of a re-compression: its
+    answer is polished to ``tol``, and ``final_residual`` is the measured
+    one (``None`` for an HSS model, whose answer is exact up to round-off).
     ``method="cg"`` runs a factorization-preconditioned CG to ``tol`` —
     unbatched, but guarded by the policy's recovery ladder when the
     iteration does not converge.
@@ -116,7 +121,7 @@ class SolveRequest(ServeRequest):
 
     b: np.ndarray = None  # type: ignore[assignment]
     method: str = "direct"
-    tol: float = 1e-10
+    tol: float = DIRECT_TOL
     maxiter: Optional[int] = None
 
     endpoint = "solve"
@@ -184,7 +189,7 @@ class SolveResponse(ServeResponse):
     method: str = "direct"
     converged: bool = True
     iterations: int = 0
-    final_residual: float = 0.0
+    final_residual: Optional[float] = None  # measured; see SolveRequest
 
     endpoint = "solve"
 

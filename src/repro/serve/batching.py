@@ -2,8 +2,8 @@
 
 The batching win this module exploits is already wired into the library: the
 compiled apply plan routes a block RHS through a single batched-GEMM launch
-(``matmat``), and the factorization solves a block RHS with level-3
-BLAS — so ``k`` concurrent single-vector queries against the *same* operator
+(``matmat``), and the direct solve solves (and checks) a block RHS with
+level-3 BLAS — so ``k`` concurrent single-vector queries against the *same* operator
 cost one launch sequence instead of ``k``.
 
 :class:`MicroBatcher` keeps one admission queue per ``(model, kind)`` and
@@ -54,6 +54,7 @@ import numpy as np
 
 from ..observe.metrics import MetricsRegistry
 from ..observe.tracer import NOOP_TRACER
+from ..solvers.ladder import DIRECT_TOL, direct_solve
 from .api import RequestValidationError
 from .registry import ServedModel
 
@@ -66,14 +67,15 @@ _NON_FINITE = "payload contains non-finite values (NaN/Inf)"
 
 
 class _Pending:
-    """One admitted request: a normalized ``(n, k)`` payload plus its future."""
+    """One admitted request: a normalized ``(n, k)`` payload, its tol, its future."""
 
-    __slots__ = ("payload", "single", "future", "request_id", "enqueued")
+    __slots__ = ("payload", "single", "tol", "future", "request_id", "enqueued")
 
-    def __init__(self, payload: np.ndarray, single: bool, future: asyncio.Future,
-                 request_id: str):
+    def __init__(self, payload: np.ndarray, single: bool, tol: float,
+                 future: asyncio.Future, request_id: str):
         self.payload = payload
         self.single = single
+        self.tol = tol
         self.future = future
         self.request_id = request_id
         self.enqueued = time.perf_counter()
@@ -102,22 +104,27 @@ class _Queue:
         return taken
 
 
-def _execute_kind(model: ServedModel, kind: str, block: np.ndarray) -> np.ndarray:
-    """The synchronous block operation of ``kind`` (runs on a worker thread).
+def _execute_kind(model: ServedModel, kind: str, block: np.ndarray,
+                  tol: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The synchronous block operation of ``kind`` (runs on a worker thread)
+    and, for ``solve``, the residual of each column (``direct_solve``'s).
 
     It takes no lock: the model's apply plan and backend were built at
     registration, the compiled apply and the HSS solve allocate their buffers
     per call, and the factorization guards its own first build (see
     :mod:`repro.serve.registry`).  Every model, strong or weak, solves
-    through the HSS factorization.
+    through its HSS factorization by :func:`~repro.solvers.direct_solve`
+    under the model's policy, each column polished to its ``tol``.
     """
     if kind == "matvec":
-        return model.operator.matmat(block)
+        return model.operator.matmat(block), None
+    solved = direct_solve(
+        model.operator, block, model.factorization(), shift=model.noise,
+        tol=tol, policy=model.policy, log_fields={"model": model.name},
+    )
     if kind == "solve":
-        return model.factorization().solve(block)
-    if kind == "predict":
-        return model.operator.matmat(model.factorization().solve(block))
-    raise ValueError(f"unknown batch kind {kind!r}; use one of {BATCH_KINDS}")
+        return solved.x, solved.residuals
+    return model.operator.matmat(solved.x), None
 
 
 class MicroBatcher:
@@ -180,12 +187,14 @@ class MicroBatcher:
     # ------------------------------------------------------------------ submit
     async def submit(
         self, model: ServedModel, kind: str, payload: np.ndarray,
-        request_id: str = "",
-    ) -> Tuple[np.ndarray, int]:
+        request_id: str = "", tol: float = DIRECT_TOL,
+    ) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
         """Execute ``kind`` for ``payload``, coalescing with concurrent peers.
 
-        Returns ``(result, batch_size)`` where ``batch_size`` is the number
-        of requests that shared the launch (1 when the request ran alone).
+        Returns ``(result, batch_size, residuals)`` where ``batch_size`` is
+        the number of requests that shared the launch (1 when the request ran
+        alone) and ``residuals`` those of a ``solve`` payload's columns, each
+        polished to ``tol`` (see ``_execute_kind``).
         The result has the payload's shape (vector in, vector out).
         ``request_id`` is listed in the ``request_ids`` of the
         ``serve.batch`` span that carries the payload.
@@ -200,8 +209,10 @@ class MicroBatcher:
             self.metrics.histogram("serve.batch.requests").observe(1)
             self.launches += 1
             self.coalesced_requests += 1
-            result = await self.offload(_execute_kind, model, kind, block)
-            return (result[:, 0] if single else result), 1
+            result, residuals = await self.offload(
+                _execute_kind, model, kind, block, tol
+            )
+            return (result[:, 0] if single else result), 1, residuals
 
         future: asyncio.Future = loop.create_future()
         queue = self._queues.get((model.name, kind))
@@ -209,7 +220,7 @@ class MicroBatcher:
             # New key, or the registry replaced the model under this name:
             # never coalesce payloads across two different operators.
             queue = self._queues[(model.name, kind)] = _Queue(model, kind)
-        queue.items.append(_Pending(block, single, future, request_id))
+        queue.items.append(_Pending(block, single, tol, future, request_id))
         if queue.runner is None:
             # From an empty context: the runner serves every request that
             # joins the queue, not only the one that found it idle.
@@ -218,8 +229,8 @@ class MicroBatcher:
             )
             self._runners.add(queue.runner)
             queue.runner.add_done_callback(self._runners.discard)
-        result, batch_size = await future
-        return (result[:, 0] if single else result), batch_size
+        result, batch_size, residuals = await future
+        return (result[:, 0] if single else result), batch_size, residuals
 
     def _validate(
         self, model: ServedModel, payload: np.ndarray
@@ -271,6 +282,8 @@ class MicroBatcher:
             if batch_requests == 1
             else np.concatenate([item.payload for item in good], axis=1)
         )
+        tols = np.concatenate([np.full(item.payload.shape[1], item.tol)
+                               for item in good])
         registry.histogram("serve.batch.requests").observe(batch_requests)
         registry.histogram("serve.batch.columns").observe(block.shape[1])
         registry.histogram("serve.batch.queue_ms").observe(
@@ -286,8 +299,8 @@ class MicroBatcher:
             request_ids=[item.request_id for item in good],
         ):
             try:
-                result = await self.offload(
-                    _execute_kind, queue.model, queue.kind, block
+                result, residuals = await self.offload(
+                    _execute_kind, queue.model, queue.kind, block, tols
                 )
             except Exception:
                 # The coalesced launch failed: isolate by retrying each
@@ -295,24 +308,26 @@ class MicroBatcher:
                 registry.counter("serve.batch.fallbacks").inc()
                 for item in good:
                     try:
-                        value = await self.offload(
-                            _execute_kind, queue.model, queue.kind, item.payload
+                        value, alone = await self.offload(
+                            _execute_kind, queue.model, queue.kind,
+                            item.payload, item.tol,
                         )
                     except Exception as exc:
                         if not item.future.done():
                             item.future.set_exception(exc)
                     else:
                         if not item.future.done():
-                            item.future.set_result((value, 1))
+                            item.future.set_result((value, 1, alone))
                 return
 
         offset = 0
         for item in good:
             width = item.payload.shape[1]
             if not item.future.done():
-                item.future.set_result(
-                    (result[:, offset:offset + width], batch_requests)
-                )
+                item.future.set_result((
+                    result[:, offset:offset + width], batch_requests,
+                    None if residuals is None else residuals[offset:offset + width],
+                ))
             offset += width
 
     # --------------------------------------------------------------- lifecycle

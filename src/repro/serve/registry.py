@@ -3,7 +3,7 @@
 A :class:`ServedModel` bundles everything one tenant's queries need — the
 compressed operator, the lazily built factorization of ``K + noise I``
 (:func:`repro.solvers.factorize`; first ``solve``/``predict``/``logdet`` pays it, later
-requests reuse it) and the cached log-determinant.  Concurrency across
+requests reuse it; it holds the log-determinant).  Concurrency across
 *different* models, and micro-batching within one model, are the parallelism
 stories.
 
@@ -82,7 +82,6 @@ class ServedModel:
         operator.apply_backend
         self._factor_lock = threading.Lock()
         self._factorization = None
-        self._logdet: Optional[Tuple[float, float]] = None
 
     # ------------------------------------------------------------------ state
     @property
@@ -122,10 +121,8 @@ class ServedModel:
         return self._factorization is not None
 
     def slogdet(self) -> Tuple[float, float]:
-        """Cached ``(sign, log|det|)`` of ``K + noise I``."""
-        if self._logdet is None:
-            self._logdet = self.factorization().slogdet()
-        return self._logdet
+        """``(sign, log|det|)`` of ``K + noise I``, which its factorization holds."""
+        return self.factorization().slogdet()
 
     # ----------------------------------------------------------------- memory
     def memory_bytes(self) -> int:
@@ -235,9 +232,8 @@ class ModelRegistry:
         (``source="loaded"`` on a cache hit), probed at the tolerance the
         operator records (``tol`` when it records none).  A ``path`` or
         ``key`` load is bound to ``policy`` (:meth:`ExecutionPolicy.bind`).
-        ``warm=True`` builds the
-        factorization (and caches the log-determinant) eagerly so the first
-        query does not pay it.
+        ``warm=True`` builds the factorization (and with it the
+        log-determinant) eagerly so the first query does not pay it.
         Re-registering a name replaces the old model.
         """
         policy = policy if policy is not None else self.policy

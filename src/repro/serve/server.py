@@ -17,7 +17,8 @@ its artifact cache from those owners.  Two servers in one process share no
 count.  Expensive linear algebra micro-batches through the
 :class:`~repro.serve.batching.MicroBatcher`; ``method="cg"`` solves inherit
 the policy's :class:`~repro.resilience.RecoveryPolicy` on non-convergence
-(strict → raise, warn → flagged result, recover → escalation ladder).
+(strict → raise, warn → flagged result, recover → escalation ladder), as
+the polish of a strong model's direct solve inherits the model's policy's.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class InferenceServer:
 
         async def body() -> MatvecResponse:
             model = self.registry.get(request.model)
-            y, batch_size = await self.batcher.submit(
+            y, batch_size, _ = await self.batcher.submit(
                 model, "matvec", request.x, request.request_id
             )
             return MatvecResponse(
@@ -183,7 +184,7 @@ class InferenceServer:
 
         async def body() -> PredictResponse:
             model = self.registry.get(request.model)
-            mean, batch_size = await self.batcher.submit(
+            mean, batch_size, _ = await self.batcher.submit(
                 model, "predict", request.y, request.request_id
             )
             return PredictResponse(
@@ -198,11 +199,15 @@ class InferenceServer:
         async def body() -> SolveResponse:
             model = self.registry.get(request.model)
             if request.method == "direct":
-                x, batch_size = await self.batcher.submit(
-                    model, "solve", request.b, request.request_id
+                x, batch_size, residuals = await self.batcher.submit(
+                    model, "solve", request.b, request.request_id,
+                    tol=request.tol,
                 )
+                residual = None if residuals is None else float(residuals.max())
                 return SolveResponse(
-                    x=x, method="direct", converged=True,
+                    x=x, method="direct",
+                    converged=residual is None or residual <= request.tol,
+                    final_residual=residual,
                     batched=batch_size > 1, batch_size=batch_size,
                 )
             if request.method != "cg":

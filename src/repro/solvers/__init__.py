@@ -19,18 +19,20 @@ operators, dense and sparse matrices) plugs into the same three layers:
 * :mod:`~repro.solvers.ladder` — :func:`guarded_solve`, the one
   policy-guarded Krylov solve of an H2 matrix, which under a ``recover``
   :class:`~repro.resilience.RecoveryPolicy` escalates a non-converged solve
-  through CG → preconditioned CG → GMRES(m) → direct.
+  through CG → preconditioned CG → GMRES(m) → direct, and
+  :func:`direct_solve`, the one direct solve with a factorization.
 """
 
 from .hss_factor import HSSFactorization, factorize
 from .krylov import KrylovResult, cg, gmres
-from .ladder import guarded_solve
+from .ladder import direct_solve, guarded_solve
 from .multifrontal_solve import FrontReport, MultifrontalSolver
 
 __all__ = [
     "cg",
     "gmres",
     "guarded_solve",
+    "direct_solve",
     "KrylovResult",
     "HSSFactorization",
     "factorize",

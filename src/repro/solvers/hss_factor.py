@@ -55,6 +55,7 @@ factorization are safe.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -120,7 +121,8 @@ class HSSFactorization:
         the leaf diagonal, couplings between siblings) — anything else raises
         :class:`ValueError`; :func:`factorize` re-compresses such matrices
         onto the weak partition first.  Couplings need not be symmetric.  The
-        generators are only read, never written or kept.
+        generators are only read, never written or kept (:attr:`matrix` is
+        a weak reference).
     shift:
         Optional diagonal shift: factors ``A + shift * I``.
 
@@ -140,6 +142,7 @@ class HSSFactorization:
             )
         self.tree = h2.tree
         self.shift = float(shift)
+        self._matrix = weakref.ref(h2)
         self._tracer = h2.apply_tracer
         self._counter = h2.apply_backend.counter
         self._stages: List[_Stage] = []
@@ -398,6 +401,11 @@ class HSSFactorization:
         if (swaps + np.count_nonzero(pivots < 0.0)) % 2:
             self._sign = -self._sign
         self._logabsdet += float(np.sum(np.log(np.abs(pivots))))
+
+    @property
+    def matrix(self) -> Optional[H2Matrix]:
+        """The factored matrix; ``None`` once collected (a re-compression)."""
+        return self._matrix()
 
     # ------------------------------------------------------------------- solve
     @property

@@ -3,10 +3,9 @@
 A single Krylov method with a fixed iteration budget either converges or it
 does not; :func:`guarded_solve` turns "does not" into the policy's answer
 instead of a silent ``converged=False``.  Every product Krylov solve
-(``Session.solve``, the server's ``method="cg"``, the GP fit and the GP
-predict polish) runs through it.  Under a ``recover`` policy the solve
-escalates through the rungs of one fixed order that its first attempt did
-not cover:
+(``Session.solve``, the server's ``method="cg"`` and the polish of a direct
+solve) runs through it.  Under a ``recover`` policy the solve escalates
+through the rungs of one fixed order that its first attempt did not cover:
 
 ``cg``
     Plain conjugate gradients — the cheap path that succeeds for
@@ -19,10 +18,8 @@ not cover:
     Restarted GMRES(m) — drops the SPD assumption CG relies on, with the
     same preconditioner.
 ``direct``
-    The factorization applied as a *direct* solve, polished by
-    preconditioned CG when its residual misses ``tol``; the residual is
-    checked explicitly, so even the last rung cannot return an unchecked
-    answer.
+    :func:`direct_solve` (the GP's and the server's direct solve too), its
+    true residual measured: even the last rung returns no unchecked answer.
 
 Each escalation rung runs inside its own ``resilience/ladder:<rung>`` span,
 recorded to the tracer the operator is bound to, with ``RecoveryPolicy.rung_maxiter`` iterations, adds one rung to the
@@ -35,16 +32,23 @@ so far.  When every rung is used up the solve raises
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..hmatrix.linear_operator import as_linear_operator
 from ..resilience.errors import EscalationExhaustedError, SolveDidNotConvergeError
 from ..resilience.policy import resilience_adapter
 from .krylov import KrylovResult, cg, gmres
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.policy import ExecutionPolicy
+    from .hss_factor import HSSFactorization
+
+#: The relative residual a direct solve is polished to when its caller names
+#: no tolerance: the GP's solves and a served ``predict``.
+DIRECT_TOL = 1e-10
 
 
 def _rung_record(rung: str, result: KrylovResult, seconds: float) -> Dict[str, object]:
@@ -91,7 +95,6 @@ def guarded_solve(
     'pcg'
     """
     from ..hmatrix.h2matrix import H2Matrix
-    from ..hmatrix.linear_operator import as_linear_operator
 
     if not isinstance(a, H2Matrix):
         raise TypeError(
@@ -149,7 +152,18 @@ def guarded_solve(
             rung=rung, position=len(records), maxiter=budget,
         ) as span:
             if rung == "direct":
-                result = _direct(op, b_arr, factorization, tol, budget, policy)
+                solved = direct_solve(
+                    a, b_arr, factorization, shift=shift, tol=tol,
+                    policy=policy, rung_maxiter=budget,
+                )
+                result = solved.polishes.get(0) or KrylovResult(
+                    x=solved.x, converged=True, iterations=0,
+                    residual_norms=solved.residuals, method="direct",
+                    matvecs=1, preconditioner_applications=1,
+                    elapsed_seconds=time.perf_counter() - entered,
+                )
+                if solved.polishes:
+                    result.method = "direct+pcg"
             else:
                 solver = gmres if rung == "gmres" else cg
                 result = solver(
@@ -183,22 +197,66 @@ def guarded_solve(
     )
 
 
-def _direct(op, b: np.ndarray, factorization: object, tol: float,
-            maxiter: int, policy: "ExecutionPolicy") -> KrylovResult:
-    """The factorization as a direct solve, its residual checked against the
-    operator and polished by preconditioned CG when it misses ``tol``."""
-    t0 = time.perf_counter()
-    x = np.asarray(factorization.solve(b), dtype=np.float64).reshape(-1)
-    rel = float(np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b))
-    if rel > tol:
-        # The factorization approximates the operator at its own
-        # (construction) accuracy; polish with preconditioned CG.
-        result = cg(op, b, tol=tol, maxiter=maxiter, M=factorization, x0=x,
-                    health=policy.health)
-        result.method = "direct+pcg"
-        return result
-    return KrylovResult(
-        x=x, converged=True, iterations=0, residual_norms=np.asarray([rel]),
-        method="direct", matvecs=1, preconditioner_applications=1,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+@dataclass
+class DirectSolution:
+    """What :func:`direct_solve` returns: ``x`` (shaped like ``b``), each
+    column's relative true residual after its polish (``None`` for an exact
+    factorization) and the polish of each polished column."""
+
+    x: np.ndarray
+    residuals: Optional[np.ndarray]
+    polishes: Dict[int, KrylovResult] = field(default_factory=dict)
+
+
+def direct_solve(
+    a: object, b: np.ndarray, factorization: "HSSFactorization", *,
+    shift: float = 0.0, tol: Union[float, np.ndarray],
+    policy: "ExecutionPolicy", log_fields: Optional[Dict[str, object]] = None,
+    rung_maxiter: Optional[int] = None,
+) -> DirectSolution:
+    """Solve ``(a + shift I) X = B`` for a vector or block with a factorization.
+
+    ``factorization.solve(B)`` is the answer when the factorization is of
+    ``a + shift I`` itself (its ``matrix`` is ``a``, at ``shift``).  Else (a
+    strong operator is factored through a re-compression) one batched true
+    residual is measured, and each column above ``tol`` (one value or one per
+    column) is polished by PCG warm-started from its direct answer:
+    :func:`guarded_solve` under ``policy`` (``log_fields`` as there), or in
+    the ``direct`` rung, which always measures, ``rung_maxiter`` plain PCG
+    iterations that the ladder judges.
+
+    >>> import numpy as np, repro
+    >>> from repro.solvers import direct_solve, factorize
+    >>> strong = repro.compress(repro.uniform_cube_points(1024, dim=2, seed=0),
+    ...                         repro.ExponentialKernel(0.2), tol=1e-6, seed=7)
+    >>> b = np.ones(1024)  # factorize(strong) factors a re-compression
+    >>> solved = direct_solve(strong, b, factorize(strong, shift=1e-2), shift=1e-2,
+    ...                       tol=1e-10, policy=repro.ExecutionPolicy())
+    >>> r = np.linalg.norm(b - strong.matvec(solved.x) - 1e-2 * solved.x) / 32.0
+    >>> bool(solved.residuals[0] <= 1e-10 and np.isclose(solved.residuals[0], r))
+    True
+    """
+    b = np.asarray(b, dtype=np.float64)
+    block = b.reshape(b.shape[0], -1)
+    x = factorization.solve(block)
+    exact = factorization.matrix is a and factorization.shift == shift
+    if exact and rung_maxiter is None:
+        return DirectSolution(x.reshape(b.shape), None)
+    residuals = np.linalg.norm(block - a.matmat(x) - shift * x, axis=0)
+    residuals /= np.maximum(np.linalg.norm(block, axis=0), np.finfo(float).tiny)
+    tols = np.broadcast_to(tol, residuals.shape)
+    polishes: Dict[int, KrylovResult] = {}
+    for j in np.flatnonzero(residuals > tols):
+        if rung_maxiter is None:
+            result = guarded_solve(a, block[:, j], tol=tols[j], shift=shift,
+                                   factorization=factorization, x0=x[:, j],
+                                   policy=policy, log_fields=log_fields)
+        else:
+            result = cg(as_linear_operator(a, shift=shift), block[:, j],
+                        tol=tols[j], maxiter=rung_maxiter, M=factorization,
+                        x0=x[:, j], health=policy.health)
+        x[:, j] = result.x
+        residuals[j] = result.final_residual
+        polishes[int(j)] = result
+    return DirectSolution(x.reshape(b.shape), residuals, polishes)
+

@@ -27,16 +27,6 @@ class TestCounters:
         assert counter.by_operation()["gemm"] == 5
         assert counter.calls_by_operation()["gemm"] == 2
 
-    def test_reset(self):
-        counter = KernelLaunchCounter()
-        counter.record("x", 2)
-        counter.record("y", 4)
-        counter.reset()
-        assert counter.total() == 0 and counter.total_calls() == 0
-        assert counter.by_operation() == {}
-        counter.record("x")
-        assert counter.by_operation() == {"x": 1}
-
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             KernelLaunchCounter().record("x", -1)

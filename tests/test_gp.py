@@ -2,8 +2,8 @@
 
 The GP layer composes every subsystem — construction through a
 :class:`~repro.api.facade.Session`, HSS factorization for the
-log-determinant, preconditioned CG over the compiled batched apply plan for
-the solves — so these tests pin its statistical outputs against the dense
+log-determinant and the direct solves — so these tests pin its statistical
+outputs against the dense
 ``numpy.linalg`` reference: marginal log-likelihood, posterior mean/variance,
 hyperparameter selection and seeded sampling reproducibility across execution
 backends.
@@ -91,7 +91,6 @@ class TestLogLikelihood:
         assert len(fitted_gp.fit_reports_) == 1
         report = fitted_gp.fit_reports_[0]
         assert report.n == N
-        assert report.cg_converged
         assert report.construction_samples > 0
         assert report.construction_launches > 0
         assert np.isfinite(report.log_determinant)
@@ -134,6 +133,33 @@ class TestLogLikelihood:
         )
         assert gp.policy is session.policy
         assert gp.session is session
+
+    def test_solves_directly_with_no_krylov_iteration(self, gp_problem, monkeypatch):
+        """The factorization is of ``K + noise I`` itself, so every GP solve
+        is its direct solve: no CG or GMRES runs in ``fit`` or ``predict``,
+        and the GP has no iteration settings."""
+        import repro.solvers.krylov
+        import repro.solvers.ladder
+
+        calls = []
+        for module in (repro.solvers.krylov, repro.solvers.ladder):
+            for name in ("cg", "gmres"):
+                def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        gp = GaussianProcess(
+            gp_problem["points"], gp_problem["kernel"], noise=NOISE,
+            tolerance=1e-7, seed=2,
+        ).fit(gp_problem["y"])
+        gp.predict(gp_problem["points"][:16], return_std=True)
+        assert calls == []
+        for option in ("solve_tol", "max_cg_iterations"):
+            with pytest.raises(TypeError, match=option):
+                GaussianProcess(
+                    gp_problem["points"], gp_problem["kernel"], **{option: 1}
+                )
 
     def test_configuration_errors_propagate_from_fit(self, gp_problem):
         """Only non-PD points are skipped; setup errors must surface."""
@@ -272,7 +298,7 @@ class TestModelSelection:
             return GPFitReport(
                 n=10, kernel="exponential", params=params, noise=0.5,
                 log_marginal_likelihood=-1.0, log_determinant=2.0,
-                quadratic_term=3.0, cg_iterations=7, cg_converged=True,
+                quadratic_term=3.0,
                 construction_samples=64, rank_range=(2, 5),
                 construction_launches=11, apply_launches=4,
                 result_reused=reused, construction_seconds=0.25,

@@ -64,6 +64,28 @@ class TestPlainRecompression:
         assert result.trace.total_launches == result.total_kernel_launches > 0
 
 
+    def test_result_is_bound_as_its_base(self):
+        """The recompressed matrix applies under its base's binding: on the
+        base's backend, with its ``apply`` spans in the base's tracer."""
+        import repro
+        from repro import ExecutionPolicy, ExponentialKernel, SpanTracer, uniform_cube_points
+        from repro.observe import find_spans
+
+        tracer = SpanTracer()
+        base = repro.compress(
+            uniform_cube_points(512, dim=2, seed=3), ExponentialKernel(0.25),
+            tol=1e-6, leaf_size=32, seed=1,
+            policy=ExecutionPolicy(tracer=tracer),
+        )
+        cfg = ConstructionConfig(tolerance=1e-6, sample_block_size=32)
+        matrix = recompress_h2(base, config=cfg, seed=3).matrix
+        assert matrix.apply_backend is base.apply_backend
+        assert matrix.apply_tracer is tracer
+        applies = len(find_spans(tracer, name="apply"))
+        matrix.matvec(np.ones(matrix.num_rows))
+        assert len(find_spans(tracer, name="apply")) == applies + 1
+
+
 class TestWeakRecompression:
     """``_recompress_weak``: how a strong H2 matrix reaches the HSS factor."""
 

@@ -760,62 +760,6 @@ class TestSessionResilience:
         assert result.converged
 
 
-# ------------------------------------------------------------ gp integration
-class TestGaussianProcessResilience:
-    # max_cg_iterations=1 at solve_tol=1e-13 cannot converge: one step
-    # preconditioned by the HSS factorization stops at ~7e-13 (the recursive
-    # Woodbury factorization it replaced stopped at ~7e-12, hence the old
-    # 1e-12), while preconditioned GMRES reaches ~1e-14.  noise=1e-4 keeps the
-    # system positive definite for the direct rungs.
-    GP_KWARGS = dict(noise=1e-4, max_cg_iterations=1, solve_tol=1e-13)
-
-    @pytest.fixture(scope="class")
-    def gp_data(self):
-        points = uniform_cube_points(512, dim=2, seed=13)
-        y = np.sin(points[:, 0] * 3.0) + points[:, 1]
-        return points, y
-
-    def _gp(self, points, recovery, **policy_kwargs):
-        from repro.gp import GaussianProcess
-
-        policy = ExecutionPolicy(recovery=recovery, **policy_kwargs)
-        return GaussianProcess(
-            points, GaussianKernel(length_scale=0.5), policy=policy,
-            **self.GP_KWARGS
-        )
-
-    def test_strict_raises(self, gp_data):
-        points, y = gp_data
-        with pytest.raises(SolveDidNotConvergeError):
-            self._gp(points, "strict").fit(y)
-
-    def test_warn_warns(self, gp_data, resilience_log):
-        points, y = gp_data
-        self._gp(points, "warn").fit(y)
-        assert any("gp-solve-not-converged" in m for m in resilience_log)
-
-    def test_recover_escalates_and_predicts(self, gp_data):
-        points, y = gp_data
-        gp = self._gp(points, "recover").fit(y)
-        mean = gp.predict(points[:32])
-        assert np.all(np.isfinite(mean))
-        # Training targets are reproduced to solver accuracy.
-        assert np.allclose(gp.predict(points), y, atol=1e-2)
-
-    def test_stall_fault_recovers(self, gp_data):
-        points, y = gp_data
-        from repro.gp import GaussianProcess
-
-        policy = ExecutionPolicy(
-            recovery="recover", faults="stall-convergence:iters=1"
-        )
-        gp = GaussianProcess(
-            points, GaussianKernel(length_scale=0.5), noise=1e-4,
-            policy=policy, solve_tol=1e-10,
-        ).fit(y)
-        assert np.all(np.isfinite(gp.predict(points[:16])))
-
-
 # ------------------------------------------------------------- guarded solve
 def _session_solve(points, y, policy):
     sess = Session(points, policy=policy, seed=2)
@@ -841,18 +785,10 @@ def _served_solve(points, y, policy):
         asyncio.run(server.aclose())
 
 
-def _fitted_gp(points, y, policy):
-    from repro.gp import GaussianProcess
-
-    return GaussianProcess(
-        points, GaussianKernel(length_scale=0.5), noise=1e-4,
-        policy=policy, solve_tol=1e-10,
-    ).fit(y)
-
-
 def loosen_factorization(gp):
-    """Swap the fitted factorization for one of ``K + 10 noise I``: its direct
-    solves miss the residual check, so every predict column is polished."""
+    """Swap the fitted factorization for one of ``K + 10 noise I``: it is not
+    of the shifted covariance, so the direct solve measures its residual, and
+    every predict column misses the tolerance and is polished."""
     from dataclasses import replace
 
     state = gp._require_fit()
@@ -861,7 +797,11 @@ def loosen_factorization(gp):
 
 
 def _gp_polish(points, y, policy):
-    gp = _fitted_gp(points, y, policy)  # the representer solve: no fault yet
+    from repro.gp import GaussianProcess
+
+    gp = GaussianProcess(
+        points, GaussianKernel(length_scale=0.5), noise=1e-4, policy=policy,
+    ).fit(y)  # a direct solve with the exact factorization: nothing to guard
     loosen_factorization(gp)
     gp.predict(points[:4], return_std=True)
 
@@ -869,9 +809,10 @@ def _gp_polish(points, y, policy):
 class TestGuardedSolve:
     """Every product Krylov solve runs through ``guarded_solve``: a stalled
     solve raises under ``strict``, warns under ``warn`` and escalates under
-    ``recover``, with one mapping at all four call sites.  The stall caps
-    ``maxiter`` at 0: a CG preconditioned by the exact HSS factorization
-    converges in one iteration, so ``iters=1`` cannot stall the served CG."""
+    ``recover``, with one mapping at all three call sites (the GP's through
+    the polish of ``direct_solve``).  The stall caps ``maxiter`` at 0: a CG
+    preconditioned by the exact HSS factorization converges in one
+    iteration, so ``iters=1`` cannot stall the served CG."""
 
     #: site -> (runner, fault spec, warning event, further warning text)
     SITES = {
@@ -879,9 +820,7 @@ class TestGuardedSolve:
                     "solve-not-converged", ""),
         "server": (_served_solve, "stall-convergence:iters=0",
                    "solve-not-converged", "model=m"),
-        "gp-fit": (_fitted_gp, "stall-convergence:iters=0",
-                   "gp-solve-not-converged", ""),
-        "gp-polish": (_gp_polish, "stall-convergence:iters=0,nth=2",
+        "gp-polish": (_gp_polish, "stall-convergence:iters=0,nth=1",
                       "gp-solve-not-converged", ""),
     }
 
@@ -893,7 +832,6 @@ class TestGuardedSolve:
     @pytest.fixture()
     def solves(self, monkeypatch):
         """Every result ``guarded_solve`` returns, at every call site."""
-        import repro.gp.regression
         import repro.solvers.ladder
 
         real = repro.solvers.ladder.guarded_solve
@@ -904,7 +842,6 @@ class TestGuardedSolve:
             return results[-1]
 
         monkeypatch.setattr(repro.solvers.ladder, "guarded_solve", spy)
-        monkeypatch.setattr(repro.gp.regression, "guarded_solve", spy)
         return results
 
     @pytest.mark.parametrize("mode", ["strict", "warn", "recover"])

@@ -420,7 +420,7 @@ class TestMicroBatcher:
 
         results = run(main())
         assert batcher.launches == 1
-        for (y, batch_size), p in zip(results, payloads):
+        for (y, batch_size, _), p in zip(results, payloads):
             assert batch_size == 12
             np.testing.assert_allclose(
                 y, serve_operator.matvec(p), atol=1e-11
@@ -476,8 +476,8 @@ class TestMicroBatcher:
         monkeypatch.undo()
         assert batcher.launches == 2
         assert entered == [1, 3]
-        assert [batch_size for _, batch_size in results] == [1, 3, 3, 3]
-        for (y, _), p in zip(results, payloads):
+        assert [batch_size for _, batch_size, _ in results] == [1, 3, 3, 3]
+        for (y, _, _), p in zip(results, payloads):
             np.testing.assert_allclose(y, serve_operator.matvec(p), atol=1e-11)
         batcher.close()
 
@@ -523,7 +523,7 @@ class TestMicroBatcher:
         x = np.random.default_rng(11).standard_normal(N)
         loop = TimerlessLoop()
         try:
-            y, batch_size = loop.run_until_complete(
+            y, batch_size, _ = loop.run_until_complete(
                 batcher.submit(model, "matvec", x)
             )
         finally:
@@ -546,7 +546,7 @@ class TestMicroBatcher:
 
         results = run(main())
         assert batcher.launches == 6
-        for (x, batch_size), p in zip(results, payloads):
+        for (x, batch_size, _), p in zip(results, payloads):
             assert batch_size == 1
             np.testing.assert_allclose(
                 x, model.factorization().solve(p), atol=1e-10
@@ -613,7 +613,7 @@ class TestMicroBatcher:
                 )
 
             results = run(main())
-            for (value, _batch_size), payload in zip(results, payloads):
+            for (value, _batch_size, _), payload in zip(results, payloads):
                 expected = reference(payload)
                 if payload.ndim == 1:
                     expected = expected[:, 0]
@@ -640,7 +640,7 @@ class TestMicroBatcher:
         results = run(main())
         *good_results, bad = results
         assert isinstance(bad, RequestValidationError)
-        for (x, batch_size), p in zip(good_results, good):
+        for (x, batch_size, _), p in zip(good_results, good):
             assert batch_size == 5  # the poisoned member never joined
             np.testing.assert_allclose(
                 x, model.factorization().solve(p), atol=1e-10
@@ -674,7 +674,7 @@ class TestMicroBatcher:
         results = run(main())
         assert batcher.metrics.counter("serve.batch.fallbacks").value == 1
         monkeypatch.undo()
-        for (y, batch_size), p in zip(results, payloads):
+        for (y, batch_size, _), p in zip(results, payloads):
             assert batch_size == 1  # answered by the individual retry
             np.testing.assert_allclose(y, serve_operator.matvec(p), atol=1e-11)
         batcher.close()
@@ -701,16 +701,59 @@ class TestStrongModel:
 
         dense = kernel.evaluate(points, points) + NOISE * np.eye(self.N)
         b = np.random.default_rng(14).standard_normal(self.N)
-        response = run(server.handle(SolveRequest(model="strong", b=b)))
+        response = run(server.handle(SolveRequest(model="strong", b=b, tol=1e-9)))
         assert response.converged and response.method == "direct"
         residual = np.linalg.norm(dense @ response.x - b) / np.linalg.norm(b)
         assert residual < 1e-3
+        # The factorization is of a re-compression: the answer is polished
+        # against the operator, and the residual served is the one measured.
+        x = response.x
+        measured = np.linalg.norm(b - operator.matvec(x) - NOISE * x) / np.linalg.norm(b)
+        assert response.final_residual == pytest.approx(measured, rel=1e-6)
+        assert response.final_residual <= 1e-9
+        y = np.random.default_rng(15).standard_normal(self.N)
+        predict = run(server.handle(PredictRequest(model="strong", y=y)))
+        k_h2 = operator.to_dense()
+        expected = k_h2 @ np.linalg.solve(k_h2 + NOISE * np.eye(self.N), y)
+        error = np.linalg.norm(predict.mean - expected) / np.linalg.norm(expected)
+        assert error <= 1e-8
 
         logdet = run(server.handle(LogdetRequest(model="strong")))
         ref_sign, ref_logdet = np.linalg.slogdet(dense)
         assert logdet.sign == ref_sign == 1.0
         assert logdet.logdet == pytest.approx(ref_logdet, rel=1e-6)
         run(server.aclose())
+
+    def test_coalesced_solves_polish_to_their_own_tol(self):
+        """Two requests sharing one launch are each polished to their own
+        ``tol``: the loose one is not held to the strict one's."""
+        points = uniform_cube_points(self.N, dim=2, seed=13)
+        operator = repro.compress(
+            points, ExponentialKernel(0.2), format="h2", tol=1e-6,
+            leaf_size=32, seed=5,
+        )
+        server = InferenceServer()
+        server.register("strong", operator, noise=NOISE)
+        rhs = np.random.default_rng(16).standard_normal((2, self.N))
+        tols = (1e-5, 1e-10)
+
+        async def main():
+            return await asyncio.gather(*[
+                server.handle(SolveRequest(model="strong", b=b, tol=tol))
+                for b, tol in zip(rhs, tols)
+            ])
+
+        responses = run(main())
+        run(server.aclose())
+        for response, b, tol in zip(responses, rhs, tols):
+            assert response.batch_size == 2 and response.converged
+            x = response.x
+            measured = np.linalg.norm(b - operator.matvec(x) - NOISE * x)
+            assert response.final_residual == pytest.approx(
+                measured / np.linalg.norm(b), rel=1e-6
+            )
+            assert response.final_residual <= tol
+        assert responses[0].final_residual > tols[1]
 
 
 # --------------------------------------------------------------------- server
@@ -762,7 +805,7 @@ class TestInferenceServer:
         assert entered == [3, 1]
         for future, p in zip(admitted, payloads):
             assert future.done() and not future.cancelled()
-            y, _ = future.result()
+            y, _, _ = future.result()
             np.testing.assert_allclose(y, serve_operator.matvec(p), atol=1e-11)
 
     def test_solve_cg_matches_direct(self, serve_operator):

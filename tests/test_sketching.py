@@ -206,7 +206,7 @@ class TestEntryExtractors:
         # Two distinct block shapes -> two batched-generation launches ...
         assert counter.by_operation()["batched_gen"] == 2
         # ... but uniform shapes collapse into a single launch, ...
-        counter.reset()
+        counter = KernelLaunchCounter()
         uniform = ex.extract_blocks(
             [(np.arange(3), np.arange(4)), (np.arange(7, 10), np.arange(2, 6))],
             counter=counter,
@@ -214,7 +214,7 @@ class TestEntryExtractors:
         assert counter.by_operation()["batched_gen"] == 1
         assert np.array_equal(uniform[1], dense_cov_2d[np.ix_(np.arange(7, 10), np.arange(2, 6))])
         # ... and an empty request list records nothing at all.
-        counter.reset()
+        counter = KernelLaunchCounter()
         assert ex.extract_blocks([], counter=counter) == []
         assert counter.by_operation() == {}
 
