@@ -521,3 +521,119 @@ class TestLadderFactorization:
         monkeypatch.setattr(HSSFactorization, "_factor", boom)
         with pytest.raises(AttributeError, match="a bug"):
             self._escalate(base_hss)
+
+
+class TestDirectSolve:
+    """:func:`repro.solvers.direct_solve`, the one use of a factorization as
+    a direct solver: an exact factorization's answer as is, anything else
+    measured and polished column by column to its own tolerance."""
+
+    @pytest.fixture(scope="class")
+    def strong(self):
+        points = uniform_cube_points(256, dim=2, seed=5)
+        return compress(points, ExponentialKernel(0.2), tol=1e-6, leaf_size=32, seed=1)
+
+    @staticmethod
+    def _residuals(a, x, b, shift):
+        x, b = x.reshape(b.shape[0], -1), b.reshape(b.shape[0], -1)
+        r = b - a.matmat(x) - shift * x
+        return np.linalg.norm(r, axis=0) / np.linalg.norm(b, axis=0)
+
+    def test_factorization_records_its_matrix_and_shift(self, base_hss, strong):
+        import gc
+
+        exact = factorize(base_hss, shift=1e-2)
+        assert exact.matrix is base_hss and exact.shift == 1e-2
+        # A strong operator is factored through a temporary re-compression,
+        # which the factorization does not keep alive.
+        recompressed = factorize(strong, shift=1e-2)
+        gc.collect()
+        assert recompressed.matrix is None and recompressed.shift == 1e-2
+
+    def test_exact_factorization_is_returned_as_is(self, base_hss):
+        from repro import ExecutionPolicy
+        from repro.solvers import direct_solve
+
+        factorization = factorize(base_hss, shift=1e-2)
+        b = np.random.default_rng(29).standard_normal((600, 3))
+        solved = direct_solve(base_hss, b, factorization, shift=1e-2, tol=1e-14,
+                              policy=ExecutionPolicy())
+        assert solved.residuals is None and solved.polishes == {}
+        assert np.array_equal(solved.x, factorization.solve(b))
+        assert self._residuals(base_hss, solved.x, b, 1e-2).max() < 1e-12
+        vector = direct_solve(base_hss, b[:, 0], factorization, shift=1e-2,
+                              tol=1e-14, policy=ExecutionPolicy())
+        assert vector.x.shape == (600,) and vector.residuals is None
+        assert np.array_equal(vector.x, factorization.solve(b[:, 0]))
+
+    def test_exact_factorization_runs_no_krylov_under_a_stall(self, base_hss):
+        """With nothing to polish, a strict policy's stall fault has no
+        solve to stall."""
+        from repro import ExecutionPolicy
+        from repro.solvers import direct_solve
+
+        policy = ExecutionPolicy(recovery="strict",
+                                 faults="stall-convergence:iters=0")
+        solved = direct_solve(base_hss, np.ones(600), factorize(base_hss, shift=1e-2),
+                              shift=1e-2, tol=1e-10, policy=policy)
+        assert solved.residuals is None
+        assert policy.faults.fired("stall-convergence") == 0
+
+    def test_other_shift_is_measured_and_polished(self, base_hss):
+        from repro import ExecutionPolicy
+        from repro.solvers import direct_solve
+
+        loose = factorize(base_hss, shift=1e-1)
+        b = np.random.default_rng(31).standard_normal((600, 2))
+        solved = direct_solve(base_hss, b, loose, shift=1e-2, tol=1e-10,
+                              policy=ExecutionPolicy())
+        assert sorted(solved.polishes) == [0, 1]
+        assert all(p.converged for p in solved.polishes.values())
+        measured = self._residuals(base_hss, solved.x, b, 1e-2)
+        assert np.all(solved.residuals <= 1e-10)
+        assert np.allclose(solved.residuals, measured, rtol=1e-6)
+
+    def test_each_column_is_polished_to_its_own_tol(self, strong):
+        from repro import ExecutionPolicy
+        from repro.solvers import direct_solve
+
+        factorization = factorize(strong, shift=1e-2)
+        b = np.random.default_rng(37).standard_normal(256)
+        bare = self._residuals(strong, factorization.solve(b), b, 1e-2)[0]
+        assert 1e-9 < bare < 1e-2
+        block = np.column_stack([b, b])
+        solved = direct_solve(strong, block, factorization, shift=1e-2,
+                              tol=np.array([1e-2, 1e-10]), policy=ExecutionPolicy())
+        # The first column meets 1e-2 unpolished: its residual is the
+        # bare direct answer's; the second is polished past 1e-10.
+        assert list(solved.polishes) == [1]
+        assert solved.residuals[0] == pytest.approx(bare, rel=1e-10)
+        assert solved.residuals[1] <= 1e-10
+        assert np.allclose(solved.residuals,
+                           self._residuals(strong, solved.x, block, 1e-2), rtol=1e-6)
+
+    def test_strict_polish_that_stalls_raises(self, strong):
+        from repro import ExecutionPolicy
+        from repro.resilience import SolveDidNotConvergeError
+        from repro.solvers import direct_solve
+
+        policy = ExecutionPolicy(recovery="strict",
+                                 faults="stall-convergence:iters=0")
+        with pytest.raises(SolveDidNotConvergeError):
+            direct_solve(strong, np.ones(256), factorize(strong, shift=1e-2),
+                         shift=1e-2, tol=1e-10, policy=policy)
+
+    def test_ladder_rung_measures_an_exact_factorization(self, base_hss):
+        """The ``direct`` rung always states a measured residual."""
+        from repro import ExecutionPolicy
+        from repro.solvers import direct_solve
+
+        b = np.random.default_rng(41).standard_normal(600)
+        solved = direct_solve(base_hss, b, factorize(base_hss, shift=1e-2),
+                              shift=1e-2, tol=1e-8, policy=ExecutionPolicy(),
+                              rung_maxiter=10)
+        assert solved.polishes == {}
+        assert solved.residuals.shape == (1,)
+        assert solved.residuals[0] == pytest.approx(
+            self._residuals(base_hss, solved.x, b, 1e-2)[0], rel=1e-6)
+        assert solved.residuals[0] < 1e-12

@@ -760,6 +760,45 @@ class TestSessionResilience:
         assert result.converged
 
 
+# ------------------------------------------------------------ gp integration
+class TestGaussianProcessResilience:
+    def test_stall_fault_recovers(self):
+        from repro.gp import GaussianProcess
+
+        points = uniform_cube_points(512, dim=2, seed=13)
+        y = np.sin(points[:, 0] * 3.0) + points[:, 1]
+        policy = ExecutionPolicy(
+            recovery="recover", faults="stall-convergence:iters=1"
+        )
+        gp = GaussianProcess(
+            points, GaussianKernel(length_scale=0.5), noise=1e-4,
+            policy=policy,
+        ).fit(y)
+        assert np.all(np.isfinite(gp.predict(points[:16])))
+
+    def test_stall_fault_does_not_reach_the_direct_fit(self):
+        """The GP solves with the exact factorization of its covariance: a
+        strict policy's stall fault finds no Krylov solve to stall, and the
+        answers are the fault-free ones."""
+        from repro.gp import GaussianProcess
+
+        points = uniform_cube_points(256, dim=2, seed=13)
+        y = np.sin(points[:, 0] * 3.0) + points[:, 1]
+
+        def fitted(policy):
+            return GaussianProcess(points, GaussianKernel(length_scale=0.5),
+                                   noise=1e-4, policy=policy).fit(y)
+
+        policy = ExecutionPolicy(recovery="strict",
+                                 faults="stall-convergence:iters=0")
+        gp, clean = fitted(policy), fitted(ExecutionPolicy())
+        mean, std = gp.predict(points[:8], return_std=True)
+        clean_mean, clean_std = clean.predict(points[:8], return_std=True)
+        assert policy.faults.fired("stall-convergence") == 0
+        assert np.array_equal(gp.alpha_, clean.alpha_)
+        assert np.array_equal(mean, clean_mean) and np.array_equal(std, clean_std)
+
+
 # ------------------------------------------------------------- guarded solve
 def _session_solve(points, y, policy):
     sess = Session(points, policy=policy, seed=2)
